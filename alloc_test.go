@@ -11,19 +11,17 @@ import (
 )
 
 // TestScanSteadyZeroAlloc pins the zero-allocation property of the
-// scan-steady profiling path: with fixed regions and one worker, an MTM
-// profiling interval after warm-up reuses per-shard scratch (RNG, sample
-// buffers, membership bitsets), per-region Samples/Observed capacity, and
-// the cached shard function — so it never touches the heap. CI enforces
-// the same bound on BenchmarkScanSteady via the benchjson -max-allocs
-// gate; this test catches regressions without running benchmarks.
+// scan-steady profiling path: with fixed regions, an MTM profiling
+// interval after warm-up reuses the engine scratch (RNG, membership
+// bitset) and per-region Samples/Observed capacity — so it never touches
+// the heap. CI enforces the same bound on BenchmarkScanSteady via the
+// benchjson -max-allocs gate; this test catches regressions without
+// running benchmarks.
 //
-// Adaptive region formation and multi-worker runs are excluded on
-// purpose: merge/split churn creates regions (which must allocate) and
-// the pool's fork/join spawns goroutines.
+// Adaptive region formation is excluded on purpose: merge/split churn
+// creates regions, which must allocate.
 func TestScanSteadyZeroAlloc(t *testing.T) {
 	e := sim.NewEngine(tier.OptaneTopology(64), 1)
-	e.Par = sim.NewPool(1)
 	e.SetSolution(policy.NewFirstTouch())
 	e.Interval = 10 * 1e9 / 64
 	e.AS.THP = false
@@ -37,7 +35,7 @@ func TestScanSteadyZeroAlloc(t *testing.T) {
 	m := profiler.NewMTM(pc)
 	m.Attach(e)
 	for i := 0; i < 3; i++ {
-		m.Profile(e) // warm-up: size scratch, region buffers, shard tallies
+		m.Profile(e) // warm-up: size scratch and region buffers
 	}
 	if got := testing.AllocsPerRun(20, func() { m.Profile(e) }); got != 0 {
 		t.Errorf("scan-steady Profile allocates %.1f objects per interval, want 0", got)
@@ -45,10 +43,10 @@ func TestScanSteadyZeroAlloc(t *testing.T) {
 }
 
 // TestFidelitySampleZeroAlloc pins the zero-allocation property of the
-// fidelity oracle's steady-state sample: with planes, shard scratch, the
-// span list, and the cached phase closures sized by warm-up samples, one
-// FidelitySample — truth histogram, estimate grading, rank agreement,
-// lag transitions, heat row — never touches the heap. CI enforces the
+// fidelity oracle's steady-state sample: with planes and rank-agreement
+// buffers sized by warm-up samples, one FidelitySample — truth histogram,
+// estimate grading, rank agreement, lag transitions, heat row — never
+// touches the heap. CI enforces the
 // same bound on BenchmarkIntervalFidelitySample via the benchjson
 // -max-allocs gate; this test catches regressions without benchmarks.
 //
@@ -56,7 +54,6 @@ func TestScanSteadyZeroAlloc(t *testing.T) {
 // profiler's region table) is exercised, not skipped.
 func TestFidelitySampleZeroAlloc(t *testing.T) {
 	e := sim.NewEngine(tier.OptaneTopology(64), 1)
-	e.Par = sim.NewPool(1)
 	e.Interval = 10 * 1e9 / 64
 	e.AS.THP = false
 	pc := profiler.DefaultMTMConfig()
@@ -72,7 +69,7 @@ func TestFidelitySampleZeroAlloc(t *testing.T) {
 	sol.Prof.Attach(e)
 	sol.Prof.Profile(e) // populate the region table the oracle grades
 	for i := 0; i < 3; i++ {
-		e.FidelitySample() // warm-up: size planes, shards, span list
+		e.FidelitySample() // warm-up: size planes and buffers
 	}
 	if got := testing.AllocsPerRun(20, func() { e.FidelitySample() }); got != 0 {
 		t.Errorf("fidelity sample allocates %.1f objects per interval, want 0", got)

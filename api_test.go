@@ -297,16 +297,4 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 	if err := ext.Validate(); err != nil {
 		t.Fatalf("explicit Interval/MigrateBudget still rejected: %v", err)
 	}
-	neg := quickCfg()
-	neg.Parallelism = -1
-	if err := neg.Validate(); err == nil {
-		t.Fatal("negative Parallelism passed Validate")
-	}
-	if _, err := Run(neg, "gups", "mtm"); err == nil {
-		t.Fatal("Run accepted negative Parallelism")
-	}
-	neg.Parallelism = 0 // GOMAXPROCS default
-	if err := neg.Validate(); err != nil {
-		t.Fatalf("zero Parallelism rejected: %v", err)
-	}
 }

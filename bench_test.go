@@ -1,7 +1,6 @@
 package mtm_test
 
 import (
-	"fmt"
 	"testing"
 
 	"mtm"
@@ -106,17 +105,12 @@ func BenchmarkMTMProfileInterval(b *testing.B) {
 	}
 }
 
-// benchIntervalProfiler measures the profiling-interval hot path — the
-// part the worker pool shards — at machine scale 8: a 2 GB 4 KB-page VMA
-// (1024 regions of 512 pages) profiled by MTM's adaptive profiler with
-// PEBS gating off, so every region takes the PTE-scan path and the
-// sharded scan dominates the sequential epilogue. The Sequential/Parallel
-// pair under the same workload is what the CI benchmark gate compares:
-// their ns/op ratio demonstrates the speedup (>= 2x on 4+ cores) while
-// staying comparable across differently-fast runners.
-func benchIntervalProfiler(b *testing.B, workers int) {
+// BenchmarkProfilePass measures one profiler pass (m.Profile) at machine
+// scale 8: a 2 GB 4 KB-page VMA (1024 regions of 512 pages) profiled by
+// MTM's adaptive profiler with PEBS gating off, so every region takes the
+// PTE-scan path.
+func BenchmarkProfilePass(b *testing.B) {
 	e := sim.NewEngine(tier.OptaneTopology(8), 1)
-	e.Par = sim.NewPool(workers)
 	e.SetSolution(policy.NewFirstTouch())
 	e.Interval = 10 * 1e9 / 8
 	e.AS.THP = false
@@ -136,29 +130,14 @@ func benchIntervalProfiler(b *testing.B, workers int) {
 	}
 }
 
-func BenchmarkIntervalSequential(b *testing.B) { benchIntervalProfiler(b, 1) }
-func BenchmarkIntervalParallel(b *testing.B)   { benchIntervalProfiler(b, 0) }
-
-// BenchmarkIntervalWorkers runs the same interval at fixed worker counts.
-// The CI speedup gate derives parallel speedup as w1 ns/op over w8 ns/op,
-// which factors out the runner's absolute speed. On a single-core box all
-// four sub-benchmarks degenerate to the same time — the gate only runs on
-// multi-core CI runners.
-func BenchmarkIntervalWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) { benchIntervalProfiler(b, w) })
-	}
-}
-
 // BenchmarkScanSteady measures the scan-steady profiling path: fixed
-// regions (AdaptiveRegions off), one worker, PEBS off, so every interval
-// is a pure word-wide PTE-scan sweep with per-shard scratch reuse. After
+// regions (AdaptiveRegions off), PEBS off, so every interval is a pure
+// word-wide PTE-scan sweep with scratch reuse. After
 // the warm-up pass this path performs zero heap allocations per interval;
 // the CI allocs gate holds it there. TestScanSteadyZeroAlloc asserts the
 // same bound as a unit test.
 func BenchmarkScanSteady(b *testing.B) {
 	e := sim.NewEngine(tier.OptaneTopology(8), 1)
-	e.Par = sim.NewPool(1)
 	e.SetSolution(policy.NewFirstTouch())
 	e.Interval = 10 * 1e9 / 8
 	e.AS.THP = false
@@ -182,15 +161,13 @@ func BenchmarkScanSteady(b *testing.B) {
 // BenchmarkIntervalFidelitySample measures one fidelity-oracle sample
 // over the same 2 GB interval workload the profiler benchmarks use: truth
 // histogram, estimate grading against MTM's fixed region table, rank
-// agreement, lag transitions, and the heat row. The oracle reuses planes,
-// shard scratch, and cached phase closures after warm-up, so the steady
-// state allocates nothing; the CI allocs gate holds it at zero, and the
-// ns/op against BenchmarkIntervalSequential bounds the oracle's relative
-// wall-time cost. TestFidelitySampleZeroAlloc asserts the same
+// agreement, lag transitions, and the heat row. The oracle reuses planes
+// and buffers after warm-up, so the steady state allocates nothing; the
+// CI allocs gate holds it at zero, and the ns/op against
+// BenchmarkProfilePass bounds the oracle's relative wall-time cost. TestFidelitySampleZeroAlloc asserts the same
 // zero-alloc bound as a unit test.
 func BenchmarkIntervalFidelitySample(b *testing.B) {
 	e := sim.NewEngine(tier.OptaneTopology(8), 1)
-	e.Par = sim.NewPool(1)
 	e.Interval = 10 * 1e9 / 8
 	e.AS.THP = false
 	pc := profiler.DefaultMTMConfig()
@@ -205,7 +182,7 @@ func BenchmarkIntervalFidelitySample(b *testing.B) {
 	}
 	sol.Prof.Attach(e)
 	sol.Prof.Profile(e)
-	e.FidelitySample() // warm-up: size planes, shards, span list
+	e.FidelitySample() // warm-up: size planes and buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,45 +4,28 @@
 // Parse mode (default) reads benchmark output on stdin (or -in) and
 // writes a summary:
 //
-//	go test -bench Interval -benchtime=1x -count=3 | benchjson -out BENCH_ci.json
+//	go test -bench ProfilePass -benchtime=3x -benchmem -count=3 | benchjson -out BENCH_ci.json
 //
 // Each benchmark keeps the MINIMUM ns/op across its -count repetitions —
-// the least-noisy estimate of the true cost. The summary also derives
-// IntervalRatio = ns/op(BenchmarkIntervalParallel) /
-// ns/op(BenchmarkIntervalSequential): the two benchmarks run the same
-// profiling interval, so their ratio measures the sharded hot path's
-// speedup while cancelling the absolute speed of the machine. Gating on
-// the ratio keeps the check meaningful across differently-fast CI
-// runners, where raw ns/op thresholds would misfire.
+// the least-noisy estimate of the true cost.
 //
 // Compare mode gates a current summary against a checked-in baseline:
 //
-//	benchjson -current BENCH_ci.json -baseline BENCH_baseline.json -threshold 0.20
+//	benchjson -current BENCH_ci.json -baseline BENCH_baseline.json -max-allocs BenchmarkScanSteady=0
 //
-// The gate fails (exit 1) when the current IntervalRatio exceeds the
-// baseline's by more than -threshold (relative), i.e. when parallel
-// interval throughput regressed relative to sequential. -max-ratio adds
-// an absolute ceiling on the ratio (0 disables it); use it on runners
-// with a known core count to demand a minimum speedup, e.g.
-// -max-ratio 0.5 insists on >= 2x.
+// It prints each benchmark's ns/op drift against the baseline for the
+// log; ns/op itself never fails the gate, because raw timings do not
+// compare across differently-fast runners. The gate fails (exit 1) when:
 //
-// Two further gates run against the current summary alone (no baseline
-// involvement, so they hold absolutely rather than relatively):
-//
-//   - -min-speedup N requires ParallelSpeedup — ns/op of
-//     BenchmarkIntervalWorkers/w1 over /w8, the same interval at 1 vs 8
-//     workers — to be at least N. Like IntervalRatio it cancels the
-//     runner's absolute speed, but it measures the speedup directly at a
-//     fixed worker count instead of at GOMAXPROCS. Only meaningful on
-//     multi-core runners.
+//   - the diff against the baseline is not symmetric: benchmarks present
+//     in the run but absent from the baseline, and stale baseline entries
+//     naming benchmarks the run no longer has, both mean the checked-in
+//     baseline needs regenerating;
+//   - a baseline entry has a zero ns/op (a corrupt or hand-edited file);
 //   - -max-allocs name=N[,name=N...] caps allocs/op of the named
-//     benchmarks (requires -benchmem output); the zero-allocation
-//     scan-steady contract is enforced with BenchmarkScanSteady=0.
-//
-// The diff against the baseline is symmetric: benchmarks present in the
-// run but absent from the baseline fail the gate, and so do stale
-// baseline entries naming benchmarks the run no longer has — both mean
-// the checked-in baseline needs regenerating.
+//     benchmarks (requires -benchmem output) and one exceeds its cap; the
+//     zero-allocation scan-steady contract is enforced with
+//     BenchmarkScanSteady=0.
 package main
 
 import (
@@ -63,13 +46,6 @@ type Summary struct {
 	// Benchmarks maps the benchmark name (GOMAXPROCS suffix stripped) to
 	// its minimum ns/op across repetitions.
 	Benchmarks map[string]Entry `json:"benchmarks"`
-	// IntervalRatio is parallel/sequential interval ns/op; 0 when either
-	// benchmark is missing.
-	IntervalRatio float64 `json:"interval_ratio,omitempty"`
-	// ParallelSpeedup is w1/w8 interval ns/op from the fixed-worker-count
-	// sub-benchmarks; 0 when either is missing. On an N-core runner with
-	// N >= 8 this is the parallel speedup of the sharded hot path.
-	ParallelSpeedup float64 `json:"parallel_speedup,omitempty"`
 }
 
 // Entry is one benchmark's summary.
@@ -81,15 +57,8 @@ type Entry struct {
 	Runs        int     `json:"runs"`
 }
 
-const (
-	seqBench = "BenchmarkIntervalSequential"
-	parBench = "BenchmarkIntervalParallel"
-	w1Bench  = "BenchmarkIntervalWorkers/w1"
-	w8Bench  = "BenchmarkIntervalWorkers/w8"
-)
-
 // benchLine matches one `go test -bench` result line, with or without the
-// -benchmem columns, e.g. "BenchmarkIntervalParallel-4   3   311262 ns/op
+// -benchmem columns, e.g. "BenchmarkProfilePass-4   3   311262 ns/op
 // 1024 B/op   12 allocs/op". The -N suffix is go's GOMAXPROCS tag, not
 // part of the benchmark's identity.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
@@ -127,16 +96,6 @@ func parse(r io.Reader) (*Summary, error) {
 	}
 	if len(s.Benchmarks) == 0 {
 		return nil, fmt.Errorf("benchjson: no benchmark lines found in input")
-	}
-	seq, okSeq := s.Benchmarks[seqBench]
-	par, okPar := s.Benchmarks[parBench]
-	if okSeq && okPar && seq.NsPerOp > 0 {
-		s.IntervalRatio = par.NsPerOp / seq.NsPerOp
-	}
-	w1, ok1 := s.Benchmarks[w1Bench]
-	w8, ok8 := s.Benchmarks[w8Bench]
-	if ok1 && ok8 && w8.NsPerOp > 0 {
-		s.ParallelSpeedup = w1.NsPerOp / w8.NsPerOp
 	}
 	return s, nil
 }
@@ -186,16 +145,7 @@ func write(path string, s *Summary) error {
 	return os.WriteFile(path, b, 0o644)
 }
 
-func compare(cur, base *Summary, threshold, maxRatio, minSpeedup float64, maxAllocs map[string]float64) error {
-	if cur.IntervalRatio == 0 {
-		return fmt.Errorf("current summary lacks %s/%s; cannot gate", parBench, seqBench)
-	}
-	if base.IntervalRatio == 0 {
-		return fmt.Errorf("baseline lacks an interval ratio; regenerate it with `go test -bench Interval ... | benchjson -out BENCH_baseline.json`")
-	}
-	limit := base.IntervalRatio * (1 + threshold)
-	fmt.Printf("interval ratio (parallel/sequential ns/op): current=%.4f baseline=%.4f limit=%.4f\n",
-		cur.IntervalRatio, base.IntervalRatio, limit)
+func compare(cur, base *Summary, maxAllocs map[string]float64) error {
 	names := make([]string, 0, len(cur.Benchmarks))
 	for n := range cur.Benchmarks {
 		names = append(names, n)
@@ -235,30 +185,13 @@ func compare(cur, base *Summary, threshold, maxRatio, minSpeedup float64, maxAll
 	}
 	sort.Strings(stale)
 	if len(missing) > 0 {
-		return fmt.Errorf("baseline lacks benchmark(s) %v present in the current run; regenerate it with `go test -bench Interval ... | benchjson -out BENCH_baseline.json`", missing)
+		return fmt.Errorf("baseline lacks benchmark(s) %v present in the current run; regenerate it with `go test -bench ... | benchjson -out BENCH_baseline.json`", missing)
 	}
 	if len(stale) > 0 {
 		return fmt.Errorf("baseline names benchmark(s) %v that the current run did not produce; the benchmark was renamed or removed — regenerate the baseline", stale)
 	}
 	if len(zero) > 0 {
 		return fmt.Errorf("baseline has zero/missing ns/op for benchmark(s) %v; the baseline file is corrupt or hand-edited — regenerate it", zero)
-	}
-	if cur.IntervalRatio > limit {
-		return fmt.Errorf("interval throughput regression: parallel/sequential ratio %.4f exceeds baseline %.4f by more than %.0f%%",
-			cur.IntervalRatio, base.IntervalRatio, 100*threshold)
-	}
-	if maxRatio > 0 && cur.IntervalRatio > maxRatio {
-		return fmt.Errorf("interval ratio %.4f exceeds the absolute ceiling %.2f (insufficient parallel speedup)", cur.IntervalRatio, maxRatio)
-	}
-	if minSpeedup > 0 {
-		if cur.ParallelSpeedup == 0 {
-			return fmt.Errorf("-min-speedup given but the current summary lacks %s/%s", w1Bench, w8Bench)
-		}
-		fmt.Printf("parallel speedup (w1/w8 ns/op): %.2fx (floor %.2fx)\n", cur.ParallelSpeedup, minSpeedup)
-		if cur.ParallelSpeedup < minSpeedup {
-			return fmt.Errorf("parallel speedup %.2fx below the %.2fx floor (w1=%s w8=%s)",
-				cur.ParallelSpeedup, minSpeedup, w1Bench, w8Bench)
-		}
 	}
 	allocNames := make([]string, 0, len(maxAllocs))
 	for n := range maxAllocs {
@@ -284,9 +217,6 @@ func main() {
 		out       = flag.String("out", "-", "where to write the JSON summary")
 		current   = flag.String("current", "", "compare mode: current summary JSON")
 		baseline  = flag.String("baseline", "", "compare mode: baseline summary JSON")
-		threshold = flag.Float64("threshold", 0.20, "allowed relative interval-ratio regression")
-		maxRatio  = flag.Float64("max-ratio", 0, "absolute interval-ratio ceiling (0 = disabled)")
-		minSpeed  = flag.Float64("min-speedup", 0, "w1/w8 parallel-speedup floor (0 = disabled)")
 		allocSpec = flag.String("max-allocs", "", "allocs/op caps as name=limit[,name=limit...]")
 	)
 	flag.Parse()
@@ -306,7 +236,7 @@ func main() {
 			var base *Summary
 			base, err = load(*baseline)
 			if err == nil {
-				err = compare(cur, base, *threshold, *maxRatio, *minSpeed, maxAllocs)
+				err = compare(cur, base, maxAllocs)
 			}
 		}
 		if err != nil {

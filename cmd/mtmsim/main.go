@@ -11,15 +11,13 @@
 //	mtmsim -workload pingpong -solution mtm -admission
 //	mtmsim -workload pingpong -solution mtm -admission-learn -admission-lanes default
 //	mtmsim -workload pingpong -solution nomad -budget-mb 6400 -audit
-//	mtmsim -workload gups -solution mtm -parallel 4 -json
+//	mtmsim -workload gups -solution mtm -json
 //	mtmsim -workload gups -solution mtm -metrics out.prom -metrics-format prom
 //	mtmsim -workload pingpong -solution mtm -fidelity -json
 //	mtmsim -list
 //
-// -parallel sets the worker count for the sharded profiling/migration
-// phases (0 = GOMAXPROCS, 1 = sequential); results are bit-identical at
-// every setting. -json emits the Result as JSON on stdout, which is what
-// the CI determinism gate diffs across parallelism levels. A failed run
+// -json emits the Result as JSON on stdout, which is what the CI
+// determinism gate diffs across repeated runs. A failed run
 // (e.g. out of memory under -faults capacity-crunch) still emits the
 // partial Result with an "error" field, and exits non-zero.
 //
@@ -59,7 +57,7 @@
 // given file; -spans-format selects the self-describing JSONL stream
 // (default; the cmd/spanreport input) or Chrome trace-event JSON, loadable
 // in Perfetto (ui.perfetto.dev) or chrome://tracing. Span output is
-// byte-identical at every -parallel setting.
+// byte-identical across runs of the same flags.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // simulator itself (real host CPU/heap, not virtual time) for `go tool
@@ -103,7 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		admLanes  = fs.String("admission-lanes", "", "traffic-class lane config: preset name with kebab-case overrides, e.g. default or strict,reserve-frac=0.4 (implies -admission)")
 		healthOn  = fs.Bool("health", false, "enable the tier-health subsystem (auto-enabled by mem-error/tier-fail scenarios)")
 		audit     = fs.Bool("audit", false, "cross-check residency/capacity/migration ledgers after the run")
-		parallel  = fs.Int("parallel", 0, "worker count for sharded phases (0 = GOMAXPROCS)")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON instead of the text report")
 		fidelity  = fs.Bool("fidelity", false, "enable the ground-truth fidelity oracle (requires -json; adds the Fidelity block)")
 		fidHrz    = fs.Int("fidelity-horizon", 0, "migration-outcome resolution window in intervals (0 = the default; requires -fidelity)")
@@ -181,7 +178,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Health = *healthOn
 	cfg.Audit = *audit
-	cfg.Parallelism = *parallel
 	cfg.Metrics = *metrics != ""
 	if *spans != "" {
 		cfg.Trace = &span.Config{}

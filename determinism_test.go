@@ -10,59 +10,46 @@ import (
 	"mtm/internal/span"
 )
 
-// runPair executes the same (workload, solution) run at two Parallelism
-// settings and fails unless the JSON-encoded Results are byte-identical.
-// JSON equality covers every exported field — virtual times, per-node
-// access counts, migration volumes, robustness counters — so any
-// parallelism-dependent drift in the sharded phases shows up here.
-func runPair(t *testing.T, cfg Config, wl, sol string) {
+// Every test in this file runs one configuration twice in the same
+// process and requires byte-identical output. A second run catches what a
+// seeded simulation must never have: map-order iteration, state leaking
+// between runs through package globals, or host-dependent values.
+
+// sameTwice calls run twice and fails unless both calls return the same
+// bytes.
+func sameTwice(t *testing.T, what string, run func() []byte) {
 	t.Helper()
-	seq := cfg
-	seq.Parallelism = 1
-	par := cfg
-	par.Parallelism = 4
-	rs, err := Run(seq, wl, sol)
-	if err != nil {
-		t.Fatalf("sequential run: %v", err)
-	}
-	rp, err := Run(par, wl, sol)
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	bs, err := json.Marshal(rs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp, err := json.Marshal(rp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(bs, bp) {
-		t.Errorf("parallel run diverged from sequential:\nseq: %s\npar: %s", bs, bp)
+	a, b := run(), run()
+	if !bytes.Equal(a, b) {
+		t.Errorf("%s diverged between two runs of the same config:\nfirst:  %s\nsecond: %s", what, a, b)
 	}
 }
 
-// TestParallelDeterminismMatrix asserts the tentpole invariant: the
-// sharded profiling/migration hot path produces bit-identical Results at
-// any Parallelism, for every solution/workload pair. Shard layouts are
-// fixed-size and every shard draws from its own seeded stream, so worker
-// count must never leak into the simulation.
+// runPair executes the same (workload, solution) run twice and fails
+// unless the JSON-encoded Results are byte-identical. JSON equality covers
+// every exported field — virtual times, per-node access counts, migration
+// volumes, robustness counters.
+func runPair(t *testing.T, cfg Config, wl, sol string) {
+	t.Helper()
+	sameTwice(t, "Result", func() []byte { return resultJSON(t, cfg, wl, sol) })
+}
+
+// TestParallelDeterminismMatrix asserts the determinism invariant for
+// every solution/workload pair: the same Config yields the same Result.
 func TestParallelDeterminismMatrix(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
 	cfg.OpsFactor = 0.25
 	// Health-enabled variants: poisoning order, drain batches, breaker
-	// state and the end-of-run audit must all be parallelism-invariant.
-	// The health machinery never draws from the engine's random stream,
-	// so a DIMM dying mid-run or a flaky CXL link cannot make worker
-	// count observable.
+	// state and the end-of-run audit. The health machinery never draws
+	// from the engine's random stream.
 	health := []struct{ name, faults string }{
 		{"dimm-death", "dimm-death"},
 		{"cxl-flaky", "cxl-flaky"},
 	}
 	if testing.Short() || sim.RaceEnabled {
-		// One PEBS-assisted and one scan-only solution keep the sharded
-		// phases covered without the full 15x6 sweep. Under -race the
+		// One PEBS-assisted and one scan-only solution keep the scan
+		// passes covered without the full 15x6 sweep. Under -race the
 		// full sweep costs ~10x for no extra determinism signal (the CI
 		// determinism job runs it race-free at full size), so it trims
 		// itself there too.
@@ -76,10 +63,9 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 			t.Run("gups/mtm/"+h.name, func(t *testing.T) { runPair(t, hc, "gups", "mtm") })
 		}
 		// Admission-enabled variants: the ROI gate, pair budgets, waste
-		// ledgers and the thrash cool-down all mutate on the serialized
-		// loop, so an admission-controlled run — including one where the
+		// ledgers and the thrash cool-down — including a run where the
 		// ping-pong workload hammers the cool-down and a flaky tier feeds
-		// the waste ledger — must stay bit-identical too.
+		// the waste ledger.
 		ac := cfg
 		ac.Admission = &admission.Config{}
 		t.Run("pingpong/mtm/admission", func(t *testing.T) { runPair(t, ac, "pingpong", "mtm") })
@@ -88,10 +74,8 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		af.Audit = true
 		t.Run("pingpong/mtm/admission/cxl-flaky", func(t *testing.T) { runPair(t, af, "pingpong", "mtm") })
 		// Fidelity-enabled variants: the oracle's truth plane, estimate
-		// marking, lag bookkeeping and outcome lineage all run in sharded
-		// phases merged on the serialized loop, so the Fidelity block must
-		// be byte-identical at every worker count too (see also
-		// TestParallelDeterminismFidelity for the 1/2/8 sweep).
+		// marking, lag bookkeeping and outcome lineage (see also
+		// TestParallelDeterminismFidelity).
 		fc := cfg
 		fc.Fidelity = true
 		t.Run("pingpong/mtm/fidelity", func(t *testing.T) { runPair(t, fc, "pingpong", "mtm") })
@@ -159,11 +143,9 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 }
 
 // TestParallelDeterminismMetrics extends the invariant to metrics-enabled
-// runs: every instrument write happens on the serialized interval loop
-// (sharded phases accumulate into per-shard scratch merged in shard
-// order), so the exported counters, time series, and event ring must be
-// byte-identical at any Parallelism. The Metrics field rides inside
-// Result, so runPair's JSON comparison covers the whole export.
+// runs: the exported counters, time series, and event ring. The Metrics
+// field rides inside Result, so runPair's JSON comparison covers the
+// whole export.
 func TestParallelDeterminismMetrics(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -172,7 +154,7 @@ func TestParallelDeterminismMetrics(t *testing.T) {
 	t.Run("gups/mtm", func(t *testing.T) { runPair(t, cfg, "gups", "mtm") })
 	t.Run("gups/tiered-autonuma", func(t *testing.T) { runPair(t, cfg, "gups", "tiered-autonuma") })
 	// Faulty variant: abort/retry events and fault-activation events must
-	// land in the ring in the same order regardless of worker count.
+	// land in the ring in the same order.
 	faulty := cfg
 	faulty.Faults = "ebusy-storm"
 	t.Run("gups/mtm/ebusy-storm", func(t *testing.T) { runPair(t, faulty, "gups", "mtm") })
@@ -184,7 +166,7 @@ func spanJSONL(t *testing.T, cfg Config, wl, sol string) []byte {
 	t.Helper()
 	res, err := Run(cfg, wl, sol)
 	if err != nil {
-		t.Fatalf("run (parallel %d): %v", cfg.Parallelism, err)
+		t.Fatalf("run: %v", err)
 	}
 	if res.Spans == nil {
 		t.Fatal("traced run produced no span export")
@@ -196,25 +178,19 @@ func spanJSONL(t *testing.T, cfg Config, wl, sol string) []byte {
 	return buf.Bytes()
 }
 
-// runSpanSet executes the same traced run at Parallelism 1, 2 and 8 and
-// fails unless the JSONL span streams are byte-identical: every timestamp
-// comes from the virtual clock and every ID from a per-interval counter,
-// so worker count must never leak into the trace.
+// runSpanSet executes the same traced run twice and fails unless the
+// JSONL span streams are byte-identical: every timestamp comes from the
+// virtual clock and every ID from a per-interval counter.
 func runSpanSet(t *testing.T, cfg Config, wl, sol string) {
 	t.Helper()
 	cfg.Trace = &span.Config{}
-	cfg.Parallelism = 1
-	base := spanJSONL(t, cfg, wl, sol)
-	if bytes.Count(base, []byte("\n")) < 2 {
-		t.Fatal("trace is empty; determinism comparison is vacuous")
-	}
-	for _, p := range []int{2, 8} {
-		c := cfg
-		c.Parallelism = p
-		if got := spanJSONL(t, c, wl, sol); !bytes.Equal(base, got) {
-			t.Errorf("span stream diverged at parallelism %d", p)
+	sameTwice(t, "span stream", func() []byte {
+		b := spanJSONL(t, cfg, wl, sol)
+		if bytes.Count(b, []byte("\n")) < 2 {
+			t.Fatal("trace is empty; determinism comparison is vacuous")
 		}
-	}
+		return b
+	})
 }
 
 // TestParallelDeterminismSpans extends the determinism invariant to the
@@ -241,8 +217,7 @@ func TestParallelDeterminismSpans(t *testing.T) {
 }
 
 // TestParallelDeterminismSpansFaults covers the fault-injected variant:
-// retry, backoff and abort annotations ride in the transfer spans, and
-// they too must be identical at any worker count.
+// retry, backoff and abort annotations ride in the transfer spans.
 func TestParallelDeterminismSpansFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -252,9 +227,8 @@ func TestParallelDeterminismSpansFaults(t *testing.T) {
 }
 
 // TestParallelDeterminismFaults extends the invariant to fault-injected
-// runs: the injector draws from its own stream, and the retry/abort
-// accounting of the transactional rebind loop is serialized, so injected
-// EBUSY storms must not break parallel determinism either.
+// runs: the injector draws from its own stream, so injected EBUSY storms
+// must not break determinism either.
 func TestParallelDeterminismFaults(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -267,8 +241,8 @@ func TestParallelDeterminismFaults(t *testing.T) {
 // non-exclusive tiering path explicitly: shadow retention, write
 // invalidation, background sync and flip demotion all mutate shared
 // state (the shadow table, the per-node shadow ledger, the free-demotion
-// counters), and all of it must stay bit-identical at any worker count —
-// on the workload whose churn exercises every one of those transitions,
+// counters), and all of it must stay bit-identical — on the workload
+// whose churn exercises every one of those transitions,
 // with and without a flaky CXL tier aborting moves mid-retention. Audit
 // is on so the end-of-run residency/shadow reconciliation runs too.
 func TestParallelDeterminismNomad(t *testing.T) {
@@ -284,8 +258,7 @@ func TestParallelDeterminismNomad(t *testing.T) {
 
 // TestParallelDeterminismNomadSpans extends the Nomad invariant to the
 // span stream: shadow sync events, flip-demotion provenance and the
-// admission layer's flip decisions must serialize identically at
-// parallelism 1, 2 and 8.
+// admission layer's flip decisions must serialize identically.
 func TestParallelDeterminismNomadSpans(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -300,8 +273,8 @@ func TestParallelDeterminismNomadSpans(t *testing.T) {
 // TestParallelDeterminismAdmissionSpans pins the determinism invariant
 // on admission provenance: every admit/defer/reject decision span — ROI,
 // threshold, allowance, pair budget — must appear identically, in the
-// same order, at any worker count, even while a flaky tier keeps the
-// waste ledger and the breaker hook busy.
+// same order, even while a flaky tier keeps the waste ledger and the
+// breaker hook busy.
 func TestParallelDeterminismAdmissionSpans(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -316,7 +289,7 @@ func TestParallelDeterminismAdmissionSpans(t *testing.T) {
 // the health provenance trail: poison, transition, breaker-trip and
 // drain spans carry virtual-clock timestamps and interval-scoped IDs, so
 // the JSONL stream of a run that kills a DIMM and offlines its tier must
-// be byte-identical at any worker count.
+// be byte-identical.
 func TestParallelDeterminismHealthSpans(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -332,7 +305,7 @@ func fidelityJSON(t *testing.T, cfg Config, wl, sol string) []byte {
 	t.Helper()
 	res, err := Run(cfg, wl, sol)
 	if err != nil {
-		t.Fatalf("run (parallel %d): %v", cfg.Parallelism, err)
+		t.Fatalf("run: %v", err)
 	}
 	if res.Fidelity == nil {
 		t.Fatal("fidelity-enabled run produced no Fidelity block")
@@ -344,14 +317,13 @@ func fidelityJSON(t *testing.T, cfg Config, wl, sol string) []byte {
 	return b
 }
 
-// TestParallelDeterminismFidelity pins the oracle's determinism contract
-// at parallelism 1, 2 and 8: the truth plane is accumulated per shard and
-// merged in shard order, the hot-set cutoff is a pure function of the
-// merged histogram, and the lineage ledger fills in serialized commit
-// order — so the whole Fidelity block (accuracy means, lag tallies,
-// heatmap rows, per-rule outcome lineage) must be byte-identical at every
-// worker count, including under fault injection, and the outcome span
-// events ride the same guarantee (the span stream is compared too).
+// TestParallelDeterminismFidelity pins the oracle's determinism contract:
+// the hot-set cutoff is a pure function of the truth histogram and the
+// lineage ledger fills in commit order — so the whole Fidelity block
+// (accuracy means, lag tallies, heatmap rows, per-rule outcome lineage)
+// must be byte-identical across runs, including under fault injection,
+// and the outcome span events ride the same guarantee (the span stream is
+// compared too).
 func TestParallelDeterminismFidelity(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -367,16 +339,7 @@ func TestParallelDeterminismFidelity(t *testing.T) {
 		vc.Faults = v.faults
 		vc.Audit = v.faults != ""
 		t.Run("pingpong/mtm/"+v.name, func(t *testing.T) {
-			c := vc
-			c.Parallelism = 1
-			base := fidelityJSON(t, c, "pingpong", "mtm")
-			for _, p := range []int{2, 8} {
-				cp := vc
-				cp.Parallelism = p
-				if got := fidelityJSON(t, cp, "pingpong", "mtm"); !bytes.Equal(base, got) {
-					t.Errorf("Fidelity block diverged at parallelism %d:\np1: %s\np%d: %s", p, base, p, got)
-				}
-			}
+			sameTwice(t, "Fidelity block", func() []byte { return fidelityJSON(t, vc, "pingpong", "mtm") })
 		})
 		t.Run("pingpong/mtm/"+v.name+"/spans", func(t *testing.T) {
 			runSpanSet(t, vc, "pingpong", "mtm")
@@ -385,14 +348,12 @@ func TestParallelDeterminismFidelity(t *testing.T) {
 }
 
 // TestParallelDeterminismLearn pins the adaptive admission layer's
-// determinism contract at parallelism 1, 2 and 8: the learner ledger
-// fills in serialized commit order and resolves on the serialized
-// end-of-interval path, lane counters and the demand-scaled refill
-// mutate only there too — so the whole Result (including the learned
+// determinism contract: the learner ledger fills in commit order and
+// resolves at interval end, where lane counters and the demand-scaled
+// refill also update — so the whole Result (including the learned
 // floors' downstream effects and the AdmissionLanes block) and the span
 // stream (including per-decision floor attributes) must be
-// byte-identical at every worker count, with and without fault
-// injection.
+// byte-identical across runs, with and without fault injection.
 func TestParallelDeterminismLearn(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
@@ -408,16 +369,7 @@ func TestParallelDeterminismLearn(t *testing.T) {
 		vc.Faults = v.faults
 		vc.Audit = v.faults != ""
 		t.Run("pingpong/mtm/"+v.name, func(t *testing.T) {
-			c := vc
-			c.Parallelism = 1
-			base := resultJSON(t, c, "pingpong", "mtm")
-			for _, p := range []int{2, 8} {
-				cp := vc
-				cp.Parallelism = p
-				if got := resultJSON(t, cp, "pingpong", "mtm"); !bytes.Equal(base, got) {
-					t.Errorf("Result diverged at parallelism %d:\np1: %s\np%d: %s", p, base, p, got)
-				}
-			}
+			runPair(t, vc, "pingpong", "mtm")
 		})
 		t.Run("pingpong/mtm/"+v.name+"/spans", func(t *testing.T) {
 			runSpanSet(t, vc, "pingpong", "mtm")
@@ -430,7 +382,7 @@ func resultJSON(t *testing.T, cfg Config, wl, sol string) []byte {
 	t.Helper()
 	res, err := Run(cfg, wl, sol)
 	if err != nil {
-		t.Fatalf("run (parallel %d): %v", cfg.Parallelism, err)
+		t.Fatalf("run: %v", err)
 	}
 	b, err := json.Marshal(res)
 	if err != nil {

@@ -31,8 +31,7 @@
 //
 // The package is pure bookkeeping over plain int node IDs and int64
 // virtual nanoseconds — no engine types, no wall clock, no RNG — so a
-// Controller behaves bit-identically at any worker count as long as its
-// methods are called from the serialized interval loop.
+// Controller fed the same calls in the same order behaves bit-identically.
 package admission
 
 import (
@@ -393,10 +392,10 @@ type cooldown struct {
 }
 
 // Controller holds the admission state for one engine: an N×N matrix
-// of pair buckets and the per-page cool-down table. All methods must
-// be called from the serialized interval loop; none draws randomness
-// or reads the wall clock, and the cool-down map is never iterated, so
-// results are bit-identical at any worker count.
+// of pair buckets and the per-page cool-down table. Not safe for
+// concurrent use. No method draws randomness or reads the wall clock,
+// and the cool-down map is never iterated, so results are
+// bit-identical across runs.
 type Controller struct {
 	cfg   Config
 	pairs []bucket // n*n, indexed src*n + dst
@@ -786,8 +785,8 @@ func (c *Controller) ClassStats(cl Class) ClassStat {
 	return c.cls[cl]
 }
 
-// EndInterval runs the controller's once-per-interval work on the
-// serialized loop and returns any starvation-watchdog firings:
+// EndInterval runs the controller's once-per-interval work and returns
+// any starvation-watchdog firings:
 //
 //   - Demand-scaled refill (lanes mode): each pair's refill rate for
 //     the next interval tracks an EMA of its observed traffic, clamped
@@ -808,7 +807,7 @@ func (c *Controller) ClassStats(cl Class) ClassStat {
 //     record; the caller turns it into a typed event and metric.
 //
 // Pure function of controller state and nowNs — fixed iteration order,
-// no maps, no clock — so it preserves bit-identical parallelism.
+// no maps, no clock — so it is bit-identical across runs.
 func (c *Controller) EndInterval(nowNs int64) []Starvation {
 	if c.cfg.Lanes.Enabled && c.intervalNs > 0 {
 		for i := range c.pairs {

@@ -143,8 +143,8 @@ func TestLearnerDisabledKeepsStaticFloor(t *testing.T) {
 }
 
 // TestLearnerDeterministicReplay runs the same verdict schedule twice
-// and requires bit-identical floors — the property the parallel
-// determinism gate relies on.
+// and requires bit-identical floors — the property the determinism
+// gate relies on.
 func TestLearnerDeterministicReplay(t *testing.T) {
 	run := func() []float64 {
 		c := learnCtl(t, Config{})

@@ -6,9 +6,9 @@
 // machinery: word-wide truth tallies over the count plane, top-K hot-set
 // selection by log2 count bucket, precision/recall/F1, a WHI-vs-truth
 // rank-agreement score, and the migration-outcome lineage verdicts. The
-// engine-side wiring (per-interval sampling, shard merging, the pending-
-// move ledger) lives in internal/sim; everything here is deterministic
-// arithmetic over already-merged tallies.
+// engine-side wiring (per-interval sampling, the pending-move ledger)
+// lives in internal/sim; everything here is deterministic arithmetic over
+// its tallies.
 package fidelity
 
 import (
@@ -24,8 +24,7 @@ import (
 const NBuckets = 33
 
 // Buckets is a bytes-per-log2(count) histogram of one interval's truth
-// plane. Shards accumulate into their own Buckets and the engine merges
-// them in shard order; the merged histogram picks the hot-set cutoff.
+// plane; it picks the hot-set cutoff.
 type Buckets [NBuckets]int64
 
 // AccumulateTruth tallies pages [lo, hi) of v into b, word-wide over the
@@ -48,17 +47,10 @@ func AccumulateTruth(v *vm.VMA, lo, hi int, b *Buckets) (touchedBytes, touchedPa
 	return touchedBytes, touchedPages, accesses
 }
 
-// Add merges o into b (shard-order merge step).
-func (b *Buckets) Add(o *Buckets) {
-	for i := range b {
-		b[i] += o[i]
-	}
-}
-
 // CutBucket returns the truth hot-set cutoff: the highest bucket B such
 // that pages in buckets >= B cover at least target bytes, clamped to at
 // least minBucket (and at least 1, so untouched pages are never "hot").
-// Walking whole buckets keeps the cutoff a pure function of the merged
+// Walking whole buckets keeps the cutoff a pure function of the
 // histogram — no within-bucket tie-breaking that could observe page
 // order.
 func (b *Buckets) CutBucket(target int64, minBucket int) int {

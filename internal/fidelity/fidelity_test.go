@@ -11,7 +11,7 @@ import (
 
 // TestAccumulateTruthMatchesNaive pins the word-wide truth accumulator
 // against a page-at-a-time reference loop over a randomly populated VMA:
-// same histogram, same tallies, for every shard span — including spans
+// same histogram, same tallies, for every page span — including spans
 // that start and end mid-word.
 func TestAccumulateTruthMatchesNaive(t *testing.T) {
 	as := vm.NewAddressSpace()

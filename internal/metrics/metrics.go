@@ -9,14 +9,10 @@
 //     (at engine construction or profiler Attach) and written through
 //     pre-resolved handles; Add/Set/Observe never allocate and never
 //     look anything up by name.
-//   - Deterministic. Everything is recorded from the engine's serialised
-//     interval loop, in program order; the per-interval time series and
-//     the event log are pure functions of the simulation, so two runs of
-//     the same seed — at any sim.Pool Parallelism — export byte-identical
-//     JSON. Sharded phases accumulate into per-shard scratch and record
-//     the merged totals afterwards, exactly like the engine's Charge*
-//     accounting; the registry's guard hook turns a write from inside a
-//     parallel section into a panic.
+//   - Deterministic. Everything is recorded from the engine's interval
+//     loop, in program order; the per-interval time series and the event
+//     log are pure functions of the simulation, so two runs of the same
+//     seed export byte-identical JSON.
 //   - Nil-safe. A nil *Registry hands out nil instruments whose methods
 //     are no-ops, so instrumented code needs no "metrics enabled?"
 //     branches and disabled runs stay bit-identical to uninstrumented
@@ -77,13 +73,11 @@ type Counter struct {
 	v    int64
 }
 
-// Add increases the counter by n (n >= 0). It panics on negative n and,
-// via the registry guard, when called from inside a parallel section.
+// Add increases the counter by n (n >= 0). It panics on negative n.
 func (c *Counter) Add(n int64) {
 	if c == nil {
 		return
 	}
-	c.inst.reg.check(c.inst.full)
 	if n < 0 {
 		panic(fmt.Sprintf("metrics: Counter %s Add(%d): counters are monotonic", c.inst.full, n))
 	}
@@ -106,8 +100,7 @@ func (c *Counter) Value() int64 {
 
 // Gauge is a settable float64. The zero of a nil receiver is a no-op.
 type Gauge struct {
-	inst *instrument
-	v    float64
+	v float64
 }
 
 // Set replaces the gauge value.
@@ -115,7 +108,6 @@ func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
 	}
-	g.inst.reg.check(g.inst.full)
 	g.v = v
 }
 
@@ -131,7 +123,6 @@ func (g *Gauge) Value() float64 {
 // (cumulative-bucket semantics at export, like Prometheus). The zero of a
 // nil receiver is a no-op.
 type Histogram struct {
-	inst   *instrument
 	bounds []float64 // upper bounds, ascending; +Inf bucket is implicit
 	counts []int64   // len(bounds)+1
 	sum    float64
@@ -143,7 +134,6 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	h.inst.reg.check(h.inst.full)
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -190,7 +180,6 @@ const DefaultEventCapacity = 4096
 
 // instrument is the registry's record of one registered metric.
 type instrument struct {
-	reg    *Registry
 	kind   Kind
 	name   string
 	help   string
@@ -204,11 +193,9 @@ type instrument struct {
 
 // Registry owns the instruments, the event ring and the per-interval time
 // series. It is not safe for concurrent use: like the simulation engine it
-// serves, all writes happen on the serialised interval loop (the guard
-// turns violations into panics). A nil *Registry is a valid no-op sink.
+// serves, it belongs to one run's goroutine. A nil *Registry is a valid
+// no-op sink.
 type Registry struct {
-	guard func(what string)
-
 	instruments []*instrument
 	byFull      map[string]*instrument
 	scalars     []*instrument // counters+gauges, registration order: the series columns
@@ -230,28 +217,12 @@ func New() *Registry {
 	}
 }
 
-// SetGuard installs a hook invoked before every instrument write and event
-// emission; the engine points it at its parallel-section assertion so a
-// recording from inside sim.Pool work panics exactly like Charge*/Note*.
-func (r *Registry) SetGuard(g func(what string)) {
-	if r == nil {
-		return
-	}
-	r.guard = g
-}
-
 // SetEventCapacity resizes the event ring bound (existing events kept).
 func (r *Registry) SetEventCapacity(n int) {
 	if r == nil || n <= 0 {
 		return
 	}
 	r.eventCap = n
-}
-
-func (r *Registry) check(what string) {
-	if r.guard != nil {
-		r.guard(what)
-	}
 }
 
 // fullName renders the instrument identity: name{k="v",...}.
@@ -289,7 +260,7 @@ func (r *Registry) register(kind Kind, name, help string, labels []Label) *instr
 		}
 		return in
 	}
-	in := &instrument{reg: r, kind: kind, name: name, help: help, labels: labels, full: full}
+	in := &instrument{kind: kind, name: name, help: help, labels: labels, full: full}
 	r.instruments = append(r.instruments, in)
 	r.byFull[full] = in
 	return in
@@ -315,7 +286,7 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	}
 	in := r.register(KindGauge, name, help, labels)
 	if in.g == nil {
-		in.g = &Gauge{inst: in}
+		in.g = &Gauge{}
 		r.scalars = append(r.scalars, in)
 	}
 	return in.g
@@ -338,7 +309,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if in.h == nil {
 		b := make([]float64, len(bounds))
 		copy(b, bounds)
-		in.h = &Histogram{inst: in, bounds: b, counts: make([]int64, len(b)+1)}
+		in.h = &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
 	}
 	return in.h
 }
@@ -361,7 +332,6 @@ func (r *Registry) Emit(typ, detail string, value int64) {
 	if r == nil {
 		return
 	}
-	r.check("event:" + typ)
 	if len(r.events) >= r.eventCap {
 		r.eventsDropped++
 		return
@@ -407,7 +377,6 @@ func (r *Registry) Sample() {
 	if r == nil {
 		return
 	}
-	r.check("sample")
 	vals := make([]float64, len(r.scalars))
 	for i, in := range r.scalars {
 		switch in.kind {

@@ -101,32 +101,6 @@ func TestRegistrationIdempotentAndKindChecked(t *testing.T) {
 	r.Gauge("x_total", "", L("n", "0"))
 }
 
-func TestGuardFiresOnWrites(t *testing.T) {
-	r := New()
-	var guarded []string
-	blocked := false
-	r.SetGuard(func(what string) {
-		guarded = append(guarded, what)
-		if blocked {
-			panic("metrics: " + what + " inside parallel section")
-		}
-	})
-	c := r.Counter("x_total", "")
-	c.Inc()
-	r.Emit("oom", "", 0)
-	r.Sample()
-	if len(guarded) != 3 {
-		t.Fatalf("guard saw %d writes, want 3: %v", len(guarded), guarded)
-	}
-	blocked = true
-	defer func() {
-		if recover() == nil {
-			t.Fatal("guarded write did not panic")
-		}
-	}()
-	c.Inc()
-}
-
 func TestEventRingBounded(t *testing.T) {
 	r := New()
 	r.SetEventCapacity(3)

@@ -198,63 +198,28 @@ func dominantSrc(srcBytes []int64) tier.NodeID {
 	return best
 }
 
-// migrateShardPages is the page count of one span-prescan shard. Fixed
-// (never derived from worker count) so the shard layout — and therefore
-// the merged candidate list — is independent of the Parallelism setting.
-const migrateShardPages = 1 << 12
-
 // spanCandidates walks [start, end) and returns the indices of pages that
 // are present and not already on dst, in address order, together with the
 // span's write-counter sum (the Adaptive mechanism's write-rate input).
-// The walk is read-only (Present/Node/WriteCount) and sharded across the
-// engine's pool; per-shard results merge in shard order, so the candidate
-// list is identical at any Parallelism. The transactional rebind loop
-// that consumes the list stays sequential — only this O(span) accounting
-// pass fans out.
-func spanCandidates(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeID) ([]int, uint32) {
-	n := end - start
-	if n <= 0 {
-		return nil, 0
-	}
-	nShards := sim.NumShards(n, migrateShardPages)
-	type part struct {
-		cand   []int
-		writes uint32
-	}
-	parts := make([]part, nShards)
-	e.Parallel(nShards, func(s int) {
-		lo, hi := sim.ShardSpan(n, migrateShardPages, s)
-		lo, hi = start+lo, start+hi
-		p := &parts[s]
-		// Word-wide: write counts are non-zero only on touched pages, and
-		// candidates only on present ones; both planes narrow the walk.
-		// Set bits are consumed in ascending page order, preserving the
-		// sequential candidate order exactly.
-		for w := lo / vm.WordPages; w*vm.WordPages < hi; w++ {
-			tw := v.TouchedRangeWord(w, lo, hi)
-			for tw != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(tw)
-				tw &= tw - 1
-				p.writes += v.WriteCount(i)
-			}
-			pw := v.PresentRangeWord(w, lo, hi)
-			for pw != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(pw)
-				pw &= pw - 1
-				if v.Node(i) != dst {
-					p.cand = append(p.cand, i)
-				}
+func spanCandidates(v *vm.VMA, start, end int, dst tier.NodeID) (cand []int, writes uint32) {
+	// Word-wide: write counts are non-zero only on touched pages, and
+	// candidates only on present ones; both planes narrow the walk. Set
+	// bits are consumed in ascending page order.
+	for w := start / vm.WordPages; w*vm.WordPages < end; w++ {
+		tw := v.TouchedRangeWord(w, start, end)
+		for tw != 0 {
+			i := w*vm.WordPages + bits.TrailingZeros64(tw)
+			tw &= tw - 1
+			writes += v.WriteCount(i)
+		}
+		pw := v.PresentRangeWord(w, start, end)
+		for pw != 0 {
+			i := w*vm.WordPages + bits.TrailingZeros64(pw)
+			pw &= pw - 1
+			if v.Node(i) != dst {
+				cand = append(cand, i)
 			}
 		}
-	})
-	if nShards == 1 {
-		return parts[0].cand, parts[0].writes
-	}
-	var cand []int
-	var writes uint32
-	for _, p := range parts {
-		cand = append(cand, p.cand...)
-		writes += p.writes
 	}
 	return cand, writes
 }
@@ -288,8 +253,7 @@ type rebindResult struct {
 // that exhausts its retry budget is skipped, not fatal — later pages
 // still move. Aborted pages count against the maxPages cap: the cap
 // models a per-call work budget, and failed attempts consume it like the
-// kernel's nr_pages do. Must run outside Engine.Parallel: it drives the
-// engine's serialized move accounting.
+// kernel's nr_pages do.
 func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int, rp RetryPolicy) rebindResult {
 	rp = rp.norm()
 	nNodes := len(e.Sys.Topo.Nodes)
@@ -444,7 +408,7 @@ func (m MovePages) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 	if spanning {
 		spanStart = beginMigrationSpan(e, m.Name(), v, start, end, dst, maxPages)
 	}
-	cand, _ := spanCandidates(e, v, start, end, dst)
+	cand, _ := spanCandidates(v, start, end, dst)
 	rb := rebind(e, v, cand, dst, maxPages, m.Retry)
 	var rep Report
 	waste := rb.robustness(&rep)
@@ -495,7 +459,7 @@ func (m Nimble) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeI
 	if spanning {
 		spanStart = beginMigrationSpan(e, m.Name(), v, start, end, dst, maxPages)
 	}
-	cand, _ := spanCandidates(e, v, start, end, dst)
+	cand, _ := spanCandidates(v, start, end, dst)
 	rb := rebind(e, v, cand, dst, maxPages, m.Retry)
 	var rep Report
 	waste := rb.robustness(&rep)
@@ -567,7 +531,7 @@ func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 	// The prescan estimates the region's write rate BEFORE rebinding
 	// (counters are per-interval; rebinding doesn't change them, but
 	// order keeps the estimate tied to the pages actually moved).
-	cand, writes := spanCandidates(e, v, start, end, dst)
+	cand, writes := spanCandidates(v, start, end, dst)
 	rb := rebind(e, v, cand, dst, maxPages, a.Retry)
 	var rep Report
 	waste := rb.robustness(&rep)

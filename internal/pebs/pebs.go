@@ -138,30 +138,6 @@ func (b *Buffer) Record(v *vm.VMA, page int, node tier.NodeID, n uint32) {
 // Samples returns the samples collected in the current window.
 func (b *Buffer) Samples() []Sample { return b.samples }
 
-// Partition cuts the current window's samples into consecutive shards of
-// at most shardSize samples, for parallel attribution. The shards alias
-// the buffer (no copying); callers must treat them as read-only and must
-// not hold them across Arm. The cut depends only on the sample count and
-// shardSize, never on worker count, so shard contents are deterministic.
-func (b *Buffer) Partition(shardSize int) [][]Sample {
-	if shardSize <= 0 {
-		shardSize = 1
-	}
-	n := len(b.samples)
-	if n == 0 {
-		return nil
-	}
-	out := make([][]Sample, 0, (n+shardSize-1)/shardSize)
-	for lo := 0; lo < n; lo += shardSize {
-		hi := lo + shardSize
-		if hi > n {
-			hi = n
-		}
-		out = append(out, b.samples[lo:hi])
-	}
-	return out
-}
-
 // Interrupts returns how many buffer-full interrupts have fired.
 func (b *Buffer) Interrupts() int { return b.interrupts }
 

@@ -88,21 +88,9 @@ type MTM struct {
 	// set's address-ordered slice (stable for the whole Profile call).
 	// They replace the per-interval map allocations of the old hot path;
 	// after warm-up the steady-state scan path allocates nothing.
-	profiled   []bool       // region receives PTE scans this interval
-	kept       []pebsKept   // PEBS hits + first-4 kept pages per region
-	attrParts  [][]attrPair // per-shard attribution slots
-	shardScans []int64      // per-shard scan tallies (span emission order)
-	shardPages []int64
-	gen        uint32 // profiling generation for region selection stamps
-
-	// scanFn caches the scan-shard function across intervals: a fresh
-	// closure per Profile call was the last steady-state allocation. Its
-	// per-interval inputs travel through the scan* fields below, set
-	// immediately before Parallel and valid only during the call.
-	scanFn      func(int)
-	scanEngine  *sim.Engine
-	scanRegions []*region.Region
-	scanPEBS    bool
+	profiled []bool     // region receives PTE scans this interval
+	kept     []pebsKept // PEBS hits + first-4 kept pages per region
+	gen      uint32     // profiling generation for region selection stamps
 }
 
 // pebsKept is the per-region PEBS evidence of one interval: how many
@@ -114,21 +102,15 @@ type pebsKept struct {
 	pages [4]int32
 }
 
-// attrPair is one PEBS sample resolved to (region index, page).
-type attrPair struct{ region, page int32 }
-
-// scanShard profiles one shard's run of regions: it draws sample pages
-// and scan observations from its own per-shard stream (reseeded into its
-// scratch slot's RNG) and writes only the per-region fields of regions it
-// owns plus its scratch tallies. m.kept/m.profiled are read-only here;
-// VMA state is only read (ObserveScansL models the scan against the
-// touched plane, it does not clear bits).
-func (m *MTM) scanShard(s int) {
-	e, regions := m.scanEngine, m.scanRegions
-	sc := e.ShardScratch(s)
+// scanShard profiles shard s, a fixed run of scanShardRegions regions:
+// it draws sample pages and scan observations from the shard's own
+// stream and returns the shard's scan and page tallies. VMA state is only
+// read (ObserveScansL models the scan against the touched plane, it does
+// not clear bits).
+func (m *MTM) scanShard(e *sim.Engine, regions []*region.Region, s int, usePEBS bool) (scans, nPages int64) {
+	sc := e.Scratch()
 	rng := sc.Rand(e, sim.SaltPTEScan, s)
 	lo, hi := sim.ShardSpan(len(regions), scanShardRegions, s)
-	var scans, nPages int64
 	for i, r := range regions[lo:hi] {
 		if !m.profiled[lo+i] {
 			// Event-driven: no PEBS event means no observed traffic;
@@ -145,7 +127,7 @@ func (m *MTM) scanShard(s int) {
 			n = 1
 		}
 		pages := r.Samples[:0]
-		if m.scanPEBS {
+		if usePEBS {
 			if k := &m.kept[lo+i]; k.n > 0 {
 				// PEBS-captured pages first (§5.2), random samples for
 				// the remaining quota.
@@ -175,8 +157,7 @@ func (m *MTM) scanShard(s int) {
 		}
 		r.Sampled = true
 	}
-	m.shardScans[s] = scans
-	m.shardPages[s] = nPages
+	return scans, nPages
 }
 
 // NewMTM creates the profiler with the given config.
@@ -244,23 +225,18 @@ func (m *MTM) Regions() []*region.Region {
 	return m.set.Regions()
 }
 
-// Shard sizes of the parallel profiling phases. Both are fixed constants
-// (never derived from the worker count) so the shard layout — and with it
-// every per-shard RNG stream — is identical at any Parallelism setting.
+// Shard sizes of the profiling passes. Both show up in the simulated
+// output, so both are fixed.
 const (
 	// scanShardRegions is how many consecutive regions one PTE-scan shard
-	// owns.
+	// owns; each shard has its own RNG stream and pte-scan span.
 	scanShardRegions = 16
-	// pebsShardSamples is how many consecutive PEBS samples one
-	// attribution shard resolves.
+	// pebsShardSamples sizes the "shards" attribute of the
+	// pebs-attribution span.
 	pebsShardSamples = 1024
 )
 
-// Profile implements the §5 pipeline for one interval. The two expensive
-// passes — PEBS sample attribution and the per-region PTE scans — run
-// sharded on the engine's worker pool; their results are merged in shard
-// order, and all engine accounting happens on the serialised path, so the
-// outcome is bit-identical to a sequential run (see sim/parallel.go).
+// Profile implements the §5 pipeline for one interval.
 func (m *MTM) Profile(e *sim.Engine) {
 	m.set.BeginInterval()
 	regions := m.set.Regions()
@@ -275,13 +251,10 @@ func (m *MTM) Profile(e *sim.Engine) {
 	// traffic get event-driven PTE-scan profiling (§5.5). The sampled
 	// pages themselves are kept: §5.2 profiles "specifically the page
 	// captured by the performance counters", which is what points the
-	// PTE scans at the hot spots inside a large region. Shards resolve
-	// their sample slice against the region table (read-only binary
-	// searches) into private slots; the merge below replays the resolved
-	// pairs in sample order, so the kept-pages rule (first four distinct
-	// pages per region) matches the sequential walk exactly. All
-	// per-region evidence lands in m.kept, indexed by region position —
-	// no per-interval maps.
+	// PTE scans at the hot spots inside a large region. Samples resolve
+	// against the region table in sample order, so the kept pages are the
+	// first four distinct pages per region. All per-region evidence lands
+	// in m.kept, indexed by region position — no per-interval maps.
 	usePEBS := m.buf != nil
 	if usePEBS {
 		m.buf.Disarm()
@@ -292,28 +265,16 @@ func (m *MTM) Profile(e *sim.Engine) {
 			m.pm.pebsDropped.Add(d - m.lastDropped)
 			m.lastDropped = d
 		}
-		nAttr := sim.NumShards(len(samples), pebsShardSamples)
-		for len(m.attrParts) < nAttr {
-			m.attrParts = append(m.attrParts, nil)
-		}
-		e.Parallel(nAttr, func(s int) {
-			lo, hi := sim.ShardSpan(len(samples), pebsShardSamples, s)
-			out := m.attrParts[s][:0]
-			for _, smp := range samples[lo:hi] {
-				if ri := findRegionIndex(regions, smp.VMA, smp.Page); ri >= 0 {
-					out = append(out, attrPair{int32(ri), int32(smp.Page)})
-				}
+		for _, smp := range samples {
+			ri := findRegionIndex(regions, smp.VMA, smp.Page)
+			if ri < 0 {
+				continue
 			}
-			m.attrParts[s] = out
-		})
-		for _, part := range m.attrParts[:nAttr] {
-			for _, a := range part {
-				k := &m.kept[a.region]
-				k.hits++
-				if k.n < 4 && !containsInt32(k.pages[:k.n], a.page) {
-					k.pages[k.n] = a.page
-					k.n++
-				}
+			k := &m.kept[ri]
+			k.hits++
+			if page := int32(smp.Page); k.n < 4 && !containsInt32(k.pages[:k.n], page) {
+				k.pages[k.n] = page
+				k.n++
 			}
 		}
 		// PEBS runtime overhead is <1% (§9.3); charge a small per-sample
@@ -322,7 +283,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 		if spanning {
 			e.SpanEmit("profiling", "pebs-attribution", e.SpanClockNs(), int64(handling),
 				span.I("samples", int64(len(samples))),
-				span.I("shards", int64(nAttr)))
+				span.I("shards", int64(sim.NumShards(len(samples), pebsShardSamples))))
 		}
 		e.ChargeProfiling(handling)
 		m.pm.scanNs.AddDuration(handling)
@@ -332,33 +293,20 @@ func (m *MTM) Profile(e *sim.Engine) {
 	profiled := m.profiledSet(regions)
 	m.enforceQuota(e, regions, profiled)
 
-	// Scan (see scanShard for the per-shard work and its write set).
-	nShards := sim.NumShards(len(regions), scanShardRegions)
-	m.shardScans = growClear(m.shardScans, nShards)
-	m.shardPages = growClear(m.shardPages, nShards)
-	m.scanEngine, m.scanRegions, m.scanPEBS = e, regions, usePEBS
-	if m.scanFn == nil {
-		m.scanFn = m.scanShard
-	}
-	e.Parallel(nShards, m.scanFn)
-	m.scanEngine, m.scanRegions = nil, nil
-	shardScans, shardPages := m.shardScans[:nShards], m.shardPages[:nShards]
+	// Scan shard by shard. The per-shard scan spans are laid end to end;
+	// their summed duration equals the ChargeProfiling below exactly.
 	var totalScans, totalPages int64
-	for s := range shardScans {
-		totalScans += shardScans[s]
-		totalPages += shardPages[s]
-	}
-	if spanning {
-		// Per-shard scan spans, reconstructed from the shards' private
-		// tallies on the serialised path and laid end to end; their summed
-		// duration equals the ChargeProfiling below exactly.
-		cur := e.SpanClockNs()
-		for s := range shardScans {
-			d := int64(time.Duration(shardScans[s]) * MTMScanCost)
+	cur := e.SpanClockNs()
+	for s := 0; s < sim.NumShards(len(regions), scanShardRegions); s++ {
+		scans, pages := m.scanShard(e, regions, s, usePEBS)
+		totalScans += scans
+		totalPages += pages
+		if spanning {
+			d := int64(time.Duration(scans) * MTMScanCost)
 			e.SpanEmit("profiling", "pte-scan", cur, d,
 				span.I("shard", int64(s)),
-				span.I("scans", shardScans[s]),
-				span.I("pages", shardPages[s]))
+				span.I("scans", scans),
+				span.I("pages", pages))
 			cur += d
 		}
 	}
@@ -402,7 +350,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 // profiledSet decides which regions receive PTE scans this interval: with
 // PEBS assistance, slow-tier regions only when the counters saw traffic;
 // all fast-tier regions always (§5.2 "initial page sampling"). The
-// decision lands both in the returned index-parallel []bool (for the scan
+// decision lands both in the returned index-aligned []bool (for the scan
 // shards) and as a generation stamp on each region, so holders of region
 // pointers from a previous interval — the top-variance list survives
 // merge/split — read a stale region as not-selected.
@@ -571,8 +519,7 @@ func growClear[T any](buf []T, n int) []T {
 }
 
 // findRegionIndex locates the region containing page idx of v via binary
-// search over the address-ordered region slice, returning -1 if none. It
-// is read-only and safe to call concurrently from attribution shards.
+// search over the address-ordered region slice, returning -1 if none.
 func findRegionIndex(regions []*region.Region, v *vm.VMA, idx int) int {
 	addr := v.Addr(idx)
 	lo, hi := 0, len(regions)

@@ -121,9 +121,8 @@ func samplePages(rng *rand.Rand, start, end, n int) []int {
 
 // samplePagesInto picks n distinct page indices in [start, end) uniformly
 // at random (with a fallback to stride sampling when n approaches the
-// range size), appending to dst. The caller supplies the RNG — sharded
-// scan phases pass their per-shard stream so page selection stays
-// deterministic at any Parallelism — and the shard scratch, whose seen
+// range size), appending to dst. The caller supplies the RNG — the scan
+// shards pass their per-shard stream — and the engine scratch, whose seen
 // bitset replaces the per-call membership map the rejection loop used to
 // allocate. A nil scratch allocates a transient bitset. The draw sequence
 // is identical to the historical map-based implementation.

@@ -60,18 +60,15 @@ func (p *RandomChunk) Regions() []*region.Region {
 }
 
 // chunkShardRegions is how many consecutive selected regions one
-// access-bit-harvest shard walks. Fixed so the shard layout (and each
-// shard's RNG stream) is independent of the Parallelism setting.
+// access-bit-harvest shard walks; each shard has its own RNG stream and
+// scan span, so the size is part of the simulated output.
 const chunkShardRegions = 8
 
-// harvestRegions walks the selected regions' pages, sharded on the
-// engine's pool: each shard owns a fixed run of the selection, draws from
-// its own per-shard stream, writes only its own regions' hotness fields,
-// and tallies scans into a private slot of buf (grown as needed and
-// returned for reuse). The merged scan count is returned for the
-// (serialised) profiling charge, alongside the per-shard tallies so
-// callers can emit per-shard scan spans in shard order. Every region must
-// appear at most once in sel — two shards writing one region would race.
+// harvestRegions walks the selected regions' pages shard by shard: each
+// shard owns a fixed run of the selection and draws from its own stream.
+// It returns the total scan count for the profiling charge, alongside the
+// per-shard tallies (in buf, grown as needed and returned for reuse) so
+// callers can emit per-shard scan spans in shard order.
 //
 // The page walk is a word-wide sweep over the present∧touched planes:
 // only pages that can observe anything draw from the RNG — identical
@@ -85,12 +82,12 @@ func harvestRegions(e *sim.Engine, sel []*region.Region, buf []int64, round, sca
 	}
 	shardScans := buf[:nShards]
 	logw := math.Log1p(-windowFrac)
-	e.Parallel(nShards, func(s int) {
+	var total int64
+	for s := range shardScans {
 		// Later selection rounds within one interval re-walk the same
 		// regions; giving each round a disjoint block of shard indices
 		// keeps their observation draws on distinct streams.
-		sc := e.ShardScratch(s)
-		rng := sc.Rand(e, sim.SaltChunkScan, round<<20|s)
+		rng := e.Scratch().Rand(e, sim.SaltChunkScan, round<<20|s)
 		lo, hi := sim.ShardSpan(len(sel), chunkShardRegions, s)
 		var scans int64
 		for _, r := range sel[lo:hi] {
@@ -116,10 +113,7 @@ func harvestRegions(e *sim.Engine, sel []*region.Region, buf []int64, round, sca
 			r.UpdateEMA(alpha)
 		}
 		shardScans[s] = scans
-	})
-	var total int64
-	for _, s := range shardScans {
-		total += s
+		total += scans
 	}
 	return total, shardScans
 }
@@ -132,8 +126,8 @@ func (p *RandomChunk) Profile(e *sim.Engine) {
 	}
 	spanning := e.SpansEnabled()
 	// Pick a random contiguous run of regions covering ~ChunkBytes; the
-	// selection (the only draw from the engine's own stream) is cheap and
-	// stays sequential, the page walk is sharded.
+	// selection is the only draw from the engine's own stream; the page
+	// walk draws from per-shard streams.
 	start := e.Rng.Intn(len(regions))
 	var covered int64
 	end := start
@@ -248,10 +242,8 @@ func (p *SequentialScan) Profile(e *sim.Engine) {
 		scansPerPage = 2
 	}
 	// Advance the cursor in rounds: each round is a run of regions that
-	// cannot repeat (it stops at the address-space wrap), so every round
-	// is a duplicate-free selection safe to hand to the sharded harvest.
-	// A small space scanned with a large budget simply takes more rounds,
-	// re-walking regions exactly as the sequential cursor loop did.
+	// stops at the address-space wrap. A small space scanned with a large
+	// budget simply takes more rounds, re-walking regions.
 	for round := 0; covered < ChunkBytes; round++ {
 		pos := p.cursor % len(regions)
 		sel := regions[pos:]

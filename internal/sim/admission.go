@@ -3,11 +3,9 @@
 // EnableAdmission runs exactly the pre-admission code (every check site
 // goes through nil-safe methods that admit unconditionally).
 //
-// Determinism contract: every admission decision, budget debit, and
-// cool-down stamp happens on the serialised interval loop, stamped with
-// the virtual clock. The controller never iterates its cool-down map
-// and never draws randomness, so admission-enabled runs stay
-// byte-identical at any Parallelism.
+// Determinism contract: admission decisions, budget debits, and
+// cool-down stamps read only the virtual clock. The controller never
+// iterates its cool-down map and never draws randomness.
 package sim
 
 import (
@@ -38,10 +36,9 @@ type admissionState struct {
 	lanes bool // traffic-class lanes + binding budgets
 
 	// Learner ledger: committed promotions awaiting their hindsight
-	// verdict, appended in commit order on the serialized path and
-	// resolved with the same rule as the fidelity oracle's lineage
-	// ledger. Kept independent of the oracle so learned floors are
-	// identical with and without -fidelity.
+	// verdict, appended in commit order and resolved with the same rule
+	// as the fidelity oracle's lineage ledger. Kept independent of the
+	// oracle so learned floors are identical with and without -fidelity.
 	pend    []admPending
 	horizon int32
 
@@ -181,7 +178,6 @@ func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi
 			AllowedBytes: bytes,
 		}
 	}
-	e.assertOwned("AdmitMigration")
 	dir := e.moveDirection(src, dst)
 	roi := e.MigrationROI(src, dst, pageSize, whi, reaccess)
 	dec := e.adm.ctl.Admit(int(src), int(dst), dir, roi, bytes, pageSize, e.SpanClockNs())
@@ -237,7 +233,6 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return dec
 	}
-	e.assertOwned("AdmitFlip")
 	lat := e.latCache[e.HomeSocket]
 	gap := float64(lat[src] - lat[dst])
 	if gap < 0 {
@@ -262,7 +257,6 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 	if e.adm == nil {
 		return true
 	}
-	e.assertOwned("PageMoveAllowed")
 	src := v.Node(idx)
 	if int(src) < 0 || int(dst) < 0 || src == dst {
 		return true
@@ -440,7 +434,7 @@ func (e *Engine) admissionResetWaste(src, dst tier.NodeID) {
 }
 
 // admissionEndInterval is the adaptive layer's once-per-interval work,
-// on the serialized loop between the fidelity sample and ResetCounts
+// run between the fidelity sample and ResetCounts
 // (the learner reads the same count planes as the oracle):
 //
 //  1. Resolve the learner ledger: each pending promotion older than

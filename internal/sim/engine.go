@@ -13,7 +13,6 @@ package sim
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"mtm/internal/fidelity"
@@ -70,23 +69,17 @@ type IntervalStats struct {
 	NodeAccesses  []int64 // app accesses served per node this interval
 }
 
-// Engine is the simulation core. Not safe for concurrent use: the interval
-// loop is single-threaded, and parallelism is confined to the sharded
-// phases run through Engine.Parallel (see parallel.go for the contract).
+// Engine is the simulation core. Not safe for concurrent use: a run
+// executes entirely on the goroutine that drives it.
 type Engine struct {
 	Sys *tier.System
 	AS  *vm.AddressSpace
 	Rng *rand.Rand
-	// Seed is the value Rng was created from; the sharded phases derive
-	// their per-shard streams from it (ShardRand).
+	// Seed is the value Rng was created from; the scan passes derive
+	// their per-shard streams from it (see Scratch.Rand).
 	Seed int64
-	// Par runs the sharded profiling/migration phases; NewEngine defaults
-	// it to a GOMAXPROCS-wide pool. Results are bit-identical at any
-	// worker count, so this is purely a wall-clock knob.
-	Par *Pool
 
-	inParallel atomic.Bool // set during Engine.Parallel (see assertOwned)
-	scratch    []*Scratch  // per-shard reusable state (see scratch.go)
+	scratch Scratch // reusable scan-pass state (see scratch.go)
 
 	Threads    int
 	HomeSocket int // socket the application's threads run on
@@ -205,7 +198,6 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 		AS:           vm.NewAddressSpace(),
 		Rng:          rand.New(rand.NewSource(seed)),
 		Seed:         seed,
-		Par:          NewPool(0),
 		Threads:      8,
 		HomeSocket:   0,
 		Interval:     10 * time.Second,
@@ -335,28 +327,25 @@ func (e *Engine) MovePage(v *vm.VMA, idx int, dst tier.NodeID) bool {
 }
 
 // ChargeProfiling adds d to the interval's profiling (critical-path) cost.
-// Like all Charge*/Note* accounting it is serialised: sharded phases
-// accumulate per-shard durations and charge the merged sum afterwards.
-func (e *Engine) ChargeProfiling(d time.Duration) { e.assertOwned("ChargeProfiling"); e.intProf += d }
+func (e *Engine) ChargeProfiling(d time.Duration) { e.intProf += d }
 
 // ChargeMigration adds d to the interval's critical-path migration cost.
-func (e *Engine) ChargeMigration(d time.Duration) { e.assertOwned("ChargeMigration"); e.intMig += d }
+func (e *Engine) ChargeMigration(d time.Duration) { e.intMig += d }
 
 // ChargeBackground adds d of off-critical-path work (async page copy);
 // it occupies helper threads and bandwidth but does not extend execution.
-func (e *Engine) ChargeBackground(d time.Duration) { e.assertOwned("ChargeBackground"); e.intBg += d }
+func (e *Engine) ChargeBackground(d time.Duration) { e.intBg += d }
 
 // NotePromotion/NoteDemotion record migrated volume for the statistics
 // tables.
-func (e *Engine) NotePromotion(bytes int64) { e.assertOwned("NotePromotion"); e.intPromoted += bytes }
-func (e *Engine) NoteDemotion(bytes int64)  { e.assertOwned("NoteDemotion"); e.intDemoted += bytes }
+func (e *Engine) NotePromotion(bytes int64) { e.intPromoted += bytes }
+func (e *Engine) NoteDemotion(bytes int64)  { e.intDemoted += bytes }
 
 // NoteOpaqueReserve records bytes a solution reserved on a node outside
 // the page tables (e.g. HMC carving out all of DRAM as a memory-side
 // cache). The auditor credits them against the node's used ledger, which
 // would otherwise read as unexplained residency.
 func (e *Engine) NoteOpaqueReserve(n tier.NodeID, bytes int64) {
-	e.assertOwned("NoteOpaqueReserve")
 	if e.opaqueBytes == nil {
 		e.opaqueBytes = make([]int64, len(e.Sys.Topo.Nodes))
 	}

@@ -299,3 +299,19 @@ func TestBackgroundTimeNotOnCriticalPath(t *testing.T) {
 		t.Fatalf("background time lost: %v", e.TotalBg)
 	}
 }
+
+// TestMetricsWritesLandInExport: engine instrument writes and event
+// emissions land in the metrics export.
+func TestMetricsWritesLandInExport(t *testing.T) {
+	e := NewEngine(tier.OptaneTopology(256), 1)
+	e.EnableMetrics()
+	e.met.faults.Inc()
+	e.Metrics().Emit(EventOOM, "test", 0)
+	if got := e.met.faults.Value(); got != 1 {
+		t.Fatalf("counter = %d, want 1", got)
+	}
+	x := e.MetricsExport()
+	if x == nil || len(x.Events) != 1 {
+		t.Fatalf("export missing emitted event: %+v", x)
+	}
+}

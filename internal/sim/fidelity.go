@@ -11,13 +11,6 @@ import (
 	"mtm/internal/vm"
 )
 
-// fidShardPages is the fixed page span of one fidelity-oracle shard.
-// Like every sharded phase it is a constant — never derived from the
-// worker count — and a multiple of vm.WordPages, so each bitmap word of
-// the truth/estimate planes is owned by exactly one shard and shard
-// functions can store whole words without synchronisation.
-const fidShardPages = 1 << 15
-
 // DefaultFidelityHorizon is the outcome-resolution window, in intervals,
 // when FidelityConfig.Horizon is zero: a committed move that sees no
 // reaccess for this many intervals is judged wasted (promotions) or
@@ -56,14 +49,8 @@ type fidelityPlane struct {
 	hotSince []int32
 }
 
-// fidShard is one shard's scratch for the oracle's parallel phases; the
-// serialized loop merges shards in index order.
-type fidShard struct {
-	buckets      fidelity.Buckets
-	touchedBytes int64
-	touchedPages int64
-	accesses     int64
-
+// fidScore is one sample's truth-vs-estimate tally, summed over VMAs.
+type fidScore struct {
 	truthBytes int64
 	estBytes   int64
 	interBytes int64
@@ -71,18 +58,6 @@ type fidShard struct {
 	lagSum int64
 	lagN   int64
 	missed int64
-
-	colsTruth [fidelity.HeatCols]int64
-	colsEst   [fidelity.HeatCols]int64
-}
-
-// fidSpan is one shard's work item: a page range of one VMA plus the
-// VMA's byte offset in the global address-column mapping.
-type fidSpan struct {
-	v       *vm.VMA
-	pl      *fidelityPlane
-	lo, hi  int
-	baseOff int64
 }
 
 // pendingMove is one committed page move awaiting its hindsight verdict.
@@ -105,18 +80,6 @@ type fidelityState struct {
 	hotset  int64
 
 	planes map[*vm.VMA]*fidelityPlane
-	shards []*fidShard
-	spans  []fidSpan
-
-	// Cached shard functions (built on first sample) plus the per-sample
-	// inputs they read from the state: closures passed to Parallel must be
-	// allocated once, not per interval, to keep the steady-state sample
-	// zero-alloc.
-	phaseA      func(int)
-	phaseB      func(int)
-	curCut      int
-	curInterval int32
-	totalBytes  int64
 
 	// Pending-move ledger (FIFO in commit order; compacted in place).
 	pend []pendingMove
@@ -188,10 +151,6 @@ func (e *Engine) EnableFidelity(cfg FidelityConfig) {
 			}
 		}
 	}
-	// Bind the shard phases once: handing a fresh closure to Parallel every
-	// interval would allocate on the steady-state sample path.
-	f.phaseA = f.runPhaseA
-	f.phaseB = f.runPhaseB
 	if reg := e.Metrics(); reg != nil {
 		f.gPrec = reg.Gauge("mtm_fidelity_precision", "hot-set precision of the profiler estimate vs ground truth, this interval")
 		f.gRec = reg.Gauge("mtm_fidelity_recall", "hot-set recall of the profiler estimate vs ground truth, this interval")
@@ -217,7 +176,6 @@ func (e *Engine) FidelityEnabled() bool { return e.fid != nil }
 // lineage entry. No-op without the fidelity oracle.
 func (e *Engine) SetMoveContext(rule string) {
 	if e.fid != nil {
-		e.assertOwned("SetMoveContext")
 		e.fid.ctxRule = rule
 	}
 }
@@ -239,8 +197,7 @@ func (e *Engine) fidelityNoteAdmission(rule string) {
 
 // fidelityMoveCommitted appends one committed move to the pending-move
 // ledger under the current decision context. Called from MoveCommit and
-// FlipDemote on the serialized path, in commit order, so the ledger —
-// and every verdict resolved from it — is parallelism-invariant.
+// FlipDemote in commit order.
 func (e *Engine) fidelityMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
 	f := e.fid
 	if f == nil {
@@ -279,35 +236,15 @@ func (e *Engine) solutionRegions() []*region.Region {
 	return nil
 }
 
-func (f *fidelityState) growShards(n int) {
-	for len(f.shards) < n {
-		f.shards = append(f.shards, new(fidShard))
-	}
-}
-
-// runPhaseA is the sharded truth-histogram phase: bytes per log2(count)
-// bucket plus the touched-page and access tallies for this shard's span.
-func (f *fidelityState) runPhaseA(si int) {
-	s := f.shards[si]
-	sp := &f.spans[si]
-	tb, tp, acc := fidelity.AccumulateTruth(sp.v, sp.lo, sp.hi, &s.buckets)
-	s.touchedBytes += tb
-	s.touchedPages += tp
-	s.accesses += acc
-}
-
-// runPhaseB is the sharded scoring phase: truth membership at curCut,
-// truth-vs-estimate overlap, estimation-lag transitions, heat columns.
-func (f *fidelityState) runPhaseB(si int) {
-	s := f.shards[si]
-	sp := &f.spans[si]
-	v, pl := sp.v, sp.pl
+// scoreVMA marks v's truth hot set at cut and grades it against the
+// estimate plane: truth-vs-estimate overlap and estimation-lag
+// transitions go to s, hot bytes per address column to row. baseOff is
+// v's byte offset in the address-column mapping.
+func scoreVMA(v *vm.VMA, pl *fidelityPlane, baseOff, totalBytes int64, cut int, interval int32, s *fidScore, row *fidelity.HeatRow) {
 	ps := v.PageSize
-	cut, interval, totalBytes := f.curCut, f.curInterval, f.totalBytes
-	for w := sp.lo / vm.WordPages; w*vm.WordPages < sp.hi; w++ {
+	for w := 0; w < v.Words(); w++ {
 		var tw uint64
-		cand := v.TouchedRangeWord(w, sp.lo, sp.hi) & v.PresentRangeWord(w, sp.lo, sp.hi)
-		for word := cand; word != 0; {
+		for word := v.ActiveWord(w); word != 0; {
 			i := w*vm.WordPages + bits.TrailingZeros64(word)
 			word &= word - 1
 			if bits.Len32(v.Count(i)) >= cut {
@@ -363,14 +300,14 @@ func (f *fidelityState) runPhaseB(si int) {
 		for word := tw; word != 0; {
 			i := w*vm.WordPages + bits.TrailingZeros64(word)
 			word &= word - 1
-			col := int((sp.baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
-			s.colsTruth[col] += ps
+			col := int((baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
+			row.Truth[col] += ps
 		}
 		for word := ew; word != 0; {
 			i := w*vm.WordPages + bits.TrailingZeros64(word)
 			word &= word - 1
-			col := int((sp.baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
-			s.colsEst[col] += ps
+			col := int((baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
+			row.Est[col] += ps
 		}
 	}
 }
@@ -383,7 +320,7 @@ func (f *fidelityState) runPhaseB(si int) {
 func (e *Engine) FidelitySample() { e.fidelityEndInterval() }
 
 // fidelityEndInterval takes the once-per-interval oracle sample. It runs
-// on the serialized path after the solution's migration pass and MUST run
+// after the solution's migration pass and MUST run
 // before AddressSpace.ResetCounts — the count planes are the ground
 // truth. It charges no virtual time: the oracle is measurement
 // scaffolding, not part of the simulated system, so enabling it cannot
@@ -394,17 +331,21 @@ func (e *Engine) fidelityEndInterval() {
 		return
 	}
 	vmas := e.AS.VMAs()
-
-	// Rebuild the shard span list and the global byte-offset mapping for
-	// the heatmap columns. Plane creation happens here, on the serialized
-	// path, so shard functions only index stable state.
-	f.spans = f.spans[:0]
-	f.totalBytes = 0
-	for _, v := range vmas {
-		f.totalBytes += v.Bytes()
+	f.samples++
+	if len(vmas) == 0 {
+		e.fidelityResolve()
+		return
 	}
-	var off int64
+
+	// Truth histogram: bytes per log2(count) bucket. The hot-set cutoff is
+	// a pure function of it.
+	var bk fidelity.Buckets
+	var touchedPages, accesses, totalBytes int64
 	for _, v := range vmas {
+		totalBytes += v.Bytes()
+		_, tp, acc := fidelity.AccumulateTruth(v, 0, v.NPages, &bk)
+		touchedPages += tp
+		accesses += acc
 		pl := f.planes[v]
 		if pl == nil {
 			pl = &fidelityPlane{
@@ -419,39 +360,10 @@ func (e *Engine) fidelityEndInterval() {
 			}
 			f.planes[v] = pl
 		}
-		for lo := 0; lo < v.NPages; lo += fidShardPages {
-			hi := lo + fidShardPages
-			if hi > v.NPages {
-				hi = v.NPages
-			}
-			f.spans = append(f.spans, fidSpan{v: v, pl: pl, lo: lo, hi: hi, baseOff: off})
-		}
-		off += v.Bytes()
 	}
-	ns := len(f.spans)
-	f.samples++
-	if ns == 0 {
-		e.fidelityResolve()
-		return
-	}
-	f.growShards(ns)
-	for _, s := range f.shards[:ns] {
-		*s = fidShard{}
-	}
+	cut := bk.CutBucket(f.hotset, fidelity.MinHotBucket(accesses, touchedPages))
 
-	// Phase A (sharded): bytes-per-log2(count) truth histogram. Merged in
-	// shard order; the hot-set cutoff is a pure function of the merge.
-	e.Parallel(ns, f.phaseA)
-	var bk fidelity.Buckets
-	var touchedPages, accesses int64
-	for _, s := range f.shards[:ns] {
-		bk.Add(&s.buckets)
-		touchedPages += s.touchedPages
-		accesses += s.accesses
-	}
-	f.curCut = bk.CutBucket(f.hotset, fidelity.MinHotBucket(accesses, touchedPages))
-
-	// Estimate plane (serialized): clear and re-mark from the profiler's
+	// Estimate plane: clear and re-mark from the profiler's
 	// hottest regions down to the same byte target. Word-wide stores; the
 	// region list is small.
 	for _, v := range vmas {
@@ -483,35 +395,22 @@ func (e *Engine) fidelityEndInterval() {
 	}
 	rank := fidelity.RankAgreement(f.whiBuf, f.denBuf, f.bytesBuf)
 
-	// Phase B (sharded): truth membership, truth-vs-estimate overlap,
-	// estimation-lag transitions, heat columns. Each bitmap word belongs
-	// to exactly one shard (fidShardPages is a multiple of vm.WordPages),
-	// so whole-word stores need no synchronisation.
-	f.curInterval = int32(e.Intervals)
-	e.Parallel(ns, f.phaseB)
-
-	// Merge in shard order and score the interval.
-	var truthB, estB, interB, dLag, dLagN, dMissed int64
+	// Truth membership, truth-vs-estimate overlap, estimation-lag
+	// transitions, heat columns.
+	var sc fidScore
 	row := fidelity.HeatRow{Interval: e.Intervals}
-	for _, s := range f.shards[:ns] {
-		truthB += s.truthBytes
-		estB += s.estBytes
-		interB += s.interBytes
-		dLag += s.lagSum
-		dLagN += s.lagN
-		dMissed += s.missed
-		for c := range row.Truth {
-			row.Truth[c] += s.colsTruth[c]
-			row.Est[c] += s.colsEst[c]
-		}
+	var off int64
+	for _, v := range vmas {
+		scoreVMA(v, f.planes[v], off, totalBytes, cut, int32(e.Intervals), &sc, &row)
+		off += v.Bytes()
 	}
-	f.lagSum += dLag
-	f.lagN += dLagN
-	f.missed += dMissed
+	f.lagSum += sc.lagSum
+	f.lagN += sc.lagN
+	f.missed += sc.missed
 	f.heat.Rows = append(f.heat.Rows, row)
 
-	p, r, f1 := fidelity.PRF(truthB, estB, interB)
-	if truthB > 0 && estB > 0 {
+	p, r, f1 := fidelity.PRF(sc.truthBytes, sc.estBytes, sc.interBytes)
+	if sc.truthBytes > 0 && sc.estBytes > 0 {
 		f.scored++
 		f.sumP += p
 		f.sumR += r
@@ -524,11 +423,11 @@ func (e *Engine) fidelityEndInterval() {
 		f.gRec.Set(r)
 		f.gF1.Set(f1)
 		f.gRank.Set(rank)
-		f.gTruthBytes.Set(float64(truthB))
-		f.gEstBytes.Set(float64(estB))
-		f.cLag.Add(dLag)
-		f.cLagSamples.Add(dLagN)
-		f.cMissed.Add(dMissed)
+		f.gTruthBytes.Set(float64(sc.truthBytes))
+		f.gEstBytes.Set(float64(sc.estBytes))
+		f.cLag.Add(sc.lagSum)
+		f.cLagSamples.Add(sc.lagN)
+		f.cMissed.Add(sc.missed)
 	}
 
 	e.fidelityResolve()

@@ -6,9 +6,8 @@
 // Determinism contract: every health decision is a pure function of
 // engine accounting state and the fault plane's own random stream. The
 // subsystem never draws from the engine's Rng, walks pages strictly in
-// (VMA, page) order (collected with the same fixed-size sharding as the
-// other wide walks), and stamps all breaker cool-downs with the virtual
-// clock — so health-enabled runs stay byte-identical at any Parallelism.
+// (VMA, page) order, and stamps all breaker cool-downs with the virtual
+// clock.
 package sim
 
 import (
@@ -91,7 +90,6 @@ func (e *Engine) DestUsable(src, dst tier.NodeID) bool {
 	if e.hlt == nil {
 		return true
 	}
-	e.assertOwned("DestUsable")
 	if !e.Sys.Allocatable(dst) {
 		return false
 	}
@@ -215,7 +213,6 @@ func (e *Engine) poisonNode(n tier.NodeID, k int) {
 // the frame's bytes move to the tier's quarantined ledger (capacity is
 // lost, not freed), and the next app access takes a recovery fault.
 func (e *Engine) poisonPage(v *vm.VMA, idx int) {
-	e.assertOwned("poisonPage")
 	n := v.Node(idx)
 	e.shadowDropPage(v, idx)
 	v.Poison(idx)
@@ -343,43 +340,7 @@ func drainBackoff(attempt int) time.Duration {
 // place, the stall is recorded, and the next interval retries. When the
 // node is empty of live pages it goes Offline.
 func (e *Engine) drainNode(node tier.NodeID) {
-	type resident struct {
-		v   *vm.VMA
-		idx int
-	}
-	type pageSpan struct {
-		v      *vm.VMA
-		lo, hi int
-	}
-	var spans []pageSpan
-	for _, v := range e.AS.VMAs() {
-		for s := 0; s < NumShards(v.NPages, coldShardPages); s++ {
-			lo, hi := ShardSpan(v.NPages, coldShardPages, s)
-			spans = append(spans, pageSpan{v, lo, hi})
-		}
-	}
-	parts := make([][]resident, len(spans))
-	e.Parallel(len(spans), func(s int) {
-		sp := spans[s]
-		var out []resident
-		// Word-wide over the present plane, set bits in ascending order:
-		// the merged resident order matches the sequential walk exactly.
-		for w := sp.lo / vm.WordPages; w*vm.WordPages < sp.hi; w++ {
-			word := sp.v.PresentRangeWord(w, sp.lo, sp.hi)
-			for word != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(word)
-				word &= word - 1
-				if sp.v.Node(i) == node {
-					out = append(out, resident{sp.v, i})
-				}
-			}
-		}
-		parts[s] = out
-	})
-	var pages []resident
-	for _, p := range parts {
-		pages = append(pages, p...)
-	}
+	pages := e.residentOn(node)
 	if len(pages) == 0 {
 		e.applyTransitions(e.hlt.tracker.DrainedEmpty(int(node), e.Intervals))
 		return
@@ -497,7 +458,6 @@ func (e *Engine) drainDest(node tier.NodeID, size int64) tier.NodeID {
 // is deliberately separate from promotion/demotion volume: the auditor's
 // ledger is committed = promoted + demoted + drained.
 func (e *Engine) NoteDrain(bytes int64) {
-	e.assertOwned("NoteDrain")
 	e.DrainedBytes += bytes
 	if e.met != nil {
 		e.met.drainedBytes.Add(bytes)

@@ -4,11 +4,8 @@
 // goes through nil-safe instrument handles whose methods no-op).
 //
 // Determinism contract: every instrument write and event emission happens
-// on the serialised interval loop, never inside Engine.Parallel — the
-// registry's guard is pointed at assertOwned, so a recording from a shard
-// function panics exactly like Charge*/Note*. Sharded phases accumulate
-// into per-shard scratch slots and record the merged totals afterwards,
-// which keeps metrics-enabled runs byte-identical at any Parallelism.
+// in program order on the interval loop, so the export is a pure function
+// of the simulated execution.
 package sim
 
 import (
@@ -143,7 +140,6 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 		return e.met.reg
 	}
 	reg := metrics.New()
-	reg.SetGuard(func(what string) { e.assertOwned("metrics(" + what + ")") })
 	m := &engineMetrics{reg: reg}
 
 	m.intervals = reg.Counter("mtm_sim_intervals_total", "profiling intervals completed")

@@ -106,13 +106,8 @@ func (e *Engine) PromotionPressure(dst tier.NodeID) bool {
 }
 
 // NoteDeferredPromotion records one promotion deferred by admission
-// control. The robustness counters (DeferredPromotions, MigrationRetries,
-// MigrationAborts, WastedBytes, EmergencyDemotions) are engine-global and
-// unsynchronised by design; they may only be mutated from the serialised
-// interval loop, never from inside Engine.Parallel — the assertOwned
-// guards turn a violation into a deterministic panic.
+// control.
 func (e *Engine) NoteDeferredPromotion() {
-	e.assertOwned("NoteDeferredPromotion")
 	e.DeferredPromotions++
 	if e.met != nil {
 		e.met.deferred.Inc()
@@ -134,7 +129,6 @@ func (e *Engine) NoteDeferredPromotionTo(dst tier.NodeID) {
 
 // NoteMigrationRetry records one retried page-copy attempt.
 func (e *Engine) NoteMigrationRetry() {
-	e.assertOwned("NoteMigrationRetry")
 	e.MigrationRetries++
 	if e.met != nil {
 		e.met.retries.Inc()
@@ -154,7 +148,6 @@ func (e *Engine) NoteMigrationRetryAt(src, dst tier.NodeID) {
 // a copy on the src→dst pair. It only feeds the metrics layer; the time
 // itself is charged through ChargeMigration by the caller.
 func (e *Engine) NoteMigrationBackoff(src, dst tier.NodeID, d time.Duration) {
-	e.assertOwned("NoteMigrationBackoff")
 	if e.met != nil {
 		pairCounter(e.met.backoffNs, src, dst).AddDuration(d)
 	}
@@ -170,7 +163,6 @@ func (e *Engine) NoteMigrationBackoff(src, dst tier.NodeID, d time.Duration) {
 // move on the new pair, never both on the original. Transactions do not
 // nest; opening a second one before resolving the first panics.
 func (e *Engine) MoveBegin(v *vm.VMA, idx int, dst tier.NodeID) bool {
-	e.assertOwned("MoveBegin")
 	if e.txnOpen {
 		panic("sim: MoveBegin with a move transaction already open")
 	}
@@ -191,7 +183,6 @@ func (e *Engine) MoveBegin(v *vm.VMA, idx int, dst tier.NodeID) bool {
 // engine's committed-move ledger (checked by Audit) and counts as a
 // success on the pair's migration circuit breaker.
 func (e *Engine) MoveCommit(v *vm.VMA, idx int, dst tier.NodeID) {
-	e.assertOwned("MoveCommit")
 	if !e.txnOpen {
 		panic("sim: MoveCommit without MoveBegin")
 	}
@@ -216,7 +207,6 @@ func (e *Engine) MoveCommit(v *vm.VMA, idx int, dst tier.NodeID) {
 // plus its thrown-away copy bytes are recorded against the begin-time
 // (src, dst) pair. The abort also feeds the pair's circuit breaker.
 func (e *Engine) MoveAborted(v *vm.VMA, idx int, dst tier.NodeID) {
-	e.assertOwned("MoveAborted")
 	if !e.txnOpen {
 		panic("sim: MoveAborted without MoveBegin")
 	}
@@ -336,64 +326,43 @@ func (e *Engine) emergencyReclaim(socket int, need int64) tier.NodeID {
 	return tier.Invalid
 }
 
-// coldShardPages is the page-span size of one victim-collection shard.
-// Fixed (never derived from worker count) so the shard layout — and with
-// it the merged candidate order — is identical at any Parallelism.
-const coldShardPages = 1 << 15
+// pageRef names one page of one VMA.
+type pageRef struct {
+	v   *vm.VMA
+	idx int
+}
+
+// residentOn returns the present pages mapped on node in (VMA, page)
+// order, the deterministic candidate order of the emergency-demotion and
+// drain paths. The walk is word-wide over the present plane.
+func (e *Engine) residentOn(node tier.NodeID) []pageRef {
+	var out []pageRef
+	for _, v := range e.AS.VMAs() {
+		for w := 0; w < v.Words(); w++ {
+			word := v.PresentWord(w)
+			for word != 0 {
+				i := w*vm.WordPages + bits.TrailingZeros64(word)
+				word &= word - 1
+				if v.Node(i) == node {
+					out = append(out, pageRef{v, i})
+				}
+			}
+		}
+	}
+	return out
+}
 
 // demoteColdest pushes the coldest resident pages of node down to the
 // first lower-tier node with room until need bytes are freed. It reports
 // whether the full amount was freed; partial progress is kept (the
 // capacity accounting stays exact either way).
-//
-// The candidate walk touches every page of every VMA, the widest loop on
-// the emergency path, so it is sharded: each shard collects candidates
-// from its own page span into a private slot (reads only — Present, Node,
-// Count), and the merge concatenates slots in shard order, reproducing the
-// sequential (VMA, page) candidate order exactly. The demotions themselves
-// (MovePage, transfer accounting) stay on the serialised path below.
 func (e *Engine) demoteColdest(node tier.NodeID, lower []tier.NodeID, need int64) bool {
-	type cold struct {
-		v     *vm.VMA
-		idx   int
-		count uint32
-	}
-	type span struct {
-		v      *vm.VMA
-		lo, hi int
-	}
-	var spans []span
-	for _, v := range e.AS.VMAs() {
-		for s := 0; s < NumShards(v.NPages, coldShardPages); s++ {
-			lo, hi := ShardSpan(v.NPages, coldShardPages, s)
-			spans = append(spans, span{v, lo, hi})
-		}
-	}
-	parts := make([][]cold, len(spans))
-	e.Parallel(len(spans), func(s int) {
-		sp := spans[s]
-		var out []cold
-		// Word-wide over the present plane; set bits are consumed in
-		// ascending order so the merged candidate order is unchanged.
-		for w := sp.lo / vm.WordPages; w*vm.WordPages < sp.hi; w++ {
-			word := sp.v.PresentRangeWord(w, sp.lo, sp.hi)
-			for word != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(word)
-				word &= word - 1
-				if sp.v.Node(i) == node {
-					out = append(out, cold{sp.v, i, sp.v.Count(i)})
-				}
-			}
-		}
-		parts[s] = out
+	pages := e.residentOn(node)
+	// Coldest first; residentOn returns (VMA, page) order, so the stable
+	// sort keeps victim selection deterministic.
+	sort.SliceStable(pages, func(a, b int) bool {
+		return pages[a].v.Count(pages[a].idx) < pages[b].v.Count(pages[b].idx)
 	})
-	var pages []cold
-	for _, p := range parts {
-		pages = append(pages, p...)
-	}
-	// Coldest first; the merged slice is in (VMA, page) order, so the
-	// stable sort keeps victim selection deterministic.
-	sort.SliceStable(pages, func(a, b int) bool { return pages[a].count < pages[b].count })
 	var freed int64
 	e.SetMoveContext("emergency-demotion")
 	defer e.ClearMoveContext()

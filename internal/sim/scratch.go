@@ -1,20 +1,73 @@
-// Per-shard scratch for the parallel hot path. The old sharded phases
-// paid two taxes every interval: rand.NewSource seeds math/rand's
-// 607-word additive-feedback register per shard (over half the profile of
-// a profiling interval), and each shard allocated fresh sample buffers
-// and membership maps. Scratch removes both: every shard slot owns a
-// reusable *rand.Rand over an O(1)-seeded SplitMix64 source plus
-// reusable page/bit buffers, so the steady-state interval hot path
-// performs zero allocations after warm-up.
+// Fixed shards, their RNG streams, and the engine's reusable scratch.
 //
-// The determinism contract of parallel.go is unchanged: shard s always
-// uses scratch slot s regardless of which worker runs it, the RNG stream
-// is still a pure function of (engine seed, interval, salt, shard key),
-// and scratch contents never carry information between uses — every
-// buffer is fully rewritten before it is read.
+// The profilers' scan passes cut their work into fixed-size shards
+// (NumShards/ShardSpan) and walk them in order on the interval loop. The
+// shards are part of the simulated behaviour, not a scheduling device:
+// each shard draws from its own RNG stream, a pure function of (engine
+// seed, interval, salt, shard key), and emits its own scan span. Changing
+// a shard size therefore re-rolls the run.
+//
+// Scratch keeps those passes allocation-free: reseeding its SplitMix64
+// source is O(1) (rand.NewSource seeds a 607-word register), and its
+// membership bitset replaces a per-call map, so the steady-state scan
+// path performs zero allocations after warm-up.
 package sim
 
 import "math/rand"
+
+// NumShards returns how many fixed-size shards cover n items.
+func NumShards(n, shardSize int) int {
+	if n <= 0 {
+		return 0
+	}
+	if shardSize <= 0 {
+		shardSize = 1
+	}
+	return (n + shardSize - 1) / shardSize
+}
+
+// ShardSpan returns the half-open item range [lo, hi) covered by shard s
+// when n items are cut into fixed-size shards.
+func ShardSpan(n, shardSize, s int) (lo, hi int) {
+	if shardSize <= 0 {
+		shardSize = 1
+	}
+	lo = s * shardSize
+	hi = lo + shardSize
+	if hi > n {
+		hi = n
+	}
+	if lo > n {
+		lo = n
+	}
+	return lo, hi
+}
+
+// splitmix64 is the SplitMix64 finaliser; it turns structured inputs
+// (seed, interval, shard) into well-mixed RNG seeds.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// Salts distinguishing the per-shard RNG streams of the scan passes
+// within one interval. Each pass uses its own salt so adding a pass never
+// perturbs another pass's stream.
+const (
+	SaltPTEScan   = 0x70746573 // "ptes": MTM profiler scan shards
+	SaltChunkScan = 0x63686e6b // "chnk": chunk-scan baseline profilers
+)
+
+// shardSeed derives the RNG seed of one shard of a scan pass: a pure
+// function of the engine seed, the interval index, the pass salt and the
+// shard key.
+func (e *Engine) shardSeed(salt uint64, shard int) uint64 {
+	h := splitmix64(uint64(e.Seed) ^ salt)
+	h = splitmix64(h ^ uint64(uint32(e.Intervals)))
+	return splitmix64(h ^ uint64(uint32(shard)))
+}
 
 // sm64 is a SplitMix64 rand.Source64. Seeding writes one word (vs the
 // 607-word init of rand.NewSource), which is what makes per-(interval,
@@ -33,30 +86,18 @@ func (s *sm64) Int63() int64 { return int64(s.Uint64() >> 1) }
 
 func (s *sm64) Seed(seed int64) { s.state = uint64(seed) }
 
-// Scratch is the reusable state of one shard slot. Fields are owned by
-// the shard holding the slot for the duration of one Parallel call; the
-// serialised caller may read them between calls (e.g. merge tallies in
-// shard order).
+// Scratch is the engine's reusable state for the scan passes (see
+// Engine.Scratch). Its contents never carry information between uses:
+// every buffer is fully rewritten before it is read.
 type Scratch struct {
-	src sm64
-	rng *rand.Rand
-
-	// Pages is a reusable page-index buffer (sample selection).
-	Pages []int
-	// ScanCount/PageCount are per-shard tallies a phase may accumulate
-	// into; the caller merges them in shard order after Parallel returns.
-	ScanCount int64
-	PageCount int64
-
-	seen    []uint64 // rejection-sampling membership bitset
-	seenCap int      // bits the current seen slice covers
+	src  sm64
+	rng  *rand.Rand
+	seen []uint64 // rejection-sampling membership bitset
 }
 
-// Rand reseeds the slot's RNG for (salt, key) in the current interval and
-// returns it. The stream equals ShardRand(salt, key)'s: a pure function
-// of the simulation state, independent of Parallelism and of worker
-// scheduling. The returned RNG is valid until the next Rand call on the
-// same slot.
+// Rand reseeds the scratch RNG for (salt, key) in the current interval
+// and returns it. The stream is a pure function of the simulation state
+// (see shardSeed). The returned RNG is valid until the next Rand call.
 func (sc *Scratch) Rand(e *Engine, salt uint64, key int) *rand.Rand {
 	sc.src.state = e.shardSeed(salt, key)
 	if sc.rng == nil {
@@ -66,8 +107,8 @@ func (sc *Scratch) Rand(e *Engine, salt uint64, key int) *rand.Rand {
 }
 
 // Seen returns a zeroed membership bitset covering at least n bits,
-// reusing the slot's buffer. The caller owns it until the next Seen call
-// on the same slot.
+// reusing the scratch buffer. The caller owns it until the next Seen
+// call.
 func (sc *Scratch) Seen(n int) []uint64 {
 	words := (n + 63) / 64
 	if words > len(sc.seen) {
@@ -75,20 +116,8 @@ func (sc *Scratch) Seen(n int) []uint64 {
 	} else {
 		clear(sc.seen[:words])
 	}
-	sc.seenCap = n
 	return sc.seen[:words]
 }
 
-// ShardScratch returns the scratch slot of shard s. Slots are created by
-// Parallel on the serialised path before workers start, so shard
-// functions only ever index a stable slice; callers may also read slots
-// after Parallel returns to merge per-shard tallies in shard order.
-func (e *Engine) ShardScratch(s int) *Scratch { return e.scratch[s] }
-
-// growScratch ensures at least n scratch slots exist. Serialised-path
-// only (Parallel calls it before starting workers).
-func (e *Engine) growScratch(n int) {
-	for len(e.scratch) < n {
-		e.scratch = append(e.scratch, &Scratch{})
-	}
-}
+// Scratch returns the engine's scan scratch.
+func (e *Engine) Scratch() *Scratch { return &e.scratch }

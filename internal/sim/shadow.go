@@ -14,9 +14,8 @@
 // emergency demotion path runs, and poison/drain/offline events drop any
 // shadows on the affected frames so a dead frame is never flipped to.
 //
-// Determinism contract: every shadow mutation happens on the serialised
-// interval loop (assertOwned guards), iteration is in (VMA, page) or
-// per-node FIFO order — never map order — and an engine that never calls
+// Determinism contract: iteration is in (VMA, page) or per-node FIFO
+// order — never map order — and an engine that never calls
 // EnableShadow is bit-identical to a build without this file.
 package sim
 
@@ -86,7 +85,6 @@ func (e *Engine) shadowHook(v *vm.VMA) func(int) {
 // once per invalidation, not per write). The entry and its frame stay —
 // the background sync may re-copy and revalidate it later.
 func (e *Engine) shadowWriteInvalidated(_ *vm.VMA, _ int) {
-	e.assertOwned("shadow write-invalidate")
 	e.ShadowInvalidations++
 	if e.met != nil {
 		e.met.shadowInvalidations.Inc()
@@ -213,7 +211,6 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	if e.shd == nil || !v.Present(idx) || !v.ShadowValid(idx) {
 		return tier.Invalid, false
 	}
-	e.assertOwned("FlipDemote")
 	key := v.Addr(idx)
 	sp, ok := e.shd.pages[key]
 	if !ok || sp.v != v || sp.idx != idx {
@@ -280,7 +277,6 @@ func (e *Engine) ShadowSync(maxBytes int64) int64 {
 	if e.shd == nil || maxBytes <= 0 {
 		return 0
 	}
-	e.assertOwned("ShadowSync")
 	var synced int64
 	for _, v := range e.AS.VMAs() {
 		if !v.HasShadows() {
@@ -353,7 +349,6 @@ func (e *Engine) ShadowSyncRange(v *vm.VMA, start, end int, maxBytes int64) int6
 	if e.shd == nil || maxBytes <= 0 || !v.HasShadows() {
 		return 0
 	}
-	e.assertOwned("ShadowSyncRange")
 	var synced int64
 	for w := start / vm.WordPages; w*vm.WordPages < end; w++ {
 		word := v.ShadowStaleWord(w) & v.PresentRangeWord(w, start, end)

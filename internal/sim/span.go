@@ -9,13 +9,9 @@ import (
 // Span tracing: the engine owns an optional span.Tracer recording the
 // causally-linked pipeline of every interval (interval → per-shard
 // profile scans → plan/decisions → migration → per-tier-pair transfers →
-// emergency events) in virtual time. Like the metrics registry, the
-// tracer is serialized-loop-only: its guard is bound to assertOwned, so
-// an emit from inside Engine.Parallel panics. Sharded phases emit their
-// per-shard spans on the serialised path after the Parallel call, in
-// shard order, from per-shard scratch — which keeps the trace a pure
-// function of the simulated execution and byte-identical at any
-// Parallelism.
+// emergency events) in virtual time. Spans are emitted in program order
+// on the interval loop, which keeps the trace a pure function of the
+// simulated execution.
 //
 // The helpers below are nil-safe no-ops when tracing is disabled, but
 // call sites that build attribute lists must branch on SpansEnabled
@@ -29,7 +25,6 @@ import (
 func (e *Engine) EnableSpans(cfg span.Config) *span.Tracer {
 	if e.sp == nil {
 		e.sp = span.New(cfg)
-		e.sp.SetGuard(func(what string) { e.assertOwned("span(" + what + ")") })
 	}
 	return e.sp
 }
@@ -50,8 +45,7 @@ func (e *Engine) SpansExport() *span.Export { return e.sp.Export() }
 // interval: the committed clock plus the time this interval has
 // accumulated so far (normalised app time, then profiling, then
 // migration — the order endInterval advances the clock in). It is a pure
-// function of engine accounting state, so span timestamps are identical
-// at any Parallelism.
+// function of engine accounting state.
 func (e *Engine) SpanClockNs() int64 {
 	return int64(e.clock + e.AppTimeThisInterval() + e.intProf + e.intMig)
 }
@@ -74,8 +68,8 @@ func (e *Engine) SpanEnd(attrs ...span.Attr) {
 }
 
 // SpanEmit records a complete span with explicit start and duration —
-// the shape used by sharded phases, which reconstruct per-shard
-// sub-spans from scratch state after the Parallel call.
+// the shape used by the per-shard scan spans, which are laid end to end
+// from the tallies of a finished pass.
 func (e *Engine) SpanEmit(cat, name string, startNs, durNs int64, attrs ...span.Attr) {
 	if e.sp == nil {
 		return

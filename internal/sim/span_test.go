@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"mtm/internal/span"
@@ -9,36 +8,9 @@ import (
 	"mtm/internal/vm"
 )
 
-// TestSpanConfinement: span emission is bound to the same serialized-loop
-// confinement guard as Charge*/metrics, so emitting from inside a Parallel
-// shard must panic — even at Parallelism 1.
-func TestSpanConfinement(t *testing.T) {
-	mustPanic := func(name string, f func(e *Engine)) {
-		t.Run(name, func(t *testing.T) {
-			e := NewEngine(tier.OptaneTopology(256), 1)
-			e.Par = NewPool(1)
-			e.EnableSpans(span.Config{})
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("%s inside Parallel did not panic", name)
-				}
-				if s, ok := r.(string); !ok || !strings.Contains(s, "span(") {
-					t.Fatalf("panic %v does not identify the span guard", r)
-				}
-			}()
-			e.Parallel(1, func(int) { f(e) })
-		})
-	}
-	mustPanic("begin", func(e *Engine) { e.SpanBegin("test", "x") })
-	mustPanic("end", func(e *Engine) { e.SpanEnd() })
-	mustPanic("emit", func(e *Engine) { e.SpanEmit("test", "x", 0, 1) })
-	mustPanic("event", func(e *Engine) { e.SpanEvent("test", "x") })
-}
-
-// TestSpanOutsideParallelAllowed: the same emissions are legal on the
-// serialized interval loop and land in the export.
-func TestSpanOutsideParallelAllowed(t *testing.T) {
+// TestSpanHelpersLandInExport: the engine's span helpers record into the
+// tracer and the export.
+func TestSpanHelpersLandInExport(t *testing.T) {
 	e := NewEngine(tier.OptaneTopology(256), 1)
 	tr := e.EnableSpans(span.Config{})
 	e.SpanBegin("test", "outer", span.I("k", 1))

@@ -4,14 +4,7 @@
 // migration → per-tier-pair transfers → emergency events — with
 // timestamps taken from the engine's virtual clock and IDs from a
 // per-interval counter, so the trace is a pure function of the simulated
-// execution: byte-identical at any Parallelism setting.
-//
-// The tracer mirrors the confinement contract of internal/metrics: every
-// mutating call runs through a guard hook that the engine points at its
-// assertOwned check, so a span emitted from inside Engine.Parallel panics
-// exactly like Charge*/Note*/metrics writes do. Sharded phases compute
-// per-shard scratch and the serialised caller emits their spans in shard
-// order afterwards.
+// execution.
 //
 // All methods are nil-safe: a nil *Tracer no-ops, so call sites that
 // carry no attributes need no "enabled?" branches. Sites that build
@@ -88,11 +81,10 @@ type Config struct {
 // every span of the evaluation-scale runs.
 const DefaultMaxSpans = 1 << 17
 
-// Tracer records spans. Not safe for concurrent use — the engine binds
-// its guard so misuse from a parallel shard panics deterministically.
+// Tracer records spans. Not safe for concurrent use: like the engine it
+// serves, it belongs to one run's goroutine.
 type Tracer struct {
 	max      int
-	guard    func(what string)
 	meta     map[string]string
 	spans    []Span
 	dropped  int64
@@ -111,28 +103,12 @@ func New(cfg Config) *Tracer {
 	return &Tracer{max: max, meta: map[string]string{}, interval: -1}
 }
 
-// SetGuard installs the ownership check run before every mutation; the
-// engine points it at assertOwned so writes inside Parallel panic.
-func (t *Tracer) SetGuard(fn func(what string)) {
-	if t == nil {
-		return
-	}
-	t.guard = fn
-}
-
-func (t *Tracer) check(what string) {
-	if t.guard != nil {
-		t.guard(what)
-	}
-}
-
 // SetMeta records a trace-level key/value (solution, workload, seed);
 // exported in the JSONL header and the Chrome metadata events.
 func (t *Tracer) SetMeta(key, value string) {
 	if t == nil {
 		return
 	}
-	t.check("SetMeta")
 	t.meta[key] = value
 }
 
@@ -143,7 +119,6 @@ func (t *Tracer) BeginInterval(interval int) {
 	if t == nil {
 		return
 	}
-	t.check("BeginInterval")
 	t.interval = interval
 	t.seq = 0
 }
@@ -181,7 +156,6 @@ func (t *Tracer) Begin(cat, name string, startNs int64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.check("Begin:" + name)
 	sp := Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
 		Cat: cat, Name: name, Start: startNs, Attrs: attrs,
@@ -195,7 +169,6 @@ func (t *Tracer) End(endNs int64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.check("End")
 	if len(t.stack) == 0 {
 		return
 	}
@@ -217,7 +190,6 @@ func (t *Tracer) Emit(cat, name string, startNs, durNs int64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.check("Emit:" + name)
 	if durNs < 0 {
 		durNs = 0
 	}
@@ -233,7 +205,6 @@ func (t *Tracer) Event(cat, name string, atNs int64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.check("Event:" + name)
 	t.push(Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
 		Cat: cat, Name: name, Start: atNs, Instant: true, Attrs: attrs,

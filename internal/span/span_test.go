@@ -39,34 +39,6 @@ func TestDeterministicIDs(t *testing.T) {
 	}
 }
 
-// TestGuardFires: the installed guard runs before every mutation.
-func TestGuardFires(t *testing.T) {
-	var calls []string
-	tr := New(Config{})
-	tr.SetGuard(func(what string) { calls = append(calls, what) })
-	tr.SetMeta("k", "v")
-	tr.BeginInterval(0)
-	tr.Begin("c", "n", 0)
-	tr.Emit("c", "e", 0, 1)
-	tr.Event("c", "i", 0)
-	tr.End(1)
-	tr.End(2) // empty stack: still guarded
-	if len(calls) != 7 {
-		t.Fatalf("guard ran %d times (%v), want 7", len(calls), calls)
-	}
-	for _, want := range []string{"Begin:n", "Emit:e", "Event:i", "End"} {
-		found := false
-		for _, c := range calls {
-			if c == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("guard never saw %q (%v)", want, calls)
-		}
-	}
-}
-
 // TestMaxSpansKeepsPairing: spans past the cap are dropped and counted,
 // and Begin/End pairing survives the drop (a dropped Begin still consumes
 // the matching End).
@@ -192,7 +164,6 @@ func TestWriteChrome(t *testing.T) {
 // TestNilTracerNoOps: every method is safe on a nil tracer.
 func TestNilTracerNoOps(t *testing.T) {
 	var tr *Tracer
-	tr.SetGuard(func(string) {})
 	tr.SetMeta("k", "v")
 	tr.BeginInterval(0)
 	tr.Begin("c", "n", 0)

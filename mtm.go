@@ -81,12 +81,6 @@ type Config struct {
 	// FaultSeed seeds the injector's own random stream; 0 selects Seed+1
 	// so fault decisions never perturb the engine's randomness.
 	FaultSeed int64
-	// Parallelism is the worker count for the sharded profiling and
-	// migration phases; 0 selects GOMAXPROCS, 1 forces fully sequential
-	// execution. Results are bit-identical at every setting — sharding is
-	// fixed-size and every shard draws from its own seeded stream — so
-	// this is purely a wall-clock knob. Negative values are invalid.
-	Parallelism int
 	// Metrics enables the in-process observability layer: counters,
 	// gauges, histograms, and the bounded event ring, sampled once per
 	// profiling interval and returned in Result.Metrics. Recording is
@@ -98,8 +92,8 @@ type Config struct {
 	// whole interval pipeline (profiling scans, classification decisions,
 	// migration transfers, emergency events) is recorded as causally
 	// linked spans on the virtual clock and returned in Result.Spans.
-	// The zero Config selects the defaults; output is byte-identical at
-	// every Parallelism. Nil adds zero overhead to the hot path.
+	// The zero Config selects the defaults. Nil adds zero overhead to the
+	// hot path.
 	Trace *span.Config
 	// Admission, when non-nil, enables migration admission control: every
 	// planned page move passes an ROI gate, a per-tier-pair token-bucket
@@ -108,7 +102,7 @@ type Config struct {
 	// the metrics layer, and — with Trace enabled — as span provenance with
 	// the estimated ROI. The zero admission.Config selects the defaults;
 	// nil adds zero overhead and keeps results bit-identical to a build
-	// without the layer. Results stay byte-identical at every Parallelism.
+	// without the layer.
 	Admission *admission.Config
 	// AdmissionLearn enables online MinROI learning on the admission
 	// layer: per-tier-pair promotion floors are adjusted once per interval
@@ -117,7 +111,7 @@ type Config struct {
 	// adaptation when samples are scarce. Implies Admission (a zero
 	// admission.Config is supplied when Admission is nil). Learned floors
 	// appear in Result, the mtm_admission_minroi gauges, and — with Trace —
-	// as per-decision span provenance. Deterministic at any Parallelism.
+	// as per-decision span provenance.
 	AdmissionLearn bool
 	// AdmissionLanes names a traffic-class lane configuration for the
 	// admission layer ("" disables; "default" and "strict" are presets,
@@ -132,8 +126,7 @@ type Config struct {
 	// tier draining/offlining, migration circuit breakers) even without a
 	// fault scenario. Scenarios that inject memory errors or tier
 	// failures (dimm-death, cxl-flaky) enable it automatically. Enabled
-	// with no such scenario, every tier simply stays Online; results are
-	// still byte-identical at every Parallelism.
+	// with no such scenario, every tier simply stays Online.
 	Health bool
 	// Audit runs the end-of-run invariant auditor: page-table residency,
 	// per-tier capacity accounting, and the migration/metrics counters
@@ -147,7 +140,7 @@ type Config struct {
 	// every committed migration. Results land in Result.Fidelity
 	// (omitted when disabled so fidelity-off JSON is unchanged), the
 	// mtm_fidelity_* metrics family, and outcome span events. The oracle
-	// charges no virtual time and is byte-identical at every Parallelism.
+	// charges no virtual time.
 	Fidelity bool
 	// FidelityHorizon is the outcome-resolution window in intervals for
 	// migration lineage; 0 selects sim.DefaultFidelityHorizon. Only
@@ -215,9 +208,6 @@ func (c Config) Validate() error {
 	if !fault.Valid(r.Faults) {
 		return fmt.Errorf("mtm: unknown fault scenario %q (have %v)", r.Faults, fault.Scenarios())
 	}
-	if r.Parallelism < 0 {
-		return fmt.Errorf("mtm: negative Parallelism %d (0 means GOMAXPROCS)", r.Parallelism)
-	}
 	if r.FidelityHorizon < 0 {
 		return fmt.Errorf("mtm: negative FidelityHorizon %d (0 means the default of %d intervals)", r.FidelityHorizon, sim.DefaultFidelityHorizon)
 	}
@@ -256,7 +246,6 @@ func NewEngine(c Config) *sim.Engine {
 	e.Threads = c.Threads
 	e.Interval = c.Interval
 	e.KeepLog = c.KeepLog
-	e.Par = sim.NewPool(c.Parallelism)
 	if c.Metrics {
 		e.EnableMetrics()
 	}
