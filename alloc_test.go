@@ -61,7 +61,7 @@ func TestFidelitySampleZeroAlloc(t *testing.T) {
 	pc.AdaptiveRegions = false
 	sol := policy.NewMTMVariant("mtm-fixed", profiler.NewMTM(pc), migrate.NewAdaptive())
 	e.SetSolution(sol)
-	e.EnableFidelity(sim.FidelityConfig{})
+	e.EnableFidelity()
 	v := e.AS.Alloc("b", 256<<20)
 	for i := 0; i < v.NPages; i++ {
 		e.Access(v, i, uint32(1+i%97), 0, 0)

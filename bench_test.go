@@ -175,7 +175,7 @@ func BenchmarkIntervalFidelitySample(b *testing.B) {
 	pc.AdaptiveRegions = false
 	sol := policy.NewMTMVariant("mtm-fixed", profiler.NewMTM(pc), migrate.NewAdaptive())
 	e.SetSolution(sol)
-	e.EnableFidelity(sim.FidelityConfig{})
+	e.EnableFidelity()
 	v := e.AS.Alloc("b", 2<<30)
 	for i := 0; i < v.NPages; i++ {
 		e.Access(v, i, uint32(1+i%97), 0, 0)

@@ -49,7 +49,7 @@
 // -fidelity enables the ground-truth fidelity oracle: per-interval hot-set
 // precision/recall/F1 and rank agreement for the active profiler,
 // estimation lag, a migration-outcome lineage (every committed move judged
-// in hindsight within -fidelity-horizon intervals), and a time×address
+// in hindsight within eight intervals), and a time×address
 // hotness heatmap (truth vs estimate; see cmd/heatreport). The block rides
 // in the JSON result, so -fidelity requires -json.
 //
@@ -103,7 +103,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		audit     = fs.Bool("audit", false, "cross-check residency/capacity/migration ledgers after the run")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON instead of the text report")
 		fidelity  = fs.Bool("fidelity", false, "enable the ground-truth fidelity oracle (requires -json; adds the Fidelity block)")
-		fidHrz    = fs.Int("fidelity-horizon", 0, "migration-outcome resolution window in intervals (0 = the default; requires -fidelity)")
 		metrics   = fs.String("metrics", "", "enable the metrics layer and write its export to this file")
 		metricsFm = fs.String("metrics-format", "json", "metrics file format: json or prom")
 		spans     = fs.String("spans", "", "enable the span tracer and write the trace to this file")
@@ -192,7 +191,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	cfg.Fidelity = *fidelity
-	cfg.FidelityHorizon = *fidHrz
 
 	res, err := mtm.Run(cfg, *wl, *sol)
 	if err != nil && res == nil {

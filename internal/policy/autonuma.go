@@ -142,13 +142,13 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 		if pages == 0 {
 			break
 		}
-		need, verdict := admitMigration(e, r, node, dst, int64(pages)*r.V.PageSize)
-		if verdict != admission.VerdictAdmit {
+		dec := admitMigration(e, r, node, dst, int64(pages)*r.V.PageSize)
+		if dec.Verdict != admission.VerdictAdmit {
 			// One-tier-up only: there is no alternative pair for this
 			// region, so a refusal skips it for this interval.
 			continue
 		}
-		pages = int(need / r.V.PageSize)
+		need := dec.AllowedBytes
 		if e.Sys.Free(dst) < need {
 			p.demoteFor(e, regions, dst, need-e.Sys.Free(dst), view)
 		}
@@ -159,29 +159,13 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 			}
 			continue
 		}
-		e.SetMoveContext("hot-threshold")
-		rep := p.mech.Migrate(e, r.V, r.Start, r.Start+pages, dst, 0)
-		e.ClearMoveContext()
-		if rep.Bytes > 0 {
-			budget -= rep.Bytes
-			promoted += rep.Bytes
-			e.NotePromotion(rep.Bytes)
-			if spanning {
-				spanDecision(e, "promote", "hot-threshold", r,
-					span.F("threshold", threshold),
-					span.S("dst", nodeName(e, dst)),
-					span.I("bytes", rep.Bytes))
-			}
-		}
+		moved := moveRegion(e, p.mech, r, r.Start+int(need/r.V.PageSize), dst, 0,
+			true, "hot-threshold", dec.Rule, span.F("threshold", threshold))
+		budget -= moved
+		promoted += moved
 	}
 
-	p.carry = budget - promoted
-	if p.carry > 4*p.MigrateBudget {
-		p.carry = 4 * p.MigrateBudget
-	}
-	if p.carry < 0 {
-		p.carry = 0
-	}
+	p.carry = carryOver(budget-promoted, p.MigrateBudget)
 	if p.Patched {
 		// Automatic hot-threshold adjustment: promote close to, but not
 		// above, the rate limit.
@@ -210,33 +194,7 @@ func (p *TieredAutoNUMA) demoteFor(e *sim.Engine, regions []*region.Region, dst 
 		if nodeOf(r) != dst {
 			continue
 		}
-		bytes := int64(r.Pages()) * r.V.PageSize
-		lower := tier.Invalid
-		for dr := dstRank + 1; dr < len(view); dr++ {
-			if e.Sys.Free(view[dr]) >= bytes && e.DestUsable(dst, view[dr]) {
-				lower = view[dr]
-				break
-			}
-		}
-		if lower == tier.Invalid {
-			continue
-		}
-		allowed, verdict := admitMigration(e, r, dst, lower, bytes)
-		if verdict != admission.VerdictAdmit {
-			// Victim too hot or pair budget drained; next-coldest.
-			continue
-		}
-		e.SetMoveContext("lru-coldest")
-		rep := p.mech.Migrate(e, r.V, r.Start, r.End, lower, int(allowed/r.V.PageSize))
-		e.ClearMoveContext()
-		if rep.Bytes > 0 {
-			freed += rep.Bytes
-			e.NoteDemotion(rep.Bytes)
-			if e.SpansEnabled() {
-				spanDecision(e, "demote", "lru-coldest", r,
-					span.S("dst", nodeName(e, lower)),
-					span.I("bytes", rep.Bytes))
-			}
-		}
+		moved, _ := demoteVictim(e, p.mech, r, dst, view[dstRank+1:], r.Bytes(), "lru-coldest")
+		freed += moved
 	}
 }

@@ -73,15 +73,7 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 			span.I("budget", budget))
 		defer e.SpanEnd()
 	}
-	defer func() {
-		p.carry = budget
-		if p.carry > 4*p.MigrateBudget {
-			p.carry = 4 * p.MigrateBudget
-		}
-		if p.carry < 0 {
-			p.carry = 0
-		}
-	}()
+	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
 
 	for _, r := range regions {
 		if budget <= 0 {
@@ -120,37 +112,26 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 			if !destUsable(e, r, node, dst) {
 				continue
 			}
-			allowed, verdict := admitMigration(e, r, node, dst, need)
-			if verdict == admission.VerdictReject {
+			dec := admitMigration(e, r, node, dst, need)
+			if dec.Verdict == admission.VerdictReject {
 				// Slower destinations only lower the ROI; give up on the
 				// region for this interval.
 				break
 			}
-			if verdict == admission.VerdictDefer {
+			if dec.Verdict == admission.VerdictDefer {
 				// Budget pressure on this pair; the next-fastest tier is
 				// a different pair and may still have budget.
 				continue
 			}
-			aPages := int(allowed / r.V.PageSize)
+			allowed := dec.AllowedBytes
 			if e.Sys.Free(dst) < allowed {
 				p.opportunisticDemote(e, regions, dst, allowed-e.Sys.Free(dst), view)
 			}
 			if e.Sys.Free(dst) < allowed {
 				continue
 			}
-			e.SetMoveContext("sampled-recent")
-			rep := p.mech.Migrate(e, r.V, r.Start, r.Start+aPages, dst, 0)
-			e.ClearMoveContext()
-			if rep.Bytes > 0 {
-				budget -= rep.Bytes
-				e.NotePromotion(rep.Bytes)
-				if spanning {
-					spanDecision(e, "promote", "sampled-recent", r,
-						span.F("threshold", 0),
-						span.S("dst", nodeName(e, dst)),
-						span.I("bytes", rep.Bytes))
-				}
-			}
+			budget -= moveRegion(e, p.mech, r, r.Start+int(allowed/r.V.PageSize), dst, 0,
+				true, "sampled-recent", dec.Rule, span.F("threshold", 0))
 			break
 		}
 	}
@@ -176,34 +157,9 @@ func (p *AutoTiering) opportunisticDemote(e *sim.Engine, regions []*region.Regio
 		if nodeOf(r) != dst {
 			continue
 		}
-		bytes := int64(r.Pages()) * r.V.PageSize
-		lower := tier.Invalid
-		for dr := dstRank + 1; dr < len(view); dr++ {
-			if e.Sys.Free(view[dr]) >= bytes && e.DestUsable(dst, view[dr]) {
-				lower = view[dr]
-				break
-			}
-		}
-		if lower == tier.Invalid {
-			continue
-		}
-		allowed, verdict := admitMigration(e, r, dst, lower, bytes)
-		if verdict != admission.VerdictAdmit {
-			// Even opportunistic demotion respects the victim-heat and
-			// budget gates; probe the next region.
-			continue
-		}
-		e.SetMoveContext("opportunistic")
-		rep := p.mech.Migrate(e, r.V, r.Start, r.End, lower, int(allowed/r.V.PageSize))
-		e.ClearMoveContext()
-		if rep.Bytes > 0 {
-			freed += rep.Bytes
-			e.NoteDemotion(rep.Bytes)
-			if e.SpansEnabled() {
-				spanDecision(e, "demote", "opportunistic", r,
-					span.S("dst", nodeName(e, lower)),
-					span.I("bytes", rep.Bytes))
-			}
-		}
+		// Even opportunistic demotion respects the victim-heat and budget
+		// gates; a vetoed region is skipped for the next one.
+		moved, _ := demoteVictim(e, p.mech, r, dst, view[dstRank+1:], r.Bytes(), "opportunistic")
+		freed += moved
 	}
 }

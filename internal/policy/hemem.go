@@ -112,15 +112,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			span.I("budget", budget))
 		defer e.SpanEnd()
 	}
-	defer func() {
-		p.carry = budget
-		if p.carry > 4*p.MigrateBudget {
-			p.carry = 4 * p.MigrateBudget
-		}
-		if p.carry < 0 {
-			p.carry = 0
-		}
-	}()
+	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
 	// Promote regions with enough samples to local DRAM.
 	view := e.Sys.Topo.View(e.HomeSocket)
 	var dram, pm tier.NodeID = tier.Invalid, tier.Invalid
@@ -163,43 +155,32 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			// else to promote to.
 			break
 		}
-		bytes, verdict := admitMigration(e, r, pm, dram, r.Bytes())
-		if verdict == admission.VerdictReject {
+		dec := admitMigration(e, r, pm, dram, r.Bytes())
+		if dec.Verdict == admission.VerdictReject {
 			// Not worth the copy; colder regions follow, so move on.
 			continue
 		}
-		if verdict == admission.VerdictDefer {
+		if dec.Verdict == admission.VerdictDefer {
 			// Two-tier world view: the PM→DRAM pair is the only one, so
 			// budget pressure ends promotion for this interval.
 			break
 		}
+		bytes := dec.AllowedBytes
 		if e.Sys.Free(dram) < bytes {
 			p.demoteCold(e, hist, dram, pm, bytes-e.Sys.Free(dram))
 		}
 		if e.Sys.Free(dram) < bytes {
 			break
 		}
-		e.SetMoveContext("hot-samples")
-		rep := p.mech.Migrate(e, r.V, r.Start, r.End, dram, int(bytes/r.V.PageSize))
-		e.ClearMoveContext()
-		if rep.Bytes > 0 {
-			budget -= rep.Bytes
-			e.NotePromotion(rep.Bytes)
-			if spanning {
-				spanDecision(e, "promote", "hot-samples", r,
-					span.F("threshold", float64(p.HotSamples)),
-					span.S("dst", nodeName(e, dram)),
-					span.I("bytes", rep.Bytes))
-			}
-		}
+		budget -= moveRegion(e, p.mech, r, r.End, dram, int(bytes/r.V.PageSize),
+			true, "hot-samples", dec.Rule, span.F("threshold", float64(p.HotSamples)))
 	}
 }
 
-// demoteCold moves the coldest DRAM-resident regions to PM.
+// demoteCold moves the coldest DRAM-resident regions to PM, stopping once
+// PM cannot take the next victim whole.
 func (p *HeMem) demoteCold(e *sim.Engine, hist *region.Histogram, dram, pm tier.NodeID, need int64) {
-	if !e.DestUsable(dram, pm) {
-		return
-	}
+	lower := []tier.NodeID{pm}
 	var freed int64
 	for _, r := range hist.ColdestFirst() {
 		if freed >= need {
@@ -208,27 +189,11 @@ func (p *HeMem) demoteCold(e *sim.Engine, hist *region.Histogram, dram, pm tier.
 		if nodeOf(r) != dram {
 			continue
 		}
-		if e.Sys.Free(pm) < r.Bytes() {
+		moved, found := demoteVictim(e, p.mech, r, dram, lower, r.Bytes(), "coldest-first")
+		if !found {
 			return
 		}
-		bytes, verdict := admitMigration(e, r, dram, pm, r.Bytes())
-		if verdict != admission.VerdictAdmit {
-			// Victim too hot to evict, or the demotion pair's budget is
-			// drained; try the next-coldest region.
-			continue
-		}
-		e.SetMoveContext("coldest-first")
-		rep := p.mech.Migrate(e, r.V, r.Start, r.End, pm, int(bytes/r.V.PageSize))
-		e.ClearMoveContext()
-		if rep.Bytes > 0 {
-			freed += rep.Bytes
-			e.NoteDemotion(rep.Bytes)
-			if e.SpansEnabled() {
-				spanDecision(e, "demote", "coldest-first", r,
-					span.S("dst", nodeName(e, pm)),
-					span.I("bytes", rep.Bytes))
-			}
-		}
+		freed += moved
 	}
 }
 

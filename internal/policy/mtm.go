@@ -195,19 +195,18 @@ func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 				}
 				continue
 			}
-			need := int64(minInt(maxPages, r.Pages())) * r.V.PageSize
-			allowed, verdict := admitMigration(e, r, nodeOf(r), dst, need)
-			if verdict == admission.VerdictReject {
+			dec := admitMigration(e, r, nodeOf(r), dst, int64(minInt(maxPages, r.Pages()))*r.V.PageSize)
+			if dec.Verdict == admission.VerdictReject {
 				// Not worth the copy at this hotness: every slower
 				// destination only lowers the ROI, so the region is done.
 				break
 			}
-			if verdict == admission.VerdictDefer {
+			if dec.Verdict == admission.VerdictDefer {
 				// This pair's budget is under pressure; a slower tier is a
 				// different pair and may still have budget.
 				continue
 			}
-			need = allowed
+			need := dec.AllowedBytes
 			if e.Sys.Free(dst) < need {
 				demoted := p.makeRoom(e, hist, dst, need-e.Sys.Free(dst), view, demoteBudget, r.WHI)
 				demoteBudget -= demoted
@@ -221,18 +220,10 @@ func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 				}
 				continue
 			}
-			e.SetMoveContext("fast-promotion")
-			rep := p.Mech.Migrate(e, r.V, r.Start, r.End, dst, minInt(maxPages, int(allowed/r.V.PageSize)))
-			e.ClearMoveContext()
-			if rep.Bytes > 0 {
-				spent += rep.Bytes
-				e.NotePromotion(rep.Bytes)
-				if spanning {
-					spanDecision(e, "promote", "fast-promotion", r,
-						span.F("threshold", 0),
-						span.S("dst", nodeName(e, dst)),
-						span.I("bytes", rep.Bytes))
-				}
+			moved := moveRegion(e, p.Mech, r, r.End, dst, minInt(maxPages, int(need/r.V.PageSize)),
+				true, "fast-promotion", dec.Rule, span.F("threshold", 0))
+			if moved > 0 {
+				spent += moved
 				break
 			}
 			// Every page-move into dst aborted (flaky tier, contended
@@ -246,18 +237,12 @@ func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 			}
 		}
 	}
-	p.carry = budget - spent
-	if p.carry > 4*p.MigrateBudget {
-		p.carry = 4 * p.MigrateBudget // nothing promotable: don't hoard
-	}
-	if p.carry < 0 {
-		p.carry = 0
-	}
+	p.carry = carryOver(budget-spent, p.MigrateBudget)
 }
 
 // makeRoom demotes the coldest regions resident on node to the next lower
-// tier with space, until freed bytes are available or the demotion budget
-// runs out. Victims must be strictly colder than the promotion candidate
+// tier with space, until need bytes are freed or the demotion budget runs
+// out. Victims must be strictly colder than the promotion candidate
 // (candidateWHI): slow demotion never evicts pages likelier to be accessed
 // than what replaces them (§6.2). It returns the bytes demoted.
 func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, need int64, view []tier.NodeID, budget int64, candidateWHI float64) int64 {
@@ -313,37 +298,9 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 			remaining = b
 		}
 		maxPages := int((remaining + r.V.PageSize - 1) / r.V.PageSize)
-		bytes := int64(minInt(maxPages, r.Pages())) * r.V.PageSize
-		var dst tier.NodeID = tier.Invalid
-		for dr := nodeRank + 1; dr < len(view); dr++ {
-			if e.Sys.Free(view[dr]) >= bytes && e.DestUsable(node, view[dr]) {
-				dst = view[dr]
-				break
-			}
-		}
-		if dst == tier.Invalid {
-			continue
-		}
-		allowed, verdict := admitMigration(e, r, node, dst, bytes)
-		if verdict != admission.VerdictAdmit {
-			// Victim vetoed: its own ROI says it is still too hot to
-			// evict, or the demotion pair's budget is drained. Try the
-			// next-coldest victim.
-			continue
-		}
-		e.SetMoveContext("slow-demotion")
-		rep := p.Mech.Migrate(e, r.V, r.Start, r.End, dst, int(allowed/r.V.PageSize))
-		e.ClearMoveContext()
-		if rep.Bytes > 0 {
-			demoted += rep.Bytes
-			e.NoteDemotion(rep.Bytes)
-			if spanning {
-				spanDecision(e, "demote", "slow-demotion", r,
-					span.F("threshold", candidateWHI),
-					span.S("dst", nodeName(e, dst)),
-					span.I("bytes", rep.Bytes))
-			}
-		}
+		moved, _ := demoteVictim(e, p.Mech, r, node, view[nodeRank+1:], int64(minInt(maxPages, r.Pages()))*r.V.PageSize,
+			"slow-demotion", span.F("threshold", candidateWHI))
+		demoted += moved
 	}
 	return demoted
 }

@@ -128,7 +128,7 @@ func (p *MTM) flipVictim(e *sim.Engine, r *region.Region, node tier.NodeID, rema
 			span.I("budget_bytes", dec.BudgetBytes),
 			span.S("dst", nodeName(e, dst)))
 	}
-	e.SetMoveContext("shadow-flip")
+	e.SetMoveContext("shadow-flip", dec.Rule)
 	rep := migrate.FlipSpan(e, r.V, r.Start, r.End, maxPages)
 	e.ClearMoveContext()
 	if rep.Bytes > 0 && e.SpansEnabled() {

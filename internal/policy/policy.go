@@ -7,6 +7,7 @@ package policy
 
 import (
 	"mtm/internal/admission"
+	"mtm/internal/migrate"
 	"mtm/internal/profiler"
 	"mtm/internal/region"
 	"mtm/internal/sim"
@@ -181,16 +182,17 @@ func reaccessEvidence(r *region.Region) float64 {
 // admitMigration gates one planned move of up to bytes of region r from
 // src to dst through the engine's admission layer, recording the
 // decision provenance with the estimated ROI, the threshold it was held
-// against, and the pair's budget balance. It returns the admitted byte
-// allowance — possibly clipped to the pair's token budget, zero when
-// the move was deferred or rejected — and the verdict for callers that
-// route differently on defer (try another destination) versus reject
-// (the region is not worth moving at all). With admission disabled the
-// full request is admitted and nothing is recorded, keeping baseline
-// runs bit-identical to the pre-admission policies.
-func admitMigration(e *sim.Engine, r *region.Region, src, dst tier.NodeID, bytes int64) (int64, admission.Verdict) {
+// against, and the pair's budget balance. The decision carries the
+// admitted byte allowance — possibly clipped to the pair's token budget,
+// zero when the move was deferred or rejected — the verdict for callers
+// that route differently on defer (try another destination) versus
+// reject (the region is not worth moving at all), and the rule that
+// labels the move's lineage. With admission disabled the full request is
+// admitted under no rule and nothing is recorded, keeping baseline runs
+// bit-identical to the pre-admission policies.
+func admitMigration(e *sim.Engine, r *region.Region, src, dst tier.NodeID, bytes int64) admission.Decision {
 	if !e.AdmissionEnabled() || bytes <= 0 {
-		return bytes, admission.VerdictAdmit
+		return admission.Decision{Verdict: admission.VerdictAdmit, AllowedBytes: bytes}
 	}
 	dec := e.AdmitMigration(src, dst, bytes, r.V.PageSize, r.WHI, reaccessEvidence(r))
 	if e.SpansEnabled() {
@@ -206,7 +208,68 @@ func admitMigration(e *sim.Engine, r *region.Region, src, dst tier.NodeID, bytes
 		}
 		spanDecision(e, dec.Verdict.String(), dec.Rule, r, attrs...)
 	}
-	return dec.AllowedBytes, dec.Verdict
+	return dec
+}
+
+// moveRegion runs one planned move of region r to dst through mech:
+// pages [r.Start, end), at most maxPages of them (<= 0: no cap). Every
+// copy migration a policy plans goes through here, under an explicit
+// lineage context — rule is the policy clause that planned the move, adm
+// the admission rule that priced it ("" with admission off, recorded as
+// unguarded). The helper owns the promotion/demotion volume accounting
+// and the promote/demote decision span, whose payload is attrs (the
+// threshold the rule compared, where it has one) plus dst and the bytes
+// moved. It returns the bytes moved.
+func moveRegion(e *sim.Engine, mech migrate.Mechanism, r *region.Region, end int, dst tier.NodeID, maxPages int, promote bool, rule, adm string, attrs ...span.Attr) int64 {
+	e.SetMoveContext(rule, adm)
+	rep := mech.Migrate(e, r.V, r.Start, end, dst, maxPages)
+	e.ClearMoveContext()
+	if rep.Bytes <= 0 {
+		return 0
+	}
+	outcome := "demote"
+	if promote {
+		outcome = "promote"
+		e.NotePromotion(rep.Bytes)
+	} else {
+		e.NoteDemotion(rep.Bytes)
+	}
+	if e.SpansEnabled() {
+		spanDecision(e, outcome, rule, r, append(attrs, span.S("dst", nodeName(e, dst)), span.I("bytes", rep.Bytes))...)
+	}
+	return rep.Bytes
+}
+
+// demoteVictim evicts up to bytes of victim region r off node src, to the
+// first node of lower that has room for them and passes DestUsable, if the victim's own admission check admits the move.
+// found reports whether such a node existed. A vetoed victim — still too
+// hot to evict, or its pair's budget drained — moves nothing, and the
+// caller tries the next-coldest one.
+func demoteVictim(e *sim.Engine, mech migrate.Mechanism, r *region.Region, src tier.NodeID, lower []tier.NodeID, bytes int64, rule string, attrs ...span.Attr) (moved int64, found bool) {
+	for _, dst := range lower {
+		if e.Sys.Free(dst) < bytes || !e.DestUsable(src, dst) {
+			continue
+		}
+		dec := admitMigration(e, r, src, dst, bytes)
+		if dec.Verdict != admission.VerdictAdmit {
+			return 0, true
+		}
+		return moveRegion(e, mech, r, r.End, dst, int(dec.AllowedBytes/r.V.PageSize), false, rule, dec.Rule, attrs...), true
+	}
+	return 0, false
+}
+
+// carryOver is the promotion budget an interval leaves to the next: what
+// it did not spend, never negative, and capped at four intervals' worth
+// so a policy with nothing promotable does not hoard.
+func carryOver(left, budget int64) int64 {
+	if left > 4*budget {
+		return 4 * budget
+	}
+	if left < 0 {
+		return 0
+	}
+	return left
 }
 
 // spanDecision emits one migration-decision provenance event. The event

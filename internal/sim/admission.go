@@ -32,15 +32,8 @@ const (
 type admissionState struct {
 	cfg   admission.Config
 	ctl   *admission.Controller
-	learn bool // online per-pair MinROI floors
+	learn bool // online per-pair MinROI floors, fed by the lineage ledger
 	lanes bool // traffic-class lanes + binding budgets
-
-	// Learner ledger: committed promotions awaiting their hindsight
-	// verdict, appended in commit order and resolved with the same rule
-	// as the fidelity oracle's lineage ledger. Kept independent of the
-	// oracle so learned floors are identical with and without -fidelity.
-	pend    []admPending
-	horizon int32
 
 	// profDst is where profiling traffic lands (the home socket's
 	// fastest node, where the kernel's scan structures live).
@@ -53,15 +46,6 @@ type admissionState struct {
 	// minroi exposes each pair's learned floor as a gauge; nil without
 	// metrics or without learning.
 	minroi [][]*metrics.Gauge
-}
-
-// admPending is one committed promotion awaiting hindsight judgement
-// for the online MinROI learner.
-type admPending struct {
-	v        *vm.VMA
-	idx      int32
-	interval int32
-	src, dst tier.NodeID
 }
 
 // EnableAdmission attaches the migration admission-control subsystem
@@ -101,10 +85,11 @@ func (e *Engine) EnableAdmission(cfg admission.Config) {
 		ctl:     ctl,
 		learn:   cfg.Learn,
 		lanes:   cfg.Lanes.Enabled,
-		horizon: DefaultFidelityHorizon,
 		profDst: e.Sys.Topo.View(e.HomeSocket)[0],
 	}
 	if a.learn {
+		// The learner's verdicts come from the lineage ledger.
+		e.enableLineage()
 		if reg := e.Metrics(); reg != nil {
 			a.minroi = make([][]*metrics.Gauge, len(nodes))
 			for s := range nodes {
@@ -171,7 +156,6 @@ func (e *Engine) MigrationROI(src, dst tier.NodeID, pageSize int64, whi, reacces
 // admission-free runs bit-identical to the pre-admission engine.
 func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi, reaccess float64) admission.Decision {
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
-		e.fidelityNoteAdmission(admission.RuleAdmitted)
 		return admission.Decision{
 			Verdict:      admission.VerdictAdmit,
 			Rule:         admission.RuleAdmitted,
@@ -200,7 +184,6 @@ func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi
 			e.emitEventOnce(EventAdmissionReject, e.met.pairName[src][dst], bytes)
 		}
 	}
-	e.fidelityNoteAdmission(dec.Rule)
 	return dec
 }
 
@@ -229,7 +212,6 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 		Rule:         admission.RuleShadowFlip,
 		AllowedBytes: bytes,
 	}
-	e.fidelityNoteAdmission(dec.Rule)
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return dec
 	}
@@ -280,17 +262,8 @@ func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID
 		return
 	}
 	now := e.SpanClockNs()
-	dir := e.moveDirection(src, dst)
 	e.adm.ctl.Commit(int(src), int(dst), v.PageSize, now)
-	e.adm.ctl.NotePageMove(v.Addr(idx), dir, now)
-	if e.adm.learn && dir == admission.DirPromote {
-		// Feed the learner ledger: this promotion's hindsight verdict
-		// (reaccessed before the horizon, or wasted) resolves in
-		// admissionEndInterval and adjusts the pair's learned floor.
-		e.adm.pend = append(e.adm.pend, admPending{
-			v: v, idx: int32(idx), interval: int32(e.Intervals), src: src, dst: dst,
-		})
-	}
+	e.adm.ctl.NotePageMove(v.Addr(idx), e.moveDirection(src, dst), now)
 }
 
 // admissionMoveAborted charges an aborted move's wasted bytes to its
@@ -434,16 +407,13 @@ func (e *Engine) admissionResetWaste(src, dst tier.NodeID) {
 }
 
 // admissionEndInterval is the adaptive layer's once-per-interval work,
-// run between the fidelity sample and ResetCounts
-// (the learner reads the same count planes as the oracle):
+// run after the lineage ledger has fed this interval's promotion verdicts
+// to the learner (lineageResolve):
 //
-//  1. Resolve the learner ledger: each pending promotion older than
-//     this interval is judged reaccessed (count > 0) or, once the
-//     horizon expires, wasted, and the verdict feeds the pair's floor.
-//  2. Charge profiling traffic against the pair budgets (lanes mode).
-//  3. Run the controller's EndInterval: demand-scaled refill, bounded
+//  1. Charge profiling traffic against the pair budgets (lanes mode).
+//  2. Run the controller's EndInterval: demand-scaled refill, bounded
 //     floor adaptation, starvation watchdog.
-//  4. Surface watchdog firings as typed events/metrics/spans and
+//  3. Surface watchdog firings as typed events/metrics/spans and
 //     refresh the per-pair learned-floor gauges.
 //
 // Skipped entirely when neither learning nor lanes is on: a plain
@@ -454,24 +424,6 @@ func (e *Engine) admissionEndInterval() {
 		return
 	}
 	now := e.SpanClockNs()
-	if a.learn {
-		cur := int32(e.Intervals)
-		keep := a.pend[:0]
-		for i := range a.pend {
-			m := &a.pend[i]
-			if m.interval >= cur {
-				keep = append(keep, *m)
-				continue
-			}
-			reaccessed := m.v.Present(int(m.idx)) && m.v.Count(int(m.idx)) > 0
-			if !reaccessed && cur-m.interval < a.horizon {
-				keep = append(keep, *m)
-				continue
-			}
-			a.ctl.NoteOutcome(int(m.src), int(m.dst), reaccessed)
-		}
-		a.pend = keep
-	}
 	if a.lanes {
 		// Profiling traffic: the profiler's scan/sample reads flow from
 		// every accessed node toward the home socket's fastest tier.

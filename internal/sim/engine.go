@@ -113,6 +113,7 @@ type Engine struct {
 	adm    *admissionState     // nil unless EnableAdmission was called
 	shd    *shadowState        // nil unless EnableShadow was called
 	fid    *fidelityState      // nil unless EnableFidelity was called
+	lin    *lineage            // nil unless the oracle or the admission learner is on
 	evSeen map[string]struct{} // per-interval event dedup (emitEventOnce)
 
 	// Open page-move transaction (MoveBegin → MoveCommit/MoveAborted).
@@ -384,15 +385,17 @@ func (e *Engine) beginInterval() {
 func (e *Engine) endInterval() {
 	e.healthEndInterval()
 	// The fidelity oracle samples here: after the solution's migration
-	// pass (so this interval's moves are in the lineage ledger) and before
-	// ResetCounts (the count planes are its ground truth). It runs before
-	// spansEndInterval so outcome events parent into the open interval.
+	// pass and before ResetCounts (the count planes are its ground truth).
+	// The lineage ledger then resolves this interval's verdicts from the
+	// same count planes, feeding the oracle and the admission learner. Both
+	// run before spansEndInterval so outcome events parent into the open
+	// interval.
 	e.fidelityEndInterval()
-	// The admission layer's once-per-interval work — learner-ledger
-	// resolution (reads the same count planes as the oracle, so it too
-	// must precede ResetCounts), demand-scaled refill, floor adaptation,
-	// and the starvation watchdog — runs after the oracle and before
-	// spansEndInterval so watchdog events parent into the open interval.
+	e.lineageResolve()
+	// The admission layer's once-per-interval work — demand-scaled refill,
+	// floor adaptation from the verdicts just resolved, and the starvation
+	// watchdog — runs before spansEndInterval so watchdog events parent
+	// into the open interval.
 	e.admissionEndInterval()
 	app := e.AppTimeThisInterval()
 	e.spansEndInterval(app)

@@ -11,23 +11,6 @@ import (
 	"mtm/internal/vm"
 )
 
-// DefaultFidelityHorizon is the outcome-resolution window, in intervals,
-// when FidelityConfig.Horizon is zero: a committed move that sees no
-// reaccess for this many intervals is judged wasted (promotions) or
-// correct (demotions).
-const DefaultFidelityHorizon = 8
-
-// FidelityConfig configures the ground-truth fidelity oracle.
-type FidelityConfig struct {
-	// Horizon is the outcome-resolution window in intervals; <= 0 selects
-	// DefaultFidelityHorizon.
-	Horizon int
-	// HotsetBytes is the top-K target: truth and estimated hot sets are
-	// each selected down to about this many bytes. <= 0 selects the
-	// machine's total DRAM capacity — "what would fit in fast memory".
-	HotsetBytes int64
-}
-
 // regionEstimator is implemented by solutions whose profiler exposes its
 // region table; the oracle grades that table against ground truth.
 // Solutions without one (first-touch, slow-first, hmc) still get lineage
@@ -60,34 +43,16 @@ type fidScore struct {
 	missed int64
 }
 
-// pendingMove is one committed page move awaiting its hindsight verdict.
-type pendingMove struct {
-	v        *vm.VMA
-	idx      int32
-	interval int32
-	promote  bool
-	flip     bool
-	rule     string
-	adm      string
-	src, dst tier.NodeID
-}
-
 // fidelityState is the engine-side oracle. Nil unless EnableFidelity was
 // called; every hook is nil-safe so a fidelity-off run takes no branches
 // beyond one pointer test.
 type fidelityState struct {
-	horizon int
-	hotset  int64
+	// hotset is the top-K target: truth and estimated hot sets are each
+	// selected down to about this many bytes, the machine's total DRAM
+	// capacity — "what would fit in fast memory".
+	hotset int64
 
 	planes map[*vm.VMA]*fidelityPlane
-
-	// Pending-move ledger (FIFO in commit order; compacted in place).
-	pend []pendingMove
-	// Decision context for the next committed moves: the policy rule
-	// (SetMoveContext) and the admission rule (recorded by
-	// AdmitMigration/AdmitFlip).
-	ctxRule string
-	ctxAdm  string
 
 	outcomes fidelity.OutcomeCounts
 	byRule   map[fidelity.RuleKey]*fidelity.OutcomeCounts
@@ -126,29 +91,23 @@ type fidelityState struct {
 // EnableFidelity turns on the ground-truth fidelity oracle: once per
 // interval — after migration, before the count planes reset — the engine
 // samples per-page access truth, grades the active profiler's hot set
-// against it, and resolves the hindsight verdict of every committed move
-// within the configured horizon. Idempotent; call after Interval is set
-// and after EnableMetrics/EnableSpans so the oracle's instruments and
-// outcome events register with them.
-func (e *Engine) EnableFidelity(cfg FidelityConfig) {
+// against it, and tallies the hindsight verdict the lineage ledger
+// resolves for every committed move within DefaultFidelityHorizon
+// intervals. Idempotent; call after Interval is set and after
+// EnableMetrics/EnableSpans so the oracle's instruments and outcome
+// events register with them.
+func (e *Engine) EnableFidelity() {
 	if e.fid != nil {
 		return
 	}
 	f := &fidelityState{
-		horizon: cfg.Horizon,
-		hotset:  cfg.HotsetBytes,
-		planes:  map[*vm.VMA]*fidelityPlane{},
-		byRule:  map[fidelity.RuleKey]*fidelity.OutcomeCounts{},
-		heat:    &fidelity.Heatmap{Cols: fidelity.HeatCols, Rows: make([]fidelity.HeatRow, 0, 256)},
+		planes: map[*vm.VMA]*fidelityPlane{},
+		byRule: map[fidelity.RuleKey]*fidelity.OutcomeCounts{},
+		heat:   &fidelity.Heatmap{Cols: fidelity.HeatCols, Rows: make([]fidelity.HeatRow, 0, 256)},
 	}
-	if f.horizon <= 0 {
-		f.horizon = DefaultFidelityHorizon
-	}
-	if f.hotset <= 0 {
-		for _, n := range e.Sys.Topo.Nodes {
-			if n.Kind == tier.DRAM {
-				f.hotset += n.Capacity
-			}
+	for _, n := range e.Sys.Topo.Nodes {
+		if n.Kind == tier.DRAM {
+			f.hotset += n.Capacity
 		}
 	}
 	if reg := e.Metrics(); reg != nil {
@@ -166,66 +125,11 @@ func (e *Engine) EnableFidelity(cfg FidelityConfig) {
 		}
 	}
 	e.fid = f
+	e.enableLineage()
 }
 
 // FidelityEnabled reports whether the fidelity oracle is on.
 func (e *Engine) FidelityEnabled() bool { return e.fid != nil }
-
-// SetMoveContext records the policy rule governing the page moves that
-// follow (until ClearMoveContext); committed moves inherit it into their
-// lineage entry. No-op without the fidelity oracle.
-func (e *Engine) SetMoveContext(rule string) {
-	if e.fid != nil {
-		e.fid.ctxRule = rule
-	}
-}
-
-// ClearMoveContext clears the policy-rule and admission-rule context.
-func (e *Engine) ClearMoveContext() {
-	if e.fid != nil {
-		e.fid.ctxRule, e.fid.ctxAdm = "", ""
-	}
-}
-
-// fidelityNoteAdmission records the admission rule that priced the moves
-// that follow; called by AdmitMigration/AdmitFlip.
-func (e *Engine) fidelityNoteAdmission(rule string) {
-	if e.fid != nil {
-		e.fid.ctxAdm = rule
-	}
-}
-
-// fidelityMoveCommitted appends one committed move to the pending-move
-// ledger under the current decision context. Called from MoveCommit and
-// FlipDemote in commit order.
-func (e *Engine) fidelityMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
-	f := e.fid
-	if f == nil {
-		return
-	}
-	if int(src) < 0 || int(dst) < 0 {
-		return // first placement, not a move between tiers
-	}
-	rule := f.ctxRule
-	if rule == "" {
-		rule = "unattributed"
-	}
-	adm := f.ctxAdm
-	if adm == "" {
-		adm = "unguarded"
-	}
-	f.pend = append(f.pend, pendingMove{
-		v:        v,
-		idx:      int32(idx),
-		interval: int32(e.Intervals),
-		promote:  e.Sys.Topo.Rank(e.HomeSocket, dst) < e.Sys.Topo.Rank(e.HomeSocket, src),
-		flip:     flip,
-		rule:     rule,
-		adm:      adm,
-		src:      src,
-		dst:      dst,
-	})
-}
 
 // solutionRegions returns the active solution's profiled region table, or
 // nil when it does not expose one.
@@ -333,7 +237,6 @@ func (e *Engine) fidelityEndInterval() {
 	vmas := e.AS.VMAs()
 	f.samples++
 	if len(vmas) == 0 {
-		e.fidelityResolve()
 		return
 	}
 
@@ -429,8 +332,6 @@ func (e *Engine) fidelityEndInterval() {
 		f.cLagSamples.Add(sc.lagN)
 		f.cMissed.Add(sc.missed)
 	}
-
-	e.fidelityResolve()
 }
 
 // markEstimate marks the profiler's estimated hot set: regions are
@@ -486,51 +387,37 @@ func (f *fidelityState) markEstimate(regions []*region.Region) {
 	}
 }
 
-// fidelityResolve walks the pending-move ledger in commit order and
-// resolves every move that saw a reaccess this interval or whose horizon
-// expired. Resolution reads the same count plane the truth sample did,
-// so it must also run before ResetCounts. Moves committed this interval
-// are skipped — their counts predate the move.
-func (e *Engine) fidelityResolve() {
+// fidelityOutcome tallies one move the lineage ledger resolved at
+// interval cur: the run-wide and per-rule verdict counts, the verdict
+// counter, and an outcome span event. No-op without the oracle.
+func (e *Engine) fidelityOutcome(m *pendingMove, reaccessed bool, cur int32) {
 	f := e.fid
-	cur := int32(e.Intervals)
-	keep := f.pend[:0]
-	for i := range f.pend {
-		m := &f.pend[i]
-		if m.interval >= cur {
-			keep = append(keep, *m)
-			continue
-		}
-		reaccessed := m.v.Present(int(m.idx)) && m.v.Count(int(m.idx)) > 0
-		if !reaccessed && cur-m.interval < int32(f.horizon) {
-			keep = append(keep, *m)
-			continue
-		}
-		vd := fidelity.Resolve(m.promote, m.flip, reaccessed)
-		f.outcomes[vd]++
-		key := fidelity.RuleKey{Rule: m.rule, Admission: m.adm}
-		c := f.byRule[key]
-		if c == nil {
-			c = new(fidelity.OutcomeCounts)
-			f.byRule[key] = c
-		}
-		c[vd]++
-		if f.cOutcome[vd] != nil {
-			f.cOutcome[vd].Inc()
-		}
-		if e.sp != nil {
-			e.SpanEvent("migration", "outcome",
-				span.S("verdict", vd.String()),
-				span.S("rule", m.rule),
-				span.S("admission", m.adm),
-				span.S("vma", m.v.Name),
-				span.I("page", int64(m.idx)),
-				span.S("src", e.Sys.Topo.Nodes[m.src].Name),
-				span.S("dst", e.Sys.Topo.Nodes[m.dst].Name),
-				span.I("lag_intervals", int64(cur-m.interval)))
-		}
+	if f == nil {
+		return
 	}
-	f.pend = keep
+	vd := fidelity.Resolve(m.promote, m.flip, reaccessed)
+	f.outcomes[vd]++
+	key := fidelity.RuleKey{Rule: m.rule, Admission: m.adm}
+	c := f.byRule[key]
+	if c == nil {
+		c = new(fidelity.OutcomeCounts)
+		f.byRule[key] = c
+	}
+	c[vd]++
+	if f.cOutcome[vd] != nil {
+		f.cOutcome[vd].Inc()
+	}
+	if e.sp != nil {
+		e.SpanEvent("migration", "outcome",
+			span.S("verdict", vd.String()),
+			span.S("rule", m.rule),
+			span.S("admission", m.adm),
+			span.S("vma", m.v.Name),
+			span.I("page", int64(m.idx)),
+			span.S("src", e.Sys.Topo.Nodes[m.src].Name),
+			span.S("dst", e.Sys.Topo.Nodes[m.dst].Name),
+			span.I("lag_intervals", int64(cur-m.interval)))
+	}
 }
 
 // FidelityReport assembles the Result.Fidelity block; nil without
@@ -544,8 +431,8 @@ func (e *Engine) FidelityReport() *fidelity.Report {
 	if len(heat.Rows) == 0 {
 		heat = nil
 	}
-	return fidelity.BuildReport(f.samples, f.scored, f.hotset, f.horizon,
+	return fidelity.BuildReport(f.samples, f.scored, f.hotset, DefaultFidelityHorizon,
 		f.sumP, f.sumR, f.sumF, f.sumRank,
 		f.lagSum, f.lagN, f.missed,
-		f.outcomes, int64(len(f.pend)), f.byRule, heat)
+		f.outcomes, int64(len(e.lin.pend)), f.byRule, heat)
 }

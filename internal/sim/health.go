@@ -348,7 +348,7 @@ func (e *Engine) drainNode(node tier.NodeID) {
 
 	attempted, committed := 0, 0
 	stalled := false
-	e.SetMoveContext("health-drain")
+	e.SetMoveContext("health-drain", "")
 	defer e.ClearMoveContext()
 	for _, p := range pages {
 		if attempted >= e.hlt.cfg.DrainPagesPerInterval {

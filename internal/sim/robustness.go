@@ -196,7 +196,7 @@ func (e *Engine) MoveCommit(v *vm.VMA, idx int, dst tier.NodeID) {
 	e.committedBytes += v.PageSize
 	e.recordMoveSuccess(src, dst)
 	e.admissionMoveCommitted(v, idx, src, dst)
-	e.fidelityMoveCommitted(v, idx, src, dst, false)
+	e.lineageMoveCommitted(v, idx, src, dst, false)
 	if e.met != nil {
 		pairCounter(e.met.movedPages, src, dst).Inc()
 	}
@@ -364,7 +364,7 @@ func (e *Engine) demoteColdest(node tier.NodeID, lower []tier.NodeID, need int64
 		return pages[a].v.Count(pages[a].idx) < pages[b].v.Count(pages[b].idx)
 	})
 	var freed int64
-	e.SetMoveContext("emergency-demotion")
+	e.SetMoveContext("emergency-demotion", "")
 	defer e.ClearMoveContext()
 	for _, p := range pages {
 		if freed >= need {

@@ -259,7 +259,7 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 		e.met.shadowFlipBytes.Add(v.PageSize)
 		pairCounter(e.met.movedPages, src, dst).Inc()
 	}
-	e.fidelityMoveCommitted(v, idx, src, dst, true)
+	e.lineageMoveCommitted(v, idx, src, dst, true)
 	return dst, true
 }
 

@@ -137,15 +137,11 @@ type Config struct {
 	// interval the engine samples per-page access truth, grades the
 	// active profiler's hot set against it (precision/recall/F1, rank
 	// agreement, estimation lag), and resolves a hindsight verdict for
-	// every committed migration. Results land in Result.Fidelity
-	// (omitted when disabled so fidelity-off JSON is unchanged), the
-	// mtm_fidelity_* metrics family, and outcome span events. The oracle
-	// charges no virtual time.
+	// every committed migration within sim.DefaultFidelityHorizon
+	// intervals. Results land in Result.Fidelity (omitted when disabled so
+	// fidelity-off JSON is unchanged), the mtm_fidelity_* metrics family,
+	// and outcome span events. The oracle charges no virtual time.
 	Fidelity bool
-	// FidelityHorizon is the outcome-resolution window in intervals for
-	// migration lineage; 0 selects sim.DefaultFidelityHorizon. Only
-	// meaningful with Fidelity set — Validate rejects it otherwise.
-	FidelityHorizon int
 }
 
 // DefaultScale mirrors workload.DefaultScale.
@@ -207,12 +203,6 @@ func (c Config) Validate() error {
 	}
 	if !fault.Valid(r.Faults) {
 		return fmt.Errorf("mtm: unknown fault scenario %q (have %v)", r.Faults, fault.Scenarios())
-	}
-	if r.FidelityHorizon < 0 {
-		return fmt.Errorf("mtm: negative FidelityHorizon %d (0 means the default of %d intervals)", r.FidelityHorizon, sim.DefaultFidelityHorizon)
-	}
-	if r.FidelityHorizon > 0 && !r.Fidelity {
-		return fmt.Errorf("mtm: FidelityHorizon set without Fidelity (enable the oracle or drop the horizon)")
 	}
 	if _, err := admission.ParseLanes(r.AdmissionLanes); err != nil {
 		return fmt.Errorf("mtm: %w", err)
@@ -279,7 +269,7 @@ func NewEngine(c Config) *sim.Engine {
 	if c.Fidelity {
 		// Last, after EnableMetrics/EnableSpans, so the oracle's
 		// instruments and outcome events register with them.
-		e.EnableFidelity(sim.FidelityConfig{Horizon: c.FidelityHorizon})
+		e.EnableFidelity()
 	}
 	return e
 }
