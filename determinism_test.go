@@ -348,7 +348,7 @@ func TestParallelDeterminismFidelity(t *testing.T) {
 }
 
 // TestParallelDeterminismLearn pins the adaptive admission layer's
-// determinism contract: the learner ledger fills in commit order and
+// determinism contract: the lineage ledger fills in commit order and
 // resolves at interval end, where lane counters and the demand-scaled
 // refill also update — so the whole Result (including the learned
 // floors' downstream effects and the AdmissionLanes block) and the span

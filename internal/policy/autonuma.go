@@ -165,7 +165,7 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 		promoted += moved
 	}
 
-	p.carry = carryOver(budget-promoted, p.MigrateBudget)
+	p.carry = carryOver(budget, p.MigrateBudget)
 	if p.Patched {
 		// Automatic hot-threshold adjustment: promote close to, but not
 		// above, the rate limit.

@@ -213,6 +213,35 @@ func TestTieredAutoNUMAOneTierSteps(t *testing.T) {
 	}
 }
 
+// TestTieredAutoNUMACarriesUnspentBudget pins the promotion carry-over:
+// what an interval leaves to the next is its budget minus the bytes it
+// promoted, clamped to [0, 4×MigrateBudget], with each promoted byte
+// charged once.
+func TestTieredAutoNUMACarriesUnspentBudget(t *testing.T) {
+	e := testEngine(1)
+	w := workload.NewGUPS(gupsConfig())
+	s := NewTieredAutoNUMA(true)
+	s.MigrateBudget = scaledBudget()
+	e.SetSolution(s)
+	w.Init(e)
+	partial := 0
+	for i := 0; i < 20 && !w.Done(); i++ {
+		avail, before := s.MigrateBudget+s.carry, e.PromotedBytes
+		e.RunInterval(w)
+		promoted := e.PromotedBytes - before
+		if want := carryOver(avail-promoted, s.MigrateBudget); s.carry != want {
+			t.Fatalf("interval %d: %d of %d bytes promoted, carry %d, want %d",
+				i, promoted, avail, s.carry, want)
+		}
+		if promoted > 0 && promoted < avail {
+			partial++
+		}
+	}
+	if partial == 0 {
+		t.Fatal("no interval promoted part of its budget; the carry check is vacuous")
+	}
+}
+
 func TestVanillaIdentifiesFewerHotBytes(t *testing.T) {
 	// Table 3's contrast: the patched variant identifies far more hot
 	// volume than vanilla.

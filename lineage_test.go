@@ -29,12 +29,14 @@ func ruleTotals(rows []fidelity.RuleOutcome) map[string]int64 {
 // decision that priced it, even when room for a promotion was made by
 // demoting victims between its admission and its migration. The per-rule
 // totals are the moves the runs made before the labels were passed
-// explicitly; relabelling must not change which moves happen.
+// explicitly; relabelling must not change which moves happen. (The
+// tiered-autonuma totals were 45 then; they rose when its promotion
+// carry stopped charging promoted bytes twice.)
 func TestLineageLabelsAdmittedMoves(t *testing.T) {
 	want := map[string]map[string]int64{
 		"mtm":             {"fast-promotion": 75, "slow-demotion": 72},
 		"hemem":           {"hot-samples": 85, "coldest-first": 85},
-		"tiered-autonuma": {"hot-threshold": 45, "lru-coldest": 45},
+		"tiered-autonuma": {"hot-threshold": 65, "lru-coldest": 65},
 		"autotiering":     {"sampled-recent": 84, "opportunistic": 84},
 		"nomad":           {"fast-promotion": 74, "slow-demotion": 43, "shadow-flip": 29},
 	}
