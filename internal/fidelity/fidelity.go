@@ -279,7 +279,8 @@ type Report struct {
 	// sets were non-empty; the accuracy means below average over these.
 	Scored int
 	// HotsetBytes is the top-K target: the truth and estimated hot sets
-	// are each capped at this many bytes (fast-tier capacity by default).
+	// are each capped at this many bytes (the machine's fast-tier
+	// capacity).
 	HotsetBytes int64
 	// Horizon is the outcome-resolution window in intervals.
 	Horizon int

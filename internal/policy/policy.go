@@ -241,10 +241,11 @@ func moveRegion(e *sim.Engine, mech migrate.Mechanism, r *region.Region, end int
 }
 
 // demoteVictim evicts up to bytes of victim region r off node src, to the
-// first node of lower that has room for them and passes DestUsable, if the victim's own admission check admits the move.
-// found reports whether such a node existed. A vetoed victim — still too
-// hot to evict, or its pair's budget drained — moves nothing, and the
-// caller tries the next-coldest one.
+// first node of lower that has room for them and passes DestUsable, if
+// the victim's own admission check admits the move. found reports whether
+// such a node existed. A vetoed victim — still too hot to evict, or its
+// pair's budget drained — moves nothing, and the caller tries the
+// next-coldest one.
 func demoteVictim(e *sim.Engine, mech migrate.Mechanism, r *region.Region, src tier.NodeID, lower []tier.NodeID, bytes int64, rule string, attrs ...span.Attr) (moved int64, found bool) {
 	for _, dst := range lower {
 		if e.Sys.Free(dst) < bytes || !e.DestUsable(src, dst) {
