@@ -42,6 +42,16 @@ var goldenVariants = []struct {
 		c.Faults = "dimm-death"
 		c.Audit = true
 	}},
+	// Poison recovery and emergency reclaim run inside the access path
+	// and stamp their spans with the interval's app time so far, so this
+	// variant pins the app-time accounting as the access path's hooks
+	// see it, not only its end-of-interval totals.
+	{"dimm-death+spans", func(c *Config) {
+		c.Faults = "dimm-death"
+		c.Audit = true
+		c.Metrics = true
+		c.Trace = &span.Config{}
+	}},
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
@@ -60,7 +70,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden digests are recorded on linux/amd64 only")
 	}
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("160 runs; skipped in -short and -race")
+		t.Skip("192 runs; skipped in -short and -race")
 	}
 	want := map[string]string{}
 	if b, err := os.ReadFile(goldenFile); err == nil {
