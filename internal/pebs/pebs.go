@@ -12,8 +12,6 @@
 package pebs
 
 import (
-	"math/rand"
-
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 )
@@ -52,14 +50,13 @@ type Buffer struct {
 	samples    []Sample
 	interrupts int
 	dropped    int
-	rng        *rand.Rand
 	carry      float64 // fractional expected samples carried between calls
 	dropCarry  float64 // fractional dropped samples carried between calls
 }
 
 // NewBuffer creates a buffer with the paper's defaults and the given
 // capacity (number of samples before an "interrupt" drains it).
-func NewBuffer(nodes int, capacity int, rng *rand.Rand) *Buffer {
+func NewBuffer(nodes int, capacity int) *Buffer {
 	if capacity <= 0 {
 		capacity = 4096
 	}
@@ -69,7 +66,6 @@ func NewBuffer(nodes int, capacity int, rng *rand.Rand) *Buffer {
 		Capacity:     capacity,
 		watched:      make([]bool, nodes),
 		samples:      make([]Sample, 0, capacity),
-		rng:          rng,
 	}
 }
 
@@ -119,6 +115,13 @@ func (b *Buffer) Record(v *vm.VMA, page int, node tier.NodeID, n uint32) {
 		raw -= raw * b.DropFrac
 	}
 	exp := raw + b.carry
+	if exp > -1 && exp < 1 {
+		// No sample: int(exp) is 0, so the general path below would
+		// store exp - 0 == exp. Skipping its float-int round trip keeps
+		// the carry chain to one add on almost every call.
+		b.carry = exp
+		return
+	}
 	k := int(exp)
 	b.carry = exp - float64(k)
 	for i := 0; i < k; i++ {

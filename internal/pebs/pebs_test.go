@@ -1,7 +1,7 @@
 package pebs
 
 import (
-	"math/rand"
+	"math"
 	"testing"
 
 	"mtm/internal/tier"
@@ -18,7 +18,7 @@ func testVMA() *vm.VMA {
 }
 
 func TestArmDisarm(t *testing.T) {
-	b := NewBuffer(4, 128, rand.New(rand.NewSource(1)))
+	b := NewBuffer(4, 128)
 	if b.Armed() {
 		t.Fatal("buffer armed before Arm")
 	}
@@ -33,7 +33,7 @@ func TestArmDisarm(t *testing.T) {
 }
 
 func TestWatchesOutOfRange(t *testing.T) {
-	b := NewBuffer(4, 128, rand.New(rand.NewSource(1)))
+	b := NewBuffer(4, 128)
 	b.Arm(0)
 	if b.Watches(tier.NodeID(99)) || b.Watches(tier.Invalid) {
 		t.Fatal("out-of-range node watched")
@@ -41,7 +41,7 @@ func TestWatchesOutOfRange(t *testing.T) {
 }
 
 func TestSamplingRate(t *testing.T) {
-	b := NewBuffer(4, 1<<20, rand.New(rand.NewSource(42)))
+	b := NewBuffer(4, 1<<20)
 	b.Arm(2)
 	v := testVMA()
 	const accesses = 4_000_000
@@ -54,7 +54,7 @@ func TestSamplingRate(t *testing.T) {
 }
 
 func TestFractionalCarry(t *testing.T) {
-	b := NewBuffer(4, 1<<20, rand.New(rand.NewSource(7)))
+	b := NewBuffer(4, 1<<20)
 	b.Arm(2)
 	v := testVMA()
 	// Each call has expectation 0.05; 10k calls must accumulate ~500
@@ -69,7 +69,7 @@ func TestFractionalCarry(t *testing.T) {
 }
 
 func TestUnwatchedNodeIgnored(t *testing.T) {
-	b := NewBuffer(4, 128, rand.New(rand.NewSource(1)))
+	b := NewBuffer(4, 128)
 	b.Arm(2)
 	v := testVMA()
 	b.Record(v, 0, 0, 1_000_000)
@@ -79,7 +79,7 @@ func TestUnwatchedNodeIgnored(t *testing.T) {
 }
 
 func TestBufferFullInterrupt(t *testing.T) {
-	b := NewBuffer(4, 8, rand.New(rand.NewSource(1)))
+	b := NewBuffer(4, 8)
 	b.Arm(2)
 	v := testVMA()
 	b.Record(v, 0, 2, 100_000) // expectation 50 >> capacity 8
@@ -92,7 +92,7 @@ func TestBufferFullInterrupt(t *testing.T) {
 }
 
 func TestRearmClears(t *testing.T) {
-	b := NewBuffer(4, 128, rand.New(rand.NewSource(1)))
+	b := NewBuffer(4, 128)
 	b.Arm(2)
 	v := testVMA()
 	b.Record(v, 0, 2, 100_000)
@@ -103,7 +103,7 @@ func TestRearmClears(t *testing.T) {
 }
 
 func TestSampleIdentity(t *testing.T) {
-	b := NewBuffer(4, 128, rand.New(rand.NewSource(1)))
+	b := NewBuffer(4, 128)
 	b.Arm(2)
 	v := testVMA()
 	b.Record(v, 3, 2, 50_000)
@@ -117,9 +117,9 @@ func TestSampleIdentity(t *testing.T) {
 func TestDropStormReducesSamples(t *testing.T) {
 	// A 75% drop storm must cut delivered samples to ~25% and account the
 	// lost ones in Dropped, like a PEBS interrupt overflow.
-	clean := NewBuffer(4, 1<<20, rand.New(rand.NewSource(42)))
+	clean := NewBuffer(4, 1<<20)
 	clean.Arm(2)
-	storm := NewBuffer(4, 1<<20, rand.New(rand.NewSource(42)))
+	storm := NewBuffer(4, 1<<20)
 	storm.Arm(2)
 	storm.DropFrac = 0.75
 	v := testVMA()
@@ -139,9 +139,9 @@ func TestDropStormReducesSamples(t *testing.T) {
 func TestDropFracZeroIdentical(t *testing.T) {
 	// DropFrac 0 must leave the sample stream bit-identical: the drop
 	// branch may not perturb the float carry math.
-	a := NewBuffer(4, 1<<20, rand.New(rand.NewSource(9)))
+	a := NewBuffer(4, 1<<20)
 	a.Arm(2)
-	b := NewBuffer(4, 1<<20, rand.New(rand.NewSource(9)))
+	b := NewBuffer(4, 1<<20)
 	b.Arm(2)
 	b.DropFrac = 0
 	v := testVMA()
@@ -164,7 +164,7 @@ func TestDropFracZeroIdentical(t *testing.T) {
 }
 
 func TestRearmResetsDropCarry(t *testing.T) {
-	b := NewBuffer(4, 1<<20, rand.New(rand.NewSource(3)))
+	b := NewBuffer(4, 1<<20)
 	b.Arm(2)
 	b.DropFrac = 0.5
 	v := testVMA()
@@ -172,5 +172,49 @@ func TestRearmResetsDropCarry(t *testing.T) {
 	b.Arm(2)
 	if b.dropCarry != 0 {
 		t.Fatalf("dropCarry = %v after re-arm, want 0", b.dropCarry)
+	}
+}
+
+// TestSubOneFastPathIsExact replays random access counts through Record
+// and through the sampler's arithmetic without the sub-one early return,
+// and requires bit-identical carries and identical sample counts, with
+// and without interrupt-storm drops.
+func TestSubOneFastPathIsExact(t *testing.T) {
+	for _, drop := range []float64{0, 0.3} {
+		b := NewBuffer(4, 1<<20)
+		b.Arm(2)
+		b.DropFrac = drop
+		v := testVMA()
+		var carry, dropCarry float64
+		var samples, dropped int
+		x := uint64(1)
+		for i := 0; i < 200_000; i++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			n := uint32(x>>40) % 4000
+			if x&7 == 0 {
+				n = uint32(x >> 50) // now and then a count that yields samples
+			}
+			b.Record(v, 0, 2, n)
+
+			raw := float64(n) * b.WindowFrac / float64(b.SamplePeriod)
+			if drop > 0 {
+				lost := raw*drop + dropCarry
+				k := int(lost)
+				dropCarry = lost - float64(k)
+				dropped += k
+				raw -= raw * drop
+			}
+			exp := raw + carry
+			k := int(exp)
+			carry = exp - float64(k)
+			samples += k
+
+			if math.Float64bits(b.carry) != math.Float64bits(carry) {
+				t.Fatalf("drop %v call %d (n=%d): carry %v, general path %v", drop, i, n, b.carry, carry)
+			}
+		}
+		if len(b.Samples()) != samples || b.Dropped() != dropped {
+			t.Fatalf("drop %v: %d samples/%d dropped, general path %d/%d", drop, len(b.Samples()), b.Dropped(), samples, dropped)
+		}
 	}
 }

@@ -54,7 +54,7 @@ func (p *HeMem) IntervalStart(e *sim.Engine) {
 		for _, v := range e.AS.VMAs() {
 			p.set.InitVMA(v, 2*tier.MB)
 		}
-		p.buf = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 1<<16, e.Rng)
+		p.buf = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 1<<16)
 		// HeMem samples continuously (no activation window) on both of
 		// its tiers.
 		p.buf.WindowFrac = 1.0

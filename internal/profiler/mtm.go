@@ -206,7 +206,7 @@ func (m *MTM) Attach(e *sim.Engine) {
 		}
 	}
 	if m.Cfg.UsePEBS && len(m.pmNodes) > 0 {
-		m.buf = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 1<<16, e.Rng)
+		m.buf = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 1<<16)
 		e.PEBS = m.buf
 	}
 	m.pm = newProfMetrics(e, m.Name())

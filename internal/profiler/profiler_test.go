@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -340,7 +341,7 @@ func TestRegionNodeHelpers(t *testing.T) {
 func TestSamplePagesDistinctAndInRange(t *testing.T) {
 	e, _ := hotColdEngine(t, 8, 2, 2, NewMTM(DefaultMTMConfig()))
 	for _, n := range []int{1, 3, 10, 64} {
-		pages := samplePages(e.Rng, 16, 48, n)
+		pages := samplePages(rand.New(e.Rng), 16, 48, n)
 		seen := map[int]bool{}
 		for _, p := range pages {
 			if p < 16 || p >= 48 {

@@ -17,7 +17,7 @@ func TestMTMSurvivesTinyPEBSBuffer(t *testing.T) {
 	e, w := hotColdEngine(t, 64, 13, 2, m)
 	interval(e, w) // attaches and installs the default buffer
 	// Replace with a 4-entry buffer mid-run.
-	small := pebs.NewBuffer(len(e.Sys.Topo.Nodes), 4, e.Rng)
+	small := pebs.NewBuffer(len(e.Sys.Topo.Nodes), 4)
 	*mtmBuffer(m) = *small
 	for i := 0; i < 5; i++ {
 		interval(e, w)

@@ -12,12 +12,12 @@
 package sim
 
 import (
-	"math/rand"
 	"time"
 
 	"mtm/internal/fidelity"
 	"mtm/internal/metrics"
 	"mtm/internal/pebs"
+	"mtm/internal/rng"
 	"mtm/internal/span"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
@@ -44,8 +44,8 @@ type Solution interface {
 }
 
 // Workload is a simulated application. RunInterval must issue accesses via
-// Engine.Access until Engine.IntervalExhausted reports true or the
-// workload completes.
+// Engine.Access or Engine.AccessBatch until Engine.IntervalExhausted
+// reports true or the workload completes.
 type Workload interface {
 	Name() string
 	// Init allocates the workload's VMAs and builds its data structures.
@@ -74,7 +74,9 @@ type IntervalStats struct {
 type Engine struct {
 	Sys *tier.System
 	AS  *vm.AddressSpace
-	Rng *rand.Rand
+	// Rng is the run's main random stream: math/rand's stream for Seed,
+	// drawn without an interface call per draw (see internal/rng).
+	Rng *rng.Rand
 	// Seed is the value Rng was created from; the scan passes derive
 	// their per-shard streams from it (see Scratch.Rand).
 	Seed int64
@@ -186,7 +188,8 @@ type Engine struct {
 	opaqueBytes    []int64 // per-node solution carve-outs (may be nil)
 	drainStallErr  error   // last ErrNoDestination, wrapped
 
-	latCache [][]time.Duration
+	latCache [][]time.Duration // [socket][node] unloaded link latency
+	latNow   [][]time.Duration // latCache scaled by contention; see refreshLatency
 }
 
 // NewEngine builds an engine over the topology with the paper's default
@@ -197,7 +200,7 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 	e := &Engine{
 		Sys:          sys,
 		AS:           vm.NewAddressSpace(),
-		Rng:          rand.New(rand.NewSource(seed)),
+		Rng:          rng.New(seed),
 		Seed:         seed,
 		Threads:      8,
 		HomeSocket:   0,
@@ -212,13 +215,27 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 		e.contention[i] = 1
 	}
 	e.latCache = make([][]time.Duration, topo.Sockets)
+	e.latNow = make([][]time.Duration, topo.Sockets)
 	for s := range e.latCache {
 		e.latCache[s] = make([]time.Duration, n)
+		e.latNow[s] = make([]time.Duration, n)
 		for i := range e.latCache[s] {
 			e.latCache[s][i] = topo.Links[s][i].Latency
 		}
 	}
+	e.refreshLatency()
 	return e
+}
+
+// refreshLatency recomputes the per-access latency each node charges this
+// interval. It runs wherever contention changes (NewEngine, endInterval),
+// so the access path reads one table entry instead of multiplying.
+func (e *Engine) refreshLatency() {
+	for s, row := range e.latNow {
+		for i := range row {
+			row[i] = time.Duration(float64(e.latCache[s][i]) * e.contention[i])
+		}
+	}
 }
 
 // Clock returns the current virtual time.
@@ -235,37 +252,58 @@ func (e *Engine) Solution() Solution { return e.sol }
 // interval loop manually.
 func (e *Engine) SetSolution(s Solution) { e.sol = s }
 
+// Ref is one entry of an access batch: N application accesses, NW of
+// them writes, to page Idx.
+type Ref struct {
+	Idx   int
+	N, NW uint32
+}
+
 // Access simulates n application accesses (nw of them writes) to page idx
 // of v from the given socket. Non-present pages fault and are placed by
-// the active solution.
+// the active solution. It is AccessBatch with one ref.
 func (e *Engine) Access(v *vm.VMA, idx int, n, nw uint32, socket int) {
-	if n == 0 || e.failed != nil {
-		return
-	}
-	node, fault := v.TouchN(idx, n, nw, socket)
-	if fault {
-		var ok bool
-		node, ok = e.handleFault(v, idx, socket)
-		if !ok {
-			return // placement failed; the engine carries the error
+	e.AccessBatch(v, []Ref{{Idx: idx, N: n, NW: nw}}, socket)
+}
+
+// AccessBatch simulates refs, in order, as accesses to v from the given
+// socket: the result equals one Access per ref. Refs with N == 0 do
+// nothing, and once the engine has failed the rest of the batch does
+// nothing. The loop keeps no accounting in locals: every hook it calls
+// (the fault path, Intercept, Observer, the PEBS sampler) sees the engine
+// exactly as it would after the preceding refs' Access calls.
+func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
+	lat := e.latNow[socket]
+	for _, r := range refs {
+		if e.failed != nil {
+			return
 		}
-		v.TouchN(idx, n, nw, socket)
-	}
-	if e.Intercept != nil {
-		e.intApp += e.Intercept(v, idx, n, nw, node) + time.Duration(n)*e.PerAccessCPU
-	} else {
-		lat := time.Duration(float64(e.latCache[socket][node]) * e.contention[node])
-		e.intApp += time.Duration(n) * (lat + e.PerAccessCPU)
-	}
-	e.intAccesses[node] += int64(n)
-	e.NodeAccesses[node] += int64(n)
-	e.TotalAccesses += int64(n)
-	e.Sys.RecordTransfer(node, int64(n)*CachelineBytes)
-	if e.PEBS != nil {
-		e.PEBS.Record(v, idx, node, n)
-	}
-	if e.Observer != nil {
-		e.Observer(v, idx, n, nw, socket)
+		if r.N == 0 {
+			continue
+		}
+		node, fault := v.TouchN(r.Idx, r.N, r.NW, socket)
+		if fault {
+			var ok bool
+			if node, ok = e.handleFault(v, r.Idx, socket); !ok {
+				return // placement failed; the engine carries the error
+			}
+			v.TouchN(r.Idx, r.N, r.NW, socket)
+		}
+		if e.Intercept != nil {
+			e.intApp += e.Intercept(v, r.Idx, r.N, r.NW, node) + time.Duration(r.N)*e.PerAccessCPU
+		} else {
+			e.intApp += time.Duration(r.N) * (lat[node] + e.PerAccessCPU)
+		}
+		e.intAccesses[node] += int64(r.N)
+		e.NodeAccesses[node] += int64(r.N)
+		e.TotalAccesses += int64(r.N)
+		e.Sys.RecordTransfer(node, int64(r.N)*CachelineBytes)
+		if e.PEBS != nil {
+			e.PEBS.Record(v, r.Idx, node, r.N)
+		}
+		if e.Observer != nil {
+			e.Observer(v, r.Idx, r.N, r.NW, socket)
+		}
 	}
 }
 
@@ -421,6 +459,7 @@ func (e *Engine) endInterval() {
 	for i := range e.contention {
 		e.contention[i] = e.Sys.ContentionFactor(tier.NodeID(i))
 	}
+	e.refreshLatency()
 	e.metricsEndInterval(app)
 	e.AS.ResetCounts()
 	// Fold-and-zero: the interval volumes are in the cumulative totals

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mtm/internal/rng"
 	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
@@ -47,6 +48,11 @@ type GUPS struct {
 	epochLeft  int64
 	driftLeft  int64
 	nextDrift  int
+
+	// Draw bounds of the index, descriptor, hot-page and table draws, and
+	// the reusable access batch of one chunk.
+	indexB, infoB, hotB, tableB rng.Bound
+	refs                        []sim.Ref
 }
 
 // NewGUPS builds GUPS with the paper's 512 GB working set divided by the
@@ -98,6 +104,9 @@ func (g *GUPS) Init(e *sim.Engine) {
 	g.tableStart = g.indexPages
 	g.infoStart = g.heap.NPages - g.infoPages
 	g.isHot = make([]bool, g.tablePages())
+	g.indexB = rng.NewBound(g.indexPages)
+	g.infoB = rng.NewBound(g.infoPages)
+	g.tableB = rng.NewBound(g.tablePages())
 	g.drawHotSet(e)
 	initTouch(e, g.heap)
 }
@@ -162,6 +171,9 @@ func (g *GUPS) rebuildHotPages() {
 			}
 		}
 	}
+	if len(g.hotPages) > 0 {
+		g.hotB = rng.NewBound(len(g.hotPages))
+	}
 }
 
 // driftOneBlock relocates the next hot block to a random position.
@@ -191,24 +203,28 @@ func (g *GUPS) HotFootprintBytes() int64 {
 func (g *GUPS) RunInterval(e *sim.Engine) {
 	socket := e.HomeSocket
 	b := uint32(g.batch)
+	draws := int64(opChunk) / g.batch
 	for !e.IntervalExhausted() && !g.Done() {
-		// One chunk of opChunk updates, issued as batched page draws.
-		draws := int64(opChunk) / g.batch
+		// One chunk of opChunk updates: batched page draws, issued as one
+		// access batch.
+		refs := g.refs[:0]
 		for d := int64(0); d < draws; d++ {
 			// Index array A: one read per update.
-			e.Access(g.heap, e.Rng.Intn(g.indexPages), b, 0, socket)
+			refs = append(refs, sim.Ref{Idx: g.indexB.Draw(e.Rng), N: b})
 			// Hot-set descriptor B: read once per batch.
-			e.Access(g.heap, g.infoStart+e.Rng.Intn(g.infoPages), 1, 0, socket)
+			refs = append(refs, sim.Ref{Idx: g.infoStart + g.infoB.Draw(e.Rng), N: 1})
 			// The update itself: read + write of a random table slot,
 			// hot with probability HotAccessFrac.
 			var pg int
 			if e.Rng.Float64() < g.HotAccessFrac && len(g.hotPages) > 0 {
-				pg = int(g.hotPages[e.Rng.Intn(len(g.hotPages))])
+				pg = int(g.hotPages[g.hotB.Draw(e.Rng)])
 			} else {
-				pg = e.Rng.Intn(g.tablePages())
+				pg = g.tableB.Draw(e.Rng)
 			}
-			e.Access(g.heap, g.tableStart+pg, 2*b, b, socket)
+			refs = append(refs, sim.Ref{Idx: g.tableStart + pg, N: 2 * b, NW: b})
 		}
+		g.refs = refs
+		e.AccessBatch(g.heap, refs, socket)
 		g.doneOps += opChunk
 		if g.EpochOps > 0 {
 			g.epochLeft -= opChunk

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mtm/internal/rng"
 	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
@@ -40,6 +41,11 @@ type PingPong struct {
 	flipLeft int64
 	// Flips counts completed active-set flips (test introspection).
 	Flips int
+
+	// Draw bounds of the hot-set and whole-table draws, and the reusable
+	// access batch of one chunk.
+	setB, allB rng.Bound
+	refs       []sim.Ref
 }
 
 // NewPingPong builds the thrash workload at the shared paper scale.
@@ -74,6 +80,8 @@ func (p *PingPong) Init(e *sim.Engine) {
 	p.bStart = n / 2
 	p.active = 0
 	p.flipLeft = p.FlipOps
+	p.setB = rng.NewBound(p.setPages)
+	p.allB = rng.NewBound(n)
 	initTouch(e, p.heap)
 }
 
@@ -100,20 +108,22 @@ func (p *PingPong) IsHot(v *vm.VMA, idx int) bool {
 func (p *PingPong) RunInterval(e *sim.Engine) {
 	socket := e.HomeSocket
 	b := uint32(p.batch)
-	n := p.heap.NPages
+	draws := int64(opChunk) / p.batch
 	for !e.IntervalExhausted() && !p.Done() {
-		draws := int64(opChunk) / p.batch
 		hot := p.activeStart()
+		refs := p.refs[:0]
 		for d := int64(0); d < draws; d++ {
 			var pg int
 			if e.Rng.Float64() < p.HotAccessFrac {
-				pg = hot + e.Rng.Intn(p.setPages)
+				pg = hot + p.setB.Draw(e.Rng)
 			} else {
-				pg = e.Rng.Intn(n)
+				pg = p.allB.Draw(e.Rng)
 			}
 			// Read + write of a random slot, like a GUPS update.
-			e.Access(p.heap, pg, 2*b, b, socket)
+			refs = append(refs, sim.Ref{Idx: pg, N: 2 * b, NW: b})
 		}
+		p.refs = refs
+		e.AccessBatch(p.heap, refs, socket)
 		p.doneOps += opChunk
 		if p.FlipOps > 0 {
 			p.flipLeft -= opChunk

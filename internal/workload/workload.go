@@ -87,16 +87,23 @@ const opChunk = 2048
 // pageOf maps a byte offset within a VMA to its page index.
 func pageOf(v *vm.VMA, off int64) int { return int(off / v.PageSize) }
 
-// touchRange issues batched accesses covering bytes [off, off+n) of v:
-// one Access per simulated page touched, with the element count that
-// falls on that page. It models a sequential scan of n bytes in elemSize
-// strides.
+// touchRange issues bytes [off, off+n) of v as access batches: one ref
+// per simulated page touched, with the element count that falls on that
+// page. It models a sequential scan of n bytes in elemSize strides. A
+// batch holds up to 64 pages, enough for one chunk of a sequential phase,
+// so the refs live on the stack even when a whole VMA is scanned.
 func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bool, socket int) {
 	if elemSize <= 0 {
 		elemSize = 8
 	}
+	var buf [64]sim.Ref
+	refs := buf[:0]
 	end := off + n
 	for off < end {
+		if len(refs) == len(buf) {
+			e.AccessBatch(v, refs, socket)
+			refs = refs[:0]
+		}
 		pg := pageOf(v, off)
 		pgEnd := (int64(pg) + 1) * v.PageSize
 		if pgEnd > end {
@@ -107,9 +114,10 @@ func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bo
 		if write {
 			w = uint32(cnt)
 		}
-		e.Access(v, pg, uint32(cnt), w, socket)
+		refs = append(refs, sim.Ref{Idx: pg, N: uint32(cnt), NW: w})
 		off = pgEnd
 	}
+	e.AccessBatch(v, refs, socket)
 }
 
 // hash64 is SplitMix64: a fast, well-distributed hash for implicit data
@@ -124,13 +132,15 @@ func hash64(x uint64) uint64 {
 // zipfSampler wraps rand.Zipf with YCSB's default skew.
 type zipfSampler struct{ z *rand.Zipf }
 
-func newZipf(rng *rand.Rand, n uint64) *zipfSampler {
+// newZipf draws from src through one rand.Rand view of it; passing the
+// engine's Rng keeps the sampler on the run's single stream.
+func newZipf(src rand.Source, n uint64) *zipfSampler {
 	if n < 2 {
 		n = 2
 	}
 	// YCSB's zipfian constant is 0.99; rand.Zipf's s must be > 1, so use
 	// the standard 1.01 approximation with v=1.
-	return &zipfSampler{z: rand.NewZipf(rng, 1.07, 1, n-1)}
+	return &zipfSampler{z: rand.NewZipf(rand.New(src), 1.07, 1, n-1)}
 }
 
 func (z *zipfSampler) Next() uint64 { return z.z.Uint64() }
@@ -145,9 +155,8 @@ func (z *zipfSampler) Next() uint64 { return z.z.Uint64() }
 // only.
 func initTouch(e *sim.Engine, vmas ...*vm.VMA) {
 	for _, v := range vmas {
-		for pg := 0; pg < v.NPages; pg++ {
-			e.Access(v, pg, 1, 1, e.HomeSocket)
-		}
+		// One page-sized element per page: a single write to each.
+		touchRange(e, v, 0, v.Bytes(), v.PageSize, true, e.HomeSocket)
 	}
 	e.AS.ResetCounts()
 }
