@@ -51,19 +51,20 @@ func New(seed int64) *Rand {
 // Seed resets the generator to the stream of rand.NewSource(seed).
 func (r *Rand) Seed(seed int64) {
 	src := rand.NewSource(seed).(rand.Source64)
-	// o[j+length] holds output j for j in [-length, length).
-	var o [2 * length]uint64
-	for j := length; j < 2*length; j++ {
-		o[j] = src.Uint64()
+	for k := range r.vec {
+		r.vec[k] = src.Uint64() // o[k]
 	}
-	// Invert o[k] = o[k-length] + o[k-lag] for k = length-1 down to 0.
-	// Descending order computes each o[k-lag] < 0 before it is needed.
+	// Draw k = i must find o[k-length] in slot i, so replace each o[k] by
+	// o[k-length] = o[k] - o[k-lag], from k = length-1 down: slot k-lag
+	// still holds o[k-lag] for k >= lag, and for k < lag slot
+	// k+length-lag already holds o[k-lag].
 	for k := length - 1; k >= 0; k-- {
-		o[k] = o[k+length] - o[k+length-lag]
+		if k >= lag {
+			r.vec[k] -= r.vec[k-lag]
+		} else {
+			r.vec[k] -= r.vec[k+length-lag]
+		}
 	}
-	// Slot i holds o[k-length] when draw k = i runs; slot i+length-lag
-	// holds o[k-lag].
-	copy(r.vec[:], o[:length])
 	r.feed = length - 1
 	r.tap = length - lag - 1
 }

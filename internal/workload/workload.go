@@ -91,7 +91,7 @@ func pageOf(v *vm.VMA, off int64) int { return int(off / v.PageSize) }
 // per simulated page touched, with the element count that falls on that
 // page. It models a sequential scan of n bytes in elemSize strides. A
 // batch holds up to 64 pages, enough for one chunk of a sequential phase,
-// so the refs live on the stack even when a whole VMA is scanned.
+// so the refs live on the stack whatever the range.
 func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bool, socket int) {
 	if elemSize <= 0 {
 		elemSize = 8
@@ -154,9 +154,15 @@ func (z *zipfSampler) Next() uint64 { return z.z.Uint64() }
 // afterwards so the first profiling interval sees steady-state traffic
 // only.
 func initTouch(e *sim.Engine, vmas ...*vm.VMA) {
+	var buf [64]sim.Ref
 	for _, v := range vmas {
-		// One page-sized element per page: a single write to each.
-		touchRange(e, v, 0, v.Bytes(), v.PageSize, true, e.HomeSocket)
+		for pg := 0; pg < v.NPages; pg += len(buf) {
+			refs := buf[:min(len(buf), v.NPages-pg)]
+			for i := range refs {
+				refs[i] = sim.Ref{Idx: pg + i, N: 1, NW: 1}
+			}
+			e.AccessBatch(v, refs, e.HomeSocket)
+		}
 	}
 	e.AS.ResetCounts()
 }
