@@ -4,11 +4,12 @@
 // rand.New(rand.NewSource(seed)) — so every simulation output stays the
 // same, while the per-draw cost drops:
 //
-//   - the generator is a concrete type, so draws inline instead of going
-//     through rand.Rand's Source interface;
+//   - the generator is a concrete type whose step is a few masked loads
+//     and a store, so draws inline instead of going through rand.Rand's
+//     Source interface;
 //   - Bound precomputes Int31n's rejection threshold and replaces its
 //     remainder with a multiply (Lemire's fastmod), so a draw with a
-//     fixed bound needs no hardware divide.
+//     fixed bound needs no hardware divide and itself inlines.
 //
 // The generator is math/rand's additive lagged Fibonacci generator: output
 // k is o[k] = o[k-607] + o[k-273] (mod 2^64). Rather than copying the
@@ -26,18 +27,17 @@ import (
 )
 
 const (
-	length = 607 // register length: o[k] depends on o[k-length]
-	lag    = 273 // and on o[k-lag]
-	mask63 = 1<<63 - 1
+	length  = 607  // register length: o[k] depends on o[k-length]
+	lag     = 273  // and on o[k-lag]
+	ringLen = 1024 // a power of two above length, so slots index by masking
+	mask63  = 1<<63 - 1
 )
 
 // Rand is a math/rand-compatible generator. It is not safe for
 // concurrent use.
 type Rand struct {
-	// feed is the slot of the previous draw's o[k-length]; the next draw
-	// reads and overwrites the slot after it. tap trails it by lag.
-	feed, tap uint
-	vec       [length]uint64
+	k    uint // index of the next output; o[j] lives in slot j mod ringLen
+	ring [ringLen]uint64
 }
 
 // New returns a generator whose stream equals
@@ -51,37 +51,32 @@ func New(seed int64) *Rand {
 // Seed resets the generator to the stream of rand.NewSource(seed).
 func (r *Rand) Seed(seed int64) {
 	src := rand.NewSource(seed).(rand.Source64)
-	for k := range r.vec {
-		r.vec[k] = src.Uint64() // o[k]
+	o := r.ring[:length]
+	for k := range o {
+		o[k] = src.Uint64()
 	}
-	// Draw k = i must find o[k-length] in slot i, so replace each o[k] by
-	// o[k-length] = o[k] - o[k-lag], from k = length-1 down: slot k-lag
-	// still holds o[k-lag] for k >= lag, and for k < lag slot
-	// k+length-lag already holds o[k-lag].
+	// Replace each o[k] by o[k-length] = o[k] - o[k-lag], from k =
+	// length-1 down: slot k-lag still holds o[k-lag] for k >= lag, and for
+	// k < lag slot k+length-lag already holds o[k-lag].
 	for k := length - 1; k >= 0; k-- {
 		if k >= lag {
-			r.vec[k] -= r.vec[k-lag]
+			o[k] -= o[k-lag]
 		} else {
-			r.vec[k] -= r.vec[k+length-lag]
+			o[k] -= o[k+length-lag]
 		}
 	}
-	r.feed = length - 1
-	r.tap = length - lag - 1
+	// o[-length..-1] belong in slots ringLen-length..ringLen-1; the first
+	// draw reads them there and writes o[0] to slot 0.
+	copy(r.ring[ringLen-length:], o)
+	r.k = 0
 }
 
 // Uint64 returns the next raw 64-bit output.
 func (r *Rand) Uint64() uint64 {
-	f := r.feed + 1
-	if f >= length {
-		f = 0
-	}
-	t := r.tap + 1
-	if t >= length {
-		t = 0
-	}
-	x := r.vec[f] + r.vec[t]
-	r.vec[f] = x
-	r.feed, r.tap = f, t
+	k := r.k
+	x := r.ring[(k-length)%ringLen] + r.ring[(k-lag)%ringLen]
+	r.ring[k%ringLen] = x
+	r.k = k + 1
 	return x
 }
 
@@ -158,23 +153,22 @@ func (r *Rand) Perm(n int) []int {
 }
 
 // Bound is Intn(n) for a fixed n with its divides done once: Draw
-// returns exactly what Intn(n) would, consuming the same draws.
+// returns exactly what Intn(n) would, consuming the same draws. n must be
+// at most 2^31-1, the range Intn serves with Int31n. Larger n go through
+// Int63n, whose 63-bit remainder has no multiply-only form cheap enough to
+// keep Draw inlinable; callers draw those with Intn.
 type Bound struct {
 	n   uint64
-	max uint64 // largest accepted draw; larger ones are rejected
-	m   uint64 // fastmod multiplier ceil(2^64/n); unused when big
-	big bool   // n > 2^31-1: Intn's Int63n path, which keeps its divide
+	max uint64 // largest accepted Int31 draw; Int31n rejects larger ones
+	m   uint64 // fastmod multiplier ceil(2^64/n)
 }
 
-// NewBound prepares draws from [0, n). It panics if n <= 0.
+// NewBound prepares draws from [0, n). It panics unless 0 < n < 2^31.
 func NewBound(n int) Bound {
-	if n <= 0 {
-		panic("invalid argument to NewBound")
+	if n <= 0 || n > 1<<31-1 {
+		panic("rng: NewBound needs 0 < n < 2^31")
 	}
 	u := uint64(n)
-	if n > 1<<31-1 {
-		return Bound{n: u, max: mask63 - (1<<63)%u, big: true}
-	}
 	// A power of two rejects nothing (2^31 mod n is 0), and v mod n is
 	// then v's low bits, so Int31n's masking branch needs no case here.
 	return Bound{n: u, max: 1<<31 - 1 - (1<<31)%u, m: ^uint64(0)/u + 1}
@@ -182,22 +176,13 @@ func NewBound(n int) Bound {
 
 // Draw returns r.Intn(n) for the n the bound was made for.
 func (b *Bound) Draw(r *Rand) int {
-	if b.big {
-		return b.draw63(r)
-	}
 	for {
-		if v := uint64(r.Int31()); v <= b.max {
+		// r.Int31() (bits 32..62 of the output), spelled out to keep Draw
+		// within the inlining budget.
+		if v := r.Uint64() << 1 >> 33; v <= b.max {
 			// Lemire's fastmod: v mod n for v, n < 2^32.
 			hi, _ := bits.Mul64(b.m*v, b.n)
 			return int(hi)
-		}
-	}
-}
-
-func (b *Bound) draw63(r *Rand) int {
-	for {
-		if v := uint64(r.Int63()); v <= b.max {
-			return int(v % b.n)
 		}
 	}
 }

@@ -87,9 +87,16 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 		return
 	}
 	touchRange(e, g.edges, g.offsets[v]*g.EdgeRec, int64(d)*g.EdgeRec, g.EdgeRec, false, socket)
-	// Neighbor property pages: batched draws of 8 neighbors each.
+	// Neighbor property pages: batched draws of 8 neighbors each, issued
+	// as access batches.
+	var buf [16]sim.Ref
+	refs := buf[:0]
 	draws := (d + 7) / 8
 	for i := 0; i < draws; i++ {
+		if len(refs) == len(buf) {
+			e.AccessBatch(g.props, refs, socket)
+			refs = refs[:0]
+		}
 		w := g.neighbor(v, i*8)
 		pg := pageOf(g.props, int64(w)*g.PropRec)
 		cnt := uint32(8)
@@ -100,8 +107,9 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 		if writes {
 			nw = cnt / 4
 		}
-		e.Access(g.props, pg, cnt, nw, socket)
+		refs = append(refs, sim.Ref{Idx: pg, N: cnt, NW: nw})
 	}
+	e.AccessBatch(g.props, refs, socket)
 	// Frontier structure: one write per discovered region of the queue.
 	e.Access(g.frontier, pageOf(g.frontier, int64(v)*8%g.frontier.Bytes()), 1, 1, socket)
 }

@@ -89,14 +89,15 @@ func pageOf(v *vm.VMA, off int64) int { return int(off / v.PageSize) }
 
 // touchRange issues bytes [off, off+n) of v as access batches: one ref
 // per simulated page touched, with the element count that falls on that
-// page. It models a sequential scan of n bytes in elemSize strides. A
-// batch holds up to 64 pages, enough for one chunk of a sequential phase,
-// so the refs live on the stack whatever the range.
+// page. It models a sequential scan of n bytes in elemSize strides. The
+// refs live in a small stack buffer, issued whenever it fills: most scans
+// span one or two pages, and a larger buffer would cost more to zero on
+// every call than the extra batches do.
 func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bool, socket int) {
 	if elemSize <= 0 {
 		elemSize = 8
 	}
-	var buf [64]sim.Ref
+	var buf [16]sim.Ref
 	refs := buf[:0]
 	end := off + n
 	for off < end {
