@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"math/rand"
 	"time"
 
 	"mtm/internal/region"
@@ -61,6 +62,7 @@ type DAMON struct {
 	set   *region.Set
 	scans int64
 	pm    profMetrics
+	rng   *rand.Rand // rand.New(e.Rng): the engine's stream, as ObserveScans takes it
 }
 
 // NewDAMON creates the baseline with the given config.
@@ -94,6 +96,7 @@ func (d *DAMON) Attach(e *sim.Engine) {
 		}
 	}
 	d.set = region.NewSet(d.Cfg.ChecksPerInterval)
+	d.rng = rand.New(e.Rng)
 	// DAMON's initial regions come from the VMA tree: one region per
 	// VMA, i.e. as coarse as possible (the paper's Figure 6 point about
 	// object B).
@@ -124,7 +127,7 @@ func (d *DAMON) Profile(e *sim.Engine) {
 	// One random page per region, ChecksPerInterval access-bit checks.
 	for _, r := range regions {
 		p := r.Start + e.Rng.Intn(r.Pages())
-		obs := vm.ObserveScans(r.V, p, d.Cfg.ChecksPerInterval, d.Cfg.WindowFrac, e.Rng)
+		obs := vm.ObserveScans(r.V, p, d.Cfg.ChecksPerInterval, d.Cfg.WindowFrac, d.rng)
 		r.Samples = append(r.Samples[:0], p)
 		r.Observed = append(r.Observed[:0], obs)
 		r.PrevHI = r.HI

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 )
 
@@ -88,10 +89,6 @@ func (as *AddressSpace) ResetCounts() {
 	}
 }
 
-// Float64Source is the draw ObserveScans consumes: a *rand.Rand (the
-// scan shards' streams) or the engine's *rng.Rand.
-type Float64Source interface{ Float64() float64 }
-
 // ObserveScans models what numScans PTE scans of page idx observe during
 // the current interval, given the page's ground-truth access count k.
 // Each scan reads (and clears) the accessed bit, so it reports whether at
@@ -107,7 +104,7 @@ type Float64Source interface{ Float64() float64 }
 // collapses to a binary accessed/not-accessed signal. The returned value
 // is in [0, numScans]; this is the only channel through which PTE-scan
 // profilers learn about access frequency.
-func ObserveScans(v *VMA, idx, numScans int, windowFrac float64, rng Float64Source) int {
+func ObserveScans(v *VMA, idx, numScans int, windowFrac float64, rng *rand.Rand) int {
 	return ObserveScansL(v, idx, numScans, windowFrac, math.Log1p(-windowFrac), rng)
 }
 
@@ -116,7 +113,7 @@ func ObserveScans(v *VMA, idx, numScans int, windowFrac float64, rng Float64Sour
 // the logarithm out of the per-page path. logw must equal
 // math.Log1p(-windowFrac); draws and results are identical to
 // ObserveScans.
-func ObserveScansL(v *VMA, idx, numScans int, windowFrac, logw float64, rng Float64Source) int {
+func ObserveScansL(v *VMA, idx, numScans int, windowFrac, logw float64, rng *rand.Rand) int {
 	// The touched plane is the k>0 pre-check word-wide sweeps rely on:
 	// untouched or non-present pages observe nothing and draw nothing, so
 	// skipping them whole words at a time leaves every RNG stream intact.
