@@ -1,6 +1,7 @@
 package mtm_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"mtm"
@@ -58,6 +59,24 @@ func BenchmarkTab7RegionStats(b *testing.B)        { benchExperiment(b, "tab7") 
 
 // --- substrate micro-benchmarks ---
 
+// BenchmarkRun measures whole simulations end to end under MTM at a fixed
+// scale and op count: gups and pingpong are access-stream bound, bfs
+// mixes sequential graph ranges with profiling and migration.
+func BenchmarkRun(b *testing.B) {
+	for _, wl := range []string{"gups", "pingpong", "bfs"} {
+		b.Run(wl+"/mtm", func(b *testing.B) {
+			cfg := mtm.DefaultConfig()
+			cfg.Scale = 256
+			cfg.OpsFactor = 0.25
+			for i := 0; i < b.N; i++ {
+				if _, err := mtm.Run(cfg, wl, "mtm"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkEngineAccess measures the simulator's hot path: one batched
 // application access through fault-free TouchN + latency accounting.
 func BenchmarkEngineAccess(b *testing.B) {
@@ -74,6 +93,26 @@ func BenchmarkEngineAccess(b *testing.B) {
 	}
 }
 
+// BenchmarkAccessBatch measures the same accesses as BenchmarkEngineAccess
+// issued up to 256 to a batch; an op is one access.
+func BenchmarkAccessBatch(b *testing.B) {
+	e := sim.NewEngine(tier.OptaneTopology(256), 1)
+	e.SetSolution(policy.NewFirstTouch())
+	v := e.AS.Alloc("b", 64*vm.HugePageSize)
+	for i := 0; i < v.NPages; i++ {
+		e.Access(v, i, 1, 0, 0)
+	}
+	e.Sys.ResetWindow(e.Interval)
+	refs := make([]sim.Ref, 256)
+	for i := range refs {
+		refs[i] = sim.Ref{Idx: i & 63, N: 4, NW: 2}
+	}
+	b.ResetTimer()
+	for n := b.N; n > 0; n -= len(refs) {
+		e.AccessBatch(v, refs[:min(n, len(refs))], 0)
+	}
+}
+
 // BenchmarkPTEScan measures one ObserveScans call (the profiling
 // primitive).
 func BenchmarkPTEScan(b *testing.B) {
@@ -81,9 +120,10 @@ func BenchmarkPTEScan(b *testing.B) {
 	e.SetSolution(policy.NewFirstTouch())
 	v := e.AS.Alloc("b", 4*vm.HugePageSize)
 	e.Access(v, 0, 500, 0, 0)
+	rng := rand.New(e.Rng)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		vm.ObserveScans(v, 0, 3, 0.003, e.Rng)
+		vm.ObserveScans(v, 0, 3, 0.003, rng)
 	}
 }
 
