@@ -93,23 +93,53 @@ func BenchmarkEngineAccess(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatch measures the same accesses as BenchmarkEngineAccess
-// issued up to 256 to a batch; an op is one access.
+// BenchmarkAccessBatch measures accesses issued up to 256 to a batch; an
+// op is one ref. huge issues BenchmarkEngineAccess's accesses to 64 huge
+// pages, whose records stay in cache. random-4k issues seeded random refs
+// over a 2^21-page 4 KB VMA, so nearly every ref misses cache until the
+// batch's warm pass has loaded it.
 func BenchmarkAccessBatch(b *testing.B) {
-	e := sim.NewEngine(tier.OptaneTopology(256), 1)
-	e.SetSolution(policy.NewFirstTouch())
-	v := e.AS.Alloc("b", 64*vm.HugePageSize)
+	b.Run("huge", func(b *testing.B) {
+		e := sim.NewEngine(tier.OptaneTopology(256), 1)
+		e.SetSolution(policy.NewFirstTouch())
+		v := e.AS.Alloc("b", 64*vm.HugePageSize)
+		refs := make([]sim.Ref, 256)
+		for i := range refs {
+			refs[i] = sim.Ref{Idx: i & 63, N: 4, NW: 2}
+		}
+		benchBatches(b, e, v, refs)
+	})
+	b.Run("random-4k", func(b *testing.B) {
+		// Scale 64 holds the VMA's 8 GB.
+		e := sim.NewEngine(tier.OptaneTopology(64), 1)
+		e.SetSolution(policy.NewFirstTouch())
+		e.AS.THP = false
+		v := e.AS.Alloc("b", (1<<21)*vm.BasePageSize)
+		rng := rand.New(rand.NewSource(1))
+		refs := make([]sim.Ref, 1<<20)
+		for i := range refs {
+			refs[i] = sim.Ref{Idx: rng.Intn(v.NPages), N: 4, NW: 2}
+		}
+		benchBatches(b, e, v, refs)
+	})
+}
+
+// benchBatches faults in every page of v, then times b.N refs issued in
+// order from refs, cycling, at most 256 to a batch.
+func benchBatches(b *testing.B, e *sim.Engine, v *vm.VMA, refs []sim.Ref) {
 	for i := 0; i < v.NPages; i++ {
 		e.Access(v, i, 1, 0, 0)
 	}
 	e.Sys.ResetWindow(e.Interval)
-	refs := make([]sim.Ref, 256)
-	for i := range refs {
-		refs[i] = sim.Ref{Idx: i & 63, N: 4, NW: 2}
-	}
 	b.ResetTimer()
-	for n := b.N; n > 0; n -= len(refs) {
-		e.AccessBatch(v, refs[:min(n, len(refs))], 0)
+	off := 0
+	for n := b.N; n > 0; {
+		k := min(n, 256, len(refs)-off)
+		e.AccessBatch(v, refs[off:off+k], 0)
+		n -= k
+		if off += k; off == len(refs) {
+			off = 0
+		}
 	}
 }
 

@@ -61,7 +61,9 @@
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the
 // simulator itself (real host CPU/heap, not virtual time) for `go tool
-// pprof`.
+// pprof`. The heap profile is taken when the run ends, while the engine
+// is still reachable, so its in-use space shows what the simulation
+// holds (page records, bit planes, ledgers).
 package main
 
 import (
@@ -75,6 +77,7 @@ import (
 
 	"mtm"
 	"mtm/internal/admission"
+	"mtm/internal/sim"
 	"mtm/internal/span"
 )
 
@@ -150,21 +153,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			f.Close()
 		}()
 	}
-	if *memProf != "" {
-		defer func() {
-			f, err := os.Create(*memProf)
-			if err != nil {
-				fmt.Fprintln(stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(stderr, err)
-			}
-		}()
-	}
-
 	cfg := mtm.DefaultConfig()
 	cfg.Scale = *scale
 	cfg.OpsFactor = *ops
@@ -192,7 +180,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	cfg.Fidelity = *fidelity
 
-	res, err := mtm.Run(cfg, *wl, *sol)
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	w, err := mtm.NewWorkload(*wl, cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	s, err := mtm.NewSolution(*sol, cfg)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	keep := &engineKeeper{Workload: w}
+	res, err := mtm.RunWith(cfg, keep, s)
+	if *memProf != "" {
+		if werr := writeHeapProfile(*memProf); werr != nil {
+			fmt.Fprintln(stderr, werr)
+		}
+	}
+	runtime.KeepAlive(keep.e)
 	if err != nil && res == nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -283,6 +292,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// engineKeeper forwards to a workload and keeps the engine Init receives,
+// so the engine stays reachable until the heap profile has been written.
+type engineKeeper struct {
+	sim.Workload
+	e *sim.Engine
+}
+
+func (k *engineKeeper) Init(e *sim.Engine) {
+	k.e = e
+	k.Workload.Init(e)
+}
+
+// writeHeapProfile writes a heap profile to path after a GC, so in-use
+// space counts only live objects.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	runtime.GC()
+	if err := pprof.WriteHeapProfile(f); err != nil {
+		return err
+	}
+	return f.Close()
 }
 
 // writeMetrics writes the run's metrics export to path in the requested

@@ -3,11 +3,13 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,5 +134,51 @@ func TestPprofProfiles(t *testing.T) {
 		if err != nil {
 			t.Errorf("go tool pprof -top %s: %v\n%s", path, err, out)
 		}
+	}
+}
+
+// TestMemProfileSeesLiveEngine: -memprofile is written while the engine
+// is still reachable, so the profile names newVMA and attributes in-use
+// space to the page records it allocated.
+func TestMemProfileSeesLiveEngine(t *testing.T) {
+	// Sample every allocation: this run's VMAs are far smaller than the
+	// default 512 KB sampling interval.
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	path := filepath.Join(t.TempDir(), "mem.pb.gz")
+	var errs bytes.Buffer
+	if code := run(small("-memprofile", path), io.Discard, &errs); code != 0 {
+		t.Fatalf("profiled run exited %d: %s", code, errs.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzipped: %v", err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fn = "mtm/internal/vm.newVMA"
+	if !bytes.Contains(raw, []byte(fn)) {
+		t.Fatalf("heap profile does not name %s", fn)
+	}
+	// The name alone also appears in a profile taken after the engine
+	// died, through its allocation samples; only in-use space tells the
+	// two apart.
+	goBin, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go binary not in PATH; skipping the in-use space check")
+	}
+	out, err := exec.Command(goBin, "tool", "pprof", "-sample_index=inuse_space", "-top", "-nodefraction=0", path).CombinedOutput()
+	if err != nil {
+		t.Fatalf("go tool pprof: %v\n%s", err, out)
+	}
+	if !bytes.Contains(out, []byte(fn)) {
+		t.Fatalf("no in-use space under %s: the engine was not live when the profile was written\n%s", fn, out)
 	}
 }

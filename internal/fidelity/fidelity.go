@@ -1,9 +1,9 @@
 // Package fidelity is the ground-truth oracle the simulator can afford
 // and a real kernel cannot: because every application access lands in the
-// VMA's per-page count plane, the simulator knows — exactly — which pages
+// VMA's per-page access count, the simulator knows — exactly — which pages
 // were hot in an interval, and can grade what each profiler *believed*
 // against what the workload *did*. The package holds the pure scoring
-// machinery: word-wide truth tallies over the count plane, top-K hot-set
+// machinery: word-wide truth tallies over the access counts, top-K hot-set
 // selection by log2 count bucket, precision/recall/F1, a WHI-vs-truth
 // rank-agreement score, and the migration-outcome lineage verdicts. The
 // engine-side wiring (per-interval sampling, the pending-move ledger)

@@ -190,6 +190,7 @@ type Engine struct {
 
 	latCache [][]time.Duration // [socket][node] unloaded link latency
 	latNow   [][]time.Duration // latCache scaled by contention; see refreshLatency
+	warmSink tier.NodeID       // AccessBatch's warm-pass loads; never read
 }
 
 // NewEngine builds an engine over the topology with the paper's default
@@ -273,6 +274,16 @@ func (e *Engine) Access(v *vm.VMA, idx int, n, nw uint32, socket int) {
 // (the fault path, Intercept, Observer, the PEBS sampler) sees the engine
 // exactly as it would after the preceding refs' Access calls.
 func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
+	// The accounting loop stores through engine fields, which keeps about
+	// one ref's cache miss in flight. This read-only pass has no such
+	// dependence, so the CPU overlaps the misses of many refs and the loop
+	// below then finds their records in cache. The sink keeps the compiler
+	// from dropping the loads.
+	var x tier.NodeID
+	for _, r := range refs {
+		x ^= v.Node(r.Idx)
+	}
+	e.warmSink ^= x
 	lat := e.latNow[socket]
 	for _, r := range refs {
 		if e.failed != nil {
@@ -423,9 +434,9 @@ func (e *Engine) beginInterval() {
 func (e *Engine) endInterval() {
 	e.healthEndInterval()
 	// The fidelity oracle samples here: after the solution's migration
-	// pass and before ResetCounts (the count planes are its ground truth).
+	// pass and before ResetCounts (the page records' counts are its ground truth).
 	// The lineage ledger then resolves this interval's verdicts from the
-	// same count planes, feeding the oracle and the admission learner. Both
+	// same counts, feeding the oracle and the admission learner. Both
 	// run before spansEndInterval so outcome events parent into the open
 	// interval.
 	e.fidelityEndInterval()

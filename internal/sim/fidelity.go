@@ -89,7 +89,7 @@ type fidelityState struct {
 }
 
 // EnableFidelity turns on the ground-truth fidelity oracle: once per
-// interval — after migration, before the count planes reset — the engine
+// interval — after migration, before the access counts reset — the engine
 // samples per-page access truth, grades the active profiler's hot set
 // against it, and tallies the hindsight verdict the lineage ledger
 // resolves for every committed move within DefaultFidelityHorizon
@@ -218,14 +218,14 @@ func scoreVMA(v *vm.VMA, pl *fidelityPlane, baseOff, totalBytes int64, cut int, 
 
 // FidelitySample takes one oracle sample immediately, outside the normal
 // end-of-interval sequence. It reads (and does not reset) the current
-// count planes, so callers own the surrounding ResetCounts discipline.
+// access counts, so callers own the surrounding ResetCounts discipline.
 // Exported for the zero-alloc gate and the sampling benchmark; simulation
 // runs never need it.
 func (e *Engine) FidelitySample() { e.fidelityEndInterval() }
 
 // fidelityEndInterval takes the once-per-interval oracle sample. It runs
 // after the solution's migration pass and MUST run
-// before AddressSpace.ResetCounts — the count planes are the ground
+// before AddressSpace.ResetCounts — the access counts are the ground
 // truth. It charges no virtual time: the oracle is measurement
 // scaffolding, not part of the simulated system, so enabling it cannot
 // perturb the run it grades.
@@ -276,7 +276,7 @@ func (e *Engine) fidelityEndInterval() {
 	f.markEstimate(regions)
 
 	// Rank-agreement inputs: per-region ground-truth access density from
-	// the same count plane the profiler could only sample.
+	// the same access counts the profiler could only sample.
 	f.whiBuf, f.denBuf, f.bytesBuf = f.whiBuf[:0], f.denBuf[:0], f.bytesBuf[:0]
 	for _, r := range regions {
 		var sum int64

@@ -100,7 +100,7 @@ func (e *Engine) lineageMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, 
 // lineageResolve walks the ledger in commit order and resolves every move
 // that saw a reaccess this interval or whose horizon expired, handing the
 // verdict to the oracle and, for promotions, to the admission learner.
-// Resolution reads the count planes, so it runs once per interval after
+// Resolution reads the access counts, so it runs once per interval after
 // the oracle's sample and before ResetCounts. Moves committed this
 // interval are skipped — their counts predate the move.
 func (e *Engine) lineageResolve() {

@@ -1,0 +1,207 @@
+package vm
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+	"unsafe"
+
+	"mtm/internal/tier"
+)
+
+// TestPageRecordSize pins the packed page record at 12 bytes: TouchN's
+// one-line-per-access property and the VMA's bytes per page rest on it.
+func TestPageRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(page{}); got > 12 {
+		t.Fatalf("page record is %d bytes, want at most 12", got)
+	}
+}
+
+// TestPlaceNodeRange: the record stores the node as an int8, so Place
+// must refuse a node it cannot hold rather than truncate it, and must
+// round-trip both ends of the range and NoNode.
+func TestPlaceNodeRange(t *testing.T) {
+	v := NewAddressSpace().Alloc("v", 4*BasePageSize)
+	for _, n := range []tier.NodeID{0, 3, 127, -128, NoNode} {
+		v.Place(1, n)
+		if got := v.Node(1); got != n {
+			t.Fatalf("Place(1, %d) then Node = %d", n, got)
+		}
+	}
+	for _, n := range []tier.NodeID{128, -129, 1 << 20} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Place(0, %d) did not panic", n)
+				}
+			}()
+			v.Place(0, n)
+		}()
+	}
+	if v.Present(0) || v.Node(0) != NoNode {
+		t.Fatal("a refused Place changed the page")
+	}
+}
+
+// modelPage is the naive per-page reference state the packed VMA is
+// checked against.
+type modelPage struct {
+	node                              tier.NodeID
+	present, accessed, dirty, touched bool
+	writeProtect, poisoned            bool
+	shadowed, shadowValid             bool
+	count, writes                     uint32
+	socket                            int
+}
+
+func (m modelPage) pte() PTE {
+	var p PTE
+	for _, b := range []struct {
+		on  bool
+		bit PTE
+	}{{m.present, Present}, {m.accessed, Accessed}, {m.dirty, Dirty}, {m.writeProtect, WriteProtect}, {m.poisoned, Poisoned}} {
+		if b.on {
+			p |= b.bit
+		}
+	}
+	return p
+}
+
+// TestVMAMatchesPerPageModel applies a seeded random sequence of every
+// mutator to a 4 KB VMA and to a per-page model, and compares every page's
+// observable state after each step. It also checks the invariant the
+// sparse ResetCounts relies on: a page with a non-zero count or write
+// count is touched.
+func TestVMAMatchesPerPageModel(t *testing.T) {
+	const nPages = 300 // five words, the last one partial
+	v := NewAddressSpace().Alloc("v", nPages*BasePageSize)
+	if v.PageSize != BasePageSize || v.NPages != nPages {
+		t.Fatalf("VMA has %d pages of %d bytes", v.NPages, v.PageSize)
+	}
+	model := make([]modelPage, nPages)
+	for i := range model {
+		model[i].node = NoNode
+	}
+	var hookCalls, wantHookCalls []int
+	hook := func(idx int) { hookCalls = append(hookCalls, idx) }
+	nodes := []tier.NodeID{0, 1, 2, 3, 127, -128}
+	var step int
+	var op string
+	// touch applies TouchN to the VMA and the model and checks its result.
+	touch := func(idx int, n, nw uint32, socket int) {
+		m := &model[idx]
+		node, fault := v.TouchN(idx, n, nw, socket)
+		if fault != !m.present {
+			t.Fatalf("step %d %s: fault = %v, model present = %v", step, op, fault, m.present)
+		}
+		if fault {
+			if node != NoNode {
+				t.Fatalf("step %d %s: faulting touch returned node %d", step, op, node)
+			}
+			return
+		}
+		if node != m.node {
+			t.Fatalf("step %d %s: node = %d, want %d", step, op, node, m.node)
+		}
+		m.accessed, m.touched = true, true
+		if nw > 0 {
+			m.dirty = true
+			if m.shadowValid {
+				m.shadowValid = false
+				wantHookCalls = append(wantHookCalls, idx)
+			}
+		}
+		m.count += n
+		m.writes += nw
+		m.socket = socket
+	}
+
+	rng := rand.New(rand.NewSource(15))
+	for step = 0; step < 20000; step++ {
+		// Half the steps hit a small hot set so operations collide.
+		idx := rng.Intn(nPages)
+		if rng.Intn(2) == 0 {
+			idx = 62 + rng.Intn(6)
+		}
+		m := &model[idx]
+		switch k := rng.Intn(100); {
+		case k < 12:
+			n := nodes[rng.Intn(len(nodes))]
+			op = fmt.Sprintf("Place(%d, %d)", idx, n)
+			v.Place(idx, n)
+			m.node, m.present = n, true
+		case k < 18:
+			op = fmt.Sprintf("Unmap(%d)", idx)
+			v.Unmap(idx)
+			m.node, m.present = NoNode, false
+		case k < 20:
+			// First-touch a whole word, as initialisation does, so the
+			// touched plane holds full words for ResetCounts.
+			w := idx / WordPages
+			op = fmt.Sprintf("place and write pages of word %d", w)
+			for i := w * WordPages; i < min(nPages, (w+1)*WordPages); i++ {
+				if !model[i].present {
+					v.Place(i, 0)
+					model[i].node, model[i].present = 0, true
+				}
+				touch(i, 1, 1, 0)
+			}
+		case k < 70:
+			n := uint32(rng.Intn(4))
+			if rng.Intn(8) == 0 {
+				n = 0
+			}
+			nw := uint32(rng.Intn(int(n) + 1))
+			socket := rng.Intn(4)
+			op = fmt.Sprintf("TouchN(%d, %d, %d, %d)", idx, n, nw, socket)
+			touch(idx, n, nw, socket)
+		case k < 74:
+			op = fmt.Sprintf("Poison(%d)", idx)
+			v.Poison(idx)
+			*m = modelPage{node: NoNode, poisoned: true, socket: m.socket}
+		case k < 78:
+			op = fmt.Sprintf("ClearPoison(%d)", idx)
+			v.ClearPoison(idx)
+			m.poisoned = false
+		case k < 86:
+			on := rng.Intn(2) == 0
+			op = fmt.Sprintf("SetWriteProtect(%d, %v)", idx, on)
+			v.SetWriteProtect(idx, on)
+			m.writeProtect = on
+		case k < 96:
+			op = fmt.Sprintf("MarkShadowed(%d)", idx)
+			v.MarkShadowed(idx, hook)
+			m.shadowed, m.shadowValid = true, true
+		default:
+			op = "ResetCounts()"
+			v.ResetCounts()
+			for i := range model {
+				model[i].count, model[i].writes, model[i].touched = 0, 0, false
+			}
+		}
+
+		for i := range model {
+			m := model[i]
+			if v.Count(i) != 0 || v.WriteCount(i) != 0 {
+				if !v.Touched(i) {
+					t.Fatalf("step %d %s: page %d has counts %d/%d but is not touched", step, op, i, v.Count(i), v.WriteCount(i))
+				}
+			}
+			if v.Node(i) != m.node || v.Count(i) != m.count || v.WriteCount(i) != m.writes ||
+				v.LastSocket(i) != m.socket || v.PTE(i) != m.pte() || v.IsPoisoned(i) != m.poisoned ||
+				v.Touched(i) != m.touched || v.Present(i) != m.present ||
+				v.Shadowed(i) != m.shadowed || v.ShadowValid(i) != m.shadowValid {
+				t.Fatalf("step %d %s: page %d\nvma   node=%d count=%d writes=%d socket=%d pte=%07b poisoned=%v touched=%v shadowed=%v/%v\nmodel %+v pte=%07b",
+					step, op, i, v.Node(i), v.Count(i), v.WriteCount(i), v.LastSocket(i), v.PTE(i), v.IsPoisoned(i),
+					v.Touched(i), v.Shadowed(i), v.ShadowValid(i), m, m.pte())
+			}
+		}
+		if !reflect.DeepEqual(hookCalls, wantHookCalls) {
+			t.Fatalf("step %d %s: shadow hook calls %v, want %v", step, op, hookCalls, wantHookCalls)
+		}
+	}
+	if len(wantHookCalls) == 0 {
+		t.Fatal("the sequence never invalidated a shadow")
+	}
+}

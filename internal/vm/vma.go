@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mtm/internal/tier"
 )
@@ -20,10 +21,12 @@ const NoNode = tier.Invalid
 // With THP enabled (the paper's default) a VMA uses 2 MB huge pages; page
 // indices then count 2 MB units.
 //
-// Per-page state is struct-of-arrays: the hot, scanned-every-interval PTE
-// bits (present, accessed, dirty) live in flat Bitmap planes — 64 pages
-// per word — while the cold flag bits (huge, write-protect, poisoned,
-// reserved) stay in a parallel flag-byte array. PTE(idx) reconstructs the
+// Per-page state is split by how it is read. The PTE bits profilers scan
+// every interval (present, accessed, dirty) and the ground-truth touched
+// summary live in flat Bitmap planes, 64 pages per word, so sweeps test a
+// word at a time. Everything an access reads or writes besides those bits
+// sits in one packed page record, so TouchN touches one record line
+// instead of a line in each of several arrays. PTE(idx) reconstructs the
 // combined entry; profilers sweep the planes word-wide instead.
 type VMA struct {
 	Name     string
@@ -31,8 +34,7 @@ type VMA struct {
 	PageSize int64  // BasePageSize or HugePageSize
 	NPages   int
 
-	flags []PTE         // cold bits only: Huge, WriteProtect, Reserved11, Poisoned
-	node  []tier.NodeID // physical placement; NoNode if not present
+	pages []page
 
 	// Hot PTE bit planes, maintained as invariants of every mutation:
 	// present mirrors the Present bit, accessed/dirty mirror the MMU bits.
@@ -40,19 +42,11 @@ type VMA struct {
 	accessed Bitmap
 	dirty    Bitmap
 
-	// Ground truth access counts for the current profiling interval.
-	// These are *not* visible to profilers (they only scan PTEs); the
-	// simulator uses them to model what repeated scans would observe and
-	// to compute recall/accuracy metrics against an oracle. touched is
-	// the counts-plane summary (counts[i] > 0), letting oracle-backed
+	// touched is the summary of the records' ground-truth counters: a page
+	// with a non-zero count or write count is touched. Oracle-backed
 	// sweeps (ObserveScans, stats) skip untouched pages word-wide without
-	// loading counters.
-	counts  []uint32
-	writes  []uint32
+	// loading records, and ResetCounts zeroes only the touched records.
 	touched Bitmap
-	// lastSocket is the socket that issued the most recent access to the
-	// page, backing the hint-fault "who touched it" channel (§6.2).
-	lastSocket []int8
 
 	// Shadow planes for non-exclusive tiering (nil until the first
 	// MarkShadowed — runs without shadowing pay only a nil check in
@@ -68,28 +62,38 @@ type VMA struct {
 	onShadowWrite func(idx int)
 }
 
+// page is the per-access state of one page, 12 bytes.
+type page struct {
+	// Ground-truth access and write counts for the current profiling
+	// interval. They are *not* visible to profilers (they only scan PTEs);
+	// the simulator uses them to model what repeated scans would observe
+	// and to compute recall/accuracy metrics against an oracle.
+	count, writes uint32
+	// node is the page's placement complemented, ^NodeID, so the zero
+	// record is a page with no frame (^NoNode == 0) and a new VMA's
+	// records need no fill.
+	node int8
+	// sock is the socket that issued the most recent access to the page,
+	// backing the hint-fault "who touched it" channel (§6.2).
+	sock  int8
+	flags PTE // cold bits only: Huge, WriteProtect, Reserved11, Poisoned
+}
+
 func newVMA(name string, base uint64, pageSize int64, nPages int) *VMA {
 	v := &VMA{
-		Name:       name,
-		Base:       base,
-		PageSize:   pageSize,
-		NPages:     nPages,
-		flags:      make([]PTE, nPages),
-		node:       make([]tier.NodeID, nPages),
-		present:    NewBitmap(nPages),
-		accessed:   NewBitmap(nPages),
-		dirty:      NewBitmap(nPages),
-		counts:     make([]uint32, nPages),
-		writes:     make([]uint32, nPages),
-		touched:    NewBitmap(nPages),
-		lastSocket: make([]int8, nPages),
-	}
-	for i := range v.node {
-		v.node[i] = NoNode
+		Name:     name,
+		Base:     base,
+		PageSize: pageSize,
+		NPages:   nPages,
+		pages:    make([]page, nPages),
+		present:  NewBitmap(nPages),
+		accessed: NewBitmap(nPages),
+		dirty:    NewBitmap(nPages),
+		touched:  NewBitmap(nPages),
 	}
 	if pageSize == HugePageSize {
-		for i := range v.flags {
-			v.flags[i] = Huge
+		for i := range v.pages {
+			v.pages[i].flags = Huge
 		}
 	}
 	return v
@@ -110,7 +114,7 @@ func (v *VMA) PageOf(addr uint64) int { return int((addr - v.Base) / uint64(v.Pa
 // PTE reconstructs the page-table entry of page idx from the flag byte and
 // the bit planes.
 func (v *VMA) PTE(idx int) PTE {
-	p := v.flags[idx]
+	p := v.pages[idx].flags
 	if v.present.Test(idx) {
 		p |= Present
 	}
@@ -124,7 +128,7 @@ func (v *VMA) PTE(idx int) PTE {
 }
 
 // Node returns the memory node holding page idx, or NoNode.
-func (v *VMA) Node(idx int) tier.NodeID { return v.node[idx] }
+func (v *VMA) Node(idx int) tier.NodeID { return tier.NodeID(^v.pages[idx].node) }
 
 // Present reports whether page idx has a physical frame.
 func (v *VMA) Present(idx int) bool { return v.present.Test(idx) }
@@ -180,16 +184,20 @@ func (v *VMA) PresentRangeWord(w, lo, hi int) uint64 { return v.present.RangeWor
 func (v *VMA) TouchedRangeWord(w, lo, hi int) uint64 { return v.touched.RangeWord(w, lo, hi) }
 
 // Place installs page idx on node n, marking it present. It is the
-// allocator/migrator's entry point and does not touch access bits.
+// allocator/migrator's entry point and does not touch access bits. It
+// panics on a node the page record cannot hold (outside int8).
 func (v *VMA) Place(idx int, n tier.NodeID) {
-	v.node[idx] = n
+	if tier.NodeID(int8(n)) != n {
+		panic("vm: Place: node outside int8") // constant, so Place inlines
+	}
+	v.pages[idx].node = ^int8(n)
 	v.present.Set(idx)
 }
 
 // Unmap removes the frame of page idx (migration step 2). Access state is
 // preserved so a remap continues tracking.
 func (v *VMA) Unmap(idx int) {
-	v.node[idx] = NoNode
+	v.pages[idx].node = ^int8(NoNode)
 	v.present.Clear(idx)
 }
 
@@ -199,14 +207,14 @@ func (v *VMA) Unmap(idx int) {
 // it, and the Poisoned bit is left so the next access takes a recovery
 // fault rather than returning stale data.
 func (v *VMA) Poison(idx int) {
-	v.node[idx] = NoNode
+	p := &v.pages[idx]
+	p.node = ^int8(NoNode)
+	p.flags = p.flags.Clear(WriteProtect).Set(Poisoned)
+	p.count, p.writes = 0, 0
 	v.present.Clear(idx)
 	v.accessed.Clear(idx)
 	v.dirty.Clear(idx)
 	v.touched.Clear(idx)
-	v.flags[idx] = v.flags[idx].Clear(WriteProtect).Set(Poisoned)
-	v.counts[idx] = 0
-	v.writes[idx] = 0
 	if v.shadowAll != nil {
 		v.shadowAll.Clear(idx)
 		v.shadowValid.Clear(idx)
@@ -214,12 +222,12 @@ func (v *VMA) Poison(idx int) {
 }
 
 // IsPoisoned reports whether page idx carries a pending memory error.
-func (v *VMA) IsPoisoned(idx int) bool { return v.flags[idx].Has(Poisoned) }
+func (v *VMA) IsPoisoned(idx int) bool { return v.pages[idx].flags.Has(Poisoned) }
 
 // ClearPoison acknowledges the memory error on page idx (the recovery
 // fault handler ran); the page can then be placed on a fresh frame.
 func (v *VMA) ClearPoison(idx int) {
-	v.flags[idx] = v.flags[idx].Clear(Poisoned)
+	v.pages[idx].flags = v.pages[idx].flags.Clear(Poisoned)
 }
 
 // Touch simulates one MMU access to page idx from the given socket,
@@ -253,27 +261,35 @@ func (v *VMA) TouchN(idx int, n, nw uint32, socket int) (tier.NodeID, bool) {
 			}
 		}
 	}
-	v.counts[idx] += n
-	v.writes[idx] += nw
-	v.lastSocket[idx] = int8(socket)
-	return v.node[idx], false
+	p := &v.pages[idx]
+	p.count += n
+	p.writes += nw
+	p.sock = int8(socket)
+	return tier.NodeID(^p.node), false
 }
 
 // Count returns the ground-truth access count of page idx this interval.
 // Only the oracle/metrics layer may call this; profilers must not.
-func (v *VMA) Count(idx int) uint32 { return v.counts[idx] }
+func (v *VMA) Count(idx int) uint32 { return v.pages[idx].count }
 
 // WriteCount returns the ground-truth write count of page idx this interval.
-func (v *VMA) WriteCount(idx int) uint32 { return v.writes[idx] }
+func (v *VMA) WriteCount(idx int) uint32 { return v.pages[idx].writes }
 
 // LastSocket returns the socket of the most recent access to page idx.
-func (v *VMA) LastSocket(idx int) int { return int(v.lastSocket[idx]) }
+func (v *VMA) LastSocket(idx int) int { return int(v.pages[idx].sock) }
 
 // ResetCounts zeroes the ground-truth counters at an interval boundary.
+// Only touched records can hold a non-zero counter (TouchN, their one
+// writer, sets touched; Poison zeroes both), so it visits the set bits of
+// the touched plane instead of every record.
 func (v *VMA) ResetCounts() {
-	clear(v.counts)
-	clear(v.writes)
-	v.touched.ClearAll()
+	for w, word := range v.touched {
+		for ; word != 0; word &= word - 1 {
+			p := &v.pages[w<<6+bits.TrailingZeros64(word)]
+			p.count, p.writes = 0, 0
+		}
+	}
+	clear(v.touched)
 }
 
 // ScanAndClear performs one PTE scan of page idx: it returns whether the
@@ -376,10 +392,11 @@ func (v *VMA) ShadowedCount() int {
 
 // SetWriteProtect arms or disarms write-protection on page idx.
 func (v *VMA) SetWriteProtect(idx int, on bool) {
+	p := &v.pages[idx]
 	if on {
-		v.flags[idx] = v.flags[idx].Set(WriteProtect)
+		p.flags = p.flags.Set(WriteProtect)
 	} else {
-		v.flags[idx] = v.flags[idx].Clear(WriteProtect)
+		p.flags = p.flags.Clear(WriteProtect)
 	}
 }
 
