@@ -52,6 +52,17 @@ var goldenVariants = []struct {
 		c.Metrics = true
 		c.Trace = &span.Config{}
 	}},
+	// Retries, aborts, breaker trips and admission deferrals all fire
+	// here, so the metrics export pins the counters the other variants
+	// leave at zero. Plain cxl-flaky trips no breaker and defers nothing
+	// in runs this short; a 90% inbound copy-failure rate does both.
+	{"cxl-flaky+lanes+metrics", func(c *Config) {
+		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
+		c.AdmissionLearn = true
+		c.AdmissionLanes = "default"
+		c.Metrics = true
+		c.Audit = true
+	}},
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
@@ -70,7 +81,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden digests are recorded on linux/amd64 only")
 	}
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("192 runs; skipped in -short and -race")
+		t.Skip("224 runs; skipped in -short and -race")
 	}
 	want := map[string]string{}
 	if b, err := os.ReadFile(goldenFile); err == nil {
