@@ -72,7 +72,7 @@ func (r *Registry) Export() *Export {
 		}
 		switch in.kind {
 		case KindCounter:
-			ie.Value = float64(in.c.v)
+			ie.Value = float64(in.count())
 		case KindGauge:
 			ie.Value = in.g.v
 		case KindHistogram:

@@ -8,7 +8,9 @@
 //   - Zero allocation on the hot path. Instruments are registered once
 //     (at engine construction or profiler Attach) and written through
 //     pre-resolved handles; Add/Set/Observe never allocate and never
-//     look anything up by name.
+//     look anything up by name. A count the caller already keeps is
+//     registered with CounterFunc instead and read only when the
+//     registry samples or exports, so it is stored once.
 //   - Deterministic. Everything is recorded from the engine's interval
 //     loop, in program order; the per-interval time series and the event
 //     log are pure functions of the simulation, so two runs of the same
@@ -187,8 +189,17 @@ type instrument struct {
 	full   string // name plus rendered label set; the identity key
 
 	c *Counter
+	f func() int64 // a CounterFunc's source; c stays nil
 	g *Gauge
 	h *Histogram
+}
+
+// count returns a counter instrument's current value.
+func (in *instrument) count() int64 {
+	if in.f != nil {
+		return in.f()
+	}
+	return in.c.v
 }
 
 // Registry owns the instruments, the event ring and the per-interval time
@@ -272,11 +283,34 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 		return nil
 	}
 	in := r.register(KindCounter, name, help, labels)
+	if in.f != nil {
+		panic("metrics: " + in.full + " is already a CounterFunc")
+	}
 	if in.c == nil {
 		in.c = &Counter{inst: in}
 		r.scalars = append(r.scalars, in)
 	}
 	return in.c
+}
+
+// CounterFunc registers (or re-points) a counter whose value is f(), read
+// whenever the registry samples or exports: the metric of a count the
+// caller already keeps. It takes the series column and export position a
+// Counter registered at the same point would. It panics when the name and
+// labels belong to a plain Counter or another kind, and does nothing on a
+// nil registry.
+func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Label) {
+	if r == nil {
+		return
+	}
+	in := r.register(KindCounter, name, help, labels)
+	if in.c != nil {
+		panic("metrics: " + in.full + " is already a Counter")
+	}
+	if in.f == nil {
+		r.scalars = append(r.scalars, in)
+	}
+	in.f = f
 }
 
 // Gauge registers (or finds) a gauge. Returns nil on a nil registry.
@@ -381,7 +415,7 @@ func (r *Registry) Sample() {
 	for i, in := range r.scalars {
 		switch in.kind {
 		case KindCounter:
-			vals[i] = float64(in.c.v)
+			vals[i] = float64(in.count())
 		case KindGauge:
 			vals[i] = in.g.v
 		}

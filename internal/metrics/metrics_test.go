@@ -101,6 +101,76 @@ func TestRegistrationIdempotentAndKindChecked(t *testing.T) {
 	r.Gauge("x_total", "", L("n", "0"))
 }
 
+func TestCounterFunc(t *testing.T) {
+	var nilReg *Registry
+	nilReg.CounterFunc("x_total", "", func() int64 {
+		t.Fatal("nil registry called the func")
+		return 0
+	})
+
+	var n int64
+	r := New()
+	r.Counter("a_total", "")
+	r.CounterFunc("f_total", "read at sample time", func() int64 { return n })
+	r.Gauge("g", "")
+	n = 3
+	r.Sample()
+	n = 5
+	r.Sample()
+	n = 8
+	x := r.Export()
+	if got := x.Series.Samples[0].Values[1]; got != 3 {
+		t.Fatalf("first sample read %v, want 3", got)
+	}
+	if got := x.Series.Samples[1].Values[1]; got != 5 {
+		t.Fatalf("second sample read %v, want 5", got)
+	}
+	for _, in := range x.Instruments {
+		if in.Name == "f_total" && (in.Value != 8 || in.Kind != "counter") {
+			t.Fatalf("export %+v, want counter 8", in)
+		}
+	}
+	var buf bytes.Buffer
+	if err := r.WriteProm(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "# TYPE f_total counter\nf_total 8\n") {
+		t.Fatalf("prom output:\n%s", buf.String())
+	}
+
+	// Same columns and export as a plain Counter registered in its place.
+	plain := New()
+	plain.Counter("a_total", "")
+	plain.Counter("f_total", "read at sample time").Add(8)
+	plain.Gauge("g", "")
+	px := plain.Export()
+	if strings.Join(px.Series.Columns, ",") != strings.Join(x.Series.Columns, ",") {
+		t.Fatalf("columns %v, plain counter gives %v", x.Series.Columns, px.Series.Columns)
+	}
+	x.Series.Samples, px.Series.Samples = nil, nil
+	b1, _ := json.Marshal(x)
+	b2, _ := json.Marshal(px)
+	if !bytes.Equal(b1, b2) {
+		t.Fatalf("export\n%s\nplain counter gives\n%s", b1, b2)
+	}
+
+	for name, clash := range map[string]func(){
+		"gauge after func":   func() { r.Gauge("f_total", "") },
+		"counter after func": func() { r.Counter("f_total", "") },
+		"func after gauge":   func() { r.CounterFunc("g", "", func() int64 { return 0 }) },
+		"func after counter": func() { r.CounterFunc("a_total", "", func() int64 { return 0 }) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			clash()
+		}()
+	}
+}
+
 func TestEventRingBounded(t *testing.T) {
 	r := New()
 	r.SetEventCapacity(3)

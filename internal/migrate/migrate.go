@@ -290,10 +290,9 @@ func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int,
 			res.waste += penalty
 			if attempt < rp.MaxAttempts {
 				res.retries++
-				e.NoteMigrationRetryAt(src, dst)
 				backoff := rp.Backoff(attempt)
 				res.waste += backoff
-				e.NoteMigrationBackoff(src, dst, backoff)
+				e.NoteMigrationRetry(src, dst, backoff)
 				if res.srcRetries != nil {
 					res.srcRetries[src]++
 					res.srcBackoffNs[src] += int64(backoff)

@@ -39,8 +39,8 @@ type admissionState struct {
 	// fastest node, where the kernel's scan structures live).
 	profDst tier.NodeID
 
-	// AdmissionStarvations counts watchdog firings (mirrors the typed
-	// events so tests need not parse the ring).
+	// starvations counts watchdog firings: LaneStats.Starvations and the
+	// lane-starvation metric both read it.
 	starvations int64
 
 	// minroi exposes each pair's learned floor as a gauge; nil without
@@ -168,21 +168,12 @@ func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi
 	switch dec.Verdict {
 	case admission.VerdictAdmit:
 		e.AdmissionAdmits++
-		if e.met != nil {
-			e.met.admAdmitted.Inc()
-		}
 	case admission.VerdictDefer:
 		e.AdmissionDefers++
-		if e.met != nil {
-			e.met.admDeferred.Inc()
-			e.emitEventOnce(EventAdmissionDefer, e.met.pairName[src][dst], bytes)
-		}
+		e.emitPairEventOnce(EventAdmissionDefer, src, dst, bytes)
 	case admission.VerdictReject:
 		e.AdmissionRejects++
-		if e.met != nil {
-			e.met.admRejected.Inc()
-			e.emitEventOnce(EventAdmissionReject, e.met.pairName[src][dst], bytes)
-		}
+		e.emitPairEventOnce(EventAdmissionReject, src, dst, bytes)
 	}
 	return dec
 }
@@ -223,9 +214,6 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 	dec.ROI = admission.ROI(whi, reaccess, e.adm.cfg.HorizonIntervals, gap, flipNs)
 	dec.BudgetBytes = e.adm.ctl.Tokens(int(src), int(dst), e.SpanClockNs())
 	e.AdmissionAdmits++
-	if e.met != nil {
-		e.met.admAdmitted.Inc()
-	}
 	return dec
 }
 
@@ -247,10 +235,7 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 		return true
 	}
 	e.ThrashSuppressed++
-	if e.met != nil {
-		e.met.admThrash.Inc()
-		e.emitEventOnce(EventThrashSuppressed, e.met.pairName[src][dst], int64(idx))
-	}
+	e.emitPairEventOnce(EventThrashSuppressed, src, dst, int64(idx))
 	return false
 }
 
@@ -438,10 +423,7 @@ func (e *Engine) admissionEndInterval() {
 	}
 	for _, s := range a.ctl.EndInterval(now) {
 		a.starvations++
-		if e.met != nil {
-			e.met.admStarved.Inc()
-			e.met.reg.Emit(EventLaneStarvation, s.Class.String(), int64(s.Waited))
-		}
+		e.Metrics().Emit(EventLaneStarvation, s.Class.String(), int64(s.Waited))
 		if e.sp != nil {
 			e.SpanEvent("admission", "lane-starvation",
 				span.S("class", s.Class.String()),

@@ -33,8 +33,10 @@ func (e *AuditError) Error() string {
 //   - offline tiers hold no resident pages;
 //   - moves: committed transaction bytes equal promoted + demoted +
 //     drained volume (aborted transactions contribute to none of them);
-//   - metrics (when enabled): the per-pair moved/aborted counters and
-//     the health counters agree with the engine's own totals.
+//   - metrics (when enabled): the per-pair moved/aborted counters sum to
+//     the engine's committed moves and aborts. Every other engine count
+//     is exported by reading the engine's own field, so it needs no
+//     check.
 func (e *Engine) Audit() error {
 	var probs []string
 	nodes := e.Sys.Topo.Nodes
@@ -157,42 +159,6 @@ func (e *Engine) Audit() error {
 			probs = append(probs, fmt.Sprintf(
 				"metrics: per-pair aborted pages %d != migration aborts %d",
 				abortedPages, e.MigrationAborts))
-		}
-		if got := e.met.aborts.Value(); got != e.MigrationAborts {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: abort counter %d != migration aborts %d", got, e.MigrationAborts))
-		}
-		if got := e.met.poisonedPages.Value(); got != e.PoisonedPages {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: poisoned-page counter %d != engine total %d", got, e.PoisonedPages))
-		}
-		if got := e.met.drainedBytes.Value(); got != e.DrainedBytes {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: drained-bytes counter %d != engine total %d", got, e.DrainedBytes))
-		}
-		if got := e.met.breakerTrips.Value(); got != e.BreakerTrips {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: breaker-trip counter %d != engine total %d", got, e.BreakerTrips))
-		}
-		if got := e.met.shadowFlips.Value(); got != e.FreeDemotions {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: shadow-flip counter %d != free demotions %d", got, e.FreeDemotions))
-		}
-		if got := e.met.shadowHits.Value(); got != e.ShadowHits {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: shadow-hit counter %d != engine total %d", got, e.ShadowHits))
-		}
-		if got := e.met.shadowInvalidations.Value(); got != e.ShadowInvalidations {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: shadow-invalidation counter %d != engine total %d", got, e.ShadowInvalidations))
-		}
-		if got := e.met.shadowDropped.Value(); got != e.shadowDrops {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: shadow-drop counter %d != engine total %d", got, e.shadowDrops))
-		}
-		if got := e.met.shadowRetained.Value(); got != e.shadowRetains {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: shadow-retain counter %d != engine total %d", got, e.shadowRetains))
 		}
 	}
 

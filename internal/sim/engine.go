@@ -349,9 +349,6 @@ func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) (tier.NodeID, bool)
 	}
 	v.Place(idx, node)
 	e.TotalFaults++
-	if e.met != nil {
-		e.met.faults.Inc()
-	}
 	// Demand-zero: kernel fixed cost plus zeroing the page at the
 	// node's best bandwidth.
 	zero := e.Sys.CopyTime(socket, node, node, v.PageSize)

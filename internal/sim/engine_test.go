@@ -300,18 +300,40 @@ func TestBackgroundTimeNotOnCriticalPath(t *testing.T) {
 	}
 }
 
-// TestMetricsWritesLandInExport: engine instrument writes and event
-// emissions land in the metrics export.
+// TestMetricsWritesLandInExport: a demand fault lands in the page-fault
+// counter of the interval sample and of the export, and an emitted event
+// lands in the event log.
 func TestMetricsWritesLandInExport(t *testing.T) {
-	e := NewEngine(tier.OptaneTopology(256), 1)
+	e := newTestEngine()
 	e.EnableMetrics()
-	e.met.faults.Inc()
+	e.SetSolution(&fixedSolution{node: 0})
+	v := e.AS.Alloc("v", 4*tier.MB)
+	e.beginInterval()
+	e.Access(v, 0, 1, 0, 0)
 	e.Metrics().Emit(EventOOM, "test", 0)
-	if got := e.met.faults.Value(); got != 1 {
-		t.Fatalf("counter = %d, want 1", got)
-	}
+	e.endInterval()
+	e.beginInterval()
+	e.Access(v, 1, 1, 0, 0)
 	x := e.MetricsExport()
 	if x == nil || len(x.Events) != 1 {
 		t.Fatalf("export missing emitted event: %+v", x)
+	}
+	var faults float64 = -1
+	for _, in := range x.Instruments {
+		if in.Name == "mtm_sim_page_faults_total" {
+			faults = in.Value
+		}
+	}
+	if faults != 2 || e.TotalFaults != 2 {
+		t.Fatalf("exported faults %v, engine %d; want 2", faults, e.TotalFaults)
+	}
+	col := -1
+	for i, c := range x.Series.Columns {
+		if c == "mtm_sim_page_faults_total" {
+			col = i
+		}
+	}
+	if len(x.Series.Samples) != 1 || col < 0 || x.Series.Samples[0].Values[col] != 1 {
+		t.Fatalf("interval sample of page faults: columns %v samples %+v; want 1", x.Series.Columns, x.Series.Samples)
 	}
 }

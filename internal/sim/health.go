@@ -143,7 +143,6 @@ func (e *Engine) recordMoveAbort(src, dst tier.NodeID) {
 	e.BreakerTrips++
 	e.admissionBreakerTrip(src, dst)
 	if e.met != nil {
-		e.met.breakerTrips.Inc()
 		e.met.reg.Emit(EventBreakerTrip, e.met.pairName[src][dst], e.hlt.breaker.Trips(int(src), int(dst)))
 	}
 	if e.sp != nil {
@@ -219,10 +218,7 @@ func (e *Engine) poisonPage(v *vm.VMA, idx int) {
 	e.Sys.Quarantine(n, v.PageSize)
 	e.poisonedBytes += v.PageSize
 	e.PoisonedPages++
-	if e.met != nil {
-		e.met.poisonedPages.Inc()
-		e.emitEventOnce(EventMemPoison, e.Sys.Topo.Nodes[n].Name, int64(idx))
-	}
+	e.emitEventOnce(EventMemPoison, e.Sys.Topo.Nodes[n].Name, int64(idx))
 	if e.sp != nil {
 		e.SpanEvent("health", "poison",
 			span.S("node", e.Sys.Topo.Nodes[n].Name),
@@ -251,9 +247,6 @@ func (e *Engine) poisonRecovery(v *vm.VMA, idx int) {
 	v.ClearPoison(idx)
 	e.intApp += e.hlt.cfg.RecoveryPenalty
 	e.PoisonRecoveries++
-	if e.met != nil {
-		e.met.poisonRecoveries.Inc()
-	}
 	if e.sp != nil {
 		e.SpanEvent("health", "poison-recovery",
 			span.S("vma", v.Name),
@@ -380,10 +373,9 @@ func (e *Engine) drainNode(node tier.NodeID) {
 			}
 			e.ChargeBackground(penalty)
 			if attempt < drainRetryAttempts {
-				e.NoteMigrationRetryAt(node, dst)
 				b := drainBackoff(attempt)
 				e.ChargeBackground(b)
-				e.NoteMigrationBackoff(node, dst, b)
+				e.NoteMigrationRetry(node, dst, b)
 			}
 		}
 		copyTime := e.Sys.CopyTime(e.HomeSocket, node, dst, p.v.PageSize)
@@ -402,10 +394,7 @@ func (e *Engine) drainNode(node tier.NodeID) {
 		e.DrainStalls++
 		e.drainStallErr = fmt.Errorf("%w (draining %s, %d pages resident)",
 			health.ErrNoDestination, e.Sys.Topo.Nodes[node].Name, len(pages)-committed)
-		if e.met != nil {
-			e.met.drainStalls.Inc()
-			e.emitEventOnce(EventDrainStall, e.Sys.Topo.Nodes[node].Name, int64(len(pages)-committed))
-		}
+		e.emitEventOnce(EventDrainStall, e.Sys.Topo.Nodes[node].Name, int64(len(pages)-committed))
 		if e.sp != nil {
 			e.SpanEvent("health", "drain-stall",
 				span.S("node", e.Sys.Topo.Nodes[node].Name),
@@ -457,9 +446,4 @@ func (e *Engine) drainDest(node tier.NodeID, size int64) tier.NodeID {
 // NoteDrain records bytes evacuated off a draining tier. Drained volume
 // is deliberately separate from promotion/demotion volume: the auditor's
 // ledger is committed = promoted + demoted + drained.
-func (e *Engine) NoteDrain(bytes int64) {
-	e.DrainedBytes += bytes
-	if e.met != nil {
-		e.met.drainedBytes.Add(bytes)
-	}
-}
+func (e *Engine) NoteDrain(bytes int64) { e.DrainedBytes += bytes }

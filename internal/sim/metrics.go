@@ -6,6 +6,18 @@
 // Determinism contract: every instrument write and event emission happens
 // in program order on the interval loop, so the export is a pure function
 // of the simulated execution.
+//
+// One source per count: a counter with an engine twin (TotalFaults, the
+// robustness, health, admission and shadow counters, the Total* times,
+// PromotedBytes/DemotedBytes, OOM as failed != nil) is registered with
+// CounterFunc and read from the engine field when the registry samples or
+// exports. The engine writes only the instruments no field holds:
+// intervals (sampled before Intervals increments), node accesses (the
+// per-interval counts exclude Init's accesses, which NodeAccesses
+// includes), the per-pair counters, health transitions, the gauges and
+// the histogram. The gauges hold the value last set rather than live
+// state: contention is set at interval end, so a run that fails inside
+// Init exports it as zero.
 package sim
 
 import (
@@ -64,55 +76,16 @@ const (
 	EventLaneStarvation = "lane-starvation"
 )
 
-// engineMetrics holds the engine's pre-registered instrument handles. All
-// handles are resolved once at EnableMetrics; the hot path never performs
-// name lookups.
+// engineMetrics holds the handles of the instruments the engine writes:
+// the ones with no engine counter to read. All are resolved once at
+// EnableMetrics; the hot path never performs name lookups.
 type engineMetrics struct {
 	reg *metrics.Registry
 
-	intervals     *metrics.Counter
-	appNs         *metrics.Counter
-	profNs        *metrics.Counter
-	migNs         *metrics.Counter
-	bgNs          *metrics.Counter
-	faults        *metrics.Counter
-	promotedBytes *metrics.Counter
-	demotedBytes  *metrics.Counter
-	deferred      *metrics.Counter
-	emergencies   *metrics.Counter
-	oom           *metrics.Counter
-	retries       *metrics.Counter
-	aborts        *metrics.Counter
-	wastedBytes   *metrics.Counter
-
-	// Tier-health instruments (registered unconditionally; they stay at
-	// zero unless EnableHealth is active).
-	poisonedPages     *metrics.Counter
-	poisonRecoveries  *metrics.Counter
-	drainedBytes      *metrics.Counter
-	drainStalls       *metrics.Counter
-	breakerTrips      *metrics.Counter
+	intervals         *metrics.Counter
 	healthTransitions *metrics.Counter
 
-	// Admission-control instruments (registered unconditionally; they
-	// stay at zero unless EnableAdmission is active).
-	admAdmitted *metrics.Counter
-	admDeferred *metrics.Counter
-	admRejected *metrics.Counter
-	admThrash   *metrics.Counter
-	admStarved  *metrics.Counter
-
-	// Non-exclusive-tiering instruments (registered unconditionally;
-	// they stay at zero unless EnableShadow is active).
-	shadowRetained      *metrics.Counter
-	shadowHits          *metrics.Counter
-	shadowInvalidations *metrics.Counter
-	shadowDropped       *metrics.Counter
-	shadowFlips         *metrics.Counter
-	shadowFlipBytes     *metrics.Counter
-	shadowSyncBytes     *metrics.Counter
-	shadowBytes         []*metrics.Gauge // per node
-
+	shadowBytes  []*metrics.Gauge   // per node
 	nodeAccesses []*metrics.Counter // per node
 	contention   []*metrics.Gauge   // per node
 	tierState    []*metrics.Gauge   // per node health state (0=Online..3=Offline)
@@ -141,40 +114,56 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 	}
 	reg := metrics.New()
 	m := &engineMetrics{reg: reg}
+	count := func(name, help string, p *int64) {
+		reg.CounterFunc(name, help, func() int64 { return *p })
+	}
+	ns := func(name, help string, p *time.Duration) {
+		reg.CounterFunc(name, help, func() int64 { return int64(*p) })
+	}
 
 	m.intervals = reg.Counter("mtm_sim_intervals_total", "profiling intervals completed")
-	m.appNs = reg.Counter("mtm_sim_app_ns_total", "cumulative application time (virtual ns)")
-	m.profNs = reg.Counter("mtm_sim_profiling_ns_total", "cumulative critical-path profiling time (virtual ns)")
-	m.migNs = reg.Counter("mtm_sim_migration_ns_total", "cumulative critical-path migration time (virtual ns)")
-	m.bgNs = reg.Counter("mtm_sim_background_ns_total", "cumulative off-critical-path copy time (virtual ns)")
-	m.faults = reg.Counter("mtm_sim_page_faults_total", "demand-zero page faults serviced")
-	m.promotedBytes = reg.Counter("mtm_sim_promoted_bytes_total", "bytes promoted to faster tiers")
-	m.demotedBytes = reg.Counter("mtm_sim_demoted_bytes_total", "bytes demoted to slower tiers")
-	m.deferred = reg.Counter("mtm_sim_deferred_promotions_total", "promotions deferred by admission control")
-	m.emergencies = reg.Counter("mtm_sim_emergency_demotions_total", "emergency-reclaim events in the fault path")
-	m.oom = reg.Counter("mtm_sim_oom_total", "out-of-memory placement failures")
-	m.retries = reg.Counter("mtm_migrate_retries_total", "page-copy attempts retried after transient failure")
-	m.aborts = reg.Counter("mtm_migrate_aborts_total", "page-move transactions rolled back")
-	m.wastedBytes = reg.Counter("mtm_migrate_wasted_bytes_total", "copy bytes thrown away by aborts")
+	ns("mtm_sim_app_ns_total", "cumulative application time (virtual ns)", &e.TotalApp)
+	ns("mtm_sim_profiling_ns_total", "cumulative critical-path profiling time (virtual ns)", &e.TotalProf)
+	ns("mtm_sim_migration_ns_total", "cumulative critical-path migration time (virtual ns)", &e.TotalMig)
+	ns("mtm_sim_background_ns_total", "cumulative off-critical-path copy time (virtual ns)", &e.TotalBg)
+	count("mtm_sim_page_faults_total", "demand-zero page faults serviced", &e.TotalFaults)
+	count("mtm_sim_promoted_bytes_total", "bytes promoted to faster tiers", &e.PromotedBytes)
+	count("mtm_sim_demoted_bytes_total", "bytes demoted to slower tiers", &e.DemotedBytes)
+	count("mtm_sim_deferred_promotions_total", "promotions deferred by admission control", &e.DeferredPromotions)
+	count("mtm_sim_emergency_demotions_total", "emergency-reclaim events in the fault path", &e.EmergencyDemotions)
+	reg.CounterFunc("mtm_sim_oom_total", "out-of-memory placement failures", func() int64 {
+		if e.failed != nil {
+			return 1 // the failure is sticky: a run fails at most once
+		}
+		return 0
+	})
+	count("mtm_migrate_retries_total", "page-copy attempts retried after transient failure", &e.MigrationRetries)
+	count("mtm_migrate_aborts_total", "page-move transactions rolled back", &e.MigrationAborts)
+	count("mtm_migrate_wasted_bytes_total", "copy bytes thrown away by aborts", &e.WastedBytes)
 	m.intervalAppNs = reg.Histogram("mtm_sim_interval_app_ns", "per-interval application time (virtual ns)", intervalAppBounds)
-	m.poisonedPages = reg.Counter("mtm_health_poisoned_pages_total", "pages lost to uncorrectable memory errors")
-	m.poisonRecoveries = reg.Counter("mtm_health_poison_recoveries_total", "recovery faults taken on poisoned pages")
-	m.drainedBytes = reg.Counter("mtm_health_drained_bytes_total", "bytes evacuated off draining tiers")
-	m.drainStalls = reg.Counter("mtm_health_drain_stalls_total", "drain steps stalled with no destination")
-	m.breakerTrips = reg.Counter("mtm_health_breaker_trips_total", "migration circuit-breaker trips")
+	count("mtm_health_poisoned_pages_total", "pages lost to uncorrectable memory errors", &e.PoisonedPages)
+	count("mtm_health_poison_recoveries_total", "recovery faults taken on poisoned pages", &e.PoisonRecoveries)
+	count("mtm_health_drained_bytes_total", "bytes evacuated off draining tiers", &e.DrainedBytes)
+	count("mtm_health_drain_stalls_total", "drain steps stalled with no destination", &e.DrainStalls)
+	count("mtm_health_breaker_trips_total", "migration circuit-breaker trips", &e.BreakerTrips)
 	m.healthTransitions = reg.Counter("mtm_health_transitions_total", "tier health-state transitions")
-	m.admAdmitted = reg.Counter("mtm_admission_admitted_total", "planned moves admitted by admission control")
-	m.admDeferred = reg.Counter("mtm_admission_deferred_total", "planned moves deferred by admission control (budget pressure)")
-	m.admRejected = reg.Counter("mtm_admission_rejected_total", "planned moves rejected by admission control (ROI)")
-	m.admThrash = reg.Counter("mtm_admission_thrash_suppressed_total", "page moves blocked by the ping-pong cool-down")
-	m.admStarved = reg.Counter("mtm_admission_lane_starvations_total", "starvation-watchdog firings for critical traffic classes")
-	m.shadowRetained = reg.Counter("mtm_shadow_retained_total", "promotions that retained their source frame as a shadow")
-	m.shadowHits = reg.Counter("mtm_shadow_hits_total", "demotion lookups that found a valid shadow")
-	m.shadowInvalidations = reg.Counter("mtm_shadow_invalidations_total", "shadows diverged by a write to the fast copy")
-	m.shadowDropped = reg.Counter("mtm_shadow_dropped_total", "shadows dropped under pressure or health events")
-	m.shadowFlips = reg.Counter("mtm_shadow_flips_total", "demotions completed as zero-copy shadow flips")
-	m.shadowFlipBytes = reg.Counter("mtm_shadow_flip_bytes_total", "bytes demoted without copying")
-	m.shadowSyncBytes = reg.Counter("mtm_shadow_sync_bytes_total", "bytes re-copied to shadow frames in the background")
+	count("mtm_admission_admitted_total", "planned moves admitted by admission control", &e.AdmissionAdmits)
+	count("mtm_admission_deferred_total", "planned moves deferred by admission control (budget pressure)", &e.AdmissionDefers)
+	count("mtm_admission_rejected_total", "planned moves rejected by admission control (ROI)", &e.AdmissionRejects)
+	count("mtm_admission_thrash_suppressed_total", "page moves blocked by the ping-pong cool-down", &e.ThrashSuppressed)
+	reg.CounterFunc("mtm_admission_lane_starvations_total", "starvation-watchdog firings for critical traffic classes", func() int64 {
+		if e.adm == nil {
+			return 0
+		}
+		return e.adm.starvations
+	})
+	count("mtm_shadow_retained_total", "promotions that retained their source frame as a shadow", &e.shadowRetains)
+	count("mtm_shadow_hits_total", "demotion lookups that found a valid shadow", &e.ShadowHits)
+	count("mtm_shadow_invalidations_total", "shadows diverged by a write to the fast copy", &e.ShadowInvalidations)
+	count("mtm_shadow_dropped_total", "shadows dropped under pressure or health events", &e.shadowDrops)
+	count("mtm_shadow_flips_total", "demotions completed as zero-copy shadow flips", &e.FreeDemotions)
+	count("mtm_shadow_flip_bytes_total", "bytes demoted without copying", &e.FreeDemotionBytes)
+	count("mtm_shadow_sync_bytes_total", "bytes re-copied to shadow frames in the background", &e.ShadowSyncBytes)
 
 	nodes := e.Sys.Topo.Nodes
 	m.nodeAccesses = make([]*metrics.Counter, len(nodes))
@@ -272,6 +261,15 @@ func (e *Engine) emitEventOnce(typ, detail string, value int64) {
 	e.met.reg.Emit(typ, detail, value)
 }
 
+// emitPairEventOnce is emitEventOnce with the src->dst pair as the
+// detail; an unattributable src emits nothing.
+func (e *Engine) emitPairEventOnce(typ string, src, dst tier.NodeID, value int64) {
+	if e.met == nil || int(src) < 0 || int(src) >= len(e.met.pairName) {
+		return
+	}
+	e.emitEventOnce(typ, e.met.pairName[src][dst], value)
+}
+
 // metricsBeginInterval stamps the registry with the interval about to run
 // and emits activation events for any fault-injection classes whose storm
 // windows opened (the plane advertises them via ActiveClasses).
@@ -290,20 +288,15 @@ func (e *Engine) metricsBeginInterval() {
 
 // metricsEndInterval records the finished interval's accounting and
 // appends one time-series sample. Called from endInterval after the
-// clock advanced but before Intervals increments, so the sample is
-// stamped with the interval it describes.
+// clock advanced and the interval folded into the engine's totals, but
+// before Intervals increments, so the sample is stamped with the
+// interval it describes.
 func (e *Engine) metricsEndInterval(app time.Duration) {
 	if e.met == nil {
 		return
 	}
 	m := e.met
 	m.intervals.Inc()
-	m.appNs.AddDuration(app)
-	m.profNs.AddDuration(e.intProf)
-	m.migNs.AddDuration(e.intMig)
-	m.bgNs.AddDuration(e.intBg)
-	m.promotedBytes.Add(e.intPromoted)
-	m.demotedBytes.Add(e.intDemoted)
 	m.intervalAppNs.Observe(float64(app))
 	for i, n := range e.intAccesses {
 		m.nodeAccesses[i].Add(n)

@@ -105,51 +105,26 @@ func (e *Engine) PromotionPressure(dst tier.NodeID) bool {
 	return e.faults.DestPressure(dst) || e.contention[dst] >= admissionContention
 }
 
-// NoteDeferredPromotion records one promotion deferred by admission
-// control.
-func (e *Engine) NoteDeferredPromotion() {
-	e.DeferredPromotions++
-	if e.met != nil {
-		e.met.deferred.Inc()
-	}
-}
-
-// NoteDeferredPromotionTo records a deferred promotion with its pressured
-// destination, so the event log can attribute the deferral to a tier.
+// NoteDeferredPromotionTo records one promotion deferred by admission
+// control with its pressured destination, so the event log can attribute
+// the deferral to a tier.
 func (e *Engine) NoteDeferredPromotionTo(dst tier.NodeID) {
-	e.NoteDeferredPromotion()
-	if e.met != nil {
-		e.emitEventOnce(EventPromotionDeferred, e.Sys.Topo.Nodes[dst].Name, 0)
-	}
+	e.DeferredPromotions++
+	e.emitEventOnce(EventPromotionDeferred, e.Sys.Topo.Nodes[dst].Name, 0)
 	if e.sp != nil {
 		e.SpanEvent("policy", "promotion-deferred",
 			span.S("dst", e.Sys.Topo.Nodes[dst].Name))
 	}
 }
 
-// NoteMigrationRetry records one retried page-copy attempt.
-func (e *Engine) NoteMigrationRetry() {
+// NoteMigrationRetry records one retried page-copy attempt on the src→dst
+// tier pair and the virtual backoff waited before the next attempt. The
+// backoff only feeds the metrics layer; the caller charges the time.
+func (e *Engine) NoteMigrationRetry(src, dst tier.NodeID, backoff time.Duration) {
 	e.MigrationRetries++
 	if e.met != nil {
-		e.met.retries.Inc()
-	}
-}
-
-// NoteMigrationRetryAt records one retried page-copy attempt attributed to
-// its src→dst tier pair.
-func (e *Engine) NoteMigrationRetryAt(src, dst tier.NodeID) {
-	e.NoteMigrationRetry()
-	if e.met != nil {
 		pairCounter(e.met.retriedPages, src, dst).Inc()
-	}
-}
-
-// NoteMigrationBackoff records virtual backoff time charged while retrying
-// a copy on the src→dst pair. It only feeds the metrics layer; the time
-// itself is charged through ChargeMigration by the caller.
-func (e *Engine) NoteMigrationBackoff(src, dst tier.NodeID, d time.Duration) {
-	if e.met != nil {
-		pairCounter(e.met.backoffNs, src, dst).AddDuration(d)
+		pairCounter(e.met.backoffNs, src, dst).AddDuration(backoff)
 	}
 }
 
@@ -216,13 +191,9 @@ func (e *Engine) MoveAborted(v *vm.VMA, idx int, dst tier.NodeID) {
 	e.MigrationAborts++
 	e.WastedBytes += v.PageSize
 	if e.met != nil {
-		e.met.aborts.Inc()
-		e.met.wastedBytes.Add(v.PageSize)
 		pairCounter(e.met.abortedPages, src, dst).Inc()
-		if int(src) >= 0 && int(src) < len(e.met.pairName) {
-			e.emitEventOnce(EventMigrationAbort, e.met.pairName[src][dst], int64(idx))
-		}
 	}
+	e.emitPairEventOnce(EventMigrationAbort, src, dst, int64(idx))
 	if e.sp != nil {
 		srcName := ""
 		if int(src) >= 0 && int(src) < len(e.Sys.Topo.Nodes) {
@@ -268,7 +239,6 @@ func (e *Engine) fail(err error) {
 	if e.failed == nil {
 		e.failed = err
 		if e.met != nil {
-			e.met.oom.Inc()
 			if oe, ok := err.(*OOMError); ok {
 				e.met.reg.Emit(EventOOM, oe.VMA, int64(oe.Page))
 			} else {
@@ -311,10 +281,7 @@ func (e *Engine) emergencyReclaim(socket int, need int64) tier.NodeID {
 		}
 		if e.demoteColdest(cand, lower, need-e.Sys.Free(cand)) {
 			e.EmergencyDemotions++
-			if e.met != nil {
-				e.met.emergencies.Inc()
-				e.emitEventOnce(EventEmergencyDemotion, e.Sys.Topo.Nodes[cand].Name, need)
-			}
+			e.emitEventOnce(EventEmergencyDemotion, e.Sys.Topo.Nodes[cand].Name, need)
 			if e.sp != nil {
 				e.SpanEvent("emergency", "emergency-demotion",
 					span.S("node", e.Sys.Topo.Nodes[cand].Name),

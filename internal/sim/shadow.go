@@ -86,9 +86,6 @@ func (e *Engine) shadowHook(v *vm.VMA) func(int) {
 // the background sync may re-copy and revalidate it later.
 func (e *Engine) shadowWriteInvalidated(_ *vm.VMA, _ int) {
 	e.ShadowInvalidations++
-	if e.met != nil {
-		e.met.shadowInvalidations.Inc()
-	}
 }
 
 // shadowMoveCommitted runs inside MoveCommit: for a committed promotion
@@ -120,9 +117,6 @@ func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) b
 	e.shd.pages[key] = shadowPage{v: v, idx: idx}
 	v.MarkShadowed(idx, e.shadowHook(v))
 	e.shadowRetains++
-	if e.met != nil {
-		e.met.shadowRetained.Inc()
-	}
 	return true
 }
 
@@ -136,9 +130,6 @@ func (e *Engine) dropShadow(key uint64) bool {
 	e.shd.table.Drop(key)
 	sp.v.ClearShadowed(sp.idx)
 	e.shadowDrops++
-	if e.met != nil {
-		e.met.shadowDropped.Inc()
-	}
 	return true
 }
 
@@ -221,9 +212,6 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 		return tier.Invalid, false
 	}
 	e.ShadowHits++
-	if e.met != nil {
-		e.met.shadowHits.Inc()
-	}
 	src := v.Node(idx)
 	if src == dst || !e.Sys.Allocatable(dst) ||
 		e.Sys.Topo.Rank(e.HomeSocket, dst) <= e.Sys.Topo.Rank(e.HomeSocket, src) {
@@ -255,8 +243,6 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 		e.adm.ctl.NotePageMove(key, e.moveDirection(src, dst), e.SpanClockNs())
 	}
 	if e.met != nil {
-		e.met.shadowFlips.Inc()
-		e.met.shadowFlipBytes.Add(v.PageSize)
 		pairCounter(e.met.movedPages, src, dst).Inc()
 	}
 	e.lineageMoveCommitted(v, idx, src, dst, true)
@@ -331,9 +317,6 @@ func (e *Engine) syncShadowPage(v *vm.VMA, i int, dst tier.NodeID) int64 {
 	e.admissionChargeBackground(src, dst, v.PageSize)
 	v.RevalidateShadow(i)
 	e.ShadowSyncBytes += v.PageSize
-	if e.met != nil {
-		e.met.shadowSyncBytes.Add(v.PageSize)
-	}
 	return v.PageSize
 }
 
