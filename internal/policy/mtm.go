@@ -7,7 +7,6 @@ import (
 	"mtm/internal/migrate"
 	"mtm/internal/profiler"
 	"mtm/internal/region"
-	"mtm/internal/shm"
 	"mtm/internal/sim"
 	"mtm/internal/span"
 	"mtm/internal/tier"
@@ -31,10 +30,6 @@ type MTM struct {
 	// Initial is the first-touch placement order (slow-local-first by
 	// default, §9.1).
 	Initial Placement
-	// Shm, when set, receives a snapshot of the profiling results at the
-	// end of every interval — the shared-memory table the §8 kernel
-	// module publishes for the user-space daemon.
-	Shm *shm.Segment
 
 	label string
 	// carry accumulates unused promotion budget so a budget smaller than
@@ -104,14 +99,6 @@ func (p *MTM) IntervalEnd(e *sim.Engine) {
 	regions := p.Prof.Regions()
 	if len(regions) == 0 {
 		return
-	}
-	if p.Shm != nil {
-		t := shm.FromRegions(uint64(e.Intervals), regions, func(r *region.Region) int32 {
-			return int32(nodeOf(r))
-		})
-		// A full table is dropped rather than blocking the interval,
-		// like a missed publish in the real system.
-		_ = p.Shm.Publish(t)
 	}
 	hist := buildHistogram(regions)
 	if e.SpansEnabled() {

@@ -4,7 +4,6 @@ import (
 	"mtm/internal/migrate"
 	"mtm/internal/profiler"
 	"mtm/internal/region"
-	"mtm/internal/shm"
 	"mtm/internal/sim"
 	"mtm/internal/span"
 	"mtm/internal/tier"
@@ -71,12 +70,6 @@ func (p *Nomad) IntervalEnd(e *sim.Engine) {
 	regions := p.Prof.Regions()
 	if len(regions) == 0 {
 		return
-	}
-	if p.Shm != nil {
-		t := shm.FromRegions(uint64(e.Intervals), regions, func(r *region.Region) int32 {
-			return int32(nodeOf(r))
-		})
-		_ = p.Shm.Publish(t)
 	}
 	hist := buildHistogram(regions)
 	if e.SpansEnabled() {

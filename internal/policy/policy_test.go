@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"mtm/internal/shm"
 	"mtm/internal/sim"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
@@ -360,30 +359,6 @@ func (w *socketWorkload) RunInterval(e *sim.Engine) {
 	for !e.IntervalExhausted() {
 		for i := 0; i < w.v.NPages; i++ {
 			e.Access(w.v, i, 2000, 0, w.socket)
-		}
-	}
-}
-
-func TestMTMPublishesShmTable(t *testing.T) {
-	e := testEngine(1)
-	w := workload.NewGUPS(gupsConfig())
-	s := newScaledMTM()
-	s.Shm = shm.NewSegment(1 << 16)
-	runFor(e, w, s, 3)
-	tb, err := s.Shm.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Entries) != len(s.Prof.Regions()) {
-		t.Fatalf("table entries %d != regions %d", len(tb.Entries), len(s.Prof.Regions()))
-	}
-	if tb.Interval == 0 {
-		t.Fatal("table interval not advancing")
-	}
-	// The daemon-visible hotness must match the profiler's view.
-	for i, r := range s.Prof.Regions() {
-		if tb.Entries[i].WHI != r.WHI || tb.Entries[i].Bytes != uint64(r.Bytes()) {
-			t.Fatalf("entry %d diverges from region: %+v vs %v", i, tb.Entries[i], r)
 		}
 	}
 }
