@@ -3,9 +3,11 @@ package mtm_test
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"mtm"
 
+	"mtm/internal/admission"
 	"mtm/internal/experiments"
 	"mtm/internal/migrate"
 	"mtm/internal/policy"
@@ -140,6 +142,58 @@ func benchBatches(b *testing.B, e *sim.Engine, v *vm.VMA, refs []sim.Ref) {
 		if off += k; off == len(refs) {
 			off = 0
 		}
+	}
+}
+
+// BenchmarkFlipDemote measures Nomad's per-page move path on a 2^21-page
+// 4 KB VMA with shadows and admission on: an op flip-demotes one random
+// shadowed page to its slow-tier frame, checking and stamping its
+// cool-down, then promotes it back, retaining a fresh shadow. 2^18 pages
+// spread over the VMA hold shadows, so nearly every op misses cache. The
+// clock advances one cool-down per op, so no flip is suppressed. A warm-up
+// pass sizes the retention FIFO first: the timed steady state must not
+// allocate.
+func BenchmarkFlipDemote(b *testing.B) {
+	const cool = time.Microsecond
+	e := sim.NewEngine(tier.OptaneTopology(64), 1)
+	e.SetSolution(policy.NewSlowFirst())
+	e.AS.THP = false
+	e.EnableShadow()
+	e.EnableAdmission(admission.Config{CoolDown: cool})
+	v := e.AS.Alloc("b", (1<<21)*vm.BasePageSize)
+	for i := 0; i < v.NPages; i++ {
+		e.Access(v, i, 1, 0, 0)
+	}
+	slow := v.Node(0)
+	rng := rand.New(rand.NewSource(1))
+	pages := rng.Perm(v.NPages)[:1<<18]
+	promote := func(idx int) {
+		if !e.MoveBegin(v, idx, 0) {
+			b.Fatalf("promotion of page %d found no room", idx)
+		}
+		e.MoveCommit(v, idx, 0)
+	}
+	for _, idx := range pages {
+		promote(idx)
+	}
+	cycle := func(idx int) {
+		e.ChargeMigration(cool)
+		if dst, ok := e.FlipDemote(v, idx); !ok || dst != slow {
+			b.Fatalf("flip of page %d = (%d, %v), want (%d, true)", idx, dst, ok, slow)
+		}
+		promote(idx)
+	}
+	for i := 0; i < 2*len(pages); i++ {
+		cycle(pages[rng.Intn(len(pages))])
+	}
+	refs := make([]int, 1<<20)
+	for i := range refs {
+		refs[i] = pages[rng.Intn(len(pages))]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle(refs[i&(len(refs)-1)])
 	}
 }
 

@@ -240,8 +240,8 @@ func TestParallelDeterminismFaults(t *testing.T) {
 // TestParallelDeterminismNomad pins the determinism invariant on the
 // non-exclusive tiering path explicitly: shadow retention, write
 // invalidation, background sync and flip demotion all mutate shared
-// state (the shadow table, the per-node shadow ledger, the free-demotion
-// counters), and all of it must stay bit-identical — on the workload
+// state (the per-page shadow index, the per-node shadow ledger, the
+// free-demotion counters), and all of it must stay bit-identical — on the workload
 // whose churn exercises every one of those transitions,
 // with and without a flaky CXL tier aborting moves mid-retention. Audit
 // is on so the end-of-run residency/shadow reconciliation runs too.

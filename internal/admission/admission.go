@@ -384,28 +384,17 @@ func (b *bucket) debit(n int64) {
 	}
 }
 
-// cooldown is one page's hysteresis state: until when, and in which
-// direction the page last moved (same-direction moves stay allowed).
-type cooldown struct {
-	untilNs int64
-	dir     Direction
-}
-
 // Controller holds the admission state for one engine: an N×N matrix
-// of pair buckets and the per-page cool-down table. Not safe for
-// concurrent use. No method draws randomness or reads the wall clock,
-// and the cool-down map is never iterated, so results are
-// bit-identical across runs.
+// of pair buckets, the learned floors, and the per-class tallies. The
+// per-page cool-down is not held here: the engine keeps each page's
+// Cooldown beside the page, and the controller supplies the rule
+// (NotePageMove stamps, PageAllowed judges). Not safe for concurrent
+// use. No method draws randomness or reads the wall clock, so results
+// are bit-identical across runs.
 type Controller struct {
 	cfg   Config
 	pairs []bucket // n*n, indexed src*n + dst
 	n     int
-	cool  map[uint64]cooldown
-	// coolQ records stamps in commit order so Prune can expire old map
-	// entries without iterating the map (map iteration order would leak
-	// into behaviour). coolHead is the consumed prefix.
-	coolQ    []coolEntry
-	coolHead int
 	// learn holds per-pair learned floors and their evidence tallies
 	// (src*n + dst, like pairs); nil unless Config.Learn.
 	learn []learner
@@ -446,15 +435,6 @@ type Starvation struct {
 	Waited int
 }
 
-// coolEntry is one queued cool-down stamp. A page re-stamped later has a
-// newer untilNs in the map than in this record; Prune only deletes the
-// map entry when the two agree, so re-stamped pages survive until their
-// newest record expires.
-type coolEntry struct {
-	key     uint64
-	untilNs int64
-}
-
 // NewController builds a controller for n nodes. Pair budgets start
 // unbounded (rate 0, no enforcement) until SetRate is called.
 func NewController(cfg Config, n int) *Controller {
@@ -462,7 +442,6 @@ func NewController(cfg Config, n int) *Controller {
 		cfg:   cfg.WithDefaults(),
 		pairs: make([]bucket, n*n),
 		n:     n,
-		cool:  make(map[uint64]cooldown),
 	}
 	if c.cfg.Learn {
 		c.learn = make([]learner, n*n)
@@ -690,64 +669,37 @@ func (c *Controller) ZeroBudget(src, dst int, nowNs int64) {
 	b.lastNs = nowNs
 }
 
-// PageAllowed reports whether a page (keyed by its address) may move
-// in dir at nowNs. Expired entries are dropped; moves continuing in
-// the page's last direction are always allowed — hysteresis only
-// blocks reversals, the ping-pong signature.
-func (c *Controller) PageAllowed(key uint64, dir Direction, nowNs int64) bool {
-	e, ok := c.cool[key]
-	if !ok {
-		return true
-	}
-	if nowNs >= e.untilNs {
-		delete(c.cool, key)
-		return true
-	}
-	return e.dir == dir
+// Cooldown is one page's hysteresis stamp: the virtual time its
+// cool-down ends and the direction of the committed move that set it,
+// packed into one word (untilNs<<1 | dir) so the engine can keep it
+// beside the page. The zero Cooldown is a page that never moved; its
+// window ended at time zero.
+type Cooldown int64
+
+// Until returns the virtual time the cool-down ends.
+func (s Cooldown) Until() int64 { return int64(s) >> 1 }
+
+// Dir returns the direction of the move that set the stamp.
+func (s Cooldown) Dir() Direction { return Direction(s & 1) }
+
+// PageAllowed reports whether a page carrying stamp s may move in dir
+// at nowNs. The check happens at read time, so nothing has to expire a
+// stamp ahead of it: a window that has ended allows every move, and
+// moves continuing in the page's last direction are always allowed —
+// hysteresis only blocks reversals, the ping-pong signature.
+func (c *Controller) PageAllowed(s Cooldown, dir Direction, nowNs int64) bool {
+	return nowNs >= s.Until() || s.Dir() == dir
 }
 
-// NotePageMove stamps a committed move's cool-down on the page.
-func (c *Controller) NotePageMove(key uint64, dir Direction, nowNs int64) {
+// NotePageMove returns the stamp a committed move in dir at nowNs leaves
+// on its page, replacing any earlier one. It reports false when
+// cool-downs are disabled: the page then keeps its stamp.
+func (c *Controller) NotePageMove(dir Direction, nowNs int64) (Cooldown, bool) {
 	if c.cfg.CoolDown <= 0 {
-		return
+		return 0, false
 	}
-	until := nowNs + int64(c.cfg.CoolDown)
-	c.cool[key] = cooldown{untilNs: until, dir: dir}
-	c.coolQ = append(c.coolQ, coolEntry{key: key, untilNs: until})
+	return Cooldown((nowNs+int64(c.cfg.CoolDown))<<1 | int64(dir)), true
 }
-
-// Prune drops cool-down entries expired at nowNs and returns how many it
-// removed. Without it the map only sheds entries for pages that happen
-// to be looked up again (PageAllowed's lazy delete), so one-shot movers
-// accumulate for the whole run. Stamps are queued in commit order and
-// cool-downs are a fixed length, so the queue is sorted by expiry: one
-// pass over the expired prefix suffices. Behaviour-neutral by
-// construction — it removes exactly the entries PageAllowed would treat
-// as expired anyway.
-func (c *Controller) Prune(nowNs int64) int {
-	removed := 0
-	for c.coolHead < len(c.coolQ) && c.coolQ[c.coolHead].untilNs <= nowNs {
-		rec := c.coolQ[c.coolHead]
-		c.coolHead++
-		// Only delete when the map still holds this exact stamp; a
-		// re-stamped page has a newer record later in the queue.
-		if e, ok := c.cool[rec.key]; ok && e.untilNs == rec.untilNs {
-			delete(c.cool, rec.key)
-			removed++
-		}
-	}
-	if c.coolHead == len(c.coolQ) {
-		c.coolQ = c.coolQ[:0]
-		c.coolHead = 0
-	} else if c.coolHead >= 1024 && c.coolHead*2 >= len(c.coolQ) {
-		c.coolQ = append(c.coolQ[:0], c.coolQ[c.coolHead:]...)
-		c.coolHead = 0
-	}
-	return removed
-}
-
-// CoolSize reports the live cool-down map size (tests and telemetry).
-func (c *Controller) CoolSize() int { return len(c.cool) }
 
 // NoteOutcome feeds one resolved hindsight verdict for a promotion
 // through the pair into the online learner: reaccessed means the

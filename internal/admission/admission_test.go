@@ -133,34 +133,40 @@ func TestAdmitVerdicts(t *testing.T) {
 
 func TestCooldownHysteresisAndExpiry(t *testing.T) {
 	c := NewController(Config{CoolDown: time.Second}, 2)
-	const key = uint64(0xdead000)
 	// Fresh page: any direction allowed.
-	if !c.PageAllowed(key, DirPromote, 0) {
+	var fresh Cooldown
+	if !c.PageAllowed(fresh, DirPromote, 0) || !c.PageAllowed(fresh, DirDemote, 0) {
 		t.Fatal("fresh page blocked")
 	}
-	c.NotePageMove(key, DirDemote, 0)
+	s, ok := c.NotePageMove(DirDemote, 0)
+	if !ok || s.Until() != int64(time.Second) || s.Dir() != DirDemote {
+		t.Fatalf("stamp = (%d, %v, %v), want (1s, demote, true)", s.Until(), s.Dir(), ok)
+	}
 	// During the cool-down the reverse direction is blocked...
-	if c.PageAllowed(key, DirPromote, int64(999*time.Millisecond)) {
+	if c.PageAllowed(s, DirPromote, int64(999*time.Millisecond)) {
 		t.Fatal("reverse move allowed during cool-down")
 	}
 	// ...but the same direction stays allowed (no hysteresis against
 	// continuing downward).
-	if !c.PageAllowed(key, DirDemote, int64(500*time.Millisecond)) {
+	if !c.PageAllowed(s, DirDemote, int64(500*time.Millisecond)) {
 		t.Fatal("same-direction move blocked during cool-down")
 	}
-	// At exactly the expiry instant the page is free again, and the
-	// entry is dropped.
-	if !c.PageAllowed(key, DirPromote, int64(time.Second)) {
-		t.Fatal("page still blocked at cool-down expiry")
+	// At exactly the expiry instant the page is free again, in both
+	// directions and for good: an expired stamp blocks nothing.
+	for _, now := range []int64{int64(time.Second), int64(time.Hour)} {
+		if !c.PageAllowed(s, DirPromote, now) || !c.PageAllowed(s, DirDemote, now) {
+			t.Fatalf("page still blocked at %d, after its cool-down expired", now)
+		}
 	}
-	if len(c.cool) != 0 {
-		t.Fatalf("expired cool-down entry not dropped: %d entries", len(c.cool))
+	// A promotion stamps the other direction.
+	if p, _ := c.NotePageMove(DirPromote, int64(time.Second)); p.Dir() != DirPromote ||
+		c.PageAllowed(p, DirDemote, int64(1500*time.Millisecond)) {
+		t.Fatal("promotion stamp does not block an immediate demotion")
 	}
 	// A disabled cool-down never stamps.
 	off := NewController(Config{CoolDown: -1}, 2)
-	off.NotePageMove(key, DirDemote, 0)
-	if !off.PageAllowed(key, DirPromote, 0) {
-		t.Fatal("disabled cool-down still blocked a move")
+	if _, ok := off.NotePageMove(DirDemote, 0); ok {
+		t.Fatal("disabled cool-down still stamped a move")
 	}
 }
 
@@ -229,61 +235,5 @@ func TestWasteShedHalfOpenRecovery(t *testing.T) {
 	c3.Waste(0, 1, 4*page, now)
 	if d := c3.Admit(0, 1, DirPromote, 1, page, page, now); d.Verdict != VerdictAdmit {
 		t.Fatalf("Admit with disabled cutoff = %v/%s, want admit", d.Verdict, d.Rule)
-	}
-}
-
-// TestCooldownPruneBoundsMap drives many distinct pages through
-// NotePageMove across a long virtual run, pruning once per simulated
-// interval like the engine does, and asserts the cool-down map never
-// holds more entries than moved within one cool-down window — the map
-// used to grow monotonically for the whole run.
-func TestCooldownPruneBoundsMap(t *testing.T) {
-	const cool = time.Second
-	c := NewController(Config{CoolDown: cool}, 2)
-	const interval = int64(100 * time.Millisecond)
-	const perInterval = 64
-	key := uint64(0)
-	for iv := int64(0); iv < 200; iv++ {
-		now := iv * interval
-		c.Prune(now)
-		for i := 0; i < perInterval; i++ {
-			c.NotePageMove(key, DirPromote, now)
-			key++
-		}
-		// Entries live one cool-down (10 intervals): the map may hold at
-		// most 11 intervals' worth (the current one plus the window).
-		if max := perInterval * 11; c.CoolSize() > max {
-			t.Fatalf("interval %d: cool-down map holds %d entries, want <= %d", iv, c.CoolSize(), max)
-		}
-	}
-	// After a final prune far in the future everything expires.
-	if n := c.Prune(int64(1000 * time.Second)); n == 0 {
-		t.Fatal("final prune removed nothing")
-	}
-	if c.CoolSize() != 0 {
-		t.Fatalf("map not empty after full expiry: %d", c.CoolSize())
-	}
-}
-
-// TestCooldownPruneKeepsRestampedPages: a page whose cool-down was
-// re-stamped must survive the prune of its older queue record.
-func TestCooldownPruneKeepsRestampedPages(t *testing.T) {
-	c := NewController(Config{CoolDown: time.Second}, 2)
-	const key = uint64(0xbeef)
-	c.NotePageMove(key, DirDemote, 0)
-	// Re-stamp at 0.5s: expiry moves to 1.5s.
-	c.NotePageMove(key, DirDemote, int64(500*time.Millisecond))
-	// Prune at 1.2s pops the stale first record but must keep the entry.
-	c.Prune(int64(1200 * time.Millisecond))
-	if c.PageAllowed(key, DirPromote, int64(1200*time.Millisecond)) {
-		t.Fatal("re-stamped page lost its cool-down to a stale queue record")
-	}
-	if c.CoolSize() != 1 {
-		t.Fatalf("cool size = %d, want 1", c.CoolSize())
-	}
-	// At 1.5s the re-stamp expires for real.
-	c.Prune(int64(1500 * time.Millisecond))
-	if c.CoolSize() != 0 {
-		t.Fatalf("cool size after real expiry = %d, want 0", c.CoolSize())
 	}
 }

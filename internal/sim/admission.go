@@ -4,8 +4,9 @@
 // goes through nil-safe methods that admit unconditionally).
 //
 // Determinism contract: admission decisions, budget debits, and
-// cool-down stamps read only the virtual clock. The controller never
-// iterates its cool-down map and never draws randomness.
+// cool-down stamps read only the virtual clock, and the controller never
+// draws randomness. Each page's cool-down stamp lives in its VMA's side
+// state (vm.VMA.Stamp), read when the page is about to move.
 package sim
 
 import (
@@ -178,17 +179,6 @@ func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi
 	return dec
 }
 
-// admissionBeginInterval prunes expired page cool-downs so the map stays
-// bounded by the pages that moved within the last cool-down window,
-// instead of growing for the whole run. Behaviour-neutral: Prune removes
-// exactly the entries PageAllowed would treat as expired.
-func (e *Engine) admissionBeginInterval() {
-	if e.adm == nil {
-		return
-	}
-	e.adm.ctl.Prune(e.SpanClockNs())
-}
-
 // AdmitFlip prices one planned zero-copy shadow-flip demotion. Flips
 // bypass the copy-cost-denominated gates — the victim-ROI bound, token
 // budgets, and waste shedding all price a copy that a flip never pays,
@@ -231,7 +221,7 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 	if int(src) < 0 || int(dst) < 0 || src == dst {
 		return true
 	}
-	if e.adm.ctl.PageAllowed(v.Addr(idx), e.moveDirection(src, dst), e.SpanClockNs()) {
+	if e.adm.ctl.PageAllowed(admission.Cooldown(v.Stamp(idx)), e.moveDirection(src, dst), e.SpanClockNs()) {
 		return true
 	}
 	e.ThrashSuppressed++
@@ -248,7 +238,18 @@ func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID
 	}
 	now := e.SpanClockNs()
 	e.adm.ctl.Commit(int(src), int(dst), v.PageSize, now)
-	e.adm.ctl.NotePageMove(v.Addr(idx), e.moveDirection(src, dst), now)
+	e.admissionStamp(v, idx, src, dst, now)
+}
+
+// admissionStamp leaves a committed src→dst move's cool-down stamp on
+// page idx. No-op without the subsystem.
+func (e *Engine) admissionStamp(v *vm.VMA, idx int, src, dst tier.NodeID, now int64) {
+	if e.adm == nil {
+		return
+	}
+	if s, ok := e.adm.ctl.NotePageMove(e.moveDirection(src, dst), now); ok {
+		v.SetStamp(idx, int64(s))
+	}
 }
 
 // admissionMoveAborted charges an aborted move's wasted bytes to its

@@ -90,7 +90,7 @@ func batchEngine(log *[]string, thp bool, stride int) (*Engine, *vm.VMA) {
 	for i := 0; i < 32; i++ {
 		e.Access(v, i*stride, 1, 0, 0)
 	}
-	v.MarkShadowed(3*stride, e.shadowHook(v))
+	v.MarkShadowed(3*stride, 1, e.shadowHook(v))
 	e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 8)
 	e.PEBS.Arm(2)
 	return e, v

@@ -425,7 +425,6 @@ func (e *Engine) beginInterval() {
 	e.Sys.ResetWindow(e.Interval)
 	e.spansBeginInterval()
 	e.healthBeginInterval()
-	e.admissionBeginInterval()
 }
 
 func (e *Engine) endInterval() {

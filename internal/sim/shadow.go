@@ -1,7 +1,7 @@
-// Engine-side non-exclusive tiering (Nomad): the shadow-frame table of
-// internal/tier attached to the simulation. Disabled by default — an
-// engine without EnableShadow runs exactly the pre-shadow code (MoveCommit
-// releases every source frame, TouchN pays one nil check).
+// Engine-side non-exclusive tiering (Nomad): retained shadow frames.
+// Disabled by default — an engine without EnableShadow runs exactly the
+// pre-shadow code (MoveCommit releases every source frame, TouchN pays
+// one nil check).
 //
 // Lifecycle of a shadow: a committed promotion retains the slow-tier
 // source frame as a shadow instead of releasing it (shadowMoveCommitted);
@@ -14,59 +14,105 @@
 // emergency demotion path runs, and poison/drain/offline events drop any
 // shadows on the affected frames so a dead frame is never flipped to.
 //
+// Where a shadow lives: the VMA is its only index. The shadowAll and
+// shadowValid planes say whether page idx has a shadow and whether it is
+// still valid, and the page record holds the shadow's node, so FlipDemote
+// reads it from the record it already loads. The System's shadow ledger
+// holds the bytes. Beside them the engine keeps one FIFO of (VMA, idx)
+// records per node, in retention order, for the paths that must pick
+// shadows by age: pressure reclaim takes the oldest, node-wide drops go
+// oldest first.
+//
 // Determinism contract: iteration is in (VMA, page) or per-node FIFO
-// order — never map order — and an engine that never calls
-// EnableShadow is bit-identical to a build without this file.
+// order, and an engine that never calls EnableShadow is bit-identical to
+// a build without this file.
 package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 )
 
-// shadowState bundles the table and its page back-references behind one
-// nil check.
+// shadowState is the per-node retention FIFOs behind one nil check.
 type shadowState struct {
-	table *tier.ShadowTable
-	// pages maps shadow key (page virtual address) back to the page, so
-	// drops triggered from the table side (pressure reclaim, node-wide
-	// drops) can clear the VMA planes.
-	pages map[uint64]shadowPage
+	// fifo[n] holds node n's retention records, oldest first; heads[n]
+	// is its consumed prefix. A record is live while its seq still equals
+	// the page's ShadowSeq: dropping the shadow, or shadowing the page
+	// again, advances the page's seq and leaves the record to be skipped.
+	fifo  [][]shadowRec
+	heads []int
 	// hooks caches the one write-invalidation closure per VMA.
 	hooks map[*vm.VMA]func(int)
 }
 
-type shadowPage struct {
+// shadowRec is one retention, recorded in its node's FIFO.
+type shadowRec struct {
 	v   *vm.VMA
-	idx int
+	idx int32
+	seq uint32
 }
 
-// EnableShadow attaches the shadow-frame table (idempotent). Policies
-// that migrate non-exclusively (Nomad) call it from their first
+func (r shadowRec) live() bool { return r.v.ShadowSeq(int(r.idx)) == r.seq }
+
+// push appends r to node n's FIFO. A full queue first sheds its stale
+// records, in order, and grows only if they were fewer than half: the
+// queue stays within about twice its live records, and a steady state
+// of drops and retentions reuses one array.
+func (s *shadowState) push(n tier.NodeID, r shadowRec) {
+	q := s.fifo[n]
+	if len(q) == cap(q) {
+		kept := q[:0]
+		for _, x := range q[s.heads[n]:] {
+			if x.live() {
+				kept = append(kept, x)
+			}
+		}
+		q = slices.Grow(kept, len(kept)+1)
+		s.heads[n] = 0
+	}
+	s.fifo[n] = append(q, r)
+}
+
+// each calls fn with node n's live retention records, oldest first. fn
+// may drop shadows: a drop advances the page's seq and leaves the queue
+// as it is.
+func (s *shadowState) each(n tier.NodeID, fn func(shadowRec)) {
+	for _, r := range s.fifo[n][s.heads[n]:] {
+		if r.live() {
+			fn(r)
+		}
+	}
+}
+
+// EnableShadow attaches shadow retention (idempotent). Policies that
+// migrate non-exclusively (Nomad) call it from their first
 // IntervalStart; everything else leaves it off and runs bit-identically
 // to a shadow-free engine.
 func (e *Engine) EnableShadow() {
 	if e.shd != nil {
 		return
 	}
+	n := len(e.Sys.Topo.Nodes)
 	e.shd = &shadowState{
-		table: tier.NewShadowTable(e.Sys),
-		pages: make(map[uint64]shadowPage),
+		fifo:  make([][]shadowRec, n),
+		heads: make([]int, n),
 		hooks: make(map[*vm.VMA]func(int)),
 	}
 }
 
-// ShadowEnabled reports whether the shadow-frame table is attached.
+// ShadowEnabled reports whether shadow retention is attached.
 func (e *Engine) ShadowEnabled() bool { return e.shd != nil }
 
 // ShadowCount returns the number of live shadow frames (0 when disabled).
 func (e *Engine) ShadowCount() int {
-	if e.shd == nil {
-		return 0
+	n := 0
+	for _, v := range e.AS.VMAs() {
+		n += v.ShadowedCount()
 	}
-	return e.shd.table.Count()
+	return n
 }
 
 // shadowHook returns the per-VMA write-invalidation closure, cached so
@@ -98,10 +144,7 @@ func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) b
 	if e.shd == nil {
 		return false
 	}
-	key := v.Addr(idx)
-	if _, ok := e.shd.pages[key]; ok {
-		e.dropShadow(key)
-	}
+	e.dropShadow(v, idx)
 	if src == vm.NoNode || src == dst ||
 		e.Sys.Topo.Rank(e.HomeSocket, dst) >= e.Sys.Topo.Rank(e.HomeSocket, src) ||
 		!e.Sys.Allocatable(src) {
@@ -109,28 +152,49 @@ func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) b
 	}
 	// Promotion: convert the source frame from the used ledger to the
 	// shadow ledger. The release/reserve pair moves the same byte count,
-	// so Put can only fail if src went offline — checked above.
+	// so the reserve can only fail if src went offline — checked above.
 	e.Sys.Release(src, v.PageSize)
-	if !e.shd.table.Put(key, src, v.PageSize) {
+	if !e.Sys.ReserveShadow(src, v.PageSize) {
 		return true // frame released; nothing retained
 	}
-	e.shd.pages[key] = shadowPage{v: v, idx: idx}
-	v.MarkShadowed(idx, e.shadowHook(v))
+	seq := v.MarkShadowed(idx, src, e.shadowHook(v))
+	e.shd.push(src, shadowRec{v: v, idx: int32(idx), seq: seq})
 	e.shadowRetains++
 	return true
 }
 
-// dropShadow releases the shadow of key and clears the page's planes.
-func (e *Engine) dropShadow(key uint64) bool {
-	sp, ok := e.shd.pages[key]
-	if !ok {
+// releaseShadow returns page idx's shadow frame to the ledger and
+// forgets the shadow. The page must have one.
+func (e *Engine) releaseShadow(v *vm.VMA, idx int) {
+	e.Sys.ReleaseShadow(v.ShadowNode(idx), v.PageSize)
+	v.ClearShadowed(idx)
+}
+
+// dropShadow discards the shadow of page idx, if any.
+func (e *Engine) dropShadow(v *vm.VMA, idx int) bool {
+	if !v.Shadowed(idx) {
 		return false
 	}
-	delete(e.shd.pages, key)
-	e.shd.table.Drop(key)
-	sp.v.ClearShadowed(sp.idx)
+	e.releaseShadow(v, idx)
 	e.shadowDrops++
 	return true
+}
+
+// oldestShadowOn returns the oldest live retention record on node n. The
+// head is left pointing at it: the caller drops it before the next call,
+// which then advances past it.
+func (e *Engine) oldestShadowOn(n tier.NodeID) (shadowRec, bool) {
+	s := e.shd
+	q := s.fifo[n]
+	for h := s.heads[n]; h < len(q); h++ {
+		if q[h].live() {
+			s.heads[n] = h
+			return q[h], true
+		}
+	}
+	s.fifo[n] = q[:0]
+	s.heads[n] = 0
+	return shadowRec{}, false
 }
 
 // shadowDropPage drops the shadow of one page, if any. Called from the
@@ -139,7 +203,7 @@ func (e *Engine) shadowDropPage(v *vm.VMA, idx int) {
 	if e.shd == nil {
 		return
 	}
-	e.dropShadow(v.Addr(idx))
+	e.dropShadow(v, idx)
 }
 
 // shadowDropNode drops every shadow resident on node n, in FIFO order.
@@ -149,9 +213,7 @@ func (e *Engine) shadowDropNode(n tier.NodeID) {
 	if e.shd == nil {
 		return
 	}
-	for _, key := range e.shd.table.KeysOn(n) {
-		e.dropShadow(key)
-	}
+	e.shd.each(n, func(r shadowRec) { e.dropShadow(r.v, int(r.idx)) })
 }
 
 // shadowMakeRoom reclaims shadow frames on dst, oldest first, until need
@@ -162,11 +224,11 @@ func (e *Engine) shadowMakeRoom(dst tier.NodeID, need int64) bool {
 		return false
 	}
 	for e.Sys.Free(dst) < need {
-		key, ok := e.shd.table.OldestOn(dst)
+		r, ok := e.oldestShadowOn(dst)
 		if !ok {
 			return false
 		}
-		e.dropShadow(key)
+		e.dropShadow(r.v, int(r.idx))
 	}
 	return true
 }
@@ -202,22 +264,14 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	if e.shd == nil || !v.Present(idx) || !v.ShadowValid(idx) {
 		return tier.Invalid, false
 	}
-	key := v.Addr(idx)
-	sp, ok := e.shd.pages[key]
-	if !ok || sp.v != v || sp.idx != idx {
-		return tier.Invalid, false
-	}
-	dst, _, ok := e.shd.table.Get(key)
-	if !ok {
-		return tier.Invalid, false
-	}
+	dst := v.ShadowNode(idx)
 	e.ShadowHits++
 	src := v.Node(idx)
 	if src == dst || !e.Sys.Allocatable(dst) ||
 		e.Sys.Topo.Rank(e.HomeSocket, dst) <= e.Sys.Topo.Rank(e.HomeSocket, src) {
 		// Not a demotion anymore (or the shadow frame is unusable):
 		// drop it so capacity comes back and the copy path decides.
-		e.dropShadow(key)
+		e.dropShadow(v, idx)
 		return tier.Invalid, false
 	}
 	if !e.PageMoveAllowed(v, idx, dst) {
@@ -225,9 +279,7 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	}
 	// Consume the shadow: its bytes move from the shadow ledger back to
 	// the used ledger on dst, and the fast frame on src is freed.
-	delete(e.shd.pages, key)
-	e.shd.table.Drop(key)
-	v.ClearShadowed(idx)
+	e.releaseShadow(v, idx)
 	if !e.Sys.Reserve(dst, v.PageSize) {
 		panic("sim: FlipDemote failed to reserve the bytes its shadow drop just freed")
 	}
@@ -239,9 +291,7 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	e.FreeDemotionBytes += v.PageSize
 	e.NoteDemotion(v.PageSize)
 	e.recordMoveSuccess(src, dst)
-	if e.adm != nil {
-		e.adm.ctl.NotePageMove(key, e.moveDirection(src, dst), e.SpanClockNs())
-	}
+	e.admissionStamp(v, idx, src, dst, e.SpanClockNs())
 	if e.met != nil {
 		pairCounter(e.met.movedPages, src, dst).Inc()
 	}
@@ -276,16 +326,9 @@ func (e *Engine) ShadowSync(maxBytes int64) int64 {
 				if synced >= maxBytes {
 					return synced
 				}
-				key := v.Addr(i)
-				dst, _, ok := e.shd.table.Get(key)
-				if !ok {
-					// Plane bit without a table entry: stale marker.
-					v.ClearShadowed(i)
-					delete(e.shd.pages, key)
-					continue
-				}
+				dst := v.ShadowNode(i)
 				if !e.Sys.Allocatable(dst) {
-					e.dropShadow(key)
+					e.dropShadow(v, i)
 					continue
 				}
 				if v.TestAndClearDirty(i) {
@@ -305,8 +348,8 @@ func (e *Engine) ShadowSync(maxBytes int64) int64 {
 
 // syncShadowPage re-copies one stale shadowed present page back to its
 // shadow frame on dst and revalidates it, charging background time and
-// bandwidth. Returns the page's size. Callers have already resolved dst
-// from the table and checked it is allocatable.
+// bandwidth. Returns the page's size. Callers have already read dst
+// from the page and checked it is allocatable.
 func (e *Engine) syncShadowPage(v *vm.VMA, i int, dst tier.NodeID) int64 {
 	src := v.Node(i)
 	e.ChargeBackground(e.Sys.CopyTime(e.HomeSocket, src, dst, v.PageSize))
@@ -341,15 +384,9 @@ func (e *Engine) ShadowSyncRange(v *vm.VMA, start, end int, maxBytes int64) int6
 			if synced >= maxBytes {
 				return synced
 			}
-			key := v.Addr(i)
-			dst, _, ok := e.shd.table.Get(key)
-			if !ok {
-				v.ClearShadowed(i)
-				delete(e.shd.pages, key)
-				continue
-			}
+			dst := v.ShadowNode(i)
 			if !e.Sys.Allocatable(dst) {
-				e.dropShadow(key)
+				e.dropShadow(v, i)
 				continue
 			}
 			v.TestAndClearDirty(i) // harvest; the write-back supersedes it
@@ -370,10 +407,7 @@ func (e *Engine) ShadowDemoteDest(v *vm.VMA, start, end int) tier.NodeID {
 	for w := start / vm.WordPages; w*vm.WordPages < end; w++ {
 		word := v.ShadowValidRangeWord(w, start, end) & v.PresentWord(w)
 		if word != 0 {
-			i := w*vm.WordPages + bits.TrailingZeros64(word)
-			if n, _, ok := e.shd.table.Get(v.Addr(i)); ok {
-				return n
-			}
+			return v.ShadowNode(w*vm.WordPages + bits.TrailingZeros64(word))
 		}
 	}
 	return tier.Invalid

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // newShadowEngine builds a two-tier engine (node 0 fast DRAM, node 1
-// slow PM) with the shadow table attached.
+// slow PM) with shadow retention attached.
 func newShadowEngine(dram, pm int64) *Engine {
 	e := NewEngine(tier.TwoTierTopology(dram, pm), 1)
 	e.Interval = 10 * time.Millisecond
@@ -307,7 +308,8 @@ func TestShadowsReclaimedUnderPressure(t *testing.T) {
 }
 
 // TestAuditCatchesShadowDrift: a shadow ledger that disagrees with the
-// table must fail the audit.
+// shadowed pages, or a retention FIFO that disagrees with the planes,
+// must fail the audit.
 func TestAuditCatchesShadowDrift(t *testing.T) {
 	e := newShadowEngine(8*tier.MB, 8*tier.MB)
 	e.SetSolution(&fixedSolution{node: 1})
@@ -315,12 +317,34 @@ func TestAuditCatchesShadowDrift(t *testing.T) {
 	v := e.AS.Alloc("v", 4*tier.MB)
 	promoteWithShadow(t, e, v, 0)
 	mustAudit(t, e)
-	// Inject drift: ledger bytes with no table entry behind them.
+	// Inject drift: ledger bytes with no shadowed page behind them.
 	e.Sys.ReserveShadow(1, v.PageSize)
 	if err := e.Audit(); err == nil {
 		t.Fatal("audit accepted shadow ledger drift")
 	}
 	e.Sys.ReleaseShadow(1, v.PageSize)
+	mustAudit(t, e)
+
+	// Inject drift: a live FIFO record for a page whose plane bit is
+	// clear — a record carrying the page's current seq, as if the shadow
+	// had been cleared without advancing it.
+	e.Access(v, 1, 1, 0, 0)
+	if v.Shadowed(1) {
+		t.Fatal("setup: page 1 is shadowed")
+	}
+	fifo := e.shd.fifo[1]
+	e.shd.fifo[1] = append(fifo, shadowRec{v: v, idx: 1, seq: v.ShadowSeq(1)})
+	err := e.Audit()
+	if err == nil {
+		t.Fatal("audit accepted a live FIFO record without a shadow")
+	}
+	for _, want := range []string{"shadow FIFO: 2 live records, but 1 pages are marked shadowed",
+		"shadow FIFO: live PM record for v/1, but the page's shadow node is -1"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("audit error %q lacks %q", err, want)
+		}
+	}
+	e.shd.fifo[1] = fifo
 	mustAudit(t, e)
 }
 

@@ -53,102 +53,3 @@ func TestShadowReleasePanics(t *testing.T) {
 		}()
 	}
 }
-
-func TestShadowTablePutGetDrop(t *testing.T) {
-	s := NewSystem(TwoTierTopology(8*MB, 8*MB))
-	st := NewShadowTable(s)
-	if !st.Put(0x1000, 1, MB) {
-		t.Fatal("put failed")
-	}
-	n, b, ok := st.Get(0x1000)
-	if !ok || n != 1 || b != MB {
-		t.Fatalf("get = (%d,%d,%v)", n, b, ok)
-	}
-	if s.ShadowBytes(1) != MB {
-		t.Fatalf("ledger = %d after put", s.ShadowBytes(1))
-	}
-	// Re-adding a key replaces the entry (the old frame is released).
-	if !st.Put(0x1000, 0, 2*MB) {
-		t.Fatal("re-put failed")
-	}
-	if s.ShadowBytes(1) != 0 || s.ShadowBytes(0) != 2*MB {
-		t.Fatalf("ledger after re-put: n0=%d n1=%d", s.ShadowBytes(0), s.ShadowBytes(1))
-	}
-	if st.Count() != 1 {
-		t.Fatalf("count = %d, want 1", st.Count())
-	}
-	n, b, ok = st.Drop(0x1000)
-	if !ok || n != 0 || b != 2*MB {
-		t.Fatalf("drop = (%d,%d,%v)", n, b, ok)
-	}
-	if s.ShadowBytes(0) != 0 || st.Count() != 0 {
-		t.Fatal("drop did not release the ledger/entry")
-	}
-	if _, _, ok := st.Drop(0x1000); ok {
-		t.Fatal("double drop succeeded")
-	}
-}
-
-func TestShadowTablePutOverCapacity(t *testing.T) {
-	s := NewSystem(TwoTierTopology(8*MB, 8*MB))
-	st := NewShadowTable(s)
-	if st.Put(0x1000, 1, 9*MB) {
-		t.Fatal("put over capacity succeeded")
-	}
-	if st.Count() != 0 || s.ShadowBytes(1) != 0 {
-		t.Fatal("failed put left residue")
-	}
-}
-
-// TestShadowTableFIFO exercises OldestOn's lazy stale-skip: dropped and
-// re-added keys must not resurface out of order or twice.
-func TestShadowTableFIFO(t *testing.T) {
-	s := NewSystem(TwoTierTopology(64*MB, 64*MB))
-	st := NewShadowTable(s)
-	for i := uint64(0); i < 4; i++ {
-		if !st.Put(i, 1, MB) {
-			t.Fatalf("put %d failed", i)
-		}
-	}
-	if k, ok := st.OldestOn(1); !ok || k != 0 {
-		t.Fatalf("oldest = (%d,%v), want 0", k, ok)
-	}
-	st.Drop(0)
-	st.Drop(2)
-	if k, ok := st.OldestOn(1); !ok || k != 1 {
-		t.Fatalf("oldest after drops = (%d,%v), want 1", k, ok)
-	}
-	// Re-adding key 1 re-stamps it: the queue's old record is stale and
-	// the key now ranks youngest.
-	st.Put(1, 1, MB)
-	if k, ok := st.OldestOn(1); !ok || k != 3 {
-		t.Fatalf("oldest after re-put = (%d,%v), want 3", k, ok)
-	}
-	st.Drop(3)
-	if k, ok := st.OldestOn(1); !ok || k != 1 {
-		t.Fatalf("oldest after dropping 3 = (%d,%v), want 1", k, ok)
-	}
-	st.Drop(1)
-	if _, ok := st.OldestOn(1); ok {
-		t.Fatal("oldest on an empty node reported an entry")
-	}
-	if got := st.KeysOn(1); len(got) != 0 {
-		t.Fatalf("keys on drained node = %v", got)
-	}
-}
-
-func TestShadowTablePerNodeBytes(t *testing.T) {
-	s := NewSystem(TwoTierTopology(8*MB, 8*MB))
-	st := NewShadowTable(s)
-	st.Put(1, 0, MB)
-	st.Put(2, 1, 2*MB)
-	st.Put(3, 1, MB)
-	per := st.PerNodeBytes()
-	if per[0] != MB || per[1] != 3*MB {
-		t.Fatalf("per-node = %v", per)
-	}
-	keys := st.KeysOn(1)
-	if len(keys) != 2 || keys[0] != 2 || keys[1] != 3 {
-		t.Fatalf("keys on 1 = %v", keys)
-	}
-}

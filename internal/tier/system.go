@@ -63,8 +63,9 @@ func (s *System) Used(n NodeID) int64 { return s.used[n] }
 // Free returns the bytes still allocatable on a node: capacity minus live
 // allocations minus quarantined (poisoned) frames minus retained shadow
 // copies, or zero when the node has been taken offline for new
-// allocations. Shadow frames count against capacity but are soft: the
-// holder (the shadow table) can drop them under pressure to make room.
+// allocations. Shadow frames count against capacity but are soft: their
+// holder (the engine's shadow retention) can drop them under pressure to
+// make room.
 func (s *System) Free(n NodeID) int64 {
 	if s.offline[n] {
 		return 0

@@ -51,8 +51,18 @@ type modelPage struct {
 	present, accessed, dirty, touched bool
 	writeProtect, poisoned            bool
 	shadowed, shadowValid             bool
+	shadowNode                        tier.NodeID
+	shadowSeq                         uint32
+	stamp                             int64
 	count, writes                     uint32
 	socket                            int
+}
+
+func (m modelPage) shadowNodeOrNone() tier.NodeID {
+	if !m.shadowed {
+		return NoNode
+	}
+	return m.shadowNode
 }
 
 func (m modelPage) pte() PTE {
@@ -159,7 +169,11 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		case k < 74:
 			op = fmt.Sprintf("Poison(%d)", idx)
 			v.Poison(idx)
-			*m = modelPage{node: NoNode, poisoned: true, socket: m.socket}
+			seq := m.shadowSeq
+			if m.shadowed {
+				seq++
+			}
+			*m = modelPage{node: NoNode, poisoned: true, socket: m.socket, shadowSeq: seq, stamp: m.stamp}
 		case k < 78:
 			op = fmt.Sprintf("ClearPoison(%d)", idx)
 			v.ClearPoison(idx)
@@ -169,10 +183,26 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 			op = fmt.Sprintf("SetWriteProtect(%d, %v)", idx, on)
 			v.SetWriteProtect(idx, on)
 			m.writeProtect = on
+		case k < 93:
+			n := nodes[rng.Intn(len(nodes))]
+			op = fmt.Sprintf("MarkShadowed(%d, %d)", idx, n)
+			m.shadowSeq++
+			if seq := v.MarkShadowed(idx, n, hook); seq != m.shadowSeq {
+				t.Fatalf("step %d %s: returned seq %d, want %d", step, op, seq, m.shadowSeq)
+			}
+			m.shadowed, m.shadowValid, m.shadowNode = true, true, n
+		case k < 95:
+			op = fmt.Sprintf("ClearShadowed(%d)", idx)
+			v.ClearShadowed(idx)
+			if m.shadowed {
+				m.shadowSeq++
+			}
+			m.shadowed, m.shadowValid = false, false
 		case k < 96:
-			op = fmt.Sprintf("MarkShadowed(%d)", idx)
-			v.MarkShadowed(idx, hook)
-			m.shadowed, m.shadowValid = true, true
+			s := rng.Int63() - rng.Int63()
+			op = fmt.Sprintf("SetStamp(%d, %d)", idx, s)
+			v.SetStamp(idx, s)
+			m.stamp = s
 		default:
 			op = "ResetCounts()"
 			v.ResetCounts()
@@ -191,7 +221,8 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 			if v.Node(i) != m.node || v.Count(i) != m.count || v.WriteCount(i) != m.writes ||
 				v.LastSocket(i) != m.socket || v.PTE(i) != m.pte() || v.IsPoisoned(i) != m.poisoned ||
 				v.Touched(i) != m.touched || v.Present(i) != m.present ||
-				v.Shadowed(i) != m.shadowed || v.ShadowValid(i) != m.shadowValid {
+				v.Shadowed(i) != m.shadowed || v.ShadowValid(i) != m.shadowValid ||
+				v.ShadowNode(i) != m.shadowNodeOrNone() || v.ShadowSeq(i) != m.shadowSeq || v.Stamp(i) != m.stamp {
 				t.Fatalf("step %d %s: page %d\nvma   node=%d count=%d writes=%d socket=%d pte=%07b poisoned=%v touched=%v shadowed=%v/%v\nmodel %+v pte=%07b",
 					step, op, i, v.Node(i), v.Count(i), v.WriteCount(i), v.LastSocket(i), v.PTE(i), v.IsPoisoned(i),
 					v.Touched(i), v.Shadowed(i), v.ShadowValid(i), m, m.pte())
