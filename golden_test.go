@@ -63,6 +63,15 @@ var goldenVariants = []struct {
 		c.Metrics = true
 		c.Audit = true
 	}},
+	// Under plain dimm-death copies fail only into the dying node, and
+	// the drain moves pages off it, so the drain never retries. Busy
+	// copies on every pair make the drain's retry loop and its admission
+	// lane fire.
+	{"dimm-death+ebusy+lanes", func(c *Config) {
+		c.Faults = "dimm-death,page-busy-prob=0.3,page-busy-duty=1"
+		c.AdmissionLanes = "default"
+		c.Audit = true
+	}},
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
@@ -81,7 +90,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden digests are recorded on linux/amd64 only")
 	}
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("224 runs; skipped in -short and -race")
+		t.Skip("256 runs; skipped in -short and -race")
 	}
 	want := map[string]string{}
 	if b, err := os.ReadFile(goldenFile); err == nil {

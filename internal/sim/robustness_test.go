@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mtm/internal/admission"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 )
@@ -81,51 +82,95 @@ func TestEmergencyDemotionRescuesFragmentation(t *testing.T) {
 	// 7 MB of cold 4 KB pages on each 8 MB node: no node has room for a
 	// 2 MB huge page, but demoting 1 MB of cold DRAM pages to PM
 	// consolidates enough. The fault must survive via emergency demotion.
-	e := NewEngine(tier.TwoTierTopology(8*tier.MB, 8*tier.MB), 1)
-	e.Interval = time.Second
-	e.beginInterval()
-	e.AS.THP = false
-	e.SetSolution(&fixedSolution{node: 0})
-	fill0 := e.AS.Alloc("fill0", 7*tier.MB)
-	for i := 0; i < fill0.NPages; i++ {
-		e.Access(fill0, i, 1, 0, 0)
-	}
-	e.SetSolution(&fixedSolution{node: 1})
-	fill1 := e.AS.Alloc("fill1", 7*tier.MB)
-	for i := 0; i < fill1.NPages; i++ {
-		e.Access(fill1, i, 1, 0, 0)
-	}
-	e.AS.THP = true
-	e.SetSolution(&fixedSolution{node: 0})
-	huge := e.AS.Alloc("huge", vm.HugePageSize)
-	e.Access(huge, 0, 1, 0, 0)
-	if err := e.Err(); err != nil {
-		t.Fatalf("huge fault failed despite reclaimable space: %v", err)
-	}
-	if e.EmergencyDemotions != 1 {
-		t.Fatalf("EmergencyDemotions = %d, want 1", e.EmergencyDemotions)
-	}
-	if huge.Node(0) != 0 {
-		t.Fatalf("huge page on node %d, want 0 (DRAM)", huge.Node(0))
-	}
-	// Exact capacity accounting: 14 MB of filler plus the huge page, no
-	// node over capacity, demoted filler pages present on PM.
-	if used := e.Sys.Used(0) + e.Sys.Used(1); used != 14*tier.MB+vm.HugePageSize {
-		t.Fatalf("total used = %d", used)
-	}
-	if e.Sys.Used(0) > 8*tier.MB || e.Sys.Used(1) > 8*tier.MB {
-		t.Fatal("node over capacity after emergency demotion")
-	}
-	demoted := 0
-	for i := 0; i < fill0.NPages; i++ {
-		if fill0.Node(i) == 1 {
-			demoted++
+	// With priority lanes on, every demoted page is also recorded on the
+	// emergency lane, and the lane must neither refuse a page nor change
+	// what the demotion costs.
+	for _, lanes := range []bool{false, true} {
+		name := "plain"
+		if lanes {
+			name = "lanes"
 		}
+		t.Run(name, func(t *testing.T) {
+			e := NewEngine(tier.TwoTierTopology(8*tier.MB, 8*tier.MB), 1)
+			e.Interval = time.Second
+			if lanes {
+				lc, err := admission.ParseLanes("default")
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.EnableAdmission(admission.Config{Lanes: lc})
+			}
+			e.beginInterval()
+			e.AS.THP = false
+			e.SetSolution(&fixedSolution{node: 0})
+			fill0 := e.AS.Alloc("fill0", 7*tier.MB)
+			for i := 0; i < fill0.NPages; i++ {
+				e.Access(fill0, i, 1, 0, 0)
+			}
+			e.SetSolution(&fixedSolution{node: 1})
+			fill1 := e.AS.Alloc("fill1", 7*tier.MB)
+			for i := 0; i < fill1.NPages; i++ {
+				e.Access(fill1, i, 1, 0, 0)
+			}
+			e.AS.THP = true
+			e.SetSolution(&fixedSolution{node: 0})
+			huge := e.AS.Alloc("huge", vm.HugePageSize)
+			appBefore := e.intApp
+			e.Access(huge, 0, 1, 0, 0)
+			if err := e.Err(); err != nil {
+				t.Fatalf("huge fault failed despite reclaimable space: %v", err)
+			}
+			if e.EmergencyDemotions != 1 {
+				t.Fatalf("EmergencyDemotions = %d, want 1", e.EmergencyDemotions)
+			}
+			if huge.Node(0) != 0 {
+				t.Fatalf("huge page on node %d, want 0 (DRAM)", huge.Node(0))
+			}
+			// Exact capacity accounting: 14 MB of filler plus the huge
+			// page, no node over capacity, demoted filler pages present on
+			// PM.
+			if used := e.Sys.Used(0) + e.Sys.Used(1); used != 14*tier.MB+vm.HugePageSize {
+				t.Fatalf("total used = %d", used)
+			}
+			if e.Sys.Used(0) > 8*tier.MB || e.Sys.Used(1) > 8*tier.MB {
+				t.Fatal("node over capacity after emergency demotion")
+			}
+			const pages = int(tier.MB / vm.BasePageSize)
+			demoted := 0
+			for i := 0; i < fill0.NPages; i++ {
+				if fill0.Node(i) == 1 {
+					demoted++
+				}
+			}
+			if demoted != pages {
+				t.Fatalf("demoted %d filler pages, want %d", demoted, pages)
+			}
+			if e.intDemoted != tier.MB {
+				t.Fatalf("demoted bytes = %d, want %d", e.intDemoted, tier.MB)
+			}
+			// Demotion runs inside the fault, so each page's copy and
+			// fixed kernel work land on app time, on top of the huge
+			// page's own fault and access.
+			perPage := e.Sys.CopyTime(e.HomeSocket, 0, 1, vm.BasePageSize) + emergencyDemotePageCost
+			fault := e.FaultCost + e.Sys.CopyTime(0, 0, 0, vm.HugePageSize)
+			want := time.Duration(pages)*perPage + fault + e.latNow[0][0] + e.PerAccessCPU
+			if got := e.intApp - appBefore; got != want {
+				t.Fatalf("app-time charge of the rescued fault = %v, want %v", got, want)
+			}
+			ls := e.AdmissionLaneStats()
+			if !lanes {
+				if ls != nil {
+					t.Fatalf("lane stats without lanes: %+v", ls)
+				}
+			} else {
+				em := ls.Emergency
+				if em.Requests != int64(pages) || em.Admits != int64(pages) || em.Defers != 0 || em.Bytes != tier.MB {
+					t.Fatalf("emergency lane = %+v, want %d requests and admits, %d bytes", em, pages, tier.MB)
+				}
+			}
+			mustAudit(t, e)
+		})
 	}
-	if want := int(tier.MB / vm.BasePageSize); demoted != want {
-		t.Fatalf("demoted %d filler pages, want %d", demoted, want)
-	}
-	mustAudit(t, e)
 }
 
 func TestEmergencyDemotionCannotFixTrueExhaustion(t *testing.T) {
