@@ -168,10 +168,9 @@ func BenchmarkFlipDemote(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	pages := rng.Perm(v.NPages)[:1<<18]
 	promote := func(idx int) {
-		if !e.MoveBegin(v, idx, 0) {
+		if !e.MovePage(v, idx, 0) {
 			b.Fatalf("promotion of page %d found no room", idx)
 		}
-		e.MoveCommit(v, idx, 0)
 	}
 	for _, idx := range pages {
 		promote(idx)

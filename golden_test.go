@@ -42,10 +42,11 @@ var goldenVariants = []struct {
 		c.Faults = "dimm-death"
 		c.Audit = true
 	}},
-	// Poison recovery and emergency reclaim run inside the access path
-	// and stamp their spans with the interval's app time so far, so this
-	// variant pins the app-time accounting as the access path's hooks
-	// see it, not only its end-of-interval totals.
+	// Poison recovery runs inside the access path and stamps its spans
+	// with the interval's app time so far, so this variant pins the
+	// app-time accounting as the access path's hooks see it, not only
+	// its end-of-interval totals. No run here reaches emergency reclaim;
+	// internal/sim's TestEmergencyDemotionRescuesFragmentation covers it.
 	{"dimm-death+spans", func(c *Config) {
 		c.Faults = "dimm-death"
 		c.Audit = true

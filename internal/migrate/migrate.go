@@ -77,72 +77,14 @@ type Report struct {
 	ExtraCopyBytes int64
 	// SwitchedToSync reports MTM's adaptive fallback firing.
 	SwitchedToSync bool
-
-	// Robustness accounting (non-zero only under fault injection):
-	// transient-EBUSY attempts retried, transactions aborted after the
-	// retry budget, bytes copied and thrown away by aborts, and the
-	// wasted-work time (busy attempts, backoffs, aborted copies) charged
-	// on top of the productive migration steps.
-	Retries      int64
-	Aborts       int64
-	WastedBytes  int64
-	RetryPenalty time.Duration
-}
-
-// RetryPolicy bounds per-page retries of transient copy failures with
-// capped exponential backoff. Backoff is charged in virtual time, so runs
-// stay deterministic — there is no wall-clock sleeping and no jitter. The
-// zero value selects DefaultRetry, which keeps `MovePages{}`-style
-// mechanism literals valid.
-type RetryPolicy struct {
-	MaxAttempts int           // copy attempts per page before aborting
-	BaseBackoff time.Duration // backoff after the first failed attempt
-	MaxBackoff  time.Duration // cap for the exponential growth
-}
-
-// DefaultRetry mirrors the kernel's bounded migrate_pages() retry loop
-// (it tries a page a handful of times before giving up with EBUSY).
-var DefaultRetry = RetryPolicy{
-	MaxAttempts: 5,
-	BaseBackoff: 5 * time.Microsecond,
-	MaxBackoff:  80 * time.Microsecond,
-}
-
-// norm resolves the zero value and missing fields to DefaultRetry.
-func (p RetryPolicy) norm() RetryPolicy {
-	if p.MaxAttempts <= 0 {
-		return DefaultRetry
-	}
-	if p.BaseBackoff <= 0 {
-		p.BaseBackoff = DefaultRetry.BaseBackoff
-	}
-	if p.MaxBackoff < p.BaseBackoff {
-		p.MaxBackoff = p.BaseBackoff
-	}
-	return p
-}
-
-// Backoff returns the virtual-time backoff after the n-th failed attempt
-// (n >= 1): BaseBackoff doubled per retry, capped at MaxBackoff.
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	d := p.BaseBackoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= p.MaxBackoff {
-			return p.MaxBackoff
-		}
-	}
-	if d > p.MaxBackoff {
-		return p.MaxBackoff
-	}
-	return d
 }
 
 // Mechanism migrates a span of pages [start, end) of a VMA to dst and
 // charges the engine. Pages already on dst are skipped; at most maxPages
-// pages move (maxPages <= 0 means no cap). Implementations must move only
-// pages that fit in dst and must keep tier accounting exact via
-// Engine.MovePage.
+// pages are attempted (maxPages <= 0 means no cap). Each page moves as
+// one Engine.CopyPage transaction, which keeps tier accounting exact and
+// retries busy copies; the mechanism prices the moves, wasted work
+// included.
 type Mechanism interface {
 	Name() string
 	Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) Report
@@ -224,15 +166,12 @@ func spanCandidates(v *vm.VMA, start, end int, dst tier.NodeID) (cand []int, wri
 	return cand, writes
 }
 
-// rebindResult is the outcome of the transactional rebind loop.
+// rebindResult is the outcome of the rebind loop.
 type rebindResult struct {
-	moved      int
-	bytes      int64
-	srcBytes   []int64 // productive bytes per source node, indexed by NodeID
-	retries    int64
-	aborts     int64
-	waste      time.Duration // busy attempts + backoffs + aborted copies
-	wasteBytes int64         // bytes copied then thrown away by aborts
+	moved    int
+	bytes    int64
+	srcBytes []int64       // productive bytes per source node, indexed by NodeID
+	waste    time.Duration // busy attempts + backoffs + aborted copies
 
 	// Per-source provenance for the span trace (nil unless tracing is
 	// enabled): pages moved, copy attempts retried, virtual backoff time,
@@ -244,18 +183,13 @@ type rebindResult struct {
 	srcAborts    []int64
 }
 
-// rebind moves the candidate pages one by one until dst runs out of space
-// or maxPages pages have moved (maxPages <= 0 means no cap), recording
-// bandwidth demand on both nodes. Each page move is a transaction
-// (Nomad-style copy-then-commit): MoveBegin reserves the destination
-// frame, the copy is attempted under the retry policy, and the move
-// either commits or aborts with the tier accounting rolled back. A page
-// that exhausts its retry budget is skipped, not fatal — later pages
-// still move. Aborted pages count against the maxPages cap: the cap
-// models a per-call work budget, and failed attempts consume it like the
-// kernel's nr_pages do.
-func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int, rp RetryPolicy) rebindResult {
-	rp = rp.norm()
+// rebind moves the candidate pages one by one, each as an
+// Engine.CopyPage transaction, until dst runs out of space or maxPages
+// pages have been attempted (maxPages <= 0 means no cap). A page whose
+// copy aborts is skipped, not fatal — later pages still move. Aborted
+// pages count against the maxPages cap: the cap models a per-call work
+// budget, and failed attempts consume it like the kernel's nr_pages do.
+func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int) rebindResult {
 	nNodes := len(e.Sys.Topo.Nodes)
 	res := rebindResult{srcBytes: make([]int64, nNodes)}
 	if e.SpansEnabled() {
@@ -275,80 +209,64 @@ func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int,
 			// nor consumes the page budget.
 			continue
 		}
-		src := v.Node(i)
-		if !e.MoveBegin(v, i, dst) {
+		mv, ok := e.CopyPage(v, i, dst)
+		if !ok {
 			break // destination full; partial move keeps accounting exact
 		}
 		attempted++
-		ok := false
-		for attempt := 1; attempt <= rp.MaxAttempts; attempt++ {
-			busy, penalty := e.PageBusy(v, i, dst)
-			if !busy {
-				ok = true
-				break
-			}
-			res.waste += penalty
-			if attempt < rp.MaxAttempts {
-				res.retries++
-				backoff := rp.Backoff(attempt)
-				res.waste += backoff
-				e.NoteMigrationRetry(src, dst, backoff)
-				if res.srcRetries != nil {
-					res.srcRetries[src]++
-					res.srcBackoffNs[src] += int64(backoff)
-				}
-			}
+		src := mv.Src
+		res.waste += mv.Waste
+		if res.srcRetries != nil {
+			res.srcRetries[src] += mv.Retries
+			res.srcBackoffNs[src] += int64(mv.Backoff)
 		}
-		if !ok {
-			// Retry budget exhausted: roll back the reservation. The last
-			// attempt's copy had already streamed the page, so its copy
-			// time and link traffic are wasted work.
-			e.MoveAborted(v, i, dst)
-			res.aborts++
-			res.wasteBytes += v.PageSize
+		if !mv.Committed {
+			// The last attempt's copy had already streamed the page, so
+			// its copy time is wasted work.
+			res.waste += copyTime(v.PageSize, pairBW(e, src, dst))
 			if res.srcAborts != nil {
 				res.srcAborts[src]++
 			}
-			res.waste += copyTime(v.PageSize, pairBW(e, src, dst))
-			e.Sys.RecordTransfer(src, v.PageSize)
-			e.Sys.RecordTransfer(dst, v.PageSize)
 			continue
 		}
-		e.MoveCommit(v, i, dst)
 		res.moved++
 		res.bytes += v.PageSize
 		res.srcBytes[src] += v.PageSize
 		if res.srcPages != nil {
 			res.srcPages[src]++
 		}
-		e.Sys.RecordTransfer(src, v.PageSize)
-		e.Sys.RecordTransfer(dst, v.PageSize)
 	}
 	return res
 }
 
-// robustness copies the rebind loop's retry/abort accounting into a
-// report and returns the wasted-work time to fold into the charge.
-func (r rebindResult) robustness(rep *Report) time.Duration {
-	rep.Retries = r.retries
-	rep.Aborts = r.aborts
-	rep.WastedBytes = r.wasteBytes
-	rep.RetryPenalty = r.waste
-	return r.waste
+// beginMigration opens the mechanism's migration span when tracing
+// (spanStart is its virtual timestamp, the transfer-span cursor) and
+// rebinds the span's candidate pages. writes is the span's write-counter
+// sum, read before rebinding.
+func beginMigration(e *sim.Engine, name string, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) (spanStart int64, rb rebindResult, writes uint32) {
+	if e.SpansEnabled() {
+		spanStart = e.SpanClockNs()
+		e.SpanBegin("migration", name,
+			span.S("vma", v.Name),
+			span.I("page_start", int64(start)),
+			span.I("page_end", int64(end)),
+			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
+			span.I("max_pages", int64(maxPages)))
+	}
+	cand, writes := spanCandidates(v, start, end, dst)
+	return spanStart, rebind(e, v, cand, dst, maxPages), writes
 }
 
-// beginMigrationSpan opens the mechanism's migration span at the current
-// virtual timestamp and returns that timestamp for the transfer-span
-// cursor. Callers must only invoke it when e.SpansEnabled().
-func beginMigrationSpan(e *sim.Engine, name string, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) int64 {
-	startNs := e.SpanClockNs()
-	e.SpanBegin("migration", name,
-		span.S("vma", v.Name),
-		span.I("page_start", int64(start)),
-		span.I("page_end", int64(end)),
-		span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-		span.I("max_pages", int64(maxPages)))
-	return startNs
+// finishMigration charges rep.Critical to the critical path, closes the
+// migration span when tracing, and returns rep. A migration that
+// committed no page finishes with Report{Critical: rb.waste}: only the
+// wasted work of busy attempts and aborts is charged.
+func finishMigration(e *sim.Engine, spanStart int64, rb rebindResult, rep Report, dst tier.NodeID) Report {
+	e.ChargeMigration(rep.Critical)
+	if e.SpansEnabled() {
+		endMigrationSpan(e, spanStart, rb, &rep, dst)
+	}
+	return rep
 }
 
 func srcAt(a []int64, i int) int64 {
@@ -366,7 +284,10 @@ func srcAt(a []int64, i int) int64 {
 // copy time; callers must only invoke it when e.SpansEnabled().
 func endMigrationSpan(e *sim.Engine, startNs int64, rb rebindResult, rep *Report, dst tier.NodeID) {
 	cur := startNs
+	var retries, aborts int64
 	for src := range rb.srcBytes {
+		retries += srcAt(rb.srcRetries, src)
+		aborts += srcAt(rb.srcAborts, src)
 		if rb.srcBytes[src] == 0 && srcAt(rb.srcRetries, src) == 0 && srcAt(rb.srcAborts, src) == 0 {
 			continue
 		}
@@ -386,109 +307,56 @@ func endMigrationSpan(e *sim.Engine, startNs int64, rb rebindResult, rep *Report
 		span.I("bytes", rep.Bytes),
 		span.I("critical_ns", int64(rep.Critical)),
 		span.I("background_ns", int64(rep.Background)),
-		span.I("retries", rep.Retries),
-		span.I("aborts", rep.Aborts))
+		span.I("retries", retries),
+		span.I("aborts", aborts))
 }
 
 // MovePages models Linux move_pages(): the four steps run sequentially on
 // the calling thread, the copy is single-threaded, and THP mappings are
 // split so every 4 KB page pays per-PTE costs (§7.1).
-type MovePages struct {
-	// Retry bounds per-page retries of transient copy failures; the zero
-	// value is DefaultRetry.
-	Retry RetryPolicy
-}
+type MovePages struct{}
 
 func (MovePages) Name() string { return "move_pages" }
 
 func (m MovePages) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) Report {
-	spanning := e.SpansEnabled()
-	var spanStart int64
-	if spanning {
-		spanStart = beginMigrationSpan(e, m.Name(), v, start, end, dst, maxPages)
-	}
-	cand, _ := spanCandidates(v, start, end, dst)
-	rb := rebind(e, v, cand, dst, maxPages, m.Retry)
-	var rep Report
-	waste := rb.robustness(&rep)
-	if rb.moved == 0 {
-		if waste > 0 {
-			e.ChargeMigration(waste)
-			rep.Critical = waste
-		}
-		if spanning {
-			endMigrationSpan(e, spanStart, rb, &rep, dst)
-		}
-		return rep
-	}
-	n4k := rb.bytes / vm.BasePageSize // THP split: per-4KB-PTE work
-	st := Steps{
-		Alloc:     time.Duration(n4k) * AllocPerPTE,
-		Unmap:     time.Duration(n4k) * UnmapPerPTE,
-		Copy:      time.Duration(n4k)*CopyPerPTE + weightedCopyTime(e, rb.srcBytes, dst, SingleThreadCopyBW),
-		Remap:     time.Duration(n4k) * RemapPerPTE,
-		PageTable: time.Duration(n4k) * PTPerPTE,
-	}
-	e.ChargeMigration(st.Total() + waste)
-	rep.MovedPages = rb.moved
-	rep.Bytes = rb.bytes
-	rep.Critical = st.Total() + waste
-	rep.CriticalSteps = st
-	if spanning {
-		endMigrationSpan(e, spanStart, rb, &rep, dst)
-	}
-	return rep
+	return syncMigrate(e, m.Name(), v, start, end, dst, maxPages, 1, 1)
 }
 
 // Nimble models Nimble page management: still synchronous, but with
 // multi-threaded parallel copy and exchange-style allocation that halves
 // allocation work. Per-PTE bookkeeping happens at 4 KB granularity like
 // move_pages (migration splits THP mappings).
-type Nimble struct {
-	// Retry bounds per-page retries of transient copy failures; the zero
-	// value is DefaultRetry.
-	Retry RetryPolicy
-}
+type Nimble struct{}
 
 func (Nimble) Name() string { return "nimble" }
 
 func (m Nimble) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) Report {
-	spanning := e.SpansEnabled()
-	var spanStart int64
-	if spanning {
-		spanStart = beginMigrationSpan(e, m.Name(), v, start, end, dst, maxPages)
-	}
-	cand, _ := spanCandidates(v, start, end, dst)
-	rb := rebind(e, v, cand, dst, maxPages, m.Retry)
-	var rep Report
-	waste := rb.robustness(&rep)
+	return syncMigrate(e, m.Name(), v, start, end, dst, maxPages, 2, CopyThreads)
+}
+
+// syncMigrate is the synchronous mechanisms' shared body: every step runs
+// on the critical path at 4 KB PTE granularity (THP split). Allocation
+// work is divided by allocDiv, and the copy is split over threads copy
+// threads, each sustaining SingleThreadCopyBW.
+func syncMigrate(e *sim.Engine, name string, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int, allocDiv, threads int) Report {
+	spanStart, rb, _ := beginMigration(e, name, v, start, end, dst, maxPages)
 	if rb.moved == 0 {
-		if waste > 0 {
-			e.ChargeMigration(waste)
-			rep.Critical = waste
-		}
-		if spanning {
-			endMigrationSpan(e, spanStart, rb, &rep, dst)
-		}
-		return rep
+		return finishMigration(e, spanStart, rb, Report{Critical: rb.waste}, dst)
 	}
 	n4k := rb.bytes / vm.BasePageSize
 	st := Steps{
-		Alloc:     time.Duration(n4k) * AllocPerPTE / 2, // exchange pages
+		Alloc:     time.Duration(n4k) * AllocPerPTE / time.Duration(allocDiv),
 		Unmap:     time.Duration(n4k) * UnmapPerPTE,
-		Copy:      time.Duration(n4k)*CopyPerPTE/CopyThreads + weightedCopyTime(e, rb.srcBytes, dst, int64(CopyThreads)*SingleThreadCopyBW),
+		Copy:      time.Duration(n4k)*CopyPerPTE/time.Duration(threads) + weightedCopyTime(e, rb.srcBytes, dst, int64(threads)*SingleThreadCopyBW),
 		Remap:     time.Duration(n4k) * RemapPerPTE,
 		PageTable: time.Duration(n4k) * PTPerPTE,
 	}
-	e.ChargeMigration(st.Total() + waste)
-	rep.MovedPages = rb.moved
-	rep.Bytes = rb.bytes
-	rep.Critical = st.Total() + waste
-	rep.CriticalSteps = st
-	if spanning {
-		endMigrationSpan(e, spanStart, rb, &rep, dst)
-	}
-	return rep
+	return finishMigration(e, spanStart, rb, Report{
+		MovedPages:    rb.moved,
+		Bytes:         rb.bytes,
+		Critical:      st.Total() + rb.waste,
+		CriticalSteps: st,
+	}, dst)
 }
 
 // Adaptive models MTM's move_memory_regions() (§7.2): allocation and copy
@@ -506,9 +374,6 @@ type Adaptive struct {
 	// interval's ground-truth write counters. Microbenchmarks use the
 	// override to model concurrent writers.
 	WriteRate float64
-	// Retry bounds per-page retries of transient copy failures; the zero
-	// value is DefaultRetry.
-	Retry RetryPolicy
 }
 
 // NewAdaptive returns the default MTM mechanism.
@@ -522,29 +387,14 @@ func (a *Adaptive) Name() string {
 }
 
 func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) Report {
-	spanning := e.SpansEnabled()
-	var spanStart int64
-	if spanning {
-		spanStart = beginMigrationSpan(e, a.Name(), v, start, end, dst, maxPages)
-	}
 	// The prescan estimates the region's write rate BEFORE rebinding
 	// (counters are per-interval; rebinding doesn't change them, but
 	// order keeps the estimate tied to the pages actually moved).
-	cand, writes := spanCandidates(v, start, end, dst)
-	rb := rebind(e, v, cand, dst, maxPages, a.Retry)
-	var rep Report
-	waste := rb.robustness(&rep)
+	spanStart, rb, writes := beginMigration(e, a.Name(), v, start, end, dst, maxPages)
 	if rb.moved == 0 {
-		if waste > 0 {
-			e.ChargeMigration(waste)
-			rep.Critical = waste
-		}
-		if spanning {
-			endMigrationSpan(e, spanStart, rb, &rep, dst)
-		}
-		return rep
+		return finishMigration(e, spanStart, rb, Report{Critical: rb.waste}, dst)
 	}
-	moved, bytes := rb.moved, rb.bytes
+	bytes := rb.bytes
 	srcNode := dominantSrc(rb.srcBytes)
 	n4k := bytes / vm.BasePageSize // same 4 KB PTE granularity as move_pages
 	alloc := time.Duration(n4k) * AllocPerPTE
@@ -554,19 +404,14 @@ func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 		Remap:     time.Duration(n4k) * RemapPerPTE,
 		PageTable: time.Duration(n4k) * PTPerPTE,
 	}
-	rep.MovedPages = moved
-	rep.Bytes = bytes
+	rep := Report{MovedPages: rb.moved, Bytes: bytes}
 
 	if a.ForceSync {
 		crit.Alloc = alloc
 		crit.Copy = cp
-		rep.Critical = crit.Total() + waste
+		rep.Critical = crit.Total() + rb.waste
 		rep.CriticalSteps = crit
-		e.ChargeMigration(rep.Critical)
-		if spanning {
-			endMigrationSpan(e, spanStart, rb, &rep, dst)
-		}
-		return rep
+		return finishMigration(e, spanStart, rb, rep, dst)
 	}
 
 	crit.DirtyTrack = DirtyTrackArm
@@ -601,16 +446,12 @@ func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 	} else {
 		rep.Background = alloc + cp
 	}
-	rep.Critical = crit.Total() + waste
+	rep.Critical = crit.Total() + rb.waste
 	rep.CriticalSteps = crit
-	e.ChargeMigration(rep.Critical)
 	e.ChargeBackground(rep.Background)
 	if rep.ExtraCopyBytes > 0 {
 		e.Sys.RecordTransfer(srcNode, rep.ExtraCopyBytes)
 		e.Sys.RecordTransfer(dst, rep.ExtraCopyBytes)
 	}
-	if spanning {
-		endMigrationSpan(e, spanStart, rb, &rep, dst)
-	}
-	return rep
+	return finishMigration(e, spanStart, rb, rep, dst)
 }

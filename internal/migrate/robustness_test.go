@@ -46,8 +46,8 @@ func TestAbortRollsBackAccounting(t *testing.T) {
 	})
 	usedSrc, usedDst := e.Sys.Used(2), e.Sys.Used(0)
 	rep := MovePages{}.Migrate(e, v, 0, 4, 0, 0)
-	if rep.MovedPages != 0 || rep.Aborts != 4 {
-		t.Fatalf("moved=%d aborts=%d, want 0/4", rep.MovedPages, rep.Aborts)
+	if rep.MovedPages != 0 || e.MigrationAborts != 4 {
+		t.Fatalf("moved=%d aborts=%d, want 0/4", rep.MovedPages, e.MigrationAborts)
 	}
 	if e.Sys.Used(2) != usedSrc || e.Sys.Used(0) != usedDst {
 		t.Fatal("aborted transactions leaked capacity")
@@ -57,15 +57,15 @@ func TestAbortRollsBackAccounting(t *testing.T) {
 			t.Fatalf("page %d rebound despite abort", i)
 		}
 	}
-	// MaxAttempts 5 per page: 4 retries each, one wasted page copy each.
-	if rep.Retries != 16 || e.MigrationRetries != 16 || e.MigrationAborts != 4 {
-		t.Fatalf("retries=%d/%d aborts=%d", rep.Retries, e.MigrationRetries, e.MigrationAborts)
+	// Five busy attempts per page: 4 retries each, one wasted page copy each.
+	if e.MigrationRetries != 16 || e.WastedBytes != 4*vm.HugePageSize {
+		t.Fatalf("retries=%d wasted bytes=%d", e.MigrationRetries, e.WastedBytes)
 	}
-	if rep.WastedBytes != 4*vm.HugePageSize || e.WastedBytes != 4*vm.HugePageSize {
-		t.Fatalf("wasted bytes = %d/%d", rep.WastedBytes, e.WastedBytes)
-	}
-	if rep.RetryPenalty == 0 || rep.Critical != rep.RetryPenalty {
-		t.Fatalf("wasted work not charged: penalty=%v critical=%v", rep.RetryPenalty, rep.Critical)
+	// Each page wastes five busy penalties, 5+10+20+40 µs of backoff and
+	// the aborted copy, all on the critical path.
+	perPage := 5*time.Microsecond + 75*time.Microsecond + copyTime(vm.HugePageSize, pairBW(e, 2, 0))
+	if rep.Critical != 4*perPage {
+		t.Fatalf("critical = %v, want the wasted work %v", rep.Critical, 4*perPage)
 	}
 }
 
@@ -73,88 +73,16 @@ func TestRetrySucceedsWithBackoffCharged(t *testing.T) {
 	e, v := setup(t, 2, 2)
 	e.SetFaultPlane(&stubFaults{busyLeft: map[int]int{0: 2}, penalty: time.Microsecond})
 	rep := MovePages{}.Migrate(e, v, 0, 2, 0, 0)
-	if rep.MovedPages != 2 || rep.Aborts != 0 || rep.Retries != 2 {
-		t.Fatalf("moved=%d aborts=%d retries=%d", rep.MovedPages, rep.Aborts, rep.Retries)
+	if rep.MovedPages != 2 || e.MigrationAborts != 0 || e.MigrationRetries != 2 {
+		t.Fatalf("moved=%d aborts=%d retries=%d", rep.MovedPages, e.MigrationAborts, e.MigrationRetries)
 	}
-	// Two busy attempts on page 0: 2x penalty plus backoffs 5 µs and 10 µs.
-	want := 2*time.Microsecond + DefaultRetry.Backoff(1) + DefaultRetry.Backoff(2)
-	if rep.RetryPenalty != want {
-		t.Fatalf("retry penalty = %v, want %v", rep.RetryPenalty, want)
-	}
-	// The penalty rides on the critical path.
+	// Two busy attempts on page 0: 2x penalty plus backoffs 5 µs and 10 µs,
+	// riding on the critical path.
+	want := 2*time.Microsecond + 15*time.Microsecond
 	e2, v2 := setup(t, 2, 2)
 	clean := MovePages{}.Migrate(e2, v2, 0, 2, 0, 0)
 	if rep.Critical != clean.Critical+want {
 		t.Fatalf("critical %v, want clean %v + penalty %v", rep.Critical, clean.Critical, want)
-	}
-}
-
-func TestBackoffCapped(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 10, BaseBackoff: 5 * time.Microsecond, MaxBackoff: 20 * time.Microsecond}
-	for n, want := range map[int]time.Duration{
-		1: 5 * time.Microsecond,
-		2: 10 * time.Microsecond,
-		3: 20 * time.Microsecond,
-		4: 20 * time.Microsecond,
-		9: 20 * time.Microsecond,
-	} {
-		if got := p.Backoff(n); got != want {
-			t.Fatalf("Backoff(%d) = %v, want %v", n, got, want)
-		}
-	}
-}
-
-// TestRetryPolicyBoundaries pins the Backoff/norm boundary behaviour the
-// rebind loop relies on: the virtual-time sequence it charges must stay
-// stable across refactors.
-func TestRetryPolicyBoundaries(t *testing.T) {
-	// DefaultRetry's charged sequence: 5, 10, 20, 40, 80, then pinned at
-	// the 80 µs cap.
-	want := []time.Duration{
-		5 * time.Microsecond, 10 * time.Microsecond, 20 * time.Microsecond,
-		40 * time.Microsecond, 80 * time.Microsecond, 80 * time.Microsecond,
-	}
-	for i, w := range want {
-		if got := DefaultRetry.Backoff(i + 1); got != w {
-			t.Fatalf("DefaultRetry.Backoff(%d) = %v, want %v", i+1, got, w)
-		}
-	}
-
-	// n=1 is the first failed attempt: exactly BaseBackoff, no doubling.
-	p := RetryPolicy{MaxAttempts: 3, BaseBackoff: 7 * time.Microsecond, MaxBackoff: 100 * time.Microsecond}
-	if got := p.Backoff(1); got != 7*time.Microsecond {
-		t.Fatalf("Backoff(1) = %v, want BaseBackoff", got)
-	}
-
-	// Cap saturation: once the doubled value reaches MaxBackoff it stays
-	// there for every later attempt (no overflow, no oscillation).
-	sat := RetryPolicy{MaxAttempts: 64, BaseBackoff: time.Microsecond, MaxBackoff: 8 * time.Microsecond}
-	for n := 4; n <= 64; n += 15 {
-		if got := sat.Backoff(n); got != 8*time.Microsecond {
-			t.Fatalf("Backoff(%d) = %v, want saturated cap", n, got)
-		}
-	}
-
-	// The zero value resolves to DefaultRetry wholesale.
-	if got := (RetryPolicy{}).norm(); got != DefaultRetry {
-		t.Fatalf("zero-value norm() = %+v, want DefaultRetry", got)
-	}
-	// A set MaxAttempts with zero durations inherits the default backoffs.
-	got := RetryPolicy{MaxAttempts: 2}.norm()
-	if got.MaxAttempts != 2 || got.BaseBackoff != DefaultRetry.BaseBackoff {
-		t.Fatalf("partial norm() = %+v", got)
-	}
-
-	// MaxBackoff below BaseBackoff collapses to a constant backoff at
-	// BaseBackoff — never a cap below the base, never zero.
-	inv := RetryPolicy{MaxAttempts: 5, BaseBackoff: 10 * time.Microsecond, MaxBackoff: 2 * time.Microsecond}.norm()
-	if inv.MaxBackoff != inv.BaseBackoff {
-		t.Fatalf("inverted norm() = %+v, want MaxBackoff == BaseBackoff", inv)
-	}
-	for n := 1; n <= 5; n++ {
-		if got := inv.Backoff(n); got != 10*time.Microsecond {
-			t.Fatalf("inverted Backoff(%d) = %v, want constant BaseBackoff", n, got)
-		}
 	}
 }
 
@@ -164,8 +92,8 @@ func TestMaxPagesCapCountsAbortedAttempts(t *testing.T) {
 	e, v := setup(t, 8, 2)
 	e.SetFaultPlane(&stubFaults{busyLeft: map[int]int{0: -1, 1: -1}})
 	rep := MovePages{}.Migrate(e, v, 0, 8, 0, 3)
-	if rep.Aborts != 2 || rep.MovedPages != 1 {
-		t.Fatalf("aborts=%d moved=%d, want 2/1", rep.Aborts, rep.MovedPages)
+	if e.MigrationAborts != 2 || rep.MovedPages != 1 {
+		t.Fatalf("aborts=%d moved=%d, want 2/1", e.MigrationAborts, rep.MovedPages)
 	}
 	if v.Node(2) != 0 || v.Node(3) != 2 {
 		t.Fatal("wrong pages moved under capped retry budget")
@@ -241,7 +169,8 @@ func TestLinkDegradeSlowsCopy(t *testing.T) {
 func TestNoFaultPlaneReportsCleanRobustness(t *testing.T) {
 	e, v := setup(t, 4, 2)
 	rep := NewAdaptive().Migrate(e, v, 0, 4, 0, 0)
-	if rep.Retries != 0 || rep.Aborts != 0 || rep.WastedBytes != 0 || rep.RetryPenalty != 0 {
-		t.Fatalf("clean run reported robustness events: %+v", rep)
+	if rep.MovedPages != 4 || e.MigrationRetries != 0 || e.MigrationAborts != 0 || e.WastedBytes != 0 {
+		t.Fatalf("clean run reported robustness events: moved=%d retries=%d aborts=%d wasted=%d",
+			rep.MovedPages, e.MigrationRetries, e.MigrationAborts, e.WastedBytes)
 	}
 }

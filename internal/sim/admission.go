@@ -231,7 +231,7 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 
 // admissionMoveCommitted debits a committed move from its pair's
 // bucket and stamps the page's cool-down (hysteresis against an
-// immediate reversal). Called from MoveCommit with the begin-time src.
+// immediate reversal). Called from commitMove.
 func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) {
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return
@@ -254,7 +254,7 @@ func (e *Engine) admissionStamp(v *vm.VMA, idx int, src, dst tier.NodeID, now in
 
 // admissionMoveAborted charges an aborted move's wasted bytes to its
 // pair at the waste-penalty multiple: the load-shedding feedback loop.
-// Called from MoveAborted with the begin-time src.
+// Called from abortMove.
 func (e *Engine) admissionMoveAborted(pageSize int64, src, dst tier.NodeID) {
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return
@@ -337,32 +337,22 @@ func (e *Engine) AdmissionLaneStats() *LaneStats {
 	}
 }
 
-// admitDrainMove prices one health-drain page move on the drain lane:
-// ROI gates and waste shedding do not apply (evacuating a dying tier is
-// not optional), but the move draws on the pair's tokens plus the
+// admitLaneMove prices one engine-initiated page move on its class's
+// lane. Drain moves skip the ROI gates and waste shedding (evacuating a
+// dying tier is not optional) but draw on the pair's tokens plus the
 // reserved slice, so a saturated pair paces the drain instead of
-// stopping it. Always true unless lanes are enabled — without lanes,
-// drain traffic bypasses admission entirely, as before.
-func (e *Engine) admitDrainMove(src, dst tier.NodeID, bytes, pageSize int64) bool {
+// stopping it. Emergency moves are never refused — the alternative is an
+// OOM — so for them this is bookkeeping: the class counters and the
+// starvation watchdog see the request, and the commit debits the bytes
+// like any other move. Always true unless lanes are enabled; without
+// lanes, engine-initiated moves bypass admission entirely.
+func (e *Engine) admitLaneMove(cl admission.Class, src, dst tier.NodeID, pageSize int64) bool {
 	if e.adm == nil || !e.adm.lanes || int(src) < 0 || int(dst) < 0 || src == dst {
 		return true
 	}
-	dec := e.adm.ctl.AdmitClass(admission.ClassDrain, int(src), int(dst),
-		e.moveDirection(src, dst), 0, bytes, pageSize, e.SpanClockNs())
+	dec := e.adm.ctl.AdmitClass(cl, int(src), int(dst),
+		e.moveDirection(src, dst), 0, pageSize, pageSize, e.SpanClockNs())
 	return dec.Verdict == admission.VerdictAdmit
-}
-
-// admitEmergencyMove records one emergency demotion on the emergency
-// lane. Emergency traffic is never refused — the alternative is an OOM
-// — so this is bookkeeping, not a gate: the class counters and the
-// starvation watchdog see the request, and the commit path debits the
-// bytes like any other move.
-func (e *Engine) admitEmergencyMove(src, dst tier.NodeID, bytes int64) {
-	if e.adm == nil || !e.adm.lanes || int(src) < 0 || int(dst) < 0 || src == dst {
-		return
-	}
-	e.adm.ctl.AdmitClass(admission.ClassEmergency, int(src), int(dst),
-		e.moveDirection(src, dst), 0, bytes, bytes, e.SpanClockNs())
 }
 
 // admissionChargeBackground charges background copy traffic (shadow

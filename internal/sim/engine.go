@@ -118,12 +118,6 @@ type Engine struct {
 	lin    *lineage            // nil unless the oracle or the admission learner is on
 	evSeen map[string]struct{} // per-interval event dedup (emitEventOnce)
 
-	// Open page-move transaction (MoveBegin → MoveCommit/MoveAborted).
-	// The source node is captured at begin time so the outcome is
-	// attributed to the pair the transaction was opened against.
-	txnOpen bool
-	txnSrc  tier.NodeID
-
 	clock time.Duration
 
 	// Interval accumulators.
@@ -358,18 +352,20 @@ func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) (tier.NodeID, bool)
 }
 
 // MovePage rebinds page idx of v from its current node to dst, updating
-// capacity accounting. It does not charge time; migration mechanisms do.
-// It reports whether the move happened (false when dst is full). It is
-// the non-transactional fast path: MoveBegin followed immediately by
-// MoveCommit (mechanisms that can fail mid-copy use those directly).
+// capacity accounting. It does not charge time; the caller does. It
+// reports whether the move happened (false when dst is full). It commits
+// without a copy attempt, so the fault plane never fails it: emergency
+// demotion, which runs inside the fault path, moves pages this way.
+// Mechanisms and the health drain move pages with CopyPage.
 func (e *Engine) MovePage(v *vm.VMA, idx int, dst tier.NodeID) bool {
-	if v.Node(idx) == dst {
+	src := v.Node(idx)
+	if src == dst {
 		return true
 	}
-	if !e.MoveBegin(v, idx, dst) {
+	if !e.reserveMove(v, dst) {
 		return false
 	}
-	e.MoveCommit(v, idx, dst)
+	e.commitMove(v, idx, src, dst)
 	return true
 }
 

@@ -13,8 +13,8 @@ package sim
 import (
 	"fmt"
 	"math/bits"
-	"time"
 
+	"mtm/internal/admission"
 	"mtm/internal/health"
 	"mtm/internal/span"
 	"mtm/internal/tier"
@@ -313,25 +313,13 @@ func (e *Engine) healthEndInterval() {
 	}
 }
 
-// Drain retry policy, mirroring migrate.DefaultRetry (which lives above
-// this package): 5 attempts, exponential backoff 5µs..80µs.
-const drainRetryAttempts = 5
-
-func drainBackoff(attempt int) time.Duration {
-	d := time.Duration(5_000<<(attempt-1)) * time.Nanosecond
-	if d > 80*time.Microsecond {
-		d = 80 * time.Microsecond
-	}
-	return d
-}
-
 // drainNode evacuates up to DrainPagesPerInterval resident pages off
-// node, each through the transactional move path with EBUSY retries,
-// into the best usable destination (next-slower tiers first, cascading
-// past full ones, then faster tiers as a last resort). When live pages
-// remain but no destination has room, the drain stalls: pages stay in
-// place, the stall is recorded, and the next interval retries. When the
-// node is empty of live pages it goes Offline.
+// node, each as one CopyPage transaction, into the best usable
+// destination (next-slower tiers first, cascading past full ones, then
+// faster tiers as a last resort). When live pages remain but no
+// destination has room, the drain stalls: pages stay in place, the stall
+// is recorded, and the next interval retries. When the node is empty of
+// live pages it goes Offline.
 func (e *Engine) drainNode(node tier.NodeID) {
 	pages := e.residentOn(node)
 	if len(pages) == 0 {
@@ -352,41 +340,25 @@ func (e *Engine) drainNode(node tier.NodeID) {
 			stalled = true
 			break
 		}
-		if !e.admitDrainMove(node, dst, p.v.PageSize, p.v.PageSize) {
+		if !e.admitLaneMove(admission.ClassDrain, node, dst, p.v.PageSize) {
 			// Drain-lane budget exhausted (tokens plus the reserved
 			// slice): pace the evacuation rather than stall it — the
 			// remaining pages retry next interval once the pair refills.
 			// Not a stall: a stall means no destination has room.
 			break
 		}
-		if !e.MoveBegin(p.v, p.idx, dst) {
+		mv, ok := e.CopyPage(p.v, p.idx, dst)
+		if !ok {
 			stalled = true
 			break
 		}
 		attempted++
-		ok := false
-		for attempt := 1; attempt <= drainRetryAttempts; attempt++ {
-			busy, penalty := e.PageBusy(p.v, p.idx, dst)
-			if !busy {
-				ok = true
-				break
-			}
-			e.ChargeBackground(penalty)
-			if attempt < drainRetryAttempts {
-				b := drainBackoff(attempt)
-				e.ChargeBackground(b)
-				e.NoteMigrationRetry(node, dst, b)
-			}
-		}
-		copyTime := e.Sys.CopyTime(e.HomeSocket, node, dst, p.v.PageSize)
-		e.Sys.RecordTransfer(node, p.v.PageSize)
-		e.Sys.RecordTransfer(dst, p.v.PageSize)
-		e.ChargeBackground(copyTime)
-		if !ok {
-			e.MoveAborted(p.v, p.idx, dst)
+		// The evacuation runs on helper threads: busy attempts, backoff
+		// and the copy itself are background time, committed or not.
+		e.ChargeBackground(mv.Waste + e.Sys.CopyTime(e.HomeSocket, node, dst, p.v.PageSize))
+		if !mv.Committed {
 			continue
 		}
-		e.MoveCommit(p.v, p.idx, dst)
 		e.NoteDrain(p.v.PageSize)
 		committed++
 	}
@@ -421,14 +393,7 @@ func (e *Engine) drainDest(node tier.NodeID, size int64) tier.NodeID {
 		}
 	}
 	try := func(cand tier.NodeID) bool {
-		if !e.Sys.Allocatable(cand) || e.Sys.Free(cand) < size {
-			return false
-		}
-		ok, reopened := e.hlt.breaker.AllowAt(int(node), int(cand), e.SpanClockNs())
-		if reopened {
-			e.admissionResetWaste(node, cand)
-		}
-		return ok
+		return e.Sys.Free(cand) >= size && e.DestUsable(node, cand)
 	}
 	for i := rank + 1; i < len(view); i++ {
 		if try(view[i]) {

@@ -101,6 +101,7 @@ func TestBreakerTripsViaAbortedTransactions(t *testing.T) {
 	v := e.AS.Alloc("v", 4*tier.MB)
 	e.Access(v, 0, 1, 0, 0)
 	e.Access(v, 1, 1, 0, 0)
+	e.SetFaultPlane(&busyPlane{left: -1})
 
 	if !e.DestUsable(1, 0) {
 		t.Fatal("fresh pair not usable")
@@ -110,10 +111,9 @@ func TestBreakerTripsViaAbortedTransactions(t *testing.T) {
 		if e.BreakerTrips != 0 {
 			t.Fatalf("tripped after %d aborts, want %d", i, aborts)
 		}
-		if !e.MoveBegin(v, 0, 0) {
-			t.Fatal("MoveBegin failed with room available")
+		if mv, ok := e.CopyPage(v, 0, 0); !ok || mv.Committed {
+			t.Fatalf("CopyPage under an always-busy plane = (%+v, %v), want an abort", mv, ok)
 		}
-		e.MoveAborted(v, 0, 0)
 	}
 	if e.BreakerTrips != 1 {
 		t.Fatalf("BreakerTrips = %d, want 1", e.BreakerTrips)
@@ -143,32 +143,6 @@ func TestBreakerTripsViaAbortedTransactions(t *testing.T) {
 	if e.TierHealth(0) != health.StateDegraded {
 		t.Fatalf("tier 0 = %v, want Degraded under an open breaker", e.TierHealth(0))
 	}
-	mustAudit(t, e)
-}
-
-func TestMoveTransactionProtocolPanics(t *testing.T) {
-	e := newHealthEngine(tier.TwoTierTopology(8*tier.MB, 8*tier.MB))
-	e.SetSolution(&fixedSolution{node: 1})
-	e.beginInterval()
-	v := e.AS.Alloc("v", 4*tier.MB)
-	e.Access(v, 0, 1, 0, 0)
-
-	expectPanic := func(name string, f func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	expectPanic("MoveCommit without MoveBegin", func() { e.MoveCommit(v, 0, 0) })
-	expectPanic("MoveAborted without MoveBegin", func() { e.MoveAborted(v, 0, 0) })
-	if !e.MoveBegin(v, 0, 0) {
-		t.Fatal("MoveBegin failed")
-	}
-	expectPanic("nested MoveBegin", func() { e.MoveBegin(v, 1, 0) })
-	e.MoveCommit(v, 0, 0)
-	e.NotePromotion(v.PageSize) // committed moves must be attributed
 	mustAudit(t, e)
 }
 

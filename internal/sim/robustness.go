@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"mtm/internal/admission"
 	"mtm/internal/span"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
@@ -65,15 +66,6 @@ func (e *Engine) SetFaultPlane(fp FaultPlane) {
 // FaultPlaneAttached reports whether a fault plane is installed.
 func (e *Engine) FaultPlaneAttached() bool { return e.faults != nil }
 
-// PageBusy consults the fault plane for an EBUSY-style transient failure
-// of copying page idx of v to dst. Without a plane it is always (false, 0).
-func (e *Engine) PageBusy(v *vm.VMA, idx int, dst tier.NodeID) (bool, time.Duration) {
-	if e.faults == nil {
-		return false, 0
-	}
-	return e.faults.PageBusy(v, idx, dst)
-}
-
 // LinkBandwidth returns the effective bandwidth of the socket→node link,
 // reduced while the fault plane degrades it.
 func (e *Engine) LinkBandwidth(socket int, n tier.NodeID) int64 {
@@ -117,52 +109,99 @@ func (e *Engine) NoteDeferredPromotionTo(dst tier.NodeID) {
 	}
 }
 
-// NoteMigrationRetry records one retried page-copy attempt on the src→dst
-// tier pair and the virtual backoff waited before the next attempt. The
-// backoff only feeds the metrics layer; the caller charges the time.
-func (e *Engine) NoteMigrationRetry(src, dst tier.NodeID, backoff time.Duration) {
-	e.MigrationRetries++
-	if e.met != nil {
-		pairCounter(e.met.retriedPages, src, dst).Inc()
-		pairCounter(e.met.backoffNs, src, dst).AddDuration(backoff)
+// copyAttempts is how many times one page copy is tried before the move
+// aborts, like the kernel's migrate_pages(), which retries a busy page a
+// handful of times before giving up with EBUSY.
+const copyAttempts = 5
+
+// copyBackoff is the virtual-time backoff after the n-th failed copy
+// attempt (n >= 1): 5 µs doubled per retry, capped at 80 µs. It is
+// charged in virtual time, so retries stay deterministic: no wall-clock
+// sleeping and no jitter.
+func copyBackoff(n int) time.Duration {
+	d := time.Duration(5_000<<(n-1)) * time.Nanosecond
+	if d > 80*time.Microsecond {
+		d = 80 * time.Microsecond
 	}
+	return d
 }
 
-// MoveBegin opens a page-move transaction: room for the page is reserved
-// on dst while the page stays mapped on its source (copy-then-commit, the
-// Nomad transactional migration shape). It reports false, leaving all
-// state unchanged, when dst has no room. The source node is captured at
-// begin time, and MoveCommit/MoveAborted attribute the outcome to that
-// captured (src, dst) pair: an abort followed by a successful retry on a
-// re-planned destination counts one abort on the original pair and one
-// move on the new pair, never both on the original. Transactions do not
-// nest; opening a second one before resolving the first panics.
-func (e *Engine) MoveBegin(v *vm.VMA, idx int, dst tier.NodeID) bool {
-	if e.txnOpen {
-		panic("sim: MoveBegin with a move transaction already open")
+// PageMove is the outcome of one CopyPage transaction.
+type PageMove struct {
+	Src       tier.NodeID   // the page's node when the move began
+	Committed bool          // false: every copy attempt was busy and the move aborted
+	Retries   int64         // copy attempts retried after a busy one
+	Backoff   time.Duration // virtual time waited between attempts
+	Waste     time.Duration // busy-attempt penalties plus Backoff
+}
+
+// CopyPage moves page idx of v to dst as one transaction (copy-then-
+// commit, the Nomad transactional migration shape). Room for the page is
+// reserved on dst while it stays mapped on its source, the copy is tried
+// up to copyAttempts times under the fault plane with copyBackoff between
+// busy attempts, and the move then commits or aborts with the reservation
+// rolled back. Either way the copy streamed the page, so the transfer is
+// recorded on both nodes, and the outcome is attributed to the (Src, dst)
+// pair the move began on. It reports false, changing nothing, when dst
+// has no room.
+//
+// CopyPage charges no time: the caller prices the copy and mv.Waste on
+// its own path (the critical path for the mechanisms, background for the
+// health drain).
+func (e *Engine) CopyPage(v *vm.VMA, idx int, dst tier.NodeID) (mv PageMove, ok bool) {
+	if !e.reserveMove(v, dst) {
+		return PageMove{}, false
 	}
-	if !e.Sys.Reserve(dst, v.PageSize) {
-		// Shadow frames on dst are soft capacity: reclaim the oldest
-		// until the page fits before giving up.
-		if !e.shadowMakeRoom(dst, v.PageSize) || !e.Sys.Reserve(dst, v.PageSize) {
-			return false
+	mv.Src = v.Node(idx)
+	for attempt := 1; ; attempt++ {
+		busy, penalty := false, time.Duration(0)
+		if e.faults != nil {
+			busy, penalty = e.faults.PageBusy(v, idx, dst)
+		}
+		if !busy {
+			mv.Committed = true
+			break
+		}
+		mv.Waste += penalty
+		if attempt == copyAttempts {
+			break
+		}
+		backoff := copyBackoff(attempt)
+		mv.Retries++
+		mv.Backoff += backoff
+		mv.Waste += backoff
+		e.MigrationRetries++
+		if e.met != nil {
+			pairCounter(e.met.retriedPages, mv.Src, dst).Inc()
+			pairCounter(e.met.backoffNs, mv.Src, dst).AddDuration(backoff)
 		}
 	}
-	e.txnOpen = true
-	e.txnSrc = v.Node(idx)
-	return true
+	if mv.Committed {
+		e.commitMove(v, idx, mv.Src, dst)
+	} else {
+		e.abortMove(v, idx, mv.Src, dst)
+	}
+	e.Sys.RecordTransfer(mv.Src, v.PageSize)
+	e.Sys.RecordTransfer(dst, v.PageSize)
+	return mv, true
 }
 
-// MoveCommit completes a transaction opened by MoveBegin: the source frame
-// is released and the page rebinds to dst. The commit lands in the
-// engine's committed-move ledger (checked by Audit) and counts as a
-// success on the pair's migration circuit breaker.
-func (e *Engine) MoveCommit(v *vm.VMA, idx int, dst tier.NodeID) {
-	if !e.txnOpen {
-		panic("sim: MoveCommit without MoveBegin")
+// reserveMove reserves room for one page of v on dst, reclaiming the
+// oldest shadow frames there if it does not fit (shadows are soft
+// capacity). It reports false, leaving all state unchanged, when dst has
+// no room.
+func (e *Engine) reserveMove(v *vm.VMA, dst tier.NodeID) bool {
+	if e.Sys.Reserve(dst, v.PageSize) {
+		return true
 	}
-	src := e.txnSrc
-	e.txnOpen = false
+	return e.shadowMakeRoom(dst, v.PageSize) && e.Sys.Reserve(dst, v.PageSize)
+}
+
+// commitMove completes a reserved move of page idx of v from src: the
+// source frame is released and the page rebinds to dst. The commit lands
+// in the engine's committed-move ledger (checked by Audit) and counts as
+// a success on the pair's migration circuit breaker.
+func (e *Engine) commitMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
 	if !e.shadowMoveCommitted(v, idx, src, dst) && src != vm.NoNode && src != dst {
 		e.Sys.Release(src, v.PageSize)
 	}
@@ -177,16 +216,11 @@ func (e *Engine) MoveCommit(v *vm.VMA, idx int, dst tier.NodeID) {
 	}
 }
 
-// MoveAborted rolls back a transaction opened by MoveBegin: the dst
-// reservation is released, the page keeps its source frame, and the abort
-// plus its thrown-away copy bytes are recorded against the begin-time
-// (src, dst) pair. The abort also feeds the pair's circuit breaker.
-func (e *Engine) MoveAborted(v *vm.VMA, idx int, dst tier.NodeID) {
-	if !e.txnOpen {
-		panic("sim: MoveAborted without MoveBegin")
-	}
-	src := e.txnSrc
-	e.txnOpen = false
+// abortMove rolls back a reserved move of page idx of v from src: the dst
+// reservation is released, the page keeps its source frame, and the
+// abort plus its thrown-away copy bytes are recorded against the (src,
+// dst) pair. The abort also feeds the pair's circuit breaker.
+func (e *Engine) abortMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
 	e.Sys.Release(dst, v.PageSize)
 	e.MigrationAborts++
 	e.WastedBytes += v.PageSize
@@ -349,7 +383,7 @@ func (e *Engine) demoteColdest(node tier.NodeID, lower []tier.NodeID, need int64
 		}
 		// Emergency lane: record-only — the OOM path is never refused,
 		// but the class counters and starvation watchdog must see it.
-		e.admitEmergencyMove(node, dst, p.v.PageSize)
+		e.admitLaneMove(admission.ClassEmergency, node, dst, p.v.PageSize)
 		if !e.MovePage(p.v, p.idx, dst) {
 			break
 		}

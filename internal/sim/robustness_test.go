@@ -197,3 +197,88 @@ func TestEmergencyDemotionCannotFixTrueExhaustion(t *testing.T) {
 	}
 	mustAudit(t, e)
 }
+
+// busyPlane is a FaultPlane whose next left copy attempts are busy (all
+// of them when left < 0), each wasting penalty.
+type busyPlane struct {
+	left    int
+	penalty time.Duration
+}
+
+func (p *busyPlane) Attach(sockets, nodes int)  {}
+func (p *busyPlane) BeginInterval(interval int) {}
+func (p *busyPlane) PageBusy(v *vm.VMA, idx int, dst tier.NodeID) (bool, time.Duration) {
+	if p.left == 0 {
+		return false, 0
+	}
+	if p.left > 0 {
+		p.left--
+	}
+	return true, p.penalty
+}
+func (p *busyPlane) DestPressure(n tier.NodeID) bool           { return false }
+func (p *busyPlane) SampleDropFrac() float64                   { return 0 }
+func (p *busyPlane) LinkBWFactor(s int, n tier.NodeID) float64 { return 1 }
+
+// TestCopyPageRetryBackoff pins the one retry policy: busy copies back
+// off 5, 10, 20 and 40 µs of virtual time, and the fifth busy attempt
+// aborts the move with its reservation rolled back.
+func TestCopyPageRetryBackoff(t *testing.T) {
+	const penalty = time.Microsecond
+	us := time.Microsecond
+	for _, tc := range []struct {
+		busy      int
+		committed bool
+		retries   int64
+		backoff   time.Duration
+	}{
+		{0, true, 0, 0},
+		{1, true, 1, 5 * us},
+		{2, true, 2, 15 * us},
+		{3, true, 3, 35 * us},
+		{4, true, 4, 75 * us},
+		{5, false, 4, 75 * us},
+	} {
+		e := NewEngine(tier.TwoTierTopology(8*tier.MB, 8*tier.MB), 1)
+		e.Interval = time.Second
+		e.SetSolution(&fixedSolution{node: 1})
+		e.beginInterval()
+		v := e.AS.Alloc("v", vm.HugePageSize)
+		e.Access(v, 0, 1, 0, 0)
+		e.SetFaultPlane(&busyPlane{left: tc.busy, penalty: penalty})
+		used0, used1 := e.Sys.Used(0), e.Sys.Used(1)
+
+		mv, ok := e.CopyPage(v, 0, 0)
+		if !ok {
+			t.Fatalf("busy=%d: CopyPage found no room", tc.busy)
+		}
+		busyAttempts := time.Duration(tc.retries)
+		if !tc.committed {
+			busyAttempts++
+		}
+		want := PageMove{Src: 1, Committed: tc.committed, Retries: tc.retries,
+			Backoff: tc.backoff, Waste: busyAttempts*penalty + tc.backoff}
+		if mv != want {
+			t.Fatalf("busy=%d: CopyPage = %+v, want %+v", tc.busy, mv, want)
+		}
+		if e.MigrationRetries != tc.retries {
+			t.Fatalf("busy=%d: MigrationRetries = %d, want %d", tc.busy, e.MigrationRetries, tc.retries)
+		}
+		wantNode, wantUsed0, wantUsed1 := tier.NodeID(0), used0+v.PageSize, used1-v.PageSize
+		var aborts int64
+		if !tc.committed {
+			wantNode, wantUsed0, wantUsed1, aborts = 1, used0, used1, 1
+		}
+		if v.Node(0) != wantNode || e.Sys.Used(0) != wantUsed0 || e.Sys.Used(1) != wantUsed1 {
+			t.Fatalf("busy=%d: page on %d, used %d/%d; want %d, %d/%d",
+				tc.busy, v.Node(0), e.Sys.Used(0), e.Sys.Used(1), wantNode, wantUsed0, wantUsed1)
+		}
+		if e.MigrationAborts != aborts || e.WastedBytes != aborts*v.PageSize {
+			t.Fatalf("busy=%d: aborts=%d wasted=%d", tc.busy, e.MigrationAborts, e.WastedBytes)
+		}
+		if tc.committed {
+			e.NotePromotion(v.PageSize) // committed moves must be attributed
+		}
+		mustAudit(t, e)
+	}
+}

@@ -1,6 +1,6 @@
 // Engine-side non-exclusive tiering (Nomad): retained shadow frames.
 // Disabled by default — an engine without EnableShadow runs exactly the
-// pre-shadow code (MoveCommit releases every source frame, TouchN pays
+// pre-shadow code (commitMove releases every source frame, TouchN pays
 // one nil check).
 //
 // Lifecycle of a shadow: a committed promotion retains the slow-tier
@@ -134,7 +134,7 @@ func (e *Engine) shadowWriteInvalidated(_ *vm.VMA, _ int) {
 	e.ShadowInvalidations++
 }
 
-// shadowMoveCommitted runs inside MoveCommit: for a committed promotion
+// shadowMoveCommitted runs inside commitMove: for a committed promotion
 // it retains the source frame as the page's shadow and reports true (the
 // caller must then *not* release src); any pre-existing shadow of the
 // page is dropped first (it described bytes that no longer match a

@@ -20,18 +20,16 @@ func newShadowEngine(dram, pm int64) *Engine {
 }
 
 // promoteWithShadow faults page idx onto node 1 (via the fixed solution)
-// and promotes it to node 0 through the transactional path, retaining
-// the slow frame as a shadow.
+// and promotes it to node 0, retaining the slow frame as a shadow.
 func promoteWithShadow(t *testing.T, e *Engine, v *vm.VMA, idx int) {
 	t.Helper()
 	e.Access(v, idx, 1, 0, 0)
 	if v.Node(idx) != 1 {
 		t.Fatalf("setup: page %d on node %d, want 1", idx, v.Node(idx))
 	}
-	if !e.MoveBegin(v, idx, 0) {
-		t.Fatalf("setup: MoveBegin(%d) failed", idx)
+	if !e.MovePage(v, idx, 0) {
+		t.Fatalf("setup: MovePage(%d) failed", idx)
 	}
-	e.MoveCommit(v, idx, 0)
 	e.NotePromotion(v.PageSize) // committed moves must be attributed
 	if v.Node(idx) != 0 {
 		t.Fatalf("setup: page %d not promoted", idx)
@@ -87,10 +85,9 @@ func TestDemotionDoesNotRetainShadow(t *testing.T) {
 	e.beginInterval()
 	v := e.AS.Alloc("v", 4*tier.MB)
 	e.Access(v, 0, 1, 0, 0)
-	if !e.MoveBegin(v, 0, 1) {
-		t.Fatal("MoveBegin failed")
+	if !e.MovePage(v, 0, 1) {
+		t.Fatal("MovePage failed")
 	}
-	e.MoveCommit(v, 0, 1)
 	e.NoteDemotion(v.PageSize)
 	// A demotion releases its fast source frame normally: retention is
 	// promotion-only (a fast-tier shadow would burn scarce capacity).
@@ -276,10 +273,10 @@ func TestShadowsReclaimedUnderPressure(t *testing.T) {
 
 	// A demotion probe into the nominally-full node 1 reclaims the oldest
 	// shadow (page 0's) instead of failing.
-	if !e.MoveBegin(v, 0, 1) {
+	if !e.reserveMove(v, 1) {
 		t.Fatal("move into full node did not reclaim a shadow")
 	}
-	e.MoveAborted(v, 0, 1) // release the probe reservation
+	e.abortMove(v, 0, v.Node(0), 1) // release the probe reservation
 	if e.ShadowCount() != 1 {
 		t.Fatalf("shadows after pressure probe = %d, want 1 (oldest dropped)", e.ShadowCount())
 	}

@@ -181,15 +181,14 @@ func sideStateEngine(cool time.Duration) *Engine {
 	return e
 }
 
-// commitMove moves page idx of v to dst through the transactional path
-// and attributes it, as a policy does.
-func commitMove(t *testing.T, e *Engine, v *vm.VMA, idx int, dst tier.NodeID) {
+// attributedMove moves page idx of v to dst and attributes it, as a
+// policy does.
+func attributedMove(t *testing.T, e *Engine, v *vm.VMA, idx int, dst tier.NodeID) {
 	t.Helper()
 	src := v.Node(idx)
-	if !e.MoveBegin(v, idx, dst) {
-		t.Fatalf("MoveBegin(%s/%d, %d) failed", v.Name, idx, dst)
+	if !e.MovePage(v, idx, dst) {
+		t.Fatalf("MovePage(%s/%d, %d) failed", v.Name, idx, dst)
 	}
-	e.MoveCommit(v, idx, dst)
 	if e.moveDirection(src, dst) == admission.DirPromote {
 		e.NotePromotion(v.PageSize)
 	} else {
@@ -251,7 +250,7 @@ func TestSideStateMatchesMapModel(t *testing.T) {
 						continue
 					}
 					op = fmt.Sprintf("move %s %d->%d", pageName(v, idx), src, dst)
-					commitMove(t, e, v, idx, dst)
+					attributedMove(t, e, v, idx, dst)
 					ref.Drop(key)
 					dir := e.moveDirection(src, dst)
 					if dir == admission.DirPromote {
@@ -407,7 +406,7 @@ func TestShadowRetainGetDrop(t *testing.T) {
 	e := sideStateEngine(time.Millisecond)
 	v := e.AS.Alloc("v", 4*vm.BasePageSize)
 	e.Access(v, 0, 1, 0, 0)
-	commitMove(t, e, v, 0, 1)
+	attributedMove(t, e, v, 0, 1)
 	if !v.Shadowed(0) || v.ShadowNode(0) != 2 {
 		t.Fatalf("shadow = (%v, %d), want (true, 2)", v.Shadowed(0), v.ShadowNode(0))
 	}
@@ -415,7 +414,7 @@ func TestShadowRetainGetDrop(t *testing.T) {
 		t.Fatalf("ledger = %d after retention", e.Sys.ShadowBytes(2))
 	}
 	// Promoting again retains the CXL0 frame and releases the CXL1 one.
-	commitMove(t, e, v, 0, 0)
+	attributedMove(t, e, v, 0, 0)
 	if e.Sys.ShadowBytes(2) != 0 || e.Sys.ShadowBytes(1) != v.PageSize {
 		t.Fatalf("ledger after re-retention: n1=%d n2=%d", e.Sys.ShadowBytes(1), e.Sys.ShadowBytes(2))
 	}
@@ -444,11 +443,12 @@ func TestShadowRetentionFromOfflineNode(t *testing.T) {
 	e := sideStateEngine(time.Millisecond)
 	v := e.AS.Alloc("v", 4*vm.BasePageSize)
 	e.Access(v, 0, 1, 0, 0)
-	if !e.MoveBegin(v, 0, 0) {
-		t.Fatal("MoveBegin failed")
+	src := v.Node(0)
+	if !e.reserveMove(v, 0) {
+		t.Fatal("reserveMove failed")
 	}
 	e.Sys.SetAllocatable(2, false)
-	e.MoveCommit(v, 0, 0)
+	e.commitMove(v, 0, src, 0)
 	e.NotePromotion(v.PageSize)
 	if e.ShadowCount() != 0 || e.Sys.ShadowBytes(2) != 0 || v.ShadowSeq(0) != 0 {
 		t.Fatalf("failed retention left residue: count=%d bytes=%d seq=%d",
@@ -464,7 +464,7 @@ func TestShadowFIFOSkipsStaleRecords(t *testing.T) {
 	v := e.AS.Alloc("v", 8*vm.BasePageSize)
 	for i := 0; i < 4; i++ {
 		e.Access(v, i, 1, 0, 0)
-		commitMove(t, e, v, i, 0)
+		attributedMove(t, e, v, i, 0)
 	}
 	oldest := func() int {
 		r, ok := e.oldestShadowOn(2)
@@ -483,8 +483,8 @@ func TestShadowFIFOSkipsStaleRecords(t *testing.T) {
 	}
 	// Re-retaining page 1 (demote by copy, promote again) re-stamps it:
 	// the queue's old record is stale and the page now ranks youngest.
-	commitMove(t, e, v, 1, 2)
-	commitMove(t, e, v, 1, 0)
+	attributedMove(t, e, v, 1, 2)
+	attributedMove(t, e, v, 1, 0)
 	if got := oldest(); got != 3 {
 		t.Fatalf("oldest after re-retention = %d, want 3", got)
 	}
@@ -510,10 +510,10 @@ func TestShadowPerNodeBytes(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		e.Access(v, i, 1, 0, 0)
 	}
-	commitMove(t, e, v, 1, 1) // shadow on 2
-	commitMove(t, e, v, 1, 0) // re-retained: shadow on 1
-	commitMove(t, e, v, 2, 0) // shadow on 2
-	commitMove(t, e, v, 3, 1) // shadow on 2
+	attributedMove(t, e, v, 1, 1) // shadow on 2
+	attributedMove(t, e, v, 1, 0) // re-retained: shadow on 1
+	attributedMove(t, e, v, 2, 0) // shadow on 2
+	attributedMove(t, e, v, 3, 1) // shadow on 2
 	if e.Sys.ShadowBytes(1) != v.PageSize || e.Sys.ShadowBytes(2) != 2*v.PageSize {
 		t.Fatalf("per-node = %d/%d", e.Sys.ShadowBytes(1), e.Sys.ShadowBytes(2))
 	}
@@ -532,12 +532,12 @@ func TestCooldownRestampKeepsNewestWindow(t *testing.T) {
 	e.SetSolution(&fixedSolution{node: 0})
 	e.Access(v, 0, 1, 0, 0)
 	start := e.SpanClockNs()
-	commitMove(t, e, v, 0, 1) // demote at start: window to start+1s
+	attributedMove(t, e, v, 0, 1) // demote at start: window to start+1s
 	e.ChargeMigration(500 * time.Millisecond)
 	if !e.PageMoveAllowed(v, 0, 2) {
 		t.Fatal("same-direction move blocked during cool-down")
 	}
-	commitMove(t, e, v, 0, 2) // re-stamp at start+0.5s: window to start+1.5s
+	attributedMove(t, e, v, 0, 2) // re-stamp at start+0.5s: window to start+1.5s
 	e.ChargeMigration(700 * time.Millisecond)
 	if e.SpanClockNs()-start != int64(1200*time.Millisecond) {
 		t.Fatalf("clock advanced %d ns, want 1.2s", e.SpanClockNs()-start)
@@ -575,7 +575,7 @@ func TestSideStateBoundedByMovedWords(t *testing.T) {
 			if v.Node(idx) == 0 {
 				dst = 2
 			}
-			commitMove(t, e, v, idx, dst)
+			attributedMove(t, e, v, idx, dst)
 		}
 		e.ChargeMigration(cool / 10)
 	}
@@ -603,7 +603,7 @@ func TestSideStateBoundedByMovedWords(t *testing.T) {
 	u := plain.AS.Alloc("u", 256*vm.BasePageSize)
 	for i := 0; i < u.NPages; i++ {
 		plain.Access(u, i, 1, 0, 0)
-		commitMove(t, plain, u, i, 0)
+		attributedMove(t, plain, u, i, 0)
 	}
 	if got := u.SideChunks(); got != 0 {
 		t.Fatalf("engine without shadows or admission allocated %d side chunks", got)
