@@ -269,13 +269,6 @@ func finishMigration(e *sim.Engine, spanStart int64, rb rebindResult, rep Report
 	return rep
 }
 
-func srcAt(a []int64, i int) int64 {
-	if a == nil {
-		return 0
-	}
-	return a[i]
-}
-
 // endMigrationSpan emits one transfer child span per source tier that
 // contributed pages (or retries/aborts) to the move — annotated with the
 // pair's retry count, backoff time, and aborts — then closes the
@@ -286,20 +279,20 @@ func endMigrationSpan(e *sim.Engine, startNs int64, rb rebindResult, rep *Report
 	cur := startNs
 	var retries, aborts int64
 	for src := range rb.srcBytes {
-		retries += srcAt(rb.srcRetries, src)
-		aborts += srcAt(rb.srcAborts, src)
-		if rb.srcBytes[src] == 0 && srcAt(rb.srcRetries, src) == 0 && srcAt(rb.srcAborts, src) == 0 {
+		retries += rb.srcRetries[src]
+		aborts += rb.srcAborts[src]
+		if rb.srcBytes[src] == 0 && rb.srcRetries[src] == 0 && rb.srcAborts[src] == 0 {
 			continue
 		}
 		d := int64(copyTime(rb.srcBytes[src], pairBW(e, tier.NodeID(src), dst)))
 		e.SpanEmit("migration", "transfer", cur, d,
 			span.S("src", e.Sys.Topo.Nodes[src].Name),
 			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-			span.I("pages", srcAt(rb.srcPages, src)),
+			span.I("pages", rb.srcPages[src]),
 			span.I("bytes", rb.srcBytes[src]),
-			span.I("retries", srcAt(rb.srcRetries, src)),
-			span.I("backoff_ns", srcAt(rb.srcBackoffNs, src)),
-			span.I("aborts", srcAt(rb.srcAborts, src)))
+			span.I("retries", rb.srcRetries[src]),
+			span.I("backoff_ns", rb.srcBackoffNs[src]),
+			span.I("aborts", rb.srcAborts[src]))
 		cur += d
 	}
 	e.SpanEnd(
