@@ -12,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"mtm/internal/admission"
 	"mtm/internal/sim"
 	"mtm/internal/span"
 )
@@ -73,6 +74,17 @@ var goldenVariants = []struct {
 		c.AdmissionLanes = "default"
 		c.Audit = true
 	}},
+	// Static admission: the other admission variants turn on lanes, which
+	// rescale every bucket to observed demand. Here the buckets keep their
+	// rated refill and the floor stays at MinROI, so this variant pins the
+	// static ROI gate, waste shedding without lanes, and a breaker trip
+	// zeroing its pair's budget.
+	{"cxl-flaky+admission+metrics", func(c *Config) {
+		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
+		c.Admission = &admission.Config{}
+		c.Metrics = true
+		c.Audit = true
+	}},
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
@@ -91,7 +103,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden digests are recorded on linux/amd64 only")
 	}
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("256 runs; skipped in -short and -race")
+		t.Skip("288 runs; skipped in -short and -race")
 	}
 	want := map[string]string{}
 	if b, err := os.ReadFile(goldenFile); err == nil {
