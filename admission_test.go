@@ -44,7 +44,7 @@ func TestAdmissionReducesWaste(t *testing.T) {
 	}
 
 	on := off
-	on.Admission = &admission.Config{}
+	on.Admission = true
 	res, err := Run(on, "pingpong", "mtm")
 	if err != nil {
 		t.Fatalf("admission run: %v", err)
@@ -71,7 +71,7 @@ func TestAdmissionReducesWaste(t *testing.T) {
 func TestAdmissionThrashSuppression(t *testing.T) {
 	cfg := thrashCfg()
 	cfg.Faults = "cxl-flaky"
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	res, err := Run(cfg, "pingpong", "mtm")
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -100,7 +100,7 @@ func TestAdmissionJSONOmitsCountersWhenDisabled(t *testing.T) {
 		t.Errorf("admission-free Result JSON leaks admission fields: %s", b)
 	}
 
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	res, err = Run(cfg, "pingpong", "mtm")
 	if err != nil {
 		t.Fatalf("admission run: %v", err)
@@ -120,7 +120,7 @@ func TestAdmissionJSONOmitsCountersWhenDisabled(t *testing.T) {
 func TestAdmissionLanesJSONOmittedWhenOff(t *testing.T) {
 	cfg := thrashCfg()
 	cfg.OpsFactor = 0.1
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	res, err := Run(cfg, "pingpong", "mtm")
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -155,7 +155,7 @@ func TestAdmissionLanesJSONOmittedWhenOff(t *testing.T) {
 func TestAdmissionSpanProvenance(t *testing.T) {
 	cfg := thrashCfg()
 	cfg.Faults = thrashFaults
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	cfg.Trace = &span.Config{}
 	res, err := Run(cfg, "pingpong", "mtm")
 	if err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"mtm"
 
-	"mtm/internal/admission"
 	"mtm/internal/experiments"
 	"mtm/internal/migrate"
 	"mtm/internal/policy"
@@ -159,7 +158,8 @@ func BenchmarkFlipDemote(b *testing.B) {
 	e.SetSolution(policy.NewSlowFirst())
 	e.AS.THP = false
 	e.EnableShadow()
-	e.EnableAdmission(admission.Config{CoolDown: cool})
+	e.Interval = cool / 2 // the cool-down lasts two intervals
+	e.EnableAdmission(false, false)
 	v := e.AS.Alloc("b", (1<<21)*vm.BasePageSize)
 	for i := 0; i < v.NPages; i++ {
 		e.Access(v, i, 1, 0, 0)

@@ -36,11 +36,12 @@
 // per-tier-pair floor driven by hindsight verdicts (promoted-and-
 // reaccessed vs promoted-wasted); the floor at each decision rides in the
 // span provenance and the mtm_admission_minroi gauges. -admission-lanes
-// splits traffic into normal/drain/emergency classes with a reserved
-// bandwidth slice for the critical lanes, demand-scaled budget refill,
-// background-traffic charging, and a starvation watchdog ("default" and
-// "strict" presets; kebab-case overrides like strict,reserve-frac=0.4).
-// Both imply -admission.
+// default splits traffic into normal/drain/emergency classes with a
+// reserved bandwidth slice for the critical lanes, demand-scaled budget
+// refill, background-traffic charging, and a starvation watchdog;
+// "default" is the only value it accepts. Both imply -admission. The
+// admission layer's tuning is fixed: see the constants in
+// internal/admission.
 //
 // -metrics enables the observability layer and writes its export to the
 // given file; -metrics-format selects JSON (default) or Prometheus text
@@ -76,7 +77,6 @@ import (
 	"runtime/pprof"
 
 	"mtm"
-	"mtm/internal/admission"
 	"mtm/internal/sim"
 	"mtm/internal/span"
 )
@@ -101,7 +101,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		budgetMB  = fs.Int64("budget-mb", 0, "per-interval migration budget in MB at full machine scale, divided by -scale like every capacity (0 = the default 800)")
 		admit     = fs.Bool("admission", false, "enable migration admission control (ROI gate, bandwidth budgets, thrash suppression)")
 		admLearn  = fs.Bool("admission-learn", false, "enable online MinROI learning on the admission layer (implies -admission)")
-		admLanes  = fs.String("admission-lanes", "", "traffic-class lane config: preset name with kebab-case overrides, e.g. default or strict,reserve-frac=0.4 (implies -admission)")
+		admLanes  = fs.String("admission-lanes", "", "traffic-class lanes: default turns them on (implies -admission)")
 		healthOn  = fs.Bool("health", false, "enable the tier-health subsystem (auto-enabled by mem-error/tier-fail scenarios)")
 		audit     = fs.Bool("audit", false, "cross-check residency/capacity/migration ledgers after the run")
 		jsonOut   = fs.Bool("json", false, "emit the result as JSON instead of the text report")
@@ -169,15 +169,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *spans != "" {
 		cfg.Trace = &span.Config{}
 	}
-	if *admit {
-		cfg.Admission = &admission.Config{}
-	}
+	cfg.Admission = *admit
 	cfg.AdmissionLearn = *admLearn
 	cfg.AdmissionLanes = *admLanes
-	if *admLanes != "" && !admission.ValidLanes(*admLanes) {
-		fmt.Fprintf(stderr, "mtmsim: invalid -admission-lanes %q (presets: %v; overrides like reserve-frac=0.4)\n", *admLanes, admission.LanePresets())
-		return 2
-	}
 	cfg.Fidelity = *fidelity
 
 	if err := cfg.Validate(); err != nil {

@@ -133,6 +133,27 @@ func TestAdmissionFlag(t *testing.T) {
 	}
 }
 
+// TestAdmissionLanesValue: "default" is the only lane setting; any other
+// value fails Config.Validate with an error naming it, and "default"
+// runs with the per-class lane breakdown in the JSON result.
+func TestAdmissionLanesValue(t *testing.T) {
+	var errs bytes.Buffer
+	if code := run(small("-admission-lanes", "strict"), io.Discard, &errs); code == 0 {
+		t.Fatal("-admission-lanes strict exited 0")
+	}
+	if !strings.Contains(errs.String(), "default") {
+		t.Fatalf("error does not name the accepted value: %s", errs.String())
+	}
+
+	var out bytes.Buffer
+	if code := run(small("-admission-lanes", "default", "-json"), &out, io.Discard); code != 0 {
+		t.Fatalf("-admission-lanes default exited %d", code)
+	}
+	if !bytes.Contains(out.Bytes(), []byte(`"AdmissionLanes"`)) {
+		t.Error("lanes run carries no AdmissionLanes breakdown")
+	}
+}
+
 // TestInvalidMetricsFormatRejected: a bad -metrics-format is a usage
 // error, caught before any simulation runs.
 func TestInvalidMetricsFormatRejected(t *testing.T) {

@@ -144,7 +144,7 @@ func TestExplainAdmissionROI(t *testing.T) {
 	cfg.Scale = 512
 	cfg.OpsFactor = 0.25
 	cfg.Trace = &span.Config{}
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	res, err := mtm.Run(cfg, "pingpong", "mtm")
 	if err != nil {
 		t.Fatalf("run: %v", err)

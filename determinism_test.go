@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"mtm/internal/admission"
 	"mtm/internal/sim"
 	"mtm/internal/span"
 )
@@ -67,7 +66,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 		// ping-pong workload hammers the cool-down and a flaky tier feeds
 		// the waste ledger.
 		ac := cfg
-		ac.Admission = &admission.Config{}
+		ac.Admission = true
 		t.Run("pingpong/mtm/admission", func(t *testing.T) { runPair(t, ac, "pingpong", "mtm") })
 		af := ac
 		af.Faults = "cxl-flaky"
@@ -109,7 +108,7 @@ func TestParallelDeterminismMatrix(t *testing.T) {
 	// flaky tier feeding the waste ledger.
 	for _, sol := range SolutionNames() {
 		ac := cfg
-		ac.Admission = &admission.Config{}
+		ac.Admission = true
 		t.Run("pingpong/"+sol+"/admission", func(t *testing.T) {
 			t.Parallel()
 			runPair(t, ac, "pingpong", sol)
@@ -279,7 +278,7 @@ func TestParallelDeterminismAdmissionSpans(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 512
 	cfg.OpsFactor = 0.25
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	cfg.Faults = "cxl-flaky"
 	cfg.Audit = true
 	runSpanSet(t, cfg, "pingpong", "mtm")
@@ -329,7 +328,7 @@ func TestParallelDeterminismFidelity(t *testing.T) {
 	cfg.Scale = 512
 	cfg.OpsFactor = 0.25
 	cfg.Fidelity = true
-	cfg.Admission = &admission.Config{}
+	cfg.Admission = true
 	variants := []struct{ name, faults string }{
 		{"plain", ""},
 		{"cxl-flaky", "cxl-flaky"},

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"testing"
 
-	"mtm/internal/admission"
 	"mtm/internal/sim"
 	"mtm/internal/span"
 )
@@ -81,7 +80,7 @@ var goldenVariants = []struct {
 	// zeroing its pair's budget.
 	{"cxl-flaky+admission+metrics", func(c *Config) {
 		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
-		c.Admission = &admission.Config{}
+		c.Admission = true
 		c.Metrics = true
 		c.Audit = true
 	}},

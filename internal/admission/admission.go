@@ -34,10 +34,7 @@
 // Controller fed the same calls in the same order behaves bit-identically.
 package admission
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Verdict is the outcome of an admission check.
 type Verdict uint8
@@ -141,169 +138,87 @@ const (
 	RuleShadowFlip = "shadow-flip-admitted"
 )
 
-// Config tunes the admission layer. The zero value selects defaults
-// via WithDefaults; negative values disable the respective gate.
-type Config struct {
+// Tuning constants. Every run uses these values; online learning and
+// lanes are the only switches (NewController).
+const (
 	// BudgetFrac is the fraction of a tier pair's rated link bandwidth
-	// granted to migration, the token refill rate. Default 0.25.
-	BudgetFrac float64
+	// granted to migration, the token refill rate.
+	BudgetFrac = 0.25
 	// BurstIntervals sizes each bucket's burst capacity in multiples of
 	// one interval's refill; the burst also sets the waste ledger's
-	// decay window. Default 6.
-	BurstIntervals float64
+	// decay window.
+	BurstIntervals = 6
 	// MinROI is the admission threshold for promotions: estimated
-	// stall-time saved divided by copy cost. Default 0.1 — lenient,
-	// because profiler hotness scales differ per policy (MTM reports
-	// per-page access averages, HeMem raw PEBS sample counts). ROI ≥ 1
-	// means the move pays for itself within HorizonIntervals.
-	// Negative disables the ROI gate.
-	MinROI float64
+	// stall-time saved divided by copy cost. Lenient, because profiler
+	// hotness scales differ per policy (MTM reports per-page access
+	// averages, HeMem raw PEBS sample counts). ROI ≥ 1 means the move
+	// pays for itself within HorizonIntervals.
+	MinROI = 0.1
 	// MaxVictimROI rejects demotion victims whose own ROI (the benefit
-	// of *keeping* them fast) still exceeds this bound. Default 64.
-	// Negative disables the victim gate.
-	MaxVictimROI float64
+	// of *keeping* them fast) still exceeds this bound.
+	MaxVictimROI = 64
 	// HorizonIntervals is the retention horizon the ROI estimator
 	// assumes: how many future intervals a moved page keeps its current
-	// access rate. Default 32.
-	HorizonIntervals float64
-	// PressureFactor multiplies MinROI while a bucket sits below its
-	// low-water mark, shedding marginal promotions. Default 4.
-	PressureFactor float64
+	// access rate.
+	HorizonIntervals = 32
+	// PressureFactor multiplies the promotion floor while a bucket sits
+	// below its low-water mark, shedding marginal promotions.
+	PressureFactor = 4
 	// LowWaterFrac is the bucket fill fraction below which shedding
-	// kicks in. Default 0.25.
-	LowWaterFrac float64
+	// kicks in.
+	LowWaterFrac = 0.25
 	// WastePenalty is the extra budget debit charged per wasted byte:
 	// an aborted move costs (1 + WastePenalty) times its bytes, so a
-	// flaky pair throttles itself. Default 4. Negative disables the
-	// penalty (aborts still debit their own bytes).
-	WastePenalty float64
+	// flaky pair throttles itself.
+	WastePenalty = 4
 	// WasteCutoff is the pair waste ratio — aborted bytes over attempted
 	// bytes, decayed with a sliding window of one burst — above which
 	// further moves through the pair defer ("waste-shed"). The decay
 	// doubles as a half-open probe: once the decayed waste falls below
 	// one page, a single move is let through to test whether the pair
-	// has recovered. Default 0.5. Negative disables waste shedding.
-	WasteCutoff float64
-	// CoolDown is the per-page hysteresis window after a committed
-	// move, during which the page may not move in the opposite
-	// direction. Zero lets the engine default it to two intervals.
-	// Negative disables thrash suppression.
-	CoolDown time.Duration
-	// Learn enables online per-pair MinROI floors: each pair's
-	// promotion floor is adjusted at interval end from realized
-	// hindsight verdicts (NoteOutcome) instead of staying at the static
-	// MinROI. The static MinROI seeds every floor.
-	Learn bool
-	// LearnStep bounds one interval's floor adjustment: the floor is
-	// multiplied by (1 ± LearnStep). Default 0.25.
-	LearnStep float64
+	// has recovered.
+	WasteCutoff = 0.5
+	// LearnStep bounds one interval's learned-floor adjustment: the
+	// floor is multiplied by (1 ± LearnStep).
+	LearnStep = 0.25
 	// EvidenceFloor is the minimum number of resolved verdicts a pair
 	// must accumulate before its floor adapts; below it the floor
-	// freezes (evidence carries over, it is not discarded). Default 4.
-	EvidenceFloor int
+	// freezes (evidence carries over, it is not discarded).
+	EvidenceFloor = 4
 	// TargetWaste is the tolerated promoted-wasted share of resolved
 	// verdicts: above it the floor rises, at or below it the floor
-	// falls back toward admitting more. Default 0.25.
-	TargetWaste float64
-	// LearnMin / LearnMax clamp the learned floor. Defaults MinROI/4
-	// and MinROI*64.
-	LearnMin float64
-	LearnMax float64
-	// Lanes configures traffic-class priority lanes (see LaneConfig).
-	// The zero value disables lanes: drain and emergency traffic then
-	// bypass admission entirely, as before.
-	Lanes LaneConfig
-}
-
-// WithDefaults fills zero fields with the documented defaults.
-// Negative sentinels are clamped to "disabled" (zero thresholds).
-func (c Config) WithDefaults() Config {
-	if c.BudgetFrac == 0 {
-		c.BudgetFrac = 0.25
-	}
-	if c.BurstIntervals == 0 {
-		c.BurstIntervals = 6
-	}
-	if c.MinROI == 0 {
-		c.MinROI = 0.1
-	} else if c.MinROI < 0 {
-		c.MinROI = 0
-	}
-	if c.MaxVictimROI == 0 {
-		c.MaxVictimROI = 64
-	}
-	if c.HorizonIntervals == 0 {
-		c.HorizonIntervals = 32
-	}
-	if c.PressureFactor == 0 {
-		c.PressureFactor = 4
-	}
-	if c.LowWaterFrac == 0 {
-		c.LowWaterFrac = 0.25
-	}
-	if c.WastePenalty == 0 {
-		c.WastePenalty = 4
-	} else if c.WastePenalty < 0 {
-		c.WastePenalty = 0
-	}
-	if c.WasteCutoff == 0 {
-		c.WasteCutoff = 0.5
-	} else if c.WasteCutoff < 0 {
-		c.WasteCutoff = 2 // a ratio can never exceed 1: disabled
-	}
-	if c.LearnStep == 0 {
-		c.LearnStep = 0.25
-	}
-	if c.EvidenceFloor == 0 {
-		c.EvidenceFloor = 4
-	}
-	if c.TargetWaste == 0 {
-		c.TargetWaste = 0.25
-	}
-	if c.LearnMin == 0 {
-		c.LearnMin = c.MinROI / 4
-	}
-	if c.LearnMax == 0 {
-		c.LearnMax = c.MinROI * 64
-	}
-	c.Lanes = c.Lanes.WithDefaults()
-	return c
-}
-
-// Validate bounds-checks the learner and lane knobs on a raw
-// (pre-defaults) config. Zero values are valid — they select defaults.
-func (c Config) Validate() error {
-	if c.LearnStep < 0 || c.LearnStep >= 1 {
-		return fmt.Errorf("admission: learn-step %v outside [0, 1)", c.LearnStep)
-	}
-	if c.EvidenceFloor < 0 {
-		return fmt.Errorf("admission: evidence-floor %d negative", c.EvidenceFloor)
-	}
-	if c.TargetWaste < 0 || c.TargetWaste >= 1 {
-		return fmt.Errorf("admission: target-waste %v outside [0, 1)", c.TargetWaste)
-	}
-	if c.LearnMin < 0 || c.LearnMax < 0 {
-		return fmt.Errorf("admission: learn floor clamps must be non-negative")
-	}
-	if c.LearnMin > 0 && c.LearnMax > 0 && c.LearnMin > c.LearnMax {
-		return fmt.Errorf("admission: learn-min %v exceeds learn-max %v", c.LearnMin, c.LearnMax)
-	}
-	return c.Lanes.Validate()
-}
+	// falls back toward admitting more.
+	TargetWaste = 0.25
+	// LearnMin and LearnMax clamp the learned floor to a band around
+	// MinROI, which seeds every floor.
+	LearnMin = MinROI / 4
+	LearnMax = MinROI * 64
+	// ReserveFrac is the fraction of each pair's rated burst reserved
+	// for the drain lane on top of the pair's live tokens (lanes only).
+	ReserveFrac = 0.25
+	// WatchdogIntervals is how many consecutive fully-refused intervals
+	// a critical class tolerates before the starvation watchdog fires
+	// (lanes only).
+	WatchdogIntervals = 4
+	// DemandMult scales the demand-tracking refill: next interval's
+	// refill rate is DemandMult times the pair's smoothed observed
+	// volume, clamped to the rated budget (lanes only).
+	DemandMult = 2
+)
 
 // ROI estimates the return on investment of moving one page: the stall
-// nanoseconds the move is expected to save over the retention horizon,
-// divided by the nanoseconds the copy costs. whi is the profiler's
-// weighted hotness (accesses per page per interval on whatever scale
-// the active policy uses), reaccess the evidence-based likelihood the
-// page stays hot (see the engine's reaccess grading), horizon the
-// assumed retention in intervals, gapNs the per-access latency gap
-// between source and destination, and copyNsPerPage the copy cost.
-func ROI(whi, reaccess, horizon, gapNs, copyNsPerPage float64) float64 {
+// nanoseconds the move is expected to save over the retention horizon
+// (HorizonIntervals), divided by the nanoseconds the copy costs. whi is
+// the profiler's weighted hotness (accesses per page per interval on
+// whatever scale the active policy uses), reaccess the evidence-based
+// likelihood the page stays hot (see the engine's reaccess grading),
+// gapNs the per-access latency gap between source and destination, and
+// copyNsPerPage the copy cost.
+func ROI(whi, reaccess, gapNs, copyNsPerPage float64) float64 {
 	if copyNsPerPage <= 0 || whi <= 0 {
 		return 0
 	}
-	return whi * reaccess * horizon * gapNs / copyNsPerPage
+	return whi * reaccess * HorizonIntervals * gapNs / copyNsPerPage
 }
 
 // Decision reports one admission check, with enough evidence to
@@ -392,17 +307,19 @@ func (b *bucket) debit(n int64) {
 // use. No method draws randomness or reads the wall clock, so results
 // are bit-identical across runs.
 type Controller struct {
-	cfg   Config
 	pairs []bucket // n*n, indexed src*n + dst
 	n     int
 	// learn holds per-pair learned floors and their evidence tallies
-	// (src*n + dst, like pairs); nil unless Config.Learn.
+	// (src*n + dst, like pairs); nil unless learning is on.
 	learn []learner
+	// lanes turns on the traffic-class lanes (see NewController).
+	lanes bool
 	// cls tracks per-traffic-class admission activity for the lane
 	// watchdog and the per-class Result breakdowns.
 	cls [NumClasses]ClassStat
 	// intervalNs is the engine's interval length (SetInterval), needed
-	// to convert observed per-interval demand into a refill rate.
+	// to convert observed per-interval demand into a refill rate and to
+	// size the per-page cool-down.
 	intervalNs int64
 }
 
@@ -437,23 +354,33 @@ type Starvation struct {
 
 // NewController builds a controller for n nodes. Pair budgets start
 // unbounded (rate 0, no enforcement) until SetRate is called.
-func NewController(cfg Config, n int) *Controller {
+//
+// learn turns on online per-pair promotion floors: each pair's floor
+// starts at MinROI and is adjusted at interval end from realized
+// hindsight verdicts (NoteOutcome).
+//
+// lanes turns on traffic-class priority lanes. Lanes give health drain
+// and emergency demotion strict priority over normal migration traffic:
+// a reserved slice of every pair's rated burst (ReserveFrac) is
+// spendable only by the drain lane, and a watchdog reports a critical
+// class starved for more than WatchdogIntervals consecutive intervals.
+// Lanes also make the budgets bind: each pair's refill rate is scaled to
+// its observed traffic volume (DemandMult). Without lanes, drain and
+// emergency traffic bypass admission entirely.
+func NewController(n int, learn, lanes bool) *Controller {
 	c := &Controller{
-		cfg:   cfg.WithDefaults(),
 		pairs: make([]bucket, n*n),
 		n:     n,
+		lanes: lanes,
 	}
-	if c.cfg.Learn {
+	if learn {
 		c.learn = make([]learner, n*n)
 		for i := range c.learn {
-			c.learn[i].floor = c.cfg.MinROI
+			c.learn[i].floor = MinROI
 		}
 	}
 	return c
 }
-
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 func (c *Controller) pair(src, dst int) *bucket {
 	if src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
@@ -481,8 +408,9 @@ func (c *Controller) SetRate(src, dst int, bytesPerSec, burst int64) {
 }
 
 // SetInterval tells the controller the engine's interval length in
-// virtual nanoseconds; demand-scaled refill needs it to convert
-// observed per-interval volume into a rate.
+// virtual nanoseconds. The per-page cool-down lasts two intervals, and
+// demand-scaled refill needs it to convert observed per-interval volume
+// into a rate.
 func (c *Controller) SetInterval(ns int64) { c.intervalNs = ns }
 
 // Tokens reports a pair's balance after refilling to nowNs.
@@ -514,7 +442,7 @@ func (c *Controller) Admit(src, dst int, dir Direction, roi float64, bytes, page
 
 // AdmitClass prices one planned move in the given traffic class.
 // Normal traffic passes every gate against the pair's effective floor
-// (learned when Learn is on). Drain traffic skips the ROI gates and
+// (learned when learning is on). Drain traffic skips the ROI gates and
 // waste shedding — evacuating a dying tier is not optional — and may
 // draw on the reserved bandwidth slice on top of the pair's tokens.
 // Emergency traffic is admitted unconditionally: refusing the demotion
@@ -540,12 +468,12 @@ func (c *Controller) AdmitClass(cl Class, src, dst int, dir Direction, roi float
 	d.BudgetBytes = b.tokens
 	if cl == ClassNormal {
 		if dir == DirDemote {
-			if c.cfg.MaxVictimROI > 0 && roi > c.cfg.MaxVictimROI {
-				d.Verdict, d.Rule, d.Threshold = VerdictReject, RuleVictimHot, c.cfg.MaxVictimROI
+			if roi > MaxVictimROI {
+				d.Verdict, d.Rule, d.Threshold = VerdictReject, RuleVictimHot, MaxVictimROI
 				return d
 			}
 		} else {
-			floor := c.cfg.MinROI
+			floor := MinROI
 			if c.learn != nil {
 				floor = c.learn[src*c.n+dst].floor
 			}
@@ -556,8 +484,8 @@ func (c *Controller) AdmitClass(cl Class, src, dst int, dir Direction, roi float
 			}
 			// Budget pressure: below the low-water mark only clearly
 			// profitable promotions spend what's left; marginal ones wait.
-			if low := int64(c.cfg.LowWaterFrac * float64(b.burst)); b.tokens < low {
-				if need := floor * c.cfg.PressureFactor; roi < need {
+			if low := int64(LowWaterFrac * float64(b.burst)); b.tokens < low {
+				if need := floor * PressureFactor; roi < need {
 					d.Verdict, d.Rule, d.Threshold = VerdictDefer, RuleShed, need
 					s.Defers++
 					return d
@@ -569,19 +497,19 @@ func (c *Controller) AdmitClass(cl Class, src, dst int, dir Direction, roi float
 		// guard is the half-open probe — once decay brings the ledger under
 		// one page, a single move is admitted to test the pair.
 		if w := b.moved + b.wasted; w > 0 && (pageSize <= 0 || b.wasted >= pageSize) {
-			if ratio := float64(b.wasted) / float64(w); ratio >= c.cfg.WasteCutoff {
-				d.Verdict, d.Rule, d.Threshold = VerdictDefer, RuleWaste, c.cfg.WasteCutoff
+			if ratio := float64(b.wasted) / float64(w); ratio >= WasteCutoff {
+				d.Verdict, d.Rule, d.Threshold = VerdictDefer, RuleWaste, WasteCutoff
 				s.Defers++
 				return d
 			}
 		}
 	}
 	avail := b.tokens
-	if cl == ClassDrain && c.cfg.Lanes.Enabled {
+	if cl == ClassDrain && c.lanes {
 		// The reserve: a slice of the rated burst only critical lanes may
 		// spend, sized so drain always makes progress even when normal
 		// traffic has drained the bucket (or driven it into debt).
-		avail += int64(c.cfg.Lanes.ReserveFrac * float64(b.statBurst))
+		avail += int64(ReserveFrac * float64(b.statBurst))
 	}
 	allowed := bytes
 	if b.rate > 0 && avail < allowed {
@@ -622,7 +550,7 @@ func (c *Controller) Waste(src, dst int, bytes, nowNs int64) {
 		return
 	}
 	b.refill(nowNs)
-	b.debit(bytes + int64(c.cfg.WastePenalty*float64(bytes)))
+	b.debit(bytes + int64(WastePenalty*float64(bytes)))
 	b.wasted += bytes
 	b.intBytes += bytes
 }
@@ -692,19 +620,16 @@ func (c *Controller) PageAllowed(s Cooldown, dir Direction, nowNs int64) bool {
 }
 
 // NotePageMove returns the stamp a committed move in dir at nowNs leaves
-// on its page, replacing any earlier one. It reports false when
-// cool-downs are disabled: the page then keeps its stamp.
-func (c *Controller) NotePageMove(dir Direction, nowNs int64) (Cooldown, bool) {
-	if c.cfg.CoolDown <= 0 {
-		return 0, false
-	}
-	return Cooldown((nowNs+int64(c.cfg.CoolDown))<<1 | int64(dir)), true
+// on its page, replacing any earlier one. The cool-down lasts two
+// intervals.
+func (c *Controller) NotePageMove(dir Direction, nowNs int64) Cooldown {
+	return Cooldown((nowNs+2*c.intervalNs)<<1 | int64(dir))
 }
 
 // NoteOutcome feeds one resolved hindsight verdict for a promotion
 // through the pair into the online learner: reaccessed means the
 // promoted page was touched again before the horizon (the move paid),
-// otherwise it was promoted-wasted. No-op unless Learn is on.
+// otherwise it was promoted-wasted. No-op unless learning is on.
 func (c *Controller) NoteOutcome(src, dst int, reaccessed bool) {
 	if c.learn == nil || src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
 		return
@@ -718,13 +643,10 @@ func (c *Controller) NoteOutcome(src, dst int, reaccessed bool) {
 }
 
 // MinROIFor reports the pair's effective promotion floor: the learned
-// floor when Learn is on, the static MinROI otherwise.
+// floor when learning is on, the static MinROI otherwise.
 func (c *Controller) MinROIFor(src, dst int) float64 {
-	if c.learn == nil {
-		return c.cfg.MinROI
-	}
-	if src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
-		return c.cfg.MinROI
+	if c.learn == nil || src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
+		return MinROI
 	}
 	return c.learn[src*c.n+dst].floor
 }
@@ -761,7 +683,7 @@ func (c *Controller) ClassStats(cl Class) ClassStat {
 // Pure function of controller state and nowNs — fixed iteration order,
 // no maps, no clock — so it is bit-identical across runs.
 func (c *Controller) EndInterval(nowNs int64) []Starvation {
-	if c.cfg.Lanes.Enabled && c.intervalNs > 0 {
+	if c.lanes && c.intervalNs > 0 {
 		for i := range c.pairs {
 			b := &c.pairs[i]
 			if b.statRate <= 0 {
@@ -774,7 +696,7 @@ func (c *Controller) EndInterval(nowNs int64) []Starvation {
 				b.ema += (b.intBytes - b.ema) / 8
 			}
 			b.intBytes = 0
-			rate := int64(c.cfg.Lanes.DemandMult * float64(b.ema) * 1e9 / float64(c.intervalNs))
+			rate := int64(DemandMult * float64(b.ema) * 1e9 / float64(c.intervalNs))
 			if min := b.statRate / 64; rate < min {
 				rate = min
 			}
@@ -785,7 +707,7 @@ func (c *Controller) EndInterval(nowNs int64) []Starvation {
 				rate = b.statRate
 			}
 			b.rate = rate
-			b.burst = int64(float64(rate) * c.cfg.BurstIntervals * float64(c.intervalNs) / 1e9)
+			b.burst = int64(float64(rate) * BurstIntervals * float64(c.intervalNs) / 1e9)
 			if b.burst < 1 {
 				b.burst = 1
 			}
@@ -798,32 +720,32 @@ func (c *Controller) EndInterval(nowNs int64) []Starvation {
 		for i := range c.learn {
 			l := &c.learn[i]
 			n := l.good + l.bad
-			if n < float64(c.cfg.EvidenceFloor) {
+			if n < EvidenceFloor {
 				continue // frozen: not enough evidence to adapt on
 			}
-			if l.bad/n > c.cfg.TargetWaste {
-				l.floor *= 1 + c.cfg.LearnStep
+			if l.bad/n > TargetWaste {
+				l.floor *= 1 + LearnStep
 			} else {
-				l.floor *= 1 - c.cfg.LearnStep
+				l.floor *= 1 - LearnStep
 			}
-			if l.floor < c.cfg.LearnMin {
-				l.floor = c.cfg.LearnMin
+			if l.floor < LearnMin {
+				l.floor = LearnMin
 			}
-			if l.floor > c.cfg.LearnMax {
-				l.floor = c.cfg.LearnMax
+			if l.floor > LearnMax {
+				l.floor = LearnMax
 			}
 			l.good /= 2
 			l.bad /= 2
 		}
 	}
 	var fired []Starvation
-	if c.cfg.Lanes.Enabled {
+	if c.lanes {
 		for cl := ClassDrain; cl <= ClassEmergency; cl++ {
 			s := &c.cls[cl]
 			switch {
 			case s.reqs > 0 && s.admits == 0:
 				s.waitIntervals++
-				if s.waitIntervals > c.cfg.Lanes.WatchdogIntervals {
+				if s.waitIntervals > WatchdogIntervals {
 					fired = append(fired, Starvation{Class: cl, Waited: s.waitIntervals})
 					s.Starvations++
 					s.waitIntervals = 0

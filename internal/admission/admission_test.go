@@ -9,15 +9,15 @@ const page = int64(1 << 21)
 
 // newCtl builds a two-node controller with a known rate/burst on the
 // 0→1 pair: 1000 bytes per virtual second, burst of 4000.
-func newCtl(t *testing.T, cfg Config) *Controller {
+func newCtl(t *testing.T) *Controller {
 	t.Helper()
-	c := NewController(cfg, 2)
+	c := NewController(2, false, false)
 	c.SetRate(0, 1, 1000, 4000)
 	return c
 }
 
 func TestBucketRefillBoundaries(t *testing.T) {
-	c := newCtl(t, Config{})
+	c := newCtl(t)
 	// Buckets start full.
 	if got := c.Tokens(0, 1, 0); got != 4000 {
 		t.Fatalf("initial tokens = %d, want full burst 4000", got)
@@ -49,9 +49,9 @@ func TestBucketRefillBoundaries(t *testing.T) {
 }
 
 func TestWastePenaltyDrainsBudget(t *testing.T) {
-	c := newCtl(t, Config{WastePenalty: 3})
-	// One wasted page debits (1+3)x its bytes...
-	c.Waste(0, 1, 1000, 0)
+	c := newCtl(t)
+	// A wasted move debits (1+WastePenalty)x its bytes: 5 × 800 = 4000...
+	c.Waste(0, 1, 800, 0)
 	if got := c.Tokens(0, 1, 0); got != 0 {
 		t.Fatalf("tokens after penalized waste = %d, want 0", got)
 	}
@@ -66,7 +66,7 @@ func TestWastePenaltyDrainsBudget(t *testing.T) {
 }
 
 func TestZeroBudgetRestartsRefillClock(t *testing.T) {
-	c := newCtl(t, Config{})
+	c := newCtl(t)
 	// Zeroing at t=1s must both empty the bucket and restart the refill
 	// clock: the pair may not retroactively earn credit for the time
 	// before the breaker tripped.
@@ -86,12 +86,11 @@ func TestZeroBudgetRestartsRefillClock(t *testing.T) {
 }
 
 func TestAdmitVerdicts(t *testing.T) {
-	cfg := Config{MinROI: 1, MaxVictimROI: 8, PressureFactor: 4, LowWaterFrac: 0.5}
-	c := NewController(cfg, 2)
+	c := NewController(2, false, false)
 	c.SetRate(0, 1, page, 4*page)
 
-	// Cold promotion: rejected outright.
-	d := c.Admit(0, 1, DirPromote, 0.5, page, page, 0)
+	// Cold promotion (below MinROI 0.1): rejected outright.
+	d := c.Admit(0, 1, DirPromote, 0.05, page, page, 0)
 	if d.Verdict != VerdictReject || d.Rule != RuleLowROI {
 		t.Fatalf("cold promote: got %v/%s, want reject/%s", d.Verdict, d.Rule, RuleLowROI)
 	}
@@ -101,8 +100,9 @@ func TestAdmitVerdicts(t *testing.T) {
 	if d.Verdict != VerdictAdmit || d.AllowedBytes != 4*page {
 		t.Fatalf("hot promote: got %v allowed=%d, want admit allowed=%d", d.Verdict, d.AllowedBytes, 4*page)
 	}
-	// Hot demotion victim: rejected as too hot to evict.
-	d = c.Admit(0, 1, DirDemote, 9, page, page, 0)
+	// Hot demotion victim (above MaxVictimROI 64): rejected as too hot
+	// to evict.
+	d = c.Admit(0, 1, DirDemote, 65, page, page, 0)
 	if d.Verdict != VerdictReject || d.Rule != RuleVictimHot {
 		t.Fatalf("hot victim: got %v/%s, want reject/%s", d.Verdict, d.Rule, RuleVictimHot)
 	}
@@ -112,9 +112,9 @@ func TestAdmitVerdicts(t *testing.T) {
 		t.Fatalf("cold victim: got %v/%s, want admit", d.Verdict, d.Rule)
 	}
 	// Drain the bucket below the low-water mark: a marginal promotion
-	// (above MinROI, below MinROI*PressureFactor) sheds...
+	// (above MinROI, below MinROI*PressureFactor = 0.4) sheds...
 	c.Commit(0, 1, 4*page, 0)
-	d = c.Admit(0, 1, DirPromote, 2, page, page, 0)
+	d = c.Admit(0, 1, DirPromote, 0.2, page, page, 0)
 	if d.Verdict != VerdictDefer || d.Rule != RuleShed {
 		t.Fatalf("marginal promote under pressure: got %v/%s, want defer/%s", d.Verdict, d.Rule, RuleShed)
 	}
@@ -132,15 +132,16 @@ func TestAdmitVerdicts(t *testing.T) {
 }
 
 func TestCooldownHysteresisAndExpiry(t *testing.T) {
-	c := NewController(Config{CoolDown: time.Second}, 2)
+	c := NewController(2, false, false)
+	c.SetInterval(int64(500 * time.Millisecond)) // cool-down: two intervals, 1s
 	// Fresh page: any direction allowed.
 	var fresh Cooldown
 	if !c.PageAllowed(fresh, DirPromote, 0) || !c.PageAllowed(fresh, DirDemote, 0) {
 		t.Fatal("fresh page blocked")
 	}
-	s, ok := c.NotePageMove(DirDemote, 0)
-	if !ok || s.Until() != int64(time.Second) || s.Dir() != DirDemote {
-		t.Fatalf("stamp = (%d, %v, %v), want (1s, demote, true)", s.Until(), s.Dir(), ok)
+	s := c.NotePageMove(DirDemote, 0)
+	if s.Until() != int64(time.Second) || s.Dir() != DirDemote {
+		t.Fatalf("stamp = (%d, %v), want (1s, demote)", s.Until(), s.Dir())
 	}
 	// During the cool-down the reverse direction is blocked...
 	if c.PageAllowed(s, DirPromote, int64(999*time.Millisecond)) {
@@ -159,33 +160,28 @@ func TestCooldownHysteresisAndExpiry(t *testing.T) {
 		}
 	}
 	// A promotion stamps the other direction.
-	if p, _ := c.NotePageMove(DirPromote, int64(time.Second)); p.Dir() != DirPromote ||
+	if p := c.NotePageMove(DirPromote, int64(time.Second)); p.Dir() != DirPromote ||
 		c.PageAllowed(p, DirDemote, int64(1500*time.Millisecond)) {
 		t.Fatal("promotion stamp does not block an immediate demotion")
-	}
-	// A disabled cool-down never stamps.
-	off := NewController(Config{CoolDown: -1}, 2)
-	if _, ok := off.NotePageMove(DirDemote, 0); ok {
-		t.Fatal("disabled cool-down still stamped a move")
 	}
 }
 
 func TestROI(t *testing.T) {
-	// 10 accesses/page/interval, certain reaccess, 32-interval horizon,
-	// 250ns gap, 80µs copy: ROI = 10*1*32*250/80000 = 1.
-	if got := ROI(10, 1, 32, 250, 80000); got != 1 {
+	// 10 accesses/page/interval, certain reaccess, 32-interval horizon
+	// (HorizonIntervals), 250ns gap, 80µs copy: ROI = 10*1*32*250/80000 = 1.
+	if got := ROI(10, 1, 250, 80000); got != 1 {
 		t.Fatalf("ROI = %v, want 1", got)
 	}
-	if got := ROI(0, 1, 32, 250, 80000); got != 0 {
+	if got := ROI(0, 1, 250, 80000); got != 0 {
 		t.Fatalf("ROI of cold page = %v, want 0", got)
 	}
-	if got := ROI(10, 1, 32, 250, 0); got != 0 {
+	if got := ROI(10, 1, 250, 0); got != 0 {
 		t.Fatalf("ROI with zero copy cost = %v, want 0", got)
 	}
 }
 
 func TestWasteShedHalfOpenRecovery(t *testing.T) {
-	c := NewController(Config{CoolDown: -1}, 2)
+	c := NewController(2, false, false)
 	rate := 100 * page              // bytes per virtual second
 	c.SetRate(0, 1, rate, 400*page) // decay window = burst/rate = 4s
 	now := int64(1e9)
@@ -221,19 +217,11 @@ func TestWasteShedHalfOpenRecovery(t *testing.T) {
 	}
 
 	// A pair below the cutoff never sheds: mostly-successful traffic.
-	c2 := NewController(Config{CoolDown: -1}, 2)
+	c2 := NewController(2, false, false)
 	c2.SetRate(0, 1, rate, 400*page)
 	c2.Commit(0, 1, 3*page, now)
 	c2.Waste(0, 1, page, now)
 	if d := c2.Admit(0, 1, DirPromote, 1, page, page, now); d.Verdict != VerdictAdmit {
 		t.Fatalf("Admit on mostly-healthy pair = %v/%s, want admit", d.Verdict, d.Rule)
-	}
-
-	// Disabled cutoff: even a pure-waste pair stays open.
-	c3 := NewController(Config{CoolDown: -1, WasteCutoff: -1}, 2)
-	c3.SetRate(0, 1, rate, 400*page)
-	c3.Waste(0, 1, 4*page, now)
-	if d := c3.Admit(0, 1, DirPromote, 1, page, page, now); d.Verdict != VerdictAdmit {
-		t.Fatalf("Admit with disabled cutoff = %v/%s, want admit", d.Verdict, d.Rule)
 	}
 }

@@ -1,15 +1,12 @@
 package admission
 
-import (
-	"testing"
-)
+import "testing"
 
 // laneCtl builds a two-node lanes controller with a known rate/burst on
 // the 0→1 pair and a 1s interval.
-func laneCtl(t *testing.T, lc LaneConfig) *Controller {
+func laneCtl(t *testing.T) *Controller {
 	t.Helper()
-	lc.Enabled = true
-	c := NewController(Config{Lanes: lc}, 2)
+	c := NewController(2, false, true)
 	c.SetInterval(1e9)
 	c.SetRate(0, 1, 1000, 4000)
 	return c
@@ -18,14 +15,14 @@ func laneCtl(t *testing.T, lc LaneConfig) *Controller {
 // TestDrainLaneSpendsReserve asserts the drain lane may draw on the
 // reserved burst slice after normal traffic has emptied the bucket.
 func TestDrainLaneSpendsReserve(t *testing.T) {
-	c := laneCtl(t, LaneConfig{ReserveFrac: 0.25})
+	c := laneCtl(t)
 	// Exhaust the pair's live tokens.
 	c.Commit(0, 1, 4000, 0)
 	// Normal traffic sees an empty bucket and defers.
 	if d := c.AdmitClass(ClassNormal, 0, 1, DirDemote, 1, 512, 512, 0); d.Verdict != VerdictDefer || d.Rule != RuleBudget {
 		t.Fatalf("normal on empty bucket = %v/%q, want defer/%s", d.Verdict, d.Rule, RuleBudget)
 	}
-	// Drain traffic still fits inside the reserve (0.25 × 4000 = 1000).
+	// Drain traffic still fits inside the reserve (ReserveFrac × 4000 = 1000).
 	if d := c.AdmitClass(ClassDrain, 0, 1, DirDemote, 0, 512, 512, 0); d.Verdict != VerdictAdmit {
 		t.Fatalf("drain inside reserve = %v/%q, want admit", d.Verdict, d.Rule)
 	}
@@ -40,7 +37,7 @@ func TestDrainLaneSpendsReserve(t *testing.T) {
 // and never gets admitted fires the watchdog after WatchdogIntervals
 // consecutive starved intervals — and that an admit resets the count.
 func TestStarvationWatchdog(t *testing.T) {
-	c := laneCtl(t, LaneConfig{WatchdogIntervals: 2, ReserveFrac: 0.25})
+	c := laneCtl(t)
 	// Drive the bucket to maximum debt so even the reserve cannot cover
 	// one 512-byte drain page.
 	c.Waste(0, 1, 1<<20, 0)
@@ -52,28 +49,28 @@ func TestStarvationWatchdog(t *testing.T) {
 		return c.EndInterval(0)
 	}
 
-	// Intervals 1 and 2: starved but within tolerance.
-	for i := 1; i <= 2; i++ {
+	// The first WatchdogIntervals intervals: starved but within tolerance.
+	for i := 1; i <= WatchdogIntervals; i++ {
 		if fired := starve(i); len(fired) != 0 {
-			t.Fatalf("watchdog fired after %d starved intervals, tolerance is 2", i)
+			t.Fatalf("watchdog fired after %d starved intervals, tolerance is %d", i, WatchdogIntervals)
 		}
 	}
-	// Interval 3 crosses the tolerance.
-	fired := starve(3)
-	if len(fired) != 1 || fired[0].Class != ClassDrain || fired[0].Waited != 3 {
-		t.Fatalf("watchdog = %+v, want one ClassDrain firing with Waited=3", fired)
+	// The next interval crosses the tolerance.
+	fired := starve(WatchdogIntervals + 1)
+	if len(fired) != 1 || fired[0].Class != ClassDrain || fired[0].Waited != WatchdogIntervals+1 {
+		t.Fatalf("watchdog = %+v, want one ClassDrain firing with Waited=%d", fired, WatchdogIntervals+1)
 	}
 	if got := c.ClassStats(ClassDrain).Starvations; got != 1 {
 		t.Fatalf("ClassStats(drain).Starvations = %d, want 1", got)
 	}
 	// The counter resets after a firing: the next firing needs another
 	// full tolerance run.
-	for i := 4; i <= 5; i++ {
-		if fired := starve(i); len(fired) != 0 {
-			t.Fatalf("watchdog re-fired after %d post-reset starved intervals", i-3)
+	for i := 1; i <= WatchdogIntervals; i++ {
+		if fired := starve(WatchdogIntervals + 1 + i); len(fired) != 0 {
+			t.Fatalf("watchdog re-fired after %d post-reset starved intervals", i)
 		}
 	}
-	if fired := starve(6); len(fired) != 1 {
+	if fired := starve(2*WatchdogIntervals + 2); len(fired) != 1 {
 		t.Fatalf("watchdog did not re-fire after a second full starvation run")
 	}
 
@@ -91,7 +88,7 @@ func TestStarvationWatchdog(t *testing.T) {
 // TestClassStatsAccumulate asserts per-class lifetime counters track
 // requests, admits, defers and bytes independently per class.
 func TestClassStatsAccumulate(t *testing.T) {
-	c := laneCtl(t, LaneConfig{})
+	c := laneCtl(t)
 	c.AdmitClass(ClassNormal, 0, 1, DirDemote, 1, 512, 512, 0)
 	c.AdmitClass(ClassEmergency, 0, 1, DirDemote, 0, 512, 512, 0)
 	c.AdmitClass(ClassEmergency, 0, 1, DirDemote, 0, 512, 512, 0)
@@ -111,7 +108,7 @@ func TestClassStatsAccumulate(t *testing.T) {
 // to its observed traffic: an idle pair collapses to the rate floor
 // (statRate/64), a busy pair is clamped at the rated budget.
 func TestDemandScaledRefill(t *testing.T) {
-	c := laneCtl(t, LaneConfig{DemandMult: 2})
+	c := laneCtl(t)
 	// No traffic at all: after one interval the refill rate floors at
 	// statRate/64 ≈ 15 B/s, so one virtual second credits ~15 bytes.
 	c.Commit(0, 1, 4000, 0) // empty the bucket (counts as this interval's traffic)
@@ -135,88 +132,4 @@ func TestDemandScaledRefill(t *testing.T) {
 	if got := c.Tokens(0, 1, 3e9) - base; got > 1000 {
 		t.Fatalf("busy-pair refill over 1s = %d bytes, exceeds rated 1000", got)
 	}
-}
-
-func TestParseLanes(t *testing.T) {
-	cases := []struct {
-		spec string
-		want LaneConfig
-		err  bool
-	}{
-		{spec: "", want: LaneConfig{}},
-		{spec: "none", want: LaneConfig{}},
-		{spec: "default", want: LaneConfig{Enabled: true, ReserveFrac: 0.25, WatchdogIntervals: 4, DemandMult: 2}},
-		{spec: "strict", want: LaneConfig{Enabled: true, ReserveFrac: 0.5, WatchdogIntervals: 2, DemandMult: 1}},
-		{spec: "default,reserve-frac=0.4", want: LaneConfig{Enabled: true, ReserveFrac: 0.4, WatchdogIntervals: 4, DemandMult: 2}},
-		{spec: "strict,watchdog-intervals=3,demand-mult=1.5", want: LaneConfig{Enabled: true, ReserveFrac: 0.5, WatchdogIntervals: 3, DemandMult: 1.5}},
-		// Bare overrides start from the default preset.
-		{spec: "reserve-frac=0.1", want: LaneConfig{Enabled: true, ReserveFrac: 0.1, WatchdogIntervals: 4, DemandMult: 2}},
-		{spec: " default , reserve-frac = 0.4 ", want: LaneConfig{Enabled: true, ReserveFrac: 0.4, WatchdogIntervals: 4, DemandMult: 2}},
-		{spec: "bogus", err: true},
-		{spec: "default,bogus-key=1", err: true},
-		{spec: "default,reserve-frac", err: true},
-		{spec: "default,reserve-frac=x", err: true},
-		{spec: "reserve-frac=1.5", err: true},
-		{spec: "reserve-frac=-0.1", err: true},
-		{spec: "watchdog-intervals=0", err: true},
-		{spec: "watchdog-intervals=-2", err: true},
-		{spec: "demand-mult=0", err: true},
-		{spec: "demand-mult=-1", err: true},
-		{spec: ",,,", err: true},
-		{spec: "default,", err: true},
-	}
-	for _, tc := range cases {
-		got, err := ParseLanes(tc.spec)
-		if tc.err {
-			if err == nil {
-				t.Errorf("ParseLanes(%q) = %+v, want error", tc.spec, got)
-			}
-			continue
-		}
-		if err != nil {
-			t.Errorf("ParseLanes(%q): %v", tc.spec, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("ParseLanes(%q) = %+v, want %+v", tc.spec, got, tc.want)
-		}
-	}
-}
-
-// FuzzParseLanes asserts the lane-spec parser never panics and that
-// accepted specs produce configs that pass validation (ParseLanes and
-// ValidLanes agree) — the same contract as the fault-scenario FuzzParse.
-func FuzzParseLanes(f *testing.F) {
-	seeds := append([]string{
-		"", "none",
-		"default,reserve-frac=0.4",
-		"strict,watchdog-intervals=3",
-		"reserve-frac=0.1,demand-mult=1.5",
-		"watchdog-intervals=0", "demand-mult=-1", "reserve-frac=2",
-		"x=y", ",,,", "default,", " strict ",
-	}, LanePresets()...)
-	for _, s := range seeds {
-		f.Add(s)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, err := ParseLanes(spec)
-		if (err == nil) != ValidLanes(spec) {
-			t.Fatalf("ParseLanes and ValidLanes disagree on %q", spec)
-		}
-		if err != nil {
-			return
-		}
-		if err := cfg.Validate(); err != nil {
-			t.Fatalf("ParseLanes(%q) accepted an invalid config: %v", spec, err)
-		}
-		if cfg.Enabled && (cfg.WatchdogIntervals < 1 || cfg.DemandMult <= 0) {
-			t.Fatalf("ParseLanes(%q) accepted degenerate lanes: %+v", spec, cfg)
-		}
-		// An accepted spec must survive the controller end to end.
-		c := NewController(Config{Lanes: cfg}, 2)
-		c.SetInterval(1e9)
-		c.SetRate(0, 1, 1000, 4000)
-		c.AdmitClass(ClassDrain, 0, 1, DirDemote, 0, 512, 512, 0)
-		c.EndInterval(1e9)
-	})
 }

@@ -7,10 +7,9 @@ import (
 
 // learnCtl builds a two-node learning controller with a generous budget
 // on the 0→1 pair so floor behaviour, not tokens, decides admissions.
-func learnCtl(t *testing.T, cfg Config) *Controller {
+func learnCtl(t *testing.T) *Controller {
 	t.Helper()
-	cfg.Learn = true
-	c := NewController(cfg, 2)
+	c := NewController(2, true, false)
 	c.SetRate(0, 1, 1<<40, 1<<40)
 	return c
 }
@@ -29,37 +28,35 @@ func feed(c *Controller, n int, reaccessed bool) {
 // fewer verdicts than the evidence floor it freezes exactly.
 func TestLearnerConvergence(t *testing.T) {
 	t.Run("rises-under-sustained-waste", func(t *testing.T) {
-		c := learnCtl(t, Config{})
-		cfg := c.Config()
+		c := learnCtl(t)
 		base := c.MinROIFor(0, 1)
-		if base != cfg.MinROI {
-			t.Fatalf("seed floor = %v, want static MinROI %v", base, cfg.MinROI)
+		if base != MinROI {
+			t.Fatalf("seed floor = %v, want static MinROI %v", base, MinROI)
 		}
 		prev := base
 		for i := 0; i < 64; i++ {
-			feed(c, cfg.EvidenceFloor, false)
+			feed(c, EvidenceFloor, false)
 			c.EndInterval(int64(i + 1))
 			got := c.MinROIFor(0, 1)
 			if got < prev {
 				t.Fatalf("interval %d: floor fell %v -> %v under pure waste", i, prev, got)
 			}
 			// One adaptation may not exceed the bounded multiplicative step.
-			if max := prev * (1 + cfg.LearnStep); got > max+1e-12 {
+			if max := prev * (1 + LearnStep); got > max+1e-12 {
 				t.Fatalf("interval %d: floor jumped %v -> %v, step bound %v", i, prev, got, max)
 			}
 			prev = got
 		}
-		if prev != cfg.LearnMax {
-			t.Fatalf("floor after sustained waste = %v, want saturation at LearnMax %v", prev, cfg.LearnMax)
+		if prev != LearnMax {
+			t.Fatalf("floor after sustained waste = %v, want saturation at LearnMax %v", prev, LearnMax)
 		}
 	})
 
 	t.Run("falls-under-sustained-reaccess", func(t *testing.T) {
-		c := learnCtl(t, Config{})
-		cfg := c.Config()
+		c := learnCtl(t)
 		prev := c.MinROIFor(0, 1)
 		for i := 0; i < 64; i++ {
-			feed(c, cfg.EvidenceFloor, true)
+			feed(c, EvidenceFloor, true)
 			c.EndInterval(int64(i + 1))
 			got := c.MinROIFor(0, 1)
 			if got > prev {
@@ -67,21 +64,21 @@ func TestLearnerConvergence(t *testing.T) {
 			}
 			prev = got
 		}
-		if prev != cfg.LearnMin {
-			t.Fatalf("floor after sustained reaccess = %v, want saturation at LearnMin %v", prev, cfg.LearnMin)
+		if prev != LearnMin {
+			t.Fatalf("floor after sustained reaccess = %v, want saturation at LearnMin %v", prev, LearnMin)
 		}
 	})
 
 	t.Run("freezes-below-evidence-floor", func(t *testing.T) {
-		c := learnCtl(t, Config{EvidenceFloor: 8})
+		c := learnCtl(t)
 		base := c.MinROIFor(0, 1)
 		// One verdict short of the evidence floor, many intervals: the
 		// floor must not move at all.
-		feed(c, 7, false)
+		feed(c, EvidenceFloor-1, false)
 		for i := 0; i < 16; i++ {
 			c.EndInterval(int64(i + 1))
 			if got := c.MinROIFor(0, 1); got != base {
-				t.Fatalf("interval %d: floor moved to %v on %d verdicts (evidence floor 8)", i, got, 7)
+				t.Fatalf("interval %d: floor moved to %v on %d verdicts (evidence floor %d)", i, got, EvidenceFloor-1, EvidenceFloor)
 			}
 		}
 		// Evidence accumulates rather than resetting: one more verdict
@@ -94,9 +91,10 @@ func TestLearnerConvergence(t *testing.T) {
 	})
 
 	t.Run("mixed-evidence-tracks-target-waste", func(t *testing.T) {
-		c := learnCtl(t, Config{TargetWaste: 0.25, EvidenceFloor: 8})
+		c := learnCtl(t)
 		base := c.MinROIFor(0, 1)
-		// 1 bad in 8 (12.5% < 25% target): acceptable waste, floor falls.
+		// 1 bad in 8 (12.5% < TargetWaste 25%): acceptable waste, floor
+		// falls.
 		feed(c, 7, true)
 		feed(c, 1, false)
 		c.EndInterval(1)
@@ -106,23 +104,22 @@ func TestLearnerConvergence(t *testing.T) {
 	})
 
 	t.Run("decision-floor-is-learned", func(t *testing.T) {
-		c := learnCtl(t, Config{})
-		cfg := c.Config()
+		c := learnCtl(t)
 		for i := 0; i < 64; i++ {
-			feed(c, cfg.EvidenceFloor, false)
+			feed(c, EvidenceFloor, false)
 			c.EndInterval(int64(i + 1))
 		}
 		// A promotion priced against the saturated floor must carry it in
 		// the decision and reject ROI below it.
-		roi := cfg.LearnMax * 0.99
+		roi := LearnMax * 0.99
 		d := c.Admit(0, 1, DirPromote, roi, page, page, 1000)
-		if d.Floor != cfg.LearnMax {
-			t.Fatalf("Decision.Floor = %v, want learned %v", d.Floor, cfg.LearnMax)
+		if d.Floor != LearnMax {
+			t.Fatalf("Decision.Floor = %v, want learned %v", d.Floor, LearnMax)
 		}
 		if d.Verdict != VerdictReject || d.Rule != RuleLowROI {
 			t.Fatalf("verdict = %v rule %q for roi below learned floor, want reject/%s", d.Verdict, d.Rule, RuleLowROI)
 		}
-		if d2 := c.Admit(0, 1, DirPromote, cfg.LearnMax*1.01, page, page, 1000); d2.Verdict != VerdictAdmit {
+		if d2 := c.Admit(0, 1, DirPromote, LearnMax*1.01, page, page, 1000); d2.Verdict != VerdictAdmit {
 			t.Fatalf("verdict = %v for roi above learned floor, want admit", d2.Verdict)
 		}
 	})
@@ -131,14 +128,13 @@ func TestLearnerConvergence(t *testing.T) {
 // TestLearnerDisabledKeepsStaticFloor asserts the learner is inert
 // unless enabled: NoteOutcome/EndInterval never move the static floor.
 func TestLearnerDisabledKeepsStaticFloor(t *testing.T) {
-	c := NewController(Config{}, 2)
-	want := c.Config().MinROI
+	c := NewController(2, false, false)
 	for i := 0; i < 8; i++ {
 		c.NoteOutcome(0, 1, false)
 		c.EndInterval(int64(i + 1))
 	}
-	if got := c.MinROIFor(0, 1); got != want {
-		t.Fatalf("MinROIFor without Learn = %v, want static %v", got, want)
+	if got := c.MinROIFor(0, 1); got != MinROI {
+		t.Fatalf("MinROIFor without learning = %v, want static %v", got, MinROI)
 	}
 }
 
@@ -147,7 +143,7 @@ func TestLearnerDisabledKeepsStaticFloor(t *testing.T) {
 // gate relies on.
 func TestLearnerDeterministicReplay(t *testing.T) {
 	run := func() []float64 {
-		c := learnCtl(t, Config{})
+		c := learnCtl(t)
 		floors := make([]float64, 0, 32)
 		for i := 0; i < 32; i++ {
 			// A deterministic mixed schedule: waste bursts every third

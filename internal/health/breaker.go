@@ -39,15 +39,14 @@ type cell struct {
 // are virtual nanoseconds supplied by the caller, which makes the
 // breaker deterministic and independent of host scheduling.
 type Breaker struct {
-	tripAborts int
 	coolDownNs int64
 	cells      [][]cell
 }
 
 // NewBreaker creates a Breaker for an n-node machine tripping after
-// tripAborts consecutive aborts and cooling down for coolDownNs.
-func NewBreaker(n, tripAborts int, coolDownNs int64) *Breaker {
-	b := &Breaker{tripAborts: tripAborts, coolDownNs: coolDownNs, cells: make([][]cell, n)}
+// TripAborts consecutive aborts and cooling down for coolDownNs.
+func NewBreaker(n int, coolDownNs int64) *Breaker {
+	b := &Breaker{coolDownNs: coolDownNs, cells: make([][]cell, n)}
 	for i := range b.cells {
 		b.cells[i] = make([]cell, n)
 	}
@@ -104,7 +103,7 @@ func (b *Breaker) RecordAbort(src, dst int, nowNs int64) bool {
 		return true
 	default:
 		c.consec++
-		if c.consec >= b.tripAborts {
+		if c.consec >= TripAborts {
 			b.trip(c, nowNs)
 			return true
 		}

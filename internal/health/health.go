@@ -54,58 +54,32 @@ func (s State) String() string {
 	return "Unknown"
 }
 
-// Config holds the thresholds of the health state machine and the
-// migration circuit breaker. The zero value selects the defaults below.
-type Config struct {
+// Thresholds of the health state machine and the migration circuit
+// breaker. The breaker's cool-down is not among them: the engine derives
+// it from the profiling interval (twice its length).
+const (
 	// DegradedAfter is the cumulative poisoned-page count that moves a
-	// tier Online → Degraded. Default 1: the first uncorrectable error
-	// puts the tier under watch, like the kernel's CEC threshold.
-	DegradedAfter int
+	// tier Online → Degraded: the first uncorrectable error puts the tier
+	// under watch, like the kernel's CEC threshold.
+	DegradedAfter = 1
 	// DrainAfter is the cumulative poisoned-page count that moves a tier
-	// to Draining. Default 8.
-	DrainAfter int
+	// to Draining.
+	DrainAfter = 8
 	// RecoverAfter is the number of consecutive quiet intervals (no new
 	// poison, no open breaker into the tier) after which a Degraded tier
-	// returns to Online. Default 4.
-	RecoverAfter int
+	// returns to Online.
+	RecoverAfter = 4
 	// DrainPagesPerInterval bounds how many pages one drain step may
-	// attempt, keeping the background evacuation incremental. Default 128.
-	DrainPagesPerInterval int
+	// attempt, keeping the background evacuation incremental.
+	DrainPagesPerInterval = 128
 	// RecoveryPenalty is the app-visible cost of touching a poisoned
 	// page: the machine-check + SIGBUS-handler round trip before the
-	// page is refaulted onto a healthy tier. Default 250µs.
-	RecoveryPenalty time.Duration
+	// page is refaulted onto a healthy tier.
+	RecoveryPenalty = 250 * time.Microsecond
 	// TripAborts is the number of consecutive aborted migrations on one
-	// (src, dst) tier pair that trips that pair's breaker. Default 3.
-	TripAborts int
-	// CoolDown is how long (virtual time) a tripped breaker stays open
-	// before allowing a half-open probe. Zero lets the engine default it
-	// to twice the profiling interval.
-	CoolDown time.Duration
-}
-
-// WithDefaults returns c with every zero field replaced by its default.
-func (c Config) WithDefaults() Config {
-	if c.DegradedAfter <= 0 {
-		c.DegradedAfter = 1
-	}
-	if c.DrainAfter <= 0 {
-		c.DrainAfter = 8
-	}
-	if c.RecoverAfter <= 0 {
-		c.RecoverAfter = 4
-	}
-	if c.DrainPagesPerInterval <= 0 {
-		c.DrainPagesPerInterval = 128
-	}
-	if c.RecoveryPenalty <= 0 {
-		c.RecoveryPenalty = 250 * time.Microsecond
-	}
-	if c.TripAborts <= 0 {
-		c.TripAborts = 3
-	}
-	return c
-}
+	// (src, dst) tier pair that trips that pair's breaker.
+	TripAborts = 3
+)
 
 // Transition records one health state change for provenance.
 type Transition struct {
@@ -117,17 +91,14 @@ type Transition struct {
 
 // Tracker is the per-node health state machine.
 type Tracker struct {
-	cfg      Config
 	state    []State
 	poisoned []int // cumulative poisoned pages per node
 	lastBad  []int // last interval with new poison or an open breaker
 }
 
-// NewTracker creates a Tracker for nodes tiers, all Online. cfg should
-// already have defaults applied.
-func NewTracker(cfg Config, nodes int) *Tracker {
+// NewTracker creates a Tracker for nodes tiers, all Online.
+func NewTracker(nodes int) *Tracker {
 	t := &Tracker{
-		cfg:      cfg,
 		state:    make([]State, nodes),
 		poisoned: make([]int, nodes),
 		lastBad:  make([]int, nodes),
@@ -162,10 +133,10 @@ func (t *Tracker) Poison(n, pages, interval int) []Transition {
 	t.poisoned[n] += pages
 	t.lastBad[n] = interval
 	var out []Transition
-	if t.state[n] == StateOnline && t.poisoned[n] >= t.cfg.DegradedAfter {
+	if t.state[n] == StateOnline && t.poisoned[n] >= DegradedAfter {
 		out = t.set(n, StateDegraded, interval, "mem-error threshold", out)
 	}
-	if t.state[n] == StateDegraded && t.poisoned[n] >= t.cfg.DrainAfter {
+	if t.state[n] == StateDegraded && t.poisoned[n] >= DrainAfter {
 		out = t.set(n, StateDraining, interval, "poisoned-pages drain threshold", out)
 	}
 	return out
@@ -188,7 +159,7 @@ func (t *Tracker) BeginInterval(interval int, breakerOpenInto func(int) bool) []
 				out = t.set(n, StateDegraded, interval, "migration breaker open", out)
 			}
 		case StateDegraded:
-			if !open && t.lastBad[n] >= 0 && interval-t.lastBad[n] >= t.cfg.RecoverAfter {
+			if !open && t.lastBad[n] >= 0 && interval-t.lastBad[n] >= RecoverAfter {
 				out = t.set(n, StateOnline, interval, "quiet period elapsed", out)
 			}
 		}

@@ -1,30 +1,9 @@
 package health
 
-import (
-	"testing"
-	"time"
-)
-
-func cfg() Config { return Config{}.WithDefaults() }
-
-func TestWithDefaults(t *testing.T) {
-	c := cfg()
-	if c.DegradedAfter != 1 || c.DrainAfter != 8 || c.RecoverAfter != 4 {
-		t.Fatalf("threshold defaults wrong: %+v", c)
-	}
-	if c.DrainPagesPerInterval != 128 || c.TripAborts != 3 {
-		t.Fatalf("batch/trip defaults wrong: %+v", c)
-	}
-	if c.RecoveryPenalty != 250*time.Microsecond {
-		t.Fatalf("RecoveryPenalty = %v", c.RecoveryPenalty)
-	}
-	if c.CoolDown != 0 {
-		t.Fatalf("CoolDown = %v, want 0 (engine defaults it from Interval)", c.CoolDown)
-	}
-}
+import "testing"
 
 func TestPoisonThresholds(t *testing.T) {
-	tr := NewTracker(cfg(), 2)
+	tr := NewTracker(2)
 	trs := tr.Poison(0, 1, 3)
 	if len(trs) != 1 || trs[0].From != StateOnline || trs[0].To != StateDegraded {
 		t.Fatalf("first poison transitions = %+v", trs)
@@ -45,7 +24,7 @@ func TestPoisonThresholds(t *testing.T) {
 func TestPoisonBurstEmitsBothSteps(t *testing.T) {
 	// One burst past both thresholds must record Online→Degraded and
 	// Degraded→Draining so the provenance trail never skips a state.
-	tr := NewTracker(cfg(), 1)
+	tr := NewTracker(1)
 	trs := tr.Poison(0, 10, 0)
 	if len(trs) != 2 || trs[0].To != StateDegraded || trs[1].To != StateDraining {
 		t.Fatalf("transitions = %+v", trs)
@@ -53,7 +32,7 @@ func TestPoisonBurstEmitsBothSteps(t *testing.T) {
 }
 
 func TestDegradedRecoversAfterQuietPeriod(t *testing.T) {
-	tr := NewTracker(cfg(), 1)
+	tr := NewTracker(1)
 	tr.Poison(0, 1, 0)
 	for i := 1; i < 4; i++ {
 		if trs := tr.BeginInterval(i, nil); len(trs) != 0 {
@@ -72,7 +51,7 @@ func TestDegradedRecoversAfterQuietPeriod(t *testing.T) {
 }
 
 func TestOpenBreakerDegradesAndBlocksRecovery(t *testing.T) {
-	tr := NewTracker(cfg(), 1)
+	tr := NewTracker(1)
 	open := true
 	trs := tr.BeginInterval(0, func(int) bool { return open })
 	if len(trs) != 1 || trs[0].To != StateDegraded {
@@ -98,7 +77,7 @@ func TestOpenBreakerDegradesAndBlocksRecovery(t *testing.T) {
 }
 
 func TestDrainingIsOneWay(t *testing.T) {
-	tr := NewTracker(cfg(), 1)
+	tr := NewTracker(1)
 	tr.Poison(0, 8, 0)
 	if tr.State(0) != StateDraining {
 		t.Fatal("setup: not draining")
@@ -123,7 +102,7 @@ func TestDrainingIsOneWay(t *testing.T) {
 }
 
 func TestForceDrainingStepsThroughDegraded(t *testing.T) {
-	tr := NewTracker(cfg(), 2)
+	tr := NewTracker(2)
 	trs := tr.ForceDraining(1, 0)
 	if len(trs) != 2 || trs[0].To != StateDegraded || trs[1].To != StateDraining {
 		t.Fatalf("transitions = %+v", trs)
@@ -138,7 +117,7 @@ func TestForceDrainingStepsThroughDegraded(t *testing.T) {
 }
 
 func TestBreakerTripsAfterConsecutiveAborts(t *testing.T) {
-	b := NewBreaker(3, 3, 1000)
+	b := NewBreaker(3, 1000)
 	if b.RecordAbort(0, 1, 10) || b.RecordAbort(0, 1, 20) {
 		t.Fatal("tripped before the threshold")
 	}
@@ -158,7 +137,7 @@ func TestBreakerTripsAfterConsecutiveAborts(t *testing.T) {
 }
 
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
-	b := NewBreaker(2, 3, 1000)
+	b := NewBreaker(2, 1000)
 	b.RecordAbort(0, 1, 1)
 	b.RecordAbort(0, 1, 2)
 	b.RecordSuccess(0, 1)
@@ -171,7 +150,7 @@ func TestBreakerSuccessResetsConsecutive(t *testing.T) {
 }
 
 func TestBreakerTripsAtMostOncePerCoolDown(t *testing.T) {
-	b := NewBreaker(2, 3, 1000)
+	b := NewBreaker(2, 1000)
 	for i := 0; i < 2; i++ {
 		b.RecordAbort(0, 1, int64(i))
 	}
@@ -194,7 +173,7 @@ func TestBreakerTripsAtMostOncePerCoolDown(t *testing.T) {
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	mk := func() *Breaker {
-		b := NewBreaker(2, 3, 1000)
+		b := NewBreaker(2, 1000)
 		b.RecordAbort(0, 1, 0)
 		b.RecordAbort(0, 1, 0)
 		b.RecordAbort(0, 1, 0) // trips; openUntil = 1000
@@ -227,7 +206,7 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 }
 
 func TestOpenIntoIsReadOnly(t *testing.T) {
-	b := NewBreaker(3, 3, 1000)
+	b := NewBreaker(3, 1000)
 	for i := 0; i < 3; i++ {
 		b.RecordAbort(2, 1, 0)
 	}

@@ -27,11 +27,10 @@ const (
 	profSampleBytes = 16
 )
 
-// admissionState bundles the controller and its config behind one nil
-// check, plus the adaptive-layer state (online MinROI learning,
-// binding budgets, priority lanes).
+// admissionState bundles the controller behind one nil check, plus the
+// adaptive-layer state (online MinROI learning, binding budgets, priority
+// lanes).
 type admissionState struct {
-	cfg   admission.Config
 	ctl   *admission.Controller
 	learn bool // online per-pair MinROI floors, fed by the lineage ledger
 	lanes bool // traffic-class lanes + binding budgets
@@ -50,21 +49,18 @@ type admissionState struct {
 }
 
 // EnableAdmission attaches the migration admission-control subsystem
-// (idempotent). Must be called after Interval is set: a zero
-// Config.CoolDown defaults to twice the profiling interval, and bucket
-// burst capacities are sized in interval multiples. Each tier pair's
-// refill rate is BudgetFrac of the pair's rated link bandwidth (the
-// slower end of src and dst as seen from the home socket).
-func (e *Engine) EnableAdmission(cfg admission.Config) {
+// (idempotent); learn and lanes switch on online MinROI learning and
+// traffic-class lanes (see admission.NewController). Must be called after
+// Interval is set: the thrash cool-down lasts two profiling intervals,
+// and bucket burst capacities are sized in interval multiples. Each tier
+// pair's refill rate is BudgetFrac of the pair's rated link bandwidth
+// (the slower end of src and dst as seen from the home socket).
+func (e *Engine) EnableAdmission(learn, lanes bool) {
 	if e.adm != nil {
 		return
 	}
-	cfg = cfg.WithDefaults()
-	if cfg.CoolDown == 0 {
-		cfg.CoolDown = 2 * e.Interval
-	}
 	nodes := e.Sys.Topo.Nodes
-	ctl := admission.NewController(cfg, len(nodes))
+	ctl := admission.NewController(len(nodes), learn, lanes)
 	ctl.SetInterval(int64(e.Interval))
 	links := e.Sys.Topo.Links[e.HomeSocket]
 	for s := range nodes {
@@ -76,16 +72,15 @@ func (e *Engine) EnableAdmission(cfg admission.Config) {
 			if links[d].Bandwidth < bw {
 				bw = links[d].Bandwidth
 			}
-			rate := int64(cfg.BudgetFrac * float64(bw))
-			burst := int64(float64(rate) * cfg.BurstIntervals * e.Interval.Seconds())
+			rate := int64(admission.BudgetFrac * float64(bw))
+			burst := int64(float64(rate) * admission.BurstIntervals * e.Interval.Seconds())
 			ctl.SetRate(s, d, rate, burst)
 		}
 	}
 	a := &admissionState{
-		cfg:     cfg,
 		ctl:     ctl,
-		learn:   cfg.Learn,
-		lanes:   cfg.Lanes.Enabled,
+		learn:   learn,
+		lanes:   lanes,
 		profDst: e.Sys.Topo.View(e.HomeSocket)[0],
 	}
 	if a.learn {
@@ -111,15 +106,6 @@ func (e *Engine) EnableAdmission(cfg admission.Config) {
 
 // AdmissionEnabled reports whether the admission subsystem is attached.
 func (e *Engine) AdmissionEnabled() bool { return e.adm != nil }
-
-// AdmissionConfig returns the active admission configuration (defaults
-// applied); the zero Config when admission is disabled.
-func (e *Engine) AdmissionConfig() admission.Config {
-	if e.adm == nil {
-		return admission.Config{}
-	}
-	return e.adm.cfg
-}
 
 // moveDirection classifies a src→dst move against the home socket's
 // tier order: toward a faster tier is a promotion, anything else
@@ -147,7 +133,7 @@ func (e *Engine) MigrationROI(src, dst tier.NodeID, pageSize int64, whi, reacces
 		gap = -gap
 	}
 	copyNs := float64(e.Sys.CopyTime(e.HomeSocket, src, dst, pageSize))
-	return admission.ROI(whi, reaccess, e.adm.cfg.HorizonIntervals, gap, copyNs)
+	return admission.ROI(whi, reaccess, gap, copyNs)
 }
 
 // AdmitMigration prices one planned move of up to bytes from src to
@@ -201,7 +187,7 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 	if gap < 0 {
 		gap = -gap
 	}
-	dec.ROI = admission.ROI(whi, reaccess, e.adm.cfg.HorizonIntervals, gap, flipNs)
+	dec.ROI = admission.ROI(whi, reaccess, gap, flipNs)
 	dec.BudgetBytes = e.adm.ctl.Tokens(int(src), int(dst), e.SpanClockNs())
 	e.AdmissionAdmits++
 	return dec
@@ -247,9 +233,7 @@ func (e *Engine) admissionStamp(v *vm.VMA, idx int, src, dst tier.NodeID, now in
 	if e.adm == nil {
 		return
 	}
-	if s, ok := e.adm.ctl.NotePageMove(e.moveDirection(src, dst), now); ok {
-		v.SetStamp(idx, int64(s))
-	}
+	v.SetStamp(idx, int64(e.adm.ctl.NotePageMove(e.moveDirection(src, dst), now)))
 }
 
 // admissionMoveAborted charges an aborted move's wasted bytes to its
@@ -314,7 +298,7 @@ type LaneStats struct {
 	Drain     ClassCounters
 	Emergency ClassCounters
 	// Starvations counts starvation-watchdog firings: a critical class
-	// waited more than the configured number of consecutive intervals
+	// waited more than admission.WatchdogIntervals consecutive intervals
 	// with requests but no admits.
 	Starvations int64
 }

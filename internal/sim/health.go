@@ -23,41 +23,26 @@ import (
 
 // healthState bundles the tracker and breaker behind one nil check.
 type healthState struct {
-	cfg     health.Config
 	tracker *health.Tracker
 	breaker *health.Breaker
 }
 
 // EnableHealth attaches the tier-health subsystem (idempotent). Must be
-// called after Interval is set: a zero Config.CoolDown defaults to twice
+// called after Interval is set: a tripped breaker stays open for twice
 // the profiling interval.
-func (e *Engine) EnableHealth(cfg health.Config) {
+func (e *Engine) EnableHealth() {
 	if e.hlt != nil {
 		return
 	}
-	cfg = cfg.WithDefaults()
-	if cfg.CoolDown <= 0 {
-		cfg.CoolDown = 2 * e.Interval
-	}
 	n := len(e.Sys.Topo.Nodes)
 	e.hlt = &healthState{
-		cfg:     cfg,
-		tracker: health.NewTracker(cfg, n),
-		breaker: health.NewBreaker(n, cfg.TripAborts, int64(cfg.CoolDown)),
+		tracker: health.NewTracker(n),
+		breaker: health.NewBreaker(n, int64(2*e.Interval)),
 	}
 }
 
 // HealthEnabled reports whether the tier-health subsystem is attached.
 func (e *Engine) HealthEnabled() bool { return e.hlt != nil }
-
-// HealthConfig returns the active health configuration (defaults
-// applied); the zero Config when health is disabled.
-func (e *Engine) HealthConfig() health.Config {
-	if e.hlt == nil {
-		return health.Config{}
-	}
-	return e.hlt.cfg
-}
 
 // TierHealth returns the health state of node n (StateOnline when the
 // subsystem is disabled).
@@ -149,7 +134,7 @@ func (e *Engine) recordMoveAbort(src, dst tier.NodeID) {
 		e.SpanEvent("health", "breaker-trip",
 			span.S("src", e.Sys.Topo.Nodes[src].Name),
 			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-			span.I("consecutive_aborts", int64(e.hlt.cfg.TripAborts)),
+			span.I("consecutive_aborts", health.TripAborts),
 			span.I("open_until_ns", e.hlt.breaker.OpenUntil(int(src), int(dst))),
 			span.I("trips", e.hlt.breaker.Trips(int(src), int(dst))))
 	}
@@ -245,7 +230,7 @@ func (e *Engine) PoisonPage(v *vm.VMA, idx int) bool {
 // round trip and acknowledge the error so the page refaults normally.
 func (e *Engine) poisonRecovery(v *vm.VMA, idx int) {
 	v.ClearPoison(idx)
-	e.intApp += e.hlt.cfg.RecoveryPenalty
+	e.intApp += health.RecoveryPenalty
 	e.PoisonRecoveries++
 	if e.sp != nil {
 		e.SpanEvent("health", "poison-recovery",
@@ -332,7 +317,7 @@ func (e *Engine) drainNode(node tier.NodeID) {
 	e.SetMoveContext("health-drain", "")
 	defer e.ClearMoveContext()
 	for _, p := range pages {
-		if attempted >= e.hlt.cfg.DrainPagesPerInterval {
+		if attempted >= health.DrainPagesPerInterval {
 			break
 		}
 		dst := e.drainDest(node, p.v.PageSize)

@@ -22,7 +22,7 @@ func mustAudit(t *testing.T, e *Engine) {
 func newHealthEngine(topo *tier.Topology) *Engine {
 	e := NewEngine(topo, 1)
 	e.Interval = 10 * time.Millisecond
-	e.EnableHealth(health.Config{})
+	e.EnableHealth()
 	return e
 }
 
@@ -58,7 +58,7 @@ func TestPoisonQuarantinesAndRecovers(t *testing.T) {
 		t.Fatalf("PoisonRecoveries = %d", e.PoisonRecoveries)
 	}
 	// AppTimeThisInterval amortises the interval's work over Threads.
-	want := e.HealthConfig().RecoveryPenalty / time.Duration(e.Threads)
+	want := health.RecoveryPenalty / time.Duration(e.Threads)
 	if got := e.AppTimeThisInterval() - before; got < want {
 		t.Fatalf("recovery charged %v, want >= %v", got, want)
 	}
@@ -106,7 +106,7 @@ func TestBreakerTripsViaAbortedTransactions(t *testing.T) {
 	if !e.DestUsable(1, 0) {
 		t.Fatal("fresh pair not usable")
 	}
-	aborts := e.HealthConfig().TripAborts
+	aborts := health.TripAborts
 	for i := 0; i < aborts; i++ {
 		if e.BreakerTrips != 0 {
 			t.Fatalf("tripped after %d aborts, want %d", i, aborts)

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mtm/internal/admission"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 )
@@ -94,11 +93,7 @@ func TestEmergencyDemotionRescuesFragmentation(t *testing.T) {
 			e := NewEngine(tier.TwoTierTopology(8*tier.MB, 8*tier.MB), 1)
 			e.Interval = time.Second
 			if lanes {
-				lc, err := admission.ParseLanes("default")
-				if err != nil {
-					t.Fatal(err)
-				}
-				e.EnableAdmission(admission.Config{Lanes: lc})
+				e.EnableAdmission(false, true)
 			}
 			e.beginInterval()
 			e.AS.THP = false

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"mtm/internal/health"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 )
@@ -171,7 +170,7 @@ func TestShadowSyncRangeBypassesQuietGate(t *testing.T) {
 // refuse rather than resurrect a mapping onto a frame whose owner died.
 func TestPoisonDropsShadowDuringDemotion(t *testing.T) {
 	e := newShadowEngine(8*tier.MB, 8*tier.MB)
-	e.EnableHealth(health.Config{})
+	e.EnableHealth()
 	e.SetSolution(&fixedSolution{node: 1})
 	e.beginInterval()
 	v := e.AS.Alloc("v", 4*tier.MB)
@@ -225,7 +224,7 @@ func (p *memErrPlane) MemErrorPages(n tier.NodeID) int {
 // not trustworthy, whether or not the error hit them directly.
 func TestMemErrorsDropShadowsOnNode(t *testing.T) {
 	e := newShadowEngine(8*tier.MB, 16*tier.MB)
-	e.EnableHealth(health.Config{})
+	e.EnableHealth()
 	e.SetSolution(&fixedSolution{node: 1})
 	e.beginInterval()
 	v := e.AS.Alloc("v", 8*tier.MB)

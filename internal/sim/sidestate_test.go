@@ -167,15 +167,15 @@ func (c *refCooldown) Prune(nowNs int64) int {
 }
 
 // sideStateEngine builds a three-tier engine (DRAM, CXL0, CXL1) with
-// shadows and admission attached and cool-down window cool. Every
-// capacity exceeds twice the VMAs' pages, so only explicit reclaims
-// drop shadows.
+// shadows and admission attached and cool-down window cool, which is two
+// intervals. Every capacity exceeds twice the VMAs' pages, so only
+// explicit reclaims drop shadows.
 func sideStateEngine(cool time.Duration) *Engine {
 	e := NewEngine(tier.CXLTopology(1<<14), 1)
-	e.Interval = 10 * time.Millisecond
+	e.Interval = cool / 2
 	e.AS.THP = false
 	e.EnableShadow()
-	e.EnableAdmission(admission.Config{CoolDown: cool})
+	e.EnableAdmission(false, false)
 	e.SetSolution(&fixedSolution{node: 2})
 	e.beginInterval()
 	return e

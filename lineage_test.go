@@ -51,7 +51,7 @@ func TestLineageLabelsAdmittedMoves(t *testing.T) {
 			cfg := thrashCfg()
 			cfg.Seed = 7
 			cfg.Fidelity = true
-			cfg.Admission = &admission.Config{}
+			cfg.Admission = true
 			res, err := Run(cfg, "pingpong", sol)
 			if err != nil {
 				t.Fatalf("run: %v", err)
@@ -144,7 +144,7 @@ func TestLearnedFloorsIndependentOfOracle(t *testing.T) {
 				if !bytes.Equal(off.json, on.json) {
 					t.Errorf("Result differs with the oracle attached:\nwithout: %s\nwith:    %s", off.json, on.json)
 				}
-				static := admission.Config{}.WithDefaults().MinROI
+				static := admission.MinROI
 				moved := false
 				for i := range off.floors {
 					if off.floors[i] != on.floors[i] {

@@ -30,9 +30,7 @@ import (
 	"sort"
 	"time"
 
-	"mtm/internal/admission"
 	"mtm/internal/fault"
-	"mtm/internal/health"
 	"mtm/internal/migrate"
 	"mtm/internal/policy"
 	"mtm/internal/profiler"
@@ -95,28 +93,26 @@ type Config struct {
 	// The zero Config selects the defaults. Nil adds zero overhead to the
 	// hot path.
 	Trace *span.Config
-	// Admission, when non-nil, enables migration admission control: every
-	// planned page move passes an ROI gate, a per-tier-pair token-bucket
-	// bandwidth budget, and a ping-pong cool-down before any page is
-	// touched. Refusals (defer/reject) are recorded in the Result counters,
-	// the metrics layer, and — with Trace enabled — as span provenance with
-	// the estimated ROI. The zero admission.Config selects the defaults;
-	// nil adds zero overhead and keeps results bit-identical to a build
-	// without the layer.
-	Admission *admission.Config
+	// Admission enables migration admission control: every planned page
+	// move passes an ROI gate, a per-tier-pair token-bucket bandwidth
+	// budget, and a ping-pong cool-down before any page is touched.
+	// Refusals (defer/reject) are recorded in the Result counters, the
+	// metrics layer, and — with Trace enabled — as span provenance with
+	// the estimated ROI. Its tuning is fixed (the admission package's
+	// constants). Off, it adds zero overhead and keeps results
+	// bit-identical to a build without the layer.
+	Admission bool
 	// AdmissionLearn enables online MinROI learning on the admission
 	// layer: per-tier-pair promotion floors are adjusted once per interval
 	// from hindsight verdicts (promoted-and-reaccessed vs promoted-wasted)
 	// with bounded multiplicative steps and an evidence floor that freezes
-	// adaptation when samples are scarce. Implies Admission (a zero
-	// admission.Config is supplied when Admission is nil). Learned floors
-	// appear in Result, the mtm_admission_minroi gauges, and — with Trace —
-	// as per-decision span provenance.
+	// adaptation when samples are scarce. Implies Admission. Learned
+	// floors appear in Result, the mtm_admission_minroi gauges, and — with
+	// Trace — as per-decision span provenance.
 	AdmissionLearn bool
-	// AdmissionLanes names a traffic-class lane configuration for the
-	// admission layer ("" disables; "default" and "strict" are presets,
-	// with kebab-case overrides à la Faults, e.g.
-	// "default,reserve-frac=0.4"). Lanes split migration traffic into
+	// AdmissionLanes turns on traffic-class lanes for the admission layer:
+	// "" leaves them off and "default" turns them on; Validate rejects any
+	// other value. Lanes split migration traffic into
 	// normal/drain/emergency classes with strict-priority admission, a
 	// reserved bandwidth slice for the critical classes, demand-scaled
 	// budget refill, background (shadow-sync/profiling) traffic charging,
@@ -181,8 +177,8 @@ func (c Config) withDefaults() Config {
 	if c.FaultSeed == 0 {
 		c.FaultSeed = c.Seed + 1
 	}
-	if (c.AdmissionLearn || c.AdmissionLanes != "") && c.Admission == nil {
-		c.Admission = &admission.Config{}
+	if c.AdmissionLearn || c.AdmissionLanes != "" {
+		c.Admission = true
 	}
 	return c
 }
@@ -204,13 +200,8 @@ func (c Config) Validate() error {
 	if !fault.Valid(r.Faults) {
 		return fmt.Errorf("mtm: unknown fault scenario %q (have %v)", r.Faults, fault.Scenarios())
 	}
-	if _, err := admission.ParseLanes(r.AdmissionLanes); err != nil {
-		return fmt.Errorf("mtm: %w", err)
-	}
-	if r.Admission != nil {
-		if err := r.Admission.Validate(); err != nil {
-			return fmt.Errorf("mtm: %w", err)
-		}
+	if r.AdmissionLanes != "" && r.AdmissionLanes != "default" {
+		return fmt.Errorf("mtm: unknown admission lanes %q (want \"\" or \"default\")", r.AdmissionLanes)
 	}
 	return nil
 }
@@ -250,21 +241,14 @@ func NewEngine(c Config) *sim.Engine {
 		}
 	}
 	if enableHealth {
-		// After Interval is set: the breaker cool-down defaults to twice
-		// the profiling interval.
-		e.EnableHealth(health.Config{})
+		// After Interval is set: the breaker cool-down is twice the
+		// profiling interval.
+		e.EnableHealth()
 	}
-	if c.Admission != nil {
+	if c.Admission {
 		// Also after Interval is set: budgets refill per profiling
-		// interval and the thrash cool-down defaults to twice of it.
-		ac := *c.Admission
-		if c.AdmissionLearn {
-			ac.Learn = true
-		}
-		if lc, err := admission.ParseLanes(c.AdmissionLanes); err == nil && lc.Enabled {
-			ac.Lanes = lc
-		}
-		e.EnableAdmission(ac)
+		// interval and the thrash cool-down is twice of it.
+		e.EnableAdmission(c.AdmissionLearn, c.AdmissionLanes == "default")
 	}
 	if c.Fidelity {
 		// Last, after EnableMetrics/EnableSpans, so the oracle's
