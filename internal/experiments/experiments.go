@@ -132,7 +132,7 @@ func Fig1ProfilingQuality(o Options) string {
 	}
 	profilers := []series{
 		{"MTM", func() profiler.Profiler { return profiler.NewMTM(profiler.DefaultMTMConfig()) }},
-		{"DAMON", func() profiler.Profiler { return profiler.NewDAMON(profiler.DefaultDAMONConfig()) }},
+		{"DAMON", func() profiler.Profiler { return profiler.NewDAMON() }},
 		{"Thermostat", func() profiler.Profiler { return profiler.NewThermostat() }},
 		{"AutoTiering", func() profiler.Profiler { return profiler.NewRandomChunk() }},
 	}
@@ -277,7 +277,7 @@ func Fig6Heatmap(o Options) string {
 		return cov
 	}
 	m := measure(profiler.NewMTM(profiler.DefaultMTMConfig()))
-	d := measure(profiler.NewDAMON(profiler.DefaultDAMONConfig()))
+	d := measure(profiler.NewDAMON())
 	tb := stats.NewTable("profiler", "A (index)", "B (hotinfo)", "C (hotset)", "false-hot share")
 	tb.Row("MTM", m.a, m.b, m.c, m.excess)
 	tb.Row("DAMON", d.a, d.b, d.c, d.excess)

@@ -16,9 +16,9 @@ import (
 	"mtm/internal/vm"
 )
 
-// DefaultSamplePeriod is the paper's production sampling period: one
-// sample per 200 memory accesses.
-const DefaultSamplePeriod = 200
+// SamplePeriod is the paper's production sampling period: one sample per
+// 200 memory accesses.
+const SamplePeriod = 200
 
 // DefaultWindowFrac is the fraction of the profiling interval during which
 // the counters are armed by MTM.
@@ -36,9 +36,8 @@ type Sample struct {
 // sampling probability; the simulation engine feeds every application
 // access through Record.
 type Buffer struct {
-	SamplePeriod int     // one sample per this many accesses
-	WindowFrac   float64 // fraction of the interval the counters are armed
-	Capacity     int     // samples before an interrupt fires
+	WindowFrac float64 // fraction of the interval the counters are armed
+	Capacity   int     // samples before an interrupt fires
 
 	// DropFrac is the fraction of would-be samples lost to interrupt
 	// storms this window (fault injection); 0 means lossless sampling.
@@ -61,11 +60,10 @@ func NewBuffer(nodes int, capacity int) *Buffer {
 		capacity = 4096
 	}
 	return &Buffer{
-		SamplePeriod: DefaultSamplePeriod,
-		WindowFrac:   DefaultWindowFrac,
-		Capacity:     capacity,
-		watched:      make([]bool, nodes),
-		samples:      make([]Sample, 0, capacity),
+		WindowFrac: DefaultWindowFrac,
+		Capacity:   capacity,
+		watched:    make([]bool, nodes),
+		samples:    make([]Sample, 0, capacity),
 	}
 }
 
@@ -103,7 +101,7 @@ func (b *Buffer) Record(v *vm.VMA, page int, node tier.NodeID, n uint32) {
 	if !b.Watches(node) {
 		return
 	}
-	raw := float64(n) * b.WindowFrac / float64(b.SamplePeriod)
+	raw := float64(n) * b.WindowFrac / SamplePeriod
 	if b.DropFrac > 0 {
 		// Interrupt storm: a fraction of samples never reaches the buffer.
 		// The branch keeps the DropFrac == 0 arithmetic bit-identical to

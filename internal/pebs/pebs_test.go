@@ -196,7 +196,7 @@ func TestSubOneFastPathIsExact(t *testing.T) {
 			}
 			b.Record(v, 0, 2, n)
 
-			raw := float64(n) * b.WindowFrac / float64(b.SamplePeriod)
+			raw := float64(n) * b.WindowFrac / SamplePeriod
 			if drop > 0 {
 				lost := raw*drop + dropCarry
 				k := int(lost)

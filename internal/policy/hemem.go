@@ -22,9 +22,6 @@ import (
 // unmanaged.
 type HeMem struct {
 	MigrateBudget int64
-	// HotSamples is the per-interval PEBS sample count above which a
-	// region is considered hot.
-	HotSamples int
 
 	set  *region.Set
 	buf  *pebs.Buffer
@@ -33,11 +30,14 @@ type HeMem struct {
 	carry int64
 }
 
+// hememHotSamples is the per-interval PEBS sample count above which a
+// region is considered hot.
+const hememHotSamples = 2
+
 // NewHeMem returns the baseline.
 func NewHeMem() *HeMem {
 	return &HeMem{
 		MigrateBudget: DefaultMigrateBudget,
-		HotSamples:    2,
 		mech:          migrate.Nimble{},
 	}
 }
@@ -140,10 +140,10 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			}
 			break
 		}
-		if r.WHI < float64(p.HotSamples) {
+		if r.WHI < hememHotSamples {
 			if spanning {
 				spanDecision(e, "stop", "cold-cutoff", r,
-					span.F("threshold", float64(p.HotSamples)))
+					span.F("threshold", hememHotSamples))
 			}
 			break
 		}
@@ -173,7 +173,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			break
 		}
 		budget -= moveRegion(e, p.mech, r, r.End, dram, int(bytes/r.V.PageSize),
-			true, "hot-samples", dec.Rule, span.F("threshold", float64(p.HotSamples)))
+			true, "hot-samples", dec.Rule, span.F("threshold", hememHotSamples))
 	}
 }
 

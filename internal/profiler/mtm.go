@@ -23,14 +23,6 @@ type MTMConfig struct {
 	NumScans int
 	// Alpha weighs current vs historical hotness in the EMA (Equation 2).
 	Alpha float64
-	// RegionBytes is the initial region granularity (2 MB).
-	RegionBytes int64
-	// ScanWindowFrac is the observation window of one PTE scan as a
-	// fraction of the profiling interval: MTM paces its num_scans scans
-	// ~30 ms apart within a 10 s interval, so each scan's accessed bit
-	// covers ~0.3% of it. This is what turns the binary bit into a rate
-	// signal (see vm.ObserveScans).
-	ScanWindowFrac float64
 	// TauM and TauS override the merge/split thresholds; negative values
 	// select the defaults num_scans/3 and 2*num_scans/3.
 	TauM, TauS float64
@@ -48,8 +40,6 @@ func DefaultMTMConfig() MTMConfig {
 		OverheadTarget:   0.05,
 		NumScans:         region.DefaultNumScans,
 		Alpha:            0.5,
-		RegionBytes:      DefaultRegionBytes,
-		ScanWindowFrac:   0.003,
 		TauM:             -1,
 		TauS:             -1,
 		UsePEBS:          true,
@@ -67,22 +57,16 @@ func DefaultMTMConfig() MTMConfig {
 type MTM struct {
 	Cfg MTMConfig
 
-	set     *region.Set
+	regionTable
 	topVar  *region.TopVariance
 	buf     *pebs.Buffer
 	budget  int     // num_ps from Equation 1
 	tauMEsc float64 // temporary τm escalation for overhead control
-	scans   int64   // PTE scans performed (cumulative, for tests)
 
 	pmNodes  []tier.NodeID // nodes profiled event-driven via PEBS
 	isPMNode []bool        // indexed by NodeID
 
-	pm          profMetrics
 	lastDropped int64 // buffer's cumulative drop count at last Profile
-
-	// logw caches log1p(-ScanWindowFrac) for the per-page observation
-	// model (vm.ObserveScansL).
-	logw float64
 
 	// Reusable per-interval buffers, indexed by region position in the
 	// set's address-ordered slice (stable for the whole Profile call).
@@ -143,7 +127,7 @@ func (m *MTM) scanShard(e *sim.Engine, regions []*region.Region, s int, usePEBS 
 		r.Observed = r.Observed[:0]
 		sum := 0
 		for _, p := range pages {
-			obs := vm.ObserveScansL(r.V, p, m.Cfg.NumScans, m.Cfg.ScanWindowFrac, m.logw, rng)
+			obs := vm.ObserveScansL(r.V, p, m.Cfg.NumScans, mtmScanWindowFrac, mtmScanLogW, rng)
 			r.Observed = append(r.Observed, obs)
 			sum += obs
 		}
@@ -160,37 +144,38 @@ func (m *MTM) scanShard(e *sim.Engine, regions []*region.Region, s int, usePEBS 
 	return scans, nPages
 }
 
+// mtmScanWindowFrac is the observation window of one PTE scan as a
+// fraction of the profiling interval: MTM paces its num_scans scans
+// ~30 ms apart within a 10 s interval, so each scan's accessed bit covers
+// ~0.3% of it. This is what turns the binary bit into a rate signal (see
+// vm.ObserveScans).
+const mtmScanWindowFrac = 0.003
+
+// mtmScanLogW is log1p(-mtmScanWindowFrac) for the per-page observation
+// model (vm.ObserveScansL).
+var mtmScanLogW = math.Log1p(-mtmScanWindowFrac)
+
 // NewMTM creates the profiler with the given config.
 func NewMTM(cfg MTMConfig) *MTM {
 	if cfg.NumScans <= 0 {
 		cfg.NumScans = region.DefaultNumScans
 	}
-	if cfg.ScanWindowFrac <= 0 {
-		cfg.ScanWindowFrac = 0.003
-	}
-	return &MTM{Cfg: cfg, topVar: region.NewTopVariance(5), logw: math.Log1p(-cfg.ScanWindowFrac)}
+	return &MTM{Cfg: cfg, topVar: region.NewTopVariance(5)}
 }
 
 func (m *MTM) Name() string { return "mtm-profiler" }
 
-// Set returns the underlying region set (formation statistics, tests).
-func (m *MTM) Set() *region.Set { return m.set }
-
 // Budget returns num_ps, the page-sample budget of Equation 1.
 func (m *MTM) Budget() int { return m.budget }
 
-// Scans returns the cumulative number of PTE scans performed.
-func (m *MTM) Scans() int64 { return m.scans }
-
 func (m *MTM) Attach(e *sim.Engine) {
-	m.set = region.NewSet(m.Cfg.NumScans)
+	m.attach(e, m.Name(), m.Cfg.NumScans, DefaultRegionBytes)
 	if m.Cfg.TauM >= 0 {
 		m.set.TauM = m.Cfg.TauM
 	}
 	if m.Cfg.TauS >= 0 {
 		m.set.TauS = m.Cfg.TauS
 	}
-	initRegions(e, m.set, m.Cfg.RegionBytes)
 	// Equation 1: num_ps = t_mi * overhead_target / (one_scan_overhead * num_scans).
 	m.budget = int(float64(e.Interval) * m.Cfg.OverheadTarget /
 		(float64(MTMScanCost) * float64(m.Cfg.NumScans)))
@@ -209,20 +194,12 @@ func (m *MTM) Attach(e *sim.Engine) {
 		m.buf = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 1<<16)
 		e.PEBS = m.buf
 	}
-	m.pm = newProfMetrics(e, m.Name())
 }
 
 func (m *MTM) IntervalStart(e *sim.Engine) {
 	if m.buf != nil {
 		m.buf.Arm(m.pmNodes...)
 	}
-}
-
-func (m *MTM) Regions() []*region.Region {
-	if m.set == nil {
-		return nil
-	}
-	return m.set.Regions()
 }
 
 // Shard sizes of the profiling passes. Both show up in the simulated
@@ -285,8 +262,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 				span.I("samples", int64(len(samples))),
 				span.I("shards", int64(sim.NumShards(len(samples), pebsShardSamples))))
 		}
-		e.ChargeProfiling(handling)
-		m.pm.scanNs.AddDuration(handling)
+		m.charge(e, handling, 0)
 	}
 
 	// Decide which regions to profile and trim quotas to budget.
@@ -310,10 +286,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 			cur += d
 		}
 	}
-	m.scans += totalScans
-	e.ChargeProfiling(time.Duration(totalScans) * MTMScanCost)
-	m.pm.scanNs.AddDuration(time.Duration(totalScans) * MTMScanCost)
-	m.pm.pages.Add(totalPages)
+	m.charge(e, time.Duration(totalScans)*MTMScanCost, totalPages)
 
 	// Time-consecutive profiling: EMA update and variance tracking.
 	m.topVar.Reset()

@@ -105,12 +105,47 @@ func maxWHI(regions []*region.Region) float64 {
 	return m
 }
 
-// initRegions carves every VMA of the address space into default-size
-// regions.
-func initRegions(e *sim.Engine, set *region.Set, regionBytes int64) {
+// regionTable is the state every profiler shares: the region set it
+// maintains and its metrics handles. Embedding it supplies the Set,
+// Regions and (no-op) IntervalStart methods.
+type regionTable struct {
+	set *region.Set
+	pm  profMetrics
+}
+
+// attach builds the region set with numScans checks per sampled page,
+// carves every VMA into regionBytes regions (0 keeps one region per
+// VMA), and registers the metrics labeled with the profiler's name.
+func (t *regionTable) attach(e *sim.Engine, name string, numScans int, regionBytes int64) {
+	t.set = region.NewSet(numScans)
 	for _, v := range e.AS.VMAs() {
-		set.InitVMA(v, regionBytes)
+		b := regionBytes
+		if b == 0 {
+			b = v.Bytes()
+		}
+		t.set.InitVMA(v, b)
 	}
+	t.pm = newProfMetrics(e, name)
+}
+
+// Set exposes the region set (formation statistics, tests).
+func (t *regionTable) Set() *region.Set { return t.set }
+
+func (t *regionTable) Regions() []*region.Region {
+	if t.set == nil {
+		return nil
+	}
+	return t.set.Regions()
+}
+
+func (t *regionTable) IntervalStart(*sim.Engine) {}
+
+// charge bills cost of profiling work covering pages to the engine's
+// profiling time and to the profiler's metrics.
+func (t *regionTable) charge(e *sim.Engine, cost time.Duration, pages int64) {
+	e.ChargeProfiling(cost)
+	t.pm.scanNs.AddDuration(cost)
+	t.pm.pages.Add(pages)
 }
 
 // samplePages picks n distinct page indices in [start, end) uniformly at

@@ -147,7 +147,7 @@ func TestMTMBeatsDAMONOnHotDetection(t *testing.T) {
 	// detection quality must exceed DAMON's.
 	m := NewMTM(DefaultMTMConfig())
 	eM, wM := hotColdEngine(t, 128, 26, 2, m)
-	d := NewDAMON(DefaultDAMONConfig())
+	d := NewDAMON()
 	eD, wD := hotColdEngine(t, 128, 26, 2, d)
 	for i := 0; i < 6; i++ {
 		interval(eM, wM)
@@ -240,23 +240,31 @@ func TestMTMWithoutOCSpendsMore(t *testing.T) {
 }
 
 func TestDAMONRegionCap(t *testing.T) {
-	cfg := DefaultDAMONConfig()
-	cfg.MaxRegions = 50
-	d := NewDAMON(cfg)
+	const maxRegions = 50
+	d := NewDAMON()
 	e, w := hotColdEngine(t, 512, 100, 2, d)
+	interval(e, w) // attaches, deriving the cap from the budget
+	d.maxRegions = maxRegions
 	for i := 0; i < 10; i++ {
 		interval(e, w)
-		if d.Set().Len() > cfg.MaxRegions {
-			t.Fatalf("DAMON regions %d exceed cap %d", d.Set().Len(), cfg.MaxRegions)
+		if d.Set().Len() > maxRegions {
+			t.Fatalf("DAMON regions %d exceed cap %d", d.Set().Len(), maxRegions)
 		}
 	}
-	if d.Scans() == 0 {
-		t.Fatal("DAMON performed no checks")
+	// Splitting grew the table from its one VMA region, and every region
+	// carries the hotness of its checks.
+	if d.Set().Len() <= len(e.AS.VMAs()) {
+		t.Fatalf("DAMON never split: %d regions", d.Set().Len())
+	}
+	for _, r := range d.Regions() {
+		if !r.Sampled {
+			t.Fatalf("region %v was never checked", r)
+		}
 	}
 }
 
 func TestDAMONStartsFromVMATree(t *testing.T) {
-	d := NewDAMON(DefaultDAMONConfig())
+	d := NewDAMON()
 	e, _ := hotColdEngine(t, 32, 6, 2, d)
 	d.Attach(e)
 	if got := d.Set().Len(); got != len(e.AS.VMAs()) {

@@ -61,7 +61,7 @@ func TestMTMBeatsDAMONAcrossSeeds(t *testing.T) {
 			return r + a
 		}
 		mtmSum += run(NewMTM(DefaultMTMConfig()))
-		damonSum += run(NewDAMON(DefaultDAMONConfig()))
+		damonSum += run(NewDAMON())
 	}
 	if mtmSum <= damonSum {
 		t.Fatalf("across seeds: MTM %.2f <= DAMON %.2f", mtmSum, damonSum)
@@ -73,7 +73,7 @@ func TestMTMBeatsDAMONAcrossSeeds(t *testing.T) {
 func TestProfilersNeverExceedAddressSpace(t *testing.T) {
 	for _, mk := range []func() Profiler{
 		func() Profiler { return NewMTM(DefaultMTMConfig()) },
-		func() Profiler { return NewDAMON(DefaultDAMONConfig()) },
+		func() Profiler { return NewDAMON() },
 		func() Profiler { return NewThermostat() },
 		func() Profiler { return NewRandomChunk() },
 		func() Profiler { return NewSequentialScan(true) },

@@ -28,35 +28,21 @@ const scanWindow = 0.05
 // is random, so hot pages outside the chosen window stay invisible — the
 // "uncontrolled profiling quality" of §3.
 type RandomChunk struct {
-	Alpha float64
-
-	set      *region.Set
-	scans    int64
-	pm       profMetrics
+	regionTable
 	shardBuf []int64 // reusable per-shard tally buffer (harvestRegions)
 }
 
+// chunkAlpha is AutoTiering's EMA weight for time-consecutive hotness,
+// the same as MTM's.
+const chunkAlpha = 0.5
+
 // NewRandomChunk creates the AutoTiering-style profiler.
-func NewRandomChunk() *RandomChunk { return &RandomChunk{Alpha: 0.5} }
+func NewRandomChunk() *RandomChunk { return &RandomChunk{} }
 
 func (p *RandomChunk) Name() string { return "autotiering-sampling" }
 
-// Set exposes the region set.
-func (p *RandomChunk) Set() *region.Set { return p.set }
-
 func (p *RandomChunk) Attach(e *sim.Engine) {
-	p.set = region.NewSet(region.DefaultNumScans)
-	initRegions(e, p.set, DefaultRegionBytes)
-	p.pm = newProfMetrics(e, p.Name())
-}
-
-func (p *RandomChunk) IntervalStart(*sim.Engine) {}
-
-func (p *RandomChunk) Regions() []*region.Region {
-	if p.set == nil {
-		return nil
-	}
-	return p.set.Regions()
+	p.attach(e, p.Name(), region.DefaultNumScans, DefaultRegionBytes)
 }
 
 // chunkShardRegions is how many consecutive selected regions one
@@ -140,7 +126,7 @@ func (p *RandomChunk) Profile(e *sim.Engine) {
 			span.I("regions", int64(len(regions))),
 			span.I("chunk_regions", int64(end-start)))
 	}
-	scans, shardScans := harvestRegions(e, regions[start:end], p.shardBuf, 0, 1, 1.0, p.Alpha, p.set.NumScans)
+	scans, shardScans := harvestRegions(e, regions[start:end], p.shardBuf, 0, 1, 1.0, chunkAlpha, p.set.NumScans)
 	p.shardBuf = shardScans
 	if spanning {
 		cur := e.SpanClockNs()
@@ -151,13 +137,9 @@ func (p *RandomChunk) Profile(e *sim.Engine) {
 			cur += d
 		}
 	}
-	p.scans += scans
 	// Present-bit profiling takes a fault per observed page on top of
 	// the PTE write; charge scan + fault cost per page.
-	cost := time.Duration(scans) * (OneScanOverhead + ProtFaultCost/2)
-	e.ChargeProfiling(cost)
-	p.pm.scanNs.AddDuration(cost)
-	p.pm.pages.Add(scans)
+	p.charge(e, time.Duration(scans)*(OneScanOverhead+ProtFaultCost/2), scans)
 	if spanning {
 		e.SpanEnd(span.I("pages", scans))
 	}
@@ -173,12 +155,12 @@ type SequentialScan struct {
 	// Patched selects the two upstream patches of §9 (hot-page selection
 	// + auto threshold); vanilla tiered-AutoNUMA sets it false.
 	Patched bool
-	Alpha   float64
 
-	set      *region.Set
+	regionTable
+	// alpha is the EMA weight: 0.5 patched, 1.0 (latest interval only)
+	// vanilla.
+	alpha    float64
 	cursor   int
-	faults   int64
-	pm       profMetrics
 	shardBuf []int64 // reusable per-shard tally buffer (harvestRegions)
 }
 
@@ -188,7 +170,7 @@ func NewSequentialScan(patched bool) *SequentialScan {
 	if patched {
 		a = 0.5
 	}
-	return &SequentialScan{Patched: patched, Alpha: a}
+	return &SequentialScan{Patched: patched, alpha: a}
 }
 
 func (p *SequentialScan) Name() string {
@@ -198,22 +180,8 @@ func (p *SequentialScan) Name() string {
 	return "vanilla-autonuma-scan"
 }
 
-// Set exposes the region set.
-func (p *SequentialScan) Set() *region.Set { return p.set }
-
 func (p *SequentialScan) Attach(e *sim.Engine) {
-	p.set = region.NewSet(region.DefaultNumScans)
-	initRegions(e, p.set, DefaultRegionBytes)
-	p.pm = newProfMetrics(e, p.Name())
-}
-
-func (p *SequentialScan) IntervalStart(*sim.Engine) {}
-
-func (p *SequentialScan) Regions() []*region.Region {
-	if p.set == nil {
-		return nil
-	}
-	return p.set.Regions()
+	p.attach(e, p.Name(), region.DefaultNumScans, DefaultRegionBytes)
 }
 
 func (p *SequentialScan) Profile(e *sim.Engine) {
@@ -254,7 +222,7 @@ func (p *SequentialScan) Profile(e *sim.Engine) {
 		}
 		sel = sel[:take]
 		p.cursor += take
-		f, shardFaults := harvestRegions(e, sel, p.shardBuf, round, scansPerPage, scanWindow, p.Alpha, p.set.NumScans)
+		f, shardFaults := harvestRegions(e, sel, p.shardBuf, round, scansPerPage, scanWindow, p.alpha, p.set.NumScans)
 		p.shardBuf = shardFaults
 		faults += f
 		if spanning {
@@ -271,13 +239,9 @@ func (p *SequentialScan) Profile(e *sim.Engine) {
 			p.cursor = p.cursor % len(regions)
 		}
 	}
-	p.faults += faults
 	// Hint faults are 12x a PTE scan (§6.2); AutoNUMA's profiling cost
 	// is dominated by them.
-	cost := time.Duration(faults) * HintFaultCost / 4
-	e.ChargeProfiling(cost)
-	p.pm.scanNs.AddDuration(cost)
-	p.pm.pages.Add(faults)
+	p.charge(e, time.Duration(faults)*HintFaultCost/4, faults)
 	if spanning {
 		e.SpanEnd(span.I("pages", faults))
 	}

@@ -15,41 +15,26 @@ import (
 // profilers, both modelled here: every counted access takes a protection
 // fault (expensive), and sampling a 4 KB slice of a 2 MB huge page
 // extrapolates ×512 (noisy, the huge-page quality loss §5.4 describes).
-type Thermostat struct {
-	// OverheadTarget bounds the per-interval profiling cost; regions are
-	// chosen uniformly at random until the predicted cost is spent.
-	OverheadTarget float64
-	// Alpha is the EMA weight for time-consecutive hotness.
-	Alpha float64
+type Thermostat struct{ regionTable }
 
-	set    *region.Set
-	faults int64
-	pm     profMetrics
-}
+// Thermostat's parameters: the paper's 5% overhead budget and the same
+// EMA weight as MTM.
+const (
+	// thermostatOverheadTarget bounds the per-interval profiling cost;
+	// regions are chosen uniformly at random until the predicted cost is
+	// spent.
+	thermostatOverheadTarget = 0.05
+	// thermostatAlpha is the EMA weight for time-consecutive hotness.
+	thermostatAlpha = 0.5
+)
 
-// NewThermostat creates the baseline with the paper's 5% target.
-func NewThermostat() *Thermostat {
-	return &Thermostat{OverheadTarget: 0.05, Alpha: 0.5}
-}
+// NewThermostat creates the baseline.
+func NewThermostat() *Thermostat { return &Thermostat{} }
 
 func (t *Thermostat) Name() string { return "thermostat-profiler" }
 
-// Set exposes the region set.
-func (t *Thermostat) Set() *region.Set { return t.set }
-
 func (t *Thermostat) Attach(e *sim.Engine) {
-	t.set = region.NewSet(region.DefaultNumScans)
-	initRegions(e, t.set, DefaultRegionBytes)
-	t.pm = newProfMetrics(e, t.Name())
-}
-
-func (t *Thermostat) IntervalStart(*sim.Engine) {}
-
-func (t *Thermostat) Regions() []*region.Region {
-	if t.set == nil {
-		return nil
-	}
-	return t.set.Regions()
+	t.attach(e, t.Name(), region.DefaultNumScans, DefaultRegionBytes)
 }
 
 // expectedFaultsPerSample is the planning estimate of protection faults
@@ -59,7 +44,7 @@ const expectedFaultsPerSample = 8
 func (t *Thermostat) Profile(e *sim.Engine) {
 	t.set.BeginInterval()
 	regions := t.set.Regions()
-	budget := time.Duration(float64(e.Interval) * t.OverheadTarget)
+	budget := time.Duration(float64(e.Interval) * thermostatOverheadTarget)
 	perSample := ProtFaultCost * (1 + expectedFaultsPerSample)
 	n := int(budget / perSample)
 	if n < 1 {
@@ -104,7 +89,6 @@ func (t *Thermostat) Profile(e *sim.Engine) {
 			faults = expectedFaultsPerSample * 4 // protection re-armed lazily
 		}
 		spent += ProtFaultCost * time.Duration(1+faults)
-		t.faults += int64(faults)
 
 		r.Samples = append(r.Samples[:0], p)
 		// Normalise the estimate into scan-count units so merge/split
@@ -120,15 +104,13 @@ func (t *Thermostat) Profile(e *sim.Engine) {
 		r.PrevHI = r.HI
 		r.HI = float64(obs)
 		r.Sampled = true
-		r.UpdateEMA(t.Alpha)
+		r.UpdateEMA(thermostatAlpha)
 	}
 	if spanning {
 		e.SpanEmit("profiling", "prot-fault-sampling", e.SpanClockNs(), int64(spent),
 			span.I("sampled", int64(n)))
 	}
-	e.ChargeProfiling(spent)
-	t.pm.scanNs.AddDuration(spent)
-	t.pm.pages.Add(int64(n))
+	t.charge(e, spent, int64(n))
 	if spanning {
 		e.SpanEnd()
 	}
