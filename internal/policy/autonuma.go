@@ -57,9 +57,6 @@ func (p *TieredAutoNUMA) Name() string {
 	return "vanilla tiered-AutoNUMA"
 }
 
-// Profiler exposes the underlying scan profiler (ablations, stats).
-func (p *TieredAutoNUMA) Profiler() profiler.Profiler { return p.prof }
-
 // Regions exposes the profiler's region set for profiling-quality
 // comparisons (the fidelity oracle grades it against ground truth).
 func (p *TieredAutoNUMA) Regions() []*region.Region {

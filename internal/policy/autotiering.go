@@ -38,9 +38,6 @@ func NewAutoTiering() *AutoTiering {
 
 func (p *AutoTiering) Name() string { return "AutoTiering" }
 
-// Profiler exposes the underlying sampling profiler.
-func (p *AutoTiering) Profiler() profiler.Profiler { return p.prof }
-
 // Regions exposes the profiler's region set for profiling-quality
 // comparisons (the fidelity oracle grades it against ground truth).
 func (p *AutoTiering) Regions() []*region.Region {

@@ -256,22 +256,8 @@ func (e *Engine) admissionBreakerTrip(src, dst tier.NodeID) {
 	e.adm.ctl.ZeroBudget(int(src), int(dst), e.SpanClockNs())
 }
 
-// AdmissionTokens reports a pair's current budget balance (after
-// refill to the current virtual time); 0 when admission is disabled.
-// Exposed for tests and operator tooling.
-func (e *Engine) AdmissionTokens(src, dst tier.NodeID) int64 {
-	if e.adm == nil {
-		return 0
-	}
-	return e.adm.ctl.Tokens(int(src), int(dst), e.SpanClockNs())
-}
-
 // AdmissionLearnEnabled reports whether online MinROI learning is on.
 func (e *Engine) AdmissionLearnEnabled() bool { return e.adm != nil && e.adm.learn }
-
-// AdmissionLanesEnabled reports whether traffic-class priority lanes
-// (and with them the binding budgets) are on.
-func (e *Engine) AdmissionLanesEnabled() bool { return e.adm != nil && e.adm.lanes }
 
 // AdmissionMinROI reports the pair's effective promotion floor: the
 // learned floor when learning is on, the static MinROI otherwise, 0

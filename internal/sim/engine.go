@@ -58,17 +58,6 @@ type Workload interface {
 	ReadFraction() float64
 }
 
-// IntervalStats is the per-interval record used by the breakdown figures.
-type IntervalStats struct {
-	App           time.Duration
-	Profiling     time.Duration
-	Migration     time.Duration // critical-path migration time
-	Background    time.Duration
-	PromotedBytes int64
-	DemotedBytes  int64
-	NodeAccesses  []int64 // app accesses served per node this interval
-}
-
 // Engine is the simulation core. Not safe for concurrent use: a run
 // executes entirely on the goroutine that drives it.
 type Engine struct {
@@ -141,8 +130,6 @@ type Engine struct {
 	PromotedBytes int64
 	DemotedBytes  int64
 	Intervals     int
-	Log           []IntervalStats
-	KeepLog       bool
 
 	// Robustness accounting (transactional migration and the emergency
 	// out-of-memory path).
@@ -447,16 +434,6 @@ func (e *Engine) endInterval() {
 	e.TotalBg += e.intBg
 	e.PromotedBytes += e.intPromoted
 	e.DemotedBytes += e.intDemoted
-	if e.KeepLog {
-		na := make([]int64, len(e.intAccesses))
-		copy(na, e.intAccesses)
-		e.Log = append(e.Log, IntervalStats{
-			App: app, Profiling: e.intProf, Migration: e.intMig,
-			Background:    e.intBg,
-			PromotedBytes: e.intPromoted, DemotedBytes: e.intDemoted,
-			NodeAccesses: na,
-		})
-	}
 	// Contention factors for the next interval come from this one's
 	// observed demand (a one-interval lag keeps the model causal).
 	for i := range e.contention {

@@ -238,21 +238,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestKeepLog(t *testing.T) {
-	e := newTestEngine()
-	e.KeepLog = true
-	res, err := Run(e, &fixedWorkload{perInt: 10, intervals: 3}, &fixedSolution{node: 0, mig: time.Millisecond}, 10)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(e.Log) != res.Intervals {
-		t.Fatalf("log entries = %d, want %d", len(e.Log), res.Intervals)
-	}
-	if e.Log[0].Migration != time.Millisecond {
-		t.Fatalf("log migration = %v", e.Log[0].Migration)
-	}
-}
-
 func TestContentionInflatesLatency(t *testing.T) {
 	e := newTestEngine()
 	e.SetSolution(&fixedSolution{node: 0})

@@ -128,9 +128,6 @@ func (e *Engine) EnableFidelity() {
 	e.enableLineage()
 }
 
-// FidelityEnabled reports whether the fidelity oracle is on.
-func (e *Engine) FidelityEnabled() bool { return e.fid != nil }
-
 // solutionRegions returns the active solution's profiled region table, or
 // nil when it does not expose one.
 func (e *Engine) solutionRegions() []*region.Region {

@@ -63,9 +63,6 @@ func (e *Engine) SetFaultPlane(fp FaultPlane) {
 	}
 }
 
-// FaultPlaneAttached reports whether a fault plane is installed.
-func (e *Engine) FaultPlaneAttached() bool { return e.faults != nil }
-
 // LinkBandwidth returns the effective bandwidth of the socket→node link,
 // reduced while the fault plane degrades it.
 func (e *Engine) LinkBandwidth(socket int, n tier.NodeID) int64 {

@@ -103,9 +103,6 @@ func (e *Engine) EnableShadow() {
 	}
 }
 
-// ShadowEnabled reports whether shadow retention is attached.
-func (e *Engine) ShadowEnabled() bool { return e.shd != nil }
-
 // ShadowCount returns the number of live shadow frames (0 when disabled).
 func (e *Engine) ShadowCount() int {
 	n := 0

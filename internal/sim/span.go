@@ -29,10 +29,6 @@ func (e *Engine) EnableSpans(cfg span.Config) *span.Tracer {
 	return e.sp
 }
 
-// Spans returns the engine's tracer (nil unless EnableSpans was called).
-// All span.Tracer methods are nil-safe.
-func (e *Engine) Spans() *span.Tracer { return e.sp }
-
 // SpansEnabled reports whether span tracing is active. Sites that build
 // attribute lists must check it before constructing them.
 func (e *Engine) SpansEnabled() bool { return e.sp != nil }

@@ -1,70 +1,27 @@
-// Package stats computes the evaluation metrics of the paper: profiling
-// recall and accuracy against an oracle (Figure 1), per-tier access
-// distributions (Tables 3 and 6), and execution-time breakdowns
-// (Figure 5). It is the only code allowed to read ground-truth access
-// counters — profilers never see them.
+// Package stats scores and reports the paper's evaluation metrics:
+// profiling recall and accuracy of a region table against a hot-page
+// oracle (Figure 1), and the durations and fixed-width tables the
+// experiments print. It reads no access counters itself; the oracle comes
+// from the caller. Ground-truth counters are read by the fidelity oracle
+// (internal/sim, internal/fidelity), the workloads' own hot sets, and the
+// engine's lineage and emergency-reclaim bookkeeping — never by the
+// PTE-scan profilers.
 package stats
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 	"strings"
 	"time"
 
 	"mtm/internal/profiler"
 	"mtm/internal/region"
-	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
 
-// HotOracle reports ground truth: whether a page is currently hot. GUPS
-// exposes one from its hot-set bookkeeping; CountOracle derives one from
-// the interval's access counters for workloads without a closed form.
+// HotOracle reports ground truth: whether a page is currently hot. The
+// caller supplies it; GUPS exposes one from its hot-set bookkeeping.
 type HotOracle func(v *vm.VMA, idx int) bool
-
-// CountOracle builds a HotOracle marking the top hotFrac of present bytes
-// by this interval's ground-truth access count. It must be called before
-// the engine resets counters (i.e. inside a Solution hook or test).
-func CountOracle(as *vm.AddressSpace, hotFrac float64) HotOracle {
-	type pg struct {
-		v     *vm.VMA
-		idx   int
-		count uint32
-	}
-	var pages []pg
-	var total int64
-	for _, v := range as.VMAs() {
-		total += int64(v.PresentCount(0, v.NPages)) * v.PageSize
-		// Pages with non-zero counts are exactly the present∧touched ones;
-		// sweep them word-wide instead of loading every counter.
-		for w := 0; w < v.Words(); w++ {
-			word := v.ActiveWord(w)
-			for word != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(word)
-				word &= word - 1
-				pages = append(pages, pg{v, i, v.Count(i)})
-			}
-		}
-	}
-	sort.Slice(pages, func(i, j int) bool { return pages[i].count > pages[j].count })
-	want := int64(float64(total) * hotFrac)
-	hot := make(map[*vm.VMA]map[int]bool)
-	var got int64
-	for _, p := range pages {
-		if got >= want {
-			break
-		}
-		m := hot[p.v]
-		if m == nil {
-			m = make(map[int]bool)
-			hot[p.v] = m
-		}
-		m[p.idx] = true
-		got += p.v.PageSize
-	}
-	return func(v *vm.VMA, idx int) bool { return hot[v][idx] }
-}
 
 // Quality is a profiling recall/accuracy measurement (Figure 1):
 // recall   = hot bytes correctly detected / hot bytes in the oracle set
@@ -101,34 +58,6 @@ func DetectionQuality(regions []*region.Region, oracle HotOracle, wantBytes, ora
 		q.Accuracy = float64(correct) / float64(detectedBytes)
 	}
 	return q
-}
-
-// OracleBytes sums the bytes the oracle marks hot over present pages.
-func OracleBytes(as *vm.AddressSpace, oracle HotOracle) int64 {
-	var b int64
-	for _, v := range as.VMAs() {
-		for w := 0; w < v.Words(); w++ {
-			word := v.PresentWord(w)
-			for word != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(word)
-				word &= word - 1
-				if oracle(v, i) {
-					b += v.PageSize
-				}
-			}
-		}
-	}
-	return b
-}
-
-// Breakdown is the Figure 5 decomposition of a run.
-type Breakdown struct {
-	App, Profiling, Migration time.Duration
-}
-
-// BreakdownOf extracts the decomposition from a result.
-func BreakdownOf(r *sim.Result) Breakdown {
-	return Breakdown{App: r.App, Profiling: r.Profiling, Migration: r.Migration}
 }
 
 // FormatDuration renders a virtual duration at a unit that keeps three

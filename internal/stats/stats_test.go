@@ -6,32 +6,8 @@ import (
 	"time"
 
 	"mtm/internal/region"
-	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
-
-func TestCountOracle(t *testing.T) {
-	as := vm.NewAddressSpace()
-	v := as.Alloc("v", 20*vm.HugePageSize)
-	for i := 0; i < v.NPages; i++ {
-		v.Place(i, 0)
-		n := uint32(1)
-		if i < 5 {
-			n = 1000
-		}
-		v.TouchN(i, n, 0, 0)
-	}
-	oracle := CountOracle(as, 0.25) // top 5 of 20 pages
-	for i := 0; i < v.NPages; i++ {
-		want := i < 5
-		if oracle(v, i) != want {
-			t.Fatalf("oracle(%d) = %v, want %v", i, oracle(v, i), want)
-		}
-	}
-	if got := OracleBytes(as, oracle); got != 5*v.PageSize {
-		t.Fatalf("oracle bytes = %d", got)
-	}
-}
 
 func TestDetectionQualityPerfect(t *testing.T) {
 	as := vm.NewAddressSpace()
@@ -131,14 +107,6 @@ func TestDirtyPlaneReconciliation(t *testing.T) {
 	v.TouchN(65, 1, 1, 0)
 	if !v.TestAndClearDirty(65) || v.DirtyWord(1) != 0 {
 		t.Fatal("re-armed dirty bit not observed or not consumed")
-	}
-}
-
-func TestBreakdownOf(t *testing.T) {
-	r := &sim.Result{App: time.Second, Profiling: time.Millisecond, Migration: 2 * time.Millisecond}
-	b := BreakdownOf(r)
-	if b.App != time.Second || b.Profiling != time.Millisecond || b.Migration != 2*time.Millisecond {
-		t.Fatalf("breakdown = %+v", b)
 	}
 }
 

@@ -21,15 +21,6 @@ type System struct {
 	offline     []bool  // true when the node accepts no new allocations
 	demand      []int64 // bytes transferred per node in the current window
 	window      time.Duration
-	resLog      []Reservation
-	logging     bool
-}
-
-// Reservation records one allocate/release event, for tests and debugging.
-type Reservation struct {
-	Node    NodeID
-	Bytes   int64
-	Release bool
 }
 
 // NewSystem creates a System over topo. It panics if topo is invalid, since
@@ -47,12 +38,6 @@ func NewSystem(topo *Topology) *System {
 		demand:      make([]int64, len(topo.Nodes)),
 	}
 }
-
-// EnableLog turns on reservation logging (tests only; unbounded growth).
-func (s *System) EnableLog() { s.logging = true }
-
-// Log returns the reservation log.
-func (s *System) Log() []Reservation { return s.resLog }
 
 // Capacity returns the capacity of a node in bytes.
 func (s *System) Capacity(n NodeID) int64 { return s.Topo.Nodes[n].Capacity }
@@ -84,9 +69,6 @@ func (s *System) Quarantine(n NodeID, b int64) {
 	}
 	s.used[n] -= b
 	s.quarantined[n] += b
-	if s.logging {
-		s.resLog = append(s.resLog, Reservation{Node: n, Bytes: b, Release: true})
-	}
 }
 
 // Quarantined returns the bytes lost to poisoned frames on node n.
@@ -112,9 +94,6 @@ func (s *System) Reserve(n NodeID, b int64) bool {
 		return false
 	}
 	s.used[n] += b
-	if s.logging {
-		s.resLog = append(s.resLog, Reservation{Node: n, Bytes: b})
-	}
 	return true
 }
 
@@ -153,9 +132,6 @@ func (s *System) Release(n NodeID, b int64) {
 		panic(fmt.Sprintf("tier: Release(%d, %d) with used=%d", n, b, s.used[n]))
 	}
 	s.used[n] -= b
-	if s.logging {
-		s.resLog = append(s.resLog, Reservation{Node: n, Bytes: b, Release: true})
-	}
 }
 
 // FirstFit returns the first node in the given view order with at least b

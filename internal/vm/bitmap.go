@@ -101,26 +101,6 @@ func (b Bitmap) NextSet(i int) int {
 	return -1
 }
 
-// AnyRange reports whether any bit in [lo, hi) is set.
-func (b Bitmap) AnyRange(lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
-	fw, lw, fm, lm := rangeMasks(lo, hi)
-	if fw == lw {
-		return b[fw]&fm&lm != 0
-	}
-	if b[fw]&fm != 0 {
-		return true
-	}
-	for w := fw + 1; w < lw; w++ {
-		if b[w] != 0 {
-			return true
-		}
-	}
-	return b[lw]&lm != 0
-}
-
 // RangeWord returns the bits of word w restricted to pages [lo, hi): the
 // sweep primitive. Callers iterate set bits with bits.TrailingZeros64:
 //

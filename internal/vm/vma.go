@@ -163,15 +163,8 @@ func (v *VMA) Words() int { return v.present.Words() }
 // PresentWord returns word w of the present plane.
 func (v *VMA) PresentWord(w int) uint64 { return v.present.Word(w) }
 
-// AccessedWord returns word w of the accessed plane.
-func (v *VMA) AccessedWord(w int) uint64 { return v.accessed.Word(w) }
-
 // DirtyWord returns word w of the dirty plane.
 func (v *VMA) DirtyWord(w int) uint64 { return v.dirty.Word(w) }
-
-// TouchedWord returns word w of the ground-truth touched plane. Oracle
-// code only; profilers must observe through PTE scans.
-func (v *VMA) TouchedWord(w int) uint64 { return v.touched.Word(w) }
 
 // Touched reports whether page idx was accessed this interval (ground
 // truth; oracle code only).

@@ -76,9 +76,8 @@ func (w *VoltDB) assignHomes(e *sim.Engine) {
 	w.reassignLeft = w.ReassignOps
 }
 
-// Footprint VMAs for experiments that inspect placement.
-func (w *VoltDB) Customer() *vm.VMA { return w.customer }
-func (w *VoltDB) Stock() *vm.VMA    { return w.stock }
+// Stock is the stock table's VMA, for experiments that inspect placement.
+func (w *VoltDB) Stock() *vm.VMA { return w.stock }
 
 func (w *VoltDB) RunInterval(e *sim.Engine) {
 	socket := e.HomeSocket

@@ -68,18 +68,6 @@ func (b *base) ReadFraction() float64 { return b.readFrac }
 // TotalOps reports the workload's configured operation count.
 func (b *base) TotalOps() int64 { return b.totalOps }
 
-// Progress reports completed work in [0, 1].
-func (b *base) Progress() float64 {
-	if b.totalOps == 0 {
-		return 1
-	}
-	p := float64(b.doneOps) / float64(b.totalOps)
-	if p > 1 {
-		p = 1
-	}
-	return p
-}
-
 // opChunk is how many operations a workload issues between
 // IntervalExhausted checks.
 const opChunk = 2048

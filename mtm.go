@@ -71,8 +71,6 @@ type Config struct {
 	// Alpha is the EMA weight of Equation 2; 0 selects 0.5. (Set to a
 	// negative value to force 0, i.e. history-only decisions.)
 	Alpha float64
-	// KeepLog records per-interval statistics on the engine.
-	KeepLog bool
 	// Faults names a fault-injection scenario (see fault.Scenarios);
 	// "" or "none" runs without injection.
 	Faults string
@@ -226,7 +224,6 @@ func NewEngine(c Config) *sim.Engine {
 	e := sim.NewEngine(c.Topology(), c.Seed)
 	e.Threads = c.Threads
 	e.Interval = c.Interval
-	e.KeepLog = c.KeepLog
 	if c.Metrics {
 		e.EnableMetrics()
 	}
