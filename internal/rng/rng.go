@@ -18,7 +18,8 @@
 // 607 values that precede them.
 //
 // *Rand implements rand.Source64, so rand.New(r) hands code that needs a
-// *rand.Rand (rand.NewZipf) a view of the same stream, not a second one.
+// *rand.Rand (DAMON's vm.ObserveScans calls) a view of the same stream,
+// not a second one.
 package rng
 
 import (

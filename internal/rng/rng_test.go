@@ -98,8 +98,8 @@ func TestBoundDrawEqualsIntn(t *testing.T) {
 	}
 }
 
-// TestSharedStreamThroughRandNew pins the contract the engine relies on
-// to hand rand.NewZipf a *rand.Rand: rand.New(r) draws from r's stream.
+// TestSharedStreamThroughRandNew pins the contract DAMON relies on to
+// hand vm.ObserveScans a *rand.Rand: rand.New(r) draws from r's stream.
 func TestSharedStreamThroughRandNew(t *testing.T) {
 	r := New(7)
 	view := rand.New(r)

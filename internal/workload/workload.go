@@ -10,8 +10,6 @@
 package workload
 
 import (
-	"math/rand"
-
 	"mtm/internal/sim"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
@@ -117,22 +115,6 @@ func hash64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
-
-// zipfSampler wraps rand.Zipf with YCSB's default skew.
-type zipfSampler struct{ z *rand.Zipf }
-
-// newZipf draws from src through one rand.Rand view of it; passing the
-// engine's Rng keeps the sampler on the run's single stream.
-func newZipf(src rand.Source, n uint64) *zipfSampler {
-	if n < 2 {
-		n = 2
-	}
-	// YCSB's zipfian constant is 0.99; rand.Zipf's s must be > 1, so use
-	// the standard 1.01 approximation with v=1.
-	return &zipfSampler{z: rand.NewZipf(rand.New(src), 1.07, 1, n-1)}
-}
-
-func (z *zipfSampler) Next() uint64 { return z.z.Uint64() }
 
 // initTouch sequentially faults in and writes an entire VMA, modelling
 // the data-structure initialisation phase real applications run at
