@@ -62,9 +62,10 @@ func BenchmarkTab7RegionStats(b *testing.B)        { benchExperiment(b, "tab7") 
 
 // BenchmarkRun measures whole simulations end to end under MTM at a fixed
 // scale and op count: gups and pingpong are access-stream bound, bfs
-// mixes sequential graph ranges with profiling and migration.
+// mixes sequential graph ranges with profiling and migration, and
+// cassandra times the zipfian key sampler beside its accesses.
 func BenchmarkRun(b *testing.B) {
-	for _, wl := range []string{"gups", "pingpong", "bfs"} {
+	for _, wl := range []string{"gups", "pingpong", "bfs", "cassandra"} {
 		b.Run(wl+"/mtm", func(b *testing.B) {
 			cfg := mtm.DefaultConfig()
 			cfg.Scale = 256
