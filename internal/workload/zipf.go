@@ -40,7 +40,6 @@ type zipfSampler struct {
 	hxm, hx0minusHxm, s        float64
 
 	c1, c2, c3, c4 float64 // binomial coefficients of c = oneminusQinv
-	lim            float64 // min(s, ½): the largest k-x the fast path accepts
 	j0             int     // grid index of tab[0]
 	// tab[i] holds grid point t = (j0+i)·2^-11 as {t^c, 1/t}, or zeros
 	// until a draw first lands there. Filling it up front would put ~1,300
@@ -83,7 +82,6 @@ func newZipf(r *rng.Rand, n uint64) *zipfSampler {
 	z.c2 = z.c1 * (c - 1) / 2
 	z.c3 = z.c2 * (c - 2) / 3
 	z.c4 = z.c3 * (c - 3) / 4
-	z.lim = math.Min(z.s, 0.5)
 
 	// y runs from (1-q)·hxm at r = 0 up to (1-q)·(hxm+hx0minusHxm) as
 	// r -> 1. A y outside the table takes the exact path.
@@ -127,8 +125,10 @@ func (z *zipfSampler) rank(r float64) (k uint64, ok bool) {
 		xp1 := cell.pow * (1 + u*(z.c1+u*(z.c2+u*(z.c3+u*z.c4))))
 		x := xp1 - 1
 		kf := math.Floor(x + 0.5)
+		// s is 0.482 for q = 1.07, so k-x <= s-m also keeps x above the
+		// lower rounding edge k-½.
 		m := zipfMargin * xp1
-		if d := kf - x; m < d+0.5 && d+m <= z.lim {
+		if d := kf - x; m < d+0.5 && d+m <= z.s {
 			return uint64(kf), true
 		}
 	}

@@ -203,13 +203,15 @@ func BenchmarkZipfNext(b *testing.B) {
 	b.Run("sampler", func(b *testing.B) {
 		z := newZipf(rng.New(1), n)
 		for i := 0; i < b.N; i++ {
-			z.Next()
+			zipfSink += z.Next()
 		}
 	})
 	b.Run("math-rand", func(b *testing.B) {
 		z := rand.NewZipf(rand.New(rng.New(1)), zipfQ, 1, n-1)
 		for i := 0; i < b.N; i++ {
-			z.Uint64()
+			zipfSink += z.Uint64()
 		}
 	})
 }
+
+var zipfSink uint64
