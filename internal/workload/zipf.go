@@ -50,8 +50,8 @@ type zipfSampler struct {
 type zipfCell struct{ pow, inv float64 }
 
 const (
-	// zipfQ is the skew. YCSB's zipfian constant is 0.99, but rand.Zipf
-	// needs s > 1; 1.07 is the value this workload has always drawn with.
+	// zipfQ is the skew. YCSB's zipfian constant is 0.99, but
+	// rejection-inversion needs q > 1; Cassandra has always drawn with 1.07.
 	zipfQ = 1.07
 
 	zipfGridScale = 1 << 11 // grid points per unit of y

@@ -120,8 +120,8 @@ func TestZipfRankEdges(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
 			z, std := newZipf(rng.New(1), n), newStdZipf(n)
-			x := func(r float64) float64 { return z.hinv(z.hxm + r*z.hx0minusHxm) }
 			ur := func(r float64) float64 { return z.hxm + r*z.hx0minusHxm }
+			x := func(r float64) float64 { return z.hinv(ur(r)) }
 			check := func(r float64) {
 				if !drawable(r) {
 					return
