@@ -84,6 +84,19 @@ var goldenVariants = []struct {
 		c.Metrics = true
 		c.Audit = true
 	}},
+	// Faults with both event sinks on: aborts, breaker trips, poison,
+	// poison recovery and health transitions reach the span trace, and
+	// admission defers and rejects, thrash suppression and fault
+	// activations reach the event ring. This pins the name, ring type,
+	// attributes and dedup of every event kind these runs emit.
+	{"cxl-flaky+lanes+metrics+spans", func(c *Config) {
+		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
+		c.AdmissionLearn = true
+		c.AdmissionLanes = "default"
+		c.Metrics = true
+		c.Trace = &span.Config{}
+		c.Audit = true
+	}},
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
@@ -103,7 +116,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden digests are recorded on linux/amd64 only")
 	}
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("304 runs; skipped in -short and -race")
+		t.Skip("336 runs; skipped in -short and -race")
 	}
 	want := map[string]string{}
 	if b, err := os.ReadFile(goldenFile); err == nil {

@@ -200,6 +200,7 @@ func TestDrainStallsWithNoDestination(t *testing.T) {
 	// (not offline the tier, not lose pages).
 	e := newHealthEngine(tier.TwoTierTopology(4*tier.MB, 4*tier.MB))
 	e.SetSolution(&fixedSolution{node: 0})
+	enableEventSinks(e)
 	e.beginInterval()
 	v := e.AS.Alloc("v", 8*tier.MB)
 	for i := 0; i < v.NPages; i++ {
@@ -248,6 +249,18 @@ func TestDrainStallsWithNoDestination(t *testing.T) {
 	if onNode0() != 0 {
 		t.Fatal("drain did not resume after room appeared")
 	}
+	wantLines(t, "ring", ringRows(e), []string{
+		`0 0 health-transition "DRAM Online->Degraded" 1`,
+		`0 0 health-transition "DRAM Degraded->Draining" 2`,
+		`0 0 drain-stall "DRAM" 2`,
+		`1 19939 health-transition "DRAM Draining->Offline" 3`,
+	})
+	wantLines(t, "spans", spanInstants(e), []string{
+		`0 19939 health/transition node="DRAM" from="Online" to="Degraded" reason="operator drain request" poisoned_pages=0`,
+		`0 19939 health/transition node="DRAM" from="Degraded" to="Draining" reason="operator drain request" poisoned_pages=0`,
+		`0 19939 health/drain-stall node="DRAM" resident_pages=2`,
+		`1 19939 health/transition node="DRAM" from="Draining" to="Offline" reason="evacuation complete" poisoned_pages=0`,
+	})
 	mustAudit(t, e)
 }
 

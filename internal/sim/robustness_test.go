@@ -95,6 +95,7 @@ func TestEmergencyDemotionRescuesFragmentation(t *testing.T) {
 			if lanes {
 				e.EnableAdmission(false, true)
 			}
+			enableEventSinks(e)
 			e.beginInterval()
 			e.AS.THP = false
 			e.SetSolution(&fixedSolution{node: 0})
@@ -163,6 +164,12 @@ func TestEmergencyDemotionRescuesFragmentation(t *testing.T) {
 					t.Fatalf("emergency lane = %+v, want %d requests and admits, %d bytes", em, pages, tier.MB)
 				}
 			}
+			wantLines(t, "ring", ringRows(e), []string{
+				`0 0 emergency-demotion "DRAM" 2097152`,
+			})
+			wantLines(t, "spans", spanInstants(e), []string{
+				`0 861088 emergency/emergency-demotion node="DRAM" need_bytes=2097152`,
+			})
 			mustAudit(t, e)
 		})
 	}
@@ -173,6 +180,7 @@ func TestEmergencyDemotionCannotFixTrueExhaustion(t *testing.T) {
 	// fault must fail with ErrOutOfMemory, not loop or panic.
 	e := NewEngine(tier.TwoTierTopology(2*tier.MB, 2*tier.MB), 1)
 	e.Interval = time.Second
+	enableEventSinks(e)
 	e.beginInterval()
 	e.SetSolution(&fixedSolution{node: 0})
 	v := e.AS.Alloc("fill", 4*tier.MB)
@@ -190,6 +198,12 @@ func TestEmergencyDemotionCannotFixTrueExhaustion(t *testing.T) {
 	if e.EmergencyDemotions != 0 {
 		t.Fatalf("EmergencyDemotions = %d, want 0 (nothing reclaimable)", e.EmergencyDemotions)
 	}
+	wantLines(t, "ring", ringRows(e), []string{
+		`0 0 oom "VMA{extra 0x48400000+2MB page=2048KB}" 0`,
+	})
+	wantLines(t, "spans", spanInstants(e), []string{
+		`0 9969 emergency/oom vma="VMA{extra 0x48400000+2MB page=2048KB}" page=0 need_bytes=2097152`,
+	})
 	mustAudit(t, e)
 }
 
