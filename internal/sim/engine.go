@@ -97,15 +97,15 @@ type Engine struct {
 
 	sol    Solution
 	faults FaultPlane
-	failed error               // sticky first failure (e.g. *OOMError)
-	met    *engineMetrics      // nil unless EnableMetrics was called
-	sp     *span.Tracer        // nil unless EnableSpans was called
-	hlt    *healthState        // nil unless EnableHealth was called
-	adm    *admissionState     // nil unless EnableAdmission was called
-	shd    *shadowState        // nil unless EnableShadow was called
-	fid    *fidelityState      // nil unless EnableFidelity was called
-	lin    *lineage            // nil unless the oracle or the admission learner is on
-	evSeen map[string]struct{} // per-interval event dedup (emitEventOnce)
+	failed error                  // sticky first failure, an *OOMError
+	met    *engineMetrics         // nil unless EnableMetrics was called
+	sp     *span.Tracer           // nil unless EnableSpans was called
+	hlt    *healthState           // nil unless EnableHealth was called
+	adm    *admissionState        // nil unless EnableAdmission was called
+	shd    *shadowState           // nil unless EnableShadow was called
+	fid    *fidelityState         // nil unless EnableFidelity was called
+	lin    *lineage               // nil unless the oracle or the admission learner is on
+	evSeen map[[2]string]struct{} // per-interval event dedup (emitEventOnce)
 
 	clock time.Duration
 

@@ -71,7 +71,7 @@ const (
 	EventThrashSuppressed = "thrash-suppressed"
 	// EventLaneStarvation: the admission starvation watchdog caught a
 	// critical traffic class (drain, emergency) with requests but zero
-	// admits for more than the configured number of consecutive
+	// admits for more than admission.WatchdogIntervals consecutive
 	// intervals; Detail names the class, Value the intervals waited.
 	EventLaneStarvation = "lane-starvation"
 )
@@ -245,17 +245,18 @@ func pairCounter(m [][]*metrics.Counter, src, dst tier.NodeID) *metrics.Counter 
 // would otherwise flood the bounded event ring and evict the diverse
 // evidence it exists to keep; the first occurrence per interval carries
 // the value, later ones only bump their counters. The seen-set is only
-// ever probed by key (never iterated), so it cannot leak map order.
+// ever probed by key (never iterated), so it cannot leak map order. Its
+// key is the two strings themselves, so a repeat allocates nothing.
 func (e *Engine) emitEventOnce(typ, detail string, value int64) {
 	if e.met == nil {
 		return
 	}
-	key := typ + "\x00" + detail
+	key := [2]string{typ, detail}
 	if _, dup := e.evSeen[key]; dup {
 		return
 	}
 	if e.evSeen == nil {
-		e.evSeen = make(map[string]struct{})
+		e.evSeen = make(map[[2]string]struct{})
 	}
 	e.evSeen[key] = struct{}{}
 	e.met.reg.Emit(typ, detail, value)

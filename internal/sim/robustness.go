@@ -262,25 +262,17 @@ func (e *OOMError) Unwrap() error { return ErrOutOfMemory }
 func (e *Engine) Err() error { return e.failed }
 
 // fail records the first failure; later calls keep the original.
-func (e *Engine) fail(err error) {
+func (e *Engine) fail(err *OOMError) {
 	if e.failed == nil {
 		e.failed = err
 		if e.met != nil {
-			if oe, ok := err.(*OOMError); ok {
-				e.met.reg.Emit(EventOOM, oe.VMA, int64(oe.Page))
-			} else {
-				e.met.reg.Emit(EventOOM, err.Error(), 0)
-			}
+			e.met.reg.Emit(EventOOM, err.VMA, int64(err.Page))
 		}
 		if e.sp != nil {
-			if oe, ok := err.(*OOMError); ok {
-				e.SpanEvent("emergency", "oom",
-					span.S("vma", oe.VMA),
-					span.I("page", int64(oe.Page)),
-					span.I("need_bytes", oe.Need))
-			} else {
-				e.SpanEvent("emergency", "oom", span.S("error", err.Error()))
-			}
+			e.SpanEvent("emergency", "oom",
+				span.S("vma", err.VMA),
+				span.I("page", int64(err.Page)),
+				span.I("need_bytes", err.Need))
 		}
 	}
 }

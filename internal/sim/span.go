@@ -17,7 +17,7 @@ import (
 // call sites that build attribute lists must branch on SpansEnabled
 // first: the variadic slice is allocated by the caller, and the
 // zero-allocation guarantee for disabled tracing (see
-// TestSpanHelpersZeroAllocDisabled) depends on not constructing it.
+// TestDisabledTracingZeroAllocs) depends on not constructing it.
 
 // EnableSpans attaches a span tracer to the engine (idempotent) and
 // returns it. The tracer starts at interval -1, covering setup work

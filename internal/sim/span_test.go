@@ -2,6 +2,7 @@ package sim
 
 import (
 	"testing"
+	"time"
 
 	"mtm/internal/span"
 	"mtm/internal/tier"
@@ -61,6 +62,26 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 		e.SpanEvent("test", "x")
 	}); n != 0 {
 		t.Errorf("no-op span calls allocate %.1f per op", n)
+	}
+	// The engine's event entry points, with both sinks off.
+	events := func() {
+		e.NoteDeferredPromotionTo(0)
+		e.emitPairEventOnce(EventThrashSuppressed, 0, 2, 1)
+	}
+	if n := testing.AllocsPerRun(100, events); n != 0 {
+		t.Errorf("events with both sinks off allocate %.1f per op", n)
+	}
+	// With metrics on and tracing off, a deduplicated event's repeat
+	// within the interval writes no ring row and allocates nothing.
+	e.EnableMetrics()
+	e.Interval = time.Second
+	e.beginInterval()
+	events()
+	if n := testing.AllocsPerRun(100, events); n != 0 {
+		t.Errorf("repeated deduplicated events allocate %.1f per op", n)
+	}
+	if got := len(e.Metrics().Events()); got != 2 {
+		t.Errorf("ring holds %d rows, want 2", got)
 	}
 }
 
