@@ -9,6 +9,7 @@ import (
 
 	"mtm/internal/experiments"
 	"mtm/internal/migrate"
+	"mtm/internal/pebs"
 	"mtm/internal/policy"
 	"mtm/internal/profiler"
 	"mtm/internal/sim"
@@ -97,11 +98,15 @@ func BenchmarkEngineAccess(b *testing.B) {
 
 // BenchmarkAccessBatch measures accesses issued up to 256 to a batch; an
 // op is one ref. huge issues BenchmarkEngineAccess's accesses to 64 huge
-// pages, whose records stay in cache. random-4k issues seeded random refs
-// over a 2^21-page 4 KB VMA, so nearly every ref misses cache until the
-// batch's warm pass has loaded it.
+// pages, whose records stay in cache. pebs issues them with a PEBS buffer
+// armed on every node, so each ref feeds the sampler. random-4k issues
+// seeded random refs over a 2^21-page 4 KB VMA, so nearly every ref misses
+// cache until the batch's warm pass has loaded it. single issues random
+// refs to the 64 huge pages one Access call each, the shape of Cassandra's
+// per-operation calls. fault first-touches fresh 4 KB pages, the shape of
+// a workload's set-up.
 func BenchmarkAccessBatch(b *testing.B) {
-	b.Run("huge", func(b *testing.B) {
+	hugeRefs := func() (*sim.Engine, *vm.VMA, []sim.Ref) {
 		e := sim.NewEngine(tier.OptaneTopology(256), 1)
 		e.SetSolution(policy.NewFirstTouch())
 		v := e.AS.Alloc("b", 64*vm.HugePageSize)
@@ -109,6 +114,16 @@ func BenchmarkAccessBatch(b *testing.B) {
 		for i := range refs {
 			refs[i] = sim.Ref{Idx: i & 63, N: 4, NW: 2}
 		}
+		return e, v, refs
+	}
+	b.Run("huge", func(b *testing.B) {
+		e, v, refs := hugeRefs()
+		benchBatches(b, e, v, refs)
+	})
+	b.Run("pebs", func(b *testing.B) {
+		e, v, refs := hugeRefs()
+		e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 0)
+		e.PEBS.Arm(0, 1, 2, 3)
 		benchBatches(b, e, v, refs)
 	})
 	b.Run("random-4k", func(b *testing.B) {
@@ -123,6 +138,46 @@ func BenchmarkAccessBatch(b *testing.B) {
 			refs[i] = sim.Ref{Idx: rng.Intn(v.NPages), N: 4, NW: 2}
 		}
 		benchBatches(b, e, v, refs)
+	})
+	b.Run("single", func(b *testing.B) {
+		e := sim.NewEngine(tier.OptaneTopology(256), 1)
+		e.SetSolution(policy.NewFirstTouch())
+		v := e.AS.Alloc("b", 64*vm.HugePageSize)
+		for i := 0; i < v.NPages; i++ {
+			e.Access(v, i, 1, 0, 0)
+		}
+		rng := rand.New(rand.NewSource(1))
+		refs := make([]sim.Ref, 1024)
+		for i := range refs {
+			refs[i] = sim.Ref{Idx: rng.Intn(v.NPages), N: uint32(1 + i&1), NW: uint32(i >> 1 & 1)}
+		}
+		e.Sys.ResetWindow(e.Interval)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r := refs[i&1023]
+			e.Access(v, r.Idx, r.N, r.NW, 0)
+		}
+	})
+	b.Run("fault", func(b *testing.B) {
+		var e *sim.Engine
+		var v *vm.VMA
+		next := 0
+		for i := 0; i < b.N; i++ {
+			if v == nil || next == v.NPages {
+				// A fresh engine and VMA once every page has been touched;
+				// scale 64 holds the VMA's 4 GB.
+				b.StopTimer()
+				e = sim.NewEngine(tier.OptaneTopology(64), 1)
+				e.SetSolution(policy.NewFirstTouch())
+				e.AS.THP = false
+				v = e.AS.Alloc("b", (1<<20)*vm.BasePageSize)
+				e.Sys.ResetWindow(e.Interval)
+				next = 0
+				b.StartTimer()
+			}
+			e.Access(v, next, 1, 1, 0)
+			next++
+		}
 	})
 }
 
