@@ -23,9 +23,9 @@
 //     baseline needs regenerating;
 //   - a baseline entry has a zero ns/op (a corrupt or hand-edited file);
 //   - -max-allocs name=N[,name=N...] caps allocs/op of the named
-//     benchmarks (requires -benchmem output) and one exceeds its cap; the
-//     zero-allocation scan-steady contract is enforced with
-//     BenchmarkScanSteady=0.
+//     benchmarks and of their sub-benchmarks (requires -benchmem output)
+//     and one exceeds its cap; the zero-allocation scan-steady contract is
+//     enforced with BenchmarkScanSteady=0.
 package main
 
 import (
@@ -199,13 +199,21 @@ func compare(cur, base *Summary, maxAllocs map[string]float64) error {
 	}
 	sort.Strings(allocNames)
 	for _, n := range allocNames {
-		c, ok := cur.Benchmarks[n]
-		if !ok {
-			return fmt.Errorf("-max-allocs names %s but the current summary lacks it", n)
+		// A cap on a name covers its sub-benchmarks (name/...) too.
+		matched := false
+		for _, b := range names {
+			if b != n && !strings.HasPrefix(b, n+"/") {
+				continue
+			}
+			matched = true
+			c := cur.Benchmarks[b]
+			fmt.Printf("  %-40s allocs=%.0f/op (cap %.0f)\n", b, c.AllocsPerOp, maxAllocs[n])
+			if c.AllocsPerOp > maxAllocs[n] {
+				return fmt.Errorf("%s allocates %.0f objects/op, cap is %.0f", b, c.AllocsPerOp, maxAllocs[n])
+			}
 		}
-		fmt.Printf("  %-40s allocs=%.0f/op (cap %.0f)\n", n, c.AllocsPerOp, maxAllocs[n])
-		if c.AllocsPerOp > maxAllocs[n] {
-			return fmt.Errorf("%s allocates %.0f objects/op, cap is %.0f", n, c.AllocsPerOp, maxAllocs[n])
+		if !matched {
+			return fmt.Errorf("-max-allocs names %s but the current summary lacks it", n)
 		}
 	}
 	return nil

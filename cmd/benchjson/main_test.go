@@ -93,6 +93,28 @@ func TestCompareAllocsGate(t *testing.T) {
 	}
 }
 
+// TestCompareAllocsGateCoversSubBenchmarks: a cap on a name applies to
+// every sub-benchmark name/..., and not to a longer name sharing the
+// prefix.
+func TestCompareAllocsGateCoversSubBenchmarks(t *testing.T) {
+	entries := func(allocs float64) map[string]Entry {
+		return map[string]Entry{
+			"BenchmarkAccessBatch/huge":  {NsPerOp: 10, Runs: 1},
+			"BenchmarkAccessBatch/fault": {NsPerOp: 50, AllocsPerOp: allocs, Runs: 1},
+			"BenchmarkAccessBatchOther":  {NsPerOp: 10, AllocsPerOp: 9, Runs: 1},
+		}
+	}
+	base := &Summary{Benchmarks: entries(0)}
+	caps := map[string]float64{"BenchmarkAccessBatch": 0}
+	if err := compare(&Summary{Benchmarks: entries(0)}, base, caps); err != nil {
+		t.Fatalf("zero-alloc sub-benchmarks rejected at cap 0: %v", err)
+	}
+	err := compare(&Summary{Benchmarks: entries(2)}, base, caps)
+	if err == nil || !strings.Contains(err.Error(), "BenchmarkAccessBatch/fault") {
+		t.Fatalf("2 allocs/op in a sub-benchmark: err = %v, want one naming it", err)
+	}
+}
+
 func TestParseMaxAllocs(t *testing.T) {
 	caps, err := parseMaxAllocs("BenchmarkScanSteady=0, BenchmarkOther=12")
 	if err != nil {

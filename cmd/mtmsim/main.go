@@ -250,8 +250,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "completed:  %v (%d intervals)\n", res.Completed, res.Intervals)
 	fmt.Fprintf(stdout, "exec time:  %v (virtual)\n", res.ExecTime)
 	fmt.Fprintf(stdout, "  app:       %v\n", res.App)
-	fmt.Fprintf(stdout, "  profiling: %v (%.1f%%)\n", res.Profiling, pct(res.Profiling, res.ExecTime))
-	fmt.Fprintf(stdout, "  migration: %v (%.1f%%)\n", res.Migration, pct(res.Migration, res.ExecTime))
+	fmt.Fprintf(stdout, "  profiling: %v (%.1f%%)\n", res.Profiling, pct(res.Profiling.Seconds(), res.ExecTime.Seconds()))
+	fmt.Fprintf(stdout, "  migration: %v (%.1f%%)\n", res.Migration, pct(res.Migration.Seconds(), res.ExecTime.Seconds()))
 	fmt.Fprintf(stdout, "background copy: %v\n", res.Background)
 	fmt.Fprintf(stdout, "promoted:   %d MB, demoted: %d MB\n", res.PromotedBytes>>20, res.DemotedBytes>>20)
 	if res.MigrationRetries+res.MigrationAborts+res.DeferredPromotions+res.EmergencyDemotions > 0 {
@@ -280,7 +280,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintln(stdout, "accesses per node:")
 	for i, n := range res.NodeAccesses {
-		fmt.Fprintf(stdout, "  %-6s %12d (%.1f%%)\n", topo.Nodes[i].Name, n, 100*float64(n)/float64(res.TotalAccesses))
+		fmt.Fprintf(stdout, "  %-6s %12d (%.1f%%)\n", topo.Nodes[i].Name, n, pct(float64(n), float64(res.TotalAccesses)))
 	}
 	if err != nil {
 		return 1
@@ -364,9 +364,11 @@ func writeSpans(path, format string, res *mtm.Result) error {
 	return f.Close()
 }
 
-func pct(part, whole interface{ Seconds() float64 }) float64 {
-	if whole.Seconds() == 0 {
+// pct returns part as a percentage of whole, 0 when whole is 0 (a run
+// that failed before any time passed or any access was made).
+func pct(part, whole float64) float64 {
+	if whole == 0 {
 		return 0
 	}
-	return 100 * part.Seconds() / whole.Seconds()
+	return 100 * part / whole
 }

@@ -165,3 +165,19 @@ func TestInvalidMetricsFormatRejected(t *testing.T) {
 		t.Fatalf("unhelpful error: %s", errs.String())
 	}
 }
+
+// TestReportNoAccessesPrintsZeroShares: a run that fails before its first
+// access prints each node's share as 0.0%, not NaN%.
+func TestReportNoAccessesPrintsZeroShares(t *testing.T) {
+	var out bytes.Buffer
+	args := []string{"-workload", "gups", "-scale", "100000000", "-ops", "0.01"}
+	if code := run(args, &out, io.Discard); code != 1 {
+		t.Fatalf("exit %d, want 1 (out of memory)", code)
+	}
+	if strings.Contains(out.String(), "NaN") {
+		t.Fatalf("report prints NaN:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "DRAM0             0 (0.0%)") {
+		t.Fatalf("report lacks a zero share for DRAM0:\n%s", out.String())
+	}
+}

@@ -136,6 +136,29 @@ func (b *Buffer) Record(v *vm.VMA, page int, node tier.NodeID, n uint32) {
 	}
 }
 
+// HitState returns what a caller needs to take the sample-free path of
+// Record itself. ok is false while an interrupt storm drops samples
+// (DropFrac > 0 on an armed buffer): then every access must go through
+// Record. Otherwise watched is nil when the buffer is disarmed, so Record
+// does nothing, or else the watched-node table. For n accesses to a
+// watched node whose exp := float64(n)*frac/SamplePeriod + carry lies in
+// (-1, 1), Record records nothing and only sets the carry to exp, so the
+// caller may keep the carry in a local; it hands the carry back with
+// SetCarry before anything else uses the buffer.
+func (b *Buffer) HitState() (watched []bool, frac, carry float64, ok bool) {
+	if !b.armed {
+		return nil, 0, 0, true
+	}
+	if b.DropFrac > 0 {
+		return nil, 0, 0, false
+	}
+	return b.watched, b.WindowFrac, b.carry, true
+}
+
+// SetCarry stores the fractional expected-sample carry a caller kept while
+// it took Record's sample-free path itself (see HitState).
+func (b *Buffer) SetCarry(c float64) { b.carry = c }
+
 // Samples returns the samples collected in the current window.
 func (b *Buffer) Samples() []Sample { return b.samples }
 

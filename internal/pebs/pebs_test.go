@@ -218,3 +218,58 @@ func TestSubOneFastPathIsExact(t *testing.T) {
 		}
 	}
 }
+
+// TestHitStateMatchesRecord drives two buffers with one call sequence: one
+// through Record, the other through HitState's sample-free path wherever
+// it applies, with the carry in a local and Record (after SetCarry)
+// elsewhere. Samples, drops and carry bits must agree, and HitState must
+// report the disarmed and lossy states.
+func TestHitStateMatchesRecord(t *testing.T) {
+	b := NewBuffer(4, 64)
+	if w, _, _, ok := b.HitState(); w != nil || !ok {
+		t.Fatalf("disarmed HitState = %v, %v; want nil, true", w, ok)
+	}
+	b.Arm(2)
+	b.DropFrac = 0.5
+	if _, _, _, ok := b.HitState(); ok {
+		t.Fatal("HitState ok while dropping samples")
+	}
+	v := testVMA()
+	ref, fast := NewBuffer(4, 64), NewBuffer(4, 64)
+	ref.Arm(1, 2)
+	fast.Arm(1, 2)
+	x, fastCalls := uint64(3), 0
+	for i := 0; i < 100_000; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+		n, node := uint32(x>>40)%4000, tier.NodeID(x>>20&3)
+		ref.Record(v, i, node, n)
+		watched, frac, carry, ok := fast.HitState()
+		if !ok {
+			t.Fatal("armed lossless buffer reports ok == false")
+		}
+		if watched[node] {
+			if exp := float64(n)*frac/SamplePeriod + carry; exp > -1 && exp < 1 {
+				fast.SetCarry(exp)
+				fastCalls++
+				continue
+			}
+		}
+		fast.Record(v, i, node, n)
+	}
+	if fastCalls == 0 || len(ref.Samples()) == 0 || ref.Interrupts() == 0 {
+		t.Fatalf("%d sample-free calls, %d samples, %d interrupts: the sequence must exercise all three",
+			fastCalls, len(ref.Samples()), ref.Interrupts())
+	}
+	if len(fast.Samples()) != len(ref.Samples()) || fast.Dropped() != ref.Dropped() || fast.Interrupts() != ref.Interrupts() {
+		t.Fatalf("HitState path: %d samples/%d dropped, Record %d/%d",
+			len(fast.Samples()), fast.Dropped(), len(ref.Samples()), ref.Dropped())
+	}
+	for i, s := range ref.Samples() {
+		if fast.Samples()[i] != s {
+			t.Fatalf("sample %d: %+v, Record %+v", i, fast.Samples()[i], s)
+		}
+	}
+	if math.Float64bits(fast.carry) != math.Float64bits(ref.carry) {
+		t.Fatalf("carry %v, Record %v", fast.carry, ref.carry)
+	}
+}

@@ -21,6 +21,12 @@ type System struct {
 	offline     []bool  // true when the node accepts no new allocations
 	demand      []int64 // bytes transferred per node in the current window
 	window      time.Duration
+
+	// lines, when set by CountLines, is a per-node transfer count its
+	// owner increments; linesAt holds it as of the window's start.
+	lines     []int64
+	linesAt   []int64
+	lineBytes int64
 }
 
 // NewSystem creates a System over topo. It panics if topo is invalid, since
@@ -148,9 +154,8 @@ func (s *System) FirstFit(view []NodeID, b int64) NodeID {
 // ResetWindow begins a new bandwidth-accounting window of the given length.
 func (s *System) ResetWindow(d time.Duration) {
 	s.window = d
-	for i := range s.demand {
-		s.demand[i] = 0
-	}
+	clear(s.demand)
+	copy(s.linesAt, s.lines)
 }
 
 // RecordTransfer notes that b bytes moved through node n during the window.
@@ -158,8 +163,23 @@ func (s *System) RecordTransfer(n NodeID, b int64) {
 	s.demand[n] += b
 }
 
+// CountLines makes lines, a per-node count of lineBytes-sized transfers
+// that the caller increments itself, part of each node's demand: a hot
+// path then counts a transfer with one add instead of a RecordTransfer
+// call. Demand adds lineBytes per count since the window began; the caller
+// may zero lines only where it then resets the window.
+func (s *System) CountLines(lines []int64, lineBytes int64) {
+	s.lines, s.lineBytes = lines, lineBytes
+	s.linesAt = append([]int64(nil), lines...)
+}
+
 // Demand returns the bytes recorded against node n this window.
-func (s *System) Demand(n NodeID) int64 { return s.demand[n] }
+func (s *System) Demand(n NodeID) int64 {
+	if s.lines == nil {
+		return s.demand[n]
+	}
+	return s.demand[n] + (s.lines[n]-s.linesAt[n])*s.lineBytes
+}
 
 // ContentionFactor estimates how much accesses to node n are slowed by
 // bandwidth saturation in the current window: 1.0 when demand is within the
@@ -180,7 +200,7 @@ func (s *System) ContentionFactor(n NodeID) float64 {
 	if sustainable <= 0 {
 		return 1
 	}
-	f := float64(s.demand[n]) / sustainable
+	f := float64(s.Demand(n)) / sustainable
 	if f < 1 {
 		return 1
 	}

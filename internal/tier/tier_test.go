@@ -197,6 +197,35 @@ func TestContentionFactor(t *testing.T) {
 	}
 }
 
+// TestCountLines: a counted line adds its bytes to the node's demand, and
+// so to its contention, from the window it falls in on; ResetWindow drops
+// the lines counted before it without touching the counter.
+func TestCountLines(t *testing.T) {
+	s := NewSystem(TwoTierTopology(GB, 2*GB))
+	lines := []int64{7, 0}
+	s.CountLines(lines, 64)
+	if d := s.Demand(0); d != 0 {
+		t.Fatalf("demand before any new line = %d, want 0", d)
+	}
+	lines[0] += 10
+	s.RecordTransfer(0, 100)
+	if d := s.Demand(0); d != 10*64+100 {
+		t.Fatalf("demand = %d, want %d", d, 10*64+100)
+	}
+	s.ResetWindow(time.Second)
+	if d := s.Demand(0); d != 0 || lines[0] != 17 {
+		t.Fatalf("after ResetWindow: demand %d, lines %d; want 0, 17", d, lines[0])
+	}
+	// DRAM sustains 95 GB/s: 190 GB of lines in a 1 s window is a 2x factor.
+	lines[0] += 190 * GB / 64
+	if f := s.ContentionFactor(0); f < 1.99 || f > 2.01 {
+		t.Fatalf("contention from lines = %v, want ~2", f)
+	}
+	if d := s.Demand(1); d != 0 {
+		t.Fatalf("untouched node demand = %d", d)
+	}
+}
+
 func TestCopyTime(t *testing.T) {
 	s := NewSystem(OptaneTopology(1))
 	view := s.Topo.View(0)

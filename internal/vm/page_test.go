@@ -236,3 +236,103 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		t.Fatal("the sequence never invalidated a shadow")
 	}
 }
+
+// TestTouchHitMatchesTouchN applies one seeded sequence of mutators to two
+// VMAs. Every touch goes through TouchHit on the first, falling back to
+// TouchN where TouchHit declines, and through TouchN alone on the second.
+// TouchHit must decline exactly the touches of pages that are not present
+// and the writes that meet a valid shadow, and the two VMAs must agree on
+// every page's state and on the shadow-invalidation hook calls.
+func TestTouchHitMatchesTouchN(t *testing.T) {
+	const nPages = 300
+	as := NewAddressSpace()
+	a, b := as.Alloc("a", nPages*BasePageSize), as.Alloc("b", nPages*BasePageSize)
+	var aCalls, bCalls []int
+	aHook := func(idx int) { aCalls = append(aCalls, idx) }
+	bHook := func(idx int) { bCalls = append(bCalls, idx) }
+	nodes := []tier.NodeID{0, 1, 2, 3, 127, -128}
+	rng := rand.New(rand.NewSource(23))
+	hits, declined := 0, 0
+	for step := 0; step < 20000; step++ {
+		idx := rng.Intn(nPages)
+		if rng.Intn(2) == 0 {
+			idx = 62 + rng.Intn(6)
+		}
+		var op string
+		switch k := rng.Intn(100); {
+		case k < 12:
+			n := nodes[rng.Intn(len(nodes))]
+			op = fmt.Sprintf("Place(%d, %d)", idx, n)
+			a.Place(idx, n)
+			b.Place(idx, n)
+		case k < 16:
+			op = fmt.Sprintf("Unmap(%d)", idx)
+			a.Unmap(idx)
+			b.Unmap(idx)
+		case k < 18:
+			op = fmt.Sprintf("Poison(%d)", idx)
+			a.Poison(idx)
+			b.Poison(idx)
+		case k < 20:
+			op = fmt.Sprintf("SetWriteProtect(%d)", idx)
+			a.SetWriteProtect(idx, true)
+			b.SetWriteProtect(idx, true)
+		case k < 27:
+			n := nodes[rng.Intn(len(nodes))]
+			op = fmt.Sprintf("MarkShadowed(%d, %d)", idx, n)
+			a.MarkShadowed(idx, n, aHook)
+			b.MarkShadowed(idx, n, bHook)
+		case k < 29:
+			op = fmt.Sprintf("ClearShadowed(%d)", idx)
+			a.ClearShadowed(idx)
+			b.ClearShadowed(idx)
+		case k < 33:
+			op = fmt.Sprintf("RevalidateShadow(%d)", idx)
+			a.RevalidateShadow(idx)
+			b.RevalidateShadow(idx)
+		case k < 34:
+			op = "ResetCounts()"
+			a.ResetCounts()
+			b.ResetCounts()
+		default:
+			n := uint32(rng.Intn(4))
+			nw := uint32(rng.Intn(int(n) + 1))
+			socket := rng.Intn(4)
+			op = fmt.Sprintf("touch(%d, %d, %d, %d)", idx, n, nw, socket)
+			miss := !a.Present(idx) || nw > 0 && a.ShadowValid(idx)
+			want, wantFault := b.TouchN(idx, n, nw, socket)
+			node := a.TouchHit(idx, n, nw, socket)
+			if (node == NoNode) != miss {
+				t.Fatalf("step %d %s: TouchHit returned %d, want a miss: %v", step, op, node, miss)
+			}
+			if miss {
+				declined++
+				var fault bool
+				node, fault = a.TouchN(idx, n, nw, socket)
+				if fault != wantFault {
+					t.Fatalf("step %d %s: fault %v, want %v", step, op, fault, wantFault)
+				}
+			} else {
+				hits++
+			}
+			if node != want {
+				t.Fatalf("step %d %s: node %d, want %d", step, op, node, want)
+			}
+		}
+		for i := 0; i < nPages; i++ {
+			if a.Node(i) != b.Node(i) || a.Count(i) != b.Count(i) || a.WriteCount(i) != b.WriteCount(i) ||
+				a.LastSocket(i) != b.LastSocket(i) || a.PTE(i) != b.PTE(i) || a.Touched(i) != b.Touched(i) ||
+				a.Shadowed(i) != b.Shadowed(i) || a.ShadowValid(i) != b.ShadowValid(i) ||
+				a.ShadowNode(i) != b.ShadowNode(i) || a.ShadowSeq(i) != b.ShadowSeq(i) {
+				t.Fatalf("step %d %s: page %d differs: PTE %07b vs %07b, shadow %v/%v vs %v/%v",
+					step, op, i, a.PTE(i), b.PTE(i), a.Shadowed(i), a.ShadowValid(i), b.Shadowed(i), b.ShadowValid(i))
+			}
+		}
+		if !reflect.DeepEqual(aCalls, bCalls) {
+			t.Fatalf("step %d %s: hook calls %v, want %v", step, op, aCalls, bCalls)
+		}
+	}
+	if hits == 0 || declined == 0 || len(bCalls) == 0 {
+		t.Fatalf("%d hits, %d declined, %d invalidations: the sequence must exercise all three", hits, declined, len(bCalls))
+	}
+}
