@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 )
@@ -189,5 +190,93 @@ func TestAttrJSON(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"value":7`) {
 		t.Fatal("int attr lost its type")
+	}
+}
+
+// exportPinFixture is a trace holding every attribute kind and the edge
+// values encoding/json treats specially: HTML characters, quotes,
+// backslashes, control characters, non-ASCII, the JavaScript line
+// separators, invalid UTF-8, integer extremes, negative zero and the
+// float exponent thresholds. The last Emit passes the cap, so Dropped is
+// set.
+func exportPinFixture() *Export {
+	tr := New(Config{MaxSpans: 4})
+	tr.SetMeta("solution", "mtm")
+	tr.SetMeta("workload", "<bfs & co>")
+	tr.BeginInterval(0)
+	tr.Begin("interval", "interval", 0, I("index", 0))
+	tr.Emit("profiling", "scan", 10, 5,
+		S("html", `<a href="x">&</a>`),
+		S("quote", `say "hi"`),
+		S("backslash", `C:\tmp\`),
+		S("control", "a\x01b\tc\n"),
+		S("utf8", "héllo, 世界"),
+		S("separators", "line\u2028para\u2029"),
+		S("invalid", "bad\xffbyte\xc3"),
+		S("", ""),
+		I("zero", 0),
+		I("neg", -42),
+		I("max", math.MaxInt64),
+		I("min", math.MinInt64),
+		F("fzero", 0),
+		F("negzero", math.Copysign(0, -1)),
+		F("tenth", 0.1),
+		F("tiny", 1e-7),
+		F("huge", 1e21),
+		F("third", 1.0/3),
+	)
+	tr.Event("decision", "noop", 12)
+	tr.End(20, S("k<&>", "v"), I("pages", 512), F("whi", 1.5))
+	tr.BeginInterval(1)
+	tr.Emit("emergency", "oom", 25, 0, S("tier", "pmem"))
+	tr.Emit("profiling", "dropped", 30, 1, I("shard", 1))
+	return tr.Export()
+}
+
+// exportPin is the exact JSON of exportPinFixture, as sim.Result embeds
+// it.
+const exportPin = `{"Meta":{"solution":"mtm","workload":"\u003cbfs \u0026 co\u003e"},"Spans":[{"id":4294967297,"interval":0,"cat":"interval","name":"interval","ts_ns":0,"dur_ns":20,"attrs":[` +
+	`{"key":"index","value":0},` +
+	`{"key":"k\u003c\u0026\u003e","value":"v"},` +
+	`{"key":"pages","value":512},` +
+	`{"key":"whi","value":1.5}]},` +
+	`{"id":4294967298,"parent":4294967297,"interval":0,"cat":"profiling","name":"scan","ts_ns":10,"dur_ns":5,"attrs":[` +
+	`{"key":"html","value":"\u003ca href=\"x\"\u003e\u0026\u003c/a\u003e"},` +
+	`{"key":"quote","value":"say \"hi\""},` +
+	`{"key":"backslash","value":"C:\\tmp\\"},` +
+	`{"key":"control","value":"a\u0001b\tc\n"},` +
+	`{"key":"utf8","value":"héllo, 世界"},` +
+	`{"key":"separators","value":"line\u2028para\u2029"},` +
+	`{"key":"invalid","value":"bad\ufffdbyte\ufffd"},` +
+	`{"key":"","value":""},` +
+	`{"key":"zero","value":0},` +
+	`{"key":"neg","value":-42},` +
+	`{"key":"max","value":9223372036854775807},` +
+	`{"key":"min","value":-9223372036854775808},` +
+	`{"key":"fzero","value":0},` +
+	`{"key":"negzero","value":-0},` +
+	`{"key":"tenth","value":0.1},` +
+	`{"key":"tiny","value":1e-7},` +
+	`{"key":"huge","value":1e+21},` +
+	`{"key":"third","value":0.3333333333333333}]},` +
+	`{"id":4294967299,"parent":4294967297,"interval":0,"cat":"decision","name":"noop","ts_ns":12,"dur_ns":0,"instant":true},` +
+	`{"id":8589934593,"interval":1,"cat":"emergency","name":"oom","ts_ns":25,"dur_ns":0,"attrs":[` +
+	`{"key":"tier","value":"pmem"}]}],"Dropped":1}`
+
+// TestExportJSONPin: an Export's JSON encoding is byte-for-byte fixed,
+// and a non-finite float attribute still fails to encode.
+func TestExportJSONPin(t *testing.T) {
+	b, err := json.Marshal(exportPinFixture())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(b) != exportPin {
+		t.Fatalf("Export JSON moved:\n got %s\nwant %s", b, exportPin)
+	}
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		x := &Export{Spans: []Span{{ID: 1, Attrs: []Attr{F("bad", f)}}}}
+		if _, err := json.Marshal(x); err == nil {
+			t.Errorf("attribute %v encoded without error", f)
+		}
 	}
 }
