@@ -157,7 +157,7 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 			continue
 		}
 		moved := moveRegion(e, p.mech, r, r.Start+int(need/r.V.PageSize), dst, 0,
-			true, "hot-threshold", dec.Rule, span.F("threshold", threshold))
+			true, "hot-threshold", dec.Rule, thresholdAttr(e, threshold)...)
 		budget -= moved
 		promoted += moved
 	}

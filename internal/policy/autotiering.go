@@ -128,7 +128,7 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 				continue
 			}
 			budget -= moveRegion(e, p.mech, r, r.Start+int(allowed/r.V.PageSize), dst, 0,
-				true, "sampled-recent", dec.Rule, span.F("threshold", 0))
+				true, "sampled-recent", dec.Rule, thresholdAttr(e, 0)...)
 			break
 		}
 	}

@@ -173,7 +173,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			break
 		}
 		budget -= moveRegion(e, p.mech, r, r.End, dram, int(bytes/r.V.PageSize),
-			true, "hot-samples", dec.Rule, span.F("threshold", hememHotSamples))
+			true, "hot-samples", dec.Rule, thresholdAttr(e, hememHotSamples)...)
 	}
 }
 

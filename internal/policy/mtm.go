@@ -208,7 +208,7 @@ func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 				continue
 			}
 			moved := moveRegion(e, p.Mech, r, r.End, dst, minInt(maxPages, int(need/r.V.PageSize)),
-				true, "fast-promotion", dec.Rule, span.F("threshold", 0))
+				true, "fast-promotion", dec.Rule, thresholdAttr(e, 0)...)
 			if moved > 0 {
 				spent += moved
 				break
@@ -286,7 +286,7 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 		}
 		maxPages := int((remaining + r.V.PageSize - 1) / r.V.PageSize)
 		moved, _ := demoteVictim(e, p.Mech, r, node, view[nodeRank+1:], int64(minInt(maxPages, r.Pages()))*r.V.PageSize,
-			"slow-demotion", span.F("threshold", candidateWHI))
+			"slow-demotion", thresholdAttr(e, candidateWHI)...)
 		demoted += moved
 	}
 	return demoted

@@ -260,6 +260,16 @@ func demoteVictim(e *sim.Engine, mech migrate.Mechanism, r *region.Region, src t
 	return 0, false
 }
 
+// thresholdAttr is the threshold attribute of a move's decision span, for
+// moveRegion and demoteVictim, whose callers pass it on every move. It is
+// built only while tracing is on, so an untraced move boxes nothing.
+func thresholdAttr(e *sim.Engine, v float64) []span.Attr {
+	if !e.SpansEnabled() {
+		return nil
+	}
+	return []span.Attr{span.F("threshold", v)}
+}
+
 // carryOver is the promotion budget an interval leaves to the next: what
 // it did not spend, never negative, and capped at four intervals' worth
 // so a policy with nothing promotable does not hoard.

@@ -17,15 +17,6 @@ type Export struct {
 	Dropped int64 `json:",omitempty"`
 }
 
-// MarshalJSON renders an attribute as {"key":...,"value":...} so the
-// typed payload survives the trip through sim.Result's JSON form.
-func (a Attr) MarshalJSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Key   string `json:"key"`
-		Value any    `json:"value"`
-	}{a.Key, a.Value()})
-}
-
 // jsonlHeader is the self-describing first line of the JSONL stream.
 type jsonlHeader struct {
 	Format  string            `json:"format"`

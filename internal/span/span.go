@@ -8,50 +8,31 @@
 //
 // All methods are nil-safe: a nil *Tracer no-ops, so call sites that
 // carry no attributes need no "enabled?" branches. Sites that build
-// attribute lists must still guard on the engine's SpansEnabled — the
-// variadic attribute slice is allocated by the caller before the nil
-// check can run.
+// attribute lists must still guard on the engine's SpansEnabled: the
+// caller allocates the variadic attribute slice, and S, I and F box each
+// payload, before the nil check can run.
 package span
 
-// attrKind discriminates the payload of an Attr.
-type attrKind uint8
-
-const (
-	kindString attrKind = iota
-	kindInt
-	kindFloat
-)
-
 // Attr is one key/value annotation on a span or event. Construct with S,
-// I, or F; the zero value is a string attr with an empty value.
+// I, or F. encoding/json renders it as {"key":...,"value":...} with the
+// payload's own type; the zero value, which no constructor returns,
+// renders "value":null.
 type Attr struct {
-	Key  string
-	kind attrKind
-	s    string
-	i    int64
-	f    float64
+	Key string `json:"key"`
+	Val any    `json:"value"`
 }
 
 // S returns a string attribute.
-func S(key, v string) Attr { return Attr{Key: key, kind: kindString, s: v} }
+func S(key, v string) Attr { return Attr{key, v} }
 
 // I returns an integer attribute.
-func I(key string, v int64) Attr { return Attr{Key: key, kind: kindInt, i: v} }
+func I(key string, v int64) Attr { return Attr{key, v} }
 
 // F returns a float attribute.
-func F(key string, v float64) Attr { return Attr{Key: key, kind: kindFloat, f: v} }
+func F(key string, v float64) Attr { return Attr{key, v} }
 
-// Value returns the attribute's payload as an interface value (for JSON
-// rendering).
-func (a Attr) Value() any {
-	switch a.kind {
-	case kindInt:
-		return a.i
-	case kindFloat:
-		return a.f
-	}
-	return a.s
-}
+// Value returns the attribute's payload: a string, int64 or float64.
+func (a Attr) Value() any { return a.Val }
 
 // Span is one recorded span or instant event. Start and Dur are virtual
 // nanoseconds; Instant events have Dur 0 and render as instants in the
