@@ -114,6 +114,29 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 	e.Access(g.frontier, pageOf(g.frontier, int64(v)*8%g.frontier.Bytes()), 1, 1, socket)
 }
 
+// warmGroup is how many frontier vertices warm loads ahead of their
+// expansion. A whole opChunk is too many: its lines are evicted again
+// before the expansion reaches them.
+const warmGroup = 64
+
+// warm loads the CSR offsets of vertices vs, then the page record of each
+// one's first edge record, and returns the loads XORed together. The
+// expansion stores after every vertex, which keeps about one vertex's
+// cache misses in flight. This read-only pass has no such dependence, so
+// the CPU overlaps the misses of the whole group and the expansion finds
+// them in cache. Every vertex has at least avgDeg/2 edges, so its first
+// record lies inside the edges VMA.
+func (g *Graph) warm(vs []int32) int64 {
+	var x int64
+	for _, v := range vs {
+		x ^= g.offsets[v]
+	}
+	for _, v := range vs {
+		x ^= int64(g.edges.Node(pageOf(g.edges, g.offsets[v]*g.EdgeRec)))
+	}
+	return x
+}
+
 // graphWalk is the shared state machine of BFS and SSSP: a traversal in
 // progress survives interval boundaries and resumes where it stopped.
 type graphWalk struct {
@@ -131,6 +154,8 @@ type graphWalk struct {
 	next    []int32
 	curPos  int
 	trav    int
+
+	warmSink int64 // Graph.warm's loads; never read
 }
 
 // NewBFS builds the parallel BFS workload of Table 2 (525 GB scaled).
@@ -216,22 +241,26 @@ func (w *graphWalk) mark(v int) bool {
 func (w *graphWalk) RunInterval(e *sim.Engine) {
 	socket := e.HomeSocket
 	for !e.IntervalExhausted() && !w.Done() {
-		// Process a slice of the current frontier.
-		processed := 0
-		for w.curPos < len(w.cur) && processed < opChunk {
-			v := int(w.cur[w.curPos])
-			w.curPos++
-			processed++
-			d := int(w.g.offsets[v+1] - w.g.offsets[v])
-			w.g.chargeVisit(e, v, d, w.sssp, socket)
-			w.doneOps += int64(d)
-			if w.sssp {
-				w.relax(v, d)
-			} else {
-				for i := 0; i < d; i++ {
-					u := w.g.neighbor(v, i)
-					if w.mark(u) {
-						w.next = append(w.next, int32(u))
+		// Process a slice of the current frontier, a warmed group at a
+		// time. Expansion appends only to w.next, so w.cur is fixed here.
+		end := min(len(w.cur), w.curPos+opChunk)
+		for w.curPos < end {
+			group := w.cur[w.curPos:min(end, w.curPos+warmGroup)]
+			w.warmSink ^= w.g.warm(group)
+			for _, vid := range group {
+				v := int(vid)
+				w.curPos++
+				d := int(w.g.offsets[v+1] - w.g.offsets[v])
+				w.g.chargeVisit(e, v, d, w.sssp, socket)
+				w.doneOps += int64(d)
+				if w.sssp {
+					w.relax(v, d)
+				} else {
+					for i := 0; i < d; i++ {
+						u := w.g.neighbor(v, i)
+						if w.mark(u) {
+							w.next = append(w.next, int32(u))
+						}
 					}
 				}
 			}
