@@ -1,6 +1,7 @@
 package mtm_test
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"mtm/internal/policy"
 	"mtm/internal/profiler"
 	"mtm/internal/sim"
+	"mtm/internal/span"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 	"mtm/internal/workload"
@@ -77,6 +79,28 @@ func BenchmarkRun(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkResultJSON measures encoding the Result of one traced BFS run
+// under MTM, the export cost a traced simulation pays once at its end. An
+// op is one json.Marshal of the Result, whose span trace holds nearly all
+// of its bytes.
+func BenchmarkResultJSON(b *testing.B) {
+	cfg := mtm.DefaultConfig()
+	cfg.Scale = 256
+	cfg.OpsFactor = 0.25
+	cfg.Trace = &span.Config{}
+	res, err := mtm.Run(cfg, "bfs", "mtm")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := json.Marshal(res); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
