@@ -100,10 +100,11 @@ var goldenVariants = []struct {
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
-// across the golden variants, on Cassandra in the plain variant, and on
-// BFS and SSSP in the metrics+spans variant, to the digests in
-// testdata/golden.json, so a change that must not alter results can be
-// checked against the last commit's outputs without rebuilding it. A
+// across the golden variants, on Cassandra, VoltDB and Spark in the plain
+// variant, and on BFS and SSSP in the metrics+spans variant, to the
+// digests in testdata/golden.json, so a change that must not alter
+// results can be checked against the last commit's outputs without
+// rebuilding it. A
 // change that alters results on purpose regenerates the file with
 //
 //	go test -run TestGoldenDigests -update-golden .
@@ -116,7 +117,7 @@ func TestGoldenDigests(t *testing.T) {
 		t.Skip("golden digests are recorded on linux/amd64 only")
 	}
 	if testing.Short() || sim.RaceEnabled {
-		t.Skip("368 runs; skipped in -short and -race")
+		t.Skip("400 runs; skipped in -short and -race")
 	}
 	want := map[string]string{}
 	if b, err := os.ReadFile(goldenFile); err == nil {
@@ -134,8 +135,9 @@ func TestGoldenDigests(t *testing.T) {
 			switch v.name {
 			case "plain":
 				// Cassandra is the one workload that draws zipfian keys;
-				// one variant is enough to pin its sampler.
-				wls = append(wls, "cassandra")
+				// one variant is enough to pin its sampler. VoltDB and
+				// Spark pin their constructors' table sizes and mixes.
+				wls = append(wls, "cassandra", "voltdb", "spark")
 			case "metrics+spans":
 				// BFS and SSSP share the CSR graph walk; with spans on,
 				// their Results also pin a graph workload's span export.
