@@ -75,9 +75,9 @@ func Fig9Thresholds(o Options) string {
 		pc.OverheadTarget = 0.05
 		pc.NumScans = pt.numScans
 		pc.TauM, pc.TauS = pt.tauM, pt.tauS
+		base, _ := mtm.NewSolution("mtm", cfg) // carries the resolved budget
 		s := policy.NewMTMVariant(fmt.Sprintf("mtm(%v,%v)", pt.tauM, pt.tauS), profiler.NewMTM(pc), migrate.NewAdaptive())
-		s.MigrateBudget = mustBudget(cfg)
-		s.DemoteCap = 2 * s.MigrateBudget
+		s.MigrateBudget = base.(*policy.MTM).MigrateBudget
 		w, err := mtm.NewWorkload("voltdb", cfg)
 		if err != nil {
 			return err.Error()
@@ -89,17 +89,6 @@ func Fig9Thresholds(o Options) string {
 		tb.Row(pt.numScans, pt.tauM, pt.tauS, res.App, res.Profiling, res.Migration, res.ExecTime)
 	}
 	return withWarnings("Figure 9: (tau_m, tau_s) sensitivity (VoltDB)\n"+tb.String(), warns)
-}
-
-func mustBudget(c mtm.Config) int64 {
-	if c.MigrateBudget > 0 {
-		return c.MigrateBudget
-	}
-	scale := c.Scale
-	if scale <= 0 {
-		scale = mtm.DefaultScale
-	}
-	return 800 * tier.MB / scale
 }
 
 // Fig10Alpha reproduces Figure 10: performance across workloads as the

@@ -94,8 +94,8 @@ type Mechanism interface {
 // issued from the engine's home socket, after any fault-plane link
 // degradation.
 func pairBW(e *sim.Engine, src, dst tier.NodeID) int64 {
-	bs := e.LinkBandwidth(e.HomeSocket, src)
-	bd := e.LinkBandwidth(e.HomeSocket, dst)
+	bs := e.LinkBandwidth(sim.HomeSocket, src)
+	bd := e.LinkBandwidth(sim.HomeSocket, dst)
 	if bs < bd {
 		return bs
 	}

@@ -114,10 +114,10 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	}
 	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
 	// Promote regions with enough samples to local DRAM.
-	view := e.Sys.Topo.View(e.HomeSocket)
+	view := e.Sys.Topo.View(sim.HomeSocket)
 	var dram, pm tier.NodeID = tier.Invalid, tier.Invalid
 	for _, n := range view {
-		local := e.Sys.Topo.Nodes[n].Socket == e.HomeSocket
+		local := e.Sys.Topo.Nodes[n].Socket == sim.HomeSocket
 		if !local {
 			continue // two-tier world view: remote nodes do not exist
 		}

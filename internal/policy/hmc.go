@@ -85,9 +85,9 @@ func (h *HMC) IntervalStart(e *sim.Engine) {
 	h.sectorBits = 8 // log2(hmcSectorBytes)
 
 	h.dramNode, h.pmNode = tier.Invalid, tier.Invalid
-	view := e.Sys.Topo.View(e.HomeSocket)
+	view := e.Sys.Topo.View(sim.HomeSocket)
 	for _, n := range view {
-		link := e.Sys.Topo.Links[e.HomeSocket][n]
+		link := e.Sys.Topo.Links[sim.HomeSocket][n]
 		if e.Sys.Topo.Nodes[n].Kind == tier.DRAM && h.dramLat == 0 {
 			h.dramLat = link.Latency
 			h.dramNode = n

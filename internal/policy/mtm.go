@@ -22,11 +22,10 @@ type MTM struct {
 	Prof profiler.Profiler
 	Mech migrate.Mechanism
 	// MigrateBudget is N, the per-interval promotion volume (§6.1).
-	MigrateBudget int64
-	// DemoteCap bounds demotion volume per interval so a full fast tier
+	// Demotion volume per interval is capped at 2N so a full fast tier
 	// cannot thrash; the paper's slow-demotion policy only demotes to
 	// make room.
-	DemoteCap int64
+	MigrateBudget int64
 	// Initial is the first-touch placement order (slow-local-first by
 	// default, §9.1).
 	Initial Placement
@@ -39,7 +38,7 @@ type MTM struct {
 	// pricing a copy for each victim (non-exclusive tiering; set by Nomad).
 	flipFirst bool
 	// syncLeft is the interval's remaining targeted shadow write-back
-	// allowance (replenished by Nomad.IntervalEnd from SyncBudget).
+	// allowance (replenished by Nomad.IntervalEnd from its 2N sync budget).
 	syncLeft int64
 }
 
@@ -56,7 +55,6 @@ func NewMTM() *MTM {
 		Prof:          profiler.NewMTM(profiler.DefaultMTMConfig()),
 		Mech:          migrate.NewAdaptive(),
 		MigrateBudget: DefaultMigrateBudget,
-		DemoteCap:     2 * DefaultMigrateBudget,
 		Initial:       PlaceFastFirst,
 		label:         "MTM",
 	}
@@ -119,7 +117,7 @@ func (p *MTM) IntervalEnd(e *sim.Engine) {
 func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 	budget := p.MigrateBudget + p.carry
 	spent := int64(0)
-	demoteBudget := p.DemoteCap
+	demoteBudget := 2 * p.MigrateBudget
 	spanning := e.SpansEnabled()
 	for _, r := range hist.HottestFirst() {
 		if budget-spent < r.V.PageSize {

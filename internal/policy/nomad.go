@@ -21,29 +21,19 @@ import (
 // fall back to MTM's transactional copy demotion.
 type Nomad struct {
 	MTM
-	// SyncBudget bounds the per-interval background shadow re-copy volume
-	// (dirty-page write-back into retained slow-tier frames). The copies
-	// run off the critical path, so the budget prices slow-tier bandwidth
-	// interference, not application stall.
-	SyncBudget int64
 }
 
 // NewNomad assembles the default Nomad: MTM's adaptive profiler, adaptive
-// copy mechanism and budgets, plus shadow retention with a background
-// sync budget of twice the migration budget (re-copies are cheaper to
-// grant than critical-path copies — they only occupy the slow tier).
+// copy mechanism and budgets, plus shadow retention.
 func NewNomad() *Nomad {
-	p := &Nomad{SyncBudget: 2 * DefaultMigrateBudget}
-	p.MTM = MTM{
+	return &Nomad{MTM{
 		Prof:          profiler.NewMTM(profiler.DefaultMTMConfig()),
 		Mech:          migrate.NewAdaptive(),
 		MigrateBudget: DefaultMigrateBudget,
-		DemoteCap:     2 * DefaultMigrateBudget,
 		Initial:       PlaceFastFirst,
 		label:         "Nomad",
 		flipFirst:     true,
-	}
-	return p
+	}}
 }
 
 func (p *Nomad) IntervalStart(e *sim.Engine) {
@@ -59,11 +49,17 @@ func (p *Nomad) IntervalEnd(e *sim.Engine) {
 	// regain flippable shadows ahead of any demotion demand. Whatever the
 	// quiet pass leaves of the budget funds targeted write-backs of chosen
 	// victims inside makeRoom (flipVictim) this interval.
-	synced := e.ShadowSync(p.SyncBudget)
+	//
+	// The sync budget, bounding the interval's background re-copy volume
+	// (dirty-page write-back into retained slow-tier frames), is twice
+	// the migration budget: the copies run off the critical path, so it
+	// prices slow-tier bandwidth interference, not application stall.
+	syncBudget := 2 * p.MigrateBudget
+	synced := e.ShadowSync(syncBudget)
 	if synced > 0 && e.SpansEnabled() {
 		e.SpanEvent("shadow", "sync", span.I("bytes", synced))
 	}
-	p.syncLeft = p.SyncBudget - synced
+	p.syncLeft = syncBudget - synced
 	if p.syncLeft < 0 {
 		p.syncLeft = 0
 	}

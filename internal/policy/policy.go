@@ -91,7 +91,7 @@ func regionSocket(e *sim.Engine, r *region.Region) int {
 	if i := r.V.FirstPresent(r.Start, r.End); i >= 0 {
 		return r.V.LastSocket(i)
 	}
-	return e.HomeSocket
+	return sim.HomeSocket
 }
 
 // rankOf returns node's position in view, or -1.
@@ -104,20 +104,9 @@ func rankOf(view []tier.NodeID, node tier.NodeID) int {
 	return -1
 }
 
-// maxWHI returns the histogram scale for a region list.
-func maxWHI(regions []*region.Region) float64 {
-	m := 1.0
-	for _, r := range regions {
-		if r.WHI > m {
-			m = r.WHI
-		}
-	}
-	return m
-}
-
 // buildHistogram is the shared WHI histogram constructor (32 buckets).
 func buildHistogram(regions []*region.Region) *region.Histogram {
-	return region.NewHistogram(regions, 32, maxWHI(regions))
+	return region.NewHistogram(regions, 32, region.MaxWHI(regions))
 }
 
 // nodeOf returns the node currently holding region r, or Invalid.

@@ -21,7 +21,6 @@ func scaledBudget() int64 { return 800 * tier.MB / 256 }
 func newScaledMTM() *MTM {
 	s := NewMTM()
 	s.MigrateBudget = scaledBudget()
-	s.DemoteCap = 2 * s.MigrateBudget
 	return s
 }
 
@@ -292,7 +291,6 @@ func TestMTMVariantSwapsProfiler(t *testing.T) {
 	w := workload.NewGUPS(gupsConfig())
 	s := NewMTMVariant("test-variant", newScaledMTM().Prof, newScaledMTM().Mech)
 	s.MigrateBudget = scaledBudget()
-	s.DemoteCap = 2 * s.MigrateBudget
 	if s.Name() != "test-variant" {
 		t.Fatal("label not applied")
 	}

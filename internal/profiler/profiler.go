@@ -79,7 +79,7 @@ func RegionPresentBytes(r *region.Region) int64 {
 // bytes, returning the selected regions. It is the common "label the top
 // of the histogram hot" step used by detection-quality metrics.
 func HotBytes(regions []*region.Region, want int64) []*region.Region {
-	h := region.NewHistogram(regions, 32, maxWHI(regions))
+	h := region.NewHistogram(regions, 32, region.MaxWHI(regions))
 	var out []*region.Region
 	var got int64
 	for _, r := range h.HottestFirst() {
@@ -93,16 +93,6 @@ func HotBytes(regions []*region.Region, want int64) []*region.Region {
 		got += r.Bytes()
 	}
 	return out
-}
-
-func maxWHI(regions []*region.Region) float64 {
-	m := 1.0
-	for _, r := range regions {
-		if r.WHI > m {
-			m = r.WHI
-		}
-	}
-	return m
 }
 
 // regionTable is the state every profiler shares: the region set it

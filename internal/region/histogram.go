@@ -1,27 +1,13 @@
 package region
 
-import "sync/atomic"
-
-// histGen hands every histogram a distinct generation for its membership
-// stamps (see Histogram). Atomic because independent engines may build
-// histograms concurrently in tests; within one engine histogram work is
-// serialised.
-var histGen atomic.Uint32
-
 // Histogram buckets regions by their WHI (EMA of hotness indication) so
 // the migration policy can take regions from the hottest buckets first
-// (§6.1). Bucket boundaries are fixed over [0, numScans] — the full range
-// a WHI can occupy — so Update rebuckets one region in O(1) in the region
-// count (the only non-constant work is the removal scan inside the
-// region's old bucket). Membership is tracked by stamping the histogram's
-// generation and bucket index onto the region itself instead of a
-// region→bucket map: batch construction and rebucketing touch no hash
-// machinery, and stamps written by an earlier histogram are simply stale
-// under the new generation.
+// (§6.1). The buckets are equal-width over [0, maxWHI]; a WHI past the
+// top lands in the hottest bucket. Within a bucket, regions keep the
+// order they were given in.
 type Histogram struct {
 	buckets [][]*Region
 	width   float64
-	gen     uint32
 }
 
 // NewHistogram builds a histogram of the given regions with nbuckets
@@ -36,37 +22,24 @@ func NewHistogram(regions []*Region, nbuckets int, maxWHI float64) *Histogram {
 	h := &Histogram{
 		buckets: make([][]*Region, nbuckets),
 		width:   maxWHI / float64(nbuckets),
-		gen:     histGen.Add(1),
 	}
 	for _, r := range regions {
 		i := h.bucketOf(r.WHI)
 		h.buckets[i] = append(h.buckets[i], r)
-		r.hgen, r.hbucket = h.gen, int32(i)
 	}
 	return h
 }
 
-// Update rebuckets r after its WHI changed. A region the histogram has
-// never seen is inserted. Regions whose WHI stayed within their bucket
-// are left untouched; otherwise the removal preserves the old bucket's
-// insertion order, so HottestFirst/ColdestFirst stay deterministic.
-func (h *Histogram) Update(r *Region) {
-	ni := h.bucketOf(r.WHI)
-	if r.hgen == h.gen {
-		oi := int(r.hbucket)
-		if oi == ni {
-			return
-		}
-		b := h.buckets[oi]
-		for j, kept := range b {
-			if kept == r {
-				h.buckets[oi] = append(b[:j], b[j+1:]...)
-				break
-			}
+// MaxWHI returns the histogram scale for a region list: the largest WHI,
+// and at least 1.
+func MaxWHI(regions []*Region) float64 {
+	m := 1.0
+	for _, r := range regions {
+		if r.WHI > m {
+			m = r.WHI
 		}
 	}
-	h.buckets[ni] = append(h.buckets[ni], r)
-	r.hgen, r.hbucket = h.gen, int32(ni)
+	return m
 }
 
 func (h *Histogram) bucketOf(whi float64) int {

@@ -42,16 +42,12 @@ type Region struct {
 	// unprofiled region keeps its previous WHI.
 	Sampled bool
 
-	// Generation-stamped scratch. Stamps let per-interval bookkeeping live
-	// on the region itself instead of in per-interval maps: a reader
-	// presents its current generation, and a stale stamp (from a previous
-	// interval or a previous histogram) simply reads as "not set". This is
-	// what makes histogram rebucketing and the profiler's selection set
-	// allocation-free.
+	// Generation-stamped selection. The stamp lets the profiler's
+	// per-interval selection set live on the region itself instead of in
+	// a per-interval map: a reader presents its current generation, and a
+	// stale stamp (from a previous interval) simply reads as "not set".
 	profGen uint32 // generation of profSel (see SetProfiled)
 	profSel bool   // selected for PTE scans in generation profGen
-	hgen    uint32 // generation of hbucket (see Histogram)
-	hbucket int32  // histogram bucket holding the region in generation hgen
 }
 
 // SetProfiled records whether the profiler selected the region for PTE

@@ -357,57 +357,6 @@ func TestTopVarianceNoDuplicateAdmission(t *testing.T) {
 	}
 }
 
-// TestHistogramUpdate covers the O(1) rebucket: a region whose WHI
-// changed moves to its new bucket, nothing else moves, and repeated
-// updates are idempotent.
-func TestHistogramUpdate(t *testing.T) {
-	v := newTestVMA(t, 16)
-	s := NewSet(3)
-	s.InitVMA(v, 2*tier.MB)
-	markAll(s, func(i int) float64 { return float64(i) / 3 })
-	regions := s.Regions()
-	h := NewHistogram(regions, 8, 3)
-
-	r := regions[0] // WHI 0, coldest bucket
-	r.WHI = 3       // hottest
-	h.Update(r)
-	if got := len(h.HottestFirst()); got != len(regions) {
-		t.Fatalf("update lost regions: %d, want %d", got, len(regions))
-	}
-	if hot := h.Bucket(h.Buckets() - 1); len(hot) == 0 || hot[len(hot)-1] != r {
-		t.Fatalf("updated region not in hottest bucket: %v", hot)
-	}
-	for i := 0; i < h.Buckets()-1; i++ {
-		for _, x := range h.Bucket(i) {
-			if x == r {
-				t.Fatal("updated region still present in an old bucket")
-			}
-		}
-	}
-
-	// Same-bucket update is a no-op; repeated updates never duplicate.
-	h.Update(r)
-	h.Update(r)
-	count := 0
-	for i := 0; i < h.Buckets(); i++ {
-		for _, x := range h.Bucket(i) {
-			if x == r {
-				count++
-			}
-		}
-	}
-	if count != 1 {
-		t.Fatalf("region appears %d times after repeated updates, want 1", count)
-	}
-
-	// A never-seen region is inserted.
-	extra := &Region{V: v, Start: 0, End: 1, WHI: 1.5}
-	h.Update(extra)
-	if got := len(h.HottestFirst()); got != len(regions)+1 {
-		t.Fatalf("insert via Update failed: %d regions, want %d", got, len(regions)+1)
-	}
-}
-
 // TestFormationInvariant is the property test of region formation: any
 // sequence of merge and split passes with random hotness keeps the set
 // valid (ordered, non-overlapping, gap-free) and quota-positive.

@@ -153,6 +153,16 @@ func (r *Rand) Perm(n int) []int {
 	return m
 }
 
+// Mix64 is the SplitMix64 finaliser: it adds the golden-ratio increment
+// to x and mixes the sum into a well-distributed 64-bit value. It seeds
+// streams from structured inputs and hashes implicit data structures.
+func Mix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // Bound is Intn(n) for a fixed n with its divides done once: Draw
 // returns exactly what Intn(n) would, consuming the same draws. n must be
 // at most 2^31-1, the range Intn serves with Int31n. Larger n go through

@@ -62,7 +62,7 @@ func (e *Engine) EnableAdmission(learn, lanes bool) {
 	nodes := e.Sys.Topo.Nodes
 	ctl := admission.NewController(len(nodes), learn, lanes)
 	ctl.SetInterval(int64(e.Interval))
-	links := e.Sys.Topo.Links[e.HomeSocket]
+	links := e.Sys.Topo.Links[HomeSocket]
 	for s := range nodes {
 		for d := range nodes {
 			if s == d {
@@ -81,7 +81,7 @@ func (e *Engine) EnableAdmission(learn, lanes bool) {
 		ctl:     ctl,
 		learn:   learn,
 		lanes:   lanes,
-		profDst: e.Sys.Topo.View(e.HomeSocket)[0],
+		profDst: e.Sys.Topo.View(HomeSocket)[0],
 	}
 	if a.learn {
 		// The learner's verdicts come from the lineage ledger.
@@ -111,7 +111,7 @@ func (e *Engine) AdmissionEnabled() bool { return e.adm != nil }
 // tier order: toward a faster tier is a promotion, anything else
 // (slower or lateral) a demotion.
 func (e *Engine) moveDirection(src, dst tier.NodeID) admission.Direction {
-	if e.Sys.Topo.Rank(e.HomeSocket, dst) < e.Sys.Topo.Rank(e.HomeSocket, src) {
+	if e.Sys.Topo.Rank(HomeSocket, dst) < e.Sys.Topo.Rank(HomeSocket, src) {
 		return admission.DirPromote
 	}
 	return admission.DirDemote
@@ -127,12 +127,12 @@ func (e *Engine) MigrationROI(src, dst tier.NodeID, pageSize int64, whi, reacces
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 {
 		return 0
 	}
-	lat := e.latCache[e.HomeSocket]
+	lat := e.latCache[HomeSocket]
 	gap := float64(lat[src] - lat[dst])
 	if gap < 0 {
 		gap = -gap
 	}
-	copyNs := float64(e.Sys.CopyTime(e.HomeSocket, src, dst, pageSize))
+	copyNs := float64(e.Sys.CopyTime(HomeSocket, src, dst, pageSize))
 	return admission.ROI(whi, reaccess, gap, copyNs)
 }
 
@@ -182,7 +182,7 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return dec
 	}
-	lat := e.latCache[e.HomeSocket]
+	lat := e.latCache[HomeSocket]
 	gap := float64(lat[src] - lat[dst])
 	if gap < 0 {
 		gap = -gap

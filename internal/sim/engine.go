@@ -23,9 +23,20 @@ import (
 	"mtm/internal/vm"
 )
 
-// CachelineBytes is the bytes moved per application access for bandwidth
-// accounting.
-const CachelineBytes = 64
+const (
+	// CachelineBytes is the bytes moved per application access for
+	// bandwidth accounting.
+	CachelineBytes = 64
+	// HomeSocket is the socket the application's threads run on.
+	HomeSocket = 0
+	// PerAccessCPU is the fixed non-memory cost of one application
+	// operation; it keeps perfectly-placed workloads from becoming
+	// infinitely fast and models core-side work.
+	PerAccessCPU = 15 * time.Nanosecond
+	// FaultCost is the fixed kernel cost of one demand-zero page fault,
+	// excluding the page-zeroing copy (charged from tier bandwidth).
+	FaultCost = 1500 * time.Nanosecond
+)
 
 // Solution is a complete page-management system under test: an initial
 // placement policy plus per-interval profiling and migration. The engine
@@ -72,16 +83,8 @@ type Engine struct {
 
 	scratch Scratch // reusable scan-pass state (see scratch.go)
 
-	Threads    int
-	HomeSocket int // socket the application's threads run on
-	Interval   time.Duration
-	// PerAccessCPU is the fixed non-memory cost of one application
-	// operation; it keeps perfectly-placed workloads from becoming
-	// infinitely fast and models core-side work.
-	PerAccessCPU time.Duration
-	// FaultCost is the fixed kernel cost of one demand-zero page fault,
-	// excluding the page-zeroing copy (charged from tier bandwidth).
-	FaultCost time.Duration
+	Threads  int
+	Interval time.Duration
 
 	PEBS *pebs.Buffer // optional; solutions arm/disarm it
 
@@ -185,10 +188,7 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 		Rng:          rng.New(seed),
 		Seed:         seed,
 		Threads:      8,
-		HomeSocket:   0,
 		Interval:     10 * time.Second,
-		PerAccessCPU: 15 * time.Nanosecond,
-		FaultCost:    1500 * time.Nanosecond,
 		intAccesses:  make([]int64, n),
 		contention:   make([]float64, n),
 		NodeAccesses: make([]int64, n),
@@ -303,9 +303,9 @@ func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
 			node, _ = v.TouchN(r.Idx, r.N, r.NW, socket)
 		}
 		if e.Intercept != nil {
-			e.intApp += e.Intercept(v, r.Idx, r.N, r.NW, node) + time.Duration(r.N)*e.PerAccessCPU
+			e.intApp += e.Intercept(v, r.Idx, r.N, r.NW, node) + time.Duration(r.N)*PerAccessCPU
 		} else {
-			e.intApp += time.Duration(r.N) * (lat[node] + e.PerAccessCPU)
+			e.intApp += time.Duration(r.N) * (lat[node] + PerAccessCPU)
 		}
 		e.intAccesses[node] += int64(r.N)
 		e.NodeAccesses[node] += int64(r.N)
@@ -377,7 +377,7 @@ func (e *Engine) accessRun(v *vm.VMA, refs []Ref, socket int) (n int, sample tie
 			carry = exp
 		}
 	}
-	e.intApp += mem + time.Duration(total)*e.PerAccessCPU
+	e.intApp += mem + time.Duration(total)*PerAccessCPU
 	e.TotalAccesses += total
 	if watched != nil {
 		e.PEBS.SetCarry(carry)
@@ -419,7 +419,7 @@ func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) (tier.NodeID, bool)
 	// Demand-zero: kernel fixed cost plus zeroing the page at the
 	// node's best bandwidth.
 	zero := e.Sys.CopyTime(socket, node, node, v.PageSize)
-	e.intApp += e.FaultCost + zero
+	e.intApp += FaultCost + zero
 	e.Sys.RecordTransfer(node, v.PageSize)
 	return node, true
 }

@@ -38,7 +38,7 @@ func (w *fixedWorkload) Init(e *Engine) {
 	w.v = e.AS.Alloc("w", 4*tier.MB)
 }
 func (w *fixedWorkload) RunInterval(e *Engine) {
-	e.Access(w.v, 0, w.perInt, 0, e.HomeSocket)
+	e.Access(w.v, 0, w.perInt, 0, HomeSocket)
 	w.run++
 }
 func (w *fixedWorkload) Done() bool            { return w.run >= w.intervals }
@@ -58,11 +58,11 @@ func TestAccessChargesTierLatency(t *testing.T) {
 	e.beginInterval()
 	e.Access(v, 0, 1000, 0, 0)
 	// 1000 accesses at 90ns + PerAccessCPU, across 8 threads.
-	want := time.Duration(1000) * (90*time.Nanosecond + e.PerAccessCPU) / 8
+	want := time.Duration(1000) * (90*time.Nanosecond + PerAccessCPU) / 8
 	got := e.AppTimeThisInterval()
 	// The first access also faults (fault cost + zeroing), so allow
 	// the fault overhead on top.
-	if got < want || got > want+e.FaultCost+time.Millisecond {
+	if got < want || got > want+FaultCost+time.Millisecond {
 		t.Fatalf("app time = %v, want >= %v", got, want)
 	}
 	if e.NodeAccesses[0] != 1000 {
@@ -189,7 +189,7 @@ func TestInterceptOverridesLatency(t *testing.T) {
 		return time.Duration(n) * time.Microsecond
 	}
 	e.Access(v, 0, 8, 0, 0)
-	want := base + (8*time.Microsecond+8*e.PerAccessCPU)/8
+	want := base + (8*time.Microsecond+8*PerAccessCPU)/8
 	if got := e.AppTimeThisInterval(); got != want {
 		t.Fatalf("intercepted app time = %v, want %v", got, want)
 	}
@@ -261,7 +261,7 @@ func TestContentionInflatesLatency(t *testing.T) {
 	before := e.AppTimeThisInterval()
 	e.Access(v, 0, 1000, 0, 0)
 	inflated := e.AppTimeThisInterval() - before
-	wantMin := time.Duration(1000) * (90*time.Nanosecond + e.PerAccessCPU) / 8
+	wantMin := time.Duration(1000) * (90*time.Nanosecond + PerAccessCPU) / 8
 	if inflated <= wantMin {
 		t.Fatalf("saturated access cost %v not above baseline %v", inflated, wantMin)
 	}

@@ -340,7 +340,7 @@ func (e *Engine) drainNode(node tier.NodeID) {
 		attempted++
 		// The evacuation runs on helper threads: busy attempts, backoff
 		// and the copy itself are background time, committed or not.
-		e.ChargeBackground(mv.Waste + e.Sys.CopyTime(e.HomeSocket, node, dst, p.v.PageSize))
+		e.ChargeBackground(mv.Waste + e.Sys.CopyTime(HomeSocket, node, dst, p.v.PageSize))
 		if !mv.Committed {
 			continue
 		}
@@ -369,7 +369,7 @@ func (e *Engine) drainNode(node tier.NodeID) {
 // N+2 and beyond), then faster tiers as a last resort. A destination
 // must be allocatable, have room, and not sit behind an open breaker.
 func (e *Engine) drainDest(node tier.NodeID, size int64) tier.NodeID {
-	view := e.Sys.Topo.View(e.HomeSocket)
+	view := e.Sys.Topo.View(HomeSocket)
 	rank := 0
 	for i, n := range view {
 		if n == node {

@@ -72,7 +72,7 @@ func (e *Engine) lineageMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, 
 	if l == nil || int(src) < 0 || int(dst) < 0 {
 		return // first placement, not a move between tiers
 	}
-	promote := e.Sys.Topo.Rank(e.HomeSocket, dst) < e.Sys.Topo.Rank(e.HomeSocket, src)
+	promote := e.Sys.Topo.Rank(HomeSocket, dst) < e.Sys.Topo.Rank(HomeSocket, src)
 	if !promote && e.fid == nil {
 		return
 	}

@@ -375,7 +375,7 @@ func (e *Engine) demoteColdest(node tier.NodeID, lower []tier.NodeID, need int64
 		freed += p.v.PageSize
 		// Emergency demotion runs synchronously inside the fault path:
 		// the copy and fixed kernel work land on application time.
-		e.intApp += e.Sys.CopyTime(e.HomeSocket, node, dst, p.v.PageSize) + emergencyDemotePageCost
+		e.intApp += e.Sys.CopyTime(HomeSocket, node, dst, p.v.PageSize) + emergencyDemotePageCost
 		e.Sys.RecordTransfer(node, p.v.PageSize)
 		e.Sys.RecordTransfer(dst, p.v.PageSize)
 		e.NoteDemotion(p.v.PageSize)

@@ -147,9 +147,9 @@ func TestEmergencyDemotionRescuesFragmentation(t *testing.T) {
 			// Demotion runs inside the fault, so each page's copy and
 			// fixed kernel work land on app time, on top of the huge
 			// page's own fault and access.
-			perPage := e.Sys.CopyTime(e.HomeSocket, 0, 1, vm.BasePageSize) + emergencyDemotePageCost
-			fault := e.FaultCost + e.Sys.CopyTime(0, 0, 0, vm.HugePageSize)
-			want := time.Duration(pages)*perPage + fault + e.latNow[0][0] + e.PerAccessCPU
+			perPage := e.Sys.CopyTime(HomeSocket, 0, 1, vm.BasePageSize) + emergencyDemotePageCost
+			fault := FaultCost + e.Sys.CopyTime(0, 0, 0, vm.HugePageSize)
+			want := time.Duration(pages)*perPage + fault + e.latNow[0][0] + PerAccessCPU
 			if got := e.intApp - appBefore; got != want {
 				t.Fatalf("app-time charge of the rescued fault = %v, want %v", got, want)
 			}

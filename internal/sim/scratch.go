@@ -13,7 +13,11 @@
 // path performs zero allocations after warm-up.
 package sim
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"mtm/internal/rng"
+)
 
 // NumShards returns how many fixed-size shards cover n items.
 func NumShards(n, shardSize int) int {
@@ -43,15 +47,6 @@ func ShardSpan(n, shardSize, s int) (lo, hi int) {
 	return lo, hi
 }
 
-// splitmix64 is the SplitMix64 finaliser; it turns structured inputs
-// (seed, interval, shard) into well-mixed RNG seeds.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // Salts distinguishing the per-shard RNG streams of the scan passes
 // within one interval. Each pass uses its own salt so adding a pass never
 // perturbs another pass's stream.
@@ -64,9 +59,9 @@ const (
 // function of the engine seed, the interval index, the pass salt and the
 // shard key.
 func (e *Engine) shardSeed(salt uint64, shard int) uint64 {
-	h := splitmix64(uint64(e.Seed) ^ salt)
-	h = splitmix64(h ^ uint64(uint32(e.Intervals)))
-	return splitmix64(h ^ uint64(uint32(shard)))
+	h := rng.Mix64(uint64(e.Seed) ^ salt)
+	h = rng.Mix64(h ^ uint64(uint32(e.Intervals)))
+	return rng.Mix64(h ^ uint64(uint32(shard)))
 }
 
 // sm64 is a SplitMix64 rand.Source64. Seeding writes one word (vs the
@@ -75,11 +70,9 @@ func (e *Engine) shardSeed(salt uint64, shard int) uint64 {
 type sm64 struct{ state uint64 }
 
 func (s *sm64) Uint64() uint64 {
+	z := rng.Mix64(s.state)
 	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return z
 }
 
 func (s *sm64) Int63() int64 { return int64(s.Uint64() >> 1) }

@@ -143,7 +143,7 @@ func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) b
 	}
 	e.dropShadow(v, idx)
 	if src == vm.NoNode || src == dst ||
-		e.Sys.Topo.Rank(e.HomeSocket, dst) >= e.Sys.Topo.Rank(e.HomeSocket, src) ||
+		e.Sys.Topo.Rank(HomeSocket, dst) >= e.Sys.Topo.Rank(HomeSocket, src) ||
 		!e.Sys.Allocatable(src) {
 		return false
 	}
@@ -265,7 +265,7 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	e.ShadowHits++
 	src := v.Node(idx)
 	if src == dst || !e.Sys.Allocatable(dst) ||
-		e.Sys.Topo.Rank(e.HomeSocket, dst) <= e.Sys.Topo.Rank(e.HomeSocket, src) {
+		e.Sys.Topo.Rank(HomeSocket, dst) <= e.Sys.Topo.Rank(HomeSocket, src) {
 		// Not a demotion anymore (or the shadow frame is unusable):
 		// drop it so capacity comes back and the copy path decides.
 		e.dropShadow(v, idx)
@@ -349,7 +349,7 @@ func (e *Engine) ShadowSync(maxBytes int64) int64 {
 // from the page and checked it is allocatable.
 func (e *Engine) syncShadowPage(v *vm.VMA, i int, dst tier.NodeID) int64 {
 	src := v.Node(i)
-	e.ChargeBackground(e.Sys.CopyTime(e.HomeSocket, src, dst, v.PageSize))
+	e.ChargeBackground(e.Sys.CopyTime(HomeSocket, src, dst, v.PageSize))
 	e.Sys.RecordTransfer(src, v.PageSize)
 	e.Sys.RecordTransfer(dst, v.PageSize)
 	// Binding budgets: the write-back competes for the same pair

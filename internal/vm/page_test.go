@@ -49,7 +49,7 @@ func TestPlaceNodeRange(t *testing.T) {
 type modelPage struct {
 	node                              tier.NodeID
 	present, accessed, dirty, touched bool
-	writeProtect, poisoned            bool
+	poisoned                          bool
 	shadowed, shadowValid             bool
 	shadowNode                        tier.NodeID
 	shadowSeq                         uint32
@@ -70,7 +70,7 @@ func (m modelPage) pte() PTE {
 	for _, b := range []struct {
 		on  bool
 		bit PTE
-	}{{m.present, Present}, {m.accessed, Accessed}, {m.dirty, Dirty}, {m.writeProtect, WriteProtect}, {m.poisoned, Poisoned}} {
+	}{{m.present, Present}, {m.accessed, Accessed}, {m.dirty, Dirty}, {m.poisoned, Poisoned}} {
 		if b.on {
 			p |= b.bit
 		}
@@ -178,11 +178,6 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 			op = fmt.Sprintf("ClearPoison(%d)", idx)
 			v.ClearPoison(idx)
 			m.poisoned = false
-		case k < 86:
-			on := rng.Intn(2) == 0
-			op = fmt.Sprintf("SetWriteProtect(%d, %v)", idx, on)
-			v.SetWriteProtect(idx, on)
-			m.writeProtect = on
 		case k < 93:
 			n := nodes[rng.Intn(len(nodes))]
 			op = fmt.Sprintf("MarkShadowed(%d, %d)", idx, n)
@@ -273,10 +268,6 @@ func TestTouchHitMatchesTouchN(t *testing.T) {
 			op = fmt.Sprintf("Poison(%d)", idx)
 			a.Poison(idx)
 			b.Poison(idx)
-		case k < 20:
-			op = fmt.Sprintf("SetWriteProtect(%d)", idx)
-			a.SetWriteProtect(idx, true)
-			b.SetWriteProtect(idx, true)
 		case k < 27:
 			n := nodes[rng.Intn(len(nodes))]
 			op = fmt.Sprintf("MarkShadowed(%d, %d)", idx, n)

@@ -1,7 +1,9 @@
 // Package vm implements the virtual-memory substrate of the simulator: an
 // address space of VMAs backed by a software page table whose PTEs carry
-// the bits the MTM profiler and migration mechanism manipulate (present,
-// accessed, dirty, write-protect, and the reserved profiling bit).
+// the bits the profilers and the fault path read (present, accessed,
+// dirty and poisoned). The write tracking of MTM's asynchronous copy
+// (§7.2) is not a PTE bit here: the migrate package's cost model prices
+// it (DirtyFaultCost per write fault at the mechanism's WriteRate).
 //
 // The simulated MMU (VMA.Touch / VMA.TouchN) sets the accessed and dirty
 // bits exactly as hardware would; profilers observe memory behaviour only
@@ -14,8 +16,7 @@ package vm
 // the physical frame is tracked separately as a tier.NodeID per page.
 type PTE uint8
 
-// PTE flag bits. Bit names follow x86-64 usage; Reserved11 is the reserved
-// 11th bit MTM uses for low-overhead access tracking (§5).
+// PTE flag bits. Bit names follow x86-64 usage.
 const (
 	// Present means the page has been allocated a physical frame.
 	Present PTE = 1 << iota
@@ -23,14 +24,6 @@ const (
 	Accessed
 	// Dirty is set by the MMU on every write.
 	Dirty
-	// WriteProtect causes writes to fault; the MTM migration mechanism
-	// uses it to detect writes during an asynchronous copy (§7.2).
-	WriteProtect
-	// Reserved11 models the reserved PTE bit profilers may use as a
-	// second, independent access flag.
-	Reserved11
-	// Huge marks the entry as mapping a 2 MB huge page.
-	Huge
 	// Poisoned marks a page hit by an uncorrectable memory error, the
 	// analogue of Linux HWPOISON soft-offlining: the frame is dead, the
 	// mapping is gone (Present is cleared alongside), and the next access

@@ -150,14 +150,6 @@ func TestDirtyTracking(t *testing.T) {
 	if v.TestAndClearDirty(0) {
 		t.Fatal("dirty bit not cleared")
 	}
-	v.SetWriteProtect(0, true)
-	if !v.PTE(0).Has(WriteProtect) {
-		t.Fatal("write protect not set")
-	}
-	v.SetWriteProtect(0, false)
-	if v.PTE(0).Has(WriteProtect) {
-		t.Fatal("write protect not cleared")
-	}
 }
 
 func TestUnmapPreservesTracking(t *testing.T) {
@@ -275,12 +267,12 @@ func TestObserveScansBounds(t *testing.T) {
 
 func TestPTEBits(t *testing.T) {
 	var p PTE
-	p = p.Set(Present | Huge)
-	if !p.Has(Present) || !p.Has(Huge) || p.Has(Dirty) {
+	p = p.Set(Present | Poisoned)
+	if !p.Has(Present) || !p.Has(Poisoned) || p.Has(Dirty) {
 		t.Fatalf("bit ops wrong: %b", p)
 	}
 	p = p.Clear(Present)
-	if p.Has(Present) || !p.Has(Huge) {
+	if p.Has(Present) || !p.Has(Poisoned) {
 		t.Fatalf("clear wrong: %b", p)
 	}
 }

@@ -101,7 +101,7 @@ type page struct {
 	// sock is the socket that issued the most recent access to the page,
 	// backing the hint-fault "who touched it" channel (§6.2).
 	sock  int8
-	flags PTE // cold bits only: Huge, WriteProtect, Reserved11, Poisoned, recShadowValid
+	flags PTE // cold bits only: Poisoned and recShadowValid
 	// shadow is the node of the page's retained shadow frame; meaningful
 	// only while the page's shadowAll bit is set. It fills the byte the
 	// record would otherwise pad.
@@ -109,7 +109,7 @@ type page struct {
 }
 
 func newVMA(name string, base uint64, pageSize int64, nPages int) *VMA {
-	v := &VMA{
+	return &VMA{
 		Name:     name,
 		Base:     base,
 		PageSize: pageSize,
@@ -120,12 +120,6 @@ func newVMA(name string, base uint64, pageSize int64, nPages int) *VMA {
 		dirty:    NewBitmap(nPages),
 		touched:  NewBitmap(nPages),
 	}
-	if pageSize == HugePageSize {
-		for i := range v.pages {
-			v.pages[i].flags = Huge
-		}
-	}
-	return v
 }
 
 // Bytes returns the size of the VMA in bytes.
@@ -231,7 +225,7 @@ func (v *VMA) Unmap(idx int) {
 func (v *VMA) Poison(idx int) {
 	p := &v.pages[idx]
 	p.node = ^int8(NoNode)
-	p.flags = p.flags.Clear(WriteProtect).Set(Poisoned)
+	p.flags = p.flags.Set(Poisoned)
 	p.count, p.writes = 0, 0
 	v.present.Clear(idx)
 	v.accessed.Clear(idx)
@@ -498,16 +492,6 @@ func (v *VMA) ShadowedCount() int {
 		return 0
 	}
 	return v.shadowAll.CountRange(0, v.NPages)
-}
-
-// SetWriteProtect arms or disarms write-protection on page idx.
-func (v *VMA) SetWriteProtect(idx int, on bool) {
-	p := &v.pages[idx]
-	if on {
-		p.flags = p.flags.Set(WriteProtect)
-	} else {
-		p.flags = p.flags.Clear(WriteProtect)
-	}
 }
 
 func (v *VMA) String() string {

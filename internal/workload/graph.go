@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mtm/internal/rng"
 	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
@@ -18,8 +19,6 @@ import (
 // hot structure a profiler can find.
 type Graph struct {
 	N        int
-	EdgeRec  int64 // bytes per edge record
-	PropRec  int64 // bytes per vertex property record
 	offsets  []int64
 	nEdges   int64
 	edges    *vm.VMA
@@ -27,11 +26,16 @@ type Graph struct {
 	frontier *vm.VMA
 }
 
+const (
+	edgeRec = 256 // bytes per edge record
+	propRec = 512 // bytes per vertex property record
+)
+
 // hubEvery makes one vertex in this many a hub with boosted degree.
 const hubEvery = 499
 
 func newGraph(e *sim.Engine, n int, avgDeg int) *Graph {
-	g := &Graph{N: n, EdgeRec: 256, PropRec: 512}
+	g := &Graph{N: n}
 	g.offsets = make([]int64, n+1)
 	var off int64
 	for v := 0; v < n; v++ {
@@ -40,8 +44,8 @@ func newGraph(e *sim.Engine, n int, avgDeg int) *Graph {
 	}
 	g.offsets[n] = off
 	g.nEdges = off
-	g.edges = e.AS.Alloc("graph.edges", off*g.EdgeRec)
-	g.props = e.AS.Alloc("graph.props", int64(n)*g.PropRec)
+	g.edges = e.AS.Alloc("graph.edges", off*edgeRec)
+	g.props = e.AS.Alloc("graph.props", int64(n)*propRec)
 	g.frontier = e.AS.Alloc("graph.frontier", maxI64(int64(n)*8, 4*MB))
 	initTouch(e, g.edges, g.props, g.frontier)
 	return g
@@ -50,7 +54,7 @@ func newGraph(e *sim.Engine, n int, avgDeg int) *Graph {
 // degree is deterministic per vertex: a power-law-ish mix of a base
 // degree and rare hubs.
 func (g *Graph) degree(v, avgDeg int) int {
-	h := hash64(uint64(v))
+	h := rng.Mix64(uint64(v))
 	d := avgDeg/2 + int(h%uint64(avgDeg))
 	if h%hubEvery == 0 {
 		d *= 24
@@ -65,7 +69,7 @@ func (g *Graph) degree(v, avgDeg int) int {
 // touched once per in-edge per traversal — and they are contiguous at the
 // front of the property array, which is what a region profiler can find.
 func (g *Graph) neighbor(v, i int) int {
-	h := hash64(uint64(v)*0x9e3779b97f4a7c15 + uint64(i))
+	h := rng.Mix64(uint64(v)*0x9e3779b97f4a7c15 + uint64(i))
 	if h&1 == 0 {
 		return int((h >> 1) % uint64(g.N))
 	}
@@ -75,7 +79,7 @@ func (g *Graph) neighbor(v, i int) int {
 
 // weight returns the i-th edge weight of v in [1, 4].
 func (g *Graph) weight(v, i int) uint32 {
-	return uint32(hash64(uint64(v)<<20|uint64(i))%4) + 1
+	return uint32(rng.Mix64(uint64(v)<<20|uint64(i))%4) + 1
 }
 
 // chargeVisit charges the simulated accesses of expanding vertex v with d
@@ -86,7 +90,7 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 	if d == 0 {
 		return
 	}
-	touchRange(e, g.edges, g.offsets[v]*g.EdgeRec, int64(d)*g.EdgeRec, g.EdgeRec, false, socket)
+	touchRange(e, g.edges, g.offsets[v]*edgeRec, int64(d)*edgeRec, edgeRec, false, socket)
 	// Neighbor property pages: batched draws of 8 neighbors each, issued
 	// as access batches.
 	var buf [16]sim.Ref
@@ -98,7 +102,7 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 			refs = refs[:0]
 		}
 		w := g.neighbor(v, i*8)
-		pg := pageOf(g.props, int64(w)*g.PropRec)
+		pg := pageOf(g.props, int64(w)*propRec)
 		cnt := uint32(8)
 		if rem := d - i*8; rem < 8 {
 			cnt = uint32(rem)
@@ -132,7 +136,7 @@ func (g *Graph) warm(vs []int32) int64 {
 		x ^= g.offsets[v]
 	}
 	for _, v := range vs {
-		x ^= int64(g.edges.Node(pageOf(g.edges, g.offsets[v]*g.EdgeRec)))
+		x ^= int64(g.edges.Node(pageOf(g.edges, g.offsets[v]*edgeRec)))
 	}
 	return x
 }
@@ -239,7 +243,7 @@ func (w *graphWalk) mark(v int) bool {
 }
 
 func (w *graphWalk) RunInterval(e *sim.Engine) {
-	socket := e.HomeSocket
+	socket := sim.HomeSocket
 	for !e.IntervalExhausted() && !w.Done() {
 		// Process a slice of the current frontier, a warmed group at a
 		// time. Expansion appends only to w.next, so w.cur is fixed here.

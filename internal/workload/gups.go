@@ -18,12 +18,8 @@ import (
 type GUPS struct {
 	base
 
-	// TableBytes is the update table footprint (512 GB / scale default).
-	TableBytes int64
-	// HotFrac is the hot share of the table (0.20).
-	HotFrac float64
-	// HotAccessFrac is the access share the hot set receives (0.80).
-	HotAccessFrac float64
+	// tableBytes is the update table footprint (512 GB / scale default).
+	tableBytes int64
 	// EpochOps is the update count between full hot-set re-draws; 0
 	// disables them (the profiling-variance experiments enable them).
 	EpochOps int64
@@ -55,15 +51,15 @@ type GUPS struct {
 	refs                        []sim.Ref
 }
 
+const (
+	gupsHotFrac       = 0.20 // hot share of the table
+	gupsHotAccessFrac = 0.80 // access share the hot set receives
+)
+
 // NewGUPS builds GUPS with the paper's 512 GB working set divided by the
 // configured scale.
 func NewGUPS(cfg Config) *GUPS {
-	g := &GUPS{
-		TableBytes:    512 * GB / cfg.scale(),
-		HotFrac:       0.20,
-		HotAccessFrac: 0.80,
-		batch:         8,
-	}
+	g := &GUPS{tableBytes: 512 * GB / cfg.scale(), batch: 8}
 	g.name = "GUPS"
 	g.readFrac = 0.5
 	g.totalOps = cfg.ops(2e10)
@@ -79,12 +75,7 @@ func NewGUPS(cfg Config) *GUPS {
 // NewGUPSSized builds a GUPS with an explicit table size and update
 // count; the two-tier HeMem comparison (Figure 12) sweeps the size.
 func NewGUPSSized(tableBytes, totalOps int64) *GUPS {
-	g := &GUPS{
-		TableBytes:    tableBytes,
-		HotFrac:       0.20,
-		HotAccessFrac: 0.80,
-		batch:         8,
-	}
+	g := &GUPS{tableBytes: tableBytes, batch: 8}
 	g.name = "GUPS"
 	g.readFrac = 0.5
 	g.totalOps = totalOps
@@ -96,9 +87,9 @@ func (g *GUPS) Init(e *sim.Engine) {
 	// the small hot descriptor B sits deep inside the address space, far
 	// from A, which is what makes coarse region formation miss it
 	// (Figure 6).
-	indexBytes := maxI64(g.TableBytes/50, 4*MB)
+	indexBytes := maxI64(g.tableBytes/50, 4*MB)
 	infoBytes := int64(4 * MB)
-	g.heap = e.AS.Alloc("gups.heap", indexBytes+infoBytes+g.TableBytes)
+	g.heap = e.AS.Alloc("gups.heap", indexBytes+infoBytes+g.tableBytes)
 	g.indexPages = int(indexBytes / g.heap.PageSize)
 	g.infoPages = int(infoBytes / g.heap.PageSize)
 	g.tableStart = g.indexPages
@@ -142,7 +133,7 @@ func (g *GUPS) Object(v *vm.VMA, idx int) byte {
 // discover, with enough dispersion to punish coarse regions.
 func (g *GUPS) drawHotSet(e *sim.Engine) {
 	const blocks = 32
-	total := int(float64(g.tablePages()) * g.HotFrac)
+	total := int(float64(g.tablePages()) * gupsHotFrac)
 	if total < blocks {
 		total = blocks
 	}
@@ -201,7 +192,7 @@ func (g *GUPS) HotFootprintBytes() int64 {
 }
 
 func (g *GUPS) RunInterval(e *sim.Engine) {
-	socket := e.HomeSocket
+	socket := sim.HomeSocket
 	b := uint32(g.batch)
 	draws := int64(opChunk) / g.batch
 	for !e.IntervalExhausted() && !g.Done() {
@@ -214,9 +205,9 @@ func (g *GUPS) RunInterval(e *sim.Engine) {
 			// Hot-set descriptor B: read once per batch.
 			refs = append(refs, sim.Ref{Idx: g.infoStart + g.infoB.Draw(e.Rng), N: 1})
 			// The update itself: read + write of a random table slot,
-			// hot with probability HotAccessFrac.
+			// hot with probability gupsHotAccessFrac.
 			var pg int
-			if e.Rng.Float64() < g.HotAccessFrac && len(g.hotPages) > 0 {
+			if e.Rng.Float64() < gupsHotAccessFrac && len(g.hotPages) > 0 {
 				pg = int(g.hotPages[g.hotB.Draw(e.Rng)])
 			} else {
 				pg = g.tableB.Draw(e.Rng)

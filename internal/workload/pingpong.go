@@ -8,7 +8,7 @@ import (
 
 // PingPong is an adversarial thrash generator (not a Table 2 workload):
 // two disjoint contiguous hot sets, A at the table start and B at the
-// midpoint, alternate as the active set every FlipOps updates. Each flip
+// midpoint, alternate as the active set every flipOps updates. Each flip
 // inverts the hotness a profiler just learned, so a policy that chases
 // the histogram promotes the new set and demotes the old one — and then
 // does the exact opposite a few intervals later. Without admission
@@ -19,17 +19,11 @@ import (
 type PingPong struct {
 	base
 
-	// TableBytes is the table footprint (512 GB / scale default).
-	TableBytes int64
-	// HotFrac is the size of EACH hot set as a fraction of the table
-	// (0.10: together the two sets match GUPS's 20% hot share).
-	HotFrac float64
-	// HotAccessFrac is the access share the active set receives (0.90:
-	// hotter than GUPS, so the flip is unambiguous to any profiler).
-	HotAccessFrac float64
-	// FlipOps is the update count between active-set flips; 0 disables
+	// tableBytes is the table footprint (512 GB / scale default).
+	tableBytes int64
+	// flipOps is the update count between active-set flips; 0 disables
 	// flipping (degenerating into a static two-set GUPS).
-	FlipOps int64
+	flipOps int64
 	// batch is the op-aggregation factor for access batching.
 	batch int64
 
@@ -48,28 +42,32 @@ type PingPong struct {
 	refs       []sim.Ref
 }
 
+const (
+	// pingpongHotFrac is the size of EACH hot set as a fraction of the
+	// table (together the two sets match GUPS's 20% hot share).
+	pingpongHotFrac = 0.10
+	// pingpongHotAccessFrac is the access share the active set receives
+	// (hotter than GUPS, so the flip is unambiguous to any profiler).
+	pingpongHotAccessFrac = 0.90
+)
+
 // NewPingPong builds the thrash workload at the shared paper scale.
 func NewPingPong(cfg Config) *PingPong {
-	p := &PingPong{
-		TableBytes:    512 * GB / cfg.scale(),
-		HotFrac:       0.10,
-		HotAccessFrac: 0.90,
-		batch:         8,
-	}
+	p := &PingPong{tableBytes: 512 * GB / cfg.scale(), batch: 8}
 	p.name = "PingPong"
 	p.readFrac = 0.5
 	p.totalOps = cfg.ops(2e10)
 	// Eight flips per run: fast enough that chasing each one is a losing
 	// trade, slow enough that each set is resident for several profiling
 	// intervals and genuinely looks hot.
-	p.FlipOps = p.totalOps / 8
+	p.flipOps = p.totalOps / 8
 	return p
 }
 
 func (p *PingPong) Init(e *sim.Engine) {
-	p.heap = e.AS.Alloc("pingpong.table", p.TableBytes)
+	p.heap = e.AS.Alloc("pingpong.table", p.tableBytes)
 	n := p.heap.NPages
-	p.setPages = int(float64(n) * p.HotFrac)
+	p.setPages = int(float64(n) * pingpongHotFrac)
 	if p.setPages < 1 {
 		p.setPages = 1
 	}
@@ -79,7 +77,7 @@ func (p *PingPong) Init(e *sim.Engine) {
 	p.aStart = 0
 	p.bStart = n / 2
 	p.active = 0
-	p.flipLeft = p.FlipOps
+	p.flipLeft = p.flipOps
 	p.setB = rng.NewBound(p.setPages)
 	p.allB = rng.NewBound(n)
 	initTouch(e, p.heap)
@@ -106,7 +104,7 @@ func (p *PingPong) IsHot(v *vm.VMA, idx int) bool {
 }
 
 func (p *PingPong) RunInterval(e *sim.Engine) {
-	socket := e.HomeSocket
+	socket := sim.HomeSocket
 	b := uint32(p.batch)
 	draws := int64(opChunk) / p.batch
 	for !e.IntervalExhausted() && !p.Done() {
@@ -114,7 +112,7 @@ func (p *PingPong) RunInterval(e *sim.Engine) {
 		refs := p.refs[:0]
 		for d := int64(0); d < draws; d++ {
 			var pg int
-			if e.Rng.Float64() < p.HotAccessFrac {
+			if e.Rng.Float64() < pingpongHotAccessFrac {
 				pg = hot + p.setB.Draw(e.Rng)
 			} else {
 				pg = p.allB.Draw(e.Rng)
@@ -125,11 +123,11 @@ func (p *PingPong) RunInterval(e *sim.Engine) {
 		p.refs = refs
 		e.AccessBatch(p.heap, refs, socket)
 		p.doneOps += opChunk
-		if p.FlipOps > 0 {
+		if p.flipOps > 0 {
 			p.flipLeft -= opChunk
 			if p.flipLeft <= 0 {
 				p.active = 1 - p.active
-				p.flipLeft = p.FlipOps
+				p.flipLeft = p.flipOps
 				p.Flips++
 			}
 		}

@@ -18,8 +18,7 @@ import (
 type Spark struct {
 	base
 
-	InputBytes int64
-	Buckets    int
+	inputBytes int64
 
 	input, shuffle, output *vm.VMA
 
@@ -34,16 +33,18 @@ type Spark struct {
 	recBytes    int64
 }
 
+// sparkBuckets is the number of shuffle buckets.
+const sparkBuckets = 32
+
 // NewSpark sizes TeraSort to the paper's 350 GB footprint.
 func NewSpark(cfg Config) *Spark {
 	s := &Spark{
-		InputBytes: 150 * GB / cfg.scale(),
-		Buckets:    32,
+		inputBytes: 150 * GB / cfg.scale(),
 		recBytes:   100, // TeraSort records are 100 bytes
 	}
 	s.name = "Spark"
 	s.readFrac = 0.5
-	records := s.InputBytes / s.recBytes
+	records := s.inputBytes / s.recBytes
 	// Phase op counts: one pass to read, one to shuffle, several passes
 	// to sort (multi-pass merge: compare + move), one to write.
 	f := cfg.OpsFactorOrOne()
@@ -60,17 +61,17 @@ func NewSpark(cfg Config) *Spark {
 }
 
 func (s *Spark) Init(e *sim.Engine) {
-	s.input = e.AS.Alloc("spark.input", s.InputBytes)
-	s.shuffle = e.AS.Alloc("spark.shuffle", s.InputBytes)
-	s.output = e.AS.Alloc("spark.output", s.InputBytes)
-	s.bucketFill = make([]int64, s.Buckets)
+	s.input = e.AS.Alloc("spark.input", s.inputBytes)
+	s.shuffle = e.AS.Alloc("spark.shuffle", s.inputBytes)
+	s.output = e.AS.Alloc("spark.output", s.inputBytes)
+	s.bucketFill = make([]int64, sparkBuckets)
 	initTouch(e, s.input)
 }
 
-func (s *Spark) bucketBytes() int64 { return s.shuffle.Bytes() / int64(s.Buckets) }
+func (s *Spark) bucketBytes() int64 { return s.shuffle.Bytes() / sparkBuckets }
 
 func (s *Spark) RunInterval(e *sim.Engine) {
-	socket := e.HomeSocket
+	socket := sim.HomeSocket
 	for !e.IntervalExhausted() && !s.Done() {
 		n := int64(opChunk)
 		switch s.phase {
@@ -82,7 +83,7 @@ func (s *Spark) RunInterval(e *sim.Engine) {
 			s.readCursor += n * s.recBytes
 			per := n / 8
 			for i := 0; i < 8; i++ {
-				b := e.Rng.Intn(s.Buckets)
+				b := e.Rng.Intn(sparkBuckets)
 				off := int64(b)*s.bucketBytes() + s.bucketFill[b]%s.bucketBytes()
 				e.Access(s.shuffle, pageOf(s.shuffle, off), uint32(per), uint32(per), socket)
 				s.bucketFill[b] += per * s.recBytes
@@ -95,9 +96,9 @@ func (s *Spark) RunInterval(e *sim.Engine) {
 				e.Access(s.shuffle, pageOf(s.shuffle, off), 16, 8, socket)
 			}
 			s.sortOps += n
-			if s.sortOps >= s.phaseOps[2]/int64(s.Buckets) {
+			if s.sortOps >= s.phaseOps[2]/sparkBuckets {
 				s.sortOps = 0
-				s.sortBucket = (s.sortBucket + 1) % s.Buckets
+				s.sortBucket = (s.sortBucket + 1) % sparkBuckets
 			}
 		case 3: // sequential write of the sorted output
 			touchRange(e, s.output, s.writeCursor%s.output.Bytes(), n*s.recBytes, s.recBytes, true, socket)

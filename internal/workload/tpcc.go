@@ -15,14 +15,10 @@ import (
 type VoltDB struct {
 	base
 
-	Warehouses int
-	Clients    int
-	// HomeFrac is the share of a client's transactions against its home
-	// warehouse.
-	HomeFrac float64
-	// ReassignOps re-draws client home warehouses every so many
+	warehouses int // TPC-C warehouse count (5000 / scale, at least 16)
+	// reassignOps re-draws client home warehouses every so many
 	// transactions (0 disables).
-	ReassignOps int64
+	reassignOps int64
 
 	warehouse, district, item     *vm.VMA
 	customer, stock, orders, hist *vm.VMA
@@ -32,17 +28,22 @@ type VoltDB struct {
 	reassignLeft                  int64
 }
 
+const (
+	voltdbClients = 8
+	// voltdbHomeFrac is the share of a client's transactions against its
+	// home warehouse.
+	voltdbHomeFrac = 0.75
+)
+
 // NewVoltDB sizes the database to the paper's 300 GB TPC-C instance
 // divided by the scale.
 func NewVoltDB(cfg Config) *VoltDB {
 	w := &VoltDB{
-		Warehouses:  int(5000 / cfg.scale()),
-		Clients:     8,
-		HomeFrac:    0.75,
-		ReassignOps: cfg.ops(3.5e9) / 6,
+		warehouses:  int(5000 / cfg.scale()),
+		reassignOps: cfg.ops(3.5e9) / 6,
 	}
-	if w.Warehouses < 16 {
-		w.Warehouses = 16
+	if w.warehouses < 16 {
+		w.warehouses = 16
 	}
 	w.name = "VoltDB"
 	w.readFrac = 0.5
@@ -51,7 +52,7 @@ func NewVoltDB(cfg Config) *VoltDB {
 }
 
 func (w *VoltDB) Init(e *sim.Engine) {
-	scale := int64(w.Warehouses)
+	scale := int64(w.warehouses)
 	// Footprint split mirrors TPC-C's row populations: customer and
 	// stock dominate; orders/history grow but are modelled at steady
 	// state; warehouse/district/item stay resident-hot.
@@ -64,29 +65,29 @@ func (w *VoltDB) Init(e *sim.Engine) {
 	w.item = e.AS.Alloc("tpcc.item", 16*MB)
 	w.custPerWh = w.customer.Bytes() / scale
 	w.stockPerWh = w.stock.Bytes() / scale
-	w.homes = make([]int, w.Clients)
+	w.homes = make([]int, voltdbClients)
 	w.assignHomes(e)
 	initTouch(e, w.customer, w.stock, w.orders, w.hist, w.warehouse, w.district, w.item)
 }
 
 func (w *VoltDB) assignHomes(e *sim.Engine) {
 	for i := range w.homes {
-		w.homes[i] = e.Rng.Intn(w.Warehouses)
+		w.homes[i] = e.Rng.Intn(w.warehouses)
 	}
-	w.reassignLeft = w.ReassignOps
+	w.reassignLeft = w.reassignOps
 }
 
 // Stock is the stock table's VMA, for experiments that inspect placement.
 func (w *VoltDB) Stock() *vm.VMA { return w.stock }
 
 func (w *VoltDB) RunInterval(e *sim.Engine) {
-	socket := e.HomeSocket
+	socket := sim.HomeSocket
 	for !e.IntervalExhausted() && !w.Done() {
 		for i := 0; i < opChunk; i++ {
 			w.transaction(e, socket)
 		}
 		w.doneOps += opChunk
-		if w.ReassignOps > 0 {
+		if w.reassignOps > 0 {
 			w.reassignLeft -= opChunk
 			if w.reassignLeft <= 0 {
 				w.assignHomes(e)
@@ -100,10 +101,10 @@ func (w *VoltDB) RunInterval(e *sim.Engine) {
 // a customer row update, a handful of item reads and stock updates, and
 // an order append.
 func (w *VoltDB) transaction(e *sim.Engine, socket int) {
-	client := e.Rng.Intn(w.Clients)
+	client := e.Rng.Intn(voltdbClients)
 	wh := w.homes[client]
-	if e.Rng.Float64() >= w.HomeFrac {
-		wh = e.Rng.Intn(w.Warehouses)
+	if e.Rng.Float64() >= voltdbHomeFrac {
+		wh = e.Rng.Intn(w.warehouses)
 	}
 
 	// Warehouse + district: hot, small, read-mostly with a YTD update.

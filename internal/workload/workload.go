@@ -107,15 +107,6 @@ func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bo
 	e.AccessBatch(v, refs, socket)
 }
 
-// hash64 is SplitMix64: a fast, well-distributed hash for implicit data
-// structures (synthetic graphs, key placement).
-func hash64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // initTouch sequentially faults in and writes an entire VMA, modelling
 // the data-structure initialisation phase real applications run at
 // startup (loading a table, building a graph, memset-ing a heap). This is
@@ -132,7 +123,7 @@ func initTouch(e *sim.Engine, vmas ...*vm.VMA) {
 			for i := range refs {
 				refs[i] = sim.Ref{Idx: pg + i, N: 1, NW: 1}
 			}
-			e.AccessBatch(v, refs, e.HomeSocket)
+			e.AccessBatch(v, refs, sim.HomeSocket)
 		}
 	}
 	e.AS.ResetCounts()

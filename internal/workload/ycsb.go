@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mtm/internal/rng"
 	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
@@ -15,8 +16,8 @@ import (
 type Cassandra struct {
 	base
 
-	// DataBytes is the record heap footprint (400 GB / scale).
-	DataBytes int64
+	// dataBytes is the record heap footprint (400 GB / scale).
+	dataBytes int64
 
 	data, index, commitLog *vm.VMA
 	zipf                   *zipfSampler
@@ -27,7 +28,7 @@ type Cassandra struct {
 
 // NewCassandra sizes the store to the paper's 400 GB instance.
 func NewCassandra(cfg Config) *Cassandra {
-	c := &Cassandra{DataBytes: 400 * GB / cfg.scale()}
+	c := &Cassandra{dataBytes: 400 * GB / cfg.scale()}
 	c.name = "Cassandra"
 	c.readFrac = 0.5
 	c.totalOps = cfg.ops(1e10)
@@ -35,9 +36,9 @@ func NewCassandra(cfg Config) *Cassandra {
 }
 
 func (c *Cassandra) Init(e *sim.Engine) {
-	c.data = e.AS.Alloc("cassandra.data", c.DataBytes)
-	c.index = e.AS.Alloc("cassandra.index", maxI64(c.DataBytes/64, 4*MB))
-	c.commitLog = e.AS.Alloc("cassandra.commitlog", maxI64(c.DataBytes/32, 8*MB))
+	c.data = e.AS.Alloc("cassandra.data", c.dataBytes)
+	c.index = e.AS.Alloc("cassandra.index", maxI64(c.dataBytes/64, 4*MB))
+	c.commitLog = e.AS.Alloc("cassandra.commitlog", maxI64(c.dataBytes/32, 8*MB))
 	// Placement blocks: runs of zipf rank space that hash to one spot in
 	// the heap. 256 KB blocks keep hot clusters smaller than a region.
 	c.blockBytes = 256 * 1024
@@ -47,7 +48,7 @@ func (c *Cassandra) Init(e *sim.Engine) {
 }
 
 func (c *Cassandra) RunInterval(e *sim.Engine) {
-	socket := e.HomeSocket
+	socket := sim.HomeSocket
 	for !e.IntervalExhausted() && !c.Done() {
 		for i := 0; i < opChunk; i++ {
 			c.op(e, socket)
@@ -60,11 +61,11 @@ func (c *Cassandra) op(e *sim.Engine, socket int) {
 	// Zipf rank -> placement block via hash (Cassandra's partitioner),
 	// then a random record offset within the block.
 	rank := c.zipf.Next()
-	block := int64(hash64(rank/16) % uint64(c.nBlocks))
+	block := int64(rng.Mix64(rank/16) % uint64(c.nBlocks))
 	off := block*c.blockBytes + int64(e.Rng.Int63n(c.blockBytes))
 
 	// Index probe (read), then the record.
-	e.Access(c.index, int(hash64(rank)%uint64(c.index.NPages)), 1, 0, socket)
+	e.Access(c.index, int(rng.Mix64(rank)%uint64(c.index.NPages)), 1, 0, socket)
 	write := e.Rng.Intn(2) == 0 // YCSB-A: 50/50
 	if write {
 		// Update: read-modify-write the record plus a commit-log append.

@@ -62,7 +62,7 @@ func drawable(r float64) bool { return r >= 0 && r < 1 && uniform(int64(r*(1<<63
 func zipfSizes() []uint64 {
 	ns := []uint64{2, 3, 100, 409600, 6553600, 1 << 30}
 	for _, scale := range []int64{1, 64, 256} {
-		n := uint64(16 * NewCassandra(Config{Scale: scale}).DataBytes / (256 * 1024))
+		n := uint64(16 * NewCassandra(Config{Scale: scale}).dataBytes / (256 * 1024))
 		if n != 409600 {
 			ns = append(ns, n)
 		}

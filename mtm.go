@@ -72,11 +72,10 @@ type Config struct {
 	// negative value to force 0, i.e. history-only decisions.)
 	Alpha float64
 	// Faults names a fault-injection scenario (see fault.Scenarios);
-	// "" or "none" runs without injection.
+	// "" or "none" runs without injection. The injector draws from its
+	// own stream, seeded with Seed+1, so fault decisions never perturb
+	// the engine's randomness.
 	Faults string
-	// FaultSeed seeds the injector's own random stream; 0 selects Seed+1
-	// so fault decisions never perturb the engine's randomness.
-	FaultSeed int64
 	// Metrics enables the in-process observability layer: counters,
 	// gauges, histograms, and the bounded event ring, sampled once per
 	// profiling interval and returned in Result.Metrics. Recording is
@@ -172,9 +171,6 @@ func (c Config) withDefaults() Config {
 	case c.Alpha < 0:
 		c.Alpha = 0
 	}
-	if c.FaultSeed == 0 {
-		c.FaultSeed = c.Seed + 1
-	}
 	if c.AdmissionLearn || c.AdmissionLanes != "" {
 		c.Admission = true
 	}
@@ -231,7 +227,7 @@ func NewEngine(c Config) *sim.Engine {
 		e.EnableSpans(*c.Trace)
 	}
 	enableHealth := c.Health
-	if inj, err := fault.NewScenario(c.Faults, c.FaultSeed); err == nil && inj != nil {
+	if inj, err := fault.NewScenario(c.Faults, c.Seed+1); err == nil && inj != nil {
 		e.SetFaultPlane(inj)
 		if inj.Cfg.UsesHealth() {
 			enableHealth = true
@@ -311,11 +307,11 @@ func (c Config) mtmProfiler(mod func(*profiler.MTMConfig)) *profiler.MTM {
 	return profiler.NewMTM(pc)
 }
 
-func (c Config) mtmSolution(label string, pmod func(*profiler.MTMConfig), mech migrate.Mechanism) *policy.MTM {
+// mtmSolution builds MTM's policy and mechanism over profiler p.
+func (c Config) mtmSolution(label string, p profiler.Profiler, mech migrate.Mechanism) *policy.MTM {
 	c = c.withDefaults()
-	s := policy.NewMTMVariant(label, c.mtmProfiler(pmod), mech)
+	s := policy.NewMTMVariant(label, p, mech)
 	s.MigrateBudget = c.MigrateBudget
-	s.DemoteCap = 2 * c.MigrateBudget
 	return s
 }
 
@@ -337,31 +333,25 @@ func NewSolution(name string, c Config) (sim.Solution, error) {
 	c = c.withDefaults()
 	switch name {
 	case "mtm":
-		return c.mtmSolution("MTM", nil, migrate.NewAdaptive()), nil
+		return c.mtmSolution("MTM", c.mtmProfiler(nil), migrate.NewAdaptive()), nil
 	case "mtm-wo-amr":
-		return c.mtmSolution("MTM w/o AMR", func(p *profiler.MTMConfig) { p.AdaptiveRegions = false }, migrate.NewAdaptive()), nil
+		return c.mtmSolution("MTM w/o AMR", c.mtmProfiler(func(p *profiler.MTMConfig) { p.AdaptiveRegions = false }), migrate.NewAdaptive()), nil
 	case "mtm-wo-pebs":
-		return c.mtmSolution("MTM w/o PEBS", func(p *profiler.MTMConfig) { p.UsePEBS = false }, migrate.NewAdaptive()), nil
+		return c.mtmSolution("MTM w/o PEBS", c.mtmProfiler(func(p *profiler.MTMConfig) { p.UsePEBS = false }), migrate.NewAdaptive()), nil
 	case "mtm-wo-aps":
-		return c.mtmSolution("MTM w/o APS", func(p *profiler.MTMConfig) { p.AdaptiveSampling = false }, migrate.NewAdaptive()), nil
+		return c.mtmSolution("MTM w/o APS", c.mtmProfiler(func(p *profiler.MTMConfig) { p.AdaptiveSampling = false }), migrate.NewAdaptive()), nil
 	case "mtm-wo-oc":
-		return c.mtmSolution("MTM w/o OC", func(p *profiler.MTMConfig) {
+		return c.mtmSolution("MTM w/o OC", c.mtmProfiler(func(p *profiler.MTMConfig) {
 			p.OverheadControl = false
 			p.TauM = 0
 			p.TauS = 0
-		}, migrate.NewAdaptive()), nil
+		}), migrate.NewAdaptive()), nil
 	case "mtm-wo-async":
-		return c.mtmSolution("MTM w/o async migration", nil, &migrate.Adaptive{ForceSync: true, WriteRate: -1}), nil
+		return c.mtmSolution("MTM w/o async migration", c.mtmProfiler(nil), &migrate.Adaptive{ForceSync: true, WriteRate: -1}), nil
 	case "mtm-thermostat-prof":
-		s := policy.NewMTMVariant("Thermostat profiling + MTM migration", profiler.NewThermostat(), migrate.NewAdaptive())
-		s.MigrateBudget = c.MigrateBudget
-		s.DemoteCap = 2 * c.MigrateBudget
-		return s, nil
+		return c.mtmSolution("Thermostat profiling + MTM migration", profiler.NewThermostat(), migrate.NewAdaptive()), nil
 	case "mtm-autonuma-prof":
-		s := policy.NewMTMVariant("tiered-AutoNUMA profiling + MTM migration", profiler.NewSequentialScan(true), migrate.NewAdaptive())
-		s.MigrateBudget = c.MigrateBudget
-		s.DemoteCap = 2 * c.MigrateBudget
-		return s, nil
+		return c.mtmSolution("tiered-AutoNUMA profiling + MTM migration", profiler.NewSequentialScan(true), migrate.NewAdaptive()), nil
 	case "first-touch":
 		return policy.NewFirstTouch(), nil
 	case "slow-first":
@@ -388,8 +378,6 @@ func NewSolution(name string, c Config) (sim.Solution, error) {
 		s := policy.NewNomad()
 		s.Prof = c.mtmProfiler(nil)
 		s.MigrateBudget = c.MigrateBudget
-		s.DemoteCap = 2 * c.MigrateBudget
-		s.SyncBudget = 2 * c.MigrateBudget
 		return s, nil
 	}
 	return nil, fmt.Errorf("mtm: unknown solution %q (have %v)", name, SolutionNames())
