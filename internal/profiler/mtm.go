@@ -299,7 +299,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 	if m.Cfg.AdaptiveRegions {
 		tauM := m.set.TauM + m.tauMEsc
 		freed := m.set.MergePass(tauM)
-		m.set.SplitPass(m.set.TauS)
+		m.set.SplitPass(m.set.TauS, m.Cfg.Alpha)
 		m.redistribute(e, freed)
 		m.pm.merges.Add(m.set.MergedThisInterval)
 		m.pm.splits.Add(m.set.SplitThisInterval)

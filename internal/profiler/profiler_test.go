@@ -369,3 +369,26 @@ func TestSamplePagesDistinctAndInRange(t *testing.T) {
 		}
 	}
 }
+
+// TestMTMSplitHonoursAlpha: at α = 0 (history only) an EMA update never
+// takes in the interval's hotness, so every region keeps the WHI it
+// started with, 0. A split half must blend with the same α and so
+// inherit its parent's WHI; a half that re-blended its own samples at
+// any other weight would read hot.
+func TestMTMSplitHonoursAlpha(t *testing.T) {
+	cfg := DefaultMTMConfig()
+	cfg.Alpha = 0
+	m := NewMTM(cfg)
+	e, w := hotColdEngine(t, 512, 100, 2, m)
+	for i := 0; i < 20; i++ {
+		interval(e, w)
+	}
+	if m.Set().Split == 0 {
+		t.Fatal("no region split; the fixture no longer exercises SplitPass")
+	}
+	for _, r := range m.Regions() {
+		if r.WHI != 0 {
+			t.Fatalf("%v: WHI %v at α = 0, want the parent's 0", r, r.WHI)
+		}
+	}
+}

@@ -115,9 +115,6 @@ type Set struct {
 	TauM, TauS float64
 	// NumScans is the scans-per-sampled-PTE constant (3 by default).
 	NumScans int
-	// Alpha is the EMA weight used when a split re-derives a half's
-	// WHI from its own samples (matches the profiler's Equation 2 α).
-	Alpha float64
 	// MaxMergePages caps a merged region's size (0 = unlimited). A cap
 	// keeps one merge pass from chaining the address space into blobs a
 	// split pass (which only halves once per interval) cannot recover
@@ -155,7 +152,6 @@ func NewSet(numScans int) *Set {
 		NumScans:      numScans,
 		TauM:          float64(numScans) / 3,
 		TauS:          2 * float64(numScans) / 3,
-		Alpha:         0.5,
 		MaxMergePages: 128,
 	}
 }
@@ -279,17 +275,19 @@ const maxSplitDepth = 6
 // the same pass (up to maxSplitDepth). This is what lets a hot block be
 // carved out of a large mixed region within one profiling interval — the
 // responsiveness §3 finds missing in DAMON's one-random-split-per-pass.
-func (s *Set) SplitPass(tauS float64) {
+// A half's WHI blends its own HI into the parent's WHI with the
+// profiler's EMA weight alpha (Equation 2).
+func (s *Set) SplitPass(tauS, alpha float64) {
 	out := s.splitSpare[:0]
 	for _, r := range s.regions {
-		s.splitRec(r, tauS, 0, &out)
+		s.splitRec(r, tauS, alpha, 0, &out)
 	}
 	s.splitSpare = s.regions[:0]
 	s.regions = out
 	s.sortByAddr()
 }
 
-func (s *Set) splitRec(r *Region, tauS float64, depth int, out *[]*Region) {
+func (s *Set) splitRec(r *Region, tauS, alpha float64, depth int, out *[]*Region) {
 	if depth >= maxSplitDepth || !r.Sampled || r.Pages() < 2 ||
 		len(r.Samples) < 2 || float64(r.SpreadObserved()) <= tauS {
 		*out = append(*out, r)
@@ -329,12 +327,12 @@ func (s *Set) splitRec(r *Region, tauS float64, depth int, out *[]*Region) {
 		}
 		// Approximate the EMA the half would have: re-blend its own HI
 		// into the parent's history.
-		h.WHI = s.Alpha*h.HI + (1-s.Alpha)*r.WHI
+		h.WHI = alpha*h.HI + (1-alpha)*r.WHI
 	}
 	s.Split++
 	s.SplitThisInterval++
-	s.splitRec(a, tauS, depth+1, out)
-	s.splitRec(b, tauS, depth+1, out)
+	s.splitRec(a, tauS, alpha, depth+1, out)
+	s.splitRec(b, tauS, alpha, depth+1, out)
 }
 
 // splitPoint picks the midpoint of r aligned so no 2 MB huge page is cut

@@ -165,7 +165,7 @@ func TestSplitOnSpread(t *testing.T) {
 	r.Samples = []int{0, 1, 2, 3, 4, 5, 6, 7}
 	r.Observed = []int{3, 3, 3, 3, 0, 0, 0, 0}
 	r.Quota = 8
-	s.SplitPass(2.0)
+	s.SplitPass(2.0, 0.5)
 	if s.Len() < 2 {
 		t.Fatalf("regions = %d, want >= 2 after split", s.Len())
 	}
@@ -197,7 +197,7 @@ func TestSplitUniformRegionUntouched(t *testing.T) {
 	r.Sampled = true
 	r.Samples = []int{1, 3, 5}
 	r.Observed = []int{2, 2, 2}
-	s.SplitPass(2.0)
+	s.SplitPass(2.0, 0.5)
 	if s.Len() != 1 {
 		t.Fatalf("uniform region split into %d", s.Len())
 	}
@@ -214,7 +214,7 @@ func TestSplitHugePageAlignment4K(t *testing.T) {
 	r.Samples = []int{10, 2000}
 	r.Observed = []int{3, 0}
 	r.Quota = 2
-	s.SplitPass(2.0)
+	s.SplitPass(2.0, 0.5)
 	for _, reg := range s.Regions() {
 		if reg.Start%vm.HugeRatio != 0 && reg.Start != 0 {
 			t.Fatalf("split start %d not huge-aligned", reg.Start)
@@ -382,7 +382,7 @@ func TestFormationInvariant(t *testing.T) {
 				}
 			}
 			s.MergePass(1.0)
-			s.SplitPass(2.0)
+			s.SplitPass(2.0, 0.5)
 			if err := s.Validate(); err != nil {
 				t.Log(err)
 				return false
@@ -448,7 +448,7 @@ func TestSplitDepthBounded(t *testing.T) {
 		r.Observed = append(r.Observed, (i%2)*3)
 	}
 	r.Quota = r.Pages()
-	s.SplitPass(2.0)
+	s.SplitPass(2.0, 0.5)
 	if s.Len() > 1<<(maxSplitDepth+1) {
 		t.Fatalf("split produced %d regions; depth bound broken", s.Len())
 	}
