@@ -25,7 +25,9 @@
 // demoted-and-refaulted). Intervals where the admission layer's
 // starvation watchdog fired (an -admission-lanes run whose critical
 // drain/emergency traffic waited too long) are flagged with
-// !starved(class).
+// !starved(class). The trace must be JSONL: a Chrome trace
+// (-spans-format chrome), a file without the stream header, or a
+// malformed span line is an error, exit status 1.
 package main
 
 import (
@@ -39,6 +41,7 @@ import (
 
 	"mtm"
 	"mtm/internal/fidelity"
+	"mtm/internal/span"
 )
 
 func main() {
@@ -124,23 +127,28 @@ func readResult(path string) (*mtm.Result, error) {
 }
 
 // readOutcomes extracts per-interval migration verdict tallies from a
-// span JSONL trace.
+// span JSONL trace. The first line must be the stream's header and every
+// other line a span; anything else (a Chrome trace, a truncated line) is
+// an error naming the line.
 func readOutcomes(path string) (map[int]outcomeTally, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := map[int]outcomeTally{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	for sc.Scan() {
-		line := string(sc.Bytes())
-		isOutcome := strings.Contains(line, `"name":"outcome"`)
-		isStarved := strings.Contains(line, `"name":"lane-starvation"`)
-		if !isOutcome && !isStarved {
-			continue
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, err
 		}
+		return nil, fmt.Errorf("%s: empty span trace", path)
+	}
+	if _, _, _, err := span.ReadJSONLHeader(sc.Bytes()); err != nil {
+		return nil, fmt.Errorf("%s:1: %w", path, err)
+	}
+	out := map[int]outcomeTally{}
+	for n := 2; sc.Scan(); n++ {
 		var ev struct {
 			Interval int    `json:"interval"`
 			Cat      string `json:"cat"`
@@ -150,8 +158,8 @@ func readOutcomes(path string) (map[int]outcomeTally, error) {
 				Class   string `json:"class"`
 			} `json:"attrs"`
 		}
-		if json.Unmarshal([]byte(line), &ev) != nil {
-			continue
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			return nil, fmt.Errorf("%s:%d: bad span line: %w", path, n, err)
 		}
 		switch {
 		case ev.Cat == "migration" && ev.Name == "outcome":
