@@ -31,15 +31,34 @@ func TestConfigDefaults(t *testing.T) {
 	if c.MigrateBudget != 800*tier.MB/DefaultScale {
 		t.Fatalf("budget = %d", c.MigrateBudget)
 	}
-	if c.OverheadTarget != 0.05 || c.Alpha != 0.5 {
-		t.Fatalf("target/alpha = %v/%v", c.OverheadTarget, c.Alpha)
+	if c.OverheadTarget != 0.05 || c.alpha() != 0.5 {
+		t.Fatalf("target/alpha = %v/%v", c.OverheadTarget, c.alpha())
 	}
 }
 
+// TestConfigAlphaZeroEncoding: a negative Alpha reaches the MTM profiler
+// as 0 however many entry points resolve the config on the way (Run
+// resolves it, then NewSolution and the profiler constructor do again).
 func TestConfigAlphaZeroEncoding(t *testing.T) {
-	c := Config{Alpha: -1}
-	if got := c.withDefaults().Alpha; got != 0 {
+	c := Config{Alpha: -1}.withDefaults().withDefaults()
+	if got := c.alpha(); got != 0 {
 		t.Fatalf("negative Alpha resolved to %v, want 0", got)
+	}
+	for _, name := range []string{"mtm", "nomad"} {
+		s, err := NewSolution(name, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p profiler.Profiler
+		switch s := s.(type) {
+		case *policy.MTM:
+			p = s.Prof
+		case *policy.Nomad:
+			p = s.Prof
+		}
+		if got := p.(*profiler.MTM).Cfg.Alpha; got != 0 {
+			t.Errorf("%s: profiler runs at α = %v, want 0", name, got)
+		}
 	}
 }
 

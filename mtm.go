@@ -165,12 +165,6 @@ func (c Config) withDefaults() Config {
 	if c.OverheadTarget <= 0 {
 		c.OverheadTarget = 0.05
 	}
-	switch {
-	case c.Alpha == 0:
-		c.Alpha = 0.5
-	case c.Alpha < 0:
-		c.Alpha = 0
-	}
 	if c.AdmissionLearn || c.AdmissionLanes != "" {
 		c.Admission = true
 	}
@@ -294,13 +288,26 @@ func PaperWorkloadNames() []string {
 	return []string{"gups", "voltdb", "cassandra", "bfs", "sssp", "spark"}
 }
 
+// alpha resolves Alpha: 0 selects 0.5 and a negative value selects 0.
+// withDefaults leaves Alpha as given, because every entry point applies
+// it again and a resolved 0 would then read as "select 0.5".
+func (c Config) alpha() float64 {
+	switch {
+	case c.Alpha == 0:
+		return 0.5
+	case c.Alpha < 0:
+		return 0
+	}
+	return c.Alpha
+}
+
 // mtmProfiler builds the adaptive profiler with config-applied knobs and
 // optional feature ablations.
 func (c Config) mtmProfiler(mod func(*profiler.MTMConfig)) *profiler.MTM {
 	c = c.withDefaults()
 	pc := profiler.DefaultMTMConfig()
 	pc.OverheadTarget = c.OverheadTarget
-	pc.Alpha = c.Alpha
+	pc.Alpha = c.alpha()
 	if mod != nil {
 		mod(&pc)
 	}
