@@ -75,7 +75,7 @@ func Fig9Thresholds(o Options) string {
 		pc.OverheadTarget = 0.05
 		pc.NumScans = pt.numScans
 		pc.TauM, pc.TauS = pt.tauM, pt.tauS
-		base, _ := mtm.NewSolution("mtm", cfg) // carries the resolved budget
+		base, _ := mtm.NewSolution("mtm", cfg) // a known name; carries the resolved budget
 		s := policy.NewMTMVariant(fmt.Sprintf("mtm(%v,%v)", pt.tauM, pt.tauS), profiler.NewMTM(pc), migrate.NewAdaptive())
 		s.MigrateBudget = base.(*policy.MTM).MigrateBudget
 		w, err := mtm.NewWorkload("voltdb", cfg)
