@@ -349,10 +349,9 @@ type socketWorkload struct {
 	socket int
 }
 
-func (w *socketWorkload) Name() string          { return "socket" }
-func (w *socketWorkload) Init(e *sim.Engine)    {}
-func (w *socketWorkload) Done() bool            { return false }
-func (w *socketWorkload) ReadFraction() float64 { return 1 }
+func (w *socketWorkload) Name() string       { return "socket" }
+func (w *socketWorkload) Init(e *sim.Engine) {}
+func (w *socketWorkload) Done() bool         { return false }
 func (w *socketWorkload) RunInterval(e *sim.Engine) {
 	for !e.IntervalExhausted() {
 		for i := 0; i < w.v.NPages; i++ {

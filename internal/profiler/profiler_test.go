@@ -78,8 +78,7 @@ func (w *hotColdWorkload) RunInterval(e *sim.Engine) {
 	}
 	w.runs++
 }
-func (w *hotColdWorkload) Done() bool            { return false }
-func (w *hotColdWorkload) ReadFraction() float64 { return 0.5 }
+func (w *hotColdWorkload) Done() bool { return false }
 
 func interval(e *sim.Engine, w *hotColdWorkload) { e.RunInterval(w) }
 

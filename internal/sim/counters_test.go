@@ -104,7 +104,6 @@ func (w *scriptWorkload) Name() string          { return "script" }
 func (w *scriptWorkload) Init(*Engine)          {}
 func (w *scriptWorkload) RunInterval(e *Engine) { w.run(e); w.done = true }
 func (w *scriptWorkload) Done() bool            { return w.done }
-func (w *scriptWorkload) ReadFraction() float64 { return 1 }
 
 // TestCountersHandDriven drives an engine the way Figures 3 and 11 do
 // (Sys.ResetWindow, then Access, with no RunInterval) and then through
@@ -177,8 +176,7 @@ func (w *oomWorkload) RunInterval(e *Engine) {
 	e.AccessBatch(w.v, fresh, 0)
 	e.AccessBatch(w.v, old[75:], 0)
 }
-func (w *oomWorkload) Done() bool            { return w.next >= w.v.NPages }
-func (w *oomWorkload) ReadFraction() float64 { return 1 }
+func (w *oomWorkload) Done() bool { return w.next >= w.v.NPages }
 
 // TestResultPinOOMMidInterval pins the Result counters of a run that runs
 // out of memory in its fifth interval, with accesses charged before the

@@ -65,8 +65,6 @@ type Workload interface {
 	RunInterval(e *Engine)
 	// Done reports whether all work has completed.
 	Done() bool
-	// ReadFraction is the workload's approximate read share (metadata).
-	ReadFraction() float64
 }
 
 // Engine is the simulation core. Not safe for concurrent use: a run
@@ -95,7 +93,8 @@ type Engine struct {
 	Intercept func(v *vm.VMA, idx int, n, nw uint32, node tier.NodeID) time.Duration
 
 	// Observer, when non-nil, sees every application access after it is
-	// charged (trace recording). It must not issue accesses itself.
+	// charged. The host-cost benchmark (bench/trace.go) counts access
+	// calls through it. It must not issue accesses itself.
 	Observer func(v *vm.VMA, idx int, n, nw uint32, socket int)
 
 	sol    Solution

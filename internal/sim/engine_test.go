@@ -41,8 +41,7 @@ func (w *fixedWorkload) RunInterval(e *Engine) {
 	e.Access(w.v, 0, w.perInt, 0, HomeSocket)
 	w.run++
 }
-func (w *fixedWorkload) Done() bool            { return w.run >= w.intervals }
-func (w *fixedWorkload) ReadFraction() float64 { return 1 }
+func (w *fixedWorkload) Done() bool { return w.run >= w.intervals }
 
 func newTestEngine() *Engine {
 	e := NewEngine(tier.OptaneTopology(256), 1)

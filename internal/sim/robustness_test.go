@@ -59,8 +59,7 @@ func (w *hogWorkload) RunInterval(e *Engine) {
 	}
 	w.done = true
 }
-func (w *hogWorkload) Done() bool            { return w.done }
-func (w *hogWorkload) ReadFraction() float64 { return 1 }
+func (w *hogWorkload) Done() bool { return w.done }
 
 func TestRunReturnsOOMWithPartialResult(t *testing.T) {
 	// Two huge pages of capacity against an 8 MB working set: Run must

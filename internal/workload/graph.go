@@ -190,7 +190,6 @@ func newWalk(cfg Config, sssp bool) *graphWalk {
 	} else {
 		w.name = "BFS"
 	}
-	w.readFrac = 0.95
 	// totalOps counts edge visits; SSSP's relaxation revisits raise it.
 	w.totalOps = int64(w.traversals) * int64(n) * int64(w.avgDeg)
 	if sssp {

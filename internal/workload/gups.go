@@ -61,7 +61,6 @@ const (
 func NewGUPS(cfg Config) *GUPS {
 	g := &GUPS{tableBytes: 512 * GB / cfg.scale(), batch: 8}
 	g.name = "GUPS"
-	g.readFrac = 0.5
 	g.totalOps = cfg.ops(2e10)
 	// The hot set drifts one block at a time (half the hot set turns
 	// over across a full run — slow enough for a migrating policy to
@@ -77,7 +76,6 @@ func NewGUPS(cfg Config) *GUPS {
 func NewGUPSSized(tableBytes, totalOps int64) *GUPS {
 	g := &GUPS{tableBytes: tableBytes, batch: 8}
 	g.name = "GUPS"
-	g.readFrac = 0.5
 	g.totalOps = totalOps
 	return g
 }

@@ -55,7 +55,6 @@ const (
 func NewPingPong(cfg Config) *PingPong {
 	p := &PingPong{tableBytes: 512 * GB / cfg.scale(), batch: 8}
 	p.name = "PingPong"
-	p.readFrac = 0.5
 	p.totalOps = cfg.ops(2e10)
 	// Eight flips per run: fast enough that chasing each one is a losing
 	// trade, slow enough that each set is resident for several profiling

@@ -43,7 +43,6 @@ func NewSpark(cfg Config) *Spark {
 		recBytes:   100, // TeraSort records are 100 bytes
 	}
 	s.name = "Spark"
-	s.readFrac = 0.5
 	records := s.inputBytes / s.recBytes
 	// Phase op counts: one pass to read, one to shuffle, several passes
 	// to sort (multi-pass merge: compare + move), one to write.

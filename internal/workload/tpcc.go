@@ -46,7 +46,6 @@ func NewVoltDB(cfg Config) *VoltDB {
 		w.warehouses = 16
 	}
 	w.name = "VoltDB"
-	w.readFrac = 0.5
 	w.totalOps = cfg.ops(3.5e9) // transactions
 	return w
 }

@@ -54,14 +54,12 @@ func (c Config) ops(base int64) int64 {
 // base carries the bookkeeping every workload shares.
 type base struct {
 	name     string
-	readFrac float64
 	totalOps int64
 	doneOps  int64
 }
 
-func (b *base) Name() string          { return b.name }
-func (b *base) Done() bool            { return b.doneOps >= b.totalOps }
-func (b *base) ReadFraction() float64 { return b.readFrac }
+func (b *base) Name() string { return b.name }
+func (b *base) Done() bool   { return b.doneOps >= b.totalOps }
 
 // TotalOps reports the workload's configured operation count.
 func (b *base) TotalOps() int64 { return b.totalOps }

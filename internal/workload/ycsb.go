@@ -30,7 +30,6 @@ type Cassandra struct {
 func NewCassandra(cfg Config) *Cassandra {
 	c := &Cassandra{dataBytes: 400 * GB / cfg.scale()}
 	c.name = "Cassandra"
-	c.readFrac = 0.5
 	c.totalOps = cfg.ops(1e10)
 	return c
 }
