@@ -1,6 +1,7 @@
 package mtm
 
 import (
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -315,5 +316,31 @@ func TestValidateRejectsDegenerateConfigs(t *testing.T) {
 	ext.MigrateBudget = tier.MB
 	if err := ext.Validate(); err != nil {
 		t.Fatalf("explicit Interval/MigrateBudget still rejected: %v", err)
+	}
+	// Out-of-range scales and run lengths are rejected, not replaced by
+	// the defaults that zero selects.
+	for _, bad := range []struct {
+		scale int64
+		ops   float64
+	}{
+		{-5, 0.05},
+		{512, -0.5},
+		{512, math.NaN()},
+		{512, math.Inf(1)},
+		{512, math.Inf(-1)},
+	} {
+		c := quickCfg()
+		c.Scale, c.OpsFactor = bad.scale, bad.ops
+		if err := c.Validate(); err == nil {
+			t.Errorf("Scale=%d OpsFactor=%v passed Validate", c.Scale, c.OpsFactor)
+		}
+		if _, err := Run(c, "gups", "mtm"); err == nil {
+			t.Errorf("Run accepted Scale=%d OpsFactor=%v", c.Scale, c.OpsFactor)
+		}
+	}
+	zero := quickCfg()
+	zero.Scale, zero.OpsFactor = 0, 0
+	if err := zero.Validate(); err != nil {
+		t.Fatalf("zero Scale/OpsFactor (the defaults) rejected: %v", err)
 	}
 }

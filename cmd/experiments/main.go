@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -33,6 +34,12 @@ func main() {
 	flag.Parse()
 	if *full {
 		*ops = 1.0
+	}
+	// Options maps non-positive values to the defaults, so a bad flag
+	// would otherwise run silently at the default scale or length.
+	if *scale <= 0 || *ops <= 0 || math.IsNaN(*ops) || math.IsInf(*ops, 0) {
+		fmt.Fprintf(os.Stderr, "-scale and -ops must be positive and finite (have -scale %d -ops %v)\n", *scale, *ops)
+		os.Exit(2)
 	}
 	o := experiments.Options{Scale: *scale, OpsFactor: *ops, Seed: *seed}
 

@@ -27,6 +27,7 @@ package mtm
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -43,14 +44,16 @@ import (
 // Config selects the machine, the scale, and shared run parameters.
 type Config struct {
 	// Scale divides the paper's capacities, footprints, interval and
-	// migration budget; 0 selects DefaultScale (64).
+	// migration budget; 0 selects DefaultScale (64). Validate rejects a
+	// negative Scale.
 	Scale int64
 	// Seed makes runs deterministic; runs with equal seeds and configs
 	// produce identical virtual-time results.
 	Seed int64
 	// Threads is the application thread count (8 in the paper).
 	Threads int
-	// OpsFactor scales workload length (1.0 = paper-equivalent runtime).
+	// OpsFactor scales workload length (1.0 = paper-equivalent runtime);
+	// 0 selects 1. Validate rejects a negative or non-finite OpsFactor.
 	OpsFactor float64
 	// TwoTier selects the single-socket DRAM+PM machine of §9.6 instead
 	// of the two-socket four-tier Optane box.
@@ -176,8 +179,16 @@ func (c Config) withDefaults() Config {
 // resolved Interval and MigrateBudget must stay positive — at extreme
 // Scale values (more than 10s of nanoseconds, or more than 800 MB in
 // bytes) the defaults would otherwise truncate to zero and the engine
-// would spin on a zero-length interval or never migrate.
+// would spin on a zero-length interval or never migrate. A negative
+// Scale and a negative or non-finite OpsFactor are rejected rather than
+// replaced by the defaults that zero selects.
 func (c Config) Validate() error {
+	if c.Scale < 0 {
+		return fmt.Errorf("mtm: negative Scale %d (0 selects the default)", c.Scale)
+	}
+	if c.OpsFactor < 0 || math.IsNaN(c.OpsFactor) || math.IsInf(c.OpsFactor, 0) {
+		return fmt.Errorf("mtm: OpsFactor %v is negative or not finite (0 selects the default)", c.OpsFactor)
+	}
 	r := c.withDefaults()
 	if r.Interval <= 0 {
 		return fmt.Errorf("mtm: config resolves to a non-positive Interval (Scale=%d too extreme; set Interval explicitly)", r.Scale)
