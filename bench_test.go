@@ -125,30 +125,32 @@ func BenchmarkEngineAccess(b *testing.B) {
 // pages, whose records stay in cache. pebs issues them with a PEBS buffer
 // armed on every node, so each ref feeds the sampler. random-4k issues
 // seeded random refs over a 2^21-page 4 KB VMA, so nearly every ref misses
-// cache until the batch's warm pass has loaded it. single issues random
-// refs to the 64 huge pages one Access call each, the shape of Cassandra's
-// per-operation calls. fault first-touches fresh 4 KB pages, the shape of
-// a workload's set-up.
+// cache until the batch's warm pass has loaded it. mixed issues
+// Cassandra's shape: per op an index read, then a record read or update,
+// an update adding a commit-log write, each VMA of huge pages. single
+// issues random refs to the 64 huge pages one Access call each, the path a
+// lone access takes. fault first-touches fresh 4 KB pages, the shape of a
+// workload's set-up.
 func BenchmarkAccessBatch(b *testing.B) {
-	hugeRefs := func() (*sim.Engine, *vm.VMA, []sim.Ref) {
+	hugeRefs := func() (*sim.Engine, []sim.Ref) {
 		e := sim.NewEngine(tier.OptaneTopology(256), 1)
 		e.SetSolution(policy.NewFirstTouch())
 		v := e.AS.Alloc("b", 64*vm.HugePageSize)
 		refs := make([]sim.Ref, 256)
 		for i := range refs {
-			refs[i] = sim.Ref{Idx: i & 63, N: 4, NW: 2}
+			refs[i] = sim.Ref{V: v, Idx: i & 63, N: 4, NW: 2}
 		}
-		return e, v, refs
+		return e, refs
 	}
 	b.Run("huge", func(b *testing.B) {
-		e, v, refs := hugeRefs()
-		benchBatches(b, e, v, refs)
+		e, refs := hugeRefs()
+		benchBatches(b, e, refs)
 	})
 	b.Run("pebs", func(b *testing.B) {
-		e, v, refs := hugeRefs()
+		e, refs := hugeRefs()
 		e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 0)
 		e.PEBS.Arm(0, 1, 2, 3)
-		benchBatches(b, e, v, refs)
+		benchBatches(b, e, refs)
 	})
 	b.Run("random-4k", func(b *testing.B) {
 		// Scale 64 holds the VMA's 8 GB.
@@ -159,9 +161,28 @@ func BenchmarkAccessBatch(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		refs := make([]sim.Ref, 1<<20)
 		for i := range refs {
-			refs[i] = sim.Ref{Idx: rng.Intn(v.NPages), N: 4, NW: 2}
+			refs[i] = sim.Ref{V: v, Idx: rng.Intn(v.NPages), N: 4, NW: 2}
 		}
-		benchBatches(b, e, v, refs)
+		benchBatches(b, e, refs)
+	})
+	b.Run("mixed", func(b *testing.B) {
+		e := sim.NewEngine(tier.OptaneTopology(256), 1)
+		e.SetSolution(policy.NewFirstTouch())
+		data := e.AS.Alloc("data", 64*vm.HugePageSize)
+		index := e.AS.Alloc("index", 4*vm.HugePageSize)
+		log := e.AS.Alloc("log", 8*vm.HugePageSize)
+		rng := rand.New(rand.NewSource(1))
+		var refs []sim.Ref
+		for op := 0; len(refs) < 1024; op++ {
+			refs = append(refs, sim.Ref{V: index, Idx: rng.Intn(index.NPages), N: 1})
+			if rng.Intn(2) == 0 {
+				refs = append(refs, sim.Ref{V: data, Idx: rng.Intn(data.NPages), N: 2, NW: 1},
+					sim.Ref{V: log, Idx: op / 64 % log.NPages, N: 1, NW: 1})
+			} else {
+				refs = append(refs, sim.Ref{V: data, Idx: rng.Intn(data.NPages), N: 2})
+			}
+		}
+		benchBatches(b, e, refs)
 	})
 	b.Run("single", func(b *testing.B) {
 		e := sim.NewEngine(tier.OptaneTopology(256), 1)
@@ -173,7 +194,7 @@ func BenchmarkAccessBatch(b *testing.B) {
 		rng := rand.New(rand.NewSource(1))
 		refs := make([]sim.Ref, 1024)
 		for i := range refs {
-			refs[i] = sim.Ref{Idx: rng.Intn(v.NPages), N: uint32(1 + i&1), NW: uint32(i >> 1 & 1)}
+			refs[i] = sim.Ref{V: v, Idx: rng.Intn(v.NPages), N: uint32(1 + i&1), NW: uint32(i >> 1 & 1)}
 		}
 		e.Sys.ResetWindow(e.Interval)
 		b.ResetTimer()
@@ -205,18 +226,25 @@ func BenchmarkAccessBatch(b *testing.B) {
 	})
 }
 
-// benchBatches faults in every page of v, then times b.N refs issued in
-// order from refs, cycling, at most 256 to a batch.
-func benchBatches(b *testing.B, e *sim.Engine, v *vm.VMA, refs []sim.Ref) {
-	for i := 0; i < v.NPages; i++ {
-		e.Access(v, i, 1, 0, 0)
+// benchBatches faults in every page of the refs' VMAs, in the order the
+// refs first name them, then times b.N refs issued in order from refs,
+// cycling, at most 256 to a batch.
+func benchBatches(b *testing.B, e *sim.Engine, refs []sim.Ref) {
+	placed := map[*vm.VMA]bool{}
+	for _, r := range refs {
+		if v := r.V; !placed[v] {
+			placed[v] = true
+			for i := 0; i < v.NPages; i++ {
+				e.Access(v, i, 1, 0, 0)
+			}
+		}
 	}
 	e.Sys.ResetWindow(e.Interval)
 	b.ResetTimer()
 	off := 0
 	for n := b.N; n > 0; {
 		k := min(n, 256, len(refs)-off)
-		e.AccessBatch(v, refs[off:off+k], 0)
+		e.AccessBatch(refs[off:off+k], 0)
 		n -= k
 		if off += k; off == len(refs) {
 			off = 0

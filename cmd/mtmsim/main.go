@@ -161,7 +161,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.CXL = *cxl
 	cfg.Faults = *faults
 	if *budgetMB > 0 {
-		cfg.MigrateBudget = *budgetMB << 20 / *scale
+		// -scale 0 selects the default scale; divide by the one the run uses.
+		s := *scale
+		if s <= 0 {
+			s = mtm.DefaultScale
+		}
+		cfg.MigrateBudget = *budgetMB << 20 / s
 	}
 	cfg.Health = *healthOn
 	cfg.Audit = *audit

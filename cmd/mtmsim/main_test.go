@@ -181,3 +181,26 @@ func TestReportNoAccessesPrintsZeroShares(t *testing.T) {
 		t.Fatalf("report lacks a zero share for DRAM0:\n%s", out.String())
 	}
 }
+
+// TestBudgetWithDefaultScale: -scale 0 selects the default scale, and
+// -budget-mb divides by that scale, so the run equals one at the explicit
+// default scale with the same budget. The budget must reach the run: the
+// output differs from the default budget's.
+func TestBudgetWithDefaultScale(t *testing.T) {
+	out := func(args ...string) string {
+		t.Helper()
+		var o, errs bytes.Buffer
+		args = append([]string{"-workload", "gups", "-solution", "mtm", "-ops", "0.002"}, args...)
+		if code := run(args, &o, &errs); code != 0 {
+			t.Fatalf("%v exited %d: %s", args, code, errs.String())
+		}
+		return o.String()
+	}
+	got := out("-scale", "0", "-budget-mb", "1600")
+	if want := out("-scale", "64", "-budget-mb", "1600"); got != want {
+		t.Fatalf("-scale 0 -budget-mb 1600:\n%s\nwant the -scale 64 run:\n%s", got, want)
+	}
+	if got == out("-scale", "64") {
+		t.Fatal("-budget-mb 1600 ran as the default budget")
+	}
+}

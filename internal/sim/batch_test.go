@@ -20,7 +20,7 @@ type loggingSolution struct {
 }
 
 func (s *loggingSolution) Place(e *Engine, v *vm.VMA, idx, socket int) tier.NodeID {
-	*s.log = append(*s.log, "place "+accountingState(e, idx, 0))
+	*s.log = append(*s.log, "place "+v.Name+" "+accountingState(e, idx, 0))
 	return s.node
 }
 
@@ -36,9 +36,9 @@ func accountingState(e *Engine, idx int, n uint32) string {
 // ref with n = 0, writes to a shadowed page, a non-present page, and a
 // long tail heavy enough to take PEBS samples, fill the sampler's small
 // buffer and leave a carry. Each phase's tail reaches pages no earlier
-// phase touched, so every phase takes faults. Script page i is VMA page
-// i*stride.
-func batchScript(phase, stride int) []Ref {
+// phase touched, so every phase takes faults. Script pages map to vs as
+// scriptRef says.
+func batchScript(phase int, vs []*vm.VMA) []Ref {
 	refs := []Ref{
 		{Idx: 1, N: 5},
 		{Idx: 3, N: 4, NW: 2},          // write to a valid shadow: invalidates it
@@ -54,46 +54,69 @@ func batchScript(phase, stride int) []Ref {
 		n := uint32(x>>33) % 900
 		refs = append(refs, Ref{Idx: int(x>>20) % (64 + 64*phase), N: n, NW: n / uint32(1+x%5)})
 	}
-	for i := range refs {
-		refs[i].Idx *= stride
+	for i, r := range refs {
+		refs[i] = scriptRef(vs, r.Idx, r.N, r.NW)
 	}
 	return refs
 }
 
-// batchShapes are the VMAs the batch tests run on, each 256 script pages
-// long: huge pages, whose records stay cache-resident, and 4 KB pages
-// spread over a 2^17-page VMA, where the records miss cache.
-var batchShapes = []struct {
-	name   string
+// scriptRef returns the ref to script page i: page i*stride of VMA
+// vs[i mod len(vs)], where stride is that VMA's pages per script page
+// (every VMA is 256 script pages long).
+func scriptRef(vs []*vm.VMA, i int, n, nw uint32) Ref {
+	v := vs[i%len(vs)]
+	return Ref{V: v, Idx: i * (v.NPages / 256), N: n, NW: nw}
+}
+
+// batchVMA is one VMA of a batch shape, 256 script pages long: huge pages
+// at one page per script page, or 4 KB pages at stride pages per script
+// page.
+type batchVMA struct {
 	thp    bool
 	stride int
+}
+
+// batchShapes are the VMAs the batch tests run on: huge pages, whose
+// records stay cache-resident; 4 KB pages spread over a 2^17-page VMA,
+// where the records miss cache; and both at once, Cassandra's shape, where
+// refs alternate between the two VMAs, so faults, hooks and the failure
+// land between refs of different VMAs.
+var batchShapes = []struct {
+	name string
+	vmas []batchVMA
 }{
-	{"huge", true, 1},
-	{"4k", false, 512},
+	{"huge", []batchVMA{{true, 1}}},
+	{"4k", []batchVMA{{false, 512}}},
+	{"mixed", []batchVMA{{true, 1}, {false, 512}}},
 }
 
 // batchEngine builds an engine whose placement logs the accounting it
-// sees, with a PEBS sampler watching the node pages land on and a
-// shadowed page.
-func batchEngine(log *[]string, thp bool, stride int) (*Engine, *vm.VMA) {
+// sees, with the shape's VMAs, a PEBS sampler watching the node pages
+// land on and a shadowed page.
+func batchEngine(log *[]string, shape []batchVMA) (*Engine, []*vm.VMA) {
 	e := NewEngine(tier.OptaneTopology(256), 1)
 	e.Interval = 10 * time.Millisecond
 	e.EnableShadow()
 	e.SetSolution(&loggingSolution{fixedSolution: fixedSolution{node: 2}, log: log})
-	e.AS.THP = thp
-	pageSize := int64(vm.BasePageSize)
-	if thp {
-		pageSize = vm.HugePageSize
+	var vs []*vm.VMA
+	for i, b := range shape {
+		e.AS.THP = b.thp
+		pageSize := int64(vm.BasePageSize)
+		if b.thp {
+			pageSize = vm.HugePageSize
+		}
+		vs = append(vs, e.AS.Alloc(fmt.Sprintf("v%d", i), int64(256*b.stride)*pageSize))
 	}
-	v := e.AS.Alloc("v", int64(256*stride)*pageSize)
 	e.beginInterval()
 	for i := 0; i < 32; i++ {
-		e.Access(v, i*stride, 1, 0, 0)
+		r := scriptRef(vs, i, 1, 0)
+		e.Access(r.V, r.Idx, r.N, r.NW, 0)
 	}
-	v.MarkShadowed(3*stride, 1, e.shadowHook(v))
+	sh := scriptRef(vs, 3, 0, 0)
+	sh.V.MarkShadowed(sh.Idx, 1, e.shadowHook(sh.V))
 	e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 8)
 	e.PEBS.Arm(2)
-	return e, v
+	return e, vs
 }
 
 // leaveRoom reserves every node's free capacity except room bytes on the
@@ -113,16 +136,17 @@ func leaveRoom(e *Engine, room int64) {
 // TestAccessBatchEqualsSequentialAccess runs a script as a batch on one
 // engine and as one Access per ref on another, in four phases: with the
 // fault path as the only hook, then with an Observer, then with an
-// Intercept as well, and last with room for three more pages, so a fault
-// mid-batch runs out of memory. It requires the same accounting, the same
-// PEBS state and the same hook calls, each seeing the same engine state,
-// and a failed engine's batch to do nothing. It runs on each batch shape.
+// Intercept as well, and last with room for three more pages of the first
+// VMA, so a fault mid-batch runs out of memory. It requires the same
+// accounting, the same PEBS state and the same hook calls, each seeing the
+// same engine state, and a failed engine's batch to do nothing. It runs on
+// each batch shape.
 func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
 	for _, shape := range batchShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			var batchLog, seqLog []string
-			be, bv := batchEngine(&batchLog, shape.thp, shape.stride)
-			se, sv := batchEngine(&seqLog, shape.thp, shape.stride)
+			be, bvs := batchEngine(&batchLog, shape.vmas)
+			se, svs := batchEngine(&seqLog, shape.vmas)
 			engines := []struct {
 				e   *Engine
 				log *[]string
@@ -133,22 +157,21 @@ func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
 					switch phase {
 					case 1:
 						e.Observer = func(v *vm.VMA, idx int, n, nw uint32, socket int) {
-							*log = append(*log, "observe "+accountingState(e, idx, n))
+							*log = append(*log, "observe "+v.Name+" "+accountingState(e, idx, n))
 						}
 					case 2:
 						e.Intercept = func(v *vm.VMA, idx int, n, nw uint32, node tier.NodeID) time.Duration {
-							*log = append(*log, "intercept "+accountingState(e, idx, n))
+							*log = append(*log, "intercept "+v.Name+" "+accountingState(e, idx, n))
 							return time.Duration(n) * time.Duration(1+idx%3) * 100 * time.Nanosecond
 						}
 					case 3:
-						leaveRoom(e, 3*bv.PageSize)
+						leaveRoom(e, 3*bvs[0].PageSize)
 					}
 				}
-				refs := batchScript(phase, shape.stride)
 				before := len(batchLog)
-				be.AccessBatch(bv, refs, 0)
-				for _, r := range refs {
-					se.Access(sv, r.Idx, r.N, r.NW, 0)
+				be.AccessBatch(batchScript(phase, bvs), 0)
+				for _, r := range batchScript(phase, svs) {
+					se.Access(r.V, r.Idx, r.N, r.NW, 0)
 				}
 				if len(batchLog) == before {
 					t.Fatalf("phase %d called no hook", phase)
@@ -162,7 +185,7 @@ func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
 				t.Fatalf("failure: batch %v, sequential %v", be.failed, se.failed)
 			}
 			before, calls := accountingState(be, 0, 0), len(batchLog)
-			be.AccessBatch(bv, batchScript(3, shape.stride), 0)
+			be.AccessBatch(batchScript(3, bvs), 0)
 			if after := accountingState(be, 0, 0); after != before || len(batchLog) != calls {
 				t.Fatalf("a failed engine's batch made %d hook calls and changed accounting:\n%s\n%s",
 					len(batchLog)-calls, before, after)
@@ -185,9 +208,12 @@ func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
 			if !reflect.DeepEqual(be.NodeAccesses, se.NodeAccesses) {
 				t.Fatalf("node accesses: batch %v, sequential %v", be.NodeAccesses, se.NodeAccesses)
 			}
-			for i := 0; i < bv.NPages; i++ {
-				if bv.Count(i) != sv.Count(i) || bv.WriteCount(i) != sv.WriteCount(i) || bv.Node(i) != sv.Node(i) {
-					t.Fatalf("page %d differs", i)
+			for k, bv := range bvs {
+				sv := svs[k]
+				for i := 0; i < bv.NPages; i++ {
+					if bv.Count(i) != sv.Count(i) || bv.WriteCount(i) != sv.WriteCount(i) || bv.Node(i) != sv.Node(i) {
+						t.Fatalf("page %d of %s differs", i, bv.Name)
+					}
 				}
 			}
 			bs, ss := be.PEBS.Samples(), se.PEBS.Samples()
@@ -199,7 +225,7 @@ func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
 					len(bs), be.PEBS.Interrupts(), len(ss), se.PEBS.Interrupts())
 			}
 			for i := range bs {
-				if bs[i].Page != ss[i].Page || bs[i].Node != ss[i].Node {
+				if bs[i].VMA.Name != ss[i].VMA.Name || bs[i].Page != ss[i].Page || bs[i].Node != ss[i].Node {
 					t.Fatalf("sample %d: batch %+v, sequential %+v", i, bs[i], ss[i])
 				}
 			}
@@ -231,12 +257,12 @@ func TestAccessBatchStopsAtOOM(t *testing.T) {
 	se, sv := build()
 	refs := make([]Ref, bv.NPages)
 	for i := range refs {
-		refs[i] = Ref{Idx: i, N: 2, NW: uint32(i & 1)}
+		refs[i] = Ref{V: bv, Idx: i, N: 2, NW: uint32(i & 1)}
 	}
 	// Pages placed before the failure: a batch that kept going after it
 	// would charge these.
 	refs = append(refs, refs[:4]...)
-	be.AccessBatch(bv, refs, 0)
+	be.AccessBatch(refs, 0)
 	for _, r := range refs {
 		se.Access(sv, r.Idx, r.N, r.NW, 0)
 	}
@@ -253,7 +279,7 @@ func TestAccessBatchStopsAtOOM(t *testing.T) {
 		t.Fatalf("batch charged all %d pages past the failure", bv.NPages)
 	}
 	before := accountingState(be, 0, 0)
-	be.AccessBatch(bv, refs[:4], 0)
+	be.AccessBatch(refs[:4], 0)
 	if after := accountingState(be, 0, 0); after != before {
 		t.Fatalf("a failed engine's batch changed accounting:\n%s\n%s", before, after)
 	}

@@ -36,22 +36,22 @@ func newCounterModel(e *Engine) *counterModel {
 
 // batch issues refs as one AccessBatch and applies them to the model. It
 // assumes no page moves and no fault fails during the batch.
-func (m *counterModel) batch(e *Engine, v *vm.VMA, refs []Ref) {
-	faulting := map[int]bool{}
+func (m *counterModel) batch(e *Engine, refs []Ref) {
+	faulting := map[Ref]bool{}
 	for _, r := range refs {
-		if r.N > 0 && !v.Present(r.Idx) {
-			faulting[r.Idx] = true
+		if r.N > 0 && !r.V.Present(r.Idx) {
+			faulting[Ref{V: r.V, Idx: r.Idx}] = true
 		}
 	}
-	e.AccessBatch(v, refs, 0)
+	e.AccessBatch(refs, 0)
 	for _, r := range refs {
 		if r.N == 0 {
 			continue
 		}
-		node := v.Node(r.Idx)
-		if faulting[r.Idx] {
-			m.demand[node] += v.PageSize
-			delete(faulting, r.Idx)
+		node := r.V.Node(r.Idx)
+		if page := (Ref{V: r.V, Idx: r.Idx}); faulting[page] {
+			m.demand[node] += r.V.PageSize
+			delete(faulting, page)
 		}
 		m.nodeAcc[node] += int64(r.N)
 		m.demand[node] += int64(r.N) * CachelineBytes
@@ -81,15 +81,15 @@ func (m *counterModel) check(t *testing.T, e *Engine, where string) {
 	}
 }
 
-// counterRefs returns a deterministic batch over pages [0, pages): a ref
-// with N = 0, first touches, writes and repeats of one page.
-func counterRefs(seed uint64, pages, n int) []Ref {
-	refs := []Ref{{Idx: 0, N: 0}}
+// counterRefs returns a deterministic batch over pages [0, pages) of v: a
+// ref with N = 0, first touches, writes and repeats of one page.
+func counterRefs(v *vm.VMA, seed uint64, pages, n int) []Ref {
+	refs := []Ref{{V: v, Idx: 0, N: 0}}
 	x := seed
 	for i := 0; i < n; i++ {
 		x = x*6364136223846793005 + 1442695040888963407
 		k := uint32(x>>33) % 2000
-		refs = append(refs, Ref{Idx: int(x>>20) % pages, N: k, NW: k / uint32(2+x%3)})
+		refs = append(refs, Ref{V: v, Idx: int(x>>20) % pages, N: k, NW: k / uint32(2+x%3)})
 	}
 	return refs
 }
@@ -118,32 +118,32 @@ func TestCountersHandDriven(t *testing.T) {
 	m := newCounterModel(e)
 
 	// Accesses before any window, as a workload's Init issues them.
-	m.batch(e, v, counterRefs(1, 16, 40))
+	m.batch(e, counterRefs(v, 1, 16, 40))
 	m.check(t, e, "before the first window")
 
 	e.Sys.ResetWindow(e.Interval)
 	m.resetWindow()
 	m.check(t, e, "after ResetWindow")
-	m.batch(e, v, counterRefs(2, 32, 300))
+	m.batch(e, counterRefs(v, 2, 32, 300))
 	m.check(t, e, "mid-window")
 	for i := 0; i < 40; i++ {
-		m.batch(e, v, []Ref{{Idx: i, N: uint32(3 + i)}})
+		m.batch(e, []Ref{{V: v, Idx: i, N: uint32(3 + i)}})
 	}
 	m.check(t, e, "after single-ref calls")
 
 	w := &scriptWorkload{run: func(e *Engine) {
 		m.resetWindow() // beginInterval opened a new window
 		m.check(t, e, "interval start")
-		m.batch(e, v, counterRefs(3, 48, 300))
+		m.batch(e, counterRefs(v, 3, 48, 300))
 		m.check(t, e, "mid-interval")
-		m.batch(e, v, counterRefs(4, 64, 200))
+		m.batch(e, counterRefs(v, 4, 64, 200))
 	}}
 	e.RunInterval(w)
 	m.check(t, e, "after RunInterval")
 
 	e.Sys.ResetWindow(e.Interval)
 	m.resetWindow()
-	m.batch(e, v, counterRefs(5, 64, 100))
+	m.batch(e, counterRefs(v, 5, 64, 100))
 	m.check(t, e, "hand-driven after RunInterval")
 }
 
@@ -166,15 +166,15 @@ func (w *oomWorkload) Init(e *Engine) {
 }
 func (w *oomWorkload) RunInterval(e *Engine) {
 	w.seed++
-	old := counterRefs(w.seed, w.next, 150)
-	e.AccessBatch(w.v, old[:75], 0)
+	old := counterRefs(w.v, w.seed, w.next, 150)
+	e.AccessBatch(old[:75], 0)
 	var fresh []Ref
 	for i := 0; i < w.pagesPer && w.next < w.v.NPages; i++ {
-		fresh = append(fresh, Ref{Idx: w.next, N: uint32(5 + i), NW: 1})
+		fresh = append(fresh, Ref{V: w.v, Idx: w.next, N: uint32(5 + i), NW: 1})
 		w.next++
 	}
-	e.AccessBatch(w.v, fresh, 0)
-	e.AccessBatch(w.v, old[75:], 0)
+	e.AccessBatch(fresh, 0)
+	e.AccessBatch(old[75:], 0)
 }
 func (w *oomWorkload) Done() bool { return w.next >= w.v.NPages }
 
@@ -221,11 +221,11 @@ func TestSamplerMatchesRecordModel(t *testing.T) {
 			b.DropFrac = drop
 		}
 		for seed := uint64(1); seed <= 20; seed++ {
-			refs := counterRefs(seed, 64, 200)
-			e.AccessBatch(v, refs, 0)
+			refs := counterRefs(v, seed, 64, 200)
+			e.AccessBatch(refs, 0)
 			for _, r := range refs {
 				if r.N > 0 {
-					model.Record(v, r.Idx, v.Node(r.Idx), r.N)
+					model.Record(r.V, r.Idx, r.V.Node(r.Idx), r.N)
 				}
 			}
 		}

@@ -235,8 +235,9 @@ func (e *Engine) Solution() Solution { return e.sol }
 func (e *Engine) SetSolution(s Solution) { e.sol = s }
 
 // Ref is one entry of an access batch: N application accesses, NW of
-// them writes, to page Idx.
+// them writes, to page Idx of V. V is never nil, even when N == 0.
 type Ref struct {
+	V     *vm.VMA
 	Idx   int
 	N, NW uint32
 }
@@ -245,19 +246,19 @@ type Ref struct {
 // of v from the given socket. Non-present pages fault and are placed by
 // the active solution. It is AccessBatch with one ref.
 func (e *Engine) Access(v *vm.VMA, idx int, n, nw uint32, socket int) {
-	e.AccessBatch(v, []Ref{{Idx: idx, N: n, NW: nw}}, socket)
+	e.AccessBatch([]Ref{{V: v, Idx: idx, N: n, NW: nw}}, socket)
 }
 
-// AccessBatch simulates refs, in order, as accesses to v from the given
-// socket: the result equals one Access per ref. Refs with N == 0 do
-// nothing, and once the engine has failed the rest of the batch does
-// nothing. While neither Intercept nor Observer is installed, accessRun
-// takes each run of refs that hit present pages. The loop here takes the
-// others one at a time, through the engine's fields: the fault path if the
-// page is not present, TouchN, then Intercept, the sampler and Observer.
-// So every hook sees the engine exactly as after the preceding refs'
-// Access calls.
-func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
+// AccessBatch simulates refs, in order, as accesses from the given socket:
+// the result equals one Access per ref. A batch may mix VMAs. Refs with
+// N == 0 do nothing, and once the engine has failed the rest of the batch
+// does nothing. While neither Intercept nor Observer is installed,
+// accessRun takes each run of refs that hit present pages. The loop here
+// takes the others one at a time, through the engine's fields: the fault
+// path if the page is not present, TouchN, then Intercept, the sampler and
+// Observer. So every hook sees the engine exactly as after the preceding
+// refs' Access calls.
+func (e *Engine) AccessBatch(refs []Ref, socket int) {
 	if e.failed != nil {
 		return
 	}
@@ -269,7 +270,7 @@ func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
 	if len(refs) > 1 {
 		var x tier.NodeID
 		for _, r := range refs {
-			x ^= v.Node(r.Idx)
+			x ^= r.V.Node(r.Idx)
 		}
 		e.warmSink ^= x
 	}
@@ -277,17 +278,17 @@ func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
 	for ; len(refs) > 0; refs = refs[1:] {
 		// A first touch goes straight to the fault path, so a run of them
 		// (a workload's set-up) skips accessRun.
-		if e.Intercept == nil && e.Observer == nil && v.Present(refs[0].Idx) {
-			n, sample := e.accessRun(v, refs, socket)
+		if e.Intercept == nil && e.Observer == nil && refs[0].V.Present(refs[0].Idx) {
+			n, sample := e.accessRun(refs, socket)
 			if refs = refs[n:]; len(refs) == 0 {
 				return
 			}
 			if sample != vm.NoNode {
-				e.PEBS.Record(v, refs[0].Idx, sample, refs[0].N)
+				e.PEBS.Record(refs[0].V, refs[0].Idx, sample, refs[0].N)
 				continue
 			}
 		}
-		r := refs[0]
+		r, v := refs[0], refs[0].V
 		if r.N == 0 {
 			continue
 		}
@@ -337,7 +338,7 @@ func (e *Engine) AccessBatch(v *vm.VMA, refs []Ref, socket int) {
 // runs any hook. App time and total are integer sums, so summing them
 // here changes no bit; the carry goes through the same adds, in the same
 // order, as Record's.
-func (e *Engine) accessRun(v *vm.VMA, refs []Ref, socket int) (n int, sample tier.NodeID) {
+func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 	var watched []bool
 	var frac, carry float64
 	if e.PEBS != nil {
@@ -358,7 +359,7 @@ func (e *Engine) accessRun(v *vm.VMA, refs []Ref, socket int) (n int, sample tie
 		if r.N == 0 {
 			continue
 		}
-		node := v.TouchHit(r.Idx, r.N, r.NW, socket)
+		node := r.V.TouchHit(r.Idx, r.N, r.NW, socket)
 		if node == vm.NoNode {
 			break
 		}

@@ -98,7 +98,7 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 	draws := (d + 7) / 8
 	for i := 0; i < draws; i++ {
 		if len(refs) == len(buf) {
-			e.AccessBatch(g.props, refs, socket)
+			e.AccessBatch(refs, socket)
 			refs = refs[:0]
 		}
 		w := g.neighbor(v, i*8)
@@ -111,9 +111,9 @@ func (g *Graph) chargeVisit(e *sim.Engine, v, d int, writes bool, socket int) {
 		if writes {
 			nw = cnt / 4
 		}
-		refs = append(refs, sim.Ref{Idx: pg, N: cnt, NW: nw})
+		refs = append(refs, sim.Ref{V: g.props, Idx: pg, N: cnt, NW: nw})
 	}
-	e.AccessBatch(g.props, refs, socket)
+	e.AccessBatch(refs, socket)
 	// Frontier structure: one write per discovered region of the queue.
 	e.Access(g.frontier, pageOf(g.frontier, int64(v)*8%g.frontier.Bytes()), 1, 1, socket)
 }

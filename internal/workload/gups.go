@@ -199,9 +199,9 @@ func (g *GUPS) RunInterval(e *sim.Engine) {
 		refs := g.refs[:0]
 		for d := int64(0); d < draws; d++ {
 			// Index array A: one read per update.
-			refs = append(refs, sim.Ref{Idx: g.indexB.Draw(e.Rng), N: b})
+			refs = append(refs, sim.Ref{V: g.heap, Idx: g.indexB.Draw(e.Rng), N: b})
 			// Hot-set descriptor B: read once per batch.
-			refs = append(refs, sim.Ref{Idx: g.infoStart + g.infoB.Draw(e.Rng), N: 1})
+			refs = append(refs, sim.Ref{V: g.heap, Idx: g.infoStart + g.infoB.Draw(e.Rng), N: 1})
 			// The update itself: read + write of a random table slot,
 			// hot with probability gupsHotAccessFrac.
 			var pg int
@@ -210,10 +210,10 @@ func (g *GUPS) RunInterval(e *sim.Engine) {
 			} else {
 				pg = g.tableB.Draw(e.Rng)
 			}
-			refs = append(refs, sim.Ref{Idx: g.tableStart + pg, N: 2 * b, NW: b})
+			refs = append(refs, sim.Ref{V: g.heap, Idx: g.tableStart + pg, N: 2 * b, NW: b})
 		}
 		g.refs = refs
-		e.AccessBatch(g.heap, refs, socket)
+		e.AccessBatch(refs, socket)
 		g.doneOps += opChunk
 		if g.EpochOps > 0 {
 			g.epochLeft -= opChunk

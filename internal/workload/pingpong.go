@@ -117,10 +117,10 @@ func (p *PingPong) RunInterval(e *sim.Engine) {
 				pg = p.allB.Draw(e.Rng)
 			}
 			// Read + write of a random slot, like a GUPS update.
-			refs = append(refs, sim.Ref{Idx: pg, N: 2 * b, NW: b})
+			refs = append(refs, sim.Ref{V: p.heap, Idx: pg, N: 2 * b, NW: b})
 		}
 		p.refs = refs
-		e.AccessBatch(p.heap, refs, socket)
+		e.AccessBatch(refs, socket)
 		p.doneOps += opChunk
 		if p.flipOps > 0 {
 			p.flipLeft -= opChunk

@@ -31,6 +31,7 @@ type Spark struct {
 	sortOps     int64
 	writeCursor int64
 	recBytes    int64
+	refs        []sim.Ref // the reusable access batch of one chunk
 }
 
 // sparkBuckets is the number of shuffle buckets.
@@ -81,19 +82,25 @@ func (s *Spark) RunInterval(e *sim.Engine) {
 			touchRange(e, s.input, s.readCursor%s.input.Bytes(), n*s.recBytes, s.recBytes, false, socket)
 			s.readCursor += n * s.recBytes
 			per := n / 8
+			refs := s.refs[:0]
 			for i := 0; i < 8; i++ {
 				b := e.Rng.Intn(sparkBuckets)
 				off := int64(b)*s.bucketBytes() + s.bucketFill[b]%s.bucketBytes()
-				e.Access(s.shuffle, pageOf(s.shuffle, off), uint32(per), uint32(per), socket)
+				refs = append(refs, sim.Ref{V: s.shuffle, Idx: pageOf(s.shuffle, off), N: uint32(per), NW: uint32(per)})
 				s.bucketFill[b] += per * s.recBytes
 			}
+			s.refs = refs
+			e.AccessBatch(refs, socket)
 		case 2: // sort: random access within the current bucket
 			bb := s.bucketBytes()
 			base := int64(s.sortBucket) * bb
+			refs := s.refs[:0]
 			for i := int64(0); i < n; i += 16 {
 				off := base + int64(e.Rng.Int63n(bb))
-				e.Access(s.shuffle, pageOf(s.shuffle, off), 16, 8, socket)
+				refs = append(refs, sim.Ref{V: s.shuffle, Idx: pageOf(s.shuffle, off), N: 16, NW: 8})
 			}
+			s.refs = refs
+			e.AccessBatch(refs, socket)
 			s.sortOps += n
 			if s.sortOps >= s.phaseOps[2]/sparkBuckets {
 				s.sortOps = 0

@@ -26,6 +26,7 @@ type VoltDB struct {
 	homes                         []int
 	orderCursor                   int64
 	reassignLeft                  int64
+	refs                          []sim.Ref // the reusable access batch of one chunk
 }
 
 const (
@@ -82,9 +83,14 @@ func (w *VoltDB) Stock() *vm.VMA { return w.stock }
 func (w *VoltDB) RunInterval(e *sim.Engine) {
 	socket := sim.HomeSocket
 	for !e.IntervalExhausted() && !w.Done() {
+		// One chunk of opChunk transactions, drawn first and issued as one
+		// access batch.
+		refs := w.refs[:0]
 		for i := 0; i < opChunk; i++ {
-			w.transaction(e, socket)
+			refs = w.transaction(e, refs)
 		}
+		w.refs = refs
+		e.AccessBatch(refs, socket)
 		w.doneOps += opChunk
 		if w.reassignOps > 0 {
 			w.reassignLeft -= opChunk
@@ -95,11 +101,11 @@ func (w *VoltDB) RunInterval(e *sim.Engine) {
 	}
 }
 
-// transaction issues one TPC-C-shaped transaction (a blend of NewOrder
-// and Payment, which dominate the mix): warehouse and district reads,
-// a customer row update, a handful of item reads and stock updates, and
-// an order append.
-func (w *VoltDB) transaction(e *sim.Engine, socket int) {
+// transaction appends the refs of one TPC-C-shaped transaction (a blend
+// of NewOrder and Payment, which dominate the mix) to refs: warehouse and
+// district reads, a customer row update, a handful of item reads and
+// stock updates, and an order append.
+func (w *VoltDB) transaction(e *sim.Engine, refs []sim.Ref) []sim.Ref {
 	client := e.Rng.Intn(voltdbClients)
 	wh := w.homes[client]
 	if e.Rng.Float64() >= voltdbHomeFrac {
@@ -107,30 +113,31 @@ func (w *VoltDB) transaction(e *sim.Engine, socket int) {
 	}
 
 	// Warehouse + district: hot, small, read-mostly with a YTD update.
-	e.Access(w.warehouse, pageOf(w.warehouse, int64(wh)*4096%w.warehouse.Bytes()), 2, 1, socket)
+	refs = append(refs, sim.Ref{V: w.warehouse, Idx: pageOf(w.warehouse, int64(wh)*4096%w.warehouse.Bytes()), N: 2, NW: 1})
 	dOff := (int64(wh)*10 + int64(e.Rng.Intn(10))) * 4096 % w.district.Bytes()
-	e.Access(w.district, pageOf(w.district, dOff), 2, 1, socket)
+	refs = append(refs, sim.Ref{V: w.district, Idx: pageOf(w.district, dOff), N: 2, NW: 1})
 
 	// Customer row in the home warehouse's slice.
 	cOff := int64(wh)*w.custPerWh + int64(e.Rng.Int63n(w.custPerWh))
-	e.Access(w.customer, pageOf(w.customer, cOff%w.customer.Bytes()), 3, 1, socket)
+	refs = append(refs, sim.Ref{V: w.customer, Idx: pageOf(w.customer, cOff%w.customer.Bytes()), N: 3, NW: 1})
 
 	// Order lines: item lookups (read-only, hot) + stock updates. Lines
 	// are issued as three page draws within the warehouse's stock slice,
-	// carrying the full line count — same per-page load, fewer calls.
+	// carrying the full line count — same per-page load, fewer refs.
 	lines := 5 + e.Rng.Intn(10)
-	e.Access(w.item, e.Rng.Intn(w.item.NPages), uint32(lines), 0, socket)
+	refs = append(refs, sim.Ref{V: w.item, Idx: e.Rng.Intn(w.item.NPages), N: uint32(lines)})
 	per := uint32(lines+2) / 3
 	for l := 0; l < 3; l++ {
 		sOff := int64(wh)*w.stockPerWh + int64(e.Rng.Int63n(w.stockPerWh))
-		e.Access(w.stock, pageOf(w.stock, sOff%w.stock.Bytes()), 2*per, per, socket)
+		refs = append(refs, sim.Ref{V: w.stock, Idx: pageOf(w.stock, sOff%w.stock.Bytes()), N: 2 * per, NW: per})
 	}
 
 	// Order + history appends: sequential write cursors.
 	w.orderCursor += 64
 	oOff := w.orderCursor % w.orders.Bytes()
-	e.Access(w.orders, pageOf(w.orders, oOff), 1, 1, socket)
+	refs = append(refs, sim.Ref{V: w.orders, Idx: pageOf(w.orders, oOff), N: 1, NW: 1})
 	if e.Rng.Intn(4) == 0 {
-		e.Access(w.hist, pageOf(w.hist, w.orderCursor%w.hist.Bytes()), 1, 1, socket)
+		refs = append(refs, sim.Ref{V: w.hist, Idx: pageOf(w.hist, w.orderCursor%w.hist.Bytes()), N: 1, NW: 1})
 	}
+	return refs
 }

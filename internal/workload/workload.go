@@ -86,7 +86,7 @@ func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bo
 	end := off + n
 	for off < end {
 		if len(refs) == len(buf) {
-			e.AccessBatch(v, refs, socket)
+			e.AccessBatch(refs, socket)
 			refs = refs[:0]
 		}
 		pg := pageOf(v, off)
@@ -99,10 +99,10 @@ func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bo
 		if write {
 			w = uint32(cnt)
 		}
-		refs = append(refs, sim.Ref{Idx: pg, N: uint32(cnt), NW: w})
+		refs = append(refs, sim.Ref{V: v, Idx: pg, N: uint32(cnt), NW: w})
 		off = pgEnd
 	}
-	e.AccessBatch(v, refs, socket)
+	e.AccessBatch(refs, socket)
 }
 
 // initTouch sequentially faults in and writes an entire VMA, modelling
@@ -119,9 +119,9 @@ func initTouch(e *sim.Engine, vmas ...*vm.VMA) {
 		for pg := 0; pg < v.NPages; pg += len(buf) {
 			refs := buf[:min(len(buf), v.NPages-pg)]
 			for i := range refs {
-				refs[i] = sim.Ref{Idx: pg + i, N: 1, NW: 1}
+				refs[i] = sim.Ref{V: v, Idx: pg + i, N: 1, NW: 1}
 			}
-			e.AccessBatch(v, refs, sim.HomeSocket)
+			e.AccessBatch(refs, sim.HomeSocket)
 		}
 	}
 	e.AS.ResetCounts()

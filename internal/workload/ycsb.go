@@ -24,6 +24,7 @@ type Cassandra struct {
 	nBlocks                int64
 	blockBytes             int64
 	logCursor              int64
+	refs                   []sim.Ref // the reusable access batch of one chunk
 }
 
 // NewCassandra sizes the store to the paper's 400 GB instance.
@@ -49,14 +50,20 @@ func (c *Cassandra) Init(e *sim.Engine) {
 func (c *Cassandra) RunInterval(e *sim.Engine) {
 	socket := sim.HomeSocket
 	for !e.IntervalExhausted() && !c.Done() {
+		// One chunk of opChunk operations, drawn first and issued as one
+		// access batch.
+		refs := c.refs[:0]
 		for i := 0; i < opChunk; i++ {
-			c.op(e, socket)
+			refs = c.op(e, refs)
 		}
+		c.refs = refs
+		e.AccessBatch(refs, socket)
 		c.doneOps += opChunk
 	}
 }
 
-func (c *Cassandra) op(e *sim.Engine, socket int) {
+// op appends the refs of one operation to refs.
+func (c *Cassandra) op(e *sim.Engine, refs []sim.Ref) []sim.Ref {
 	// Zipf rank -> placement block via hash (Cassandra's partitioner),
 	// then a random record offset within the block.
 	rank := c.zipf.Next()
@@ -64,14 +71,14 @@ func (c *Cassandra) op(e *sim.Engine, socket int) {
 	off := block*c.blockBytes + int64(e.Rng.Int63n(c.blockBytes))
 
 	// Index probe (read), then the record.
-	e.Access(c.index, int(rng.Mix64(rank)%uint64(c.index.NPages)), 1, 0, socket)
+	refs = append(refs, sim.Ref{V: c.index, Idx: int(rng.Mix64(rank) % uint64(c.index.NPages)), N: 1})
 	write := e.Rng.Intn(2) == 0 // YCSB-A: 50/50
 	if write {
 		// Update: read-modify-write the record plus a commit-log append.
-		e.Access(c.data, pageOf(c.data, off), 2, 1, socket)
 		c.logCursor += 256
-		e.Access(c.commitLog, pageOf(c.commitLog, c.logCursor%c.commitLog.Bytes()), 1, 1, socket)
-	} else {
-		e.Access(c.data, pageOf(c.data, off), 2, 0, socket)
+		return append(refs,
+			sim.Ref{V: c.data, Idx: pageOf(c.data, off), N: 2, NW: 1},
+			sim.Ref{V: c.commitLog, Idx: pageOf(c.commitLog, c.logCursor%c.commitLog.Bytes()), N: 1, NW: 1})
 	}
+	return append(refs, sim.Ref{V: c.data, Idx: pageOf(c.data, off), N: 2})
 }
