@@ -46,7 +46,9 @@ type GUPS struct {
 	nextDrift  int
 
 	// Draw bounds of the index, descriptor, hot-page and table draws, and
-	// the reusable access batch of one chunk.
+	// the access batch of one chunk: per draw an index read, a descriptor
+	// read and a table update, each naming the heap. Init fills in all
+	// but the pages, which are all that change from chunk to chunk.
 	indexB, infoB, hotB, tableB rng.Bound
 	refs                        []sim.Ref
 }
@@ -96,6 +98,13 @@ func (g *GUPS) Init(e *sim.Engine) {
 	g.indexB = rng.NewBound(g.indexPages)
 	g.infoB = rng.NewBound(g.infoPages)
 	g.tableB = rng.NewBound(g.tablePages())
+	b := uint32(g.batch)
+	for range opChunk / g.batch {
+		g.refs = append(g.refs,
+			sim.Ref{V: g.heap, N: b},
+			sim.Ref{V: g.heap, N: 1},
+			sim.Ref{V: g.heap, N: 2 * b, NW: b})
+	}
 	g.drawHotSet(e)
 	initTouch(e, g.heap)
 }
@@ -191,29 +200,25 @@ func (g *GUPS) HotFootprintBytes() int64 {
 
 func (g *GUPS) RunInterval(e *sim.Engine) {
 	socket := sim.HomeSocket
-	b := uint32(g.batch)
-	draws := int64(opChunk) / g.batch
 	for !e.IntervalExhausted() && !g.Done() {
 		// One chunk of opChunk updates: batched page draws, issued as one
 		// access batch.
-		refs := g.refs[:0]
-		for d := int64(0); d < draws; d++ {
-			// Index array A: one read per update.
-			refs = append(refs, sim.Ref{V: g.heap, Idx: g.indexB.Draw(e.Rng), N: b})
+		for r := g.refs; len(r) > 0; r = r[3:] {
+			// Index array A: g.batch reads, one per update.
+			r[0].Idx = g.indexB.Draw(e.Rng)
 			// Hot-set descriptor B: read once per batch.
-			refs = append(refs, sim.Ref{V: g.heap, Idx: g.infoStart + g.infoB.Draw(e.Rng), N: 1})
-			// The update itself: read + write of a random table slot,
-			// hot with probability gupsHotAccessFrac.
+			r[1].Idx = g.infoStart + g.infoB.Draw(e.Rng)
+			// The updates themselves: read + write of a random table
+			// slot, hot with probability gupsHotAccessFrac.
 			var pg int
 			if e.Rng.Float64() < gupsHotAccessFrac && len(g.hotPages) > 0 {
 				pg = int(g.hotPages[g.hotB.Draw(e.Rng)])
 			} else {
 				pg = g.tableB.Draw(e.Rng)
 			}
-			refs = append(refs, sim.Ref{V: g.heap, Idx: g.tableStart + pg, N: 2 * b, NW: b})
+			r[2].Idx = g.tableStart + pg
 		}
-		g.refs = refs
-		e.AccessBatch(refs, socket)
+		e.AccessBatch(g.refs, socket)
 		g.doneOps += opChunk
 		if g.EpochOps > 0 {
 			g.epochLeft -= opChunk

@@ -36,8 +36,9 @@ type PingPong struct {
 	// Flips counts completed active-set flips (test introspection).
 	Flips int
 
-	// Draw bounds of the hot-set and whole-table draws, and the reusable
-	// access batch of one chunk.
+	// Draw bounds of the hot-set and whole-table draws, and the access
+	// batch of one chunk: one update per draw, naming the heap. Init fills
+	// in all but the pages, which are all that change from chunk to chunk.
 	setB, allB rng.Bound
 	refs       []sim.Ref
 }
@@ -79,6 +80,11 @@ func (p *PingPong) Init(e *sim.Engine) {
 	p.flipLeft = p.flipOps
 	p.setB = rng.NewBound(p.setPages)
 	p.allB = rng.NewBound(n)
+	b := uint32(p.batch)
+	for range opChunk / p.batch {
+		// Read + write of a random slot, like a GUPS update.
+		p.refs = append(p.refs, sim.Ref{V: p.heap, N: 2 * b, NW: b})
+	}
 	initTouch(e, p.heap)
 }
 
@@ -104,23 +110,16 @@ func (p *PingPong) IsHot(v *vm.VMA, idx int) bool {
 
 func (p *PingPong) RunInterval(e *sim.Engine) {
 	socket := sim.HomeSocket
-	b := uint32(p.batch)
-	draws := int64(opChunk) / p.batch
 	for !e.IntervalExhausted() && !p.Done() {
 		hot := p.activeStart()
-		refs := p.refs[:0]
-		for d := int64(0); d < draws; d++ {
-			var pg int
+		for i := range p.refs {
 			if e.Rng.Float64() < pingpongHotAccessFrac {
-				pg = hot + p.setB.Draw(e.Rng)
+				p.refs[i].Idx = hot + p.setB.Draw(e.Rng)
 			} else {
-				pg = p.allB.Draw(e.Rng)
+				p.refs[i].Idx = p.allB.Draw(e.Rng)
 			}
-			// Read + write of a random slot, like a GUPS update.
-			refs = append(refs, sim.Ref{V: p.heap, Idx: pg, N: 2 * b, NW: b})
 		}
-		p.refs = refs
-		e.AccessBatch(refs, socket)
+		e.AccessBatch(p.refs, socket)
 		p.doneOps += opChunk
 		if p.flipOps > 0 {
 			p.flipLeft -= opChunk
