@@ -47,8 +47,9 @@ type GUPS struct {
 
 	// Draw bounds of the index, descriptor, hot-page and table draws, and
 	// the access batch of one chunk: per draw an index read, a descriptor
-	// read and a table update, each naming the heap. Init fills in all
-	// but the pages, which are all that change from chunk to chunk.
+	// read and a table update, each naming the heap. The first RunInterval
+	// fills in all but the pages, which are all that change from chunk to
+	// chunk.
 	indexB, infoB, hotB, tableB rng.Bound
 	refs                        []sim.Ref
 }
@@ -98,13 +99,6 @@ func (g *GUPS) Init(e *sim.Engine) {
 	g.indexB = rng.NewBound(g.indexPages)
 	g.infoB = rng.NewBound(g.infoPages)
 	g.tableB = rng.NewBound(g.tablePages())
-	b := uint32(g.batch)
-	for range opChunk / g.batch {
-		g.refs = append(g.refs,
-			sim.Ref{V: g.heap, N: b},
-			sim.Ref{V: g.heap, N: 1},
-			sim.Ref{V: g.heap, N: 2 * b, NW: b})
-	}
 	g.drawHotSet(e)
 	initTouch(e, g.heap)
 }
@@ -200,16 +194,26 @@ func (g *GUPS) HotFootprintBytes() int64 {
 
 func (g *GUPS) RunInterval(e *sim.Engine) {
 	socket := sim.HomeSocket
+	if g.refs == nil {
+		b := uint32(g.batch)
+		g.refs = make([]sim.Ref, 0, 3*opChunk/g.batch)
+		for range opChunk / g.batch {
+			g.refs = append(g.refs,
+				sim.Ref{V: g.heap, N: b},
+				sim.Ref{V: g.heap, N: 1},
+				sim.Ref{V: g.heap, N: 2 * b, NW: b})
+		}
+	}
 	for !e.IntervalExhausted() && !g.Done() {
 		// One chunk of opChunk updates: batched page draws, issued as one
 		// access batch.
 		for r := g.refs; len(r) > 0; r = r[3:] {
-			// Index array A: g.batch reads, one per update.
+			// Index array A: one read per update.
 			r[0].Idx = g.indexB.Draw(e.Rng)
 			// Hot-set descriptor B: read once per batch.
 			r[1].Idx = g.infoStart + g.infoB.Draw(e.Rng)
-			// The updates themselves: read + write of a random table
-			// slot, hot with probability gupsHotAccessFrac.
+			// The update itself: read + write of a random table slot,
+			// hot with probability gupsHotAccessFrac.
 			var pg int
 			if e.Rng.Float64() < gupsHotAccessFrac && len(g.hotPages) > 0 {
 				pg = int(g.hotPages[g.hotB.Draw(e.Rng)])

@@ -37,8 +37,9 @@ type PingPong struct {
 	Flips int
 
 	// Draw bounds of the hot-set and whole-table draws, and the access
-	// batch of one chunk: one update per draw, naming the heap. Init fills
-	// in all but the pages, which are all that change from chunk to chunk.
+	// batch of one chunk: one update per draw, naming the heap. The first
+	// RunInterval fills in all but the pages, which are all that change
+	// from chunk to chunk.
 	setB, allB rng.Bound
 	refs       []sim.Ref
 }
@@ -80,11 +81,6 @@ func (p *PingPong) Init(e *sim.Engine) {
 	p.flipLeft = p.flipOps
 	p.setB = rng.NewBound(p.setPages)
 	p.allB = rng.NewBound(n)
-	b := uint32(p.batch)
-	for range opChunk / p.batch {
-		// Read + write of a random slot, like a GUPS update.
-		p.refs = append(p.refs, sim.Ref{V: p.heap, N: 2 * b, NW: b})
-	}
 	initTouch(e, p.heap)
 }
 
@@ -110,6 +106,14 @@ func (p *PingPong) IsHot(v *vm.VMA, idx int) bool {
 
 func (p *PingPong) RunInterval(e *sim.Engine) {
 	socket := sim.HomeSocket
+	if p.refs == nil {
+		b := uint32(p.batch)
+		p.refs = make([]sim.Ref, opChunk/p.batch)
+		for i := range p.refs {
+			// Read + write of a random slot, like a GUPS update.
+			p.refs[i] = sim.Ref{V: p.heap, N: 2 * b, NW: b}
+		}
+	}
 	for !e.IntervalExhausted() && !p.Done() {
 		hot := p.activeStart()
 		for i := range p.refs {
