@@ -97,6 +97,37 @@ var goldenVariants = []struct {
 		c.Trace = &span.Config{}
 		c.Audit = true
 	}},
+	// Plain cxl-flaky at its rated failure rate: copies into the flaky
+	// tier abort and retry, and the audit reconciles residency (and
+	// Nomad's shadows) after them.
+	{"cxl-flaky", func(c *Config) {
+		c.Faults = "cxl-flaky"
+		c.Audit = true
+	}},
+	// Static admission with the oracle and spans: admit, defer and reject
+	// decision spans, the oracle's accuracy and lag tallies, and the
+	// outcome lineage of every admitted move.
+	{"admission+fidelity+spans", func(c *Config) {
+		c.Admission = true
+		c.Fidelity = true
+		c.Trace = &span.Config{}
+	}},
+	// The same with a flaky tier feeding the waste ledger and aborting
+	// moves mid-lineage.
+	{"cxl-flaky+admission+fidelity+spans", func(c *Config) {
+		c.Faults = "cxl-flaky"
+		c.Admission = true
+		c.Fidelity = true
+		c.Trace = &span.Config{}
+		c.Audit = true
+	}},
+	// EBUSY storms: retry and backoff annotations in the transfer spans,
+	// abort and fault-activation events in the ring.
+	{"ebusy-storm+metrics+spans", func(c *Config) {
+		c.Faults = "ebusy-storm"
+		c.Metrics = true
+		c.Trace = &span.Config{}
+	}},
 }
 
 // TestGoldenDigests pins every solution's output on gups and pingpong
