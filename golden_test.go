@@ -23,22 +23,29 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden.js
 const goldenFile = "testdata/golden.json"
 
 // goldenVariants are the feature sets the golden digests cover, each
-// applied to a base config of -scale 256 -ops 0.1, seed 7.
+// applied to a base config of -scale 256 -ops 0.1, seed 7 and run on
+// gups, pingpong and the variant's more workloads under every solution.
 var goldenVariants = []struct {
 	name string
+	more []string
 	tune func(*Config)
 }{
-	{"plain", func(*Config) {}},
-	{"metrics+spans", func(c *Config) {
+	// Cassandra is the one workload that draws zipfian keys; one variant
+	// is enough to pin its sampler. VoltDB and Spark pin their
+	// constructors' table sizes and mixes.
+	{"plain", []string{"cassandra", "voltdb", "spark"}, func(*Config) {}},
+	// BFS and SSSP share the CSR graph walk; with spans on, their Results
+	// also pin a graph workload's span export.
+	{"metrics+spans", []string{"bfs", "sssp"}, func(c *Config) {
 		c.Metrics = true
 		c.Trace = &span.Config{}
 	}},
-	{"fidelity", func(c *Config) { c.Fidelity = true }},
-	{"learn+lanes", func(c *Config) {
+	{"fidelity", nil, func(c *Config) { c.Fidelity = true }},
+	{"learn+lanes", nil, func(c *Config) {
 		c.AdmissionLearn = true
 		c.AdmissionLanes = "default"
 	}},
-	{"dimm-death", func(c *Config) {
+	{"dimm-death", nil, func(c *Config) {
 		c.Faults = "dimm-death"
 		c.Audit = true
 	}},
@@ -47,7 +54,9 @@ var goldenVariants = []struct {
 	// app-time accounting as the access path's hooks see it, not only
 	// its end-of-interval totals. No run here reaches emergency reclaim;
 	// internal/sim's TestEmergencyDemotionRescuesFragmentation covers it.
-	{"dimm-death+spans", func(c *Config) {
+	// Cassandra, VoltDB and Spark touch several VMAs per operation, so
+	// their poison recovery runs inside a batch whose refs span VMAs.
+	{"dimm-death+spans", []string{"cassandra", "voltdb", "spark"}, func(c *Config) {
 		c.Faults = "dimm-death"
 		c.Audit = true
 		c.Metrics = true
@@ -57,7 +66,7 @@ var goldenVariants = []struct {
 	// here, so the metrics export pins the counters the other variants
 	// leave at zero. Plain cxl-flaky trips no breaker and defers nothing
 	// in runs this short; a 90% inbound copy-failure rate does both.
-	{"cxl-flaky+lanes+metrics", func(c *Config) {
+	{"cxl-flaky+lanes+metrics", nil, func(c *Config) {
 		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
 		c.AdmissionLearn = true
 		c.AdmissionLanes = "default"
@@ -68,7 +77,7 @@ var goldenVariants = []struct {
 	// the drain moves pages off it, so the drain never retries. Busy
 	// copies on every pair make the drain's retry loop and its admission
 	// lane fire.
-	{"dimm-death+ebusy+lanes", func(c *Config) {
+	{"dimm-death+ebusy+lanes", nil, func(c *Config) {
 		c.Faults = "dimm-death,page-busy-prob=0.3,page-busy-duty=1"
 		c.AdmissionLanes = "default"
 		c.Audit = true
@@ -78,7 +87,7 @@ var goldenVariants = []struct {
 	// rated refill and the floor stays at MinROI, so this variant pins the
 	// static ROI gate, waste shedding without lanes, and a breaker trip
 	// zeroing its pair's budget.
-	{"cxl-flaky+admission+metrics", func(c *Config) {
+	{"cxl-flaky+admission+metrics", nil, func(c *Config) {
 		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
 		c.Admission = true
 		c.Metrics = true
@@ -89,7 +98,7 @@ var goldenVariants = []struct {
 	// admission defers and rejects, thrash suppression and fault
 	// activations reach the event ring. This pins the name, ring type,
 	// attributes and dedup of every event kind these runs emit.
-	{"cxl-flaky+lanes+metrics+spans", func(c *Config) {
+	{"cxl-flaky+lanes+metrics+spans", nil, func(c *Config) {
 		c.Faults = "cxl-flaky,tier-fail-prob=0.9"
 		c.AdmissionLearn = true
 		c.AdmissionLanes = "default"
@@ -100,21 +109,21 @@ var goldenVariants = []struct {
 	// Plain cxl-flaky at its rated failure rate: copies into the flaky
 	// tier abort and retry, and the audit reconciles residency (and
 	// Nomad's shadows) after them.
-	{"cxl-flaky", func(c *Config) {
+	{"cxl-flaky", nil, func(c *Config) {
 		c.Faults = "cxl-flaky"
 		c.Audit = true
 	}},
 	// Static admission with the oracle and spans: admit, defer and reject
 	// decision spans, the oracle's accuracy and lag tallies, and the
 	// outcome lineage of every admitted move.
-	{"admission+fidelity+spans", func(c *Config) {
+	{"admission+fidelity+spans", nil, func(c *Config) {
 		c.Admission = true
 		c.Fidelity = true
 		c.Trace = &span.Config{}
 	}},
 	// The same with a flaky tier feeding the waste ledger and aborting
 	// moves mid-lineage.
-	{"cxl-flaky+admission+fidelity+spans", func(c *Config) {
+	{"cxl-flaky+admission+fidelity+spans", nil, func(c *Config) {
 		c.Faults = "cxl-flaky"
 		c.Admission = true
 		c.Fidelity = true
@@ -123,65 +132,65 @@ var goldenVariants = []struct {
 	}},
 	// EBUSY storms: retry and backoff annotations in the transfer spans,
 	// abort and fault-activation events in the ring.
-	{"ebusy-storm+metrics+spans", func(c *Config) {
+	{"ebusy-storm+metrics+spans", nil, func(c *Config) {
 		c.Faults = "ebusy-storm"
 		c.Metrics = true
 		c.Trace = &span.Config{}
 	}},
 }
 
-// TestGoldenDigests pins every solution's output on gups and pingpong
-// across the golden variants, on Cassandra, VoltDB and Spark in the plain
-// and dimm-death+spans variants, and on BFS and SSSP in the metrics+spans
-// variant, to the
-// digests in testdata/golden.json, so a change that must not alter
-// results can be checked against the last commit's outputs without
-// rebuilding it. A
-// change that alters results on purpose regenerates the file with
+// goldenRuns counts the runs TestGoldenDigests makes over goldenVariants.
+func goldenRuns() int {
+	n := 0
+	for _, v := range goldenVariants {
+		n += (2 + len(v.more)) * len(SolutionNames())
+	}
+	return n
+}
+
+// TestGoldenDigests is the determinism check: every run of
+// goldenVariants must reproduce the digest testdata/golden.json holds for
+// it, so a change that must not alter results is checked against the
+// last commit's outputs without rebuilding it, and so is drift between
+// commits that two runs in one process would not see. The runs go side
+// by side, so state shared between simulations shows up too. A change
+// that alters results on purpose regenerates the file with
 //
 //	go test -run TestGoldenDigests -update-golden .
 //
-// and its diff shows which runs moved. Digests are recorded on
-// linux/amd64 only: other platforms may round floating point
-// differently.
+// and its diff shows which runs moved. -short and -race run only each
+// variant's gups/mtm and pingpong/mtm. Digests are recorded on
+// linux/amd64 only, because other platforms may round floating point
+// differently; there every run goes twice and the two digests must
+// match.
 func TestGoldenDigests(t *testing.T) {
-	if runtime.GOOS != "linux" || runtime.GOARCH != "amd64" {
-		t.Skip("golden digests are recorded on linux/amd64 only")
+	recorded := runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
+	if *updateGolden && !recorded {
+		t.Fatal("golden digests are recorded on linux/amd64 only")
 	}
-	if testing.Short() || sim.RaceEnabled {
-		t.Skip("448 runs; skipped in -short and -race")
+	subset := (testing.Short() || sim.RaceEnabled) && !*updateGolden
+	if subset {
+		t.Logf("%d of %d runs in -short and -race", 2*len(goldenVariants), goldenRuns())
 	}
 	want := map[string]string{}
-	if b, err := os.ReadFile(goldenFile); err == nil {
+	if recorded && !*updateGolden {
+		b, err := os.ReadFile(goldenFile)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update-golden)", err)
+		}
 		if err := json.Unmarshal(b, &want); err != nil {
 			t.Fatalf("%s: %v", goldenFile, err)
 		}
-	} else if !*updateGolden {
-		t.Fatalf("%v (regenerate with -update-golden)", err)
 	}
 	var mu sync.Mutex
 	got := map[string]string{}
 	t.Run("runs", func(t *testing.T) {
 		for _, v := range goldenVariants {
-			wls := []string{"gups", "pingpong"}
-			switch v.name {
-			case "plain":
-				// Cassandra is the one workload that draws zipfian keys;
-				// one variant is enough to pin its sampler. VoltDB and
-				// Spark pin their constructors' table sizes and mixes.
-				wls = append(wls, "cassandra", "voltdb", "spark")
-			case "metrics+spans":
-				// BFS and SSSP share the CSR graph walk; with spans on,
-				// their Results also pin a graph workload's span export.
-				wls = append(wls, "bfs", "sssp")
-			case "dimm-death+spans":
-				// Cassandra, VoltDB and Spark touch several VMAs per
-				// operation, so poison recovery here runs inside a batch
-				// whose refs span VMAs.
-				wls = append(wls, "cassandra", "voltdb", "spark")
-			}
-			for _, wl := range wls {
+			for _, wl := range append([]string{"gups", "pingpong"}, v.more...) {
 				for _, sol := range SolutionNames() {
+					if subset && (sol != "mtm" || wl != "gups" && wl != "pingpong") {
+						continue
+					}
 					key := v.name + "/" + wl + "/" + sol
 					cfg := DefaultConfig()
 					cfg.Scale = 256
@@ -191,6 +200,12 @@ func TestGoldenDigests(t *testing.T) {
 					t.Run(key, func(t *testing.T) {
 						t.Parallel()
 						d := resultDigest(t, cfg, wl, sol)
+						if !recorded {
+							if d2 := resultDigest(t, cfg, wl, sol); d2 != d {
+								t.Errorf("Result digest %.12s, then %.12s on a second run", d, d2)
+							}
+							return
+						}
 						mu.Lock()
 						got[key] = d
 						mu.Unlock()
@@ -218,6 +233,9 @@ func TestGoldenDigests(t *testing.T) {
 		if err := os.WriteFile(goldenFile, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
+		return
+	}
+	if subset || !recorded {
 		return
 	}
 	var stale []string
