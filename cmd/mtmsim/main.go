@@ -72,6 +72,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -134,6 +135,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *fidelity && !*jsonOut {
 		fmt.Fprintf(stderr, "mtmsim: -fidelity output is only emitted with -json (add -json or drop -fidelity)\n")
+		return 2
+	}
+	// A budget of zero or less selects the default, and one of 2^43 MB or
+	// more overflows on its way to bytes, so either would run silently at
+	// the default budget.
+	if *budgetMB < 0 || *budgetMB > math.MaxInt64>>20 {
+		fmt.Fprintf(stderr, "mtmsim: invalid -budget-mb %d (want 0 to %d)\n", *budgetMB, int64(math.MaxInt64>>20))
 		return 2
 	}
 

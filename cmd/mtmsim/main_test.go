@@ -204,3 +204,17 @@ func TestBudgetWithDefaultScale(t *testing.T) {
 		t.Fatal("-budget-mb 1600 ran as the default budget")
 	}
 }
+
+// TestBudgetOutOfRangeRejected: a negative -budget-mb, or one whose byte
+// count overflows int64, is a usage error rather than a run at the
+// default budget.
+func TestBudgetOutOfRangeRejected(t *testing.T) {
+	for _, mb := range []string{"-5", "8796093022208", "17592186044416"} {
+		var errs bytes.Buffer
+		if code := run(small("-budget-mb", mb), io.Discard, &errs); code != 2 {
+			t.Errorf("-budget-mb %s exited %d, want 2", mb, code)
+		} else if !strings.Contains(errs.String(), "-budget-mb") {
+			t.Errorf("-budget-mb %s: unhelpful error: %s", mb, errs.String())
+		}
+	}
+}
