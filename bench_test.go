@@ -33,13 +33,13 @@ func benchOpts() experiments.Options {
 func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	o := benchOpts()
-	run := experiments.All[id]
-	if run == nil {
+	e, ok := experiments.Find(id)
+	if !ok {
 		b.Fatalf("unknown experiment %s", id)
 	}
 	var out string
 	for i := 0; i < b.N; i++ {
-		out = run(o)
+		out = e.Run(o)
 	}
 	b.Log("\n" + out)
 }

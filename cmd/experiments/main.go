@@ -35,26 +35,33 @@ func main() {
 	if *full {
 		*ops = 1.0
 	}
-	// Options maps non-positive values to the defaults, so a bad flag
-	// would otherwise run silently at the default scale or length.
+	// Options takes every value as given, and a non-positive scale or
+	// length would run at mtm's defaults instead.
 	if *scale <= 0 || *ops <= 0 || math.IsNaN(*ops) || math.IsInf(*ops, 0) {
 		fmt.Fprintf(os.Stderr, "-scale and -ops must be positive and finite (have -scale %d -ops %v)\n", *scale, *ops)
 		os.Exit(2)
 	}
 	o := experiments.Options{Scale: *scale, OpsFactor: *ops, Seed: *seed}
 
-	ids := experiments.Names()
+	exps := experiments.All
 	if *exp != "all" {
-		ids = strings.Split(*exp, ",")
-	}
-	for _, id := range ids {
-		run, ok := experiments.All[id]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; have %v\n", id, experiments.Names())
-			os.Exit(2)
+		exps = nil
+		for _, id := range strings.Split(*exp, ",") {
+			e, ok := experiments.Find(id)
+			if !ok {
+				fmt.Fprintf(os.Stderr, "unknown experiment %q; have", id)
+				for _, known := range experiments.All {
+					fmt.Fprint(os.Stderr, " ", known.ID)
+				}
+				fmt.Fprintln(os.Stderr)
+				os.Exit(2)
+			}
+			exps = append(exps, e)
 		}
+	}
+	for _, e := range exps {
 		start := time.Now()
-		fmt.Println(run(o))
-		fmt.Printf("[%s completed in %v]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Println(e.Run(o))
+		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
 }

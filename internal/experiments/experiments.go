@@ -24,8 +24,8 @@ import (
 	"mtm/internal/workload"
 )
 
-// Options scales an experiment run. Zero values select the defaults used
-// by cmd/experiments (-full sets OpsFactor=1).
+// Options scales an experiment run. config takes all three as given;
+// cmd/experiments checks its flags, and bench_test.go fixes its own.
 type Options struct {
 	Scale     int64
 	OpsFactor float64
@@ -34,19 +34,9 @@ type Options struct {
 
 func (o Options) config() mtm.Config {
 	c := mtm.DefaultConfig()
-	if o.Scale > 0 {
-		c.Scale = o.Scale
-	} else {
-		c.Scale = 256
-	}
-	if o.OpsFactor > 0 {
-		c.OpsFactor = o.OpsFactor
-	} else {
-		c.OpsFactor = 0.5
-	}
-	if o.Seed != 0 {
-		c.Seed = o.Seed
-	}
+	c.Scale = o.Scale
+	c.OpsFactor = o.OpsFactor
+	c.Seed = o.Seed
 	return c
 }
 
@@ -76,31 +66,41 @@ func withWarnings(body string, warns []string) string {
 	return body + strings.Join(warns, "\n") + "\n"
 }
 
-// All maps experiment ids (fig1..fig12, tab3..tab7) to drivers.
-var All = map[string]func(Options) string{
-	"fig1":  Fig1ProfilingQuality,
-	"fig3":  Fig3MigrationBreakdown,
-	"fig4":  Fig4Overall,
-	"fig5":  Fig5Breakdown,
-	"fig6":  Fig6Heatmap,
-	"fig7":  Fig7Ablations,
-	"fig8":  Fig8OverheadSweep,
-	"fig9":  Fig9Thresholds,
-	"fig10": Fig10Alpha,
-	"fig11": Fig11Mechanisms,
-	"fig12": Fig12TwoTier,
-	"tab3":  Tab3HotPages,
-	"tab4":  Tab4InitialPlacement,
-	"tab5":  Tab5MemoryOverhead,
-	"tab6":  Tab6TierAccesses,
-	"tab7":  Tab7RegionStats,
-	"cxl":   CXLGenerality,
+// Experiment is one figure or table of the evaluation and its driver.
+type Experiment struct {
+	ID  string
+	Run func(Options) string
 }
 
-// Names returns the experiment ids in report order.
-func Names() []string {
-	return []string{"fig1", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-		"fig9", "fig10", "fig11", "fig12", "tab3", "tab4", "tab5", "tab6", "tab7", "cxl"}
+// All lists the experiments in report order.
+var All = []Experiment{
+	{"fig1", Fig1ProfilingQuality},
+	{"fig3", Fig3MigrationBreakdown},
+	{"fig4", Fig4Overall},
+	{"fig5", Fig5Breakdown},
+	{"fig6", Fig6Heatmap},
+	{"fig7", Fig7Ablations},
+	{"fig8", Fig8OverheadSweep},
+	{"fig9", Fig9Thresholds},
+	{"fig10", Fig10Alpha},
+	{"fig11", Fig11Mechanisms},
+	{"fig12", Fig12TwoTier},
+	{"tab3", Tab3HotPages},
+	{"tab4", Tab4InitialPlacement},
+	{"tab5", Tab5MemoryOverhead},
+	{"tab6", Tab6TierAccesses},
+	{"tab7", Tab7RegionStats},
+	{"cxl", CXLGenerality},
+}
+
+// Find returns the experiment with the given id.
+func Find(id string) (Experiment, bool) {
+	for _, e := range All {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Experiment{}, false
 }
 
 // profAdapter runs a bare profiler as a non-migrating solution so

@@ -2,24 +2,23 @@ package experiments
 
 import "testing"
 
-// TestNamesMatchAll: Names and All are kept by hand, so an id missing from
-// Names is skipped by `-exp all` and one missing from All is rejected by
-// `-exp <id>`. Both must list the same ids, Names each exactly once.
-func TestNamesMatchAll(t *testing.T) {
-	names := Names()
-	seen := make(map[string]bool, len(names))
-	for _, id := range names {
-		if seen[id] {
-			t.Errorf("Names lists %q twice", id)
+// TestAllIDsUnique: Find returns the first experiment with an id, so a
+// second one with the same id would never run alone.
+func TestAllIDsUnique(t *testing.T) {
+	seen := make(map[string]bool, len(All))
+	for _, e := range All {
+		if seen[e.ID] {
+			t.Errorf("All lists %q twice", e.ID)
 		}
-		seen[id] = true
-		if All[id] == nil {
-			t.Errorf("Names lists %q, which All has no driver for", id)
-		}
+		seen[e.ID] = true
 	}
-	for id := range All {
-		if !seen[id] {
-			t.Errorf("All has a driver for %q, which Names does not list", id)
-		}
+}
+
+// TestOptionsTakenAsGiven: every Options field reaches the run's config,
+// seed 0 included.
+func TestOptionsTakenAsGiven(t *testing.T) {
+	c := Options{Scale: 256, OpsFactor: 0.1, Seed: 0}.config()
+	if c.Scale != 256 || c.OpsFactor != 0.1 || c.Seed != 0 {
+		t.Fatalf("Options{Scale: 256, OpsFactor: 0.1, Seed: 0} ran -scale %d -ops %v -seed %d", c.Scale, c.OpsFactor, c.Seed)
 	}
 }
