@@ -150,11 +150,11 @@ func goldenRuns() int {
 
 // TestGoldenDigests is the determinism check: every run of
 // goldenVariants must reproduce the digest testdata/golden.json holds for
-// it, so a change that must not alter results is checked against the
-// last commit's outputs without rebuilding it, and so is drift between
-// commits that two runs in one process would not see. The runs go side
-// by side, so state shared between simulations shows up too. A change
-// that alters results on purpose regenerates the file with
+// it. A change that must not alter results is thus checked against the
+// last commit's outputs without rebuilding it, which also catches drift
+// between commits that two runs in one process would not see. The runs
+// go side by side, so state that simulations share shows up too. A
+// change that alters results on purpose regenerates the file with
 //
 //	go test -run TestGoldenDigests -update-golden .
 //
@@ -186,11 +186,12 @@ func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	t.Run("runs", func(t *testing.T) {
 		for _, v := range goldenVariants {
-			for _, wl := range append([]string{"gups", "pingpong"}, v.more...) {
-				for _, sol := range SolutionNames() {
-					if subset && (sol != "mtm" || wl != "gups" && wl != "pingpong") {
-						continue
-					}
+			wls, sols := append([]string{"gups", "pingpong"}, v.more...), SolutionNames()
+			if subset {
+				wls, sols = wls[:2], []string{"mtm"}
+			}
+			for _, wl := range wls {
+				for _, sol := range sols {
 					key := v.name + "/" + wl + "/" + sol
 					cfg := DefaultConfig()
 					cfg.Scale = 256
