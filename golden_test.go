@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -148,6 +150,118 @@ func goldenRuns() int {
 	return n
 }
 
+// goldenRecorded reports whether this platform records golden digests.
+var goldenRecorded = runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
+
+// goldenSubset reports whether this test binary runs only each variant's
+// gups/mtm and pingpong/mtm.
+func goldenSubset() bool {
+	return (testing.Short() || sim.RaceEnabled) && !*updateGolden
+}
+
+// goldenKeys lists the "<variant>/<workload>/<solution>" keys of the
+// runs TestGoldenDigests makes, in table order.
+func goldenKeys(subset bool) []string {
+	var keys []string
+	for _, v := range goldenVariants {
+		wls, sols := append([]string{"gups", "pingpong"}, v.more...), SolutionNames()
+		if subset {
+			wls, sols = wls[:2], []string{"mtm"}
+		}
+		for _, wl := range wls {
+			for _, sol := range sols {
+				keys = append(keys, v.name+"/"+wl+"/"+sol)
+			}
+		}
+	}
+	return keys
+}
+
+// goldenWant holds the digests of testdata/golden.json.
+var goldenWant = sync.OnceValues(func() (map[string]string, error) {
+	b, err := os.ReadFile(goldenFile)
+	if err != nil {
+		return nil, err
+	}
+	want := map[string]string{}
+	if err := json.Unmarshal(b, &want); err != nil {
+		return nil, fmt.Errorf("%s: %v", goldenFile, err)
+	}
+	return want, nil
+})
+
+// goldenRun is the run of one golden key. Each key runs once per test
+// binary, and every test that checks the key shares the run.
+type goldenRun struct {
+	once   sync.Once
+	digest string
+	again  string // a second run's digest, off linux/amd64 only
+	err    error
+}
+
+var goldenMemo sync.Map // key → *goldenRun
+
+// runGolden returns the run of key, making it on first use.
+func runGolden(key string) *goldenRun {
+	r, _ := goldenMemo.LoadOrStore(key, &goldenRun{})
+	run := r.(*goldenRun)
+	run.once.Do(func() {
+		parts := strings.SplitN(key, "/", 3)
+		if len(parts) != 3 {
+			run.err = fmt.Errorf("golden key %q is not <variant>/<workload>/<solution>", key)
+			return
+		}
+		cfg := DefaultConfig()
+		cfg.Scale = 256
+		cfg.OpsFactor = 0.1
+		cfg.Seed = 7
+		found := false
+		for _, v := range goldenVariants {
+			if v.name == parts[0] {
+				v.tune(&cfg)
+				found = true
+			}
+		}
+		if !found {
+			run.err = fmt.Errorf("no golden variant %q", parts[0])
+			return
+		}
+		run.digest, run.err = resultDigest(cfg, parts[1], parts[2])
+		if run.err == nil && !goldenRecorded {
+			run.again, run.err = resultDigest(cfg, parts[1], parts[2])
+		}
+	})
+	return run
+}
+
+// checkGolden fails t unless the run of key reproduces its golden
+// digest, or, off linux/amd64, unless two runs of it agree.
+func checkGolden(t *testing.T, key string) {
+	t.Helper()
+	r := runGolden(key)
+	if r.err != nil {
+		t.Fatalf("%s: %v", key, r.err)
+	}
+	if !goldenRecorded {
+		if r.again != r.digest {
+			t.Errorf("%s: Result digest %.12s, then %.12s on a second run", key, r.digest, r.again)
+		}
+		return
+	}
+	if *updateGolden {
+		return
+	}
+	want, err := goldenWant()
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update-golden)", err)
+	}
+	if w, ok := want[key]; !ok {
+		t.Errorf("%s: no golden digest (regenerate with -update-golden)", key)
+	} else if r.digest != w {
+		t.Errorf("%s: Result digest %.12s, golden %.12s", key, r.digest, w)
+	}
+}
+
 // TestGoldenDigests is the determinism check: every run of
 // goldenVariants must reproduce the digest testdata/golden.json holds for
 // it. A change that must not alter results is thus checked against the
@@ -164,66 +278,30 @@ func goldenRuns() int {
 // differently; there every run goes twice and the two digests must
 // match.
 func TestGoldenDigests(t *testing.T) {
-	recorded := runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
-	if *updateGolden && !recorded {
+	if *updateGolden && !goldenRecorded {
 		t.Fatal("golden digests are recorded on linux/amd64 only")
 	}
-	subset := (testing.Short() || sim.RaceEnabled) && !*updateGolden
+	subset := goldenSubset()
 	if subset {
 		t.Logf("%d of %d runs in -short and -race", 2*len(goldenVariants), goldenRuns())
 	}
-	want := map[string]string{}
-	if recorded && !*updateGolden {
-		b, err := os.ReadFile(goldenFile)
-		if err != nil {
-			t.Fatalf("%v (regenerate with -update-golden)", err)
-		}
-		if err := json.Unmarshal(b, &want); err != nil {
-			t.Fatalf("%s: %v", goldenFile, err)
-		}
-	}
-	var mu sync.Mutex
-	got := map[string]string{}
+	keys := goldenKeys(subset)
 	t.Run("runs", func(t *testing.T) {
-		for _, v := range goldenVariants {
-			wls, sols := append([]string{"gups", "pingpong"}, v.more...), SolutionNames()
-			if subset {
-				wls, sols = wls[:2], []string{"mtm"}
-			}
-			for _, wl := range wls {
-				for _, sol := range sols {
-					key := v.name + "/" + wl + "/" + sol
-					cfg := DefaultConfig()
-					cfg.Scale = 256
-					cfg.OpsFactor = 0.1
-					cfg.Seed = 7
-					v.tune(&cfg)
-					t.Run(key, func(t *testing.T) {
-						t.Parallel()
-						d := resultDigest(t, cfg, wl, sol)
-						if !recorded {
-							if d2 := resultDigest(t, cfg, wl, sol); d2 != d {
-								t.Errorf("Result digest %.12s, then %.12s on a second run", d, d2)
-							}
-							return
-						}
-						mu.Lock()
-						got[key] = d
-						mu.Unlock()
-						if *updateGolden {
-							return
-						}
-						if w, ok := want[key]; !ok {
-							t.Errorf("no golden digest (regenerate with -update-golden)")
-						} else if d != w {
-							t.Errorf("Result digest %.12s, golden %.12s", d, w)
-						}
-					})
-				}
-			}
+		for _, key := range keys {
+			t.Run(key, func(t *testing.T) {
+				t.Parallel()
+				checkGolden(t, key)
+			})
 		}
 	})
 	if *updateGolden {
+		if t.Failed() {
+			t.Fatal("not rewriting the golden digests: a run failed")
+		}
+		got := map[string]string{}
+		for _, key := range keys {
+			got[key] = runGolden(key).digest
+		}
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -236,12 +314,20 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		return
 	}
-	if subset || !recorded {
+	if subset || !goldenRecorded {
 		return
+	}
+	want, err := goldenWant()
+	if err != nil {
+		return // each run has reported it
+	}
+	ran := map[string]bool{}
+	for _, key := range keys {
+		ran[key] = true
 	}
 	var stale []string
 	for k := range want {
-		if _, ok := got[k]; !ok {
+		if !ran[k] {
 			stale = append(stale, k)
 		}
 	}
@@ -254,19 +340,185 @@ func TestGoldenDigests(t *testing.T) {
 // resultDigest runs one configuration and returns the SHA-256 of its
 // Result JSON, with the run error appended when there is one: a fault
 // scenario may legitimately end a run early.
-func resultDigest(t *testing.T, cfg Config, wl, sol string) string {
-	t.Helper()
+func resultDigest(cfg Config, wl, sol string) (string, error) {
 	res, err := Run(cfg, wl, sol)
 	if res == nil {
-		t.Fatalf("run: %v", err)
+		return "", fmt.Errorf("run: %v", err)
 	}
 	b, jerr := json.Marshal(res)
 	if jerr != nil {
-		t.Fatal(jerr)
+		return "", jerr
 	}
 	if err != nil {
 		b = append(b, "\nerror: "+err.Error()...)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), nil
+}
+
+// The tests below keep the names of the run-twice tests the golden
+// digests replaced. Each of their subtests checks the golden keys that
+// now pin the configuration it used to run twice, so a failure still
+// names the feature it covers. They share TestGoldenDigests' runs and
+// add none; -short and -race keep the subtests whose keys they run.
+
+// goldenCover is one subtest of a run-twice test and the golden keys
+// that pin its configuration.
+type goldenCover struct {
+	name string
+	keys []string
+}
+
+func cover(name string, keys ...string) goldenCover { return goldenCover{name, keys} }
+
+// checkCovers runs each cover as a parallel subtest of t.
+func checkCovers(t *testing.T, covers []goldenCover) {
+	run := map[string]bool{}
+	for _, key := range goldenKeys(goldenSubset()) {
+		run[key] = true
+	}
+next:
+	for _, c := range covers {
+		for _, key := range c.keys {
+			if !run[key] {
+				continue next
+			}
+		}
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			for _, key := range c.keys {
+				checkGolden(t, key)
+			}
+		})
+	}
+}
+
+// TestParallelDeterminismMatrix: every workload under every solution,
+// gups under dimm-death and cxl-flaky, and pingpong with admission and
+// with the oracle, each also under cxl-flaky.
+func TestParallelDeterminismMatrix(t *testing.T) {
+	var covers []goldenCover
+	for _, wl := range WorkloadNames() {
+		v := "plain"
+		if wl == "bfs" || wl == "sssp" {
+			v = "metrics+spans"
+		}
+		for _, sol := range SolutionNames() {
+			covers = append(covers, cover(wl+"/"+sol, v+"/"+wl+"/"+sol))
+		}
+	}
+	for _, h := range []string{"dimm-death", "cxl-flaky"} {
+		for _, sol := range SolutionNames() {
+			covers = append(covers, cover("gups/"+sol+"/"+h, h+"/gups/"+sol))
+		}
+	}
+	for _, sol := range SolutionNames() {
+		flaky := "cxl-flaky+admission+fidelity+spans/pingpong/" + sol
+		covers = append(covers,
+			cover("pingpong/"+sol+"/admission", "admission+fidelity+spans/pingpong/"+sol),
+			cover("pingpong/"+sol+"/admission/cxl-flaky", flaky),
+			cover("pingpong/"+sol+"/fidelity", "fidelity/pingpong/"+sol, "admission+fidelity+spans/pingpong/"+sol),
+			cover("pingpong/"+sol+"/fidelity/cxl-flaky", flaky))
+	}
+	checkCovers(t, covers)
+}
+
+// TestParallelDeterminismMetrics: the metrics export, also under EBUSY
+// storms.
+func TestParallelDeterminismMetrics(t *testing.T) {
+	checkCovers(t, []goldenCover{
+		cover("gups/mtm", "metrics+spans/gups/mtm"),
+		cover("gups/tiered-autonuma", "metrics+spans/gups/tiered-autonuma"),
+		cover("gups/mtm/ebusy-storm", "ebusy-storm+metrics+spans/gups/mtm"),
+	})
+}
+
+// TestParallelDeterminismSpans: the span export of every workload under
+// every solution.
+func TestParallelDeterminismSpans(t *testing.T) {
+	var covers []goldenCover
+	for _, wl := range WorkloadNames() {
+		v := "metrics+spans"
+		if wl == "cassandra" || wl == "voltdb" || wl == "spark" {
+			v = "dimm-death+spans"
+		}
+		for _, sol := range SolutionNames() {
+			covers = append(covers, cover(wl+"/"+sol, v+"/"+wl+"/"+sol))
+		}
+	}
+	checkCovers(t, covers)
+}
+
+// TestParallelDeterminismSpansFaults: retry, backoff and abort
+// annotations in the transfer spans.
+func TestParallelDeterminismSpansFaults(t *testing.T) {
+	checkGolden(t, "ebusy-storm+metrics+spans/gups/mtm")
+}
+
+// TestParallelDeterminismFaults: the injector's own random stream under
+// EBUSY storms.
+func TestParallelDeterminismFaults(t *testing.T) {
+	checkGolden(t, "ebusy-storm+metrics+spans/gups/mtm")
+}
+
+// TestParallelDeterminismNomad: Nomad's shadow retention, write
+// invalidation, background sync and flip demotion, audited, also under
+// cxl-flaky.
+func TestParallelDeterminismNomad(t *testing.T) {
+	checkCovers(t, []goldenCover{
+		cover("pingpong/nomad", "plain/pingpong/nomad", "dimm-death/pingpong/nomad"),
+		cover("pingpong/nomad/cxl-flaky", "cxl-flaky/pingpong/nomad"),
+	})
+}
+
+// TestParallelDeterminismNomadSpans: Nomad's shadow sync and
+// flip-demotion spans, also under cxl-flaky.
+func TestParallelDeterminismNomadSpans(t *testing.T) {
+	checkCovers(t, []goldenCover{
+		cover("pingpong/nomad", "metrics+spans/pingpong/nomad"),
+		cover("pingpong/nomad/cxl-flaky", "cxl-flaky+admission+fidelity+spans/pingpong/nomad"),
+	})
+}
+
+// TestParallelDeterminismAdmissionSpans: admission decision spans while a
+// flaky tier feeds the waste ledger.
+func TestParallelDeterminismAdmissionSpans(t *testing.T) {
+	checkGolden(t, "cxl-flaky+admission+fidelity+spans/pingpong/mtm")
+}
+
+// TestParallelDeterminismHealthSpans: poison, transition, breaker-trip
+// and drain spans of a run that kills a DIMM.
+func TestParallelDeterminismHealthSpans(t *testing.T) {
+	checkGolden(t, "dimm-death+spans/gups/mtm")
+}
+
+// TestParallelDeterminismFidelity: the oracle's Fidelity block and its
+// outcome spans, also under cxl-flaky.
+func TestParallelDeterminismFidelity(t *testing.T) {
+	plain, flaky := "admission+fidelity+spans/pingpong/mtm", "cxl-flaky+admission+fidelity+spans/pingpong/mtm"
+	checkCovers(t, []goldenCover{
+		cover("pingpong/mtm/plain", plain),
+		cover("pingpong/mtm/plain/spans", plain),
+		cover("pingpong/mtm/cxl-flaky", flaky),
+		cover("pingpong/mtm/cxl-flaky/spans", flaky),
+	})
+}
+
+// TestParallelDeterminismLearn: learned admission floors and lanes, with
+// their span attributes, also under a flaky tier.
+func TestParallelDeterminismLearn(t *testing.T) {
+	flaky := "cxl-flaky+lanes+metrics+spans/pingpong/mtm"
+	checkCovers(t, []goldenCover{
+		cover("pingpong/mtm/plain", "learn+lanes/pingpong/mtm"),
+		cover("pingpong/mtm/plain/spans", "learn+lanes/pingpong/mtm", flaky),
+		cover("pingpong/mtm/cxl-flaky", flaky),
+		cover("pingpong/mtm/cxl-flaky/spans", flaky),
+	})
+}
+
+// TestRunDeterminism: gups under mtm in every variant.
+func TestRunDeterminism(t *testing.T) {
+	for _, v := range goldenVariants {
+		checkGolden(t, v.name+"/gups/mtm")
+	}
 }
