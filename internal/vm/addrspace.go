@@ -90,10 +90,11 @@ func (as *AddressSpace) ResetCounts() {
 }
 
 // ObserveScans models what numScans PTE scans of page idx observe during
-// the current interval, given the page's ground-truth access count k.
-// Each scan reads (and clears) the accessed bit, so it reports whether at
-// least one access fell in the window since the bit was last cleared;
-// windowFrac is that window's length as a fraction of the interval.
+// the current interval, given the page's ground-truth access count k. No
+// accessed bit is stored: each modelled scan reads and clears one, so it
+// reports whether at least one access fell in the window since the bit
+// was last cleared; windowFrac is that window's length as a fraction of
+// the interval.
 //
 // The window length is what gives a scanning profiler its dynamic range:
 // with accesses spread across the interval, a window is hit with

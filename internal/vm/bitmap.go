@@ -9,10 +9,10 @@ import "math/bits"
 const WordPages = 64
 
 // Bitmap is a flat per-VMA bit plane indexed by page number, 64 pages per
-// word. The VMA keeps one plane per hot PTE flag (present, accessed,
-// dirty) plus the ground-truth touched plane, so profiler scans are
-// word-wide sweeps (bits.OnesCount64 over words, bits.TrailingZeros64 to
-// visit set pages) instead of per-page PTE loads.
+// word. The VMA keeps one plane per hot PTE flag (present, dirty) plus
+// the ground-truth touched plane, so profiler scans are word-wide sweeps
+// (bits.OnesCount64 over words, bits.TrailingZeros64 to visit set pages)
+// instead of per-page PTE loads.
 type Bitmap []uint64
 
 // NewBitmap returns a zeroed bitmap covering n pages.

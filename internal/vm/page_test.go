@@ -47,15 +47,15 @@ func TestPlaceNodeRange(t *testing.T) {
 // modelPage is the naive per-page reference state the packed VMA is
 // checked against.
 type modelPage struct {
-	node                              tier.NodeID
-	present, accessed, dirty, touched bool
-	poisoned                          bool
-	shadowed, shadowValid             bool
-	shadowNode                        tier.NodeID
-	shadowSeq                         uint32
-	stamp                             int64
-	count, writes                     uint32
-	socket                            int
+	node                    tier.NodeID
+	present, dirty, touched bool
+	poisoned                bool
+	shadowed, shadowValid   bool
+	shadowNode              tier.NodeID
+	shadowSeq               uint32
+	stamp                   int64
+	count, writes           uint32
+	socket                  int
 }
 
 func (m modelPage) shadowNodeOrNone() tier.NodeID {
@@ -70,7 +70,7 @@ func (m modelPage) pte() PTE {
 	for _, b := range []struct {
 		on  bool
 		bit PTE
-	}{{m.present, Present}, {m.accessed, Accessed}, {m.dirty, Dirty}, {m.poisoned, Poisoned}} {
+	}{{m.present, Present}, {m.dirty, Dirty}, {m.poisoned, Poisoned}} {
 		if b.on {
 			p |= b.bit
 		}
@@ -114,7 +114,7 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		if node != m.node {
 			t.Fatalf("step %d %s: node = %d, want %d", step, op, node, m.node)
 		}
-		m.accessed, m.touched = true, true
+		m.touched = true
 		if nw > 0 {
 			m.dirty = true
 			if m.shadowValid {

@@ -9,9 +9,9 @@ import (
 func TestPoisonTearsDownMapping(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Alloc("v", 4*tier.MB)
-	v.Touch(0, true, 1)
+	v.TouchN(0, 1, 1, 1)
 	v.Place(0, 2)
-	v.Touch(0, true, 1)
+	v.TouchN(0, 1, 1, 1)
 	if v.Count(0) == 0 || v.WriteCount(0) == 0 {
 		t.Fatal("setup: touched page has no counts")
 	}
@@ -29,32 +29,28 @@ func TestPoisonTearsDownMapping(t *testing.T) {
 	if v.Count(0) != 0 || v.WriteCount(0) != 0 {
 		t.Fatal("poisoned page kept access counts")
 	}
-	if pte := v.PTE(0); pte.Has(Accessed) || pte.Has(Dirty) {
-		t.Fatalf("poisoned PTE kept tracking bits: %v", pte)
+	if pte := v.PTE(0); pte.Has(Dirty) || v.Touched(0) {
+		t.Fatalf("poisoned page kept tracking bits: pte %v, touched %v", pte, v.Touched(0))
 	}
 }
 
 func TestPoisonedPageFaultsOnTouch(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Alloc("v", 4*tier.MB)
-	v.Touch(0, false, 0)
+	v.TouchN(0, 1, 0, 0)
 	v.Place(0, 1)
 	v.Poison(0)
 
-	// An access to a poisoned page must fault (the SIGBUS analogue), and
-	// ScanAndClear must treat it as non-resident.
-	if _, fault := v.Touch(0, false, 0); !fault {
+	// An access to a poisoned page must fault (the SIGBUS analogue).
+	if _, fault := v.TouchN(0, 1, 0, 0); !fault {
 		t.Fatal("touching a poisoned page did not fault")
-	}
-	if v.ScanAndClear(0) {
-		t.Fatal("ScanAndClear saw a poisoned page as resident")
 	}
 }
 
 func TestClearPoisonAllowsRefault(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Alloc("v", 4*tier.MB)
-	v.Touch(0, false, 0)
+	v.TouchN(0, 1, 0, 0)
 	v.Place(0, 1)
 	v.Poison(0)
 
@@ -63,11 +59,11 @@ func TestClearPoisonAllowsRefault(t *testing.T) {
 		t.Fatal("ClearPoison left the Poisoned bit set")
 	}
 	// Refault onto a healthy node: the page becomes an ordinary mapping.
-	if _, fault := v.Touch(0, false, 0); !fault {
+	if _, fault := v.TouchN(0, 1, 0, 0); !fault {
 		t.Fatal("cleared page did not demand-fault")
 	}
 	v.Place(0, 0)
-	if node, fault := v.Touch(0, false, 0); fault || node != 0 {
+	if node, fault := v.TouchN(0, 1, 0, 0); fault || node != 0 {
 		t.Fatalf("refaulted page: node=%d fault=%v", node, fault)
 	}
 }

@@ -76,21 +76,24 @@ func TestLookup(t *testing.T) {
 func TestTouchSetsBits(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Alloc("v", 4*tier.MB)
-	if _, fault := v.Touch(0, false, 0); !fault {
+	if _, fault := v.TouchN(0, 1, 0, 0); !fault {
 		t.Fatal("touch of non-present page did not fault")
 	}
+	if v.Touched(0) {
+		t.Fatal("faulting touch marked the page touched")
+	}
 	v.Place(0, 1)
-	node, fault := v.Touch(0, false, 0)
+	node, fault := v.TouchN(0, 1, 0, 0)
 	if fault || node != 1 {
 		t.Fatalf("touch = (%d, %v)", node, fault)
 	}
-	if !v.PTE(0).Has(Accessed) {
-		t.Fatal("accessed bit not set")
+	if !v.Touched(0) {
+		t.Fatal("touched bit not set")
 	}
 	if v.PTE(0).Has(Dirty) {
 		t.Fatal("dirty bit set by read")
 	}
-	v.Touch(0, true, 1)
+	v.TouchN(0, 1, 1, 1)
 	if !v.PTE(0).Has(Dirty) {
 		t.Fatal("dirty bit not set by write")
 	}
@@ -109,33 +112,14 @@ func TestTouchNMatchesTouch(t *testing.T) {
 	a.Place(0, 0)
 	b.Place(0, 0)
 	for i := 0; i < 7; i++ {
-		a.Touch(0, i%2 == 0, 0)
+		a.TouchN(0, 1, uint32(1-i%2), 0)
 	}
 	b.TouchN(0, 7, 4, 0)
 	if a.Count(0) != b.Count(0) || a.WriteCount(0) != b.WriteCount(0) {
 		t.Fatalf("TouchN mismatch: %d/%d vs %d/%d", a.Count(0), a.WriteCount(0), b.Count(0), b.WriteCount(0))
 	}
-	if a.PTE(0) != b.PTE(0) {
-		t.Fatalf("PTE mismatch: %b vs %b", a.PTE(0), b.PTE(0))
-	}
-}
-
-func TestScanAndClear(t *testing.T) {
-	as := NewAddressSpace()
-	v := as.Alloc("v", 2*tier.MB)
-	if v.ScanAndClear(0) {
-		t.Fatal("scan of non-present page reported access")
-	}
-	v.Place(0, 0)
-	if v.ScanAndClear(0) {
-		t.Fatal("scan of untouched page reported access")
-	}
-	v.Touch(0, false, 0)
-	if !v.ScanAndClear(0) {
-		t.Fatal("scan after touch reported no access")
-	}
-	if v.ScanAndClear(0) {
-		t.Fatal("second scan reported access: bit was not cleared")
+	if a.PTE(0) != b.PTE(0) || a.Touched(0) != b.Touched(0) {
+		t.Fatalf("PTE mismatch: %b/%v vs %b/%v", a.PTE(0), a.Touched(0), b.PTE(0), b.Touched(0))
 	}
 }
 
@@ -143,7 +127,7 @@ func TestDirtyTracking(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Alloc("v", 2*tier.MB)
 	v.Place(0, 0)
-	v.Touch(0, true, 0)
+	v.TouchN(0, 1, 1, 0)
 	if !v.TestAndClearDirty(0) {
 		t.Fatal("dirty not observed")
 	}
@@ -156,7 +140,7 @@ func TestUnmapPreservesTracking(t *testing.T) {
 	as := NewAddressSpace()
 	v := as.Alloc("v", 2*tier.MB)
 	v.Place(0, 2)
-	v.Touch(0, true, 0)
+	v.TouchN(0, 1, 1, 0)
 	v.Unmap(0)
 	if v.Present(0) {
 		t.Fatal("page present after unmap")
@@ -164,8 +148,8 @@ func TestUnmapPreservesTracking(t *testing.T) {
 	if v.Node(0) != NoNode {
 		t.Fatal("node not cleared by unmap")
 	}
-	if !v.PTE(0).Has(Dirty) {
-		t.Fatal("unmap erased dirty tracking state")
+	if !v.PTE(0).Has(Dirty) || !v.Touched(0) || v.Count(0) != 1 || v.WriteCount(0) != 1 {
+		t.Fatal("unmap erased tracking state")
 	}
 }
 
@@ -178,8 +162,11 @@ func TestResetCounts(t *testing.T) {
 	if v.Count(0) != 0 || v.WriteCount(0) != 0 {
 		t.Fatal("counts not reset")
 	}
-	if !v.PTE(0).Has(Accessed) {
-		t.Fatal("reset must not clear PTE bits (only scans do)")
+	if v.Touched(0) {
+		t.Fatal("reset left the page touched")
+	}
+	if !v.PTE(0).Has(Present | Dirty) {
+		t.Fatal("reset must not clear PTE bits")
 	}
 }
 
