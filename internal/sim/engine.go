@@ -67,6 +67,48 @@ type Workload interface {
 	Done() bool
 }
 
+// RobustnessCounters count transactional migration and the emergency
+// out-of-memory path (non-zero only under fault injection or capacity
+// emergencies).
+type RobustnessCounters struct {
+	MigrationRetries   int64 // page-copy attempts retried after EBUSY
+	MigrationAborts    int64 // page-move transactions rolled back
+	WastedBytes        int64 // copy bytes thrown away by aborts
+	DeferredPromotions int64 // promotions deferred by admission control
+	EmergencyDemotions int64 // emergency-reclaim events in the fault path
+}
+
+// HealthCounters count tier-health events (non-zero only with
+// EnableHealth; omitted from Result JSON while zero, so health-free
+// Result JSON is unchanged).
+type HealthCounters struct {
+	PoisonedPages    int64 `json:",omitempty"` // pages lost to uncorrectable memory errors
+	PoisonRecoveries int64 `json:",omitempty"` // recovery faults taken on poisoned pages
+	DrainedBytes     int64 `json:",omitempty"` // bytes evacuated off draining tiers
+	BreakerTrips     int64 `json:",omitempty"` // migration circuit-breaker trips
+	DrainStalls      int64 `json:",omitempty"` // drain steps stalled with no destination
+}
+
+// AdmissionCounters count admission-control decisions (non-zero only with
+// EnableAdmission; omitted from Result JSON while zero).
+type AdmissionCounters struct {
+	AdmissionAdmits  int64 `json:",omitempty"` // planned moves admitted (possibly clipped)
+	AdmissionDefers  int64 `json:",omitempty"` // planned moves deferred (budget / shedding)
+	AdmissionRejects int64 `json:",omitempty"` // planned moves rejected (ROI / victim heat)
+	ThrashSuppressed int64 `json:",omitempty"` // page moves blocked by the ping-pong cool-down
+}
+
+// ShadowCounters count non-exclusive tiering (non-zero only when the
+// active policy retained shadow frames; omitted from Result JSON while
+// zero).
+type ShadowCounters struct {
+	ShadowHits          int64 `json:",omitempty"` // demotion lookups that found a valid shadow
+	ShadowInvalidations int64 `json:",omitempty"` // shadows diverged by a write to the fast copy
+	FreeDemotions       int64 `json:",omitempty"` // demotions completed as zero-copy flips
+	FreeDemotionBytes   int64 `json:",omitempty"` // bytes demoted without copying
+	ShadowSyncBytes     int64 `json:",omitempty"` // bytes re-copied to shadows in the background
+}
+
 // Engine is the simulation core. Not safe for concurrent use: a run
 // executes entirely on the goroutine that drives it.
 type Engine struct {
@@ -133,35 +175,13 @@ type Engine struct {
 	DemotedBytes  int64
 	Intervals     int
 
-	// Robustness accounting (transactional migration and the emergency
-	// out-of-memory path).
-	MigrationRetries   int64 // page-copy attempts retried after EBUSY
-	MigrationAborts    int64 // page-move transactions rolled back
-	WastedBytes        int64 // copy bytes thrown away by aborts
-	DeferredPromotions int64 // promotions deferred by admission control
-	EmergencyDemotions int64 // emergency-reclaim events in the fault path
-
-	// Tier-health accounting (non-zero only with EnableHealth).
-	PoisonedPages    int64 // pages lost to uncorrectable memory errors
-	PoisonRecoveries int64 // recovery faults taken on poisoned pages
-	DrainedBytes     int64 // bytes evacuated off draining tiers
-	BreakerTrips     int64 // migration circuit-breaker trips
-	DrainStalls      int64 // drain steps stalled with no destination
-
-	// Admission-control accounting (non-zero only with EnableAdmission).
-	AdmissionAdmits  int64 // planned moves admitted (possibly clipped)
-	AdmissionDefers  int64 // planned moves deferred (budget / shedding)
-	AdmissionRejects int64 // planned moves rejected (ROI / victim heat)
-	ThrashSuppressed int64 // page moves blocked by the ping-pong cool-down
-
-	// Non-exclusive-tiering accounting (non-zero only with EnableShadow).
-	ShadowHits          int64 // demotion lookups that found a valid shadow
-	ShadowInvalidations int64 // shadows diverged by a write to the fast copy
-	FreeDemotions       int64 // demotions completed as zero-copy flips
-	FreeDemotionBytes   int64 // bytes demoted without copying
-	ShadowSyncBytes     int64 // bytes re-copied to shadows in the background
-	shadowRetains       int64 // promotions that retained their source frame
-	shadowDrops         int64 // shadows dropped (pressure/poison/drain/stale)
+	// Run counters; Run copies each block into the Result.
+	RobustnessCounters
+	HealthCounters
+	AdmissionCounters
+	ShadowCounters
+	shadowRetains int64 // promotions that retained their source frame
+	shadowDrops   int64 // shadows dropped (pressure/poison/drain/stale)
 
 	// Committed-move ledger and residency bookkeeping for Audit.
 	committedPages int64
@@ -566,46 +586,19 @@ type Result struct {
 	PromotedBytes int64
 	DemotedBytes  int64
 
-	// Robustness accounting (non-zero only under fault injection or
-	// capacity emergencies).
-	MigrationRetries   int64
-	MigrationAborts    int64
-	WastedBytes        int64
-	DeferredPromotions int64
-	EmergencyDemotions int64
-
-	// Tier-health accounting (present only when the health subsystem ran;
-	// omitted otherwise so health-free Result JSON is unchanged).
-	PoisonedPages    int64 `json:",omitempty"`
-	PoisonRecoveries int64 `json:",omitempty"`
-	DrainedBytes     int64 `json:",omitempty"`
-	BreakerTrips     int64 `json:",omitempty"`
-	DrainStalls      int64 `json:",omitempty"`
+	RobustnessCounters
+	HealthCounters
 	// TierStates is the final health state per node, in node order; nil
 	// without the health subsystem.
 	TierStates []string `json:",omitempty"`
 
-	// Admission-control accounting (present only when the admission
-	// subsystem ran; omitted otherwise so admission-free Result JSON is
-	// unchanged).
-	AdmissionAdmits  int64 `json:",omitempty"`
-	AdmissionDefers  int64 `json:",omitempty"`
-	AdmissionRejects int64 `json:",omitempty"`
-	ThrashSuppressed int64 `json:",omitempty"`
-
+	AdmissionCounters
 	// AdmissionLanes breaks admission activity down by traffic class
 	// (normal / drain / emergency) when priority lanes are enabled; nil
 	// otherwise so lane-free Result JSON is unchanged.
 	AdmissionLanes *LaneStats `json:",omitempty"`
 
-	// Non-exclusive-tiering accounting (present only when the active
-	// policy retained shadow frames; omitted otherwise so shadow-free
-	// Result JSON is unchanged).
-	ShadowHits          int64 `json:",omitempty"`
-	ShadowInvalidations int64 `json:",omitempty"`
-	FreeDemotions       int64 `json:",omitempty"`
-	FreeDemotionBytes   int64 `json:",omitempty"`
-	ShadowSyncBytes     int64 `json:",omitempty"`
+	ShadowCounters
 
 	// MigratedBytes is the copy traffic actually paid for migration:
 	// promoted plus demoted volume minus the demotions that completed as
@@ -646,44 +639,29 @@ func Run(e *Engine, w Workload, sol Solution, maxIntervals int) (*Result, error)
 	na := make([]int64, len(e.NodeAccesses))
 	copy(na, e.NodeAccesses)
 	return &Result{
-		Solution:            sol.Name(),
-		Workload:            w.Name(),
-		ExecTime:            e.clock,
-		App:                 e.TotalApp,
-		Profiling:           e.TotalProf,
-		Migration:           e.TotalMig,
-		Background:          e.TotalBg,
-		Intervals:           e.Intervals,
-		Completed:           w.Done() && e.failed == nil,
-		Truncated:           e.failed == nil && !w.Done(),
-		NodeAccesses:        na,
-		TotalAccesses:       e.TotalAccesses,
-		PromotedBytes:       e.PromotedBytes,
-		DemotedBytes:        e.DemotedBytes,
-		MigrationRetries:    e.MigrationRetries,
-		MigrationAborts:     e.MigrationAborts,
-		WastedBytes:         e.WastedBytes,
-		DeferredPromotions:  e.DeferredPromotions,
-		EmergencyDemotions:  e.EmergencyDemotions,
-		PoisonedPages:       e.PoisonedPages,
-		PoisonRecoveries:    e.PoisonRecoveries,
-		DrainedBytes:        e.DrainedBytes,
-		BreakerTrips:        e.BreakerTrips,
-		DrainStalls:         e.DrainStalls,
-		AdmissionAdmits:     e.AdmissionAdmits,
-		AdmissionDefers:     e.AdmissionDefers,
-		AdmissionRejects:    e.AdmissionRejects,
-		ThrashSuppressed:    e.ThrashSuppressed,
-		AdmissionLanes:      e.AdmissionLaneStats(),
-		ShadowHits:          e.ShadowHits,
-		ShadowInvalidations: e.ShadowInvalidations,
-		FreeDemotions:       e.FreeDemotions,
-		FreeDemotionBytes:   e.FreeDemotionBytes,
-		ShadowSyncBytes:     e.ShadowSyncBytes,
-		MigratedBytes:       e.PromotedBytes + e.DemotedBytes - e.FreeDemotionBytes,
-		TierStates:          e.TierStates(),
-		Fidelity:            e.FidelityReport(),
-		Metrics:             e.MetricsExport(),
-		Spans:               e.SpansExport(),
+		Solution:           sol.Name(),
+		Workload:           w.Name(),
+		ExecTime:           e.clock,
+		App:                e.TotalApp,
+		Profiling:          e.TotalProf,
+		Migration:          e.TotalMig,
+		Background:         e.TotalBg,
+		Intervals:          e.Intervals,
+		Completed:          w.Done() && e.failed == nil,
+		Truncated:          e.failed == nil && !w.Done(),
+		NodeAccesses:       na,
+		TotalAccesses:      e.TotalAccesses,
+		PromotedBytes:      e.PromotedBytes,
+		DemotedBytes:       e.DemotedBytes,
+		RobustnessCounters: e.RobustnessCounters,
+		HealthCounters:     e.HealthCounters,
+		AdmissionCounters:  e.AdmissionCounters,
+		AdmissionLanes:     e.AdmissionLaneStats(),
+		ShadowCounters:     e.ShadowCounters,
+		MigratedBytes:      e.PromotedBytes + e.DemotedBytes - e.FreeDemotionBytes,
+		TierStates:         e.TierStates(),
+		Fidelity:           e.FidelityReport(),
+		Metrics:            e.MetricsExport(),
+		Spans:              e.SpansExport(),
 	}, e.failed
 }
