@@ -27,12 +27,10 @@ func (s BreakerState) String() string {
 
 // cell is the breaker state of one (src, dst) tier pair.
 type cell struct {
-	state      BreakerState
-	consec     int   // consecutive aborts while closed
-	openedAt   int64 // virtual ns of the last trip
-	openUntil  int64 // virtual ns when a half-open probe becomes allowed
-	trips      int64
-	lastTripAt int64
+	state     BreakerState
+	consec    int   // consecutive aborts while closed
+	openUntil int64 // virtual ns when a half-open probe becomes allowed
+	trips     int64
 }
 
 // Breaker holds one circuit breaker per (src, dst) tier pair. All times
@@ -53,15 +51,9 @@ func NewBreaker(n int, coolDownNs int64) *Breaker {
 	return b
 }
 
-// Allow reports whether a migration src→dst may be planned at virtual
+// AllowAt reports whether a migration src→dst may be planned at virtual
 // time nowNs. An open breaker whose cool-down has elapsed moves to
-// half-open and allows the (single) probe.
-func (b *Breaker) Allow(src, dst int, nowNs int64) bool {
-	ok, _ := b.AllowAt(src, dst, nowNs)
-	return ok
-}
-
-// AllowAt is Allow plus a transition report: reopened is true exactly
+// half-open and allows the (single) probe. reopened is true exactly
 // when this call moved the pair from open to half-open, the moment a
 // recovering pair re-enters service. Callers use it to reset stale
 // per-pair state accumulated before the trip (the admission waste
@@ -114,10 +106,8 @@ func (b *Breaker) RecordAbort(src, dst int, nowNs int64) bool {
 func (b *Breaker) trip(c *cell, nowNs int64) {
 	c.state = BreakerOpen
 	c.consec = 0
-	c.openedAt = nowNs
 	c.openUntil = nowNs + b.coolDownNs
 	c.trips++
-	c.lastTripAt = nowNs
 }
 
 // OpenInto reports whether any breaker into dst is open (cool-down not

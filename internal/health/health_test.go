@@ -159,8 +159,8 @@ func TestBreakerTripsAtMostOncePerCoolDown(t *testing.T) {
 	}
 	// While open, the pair is vetoed and further aborts never re-trip.
 	for now := int64(3); now < 1000; now += 100 {
-		if b.Allow(0, 1, now) {
-			t.Fatalf("Allow during cool-down at %d", now)
+		if ok, _ := b.AllowAt(0, 1, now); ok {
+			t.Fatalf("AllowAt during cool-down at %d", now)
 		}
 		if b.RecordAbort(0, 1, now) {
 			t.Fatalf("re-trip during cool-down at %d", now)
@@ -180,22 +180,32 @@ func TestBreakerHalfOpenProbe(t *testing.T) {
 		return b
 	}
 
-	// Probe succeeds: the breaker closes.
+	// Probe succeeds: the breaker closes. Only the call that moves the
+	// pair from open to half-open reports reopened.
 	b := mk()
-	if !b.Allow(0, 1, 1000) {
-		t.Fatal("cool-down elapsed but probe refused")
+	if ok, reopened := b.AllowAt(0, 1, 999); ok || reopened {
+		t.Fatalf("AllowAt during cool-down = %v, %v", ok, reopened)
+	}
+	if ok, reopened := b.AllowAt(0, 1, 1000); !ok || !reopened {
+		t.Fatalf("cool-down elapsed: AllowAt = %v, %v, want true, true", ok, reopened)
 	}
 	if b.StateOf(0, 1) != BreakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", b.StateOf(0, 1))
 	}
+	if ok, reopened := b.AllowAt(0, 1, 1001); !ok || reopened {
+		t.Fatalf("half-open: AllowAt = %v, %v, want true, false", ok, reopened)
+	}
 	b.RecordSuccess(0, 1)
+	if ok, reopened := b.AllowAt(0, 1, 1002); !ok || reopened {
+		t.Fatalf("closed: AllowAt = %v, %v, want true, false", ok, reopened)
+	}
 	if b.StateOf(0, 1) != BreakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
 
 	// Probe fails: immediate re-trip with a fresh cool-down.
 	b = mk()
-	b.Allow(0, 1, 2000)
+	b.AllowAt(0, 1, 2000)
 	if !b.RecordAbort(0, 1, 2000) {
 		t.Fatal("failed half-open probe did not re-trip")
 	}
@@ -217,7 +227,7 @@ func TestOpenIntoIsReadOnly(t *testing.T) {
 		t.Fatal("OpenInto reported the wrong destination")
 	}
 	// Past the cool-down it reads as not-open, but must not flip the cell
-	// to half-open (that is Allow's job).
+	// to half-open (that is AllowAt's job).
 	if b.OpenInto(1, 1000) {
 		t.Fatal("OpenInto true after cool-down")
 	}
