@@ -158,8 +158,7 @@ func Fig11Mechanisms(o Options) string {
 		{"W", 1e9},
 	}
 	tb := stats.NewTable("dst tier", "pattern", "mechanism", "critical", "background", "switched")
-	topo := mtm.NewEngine(cfg).Sys.Topo
-	view := topo.View(0)
+	view := cfg.Topology().View(0)
 	for dstRank := 1; dstRank < len(view); dstRank++ {
 		for _, pat := range patterns {
 			for _, m := range mechanisms {
@@ -341,12 +340,12 @@ func Tab6TierAccesses(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("solution", "tier1 (M)", "tier2 (M)", "tier3 (M)", "tier4 (M)")
 	var warns []string
+	view := cfg.Topology().View(0)
 	for _, sol := range []string{"tiered-autonuma", "autotiering", "mtm"} {
 		res, err := mtm.Run(cfg, "voltdb", sol)
 		if res, err = note(&warns, res, err); err != nil {
 			return err.Error()
 		}
-		view := mtm.NewEngine(cfg).Sys.Topo.View(0)
 		row := make([]interface{}, 0, 5)
 		row = append(row, res.Solution)
 		for _, n := range view {
