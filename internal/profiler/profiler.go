@@ -3,11 +3,13 @@
 // page-protection sampling, AutoTiering's random address-space sampling,
 // and tiered-AutoNUMA's sequential hint-fault scan.
 //
-// All profilers observe memory through the same PTE primitives
-// (vm.ObserveScans / VMA.ScanAndClear), so differences in profiling
-// quality emerge from their mechanisms — sample placement, scan counts,
-// region formation — exactly as in the paper, not from privileged access
-// to ground truth.
+// Profilers observe PTE accessed bits only through vm.ObserveScans, a
+// model of N read-and-clear scans over the page's interval count; no
+// accessed bit is stored. Thermostat's sampled protection faults and
+// MTM's PEBS samples are the other channels. Differences in profiling
+// quality therefore emerge from their mechanisms — sample placement, scan
+// counts, region formation — exactly as in the paper, not from privileged
+// access to ground truth.
 package profiler
 
 import (
