@@ -332,17 +332,23 @@ type learner struct {
 }
 
 // ClassStat tracks one traffic class's admission activity: per-interval
-// tallies for the starvation watchdog, and lifetime totals exported in
-// Result.
+// tallies for the starvation watchdog, lifetime totals exported in
+// Result, and the watchdog's firings.
 type ClassStat struct {
 	reqs, admits  int64 // this interval (watchdog inputs)
 	waitIntervals int   // consecutive fully-refused intervals
 
-	Requests    int64 // lifetime admission checks
-	Admits      int64
-	Defers      int64
-	Bytes       int64 // lifetime admitted bytes
+	ClassCounts
 	Starvations int64 // watchdog firings
+}
+
+// ClassCounts is one traffic class's lifetime admission activity, the
+// per-class block of Result's lane breakdown.
+type ClassCounts struct {
+	Requests int64 // admission checks
+	Admits   int64
+	Defers   int64
+	Bytes    int64 // admitted bytes
 }
 
 // Starvation reports one starvation-watchdog firing: a critical traffic
@@ -657,6 +663,15 @@ func (c *Controller) ClassStats(cl Class) ClassStat {
 		return ClassStat{}
 	}
 	return c.cls[cl]
+}
+
+// Starvations sums the starvation-watchdog firings over every class.
+func (c *Controller) Starvations() int64 {
+	var n int64
+	for i := range c.cls {
+		n += c.cls[i].Starvations
+	}
+	return n
 }
 
 // EndInterval runs the controller's once-per-interval work and returns

@@ -17,9 +17,7 @@ import (
 	"mtm/internal/migrate"
 	"mtm/internal/policy"
 	"mtm/internal/profiler"
-	"mtm/internal/sim"
 	"mtm/internal/stats"
-	"mtm/internal/tier"
 	"mtm/internal/vm"
 	"mtm/internal/workload"
 )
@@ -103,24 +101,6 @@ func Find(id string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// profAdapter runs a bare profiler as a non-migrating solution so
-// profiling quality can be measured in isolation (Figures 1 and 6).
-type profAdapter struct {
-	p profiler.Profiler
-}
-
-func (a *profAdapter) Name() string { return a.p.Name() }
-func (a *profAdapter) Place(e *sim.Engine, v *vm.VMA, idx, socket int) tier.NodeID {
-	return e.Sys.FirstFit(e.Sys.Topo.View(socket), v.PageSize)
-}
-func (a *profAdapter) IntervalStart(e *sim.Engine) {
-	if e.Intervals == 0 {
-		a.p.Attach(e)
-	}
-	a.p.IntervalStart(e)
-}
-func (a *profAdapter) IntervalEnd(e *sim.Engine) { a.p.Profile(e) }
-
 // Fig1ProfilingQuality reproduces Figure 1: recall and accuracy of hot-page
 // detection over time for MTM, DAMON, Thermostat and AutoTiering profiling
 // under the same overhead budget, on GUPS with a time-varying hot set.
@@ -145,7 +125,7 @@ func Fig1ProfilingQuality(o Options) string {
 		w.EpochOps = w.TotalOps() / 6
 		w.DriftOps = 0
 		p := ps.mk()
-		e.SetSolution(&profAdapter{p: p})
+		e.SetSolution(policy.NewProfileOnly(p))
 		w.Init(e)
 		for i := 0; i < 60 && !w.Done(); i++ {
 			e.RunInterval(w)
@@ -241,7 +221,7 @@ func Fig6Heatmap(o Options) string {
 	measure := func(p profiler.Profiler) coverage {
 		e := mtm.NewEngine(cfg)
 		w := workload.NewGUPS(workload.Config{Scale: cfg.Scale, OpsFactor: cfg.OpsFactor})
-		e.SetSolution(&profAdapter{p: p})
+		e.SetSolution(policy.NewProfileOnly(p))
 		w.Init(e)
 		for i := 0; i < 40 && !w.Done(); i++ {
 			e.RunInterval(w)

@@ -26,7 +26,7 @@ type TieredAutoNUMA struct {
 	Patched       bool
 	MigrateBudget int64
 
-	prof *profiler.SequentialScan
+	profiled
 	mech migrate.Mechanism
 	// hotThreshold is the WHI above which a region is promotion-worthy;
 	// the patched variant adjusts it to track the budget.
@@ -44,7 +44,7 @@ func NewTieredAutoNUMA(patched bool) *TieredAutoNUMA {
 	return &TieredAutoNUMA{
 		Patched:       patched,
 		MigrateBudget: DefaultMigrateBudget,
-		prof:          profiler.NewSequentialScan(patched),
+		profiled:      profiled{profiler.NewSequentialScan(patched)},
 		mech:          migrate.MovePages{},
 		hotThreshold:  0.5,
 	}
@@ -57,29 +57,13 @@ func (p *TieredAutoNUMA) Name() string {
 	return "vanilla tiered-AutoNUMA"
 }
 
-// Regions exposes the profiler's region set for profiling-quality
-// comparisons (the fidelity oracle grades it against ground truth).
-func (p *TieredAutoNUMA) Regions() []*region.Region {
-	if p.prof == nil {
-		return nil
-	}
-	return p.prof.Regions()
-}
-
 func (p *TieredAutoNUMA) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceFastFirst)
 }
 
-func (p *TieredAutoNUMA) IntervalStart(e *sim.Engine) {
-	if e.Intervals == 0 {
-		p.prof.Attach(e)
-	}
-	p.prof.IntervalStart(e)
-}
-
 func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
-	p.prof.Profile(e)
-	regions := p.prof.Regions()
+	p.Prof.Profile(e)
+	regions := p.Prof.Regions()
 	budget := p.MigrateBudget + p.carry
 	var promoted int64
 	spanning := e.SpansEnabled()
@@ -116,7 +100,7 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 			continue
 		}
 		p.HotBytesIdentified += r.Bytes()
-		node := nodeOf(r)
+		node := profiler.RegionNode(r)
 		if node == tier.Invalid {
 			continue
 		}
@@ -188,7 +172,7 @@ func (p *TieredAutoNUMA) demoteFor(e *sim.Engine, regions []*region.Region, dst 
 		if freed >= need {
 			return
 		}
-		if nodeOf(r) != dst {
+		if profiler.RegionNode(r) != dst {
 			continue
 		}
 		moved, _ := demoteVictim(e, p.mech, r, dst, view[dstRank+1:], r.Bytes(), "lru-coldest")

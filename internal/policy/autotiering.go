@@ -21,7 +21,7 @@ import (
 type AutoTiering struct {
 	MigrateBudget int64
 
-	prof *profiler.RandomChunk
+	profiled
 	mech migrate.Mechanism
 	// carry accumulates unused promotion budget across intervals.
 	carry int64
@@ -31,36 +31,20 @@ type AutoTiering struct {
 func NewAutoTiering() *AutoTiering {
 	return &AutoTiering{
 		MigrateBudget: DefaultMigrateBudget,
-		prof:          profiler.NewRandomChunk(),
+		profiled:      profiled{profiler.NewRandomChunk()},
 		mech:          migrate.MovePages{},
 	}
 }
 
 func (p *AutoTiering) Name() string { return "AutoTiering" }
 
-// Regions exposes the profiler's region set for profiling-quality
-// comparisons (the fidelity oracle grades it against ground truth).
-func (p *AutoTiering) Regions() []*region.Region {
-	if p.prof == nil {
-		return nil
-	}
-	return p.prof.Regions()
-}
-
 func (p *AutoTiering) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceFastFirst)
 }
 
-func (p *AutoTiering) IntervalStart(e *sim.Engine) {
-	if e.Intervals == 0 {
-		p.prof.Attach(e)
-	}
-	p.prof.IntervalStart(e)
-}
-
 func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
-	p.prof.Profile(e)
-	regions := p.prof.Regions()
+	p.Prof.Profile(e)
+	regions := p.Prof.Regions()
 	budget := p.MigrateBudget + p.carry
 	spanning := e.SpansEnabled()
 	if spanning {
@@ -84,7 +68,7 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 		if !r.Sampled || r.HI <= 0 {
 			continue
 		}
-		node := nodeOf(r)
+		node := profiler.RegionNode(r)
 		if node == tier.Invalid {
 			continue
 		}
@@ -151,7 +135,7 @@ func (p *AutoTiering) opportunisticDemote(e *sim.Engine, regions []*region.Regio
 	start := e.Rng.Intn(len(regions))
 	for i := 0; i < len(regions) && freed < need; i++ {
 		r := regions[(start+i)%len(regions)]
-		if nodeOf(r) != dst {
+		if profiler.RegionNode(r) != dst {
 			continue
 		}
 		// Even opportunistic demotion respects the victim-heat and budget

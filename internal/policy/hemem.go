@@ -6,6 +6,7 @@ import (
 	"mtm/internal/admission"
 	"mtm/internal/migrate"
 	"mtm/internal/pebs"
+	"mtm/internal/profiler"
 	"mtm/internal/region"
 	"mtm/internal/sim"
 	"mtm/internal/span"
@@ -26,6 +27,10 @@ type HeMem struct {
 	set  *region.Set
 	buf  *pebs.Buffer
 	mech migrate.Mechanism
+	// nodes lists every node for arming PEBS; counts holds the
+	// interval's PEBS samples per region, aligned with set.Regions().
+	nodes  []tier.NodeID
+	counts []int
 	// carry accumulates unused promotion budget across intervals.
 	carry int64
 }
@@ -59,12 +64,13 @@ func (p *HeMem) IntervalStart(e *sim.Engine) {
 		// its tiers.
 		p.buf.WindowFrac = 1.0
 		e.PEBS = p.buf
+		p.nodes = make([]tier.NodeID, len(e.Sys.Topo.Nodes))
+		for i := range p.nodes {
+			p.nodes[i] = tier.NodeID(i)
+		}
+		p.counts = make([]int, p.set.Len())
 	}
-	all := make([]tier.NodeID, len(e.Sys.Topo.Nodes))
-	for i := range all {
-		all[i] = tier.NodeID(i)
-	}
-	p.buf.Arm(all...)
+	p.buf.Arm(p.nodes...)
 }
 
 // Regions exposes the region set for profiling-quality comparisons.
@@ -78,11 +84,10 @@ func (p *HeMem) Regions() []*region.Region {
 func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	p.buf.Disarm()
 	samples := p.buf.Samples()
-	counts := make(map[*region.Region]int)
-	regions := p.set.Regions()
+	clear(p.counts)
 	for _, s := range samples {
-		if r := findRegion(regions, s.VMA, s.Page); r != nil {
-			counts[r]++
+		if i := p.set.Find(s.VMA, s.Page); i >= 0 {
+			p.counts[i]++
 		}
 	}
 	// Sample handling cost (HeMem's profiling is cheap; that is its
@@ -96,10 +101,10 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	e.ChargeProfiling(handling)
 
 	// Exponential cooling, as in HeMem's hotset maintenance.
-	for _, r := range regions {
-		c := counts[r]
+	regions := p.set.Regions()
+	for i, r := range regions {
 		r.PrevHI = r.HI
-		r.HI = float64(c)
+		r.HI = float64(p.counts[i])
 		r.WHI = 0.5*r.WHI + 0.5*r.HI
 		r.Sampled = true
 	}
@@ -147,7 +152,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			}
 			break
 		}
-		if nodeOf(r) != pm {
+		if profiler.RegionNode(r) != pm {
 			continue
 		}
 		if !destUsable(e, r, pm, dram) {
@@ -186,7 +191,7 @@ func (p *HeMem) demoteCold(e *sim.Engine, hist *region.Histogram, dram, pm tier.
 		if freed >= need {
 			return
 		}
-		if nodeOf(r) != dram {
+		if profiler.RegionNode(r) != dram {
 			continue
 		}
 		moved, found := demoteVictim(e, p.mech, r, dram, lower, r.Bytes(), "coldest-first")
@@ -195,26 +200,4 @@ func (p *HeMem) demoteCold(e *sim.Engine, hist *region.Histogram, dram, pm tier.
 		}
 		freed += moved
 	}
-}
-
-// findRegion locates the region containing page idx of v by binary search
-// over the address-ordered region list.
-func findRegion(regions []*region.Region, v *vm.VMA, idx int) *region.Region {
-	addr := v.Addr(idx)
-	lo, hi := 0, len(regions)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r := regions[mid]
-		start := r.V.Addr(r.Start)
-		end := start + uint64(r.Bytes())
-		switch {
-		case addr < start:
-			hi = mid
-		case addr >= end:
-			lo = mid + 1
-		default:
-			return r
-		}
-	}
-	return nil
 }

@@ -19,7 +19,7 @@ import (
 // ablations (Thermostat or tiered-AutoNUMA profiling + MTM migration) run
 // through the same policy code.
 type MTM struct {
-	Prof profiler.Profiler
+	profiled
 	Mech migrate.Mechanism
 	// MigrateBudget is N, the per-interval promotion volume (§6.1).
 	// Demotion volume per interval is capped at 2N so a full fast tier
@@ -52,7 +52,7 @@ type MTM struct {
 // Table 4's experiment sets Initial = PlaceSlowLocalFirst explicitly.
 func NewMTM() *MTM {
 	return &MTM{
-		Prof:          profiler.NewMTM(profiler.DefaultMTMConfig()),
+		profiled:      profiled{profiler.NewMTM(profiler.DefaultMTMConfig())},
 		Mech:          migrate.NewAdaptive(),
 		MigrateBudget: DefaultMigrateBudget,
 		Initial:       PlaceFastFirst,
@@ -72,53 +72,38 @@ func NewMTMVariant(label string, p profiler.Profiler, m migrate.Mechanism) *MTM 
 
 func (p *MTM) Name() string { return p.label }
 
-// Regions exposes the profiler's region set for profiling-quality
-// comparisons (the fidelity oracle grades it against ground truth).
-func (p *MTM) Regions() []*region.Region {
-	if p.Prof == nil {
-		return nil
-	}
-	return p.Prof.Regions()
-}
-
 func (p *MTM) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
 	return place(e, v, socket, p.Initial)
 }
 
-func (p *MTM) IntervalStart(e *sim.Engine) {
-	if e.Intervals == 0 {
-		p.Prof.Attach(e)
-	}
-	p.Prof.IntervalStart(e)
-}
-
 func (p *MTM) IntervalEnd(e *sim.Engine) {
 	p.Prof.Profile(e)
+	p.promote(e)
+}
+
+// promote plans the interval over the profiled regions: it walks their
+// WHI histogram hottest-first and moves regions directly to the fastest
+// tier of their dominant socket's view ("fast promotion"), demoting the
+// coldest residents one tier down when space is needed ("slow
+// demotion"). Migration volume is capped at MigrateBudget per interval;
+// unused budget carries over so rates hold at any granularity.
+func (p *MTM) promote(e *sim.Engine) {
 	regions := p.Prof.Regions()
 	if len(regions) == 0 {
 		return
 	}
 	hist := buildHistogram(regions)
-	if e.SpansEnabled() {
+	budget := p.MigrateBudget + p.carry
+	spanning := e.SpansEnabled()
+	if spanning {
 		e.SpanBegin("policy", "plan",
 			span.S("policy", p.label),
 			span.I("regions", int64(len(regions))),
-			span.I("budget", p.MigrateBudget+p.carry))
+			span.I("budget", budget))
 		defer e.SpanEnd()
 	}
-	p.promote(e, hist)
-}
-
-// promote walks the histogram hottest-first and moves regions directly to
-// the fastest tier of their dominant socket's view ("fast promotion"),
-// demoting the coldest residents one tier down when space is needed
-// ("slow demotion"). Migration volume is capped at MigrateBudget per
-// interval; unused budget carries over so rates hold at any granularity.
-func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
-	budget := p.MigrateBudget + p.carry
 	spent := int64(0)
 	demoteBudget := 2 * p.MigrateBudget
-	spanning := e.SpansEnabled()
 	for _, r := range hist.HottestFirst() {
 		if budget-spent < r.V.PageSize {
 			if spanning {
@@ -162,7 +147,7 @@ func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 		// etc., with room made by slow demotion on the way.
 		for dstRank := 0; dstRank < worstRank; dstRank++ {
 			dst := view[dstRank]
-			if !destUsable(e, r, nodeOf(r), dst) {
+			if !destUsable(e, r, profiler.RegionNode(r), dst) {
 				// Draining/offline tier or open circuit breaker: route
 				// around it and consider the next-fastest tier.
 				continue
@@ -180,7 +165,7 @@ func (p *MTM) promote(e *sim.Engine, hist *region.Histogram) {
 				}
 				continue
 			}
-			dec := admitMigration(e, r, nodeOf(r), dst, int64(minInt(maxPages, r.Pages()))*r.V.PageSize)
+			dec := admitMigration(e, r, profiler.RegionNode(r), dst, int64(minInt(maxPages, r.Pages()))*r.V.PageSize)
 			if dec.Verdict == admission.VerdictReject {
 				// Not worth the copy at this hotness: every slower
 				// destination only lowers the ROI, so the region is done.
@@ -250,7 +235,7 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 			if r.WHI >= candidateWHI {
 				break
 			}
-			if nodeOf(r) != node {
+			if profiler.RegionNode(r) != node {
 				continue
 			}
 			remaining := need - demoted
@@ -273,7 +258,7 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 			}
 			break
 		}
-		if nodeOf(r) != node {
+		if profiler.RegionNode(r) != node {
 			continue
 		}
 		// Demote no more than the remaining need/budget allows, even

@@ -27,7 +27,7 @@ type Nomad struct {
 // copy mechanism and budgets, plus shadow retention.
 func NewNomad() *Nomad {
 	return &Nomad{MTM{
-		Prof:          profiler.NewMTM(profiler.DefaultMTMConfig()),
+		profiled:      profiled{profiler.NewMTM(profiler.DefaultMTMConfig())},
 		Mech:          migrate.NewAdaptive(),
 		MigrateBudget: DefaultMigrateBudget,
 		Initial:       PlaceFastFirst,
@@ -63,19 +63,7 @@ func (p *Nomad) IntervalEnd(e *sim.Engine) {
 	if p.syncLeft < 0 {
 		p.syncLeft = 0
 	}
-	regions := p.Prof.Regions()
-	if len(regions) == 0 {
-		return
-	}
-	hist := buildHistogram(regions)
-	if e.SpansEnabled() {
-		e.SpanBegin("policy", "plan",
-			span.S("policy", p.label),
-			span.I("regions", int64(len(regions))),
-			span.I("budget", p.MigrateBudget+p.carry))
-		defer e.SpanEnd()
-	}
-	p.promote(e, hist)
+	p.promote(e)
 }
 
 // flipVictim demotes up to remaining bytes of victim region r by

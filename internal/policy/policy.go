@@ -38,50 +38,49 @@ const (
 	PlaceSlowOnly
 )
 
-// place resolves a Placement to a node with room for one page of v.
+// place resolves a Placement to a node with room for one page of v. The
+// restricted placements try their preferred nodes in view order first —
+// the socket's local nodes, or the slow (CPU-less) ones — and overflow
+// onto the whole view rather than OOM. Slow-local-first's fast tail is
+// that overflow: every slow node ahead of the fast ones had no room.
 func place(e *sim.Engine, v *vm.VMA, socket int, p Placement) tier.NodeID {
 	view := e.Sys.Topo.View(socket)
 	switch p {
-	case PlaceFastFirst:
-		return e.Sys.FirstFit(view, v.PageSize)
-	case PlaceSlowLocalFirst:
+	case PlaceSlowLocalFirst, PlaceSlowOnly, PlaceLocalOnly:
 		order := make([]tier.NodeID, 0, len(view))
 		for _, n := range view {
-			if e.Sys.Topo.Nodes[n].Kind != tier.DRAM {
-				order = append(order, n)
+			spec := &e.Sys.Topo.Nodes[n]
+			keep := spec.Kind != tier.DRAM
+			if p == PlaceLocalOnly {
+				keep = spec.Socket == socket
 			}
-		}
-		for _, n := range view {
-			if e.Sys.Topo.Nodes[n].Kind == tier.DRAM {
-				order = append(order, n)
-			}
-		}
-		return e.Sys.FirstFit(order, v.PageSize)
-	case PlaceLocalOnly:
-		order := make([]tier.NodeID, 0, len(view))
-		for _, n := range view {
-			if e.Sys.Topo.Nodes[n].Socket == socket {
+			if keep {
 				order = append(order, n)
 			}
 		}
 		if n := e.Sys.FirstFit(order, v.PageSize); n != tier.Invalid {
 			return n
 		}
-		return e.Sys.FirstFit(view, v.PageSize) // overflow rather than OOM
-	case PlaceSlowOnly:
-		order := make([]tier.NodeID, 0, len(view))
-		for _, n := range view {
-			if e.Sys.Topo.Nodes[n].Kind != tier.DRAM {
-				order = append(order, n)
-			}
-		}
-		if n := e.Sys.FirstFit(order, v.PageSize); n != tier.Invalid {
-			return n
-		}
-		return e.Sys.FirstFit(view, v.PageSize)
 	}
 	return e.Sys.FirstFit(view, v.PageSize)
 }
+
+// profiled is the scaffold of every profiler-driven solution: it attaches
+// Prof on the first interval, arms it at every interval start, and
+// exposes its regions for profiling-quality comparisons (the fidelity
+// oracle grades them against ground truth).
+type profiled struct {
+	Prof profiler.Profiler
+}
+
+func (p *profiled) IntervalStart(e *sim.Engine) {
+	if e.Intervals == 0 {
+		p.Prof.Attach(e)
+	}
+	p.Prof.IntervalStart(e)
+}
+
+func (p *profiled) Regions() []*region.Region { return p.Prof.Regions() }
 
 // regionSocket is the socket whose threads access region r the most,
 // approximated by the last-accessor hint of its first present page — the
@@ -108,9 +107,6 @@ func rankOf(view []tier.NodeID, node tier.NodeID) int {
 func buildHistogram(regions []*region.Region) *region.Histogram {
 	return region.NewHistogram(regions, 32, region.MaxWHI(regions))
 }
-
-// nodeOf returns the node currently holding region r, or Invalid.
-func nodeOf(r *region.Region) tier.NodeID { return profiler.RegionNode(r) }
 
 // nodeName resolves a node's display name for span attributes.
 func nodeName(e *sim.Engine, n tier.NodeID) string {

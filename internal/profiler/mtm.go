@@ -243,7 +243,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 			m.lastDropped = d
 		}
 		for _, smp := range samples {
-			ri := findRegionIndex(regions, smp.VMA, smp.Page)
+			ri := m.set.Find(smp.VMA, smp.Page)
 			if ri < 0 {
 				continue
 			}
@@ -489,28 +489,6 @@ func growClear[T any](buf []T, n int) []T {
 	buf = buf[:n]
 	clear(buf)
 	return buf
-}
-
-// findRegionIndex locates the region containing page idx of v via binary
-// search over the address-ordered region slice, returning -1 if none.
-func findRegionIndex(regions []*region.Region, v *vm.VMA, idx int) int {
-	addr := v.Addr(idx)
-	lo, hi := 0, len(regions)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		r := regions[mid]
-		rStart := r.V.Addr(r.Start)
-		rEnd := r.V.Addr(r.Start) + uint64(r.Bytes())
-		switch {
-		case addr < rStart:
-			hi = mid
-		case addr >= rEnd:
-			lo = mid + 1
-		default:
-			return mid
-		}
-	}
-	return -1
 }
 
 // MemoryOverheadBytes estimates MTM's metadata footprint (Table 5): per

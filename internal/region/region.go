@@ -182,6 +182,27 @@ func (s *Set) append(r *Region) {
 // the slice structure (the set owns it).
 func (s *Set) Regions() []*Region { return s.regions }
 
+// Find returns the position in Regions of the region holding page idx of
+// v, or -1 if none does, by binary search over the address order.
+func (s *Set) Find(v *vm.VMA, idx int) int {
+	addr := v.Addr(idx)
+	lo, hi := 0, len(s.regions)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		r := s.regions[mid]
+		start := r.V.Addr(r.Start)
+		switch {
+		case addr < start:
+			hi = mid
+		case addr >= start+uint64(r.Bytes()):
+			lo = mid + 1
+		default:
+			return mid
+		}
+	}
+	return -1
+}
+
 // NewRegion creates a region with a fresh ID without inserting it; use
 // Replace to install a rebuilt region list. Profiler-specific formation
 // steps (e.g. DAMON's random split) build regions this way.

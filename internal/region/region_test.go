@@ -456,3 +456,29 @@ func TestSplitDepthBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFind: every page resolves to the region holding it, across VMAs
+// and uneven region sizes, and a page of an unregistered VMA to -1.
+func TestFind(t *testing.T) {
+	as := vm.NewAddressSpace()
+	a := as.Alloc("a", 16*tier.MB)
+	b := as.Alloc("b", 10*tier.MB)
+	other := as.Alloc("other", 4*tier.MB)
+	s := NewSet(3)
+	s.InitVMA(a, 6*tier.MB)
+	s.InitVMA(b, 2*tier.MB)
+	for _, v := range []*vm.VMA{a, b} {
+		for i := 0; i < v.NPages; i++ {
+			ri := s.Find(v, i)
+			if ri < 0 {
+				t.Fatalf("%s page %d: no region", v.Name, i)
+			}
+			if r := s.Regions()[ri]; r.V != v || i < r.Start || i >= r.End {
+				t.Fatalf("%s page %d: found %v", v.Name, i, r)
+			}
+		}
+	}
+	if ri := s.Find(other, 0); ri != -1 {
+		t.Fatalf("page of an unregistered VMA found region %d", ri)
+	}
+}

@@ -39,10 +39,6 @@ type admissionState struct {
 	// fastest node, where the kernel's scan structures live).
 	profDst tier.NodeID
 
-	// starvations counts watchdog firings: LaneStats.Starvations and the
-	// lane-starvation metric both read it.
-	starvations int64
-
 	// minroi exposes each pair's learned floor as a gauge; nil without
 	// metrics or without learning.
 	minroi [][]*metrics.Gauge
@@ -269,20 +265,12 @@ func (e *Engine) AdmissionMinROI(src, dst tier.NodeID) float64 {
 	return e.adm.ctl.MinROIFor(int(src), int(dst))
 }
 
-// ClassCounters is one traffic class's admission activity in Result.
-type ClassCounters struct {
-	Requests int64
-	Admits   int64
-	Defers   int64
-	Bytes    int64
-}
-
 // LaneStats is the per-traffic-class admission breakdown exported in
 // Result when priority lanes are enabled.
 type LaneStats struct {
-	Normal    ClassCounters
-	Drain     ClassCounters
-	Emergency ClassCounters
+	Normal    admission.ClassCounts
+	Drain     admission.ClassCounts
+	Emergency admission.ClassCounts
 	// Starvations counts starvation-watchdog firings: a critical class
 	// waited more than admission.WatchdogIntervals consecutive intervals
 	// with requests but no admits.
@@ -295,15 +283,12 @@ func (e *Engine) AdmissionLaneStats() *LaneStats {
 	if e.adm == nil || !e.adm.lanes {
 		return nil
 	}
-	cc := func(cl admission.Class) ClassCounters {
-		s := e.adm.ctl.ClassStats(cl)
-		return ClassCounters{Requests: s.Requests, Admits: s.Admits, Defers: s.Defers, Bytes: s.Bytes}
-	}
+	ctl := e.adm.ctl
 	return &LaneStats{
-		Normal:      cc(admission.ClassNormal),
-		Drain:       cc(admission.ClassDrain),
-		Emergency:   cc(admission.ClassEmergency),
-		Starvations: e.adm.starvations,
+		Normal:      ctl.ClassStats(admission.ClassNormal).ClassCounts,
+		Drain:       ctl.ClassStats(admission.ClassDrain).ClassCounts,
+		Emergency:   ctl.ClassStats(admission.ClassEmergency).ClassCounts,
+		Starvations: ctl.Starvations(),
 	}
 }
 
@@ -383,7 +368,6 @@ func (e *Engine) admissionEndInterval() {
 		}
 	}
 	for _, s := range a.ctl.EndInterval(now) {
-		a.starvations++
 		e.Metrics().Emit(EventLaneStarvation, s.Class.String(), int64(s.Waited))
 		if e.sp != nil {
 			e.SpanEvent("admission", "lane-starvation",

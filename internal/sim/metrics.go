@@ -155,7 +155,7 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 		if e.adm == nil {
 			return 0
 		}
-		return e.adm.starvations
+		return e.adm.ctl.Starvations()
 	})
 	count("mtm_shadow_retained_total", "promotions that retained their source frame as a shadow", &e.shadowRetains)
 	count("mtm_shadow_hits_total", "demotion lookups that found a valid shadow", &e.ShadowHits)

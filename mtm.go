@@ -262,26 +262,28 @@ func (c Config) workloadConfig() workload.Config {
 	return workload.Config{Scale: c.Scale, OpsFactor: c.OpsFactor}
 }
 
-// NewWorkload builds one of the Table 2 workloads by name (gups, voltdb,
-// cassandra, bfs, sssp, spark) or the synthetic thrash generator
-// "pingpong" used by the admission-control experiments.
+// workloads is the one workload table, in WorkloadNames order; paper
+// marks the Table 2 applications.
+var workloads = []struct {
+	name  string
+	paper bool
+	mk    func(workload.Config) sim.Workload
+}{
+	{"gups", true, func(c workload.Config) sim.Workload { return workload.NewGUPS(c) }},
+	{"voltdb", true, func(c workload.Config) sim.Workload { return workload.NewVoltDB(c) }},
+	{"cassandra", true, func(c workload.Config) sim.Workload { return workload.NewCassandra(c) }},
+	{"bfs", true, func(c workload.Config) sim.Workload { return workload.NewBFS(c) }},
+	{"sssp", true, func(c workload.Config) sim.Workload { return workload.NewSSSP(c) }},
+	{"spark", true, func(c workload.Config) sim.Workload { return workload.NewSpark(c) }},
+	{"pingpong", false, func(c workload.Config) sim.Workload { return workload.NewPingPong(c) }},
+}
+
+// NewWorkload builds one of the workloads by name (see WorkloadNames).
 func NewWorkload(name string, c Config) (sim.Workload, error) {
-	wc := c.workloadConfig()
-	switch name {
-	case "gups":
-		return workload.NewGUPS(wc), nil
-	case "pingpong":
-		return workload.NewPingPong(wc), nil
-	case "voltdb":
-		return workload.NewVoltDB(wc), nil
-	case "cassandra":
-		return workload.NewCassandra(wc), nil
-	case "bfs":
-		return workload.NewBFS(wc), nil
-	case "sssp":
-		return workload.NewSSSP(wc), nil
-	case "spark":
-		return workload.NewSpark(wc), nil
+	for _, w := range workloads {
+		if w.name == name {
+			return w.mk(c.workloadConfig()), nil
+		}
 	}
 	return nil, fmt.Errorf("mtm: unknown workload %q (have %v)", name, WorkloadNames())
 }
@@ -289,14 +291,20 @@ func NewWorkload(name string, c Config) (sim.Workload, error) {
 // WorkloadNames lists the available workloads. The first six are the
 // paper's Table 2 applications (see PaperWorkloadNames); pingpong is the
 // synthetic thrash generator for the admission-control experiments.
-func WorkloadNames() []string {
-	return []string{"gups", "voltdb", "cassandra", "bfs", "sssp", "spark", "pingpong"}
-}
+func WorkloadNames() []string { return workloadNames(false) }
 
 // PaperWorkloadNames lists only the Table 2 applications — the set every
 // paper table and figure iterates over.
-func PaperWorkloadNames() []string {
-	return []string{"gups", "voltdb", "cassandra", "bfs", "sssp", "spark"}
+func PaperWorkloadNames() []string { return workloadNames(true) }
+
+func workloadNames(paperOnly bool) []string {
+	var names []string
+	for _, w := range workloads {
+		if w.paper || !paperOnly {
+			names = append(names, w.name)
+		}
+	}
+	return names
 }
 
 // alpha resolves Alpha: 0 selects 0.5 and a negative value selects 0.
@@ -333,81 +341,85 @@ func (c Config) mtmSolution(label string, p profiler.Profiler, mech migrate.Mech
 	return s
 }
 
-// NewSolution builds a page-management solution by name. Paper solutions:
-//
-//	mtm, first-touch, slow-first, hmc, vanilla-tiered-autonuma,
-//	tiered-autonuma, autotiering, hemem
-//
-// Non-exclusive tiering (shadow-frame retention, zero-copy clean
-// demotion):
-//
-//	nomad
-//
-// Ablation variants of §9.3:
-//
-//	mtm-wo-amr, mtm-wo-pebs, mtm-wo-aps, mtm-wo-oc, mtm-wo-async,
-//	mtm-thermostat-prof, mtm-autonuma-prof
-func NewSolution(name string, c Config) (sim.Solution, error) {
-	c = c.withDefaults()
-	switch name {
-	case "mtm":
-		return c.mtmSolution("MTM", c.mtmProfiler(nil), migrate.NewAdaptive()), nil
-	case "mtm-wo-amr":
-		return c.mtmSolution("MTM w/o AMR", c.mtmProfiler(func(p *profiler.MTMConfig) { p.AdaptiveRegions = false }), migrate.NewAdaptive()), nil
-	case "mtm-wo-pebs":
-		return c.mtmSolution("MTM w/o PEBS", c.mtmProfiler(func(p *profiler.MTMConfig) { p.UsePEBS = false }), migrate.NewAdaptive()), nil
-	case "mtm-wo-aps":
-		return c.mtmSolution("MTM w/o APS", c.mtmProfiler(func(p *profiler.MTMConfig) { p.AdaptiveSampling = false }), migrate.NewAdaptive()), nil
-	case "mtm-wo-oc":
-		return c.mtmSolution("MTM w/o OC", c.mtmProfiler(func(p *profiler.MTMConfig) {
-			p.OverheadControl = false
-			p.TauM = 0
-			p.TauS = 0
-		}), migrate.NewAdaptive()), nil
-	case "mtm-wo-async":
-		return c.mtmSolution("MTM w/o async migration", c.mtmProfiler(nil), &migrate.Adaptive{ForceSync: true, WriteRate: -1}), nil
-	case "mtm-thermostat-prof":
-		return c.mtmSolution("Thermostat profiling + MTM migration", profiler.NewThermostat(), migrate.NewAdaptive()), nil
-	case "mtm-autonuma-prof":
-		return c.mtmSolution("tiered-AutoNUMA profiling + MTM migration", profiler.NewSequentialScan(true), migrate.NewAdaptive()), nil
-	case "first-touch":
-		return policy.NewFirstTouch(), nil
-	case "slow-first":
-		return policy.NewSlowFirst(), nil
-	case "hmc":
-		return policy.NewHMC(), nil
-	case "vanilla-tiered-autonuma":
+// solutions lists the constructible solutions: the paper's, then
+// non-exclusive tiering (shadow-frame retention, zero-copy clean
+// demotion), then the §9.3 ablation variants. Each constructor receives
+// a Config with defaults applied.
+var solutions = []struct {
+	name string
+	mk   func(Config) sim.Solution
+}{
+	{"mtm", mtmWith("MTM", nil)},
+	{"first-touch", func(Config) sim.Solution { return policy.NewFirstTouch() }},
+	{"slow-first", func(Config) sim.Solution { return policy.NewSlowFirst() }},
+	{"hmc", func(Config) sim.Solution { return policy.NewHMC() }},
+	{"vanilla-tiered-autonuma", func(c Config) sim.Solution {
 		s := policy.NewTieredAutoNUMA(false)
 		s.MigrateBudget = c.MigrateBudget
-		return s, nil
-	case "tiered-autonuma":
+		return s
+	}},
+	{"tiered-autonuma", func(c Config) sim.Solution {
 		s := policy.NewTieredAutoNUMA(true)
 		s.MigrateBudget = c.MigrateBudget
-		return s, nil
-	case "autotiering":
+		return s
+	}},
+	{"autotiering", func(c Config) sim.Solution {
 		s := policy.NewAutoTiering()
 		s.MigrateBudget = c.MigrateBudget
-		return s, nil
-	case "hemem":
+		return s
+	}},
+	{"hemem", func(c Config) sim.Solution {
 		s := policy.NewHeMem()
 		s.MigrateBudget = c.MigrateBudget
-		return s, nil
-	case "nomad":
+		return s
+	}},
+	{"nomad", func(c Config) sim.Solution {
 		s := policy.NewNomad()
 		s.Prof = c.mtmProfiler(nil)
 		s.MigrateBudget = c.MigrateBudget
-		return s, nil
+		return s
+	}},
+	{"mtm-wo-amr", mtmWith("MTM w/o AMR", func(p *profiler.MTMConfig) { p.AdaptiveRegions = false })},
+	{"mtm-wo-pebs", mtmWith("MTM w/o PEBS", func(p *profiler.MTMConfig) { p.UsePEBS = false })},
+	{"mtm-wo-aps", mtmWith("MTM w/o APS", func(p *profiler.MTMConfig) { p.AdaptiveSampling = false })},
+	{"mtm-wo-oc", mtmWith("MTM w/o OC", func(p *profiler.MTMConfig) {
+		p.OverheadControl = false
+		p.TauM = 0
+		p.TauS = 0
+	})},
+	{"mtm-wo-async", func(c Config) sim.Solution {
+		return c.mtmSolution("MTM w/o async migration", c.mtmProfiler(nil), &migrate.Adaptive{ForceSync: true, WriteRate: -1})
+	}},
+	{"mtm-thermostat-prof", func(c Config) sim.Solution {
+		return c.mtmSolution("Thermostat profiling + MTM migration", profiler.NewThermostat(), migrate.NewAdaptive())
+	}},
+	{"mtm-autonuma-prof", func(c Config) sim.Solution {
+		return c.mtmSolution("tiered-AutoNUMA profiling + MTM migration", profiler.NewSequentialScan(true), migrate.NewAdaptive())
+	}},
+}
+
+// mtmWith is the constructor of MTM over its adaptive profiler with the
+// feature ablation mod applied (nil: none) and the adaptive mechanism.
+func mtmWith(label string, mod func(*profiler.MTMConfig)) func(Config) sim.Solution {
+	return func(c Config) sim.Solution { return c.mtmSolution(label, c.mtmProfiler(mod), migrate.NewAdaptive()) }
+}
+
+// NewSolution builds a page-management solution by name (see
+// SolutionNames).
+func NewSolution(name string, c Config) (sim.Solution, error) {
+	for _, s := range solutions {
+		if s.name == name {
+			return s.mk(c.withDefaults()), nil
+		}
 	}
 	return nil, fmt.Errorf("mtm: unknown solution %q (have %v)", name, SolutionNames())
 }
 
-// SolutionNames lists all constructible solutions.
+// SolutionNames lists all constructible solutions, sorted.
 func SolutionNames() []string {
-	names := []string{
-		"mtm", "first-touch", "slow-first", "hmc",
-		"vanilla-tiered-autonuma", "tiered-autonuma", "autotiering", "hemem", "nomad",
-		"mtm-wo-amr", "mtm-wo-pebs", "mtm-wo-aps", "mtm-wo-oc", "mtm-wo-async",
-		"mtm-thermostat-prof", "mtm-autonuma-prof",
+	names := make([]string, len(solutions))
+	for i, s := range solutions {
+		names[i] = s.name
 	}
 	sort.Strings(names)
 	return names
