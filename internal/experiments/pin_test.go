@@ -8,6 +8,8 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"mtm/internal/sim"
 )
 
 var updatePin = flag.Bool("update-pin", false, "rewrite testdata/pin.json from this run's experiment digests")
@@ -16,20 +18,55 @@ var updatePin = flag.Bool("update-pin", false, "rewrite testdata/pin.json from t
 // returns at pinOptions.
 const pinFile = "testdata/pin.json"
 
-var pinOptions = Options{Scale: 256, OpsFactor: 0.1, Seed: 1}
+// pinCase is one pinned experiment, the options its digest is taken at,
+// and whether it is slow enough (over about half a second at those
+// options on a 2-vCPU VM) to skip under -short and -race.
+type pinCase struct {
+	id   string
+	o    Options
+	slow bool
+}
 
-// pinned are the experiments whose text is pinned: the standalone
-// profilers (fig1, fig6), the migration mechanisms on a first-touch
-// engine (fig3, fig11) and the MTM policy's region table (tab7). They
-// take about two seconds together, so the test runs them at full size
-// under -short and -race too.
-var pinned = []string{"fig1", "fig3", "fig6", "fig11", "tab7"}
+var (
+	// handBuilt pins the drivers that build engines and solutions by
+	// hand: the standalone profilers (fig1, fig6), the migration
+	// mechanisms on a first-touch engine (fig3, fig11) and the MTM
+	// policy's region table (tab7).
+	handBuilt = Options{Scale: 256, OpsFactor: 0.1, Seed: 1}
+	// whole pins the drivers that run whole workloads under named or
+	// tuned solutions, at a length that keeps all twelve to about ten
+	// seconds together.
+	whole = Options{Scale: 512, OpsFactor: 0.02, Seed: 1}
+)
 
-// TestExperimentsPin pins the report text of the pinned experiments byte
-// for byte. The root golden digests cover only mtm.Run; these drivers
-// also build engines and solutions by hand, and no other test reads
-// their output. A change that alters a report on purpose regenerates the
-// file with
+// pinned lists every experiment in report order.
+var pinned = []pinCase{
+	{"fig1", handBuilt, false},
+	{"fig3", handBuilt, false},
+	{"fig4", whole, true},
+	{"fig5", whole, true},
+	{"fig6", handBuilt, false},
+	{"fig7", whole, false},
+	{"fig8", whole, false},
+	{"fig9", whole, false},
+	{"fig10", whole, true},
+	{"fig11", handBuilt, false},
+	{"fig12", whole, false},
+	{"tab3", whole, true},
+	{"tab4", whole, false},
+	{"tab5", whole, false},
+	{"tab6", whole, false},
+	{"tab7", handBuilt, false},
+	{"cxl", whole, false},
+}
+
+// TestExperimentsPin pins the report text of every experiment byte for
+// byte. The root golden digests cover only mtm.Run at the configurations
+// their variants set; the drivers also set α, the overhead target,
+// τm/τs, the two-tier machine and initial placement, and build engines
+// and solutions by hand, and no other test reads their output. Under
+// -short and -race the slow drivers are skipped. A change that alters a
+// report on purpose regenerates the file with
 //
 //	go test -run TestExperimentsPin -update-pin ./internal/experiments
 //
@@ -47,13 +84,20 @@ func TestExperimentsPin(t *testing.T) {
 	} else if !*updatePin {
 		t.Fatalf("%v (regenerate with -update-pin)", err)
 	}
+	if len(pinned) != len(All) {
+		t.Fatalf("pinned lists %d experiments, All has %d", len(pinned), len(All))
+	}
+	trim := (testing.Short() || sim.RaceEnabled) && !*updatePin
 	got := map[string]string{}
-	for _, id := range pinned {
-		ex, ok := Find(id)
-		if !ok {
-			t.Fatalf("no experiment %q", id)
+	for i, pc := range pinned {
+		id := pc.id
+		if id != All[i].ID {
+			t.Fatalf("pinned[%d] is %q, All[%d] is %q", i, id, i, All[i].ID)
 		}
-		sum := sha256.Sum256([]byte(ex.Run(pinOptions)))
+		if trim && pc.slow {
+			continue
+		}
+		sum := sha256.Sum256([]byte(All[i].Run(pc.o)))
 		d := hex.EncodeToString(sum[:])
 		got[id] = d
 		if *updatePin {
@@ -78,7 +122,7 @@ func TestExperimentsPin(t *testing.T) {
 		}
 		return
 	}
-	if len(want) != len(got) {
-		t.Errorf("%s has %d digests, this run produced %d (regenerate with -update-pin)", pinFile, len(want), len(got))
+	if len(want) != len(pinned) {
+		t.Errorf("%s has %d digests, want %d (regenerate with -update-pin)", pinFile, len(want), len(pinned))
 	}
 }
