@@ -17,7 +17,9 @@ import (
 	"mtm/internal/migrate"
 	"mtm/internal/policy"
 	"mtm/internal/profiler"
+	"mtm/internal/sim"
 	"mtm/internal/stats"
+	"mtm/internal/tier"
 	"mtm/internal/vm"
 	"mtm/internal/workload"
 )
@@ -38,30 +40,98 @@ func (o Options) config() mtm.Config {
 	return c
 }
 
-// note flags partial runs: a hard mid-run failure (e.g. out of memory)
-// or a truncated run (maxIntervals elapsed before completion) appends a
-// warning so the section never reports partial numbers as complete. It
-// passes the run through otherwise.
-func note(warns *[]string, res *mtm.Result, err error) (*mtm.Result, error) {
-	switch {
-	case err != nil && res == nil:
-		return nil, err
-	case err != nil:
-		*warns = append(*warns, fmt.Sprintf("warning: %s under %s failed after %d intervals: %v",
-			res.Workload, res.Solution, res.Intervals, err))
-	case res.Truncated:
-		*warns = append(*warns, fmt.Sprintf("warning: %s under %s truncated after %d intervals; row covers a partial run",
-			res.Workload, res.Solution, res.Intervals))
-	}
-	return res, nil
+// section collects one report's runs: the warnings they record and the
+// first config error, which then stands for the whole report.
+type section struct {
+	warns []string
+	err   error
 }
 
-// withWarnings appends collected partial-run warnings to a section body.
-func withWarnings(body string, warns []string) string {
-	if len(warns) == 0 {
-		return body
+// run is the package's one simulation path. It validates c, builds an
+// engine for it, runs w under s for at most maxIntervals, and returns
+// the engine and the Result. A failed run records a warning and so does
+// one cut short at mtm.MaxIntervals; a smaller cap is a fixed window
+// (fig1, fig6, tab5), not truncation. A run that ends without an
+// interval (out of memory in Init, or the workload done before its first
+// interval) also records one and returns a nil Result, so it contributes
+// no row; so does every run after a config error.
+func (sec *section) run(c mtm.Config, w sim.Workload, s sim.Solution, maxIntervals int) (*sim.Engine, *mtm.Result) {
+	if sec.err == nil {
+		sec.err = c.Validate()
 	}
-	return body + strings.Join(warns, "\n") + "\n"
+	if sec.err != nil {
+		return nil, nil
+	}
+	e := mtm.NewEngine(c)
+	res, err := sim.Run(e, w, s, maxIntervals)
+	switch {
+	case err != nil:
+		sec.warn("%s under %s failed after %d intervals: %v", res.Workload, res.Solution, res.Intervals, err)
+	case res.Intervals == 0:
+		sec.warn("%s under %s finished before its first interval; no row", res.Workload, res.Solution)
+	case res.Truncated && maxIntervals == mtm.MaxIntervals:
+		sec.warn("%s under %s truncated after %d intervals; row covers a partial run", res.Workload, res.Solution, res.Intervals)
+	}
+	if res.Intervals == 0 {
+		return nil, nil
+	}
+	return e, res
+}
+
+// named runs workload wl under solution sol to completion.
+func (sec *section) named(c mtm.Config, wl, sol string) *mtm.Result {
+	_, res := sec.run(c, known(mtm.NewWorkload(wl, c)), known(mtm.NewSolution(sol, c)), mtm.MaxIntervals)
+	return res
+}
+
+func (sec *section) warn(format string, args ...interface{}) {
+	sec.warns = append(sec.warns, "warning: "+fmt.Sprintf(format, args...)+"\n")
+}
+
+// text renders the section: its title, table and warnings, or the config
+// error alone.
+func (sec *section) text(title string, tb *stats.Table) string {
+	if sec.err != nil {
+		return sec.err.Error()
+	}
+	return title + "\n" + tb.String() + strings.Join(sec.warns, "")
+}
+
+// known returns v. The drivers name only workloads and solutions that
+// exist, so an error is a bug in the driver.
+func known[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+// observed is a solution whose IntervalEnd calls after once the wrapped
+// solution's returns, for drivers that read profiler state every
+// interval (fig1, tab7). e.Intervals is then the index of the interval
+// ending.
+type observed struct {
+	sim.Solution
+	after func(e *sim.Engine)
+}
+
+func (s observed) IntervalEnd(e *sim.Engine) {
+	s.Solution.IntervalEnd(e)
+	s.after(e)
+}
+
+// migrateFresh faults a new bytes-long array onto the fastest tier of a
+// first-touch engine, one access per page, and migrates all of it to dst
+// with m (fig3, fig11).
+func migrateFresh(c mtm.Config, bytes int64, m migrate.Mechanism, dst tier.NodeID) migrate.Report {
+	e := mtm.NewEngine(c)
+	e.SetSolution(policy.NewFirstTouch())
+	v := e.AS.Alloc("array", bytes)
+	e.Sys.ResetWindow(e.Interval)
+	for i := 0; i < v.NPages; i++ {
+		e.Access(v, i, 1, 0, 0)
+	}
+	return m.Migrate(e, v, 0, v.NPages, dst, 0)
 }
 
 // Experiment is one figure or table of the evaluation and its driver.
@@ -106,38 +176,32 @@ func Find(id string) (Experiment, bool) {
 // under the same overhead budget, on GUPS with a time-varying hot set.
 func Fig1ProfilingQuality(o Options) string {
 	cfg := o.config()
-	type series struct {
+	profilers := []struct {
 		name string
-		mk   func() profiler.Profiler
-	}
-	profilers := []series{
-		{"MTM", func() profiler.Profiler { return profiler.NewMTM(profiler.DefaultMTMConfig()) }},
-		{"DAMON", func() profiler.Profiler { return profiler.NewDAMON() }},
-		{"Thermostat", func() profiler.Profiler { return profiler.NewThermostat() }},
-		{"AutoTiering", func() profiler.Profiler { return profiler.NewRandomChunk() }},
+		p    profiler.Profiler
+	}{
+		{"MTM", profiler.NewMTM(profiler.DefaultMTMConfig())},
+		{"DAMON", profiler.NewDAMON()},
+		{"Thermostat", profiler.NewThermostat()},
+		{"AutoTiering", profiler.NewRandomChunk()},
 	}
 	tb := stats.NewTable("interval", "profiler", "recall", "accuracy")
+	var sec section
 	for _, ps := range profilers {
-		e := mtm.NewEngine(cfg)
 		w := workload.NewGUPS(workload.Config{Scale: cfg.Scale, OpsFactor: cfg.OpsFactor})
 		// Figure 1's GUPS re-draws its hot set periodically so slow
 		// profilers visibly lag (§9.3).
 		w.EpochOps = w.TotalOps() / 6
 		w.DriftOps = 0
-		p := ps.mk()
-		e.SetSolution(policy.NewProfileOnly(p))
-		w.Init(e)
-		for i := 0; i < 60 && !w.Done(); i++ {
-			e.RunInterval(w)
-			if i%10 != 9 {
-				continue
+		sec.run(cfg, w, observed{policy.NewProfileOnly(ps.p), func(e *sim.Engine) {
+			if i := e.Intervals; i%10 == 9 {
+				hot := w.HotFootprintBytes()
+				q := stats.DetectionQuality(ps.p.Regions(), stats.HotOracle(w.IsHot), hot, hot)
+				tb.Row(i+1, ps.name, q.Recall, q.Accuracy)
 			}
-			hot := w.HotFootprintBytes()
-			q := stats.DetectionQuality(p.Regions(), stats.HotOracle(w.IsHot), hot, hot)
-			tb.Row(i+1, ps.name, q.Recall, q.Accuracy)
-		}
+		}}, 60)
 	}
-	return "Figure 1: profiling recall/accuracy over time (GUPS, 5% overhead)\n" + tb.String()
+	return sec.text("Figure 1: profiling recall/accuracy over time (GUPS, 5% overhead)", tb)
 }
 
 // Fig3MigrationBreakdown reproduces Figure 3: the step breakdown of
@@ -145,18 +209,9 @@ func Fig1ProfilingQuality(o Options) string {
 // move_pages() vs MTM's move_memory_regions().
 func Fig3MigrationBreakdown(o Options) string {
 	cfg := o.config()
-	run := func(m migrate.Mechanism) migrate.Report {
-		e := mtm.NewEngine(cfg)
-		e.SetSolution(policy.NewFirstTouch())
-		v := e.AS.Alloc("region", vm.HugePageSize)
-		e.Sys.ResetWindow(e.Interval)
-		e.Access(v, 0, 1, 0, 0) // fault onto the fastest tier
-		slowest := e.Sys.Topo.View(0)[len(e.Sys.Topo.Nodes)-1]
-		return m.Migrate(e, v, 0, v.NPages, slowest, 0)
-	}
-	mp := run(migrate.MovePages{})
-	async := &migrate.Adaptive{WriteRate: 0}
-	mmr := run(async)
+	view := cfg.Topology().View(0)
+	mp := migrateFresh(cfg, vm.HugePageSize, migrate.MovePages{}, view[len(view)-1])
+	mmr := migrateFresh(cfg, vm.HugePageSize, &migrate.Adaptive{WriteRate: 0}, view[len(view)-1])
 	tb := stats.NewTable("mechanism", "alloc", "unmap", "copy", "remap", "pt", "dirty", "critical")
 	row := func(name string, r migrate.Report) {
 		st := r.CriticalSteps
@@ -176,13 +231,13 @@ var fig4Solutions = []string{"first-touch", "hmc", "vanilla-tiered-autonuma", "t
 func Fig4Overall(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("workload", "solution", "exec", "normalized")
-	var warns []string
+	var sec section
 	for _, wl := range mtm.PaperWorkloadNames() {
 		var ft float64
 		for _, sol := range fig4Solutions {
-			res, err := mtm.Run(cfg, wl, sol)
-			if res, err = note(&warns, res, err); err != nil {
-				return err.Error()
+			res := sec.named(cfg, wl, sol)
+			if res == nil {
+				continue
 			}
 			if sol == "first-touch" {
 				ft = res.ExecTime.Seconds()
@@ -190,7 +245,7 @@ func Fig4Overall(o Options) string {
 			tb.Row(wl, res.Solution, res.ExecTime, res.ExecTime.Seconds()/ft)
 		}
 	}
-	return withWarnings("Figure 4: overall performance normalized to first-touch NUMA\n"+tb.String(), warns)
+	return sec.text("Figure 4: overall performance normalized to first-touch NUMA", tb)
 }
 
 // Fig5Breakdown reproduces Figure 5: application / profiling / migration
@@ -199,17 +254,15 @@ func Fig5Breakdown(o Options) string {
 	cfg := o.config()
 	sols := []string{"first-touch", "tiered-autonuma", "autotiering", "mtm"}
 	tb := stats.NewTable("workload", "solution", "app", "profiling", "migration", "total")
-	var warns []string
+	var sec section
 	for _, wl := range mtm.PaperWorkloadNames() {
 		for _, sol := range sols {
-			res, err := mtm.Run(cfg, wl, sol)
-			if res, err = note(&warns, res, err); err != nil {
-				return err.Error()
+			if res := sec.named(cfg, wl, sol); res != nil {
+				tb.Row(wl, res.Solution, res.App, res.Profiling, res.Migration, res.ExecTime)
 			}
-			tb.Row(wl, res.Solution, res.App, res.Profiling, res.Migration, res.ExecTime)
 		}
 	}
-	return withWarnings("Figure 5: execution time breakdown\n"+tb.String(), warns)
+	return sec.text("Figure 5: execution time breakdown", tb)
 }
 
 // Fig6Heatmap reproduces Figure 6: whether the profilers find GUPS's three
@@ -217,49 +270,47 @@ func Fig5Breakdown(o Options) string {
 // blocks C — reported as detected-hot coverage of each object.
 func Fig6Heatmap(o Options) string {
 	cfg := o.config()
-	type coverage struct{ a, b, c, excess float64 }
-	measure := func(p profiler.Profiler) coverage {
-		e := mtm.NewEngine(cfg)
-		w := workload.NewGUPS(workload.Config{Scale: cfg.Scale, OpsFactor: cfg.OpsFactor})
-		e.SetSolution(policy.NewProfileOnly(p))
-		w.Init(e)
-		for i := 0; i < 40 && !w.Done(); i++ {
-			e.RunInterval(w)
-		}
-		hot := w.HotFootprintBytes()
-		detected := profiler.HotBytes(p.Regions(), hot)
-		var cov coverage
-		var got [256]float64
-		var excess float64
-		for _, r := range detected {
-			for i := r.Start; i < r.End; i++ {
-				switch o := w.Object(r.V, i); o {
-				case 'A', 'B', 'C':
-					got[o] += float64(r.V.PageSize)
-				default:
-					excess += float64(r.V.PageSize)
-				}
-			}
-		}
-		var total [256]float64
-		heap := w.Heap()
-		for i := 0; i < heap.NPages; i++ {
-			if o := w.Object(heap, i); o == 'A' || o == 'B' || o == 'C' {
-				total[o] += float64(heap.PageSize)
-			}
-		}
-		cov.a = got['A'] / total['A']
-		cov.b = got['B'] / total['B']
-		cov.c = got['C'] / total['C']
-		if det := got['A'] + got['B'] + got['C'] + excess; det > 0 {
-			cov.excess = excess / det
-		}
-		return cov
+	profilers := []struct {
+		name string
+		p    profiler.Profiler
+	}{
+		{"MTM", profiler.NewMTM(profiler.DefaultMTMConfig())},
+		{"DAMON", profiler.NewDAMON()},
 	}
-	m := measure(profiler.NewMTM(profiler.DefaultMTMConfig()))
-	d := measure(profiler.NewDAMON())
 	tb := stats.NewTable("profiler", "A (index)", "B (hotinfo)", "C (hotset)", "false-hot share")
-	tb.Row("MTM", m.a, m.b, m.c, m.excess)
-	tb.Row("DAMON", d.a, d.b, d.c, d.excess)
-	return "Figure 6: detected-hot coverage of GUPS objects A/B/C\n" + tb.String()
+	var sec section
+	for _, ps := range profilers {
+		w := workload.NewGUPS(workload.Config{Scale: cfg.Scale, OpsFactor: cfg.OpsFactor})
+		if _, res := sec.run(cfg, w, policy.NewProfileOnly(ps.p), 40); res != nil {
+			a, b, c, falseHot := objectCoverage(w, ps.p)
+			tb.Row(ps.name, a, b, c, falseHot)
+		}
+	}
+	return sec.text("Figure 6: detected-hot coverage of GUPS objects A/B/C", tb)
+}
+
+// objectCoverage returns the share of each of GUPS's objects A, B and C
+// that p's regions detect as hot, and the share of the detected bytes
+// that lie outside all three.
+func objectCoverage(w *workload.GUPS, p profiler.Profiler) (a, b, c, falseHot float64) {
+	var got, total [256]float64
+	var excess float64
+	for _, r := range profiler.HotBytes(p.Regions(), w.HotFootprintBytes()) {
+		for i := r.Start; i < r.End; i++ {
+			switch o := w.Object(r.V, i); o {
+			case 'A', 'B', 'C':
+				got[o] += float64(r.V.PageSize)
+			default:
+				excess += float64(r.V.PageSize)
+			}
+		}
+	}
+	heap := w.Heap()
+	for i := 0; i < heap.NPages; i++ {
+		total[w.Object(heap, i)] += float64(heap.PageSize)
+	}
+	if det := got['A'] + got['B'] + got['C'] + excess; det > 0 {
+		falseHot = excess / det
+	}
+	return got['A'] / total['A'], got['B'] / total['B'], got['C'] / total['C'], falseHot
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"mtm"
@@ -26,15 +27,13 @@ func Fig7Ablations(o Options) string {
 		"mtm-wo-amr", "mtm-wo-pebs", "mtm-wo-aps", "mtm-wo-oc", "mtm-wo-async",
 	}
 	tb := stats.NewTable("solution", "app", "profiling", "migration", "total")
-	var warns []string
+	var sec section
 	for _, sol := range sols {
-		res, err := mtm.Run(cfg, "voltdb", sol)
-		if res, err = note(&warns, res, err); err != nil {
-			return err.Error()
+		if res := sec.named(cfg, "voltdb", sol); res != nil {
+			tb.Row(res.Solution, res.App, res.Profiling, res.Migration, res.ExecTime)
 		}
-		tb.Row(res.Solution, res.App, res.Profiling, res.Migration, res.ExecTime)
 	}
-	return withWarnings("Figure 7: adaptive profiling / migration ablations (VoltDB)\n"+tb.String(), warns)
+	return sec.text("Figure 7: adaptive profiling / migration ablations (VoltDB)", tb)
 }
 
 // Fig8OverheadSweep reproduces Figure 8: VoltDB execution time under
@@ -43,17 +42,15 @@ func Fig8OverheadSweep(o Options) string {
 	cfg := o.config()
 	cfg.Interval = 5 * time.Second / time.Duration(cfg.Scale)
 	tb := stats.NewTable("target", "app", "profiling", "migration", "total")
-	var warns []string
+	var sec section
 	for _, target := range []float64{0.01, 0.02, 0.03, 0.05, 0.10} {
 		c := cfg
 		c.OverheadTarget = target
-		res, err := mtm.Run(c, "voltdb", "mtm")
-		if res, err = note(&warns, res, err); err != nil {
-			return err.Error()
+		if res := sec.named(c, "voltdb", "mtm"); res != nil {
+			tb.Row(fmt.Sprintf("%.0f%%", target*100), res.App, res.Profiling, res.Migration, res.ExecTime)
 		}
-		tb.Row(fmt.Sprintf("%.0f%%", target*100), res.App, res.Profiling, res.Migration, res.ExecTime)
 	}
-	return withWarnings("Figure 8: profiling overhead target sweep (VoltDB, 5s interval)\n"+tb.String(), warns)
+	return sec.text("Figure 8: profiling overhead target sweep (VoltDB, 5s interval)", tb)
 }
 
 // Fig9Thresholds reproduces Figure 9: VoltDB under (τm, τs) settings for
@@ -69,26 +66,20 @@ func Fig9Thresholds(o Options) string {
 		{6, 0, 6}, {6, 2, 2}, {6, 2, 4}, {6, 4, 0}, {6, 4, 2}, {6, 6, 0},
 	}
 	tb := stats.NewTable("num_scans", "tau_m", "tau_s", "app", "profiling", "migration", "total")
-	var warns []string
+	var sec section
 	for _, pt := range points {
 		pc := profiler.DefaultMTMConfig()
 		pc.OverheadTarget = 0.05
 		pc.NumScans = pt.numScans
 		pc.TauM, pc.TauS = pt.tauM, pt.tauS
-		base, _ := mtm.NewSolution("mtm", cfg) // a known name; carries the resolved budget
+		base := known(mtm.NewSolution("mtm", cfg)) // carries the resolved budget
 		s := policy.NewMTMVariant(fmt.Sprintf("mtm(%v,%v)", pt.tauM, pt.tauS), profiler.NewMTM(pc), migrate.NewAdaptive())
 		s.MigrateBudget = base.(*policy.MTM).MigrateBudget
-		w, err := mtm.NewWorkload("voltdb", cfg)
-		if err != nil {
-			return err.Error()
+		if _, res := sec.run(cfg, known(mtm.NewWorkload("voltdb", cfg)), s, mtm.MaxIntervals); res != nil {
+			tb.Row(pt.numScans, pt.tauM, pt.tauS, res.App, res.Profiling, res.Migration, res.ExecTime)
 		}
-		res, err := mtm.RunWith(cfg, w, s)
-		if res, err = note(&warns, res, err); err != nil {
-			return err.Error()
-		}
-		tb.Row(pt.numScans, pt.tauM, pt.tauS, res.App, res.Profiling, res.Migration, res.ExecTime)
 	}
-	return withWarnings("Figure 9: (tau_m, tau_s) sensitivity (VoltDB)\n"+tb.String(), warns)
+	return sec.text("Figure 9: (tau_m, tau_s) sensitivity (VoltDB)", tb)
 }
 
 // Fig10Alpha reproduces Figure 10: performance across workloads as the
@@ -97,37 +88,29 @@ func Fig10Alpha(o Options) string {
 	cfg := o.config()
 	alphas := []float64{-1, 0.25, 0.5, 0.75, 1} // -1 encodes α=0
 	tb := stats.NewTable("workload", "alpha", "exec", "speedup vs α=1/2")
-	var warns []string
+	var sec section
 	for _, wl := range mtm.PaperWorkloadNames() {
 		var base float64
-		var rows []struct {
-			alpha float64
-			exec  time.Duration
-		}
+		var shown []float64
+		var execs []time.Duration
 		for _, a := range alphas {
 			c := cfg
 			c.Alpha = a
-			res, err := mtm.Run(c, wl, "mtm")
-			if res, err = note(&warns, res, err); err != nil {
-				return err.Error()
+			res := sec.named(c, wl, "mtm")
+			if res == nil {
+				continue
 			}
 			if a == 0.5 {
 				base = res.ExecTime.Seconds()
 			}
-			rows = append(rows, struct {
-				alpha float64
-				exec  time.Duration
-			}{a, res.ExecTime})
+			shown = append(shown, math.Max(a, 0))
+			execs = append(execs, res.ExecTime)
 		}
-		for _, r := range rows {
-			shown := r.alpha
-			if shown < 0 {
-				shown = 0
-			}
-			tb.Row(wl, shown, r.exec, base/r.exec.Seconds())
+		for i, exec := range execs {
+			tb.Row(wl, shown[i], exec, base/exec.Seconds())
 		}
 	}
-	return withWarnings("Figure 10: EMA weight α sweep (normalized to α=1/2)\n"+tb.String(), warns)
+	return sec.text("Figure 10: EMA weight α sweep (normalized to α=1/2)", tb)
 }
 
 // Fig11Mechanisms reproduces Figure 11: migrating a 1 GB (scaled) array
@@ -162,14 +145,7 @@ func Fig11Mechanisms(o Options) string {
 	for dstRank := 1; dstRank < len(view); dstRank++ {
 		for _, pat := range patterns {
 			for _, m := range mechanisms {
-				e := mtm.NewEngine(cfg)
-				e.SetSolution(policy.NewFirstTouch())
-				v := e.AS.Alloc("array", arrayBytes)
-				e.Sys.ResetWindow(e.Interval)
-				for i := 0; i < v.NPages; i++ {
-					e.Access(v, i, 1, 0, 0)
-				}
-				rep := m.mk(pat.writeRate).Migrate(e, v, 0, v.NPages, view[dstRank], 0)
+				rep := migrateFresh(cfg, arrayBytes, m.mk(pat.writeRate), view[dstRank])
 				tb.Row(fmt.Sprintf("tier%d", dstRank+1), pat.name, m.name, rep.Critical, rep.Background, rep.SwitchedToSync)
 			}
 		}
@@ -186,7 +162,7 @@ func Fig12TwoTier(o Options) string {
 	dram := 96 * tier.GB / cfg.Scale
 	ratios := []float64{0.25, 0.5, 0.75, 1.0, 1.25, 1.5}
 	tb := stats.NewTable("ws/fast ratio", "threads", "solution", "exec", "updates/sec (M)")
-	var warns []string
+	var sec section
 	for _, threads := range []int{16, 24} {
 		for _, ratio := range ratios {
 			table := int64(float64(dram) * ratio)
@@ -194,21 +170,14 @@ func Fig12TwoTier(o Options) string {
 			for _, sol := range []string{"hemem", "mtm"} {
 				c := cfg
 				c.Threads = threads
-				s, err := mtm.NewSolution(sol, c)
-				if err != nil {
-					return err.Error()
+				if _, res := sec.run(c, workload.NewGUPSSized(table, ops), known(mtm.NewSolution(sol, c)), mtm.MaxIntervals); res != nil {
+					gups := float64(ops) / res.ExecTime.Seconds() / 1e6
+					tb.Row(fmt.Sprintf("%.2f", ratio), threads, res.Solution, res.ExecTime, gups)
 				}
-				w := workload.NewGUPSSized(table, ops)
-				res, err := mtm.RunWith(c, w, s)
-				if res, err = note(&warns, res, err); err != nil {
-					return err.Error()
-				}
-				gups := float64(ops) / res.ExecTime.Seconds() / 1e6
-				tb.Row(fmt.Sprintf("%.2f", ratio), threads, res.Solution, res.ExecTime, gups)
 			}
 		}
 	}
-	return withWarnings("Figure 12: two-tier GUPS vs HeMem (throughput, higher is better)\n"+tb.String(), warns)
+	return sec.text("Figure 12: two-tier GUPS vs HeMem (throughput, higher is better)", tb)
 }
 
 // Tab3HotPages reproduces Table 3: hot volume identified and fast-tier
@@ -216,21 +185,13 @@ func Fig12TwoTier(o Options) string {
 func Tab3HotPages(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("workload", "solution", "hot identified (MB/interval)", "fast-tier accesses (M)")
-	var warns []string
+	var sec section
 	for _, wl := range mtm.PaperWorkloadNames() {
 		for _, sol := range []string{"vanilla-tiered-autonuma", "tiered-autonuma", "mtm"} {
-			s, err := mtm.NewSolution(sol, cfg)
-			if err != nil {
-				return err.Error()
-			}
-			w, err := mtm.NewWorkload(wl, cfg)
-			if err != nil {
-				return err.Error()
-			}
-			e := mtm.NewEngine(cfg)
-			res, err := sim.Run(e, w, s, mtm.MaxIntervals)
-			if res, err = note(&warns, res, err); err != nil {
-				return err.Error()
+			s := known(mtm.NewSolution(sol, cfg))
+			e, res := sec.run(cfg, known(mtm.NewWorkload(wl, cfg)), s, mtm.MaxIntervals)
+			if res == nil {
+				continue
 			}
 			// Average volume classified hot per interval, the Table 3
 			// metric: AutoNUMA accumulates its classifications; MTM's
@@ -241,7 +202,7 @@ func Tab3HotPages(o Options) string {
 			case *policy.TieredAutoNUMA:
 				hot = ps.HotBytesIdentified / int64(res.Intervals)
 			case *policy.MTM:
-				hot = hotResident(e) + res.PromotedBytes/int64(res.Intervals)
+				hot = hotResident(e, ps) + res.PromotedBytes/int64(res.Intervals)
 			}
 			var fast int64
 			for n, spec := range e.Sys.Topo.Nodes {
@@ -252,17 +213,13 @@ func Tab3HotPages(o Options) string {
 			tb.Row(wl, res.Solution, hot>>20, float64(fast)/1e6)
 		}
 	}
-	return withWarnings("Table 3: hot volume identified and fast-tier accesses\n"+tb.String(), warns)
+	return sec.text("Table 3: hot volume identified and fast-tier accesses", tb)
 }
 
 // hotResident sums the bytes already resident in DRAM that the final
 // histogram labels hot — the part of the identified hot set that needed
 // no promotion.
-func hotResident(e *sim.Engine) int64 {
-	sol, ok := e.Solution().(*policy.MTM)
-	if !ok {
-		return 0
-	}
+func hotResident(e *sim.Engine, sol *policy.MTM) int64 {
 	var dram int64
 	for n, spec := range e.Sys.Topo.Nodes {
 		if spec.Kind == tier.DRAM {
@@ -283,30 +240,23 @@ func hotResident(e *sim.Engine) int64 {
 func Tab4InitialPlacement(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("giga-updates (scaled)", "slow tier first", "first-touch")
-	var warns []string
+	var sec section
 	for _, frac := range []float64{0.2, 0.4, 0.6, 0.8, 1.0} {
 		var execs []time.Duration
 		for _, placement := range []policy.Placement{policy.PlaceSlowLocalFirst, policy.PlaceFastFirst} {
-			s, err := mtm.NewSolution("mtm", cfg)
-			if err != nil {
-				return err.Error()
-			}
+			s := known(mtm.NewSolution("mtm", cfg))
 			s.(*policy.MTM).Initial = placement
 			c := cfg
 			c.OpsFactor = cfg.OpsFactor * frac
-			w, err := mtm.NewWorkload("gups", c)
-			if err != nil {
-				return err.Error()
+			if _, res := sec.run(c, known(mtm.NewWorkload("gups", c)), s, mtm.MaxIntervals); res != nil {
+				execs = append(execs, res.ExecTime)
 			}
-			res, err := mtm.RunWith(c, w, s)
-			if res, err = note(&warns, res, err); err != nil {
-				return err.Error()
-			}
-			execs = append(execs, res.ExecTime)
 		}
-		tb.Row(fmt.Sprintf("%.1f", frac), execs[0], execs[1])
+		if len(execs) == 2 {
+			tb.Row(fmt.Sprintf("%.1f", frac), execs[0], execs[1])
+		}
 	}
-	return withWarnings("Table 4: GUPS with different initial page placements (MTM)\n"+tb.String(), warns)
+	return sec.text("Table 4: GUPS with different initial page placements (MTM)", tb)
 }
 
 // Tab5MemoryOverhead reproduces Table 5: MTM's metadata footprint per
@@ -314,23 +264,19 @@ func Tab4InitialPlacement(o Options) string {
 func Tab5MemoryOverhead(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("workload", "workload memory (MB)", "MTM overhead (KB)", "ratio")
+	var sec section
 	for _, wl := range mtm.PaperWorkloadNames() {
-		s, err := mtm.NewSolution("mtm", cfg)
-		if err != nil {
-			return err.Error()
+		s := known(mtm.NewSolution("mtm", cfg))
+		e, res := sec.run(cfg, known(mtm.NewWorkload(wl, cfg)), s, 30)
+		if res == nil {
+			continue
 		}
-		w, err := mtm.NewWorkload(wl, cfg)
-		if err != nil {
-			return err.Error()
-		}
-		e := mtm.NewEngine(cfg)
-		sim.Run(e, w, s, 30)
 		prof := s.(*policy.MTM).Prof.(*profiler.MTM)
 		over := prof.MemoryOverheadBytes()
 		mem := e.AS.TotalBytes()
 		tb.Row(wl, mem>>20, over>>10, fmt.Sprintf("%.5f%%", float64(over)/float64(mem)*100))
 	}
-	return "Table 5: MTM memory-management overhead\n" + tb.String()
+	return sec.text("Table 5: MTM memory-management overhead", tb)
 }
 
 // Tab6TierAccesses reproduces Table 6: per-tier application access counts
@@ -339,12 +285,12 @@ func Tab5MemoryOverhead(o Options) string {
 func Tab6TierAccesses(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("solution", "tier1 (M)", "tier2 (M)", "tier3 (M)", "tier4 (M)")
-	var warns []string
+	var sec section
 	view := cfg.Topology().View(0)
 	for _, sol := range []string{"tiered-autonuma", "autotiering", "mtm"} {
-		res, err := mtm.Run(cfg, "voltdb", sol)
-		if res, err = note(&warns, res, err); err != nil {
-			return err.Error()
+		res := sec.named(cfg, "voltdb", sol)
+		if res == nil {
+			continue
 		}
 		row := make([]interface{}, 0, 5)
 		row = append(row, res.Solution)
@@ -353,7 +299,7 @@ func Tab6TierAccesses(o Options) string {
 		}
 		tb.Row(row...)
 	}
-	return withWarnings("Table 6: memory accesses per tier (VoltDB)\n"+tb.String(), warns)
+	return sec.text("Table 6: memory accesses per tier (VoltDB)", tb)
 }
 
 // Tab7RegionStats reproduces Table 7: per-interval region merge/split
@@ -361,32 +307,24 @@ func Tab6TierAccesses(o Options) string {
 func Tab7RegionStats(o Options) string {
 	cfg := o.config()
 	tb := stats.NewTable("workload", "intervals", "avg merged/PI", "avg split/PI", "avg regions/PI")
+	var sec section
 	for _, wl := range mtm.PaperWorkloadNames() {
-		s, err := mtm.NewSolution("mtm", cfg)
-		if err != nil {
-			return err.Error()
-		}
-		w, err := mtm.NewWorkload(wl, cfg)
-		if err != nil {
-			return err.Error()
-		}
-		e := mtm.NewEngine(cfg)
-		e.SetSolution(s)
-		w.Init(e)
+		s := known(mtm.NewSolution("mtm", cfg))
 		prof := s.(*policy.MTM).Prof.(*profiler.MTM)
 		var regionSum int64
-		i := 0
-		for ; i < mtm.MaxIntervals && !w.Done(); i++ {
-			e.RunInterval(w)
-			regionSum += int64(prof.Set().Len())
+		count := observed{s, func(*sim.Engine) { regionSum += int64(prof.Set().Len()) }}
+		_, res := sec.run(cfg, known(mtm.NewWorkload(wl, cfg)), count, mtm.MaxIntervals)
+		if res == nil {
+			continue
 		}
+		i := res.Intervals
 		set := prof.Set()
 		tb.Row(wl, i,
 			float64(set.Merged)/float64(i),
 			float64(set.Split)/float64(i),
 			regionSum/int64(i))
 	}
-	return "Table 7: statistics of forming regions (MTM)\n" + tb.String()
+	return sec.text("Table 7: statistics of forming regions (MTM)", tb)
 }
 
 // CXLGenerality demonstrates the §8 claim beyond Optane: the same MTM
@@ -396,13 +334,13 @@ func CXLGenerality(o Options) string {
 	cfg := o.config()
 	cfg.CXL = true
 	tb := stats.NewTable("workload", "solution", "exec", "normalized", "DRAM share")
-	var warns []string
+	var sec section
 	for _, wl := range []string{"gups", "voltdb"} {
 		var base float64
 		for _, sol := range []string{"first-touch", "tiered-autonuma", "mtm"} {
-			res, err := mtm.Run(cfg, wl, sol)
-			if res, err = note(&warns, res, err); err != nil {
-				return err.Error()
+			res := sec.named(cfg, wl, sol)
+			if res == nil {
+				continue
 			}
 			if sol == "first-touch" {
 				base = res.ExecTime.Seconds()
@@ -411,5 +349,5 @@ func CXLGenerality(o Options) string {
 			tb.Row(wl, res.Solution, res.ExecTime, res.ExecTime.Seconds()/base, share)
 		}
 	}
-	return withWarnings("CXL generality (§8): three-tier DRAM+CXL machine\n"+tb.String(), warns)
+	return sec.text("CXL generality (§8): three-tier DRAM+CXL machine", tb)
 }

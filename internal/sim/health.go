@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"math/bits"
 
 	"mtm/internal/admission"
 	"mtm/internal/health"
@@ -171,25 +170,15 @@ func (e *Engine) healthBeginInterval() {
 // DIMM happens to back". A burst larger than the node's residency
 // poisons what is there and wastes the rest.
 func (e *Engine) poisonNode(n tier.NodeID, k int) {
-	poisoned := 0
-	for _, v := range e.AS.VMAs() {
-		for w := 0; w < v.Words() && poisoned < k; w++ {
-			word := v.PresentWord(w)
-			for word != 0 && poisoned < k {
-				i := w*vm.WordPages + bits.TrailingZeros64(word)
-				word &= word - 1
-				if v.Node(i) == n {
-					e.poisonPage(v, i)
-					poisoned++
-				}
-			}
-		}
-		if poisoned >= k {
-			break
-		}
+	pages := e.residentOn(n)
+	if len(pages) > k {
+		pages = pages[:k]
 	}
-	if poisoned > 0 {
-		e.applyTransitions(e.hlt.tracker.Poison(int(n), poisoned, e.Intervals))
+	for _, p := range pages {
+		e.poisonPage(p.v, p.idx)
+	}
+	if len(pages) > 0 {
+		e.applyTransitions(e.hlt.tracker.Poison(int(n), len(pages), e.Intervals))
 	}
 }
 
@@ -370,13 +359,7 @@ func (e *Engine) drainNode(node tier.NodeID) {
 // must be allocatable, have room, and not sit behind an open breaker.
 func (e *Engine) drainDest(node tier.NodeID, size int64) tier.NodeID {
 	view := e.Sys.Topo.View(HomeSocket)
-	rank := 0
-	for i, n := range view {
-		if n == node {
-			rank = i
-			break
-		}
-	}
+	rank := e.Sys.Topo.Rank(HomeSocket, node)
 	try := func(cand tier.NodeID) bool {
 		return e.Sys.Free(cand) >= size && e.DestUsable(node, cand)
 	}

@@ -319,8 +319,8 @@ type pageRef struct {
 }
 
 // residentOn returns the present pages mapped on node in (VMA, page)
-// order, the deterministic candidate order of the emergency-demotion and
-// drain paths. The walk is word-wide over the present plane.
+// order, the deterministic candidate order of the emergency-demotion,
+// drain and poison paths. The walk is word-wide over the present plane.
 func (e *Engine) residentOn(node tier.NodeID) []pageRef {
 	var out []pageRef
 	for _, v := range e.AS.VMAs() {
