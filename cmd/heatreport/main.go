@@ -26,12 +26,12 @@
 // starvation watchdog fired (an -admission-lanes run whose critical
 // drain/emergency traffic waited too long) are flagged with
 // !starved(class). The trace must be JSONL: a Chrome trace
-// (-spans-format chrome), a file without the stream header, or a
-// malformed span line is an error, exit status 1.
+// (-spans-format chrome), a file without the stream header, a malformed
+// span line, or a trace with fewer span lines than its header counts is
+// an error, exit status 1.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -127,28 +127,18 @@ func readResult(path string) (*mtm.Result, error) {
 }
 
 // readOutcomes extracts per-interval migration verdict tallies from a
-// span JSONL trace. The first line must be the stream's header and every
-// other line a span; anything else (a Chrome trace, a truncated line) is
-// an error naming the line.
+// span JSONL trace. The first line must be the stream's header, every
+// other line a span, and the spans as many as the header counts; anything
+// else (a Chrome trace, a malformed or truncated trace) is an error
+// naming the file.
 func readOutcomes(path string) (map[int]outcomeTally, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%s: empty span trace", path)
-	}
-	if _, _, _, err := span.ReadJSONLHeader(sc.Bytes()); err != nil {
-		return nil, fmt.Errorf("%s:1: %w", path, err)
-	}
 	out := map[int]outcomeTally{}
-	for n := 2; sc.Scan(); n++ {
+	_, _, _, err = span.ReadJSONL(f, path, func(b []byte) error {
 		var ev struct {
 			Interval int    `json:"interval"`
 			Cat      string `json:"cat"`
@@ -158,8 +148,8 @@ func readOutcomes(path string) (map[int]outcomeTally, error) {
 				Class   string `json:"class"`
 			} `json:"attrs"`
 		}
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			return nil, fmt.Errorf("%s:%d: bad span line: %w", path, n, err)
+		if err := json.Unmarshal(b, &ev); err != nil {
+			return fmt.Errorf("bad span line: %w", err)
 		}
 		switch {
 		case ev.Cat == "migration" && ev.Name == "outcome":
@@ -176,8 +166,9 @@ func readOutcomes(path string) (map[int]outcomeTally, error) {
 			t.starved = append(t.starved, ev.Attrs.Class)
 			out[ev.Interval] = t
 		}
-	}
-	return out, sc.Err()
+		return nil
+	})
+	return out, err
 }
 
 // writeCSV emits one row per interval: interval, truth_00..truth_NN,

@@ -55,6 +55,11 @@ func TestRun(t *testing.T) {
 		_, err := f.WriteString(header + "\nnot json\n")
 		return err
 	})
+	lines := strings.SplitAfter(mustRead(t, jsonl), "\n")
+	truncated := write("cut.jsonl", func(f *os.File) error {
+		_, err := f.WriteString(strings.Join(lines[:8], ""))
+		return err
+	})
 
 	cli := func(args ...string) (code int, stdout, stderr string) {
 		var out, errs bytes.Buffer
@@ -94,6 +99,15 @@ func TestRun(t *testing.T) {
 		}
 		if !strings.Contains(errs, malformed+":2: bad span line") {
 			t.Fatalf("error does not name the bad line: %s", errs)
+		}
+	})
+	t.Run("truncated-trace-exits-1", func(t *testing.T) {
+		code, out, errs := cli("-spans", truncated, result)
+		if code != 1 || out != "" {
+			t.Fatalf("exit %d, stdout %q; want exit 1 and no output", code, out)
+		}
+		if !strings.Contains(errs, truncated+": 7 span lines, the header counts") {
+			t.Fatalf("error does not report the truncation: %s", errs)
 		}
 	})
 	t.Run("no-fidelity-exits-1", func(t *testing.T) {

@@ -35,10 +35,7 @@ type pinRun struct {
 // under: the plain JSON result; a dying DIMM with the audit, the
 // Prometheus export and the JSONL trace; a flaky CXL tier with learned
 // admission, lanes, the fidelity oracle and the Chrome trace.
-var pinFlagSets = []struct {
-	name string
-	args []string
-}{
+var pinFlagSets = []pinRun{
 	{"json", []string{"-json"}},
 	{"dimm-death", []string{"-faults", "dimm-death", "-audit", "-json",
 		"-metrics", "@metrics.prom", "-metrics-format", "prom",

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"compress/gzip"
 	"encoding/json"
@@ -29,27 +28,22 @@ func TestSpansJSONLOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		t.Fatal("trace file is empty")
-	}
-	meta, spans, dropped, err := span.ReadJSONLHeader(sc.Bytes())
+	var lines int
+	meta, spans, dropped, err := span.ReadJSONL(f, path, func(b []byte) error {
+		if !json.Valid(b) {
+			t.Fatalf("invalid JSON line: %s", b)
+		}
+		lines++
+		return nil
+	})
 	if err != nil {
-		t.Fatalf("header: %v", err)
+		t.Fatal(err)
 	}
 	if meta["solution"] == "" || meta["workload"] == "" {
 		t.Errorf("header meta missing run identity: %v", meta)
 	}
 	if dropped != 0 {
 		t.Errorf("small run dropped %d spans", dropped)
-	}
-	var lines int
-	for sc.Scan() {
-		if !json.Valid(sc.Bytes()) {
-			t.Fatalf("invalid JSON line: %s", sc.Bytes())
-		}
-		lines++
 	}
 	if lines != spans {
 		t.Errorf("header says %d spans, body has %d lines", spans, lines)

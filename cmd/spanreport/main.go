@@ -29,7 +29,6 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -71,9 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer f.Close()
-	rep, err := analyze(f)
+	rep, err := analyze(f, path)
 	if err != nil {
-		fmt.Fprintf(stderr, "spanreport: %s: %v\n", path, err)
+		fmt.Fprintln(stderr, "spanreport:", err)
 		return 1
 	}
 	rep.write(stdout, *explain)
@@ -163,31 +162,15 @@ func (rep *report) Totals() (app, prof, mig time.Duration) {
 	return
 }
 
-// analyze reads a JSONL span stream and aggregates the per-interval phase
-// breakdown plus the decision event list.
-func analyze(r io.Reader) (*report, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("empty trace")
-	}
-	meta, spans, dropped, err := span.ReadJSONLHeader(sc.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	rep := &report{
-		Meta:      meta,
-		Intervals: make(map[int]*intervalRow),
-		Dropped:   dropped,
-		Spans:     spans,
-	}
-	for sc.Scan() {
+// analyze reads the JSONL span stream named name and aggregates the
+// per-interval phase breakdown plus the decision event list.
+func analyze(r io.Reader, name string) (*report, error) {
+	rep := &report{Intervals: make(map[int]*intervalRow)}
+	var err error
+	rep.Meta, rep.Spans, rep.Dropped, err = span.ReadJSONL(r, name, func(b []byte) error {
 		var l line
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return nil, fmt.Errorf("bad span line: %w", err)
+		if err := json.Unmarshal(b, &l); err != nil {
+			return fmt.Errorf("bad span line: %w", err)
 		}
 		switch l.Cat {
 		case "phase":
@@ -254,8 +237,9 @@ func analyze(r io.Reader) (*report, error) {
 				Attrs:    l.Attrs,
 			})
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil

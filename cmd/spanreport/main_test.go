@@ -39,7 +39,7 @@ func traced(t *testing.T, workload, solution string) (*mtm.Result, []byte) {
 // JSONL stream alone, exactly.
 func TestBreakdownMatchesResult(t *testing.T) {
 	res, trace := traced(t, "gups", "mtm")
-	rep, err := analyze(bytes.NewReader(trace))
+	rep, err := analyze(bytes.NewReader(trace), "trace.jsonl")
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -73,7 +73,7 @@ func TestBreakdownMatchesResult(t *testing.T) {
 // matching promote/demote decision event carrying its provenance.
 func TestDecisionProvenanceCoversMigrations(t *testing.T) {
 	res, trace := traced(t, "gups", "mtm")
-	rep, err := analyze(bytes.NewReader(trace))
+	rep, err := analyze(bytes.NewReader(trace), "trace.jsonl")
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestExplainOutput(t *testing.T) {
 			t.Errorf("explain output missing %q\n%s", want, s)
 		}
 	}
-	rep, err := analyze(bytes.NewReader(trace))
+	rep, err := analyze(bytes.NewReader(trace), "trace.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestExplainAdmissionROI(t *testing.T) {
 	if err := res.Spans.WriteJSONL(&buf); err != nil {
 		t.Fatalf("WriteJSONL: %v", err)
 	}
-	rep, err := analyze(bytes.NewReader(buf.Bytes()))
+	rep, err := analyze(bytes.NewReader(buf.Bytes()), "trace.jsonl")
 	if err != nil {
 		t.Fatalf("analyze: %v", err)
 	}
@@ -200,5 +200,32 @@ func TestUsageErrors(t *testing.T) {
 	}
 	if code := run([]string{path}, &out, &errb); code != 1 {
 		t.Errorf("bad header: exit %d, want 1", code)
+	}
+}
+
+// TestDamagedTraceRejected: a trace cut short of the span count its
+// header gives, or one with a malformed span line, exits 1 with an error
+// naming the file and, for a bad line, the line number.
+func TestDamagedTraceRejected(t *testing.T) {
+	_, trace := traced(t, "gups", "mtm")
+	lines := strings.SplitAfter(string(trace), "\n")
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name, body, want string
+	}{
+		{"cut.jsonl", strings.Join(lines[:8], ""), ": 7 span lines, the header counts"},
+		{"bad.jsonl", strings.Join(lines[:3], "") + "{\"interval\":\n", ":4: bad span line"},
+	} {
+		path := filepath.Join(dir, c.name)
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errb bytes.Buffer
+		if code := run([]string{path}, &out, &errb); code != 1 || out.Len() != 0 {
+			t.Errorf("%s: exit %d, stdout %q; want exit 1 and no output", c.name, code, out.String())
+		}
+		if !strings.Contains(errb.String(), path+c.want) {
+			t.Errorf("%s: error %q does not contain %q", c.name, errb.String(), path+c.want)
+		}
 	}
 }

@@ -10,6 +10,8 @@
 package sim
 
 import (
+	"math"
+
 	"mtm/internal/admission"
 	"mtm/internal/metrics"
 	"mtm/internal/span"
@@ -113,23 +115,25 @@ func (e *Engine) moveDirection(src, dst tier.NodeID) admission.Direction {
 	return admission.DirDemote
 }
 
+// latencyGap is the per-access latency difference between src and dst:
+// rated link latencies, home socket.
+func (e *Engine) latencyGap(src, dst tier.NodeID) float64 {
+	lat := e.latCache[HomeSocket]
+	return math.Abs(float64(lat[src] - lat[dst]))
+}
+
 // MigrationROI estimates the return on investment of moving one page
-// of the given size from src to dst: the per-access latency gap (rated
-// link latencies, home socket) times the expected accesses over the
-// retention horizon, divided by the pair's copy cost. whi is the
-// profiler's weighted hotness on whatever scale the active policy
-// uses; reaccess the evidence-graded likelihood the page stays hot.
+// of the given size from src to dst: the per-access latency gap times
+// the expected accesses over the retention horizon, divided by the
+// pair's copy cost. whi is the profiler's weighted hotness on whatever
+// scale the active policy uses; reaccess the evidence-graded likelihood
+// the page stays hot.
 func (e *Engine) MigrationROI(src, dst tier.NodeID, pageSize int64, whi, reaccess float64) float64 {
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 {
 		return 0
 	}
-	lat := e.latCache[HomeSocket]
-	gap := float64(lat[src] - lat[dst])
-	if gap < 0 {
-		gap = -gap
-	}
 	copyNs := float64(e.Sys.CopyTime(HomeSocket, src, dst, pageSize))
-	return admission.ROI(whi, reaccess, gap, copyNs)
+	return admission.ROI(whi, reaccess, e.latencyGap(src, dst), copyNs)
 }
 
 // AdmitMigration prices one planned move of up to bytes from src to
@@ -178,12 +182,7 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return dec
 	}
-	lat := e.latCache[HomeSocket]
-	gap := float64(lat[src] - lat[dst])
-	if gap < 0 {
-		gap = -gap
-	}
-	dec.ROI = admission.ROI(whi, reaccess, gap, flipNs)
+	dec.ROI = admission.ROI(whi, reaccess, e.latencyGap(src, dst), flipNs)
 	dec.BudgetBytes = e.adm.ctl.Tokens(int(src), int(dst), e.SpanClockNs())
 	e.AdmissionAdmits++
 	return dec
@@ -211,23 +210,17 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 	return false
 }
 
-// admissionMoveCommitted debits a committed move from its pair's
-// bucket and stamps the page's cool-down (hysteresis against an
-// immediate reversal). Called from commitMove.
-func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) {
+// admissionMoveCommitted debits a committed copy from its pair's bucket
+// and stamps the page's cool-down (hysteresis against an immediate
+// reversal). A flip copied nothing, so it is stamped but not debited.
+// Called from commitMove.
+func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
 	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
 		return
 	}
 	now := e.SpanClockNs()
-	e.adm.ctl.Commit(int(src), int(dst), v.PageSize, now)
-	e.admissionStamp(v, idx, src, dst, now)
-}
-
-// admissionStamp leaves a committed src→dst move's cool-down stamp on
-// page idx. No-op without the subsystem.
-func (e *Engine) admissionStamp(v *vm.VMA, idx int, src, dst tier.NodeID, now int64) {
-	if e.adm == nil {
-		return
+	if !flip {
+		e.adm.ctl.Commit(int(src), int(dst), v.PageSize, now)
 	}
 	v.SetStamp(idx, int64(e.adm.ctl.NotePageMove(e.moveDirection(src, dst), now)))
 }

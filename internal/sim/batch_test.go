@@ -113,7 +113,7 @@ func batchEngine(log *[]string, shape []batchVMA) (*Engine, []*vm.VMA) {
 		e.Access(r.V, r.Idx, r.N, r.NW, 0)
 	}
 	sh := scriptRef(vs, 3, 0, 0)
-	sh.V.MarkShadowed(sh.Idx, 1, e.shadowHook(sh.V))
+	sh.V.MarkShadowed(sh.Idx, 1)
 	e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 8)
 	e.PEBS.Arm(2)
 	return e, vs

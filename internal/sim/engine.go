@@ -312,16 +312,18 @@ func (e *Engine) AccessBatch(refs []Ref, socket int) {
 		if r.N == 0 {
 			continue
 		}
-		var node tier.NodeID
 		if !v.Present(r.Idx) {
-			var ok bool
-			if node, ok = e.handleFault(v, r.Idx, socket); !ok {
+			if !e.handleFault(v, r.Idx, socket) {
 				return // placement failed; the engine carries the error
 			}
-			v.TouchN(r.Idx, r.N, r.NW, socket)
-		} else {
-			node, _ = v.TouchN(r.Idx, r.N, r.NW, socket)
 		}
+		if r.NW != 0 && v.ShadowValid(r.Idx) {
+			// The write diverges the fast copy from its shadow, which
+			// TouchN marks stale. The shadow and its frame stay; the
+			// background sync may revalidate it later.
+			e.ShadowInvalidations++
+		}
+		node, _ := v.TouchN(r.Idx, r.N, r.NW, socket)
 		if e.Intercept != nil {
 			e.intApp += e.Intercept(v, r.Idx, r.N, r.NW, node) + time.Duration(r.N)*PerAccessCPU
 		} else {
@@ -408,8 +410,8 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 // handleFault places a first-touched page via the solution, falling back
 // to any node with space when the preferred node is full and to emergency
 // demotion when every node is full. On true exhaustion it records a sticky
-// *OOMError and reports ok=false instead of panicking.
-func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) (tier.NodeID, bool) {
+// *OOMError and reports false instead of panicking.
+func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) bool {
 	if e.hlt != nil && v.IsPoisoned(idx) {
 		// HWPOISON recovery: the app touched a quarantined page. The
 		// machine-check + SIGBUS-handler round trip is charged to the
@@ -430,7 +432,7 @@ func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) (tier.NodeID, bool)
 		}
 		if node == tier.Invalid {
 			e.fail(&OOMError{VMA: v.String(), Page: idx, Need: v.PageSize})
-			return tier.Invalid, false
+			return false
 		}
 		e.Sys.Reserve(node, v.PageSize)
 	}
@@ -441,7 +443,7 @@ func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) (tier.NodeID, bool)
 	zero := e.Sys.CopyTime(socket, node, node, v.PageSize)
 	e.intApp += FaultCost + zero
 	e.Sys.RecordTransfer(node, v.PageSize)
-	return node, true
+	return true
 }
 
 // MovePage rebinds page idx of v from its current node to dst, updating
@@ -458,7 +460,7 @@ func (e *Engine) MovePage(v *vm.VMA, idx int, dst tier.NodeID) bool {
 	if !e.reserveMove(v, dst) {
 		return false
 	}
-	e.commitMove(v, idx, src, dst)
+	e.commitMove(v, idx, src, dst, false)
 	return true
 }
 

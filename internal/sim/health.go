@@ -187,7 +187,7 @@ func (e *Engine) poisonNode(n tier.NodeID, k int) {
 // lost, not freed), and the next app access takes a recovery fault.
 func (e *Engine) poisonPage(v *vm.VMA, idx int) {
 	n := v.Node(idx)
-	e.shadowDropPage(v, idx)
+	e.dropShadow(v, idx) // Poison forgets the shadow; free its frame first
 	v.Poison(idx)
 	e.Sys.Quarantine(n, v.PageSize)
 	e.poisonedBytes += v.PageSize

@@ -64,7 +64,7 @@ func (e *Engine) ClearMoveContext() {
 }
 
 // lineageMoveCommitted appends one committed move to the ledger under the
-// current context. Called from commitMove and FlipDemote in commit order.
+// current context. Called from commitMove in commit order.
 // Without the oracle only promotions are kept: the learner reads nothing
 // else.
 func (e *Engine) lineageMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {

@@ -170,7 +170,7 @@ func (e *Engine) CopyPage(v *vm.VMA, idx int, dst tier.NodeID) (mv PageMove, ok 
 		}
 	}
 	if mv.Committed {
-		e.commitMove(v, idx, mv.Src, dst)
+		e.commitMove(v, idx, mv.Src, dst, false)
 	} else {
 		e.abortMove(v, idx, mv.Src, dst)
 	}
@@ -191,19 +191,23 @@ func (e *Engine) reserveMove(v *vm.VMA, dst tier.NodeID) bool {
 }
 
 // commitMove completes a reserved move of page idx of v from src: the
-// source frame is released and the page rebinds to dst. The commit lands
-// in the engine's committed-move ledger (checked by Audit) and counts as
-// a success on the pair's migration circuit breaker.
-func (e *Engine) commitMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
-	if !e.shadowMoveCommitted(v, idx, src, dst) && src != vm.NoNode && src != dst {
+// source frame is released (or retained as a shadow) and the page
+// rebinds to dst. Every committed move lands here: in the engine's
+// committed-move ledger (checked by Audit), as a success on the pair's
+// migration circuit breaker, in the admission cool-down and in the
+// lineage ledger. A flip (FlipDemote) has already consumed the shadow and
+// released src itself, and copied nothing, so the pair's budget is not
+// debited.
+func (e *Engine) commitMove(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
+	if !flip && !e.shadowMoveCommitted(v, idx, src, dst) && src != vm.NoNode && src != dst {
 		e.Sys.Release(src, v.PageSize)
 	}
 	v.Place(idx, dst)
 	e.committedPages++
 	e.committedBytes += v.PageSize
 	e.recordMoveSuccess(src, dst)
-	e.admissionMoveCommitted(v, idx, src, dst)
-	e.lineageMoveCommitted(v, idx, src, dst, false)
+	e.admissionMoveCommitted(v, idx, src, dst, flip)
+	e.lineageMoveCommitted(v, idx, src, dst, flip)
 	if e.met != nil {
 		pairCounter(e.met.movedPages, src, dst).Inc()
 	}

@@ -1,18 +1,19 @@
 // Engine-side non-exclusive tiering (Nomad): retained shadow frames.
 // Disabled by default — an engine without EnableShadow runs exactly the
-// pre-shadow code (commitMove releases every source frame, TouchN pays
-// one nil check).
+// pre-shadow code (commitMove releases every source frame).
 //
 // Lifecycle of a shadow: a committed promotion retains the slow-tier
 // source frame as a shadow instead of releasing it (shadowMoveCommitted);
-// the first write to the fast copy invalidates it (the VMA's dirty-plane
-// hook); the per-interval background sync re-copies diverged pages back
-// to their shadow frames off the critical path and revalidates them
-// (ShadowSync); demotion of a page whose shadow is still valid is a
-// metadata flip with zero copy bytes (FlipDemote). Shadows are soft
-// capacity: allocation pressure reclaims them oldest-first before the
-// emergency demotion path runs, and poison/drain/offline events drop any
-// shadows on the affected frames so a dead frame is never flipped to.
+// the first write to the fast copy invalidates it (TouchN clears the
+// page's validity bit, and AccessBatch counts the invalidation); the
+// per-interval background sync re-copies diverged pages back to their
+// shadow frames off the critical path and revalidates them (ShadowSync);
+// demotion of a page whose shadow is still valid is a metadata flip with
+// zero copy bytes, committed like any other move (FlipDemote). Shadows
+// are soft capacity: allocation pressure reclaims them oldest-first
+// before the emergency demotion path runs, and poison/drain/offline
+// events drop any shadows on the affected frames so a dead frame is
+// never flipped to.
 //
 // Where a shadow lives: the VMA is its only index. The shadowAll and
 // shadowValid planes say whether page idx has a shadow and whether it is
@@ -44,8 +45,6 @@ type shadowState struct {
 	// again, advances the page's seq and leaves the record to be skipped.
 	fifo  [][]shadowRec
 	heads []int
-	// hooks caches the one write-invalidation closure per VMA.
-	hooks map[*vm.VMA]func(int)
 }
 
 // shadowRec is one retention, recorded in its node's FIFO.
@@ -99,7 +98,6 @@ func (e *Engine) EnableShadow() {
 	e.shd = &shadowState{
 		fifo:  make([][]shadowRec, n),
 		heads: make([]int, n),
-		hooks: make(map[*vm.VMA]func(int)),
 	}
 }
 
@@ -110,25 +108,6 @@ func (e *Engine) ShadowCount() int {
 		n += v.ShadowedCount()
 	}
 	return n
-}
-
-// shadowHook returns the per-VMA write-invalidation closure, cached so
-// MarkShadowed installs the same function every time.
-func (e *Engine) shadowHook(v *vm.VMA) func(int) {
-	if fn, ok := e.shd.hooks[v]; ok {
-		return fn
-	}
-	fn := func(idx int) { e.shadowWriteInvalidated(v, idx) }
-	e.shd.hooks[v] = fn
-	return fn
-}
-
-// shadowWriteInvalidated fires on the write that diverges a fast copy
-// from its still-valid shadow (the VMA cleared the validity bit already;
-// once per invalidation, not per write). The entry and its frame stay —
-// the background sync may re-copy and revalidate it later.
-func (e *Engine) shadowWriteInvalidated(_ *vm.VMA, _ int) {
-	e.ShadowInvalidations++
 }
 
 // shadowMoveCommitted runs inside commitMove: for a committed promotion
@@ -154,7 +133,7 @@ func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) b
 	if !e.Sys.ReserveShadow(src, v.PageSize) {
 		return true // frame released; nothing retained
 	}
-	seq := v.MarkShadowed(idx, src, e.shadowHook(v))
+	seq := v.MarkShadowed(idx, src)
 	e.shd.push(src, shadowRec{v: v, idx: int32(idx), seq: seq})
 	e.shadowRetains++
 	return true
@@ -192,15 +171,6 @@ func (e *Engine) oldestShadowOn(n tier.NodeID) (shadowRec, bool) {
 	s.fifo[n] = q[:0]
 	s.heads[n] = 0
 	return shadowRec{}, false
-}
-
-// shadowDropPage drops the shadow of one page, if any. Called from the
-// poison path so a dead frame is never flipped to.
-func (e *Engine) shadowDropPage(v *vm.VMA, idx int) {
-	if e.shd == nil {
-		return
-	}
-	e.dropShadow(v, idx)
 }
 
 // shadowDropNode drops every shadow resident on node n, in FIFO order.
@@ -254,9 +224,8 @@ func (e *Engine) shadowReclaimFor(view []tier.NodeID, need int64) tier.NodeID {
 // happened; a page without a valid shadow, a shadow on a dead/unusable
 // node, or a thrash-suppressed page reports false and (except for
 // suppression) drops the unusable shadow so the caller falls back to the
-// copy path. A completed flip is a committed move: it lands in the move
-// ledger, the demotion totals, FreeDemotions, the pair breaker, and the
-// page's admission cool-down stamp.
+// copy path. A completed flip commits through commitMove like a copy; on
+// top of that it counts as a free demotion.
 func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	if e.shd == nil || !v.Present(idx) || !v.ShadowValid(idx) {
 		return tier.Invalid, false
@@ -281,83 +250,26 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 		panic("sim: FlipDemote failed to reserve the bytes its shadow drop just freed")
 	}
 	e.Sys.Release(src, v.PageSize)
-	v.Place(idx, dst)
-	e.committedPages++
-	e.committedBytes += v.PageSize
 	e.FreeDemotions++
 	e.FreeDemotionBytes += v.PageSize
 	e.NoteDemotion(v.PageSize)
-	e.recordMoveSuccess(src, dst)
-	e.admissionStamp(v, idx, src, dst, e.SpanClockNs())
-	if e.met != nil {
-		pairCounter(e.met.movedPages, src, dst).Inc()
-	}
-	e.lineageMoveCommitted(v, idx, src, dst, true)
+	e.commitMove(v, idx, src, dst, true)
 	return dst, true
 }
 
 // ShadowSync re-copies up to maxBytes of diverged (written-since-
 // retention) shadowed pages back to their shadow frames and revalidates
-// them. Each candidate's dirty bit is harvested first: a page written
-// since the previous pass is skipped — it is still hot, and a re-copy
-// would be invalidated before it pays off — so the budget concentrates
-// on pages that went quiet (one full pass without a write). The copies
-// are asynchronous helper-thread work: they charge background time and
-// bandwidth, never the critical path. Policies run it once per interval
-// before planning demotions, so pages that went clean demote as free
-// flips. Returns the bytes synced.
+// them, in VMA order. A page written since the previous pass is skipped
+// (see shadowSync's quiet gate), so the budget concentrates on pages that
+// went quiet. Policies run it once per interval before planning
+// demotions, so pages that went clean demote as free flips. Returns the
+// bytes synced.
 func (e *Engine) ShadowSync(maxBytes int64) int64 {
-	if e.shd == nil || maxBytes <= 0 {
-		return 0
-	}
 	var synced int64
 	for _, v := range e.AS.VMAs() {
-		if !v.HasShadows() {
-			continue
-		}
-		for w := 0; w < v.Words(); w++ {
-			word := v.ShadowStaleWord(w) & v.PresentWord(w)
-			for word != 0 {
-				i := w*vm.WordPages + bits.TrailingZeros64(word)
-				word &= word - 1
-				if synced >= maxBytes {
-					return synced
-				}
-				dst := v.ShadowNode(i)
-				if !e.Sys.Allocatable(dst) {
-					e.dropShadow(v, i)
-					continue
-				}
-				if v.TestAndClearDirty(i) {
-					// Written since the last sync pass: still hot, a re-copy
-					// now would be invalidated again before it pays off. The
-					// harvest arms quiet-detection — a page must go one full
-					// pass without a write before its shadow re-syncs, which
-					// keeps the budget for pages actually going cold.
-					continue
-				}
-				synced += e.syncShadowPage(v, i, dst)
-			}
-		}
+		synced += e.shadowSync(v, 0, v.NPages, maxBytes-synced, true)
 	}
 	return synced
-}
-
-// syncShadowPage re-copies one stale shadowed present page back to its
-// shadow frame on dst and revalidates it, charging background time and
-// bandwidth. Returns the page's size. Callers have already read dst
-// from the page and checked it is allocatable.
-func (e *Engine) syncShadowPage(v *vm.VMA, i int, dst tier.NodeID) int64 {
-	src := v.Node(i)
-	e.ChargeBackground(e.Sys.CopyTime(HomeSocket, src, dst, v.PageSize))
-	e.Sys.RecordTransfer(src, v.PageSize)
-	e.Sys.RecordTransfer(dst, v.PageSize)
-	// Binding budgets: the write-back competes for the same pair
-	// bandwidth migration does (no-op unless lanes are enabled).
-	e.admissionChargeBackground(src, dst, v.PageSize)
-	v.RevalidateShadow(i)
-	e.ShadowSyncBytes += v.PageSize
-	return v.PageSize
 }
 
 // ShadowSyncRange is the targeted variant of ShadowSync: it writes back
@@ -369,6 +281,19 @@ func (e *Engine) syncShadowPage(v *vm.VMA, i int, dst tier.NodeID) int64 {
 // no write can race the copy) and the subsequent demotion is a free
 // flip instead of a critical-path copy. Returns the bytes synced.
 func (e *Engine) ShadowSyncRange(v *vm.VMA, start, end int, maxBytes int64) int64 {
+	return e.shadowSync(v, start, end, maxBytes, false)
+}
+
+// shadowSync re-copies up to maxBytes of the stale shadows of present
+// pages in [start, end) of v back to their shadow frames and revalidates
+// them, dropping shadows whose frame is no longer allocatable. Every
+// candidate's dirty bit is harvested. With quiet set, a page whose bit
+// was set (written since the previous pass) is skipped: it is still hot,
+// and a re-copy would be invalidated again before it pays off, so a page
+// must go one full pass without a write before its shadow re-syncs. The
+// copies are asynchronous helper-thread work: they charge background
+// time and bandwidth, never the critical path. Returns the bytes synced.
+func (e *Engine) shadowSync(v *vm.VMA, start, end int, maxBytes int64, quiet bool) int64 {
 	if e.shd == nil || maxBytes <= 0 || !v.HasShadows() {
 		return 0
 	}
@@ -386,8 +311,19 @@ func (e *Engine) ShadowSyncRange(v *vm.VMA, start, end int, maxBytes int64) int6
 				e.dropShadow(v, i)
 				continue
 			}
-			v.TestAndClearDirty(i) // harvest; the write-back supersedes it
-			synced += e.syncShadowPage(v, i, dst)
+			if v.TestAndClearDirty(i) && quiet {
+				continue
+			}
+			src := v.Node(i)
+			e.ChargeBackground(e.Sys.CopyTime(HomeSocket, src, dst, v.PageSize))
+			e.Sys.RecordTransfer(src, v.PageSize)
+			e.Sys.RecordTransfer(dst, v.PageSize)
+			// Binding budgets: the write-back competes for the same pair
+			// bandwidth migration does (no-op unless lanes are enabled).
+			e.admissionChargeBackground(src, dst, v.PageSize)
+			v.RevalidateShadow(i)
+			e.ShadowSyncBytes += v.PageSize
+			synced += v.PageSize
 		}
 	}
 	return synced

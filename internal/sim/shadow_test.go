@@ -142,6 +142,45 @@ func TestWriteInvalidatesShadowAndSyncRevalidates(t *testing.T) {
 	mustAudit(t, e)
 }
 
+// TestFaultingWriteInvalidatesShadow: a write to a non-present page whose
+// shadow is still valid reaches TouchN through the fault path. It counts
+// one invalidation, as a write to a present page does, and a read fault
+// counts none.
+func TestFaultingWriteInvalidatesShadow(t *testing.T) {
+	e := newShadowEngine(8*tier.MB, 8*tier.MB)
+	e.SetSolution(&fixedSolution{node: 1})
+	e.beginInterval()
+	v := e.AS.Alloc("v", 4*tier.MB)
+	promoteWithShadow(t, e, v, 0)
+	unmap := func() {
+		e.Sys.Release(v.Node(0), v.PageSize)
+		v.Unmap(0)
+	}
+	e.SetSolution(&fixedSolution{node: 0})
+
+	unmap()
+	e.Access(v, 0, 1, 0, 0)
+	if !v.Present(0) || !v.ShadowValid(0) || e.ShadowInvalidations != 0 {
+		t.Fatalf("read fault: present %v, shadow valid %v, invalidations %d; want true, true, 0",
+			v.Present(0), v.ShadowValid(0), e.ShadowInvalidations)
+	}
+	unmap()
+	faults := e.TotalFaults
+	e.Access(v, 0, 3, 2, 0)
+	if e.TotalFaults != faults+1 {
+		t.Fatal("the write did not fault")
+	}
+	if v.ShadowValid(0) || e.ShadowInvalidations != 1 {
+		t.Fatalf("write fault: shadow valid %v, invalidations %d; want false, 1", v.ShadowValid(0), e.ShadowInvalidations)
+	}
+	unmap()
+	e.Access(v, 0, 1, 1, 0)
+	if e.ShadowInvalidations != 1 {
+		t.Fatalf("a write fault on a diverged shadow counted again: %d invalidations", e.ShadowInvalidations)
+	}
+	mustAudit(t, e)
+}
+
 func TestShadowSyncRangeBypassesQuietGate(t *testing.T) {
 	e := newShadowEngine(8*tier.MB, 8*tier.MB)
 	e.SetSolution(&fixedSolution{node: 1})

@@ -297,7 +297,7 @@ func TestSideStateMatchesMapModel(t *testing.T) {
 					}
 				case k < 62:
 					op = fmt.Sprintf("drop %s", pageName(v, idx))
-					e.shadowDropPage(v, idx)
+					e.dropShadow(v, idx)
 					ref.Drop(key)
 				case k < 68:
 					n := tier.NodeID(1 + rng.Intn(2))
@@ -448,7 +448,7 @@ func TestShadowRetentionFromOfflineNode(t *testing.T) {
 		t.Fatal("reserveMove failed")
 	}
 	e.Sys.SetAllocatable(2, false)
-	e.commitMove(v, 0, src, 0)
+	e.commitMove(v, 0, src, 0, false)
 	e.NotePromotion(v.PageSize)
 	if e.ShadowCount() != 0 || e.Sys.ShadowBytes(2) != 0 || v.ShadowSeq(0) != 0 {
 		t.Fatalf("failed retention left residue: count=%d bytes=%d seq=%d",

@@ -1,6 +1,7 @@
 package span
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -134,17 +135,43 @@ func (x *Export) WriteChrome(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// ReadJSONLHeader decodes and validates the stream's header line.
-func ReadJSONLHeader(line []byte) (meta map[string]string, spans int, dropped int64, err error) {
+// ReadJSONL reads a stream WriteJSONL wrote. It validates the header
+// line, calls fn with each span line in order, and checks that the
+// stream holds exactly as many span lines as the header counts, so a
+// truncated trace is an error rather than a short one. Errors name the
+// line as name:N; name is how the caller refers to the stream, such as
+// its path. An error fn returns is wrapped the same way.
+func ReadJSONL(r io.Reader, name string, fn func(line []byte) error) (meta map[string]string, spans int, dropped int64, err error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
+	if !sc.Scan() {
+		if err := sc.Err(); err != nil {
+			return nil, 0, 0, fmt.Errorf("%s:1: %w", name, err)
+		}
+		return nil, 0, 0, fmt.Errorf("%s: empty span trace", name)
+	}
 	var h jsonlHeader
-	if err := json.Unmarshal(line, &h); err != nil {
-		return nil, 0, 0, fmt.Errorf("span: bad JSONL header: %w", err)
+	if err := json.Unmarshal(sc.Bytes(), &h); err != nil {
+		return nil, 0, 0, fmt.Errorf("%s:1: span: bad JSONL header: %w", name, err)
 	}
 	if h.Format != JSONLFormat {
-		return nil, 0, 0, fmt.Errorf("span: not a %s stream (format %q)", JSONLFormat, h.Format)
+		return nil, 0, 0, fmt.Errorf("%s:1: span: not a %s stream (format %q)", name, JSONLFormat, h.Format)
 	}
 	if h.Version != JSONLVersion {
-		return nil, 0, 0, fmt.Errorf("span: unsupported stream version %d", h.Version)
+		return nil, 0, 0, fmt.Errorf("%s:1: span: unsupported stream version %d", name, h.Version)
+	}
+	n := 0
+	for sc.Scan() {
+		n++
+		if err := fn(sc.Bytes()); err != nil {
+			return nil, 0, 0, fmt.Errorf("%s:%d: %w", name, n+1, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, 0, 0, fmt.Errorf("%s:%d: %w", name, n+2, err)
+	}
+	if n != h.Spans {
+		return nil, 0, 0, fmt.Errorf("%s: %d span lines, the header counts %d", name, n, h.Spans)
 	}
 	return h.Meta, h.Spans, h.Dropped, nil
 }

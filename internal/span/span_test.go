@@ -1,7 +1,6 @@
 package span
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"math"
@@ -82,7 +81,7 @@ func TestCloseAll(t *testing.T) {
 }
 
 // TestWriteJSONL: header first, then one valid JSON object per span, and
-// the header round-trips through ReadJSONLHeader.
+// the header round-trips through ReadJSONL.
 func TestWriteJSONL(t *testing.T) {
 	tr := New(Config{})
 	tr.SetMeta("solution", "X")
@@ -94,38 +93,102 @@ func TestWriteJSONL(t *testing.T) {
 	if err := tr.Export().WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	sc := bufio.NewScanner(&buf)
-	if !sc.Scan() {
-		t.Fatal("empty output")
-	}
-	meta, n, dropped, err := ReadJSONLHeader(sc.Bytes())
-	if err != nil {
-		t.Fatalf("header: %v", err)
-	}
-	if meta["solution"] != "X" || n != 2 || dropped != 0 {
-		t.Fatalf("header meta=%v spans=%d dropped=%d", meta, n, dropped)
-	}
 	var lines int
-	for sc.Scan() {
+	meta, n, dropped, err := ReadJSONL(&buf, "trace", func(b []byte) error {
 		var l struct {
 			Attrs map[string]any `json:"attrs"`
 		}
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			t.Fatalf("line %d: %v", lines, err)
+		if err := json.Unmarshal(b, &l); err != nil {
+			return err
 		}
 		lines++
-		if lines == 2 {
-			if l.Attrs["rule"] != "r" || l.Attrs["whi"] != 1.5 {
-				t.Fatalf("event attrs %v", l.Attrs)
+		if lines == 2 && (l.Attrs["rule"] != "r" || l.Attrs["whi"] != 1.5) {
+			t.Fatalf("event attrs %v", l.Attrs)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta["solution"] != "X" || n != 2 || dropped != 0 || lines != n {
+		t.Fatalf("header meta=%v spans=%d dropped=%d, %d lines", meta, n, dropped, lines)
+	}
+	// A non-span stream is rejected.
+	if _, _, _, err := ReadJSONL(strings.NewReader(`{"format":"other","version":1}`), "x", nil); err == nil {
+		t.Fatal("foreign header accepted")
+	}
+}
+
+// TestReadJSONLRoundTrip: every span WriteJSONL writes comes back through
+// ReadJSONL in order and field for field, with the header's meta, count
+// and drop total. A stream with fewer or more span lines than its header
+// counts, or a bad line, is an error that names the stream and the line.
+func TestReadJSONLRoundTrip(t *testing.T) {
+	tr := New(Config{MaxSpans: 3})
+	tr.SetMeta("workload", "gups")
+	tr.BeginInterval(4)
+	tr.Begin("interval", "interval", 10)
+	tr.Emit("profiling", "scan", 11, 5, I("shard", 2), S("vma", "heap"))
+	tr.Event("migration", "abort", 12, F("roi", 0.25))
+	tr.Event("migration", "dropped", 13)
+	tr.End(20)
+	x := tr.Export()
+	var buf bytes.Buffer
+	if err := x.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var got []jsonlLine
+	meta, n, dropped, err := ReadJSONL(bytes.NewReader(buf.Bytes()), "trace", func(b []byte) error {
+		var l jsonlLine
+		err := json.Unmarshal(b, &l)
+		got = append(got, l)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if meta["workload"] != "gups" || n != len(x.Spans) || dropped != x.Dropped || dropped == 0 {
+		t.Fatalf("header meta=%v spans=%d dropped=%d; export has %d spans, %d dropped", meta, n, dropped, len(x.Spans), x.Dropped)
+	}
+	if len(got) != len(x.Spans) {
+		t.Fatalf("read %d spans, wrote %d", len(got), len(x.Spans))
+	}
+	for i, sp := range x.Spans {
+		l := got[i]
+		if l.ID != sp.ID || l.Parent != sp.Parent || l.Interval != sp.Interval || l.Cat != sp.Cat ||
+			l.Name != sp.Name || l.Start != sp.Start || l.Dur != sp.Dur || l.Instant != sp.Instant ||
+			len(l.Attrs) != len(sp.Attrs) {
+			t.Fatalf("span %d: read %+v, wrote %+v", i, l, sp)
+		}
+		for _, a := range sp.Attrs {
+			want := a.Value()
+			if v, ok := want.(int64); ok {
+				want = float64(v) // JSON numbers decode as float64
+			}
+			if l.Attrs[a.Key] != want {
+				t.Fatalf("span %d attr %s: read %v, wrote %v", i, a.Key, l.Attrs[a.Key], a.Value())
 			}
 		}
 	}
-	if lines != n {
-		t.Fatalf("%d lines, header says %d", lines, n)
+
+	text := buf.String()
+	lines := strings.SplitAfter(text, "\n")
+	for _, c := range []struct{ name, body, want string }{
+		{"empty", "", "empty: empty span trace"},
+		{"cut", strings.Join(lines[:2], ""), "cut: 1 span lines, the header counts 3"},
+		{"extra", text + lines[1], "extra: 4 span lines, the header counts 3"},
+		{"bad", lines[0] + lines[1] + "{\n", "bad:3: unexpected end of JSON input"},
+	} {
+		_, _, _, err := ReadJSONL(strings.NewReader(c.body), c.name, func(b []byte) error {
+			var l jsonlLine
+			return json.Unmarshal(b, &l)
+		})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
 	}
-	// A non-span stream is rejected.
-	if _, _, _, err := ReadJSONLHeader([]byte(`{"format":"other","version":1}`)); err == nil {
-		t.Fatal("foreign header accepted")
+	if _, _, _, err := ReadJSONL(strings.NewReader(text), "ok", func([]byte) error { return nil }); err != nil {
+		t.Fatalf("intact stream: %v", err)
 	}
 }
 

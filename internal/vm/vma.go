@@ -49,17 +49,12 @@ type VMA struct {
 	touched Bitmap
 
 	// Shadow planes for non-exclusive tiering (nil until the first
-	// MarkShadowed — runs without shadowing pay only a nil check in
-	// TouchN). shadowAll marks pages whose old frame is retained as a
-	// shadow copy; shadowValid marks the subset whose shadow is still
-	// byte-identical to the page. A write clears validity (the fast copy
-	// diverged) and fires onShadowWrite so the engine can count it.
+	// MarkShadowed). shadowAll marks pages whose old frame is retained as
+	// a shadow copy; shadowValid marks the subset whose shadow is still
+	// byte-identical to the page. A write clears validity: the fast copy
+	// diverged.
 	shadowAll   Bitmap
 	shadowValid Bitmap
-	// onShadowWrite, when non-nil, is called with the page index on the
-	// write that invalidates a valid shadow (once per invalidation, not
-	// per write).
-	onShadowWrite func(idx int)
 
 	// side holds the per-page state only migration features use, one
 	// chunk per 64-page plane word: nil until the first SetStamp or
@@ -252,9 +247,6 @@ func (v *VMA) TouchN(idx int, n, nw uint32, socket int) (tier.NodeID, bool) {
 	// A write to a page whose shadow is valid: the fast copy diverges.
 	v.shadowValid.Clear(idx)
 	v.pages[idx].flags &^= recShadowValid
-	if v.onShadowWrite != nil {
-		v.onShadowWrite(idx)
-	}
 	return v.TouchHit(idx, n, nw, socket), false
 }
 
@@ -312,16 +304,13 @@ func (v *VMA) TestAndClearDirty(idx int) bool {
 }
 
 // MarkShadowed records that page idx has a retained, currently-valid
-// shadow copy on node n, installing fn as the write-invalidation hook,
-// and returns the page's new shadow sequence number (see ShadowSeq). The
-// planes are allocated lazily on first use; fn is shared per VMA (the
-// engine passes the same closure every time) and must not be nil.
-func (v *VMA) MarkShadowed(idx int, n tier.NodeID, fn func(idx int)) uint32 {
+// shadow copy on node n and returns the page's new shadow sequence number
+// (see ShadowSeq). The planes are allocated lazily on first use.
+func (v *VMA) MarkShadowed(idx int, n tier.NodeID) uint32 {
 	if v.shadowAll == nil {
 		v.shadowAll = NewBitmap(v.NPages)
 		v.shadowValid = NewBitmap(v.NPages)
 	}
-	v.onShadowWrite = fn
 	v.shadowAll.Set(idx)
 	v.shadowValid.Set(idx)
 	v.pages[idx].flags |= recShadowValid
