@@ -14,9 +14,7 @@ import (
 // scan-steady profiling path: with fixed regions, an MTM profiling
 // interval after warm-up reuses the engine scratch (RNG, membership
 // bitset) and per-region Samples/Observed capacity — so it never touches
-// the heap. CI enforces the same bound on BenchmarkScanSteady via the
-// benchjson -max-allocs gate; this test catches regressions without
-// running benchmarks.
+// the heap.
 //
 // Adaptive region formation is excluded on purpose: merge/split churn
 // creates regions, which must allocate.
@@ -46,9 +44,7 @@ func TestScanSteadyZeroAlloc(t *testing.T) {
 // fidelity oracle's steady-state sample: with planes and rank-agreement
 // buffers sized by warm-up samples, one FidelitySample — truth histogram,
 // estimate grading, rank agreement, lag transitions, heat row — never
-// touches the heap. CI enforces the
-// same bound on BenchmarkIntervalFidelitySample via the benchjson
-// -max-allocs gate; this test catches regressions without benchmarks.
+// touches the heap. BenchmarkIntervalFidelitySample times the same path.
 //
 // The solution is MTM with fixed regions so the estimate path (the
 // profiler's region table) is exercised, not skipped.
@@ -75,3 +71,30 @@ func TestFidelitySampleZeroAlloc(t *testing.T) {
 		t.Errorf("fidelity sample allocates %.1f objects per interval, want 0", got)
 	}
 }
+
+// zeroAllocs fails t unless shape's steady state allocates nothing. Each
+// run issues 256 ops, so an allocation once per batch of refs shows as
+// well as one per op. AllocsPerRun's uncounted warm-up run absorbs
+// one-time costs: the fault shape's first touch builds the topology's
+// lazily made view of the socket (3 allocs/op at -benchtime=1x), and every
+// later touch allocates nothing.
+func zeroAllocs(t *testing.T, shape accessShape) {
+	issue, _ := shape(t, true)
+	if got := testing.AllocsPerRun(10, func() { issue(256) }); got != 0 {
+		t.Errorf("%.1f allocations per 256 ops, want 0", got)
+	}
+}
+
+// TestAccessZeroAlloc pins the zero-allocation property of the access
+// path: a lone Access (BenchmarkEngineAccess's shape) and every shape of
+// BenchmarkAccessBatch.
+func TestAccessZeroAlloc(t *testing.T) {
+	t.Run("engine-access", func(t *testing.T) { zeroAllocs(t, engineAccess) })
+	for _, s := range accessShapes {
+		t.Run(s.name, func(t *testing.T) { zeroAllocs(t, s.shape) })
+	}
+}
+
+// TestFlipDemoteZeroAlloc pins the zero-allocation property of Nomad's
+// warm flip-demote and re-promote cycle (BenchmarkFlipDemote's shape).
+func TestFlipDemoteZeroAlloc(t *testing.T) { zeroAllocs(t, flipDemote) }

@@ -8,7 +8,6 @@ import (
 
 	"mtm"
 
-	"mtm/internal/experiments"
 	"mtm/internal/migrate"
 	"mtm/internal/pebs"
 	"mtm/internal/policy"
@@ -17,70 +16,11 @@ import (
 	"mtm/internal/span"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
-	"mtm/internal/workload"
 )
 
-// Every figure and table of the paper's evaluation has a benchmark that
-// regenerates it. `go test -bench Fig4 -v` prints the same rows the paper
-// reports (b.Log output appears with -v); timings measure the full
-// experiment driver. Experiment scale is kept small so the whole suite
-// runs in minutes; cmd/experiments -full produces the paper-length runs.
-
-func benchOpts() experiments.Options {
-	return experiments.Options{Scale: 256, OpsFactor: 0.25, Seed: 1}
-}
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	o := benchOpts()
-	e, ok := experiments.Find(id)
-	if !ok {
-		b.Fatalf("unknown experiment %s", id)
-	}
-	var out string
-	for i := 0; i < b.N; i++ {
-		out = e.Run(o)
-	}
-	b.Log("\n" + out)
-}
-
-func BenchmarkFig1ProfilingQuality(b *testing.B)   { benchExperiment(b, "fig1") }
-func BenchmarkFig3MigrationBreakdown(b *testing.B) { benchExperiment(b, "fig3") }
-func BenchmarkFig4Overall(b *testing.B)            { benchExperiment(b, "fig4") }
-func BenchmarkFig5Breakdown(b *testing.B)          { benchExperiment(b, "fig5") }
-func BenchmarkFig6Heatmap(b *testing.B)            { benchExperiment(b, "fig6") }
-func BenchmarkFig7Ablations(b *testing.B)          { benchExperiment(b, "fig7") }
-func BenchmarkFig8OverheadSweep(b *testing.B)      { benchExperiment(b, "fig8") }
-func BenchmarkFig9Thresholds(b *testing.B)         { benchExperiment(b, "fig9") }
-func BenchmarkFig10Alpha(b *testing.B)             { benchExperiment(b, "fig10") }
-func BenchmarkFig11Mechanisms(b *testing.B)        { benchExperiment(b, "fig11") }
-func BenchmarkFig12TwoTier(b *testing.B)           { benchExperiment(b, "fig12") }
-func BenchmarkTab3HotPages(b *testing.B)           { benchExperiment(b, "tab3") }
-func BenchmarkTab4InitialPlacement(b *testing.B)   { benchExperiment(b, "tab4") }
-func BenchmarkTab5MemoryOverhead(b *testing.B)     { benchExperiment(b, "tab5") }
-func BenchmarkTab6TierAccesses(b *testing.B)       { benchExperiment(b, "tab6") }
-func BenchmarkTab7RegionStats(b *testing.B)        { benchExperiment(b, "tab7") }
-
-// --- substrate micro-benchmarks ---
-
-// BenchmarkRun measures whole simulations end to end under MTM at a fixed
-// scale and op count: gups and pingpong are access-stream bound, bfs
-// mixes sequential graph ranges with profiling and migration, and
-// cassandra times the zipfian key sampler beside its accesses.
-func BenchmarkRun(b *testing.B) {
-	for _, wl := range []string{"gups", "pingpong", "bfs", "cassandra"} {
-		b.Run(wl+"/mtm", func(b *testing.B) {
-			cfg := mtm.DefaultConfig()
-			cfg.Scale = 256
-			cfg.OpsFactor = 0.25
-			for i := 0; i < b.N; i++ {
-				if _, err := mtm.Run(cfg, wl, "mtm"); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// The layer micro-benchmarks: each times one layer of the simulator, the
+// layer a perf change names. Whole-run host cost, the number a perf claim
+// rests on, is measured by bench/.
 
 // BenchmarkResultJSON measures encoding the Result of one traced BFS run
 // under MTM, the export cost a traced simulation pays once at its end. An
@@ -104,68 +44,139 @@ func BenchmarkResultJSON(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineAccess measures the simulator's hot path: one batched
-// application access through fault-free TouchN + latency accounting.
-func BenchmarkEngineAccess(b *testing.B) {
+// accessShape sets up one access pattern and returns issue, which issues
+// the pattern's next n ops, and how many ops issue takes in all (0: no
+// limit). A benchmark times issue; TestAccessZeroAlloc and
+// TestFlipDemoteZeroAlloc hold it at zero allocations. small shrinks the
+// VMAs of the shapes whose refs miss cache, so the tests set up fast;
+// allocation does not depend on cache misses.
+type accessShape func(tb testing.TB, small bool) (issue func(n int), limit int)
+
+// benchShape times b.N ops of shape, setting it up again, untimed, each
+// time issue has taken its limit.
+func benchShape(b *testing.B, shape accessShape) {
+	for n := b.N; n > 0; {
+		b.StopTimer()
+		issue, limit := shape(b, false)
+		b.StartTimer()
+		k := n
+		if limit > 0 {
+			k = min(n, limit)
+		}
+		issue(k)
+		n -= k
+	}
+}
+
+// hugeVMA returns a first-touch engine at scale 256 with one VMA of 64
+// huge pages, whose records stay in cache.
+func hugeVMA() (*sim.Engine, *vm.VMA) {
 	e := sim.NewEngine(tier.OptaneTopology(256), 1)
 	e.SetSolution(policy.NewFirstTouch())
-	v := e.AS.Alloc("b", 64*vm.HugePageSize)
+	return e, e.AS.Alloc("b", 64*vm.HugePageSize)
+}
+
+// faultIn first-touches every page of v, in order, and opens a fresh
+// bandwidth window.
+func faultIn(e *sim.Engine, v *vm.VMA) {
 	for i := 0; i < v.NPages; i++ {
 		e.Access(v, i, 1, 0, 0)
 	}
 	e.Sys.ResetWindow(e.Interval)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Access(v, i&63, 4, 2, 0)
-	}
 }
 
-// BenchmarkAccessBatch measures accesses issued up to 256 to a batch; an
-// op is one ref. huge issues BenchmarkEngineAccess's accesses to 64 huge
-// pages, whose records stay in cache. pebs issues them with a PEBS buffer
-// armed on every node, so each ref feeds the sampler. random-4k issues
-// seeded random refs over a 2^21-page 4 KB VMA, so nearly every ref misses
-// cache until the batch's warm pass has loaded it. mixed issues
-// Cassandra's shape: per op an index read, then a record read or update,
-// an update adding a commit-log write, each VMA of huge pages. single
-// issues random refs to the 64 huge pages one Access call each, the path a
-// lone access takes. fault first-touches fresh 4 KB pages, the shape of a
-// workload's set-up.
-func BenchmarkAccessBatch(b *testing.B) {
-	hugeRefs := func() (*sim.Engine, []sim.Ref) {
-		e := sim.NewEngine(tier.OptaneTopology(256), 1)
-		e.SetSolution(policy.NewFirstTouch())
-		v := e.AS.Alloc("b", 64*vm.HugePageSize)
-		refs := make([]sim.Ref, 256)
-		for i := range refs {
-			refs[i] = sim.Ref{V: v, Idx: i & 63, N: 4, NW: 2}
+// engineAccess is the simulator's hot path: one application access
+// through fault-free TouchN and latency accounting; an op is one Access.
+func engineAccess(testing.TB, bool) (func(int), int) {
+	e, v := hugeVMA()
+	faultIn(e, v)
+	i := 0
+	return func(n int) {
+		for ; n > 0; n-- {
+			e.Access(v, i&63, 4, 2, 0)
+			i++
 		}
-		return e, refs
+	}, 0
+}
+
+// BenchmarkEngineAccess measures engineAccess.
+func BenchmarkEngineAccess(b *testing.B) { benchShape(b, engineAccess) }
+
+// batches faults in every page of the refs' VMAs, in the order the refs
+// first name them, and returns an issue that issues the refs in order,
+// cycling, at most 256 to a batch.
+func batches(e *sim.Engine, refs []sim.Ref) (func(int), int) {
+	placed := map[*vm.VMA]bool{}
+	for _, r := range refs {
+		if !placed[r.V] {
+			placed[r.V] = true
+			faultIn(e, r.V)
+		}
 	}
-	b.Run("huge", func(b *testing.B) {
-		e, refs := hugeRefs()
-		benchBatches(b, e, refs)
-	})
-	b.Run("pebs", func(b *testing.B) {
+	off := 0
+	return func(n int) {
+		for n > 0 {
+			k := min(n, 256, len(refs)-off)
+			e.AccessBatch(refs[off:off+k], 0)
+			n -= k
+			if off += k; off == len(refs) {
+				off = 0
+			}
+		}
+	}, 0
+}
+
+// hugeRefs returns engineAccess's accesses to the 64 huge pages as the
+// 256 refs of one batch.
+func hugeRefs() (*sim.Engine, []sim.Ref) {
+	e, v := hugeVMA()
+	refs := make([]sim.Ref, 256)
+	for i := range refs {
+		refs[i] = sim.Ref{V: v, Idx: i & 63, N: 4, NW: 2}
+	}
+	return e, refs
+}
+
+// accessShapes are the shapes of BenchmarkAccessBatch; an op is one ref.
+// huge issues engineAccess's accesses up to 256 to a batch. pebs issues
+// them with a PEBS buffer armed on every node, so each ref feeds the
+// sampler. random-4k issues seeded random refs over a 2^21-page 4 KB VMA,
+// so nearly every ref misses cache until the batch's warm pass has loaded
+// it. mixed issues Cassandra's shape: per op an index read, then a record
+// read or update, an update adding a commit-log write, each VMA of huge
+// pages. single issues random refs to the 64 huge pages one Access call
+// each, the path a lone access takes. fault first-touches fresh 4 KB
+// pages, the shape of a workload's set-up.
+var accessShapes = []struct {
+	name  string
+	shape accessShape
+}{
+	{"huge", func(testing.TB, bool) (func(int), int) {
+		return batches(hugeRefs())
+	}},
+	{"pebs", func(testing.TB, bool) (func(int), int) {
 		e, refs := hugeRefs()
 		e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 0)
 		e.PEBS.Arm(0, 1, 2, 3)
-		benchBatches(b, e, refs)
-	})
-	b.Run("random-4k", func(b *testing.B) {
-		// Scale 64 holds the VMA's 8 GB.
+		return batches(e, refs)
+	}},
+	{"random-4k", func(_ testing.TB, small bool) (func(int), int) {
+		pages, nrefs := 1<<21, 1<<20 // scale 64 holds the VMA's 8 GB
+		if small {
+			pages, nrefs = 1<<14, 1<<12
+		}
 		e := sim.NewEngine(tier.OptaneTopology(64), 1)
 		e.SetSolution(policy.NewFirstTouch())
 		e.AS.THP = false
-		v := e.AS.Alloc("b", (1<<21)*vm.BasePageSize)
+		v := e.AS.Alloc("b", int64(pages)*vm.BasePageSize)
 		rng := rand.New(rand.NewSource(1))
-		refs := make([]sim.Ref, 1<<20)
+		refs := make([]sim.Ref, nrefs)
 		for i := range refs {
 			refs[i] = sim.Ref{V: v, Idx: rng.Intn(v.NPages), N: 4, NW: 2}
 		}
-		benchBatches(b, e, refs)
-	})
-	b.Run("mixed", func(b *testing.B) {
+		return batches(e, refs)
+	}},
+	{"mixed", func(testing.TB, bool) (func(int), int) {
 		e := sim.NewEngine(tier.OptaneTopology(256), 1)
 		e.SetSolution(policy.NewFirstTouch())
 		data := e.AS.Alloc("data", 64*vm.HugePageSize)
@@ -182,126 +193,114 @@ func BenchmarkAccessBatch(b *testing.B) {
 				refs = append(refs, sim.Ref{V: data, Idx: rng.Intn(data.NPages), N: 2})
 			}
 		}
-		benchBatches(b, e, refs)
-	})
-	b.Run("single", func(b *testing.B) {
-		e := sim.NewEngine(tier.OptaneTopology(256), 1)
-		e.SetSolution(policy.NewFirstTouch())
-		v := e.AS.Alloc("b", 64*vm.HugePageSize)
-		for i := 0; i < v.NPages; i++ {
-			e.Access(v, i, 1, 0, 0)
-		}
+		return batches(e, refs)
+	}},
+	{"single", func(testing.TB, bool) (func(int), int) {
+		e, v := hugeVMA()
 		rng := rand.New(rand.NewSource(1))
 		refs := make([]sim.Ref, 1024)
 		for i := range refs {
 			refs[i] = sim.Ref{V: v, Idx: rng.Intn(v.NPages), N: uint32(1 + i&1), NW: uint32(i >> 1 & 1)}
 		}
+		faultIn(e, v)
+		i := 0
+		return func(n int) {
+			for ; n > 0; n-- {
+				r := refs[i&1023]
+				e.Access(v, r.Idx, r.N, r.NW, 0)
+				i++
+			}
+		}, 0
+	}},
+	{"fault", func(_ testing.TB, small bool) (func(int), int) {
+		pages := 1 << 20 // scale 64 holds the VMA's 4 GB
+		if small {
+			pages = 1 << 14
+		}
+		e := sim.NewEngine(tier.OptaneTopology(64), 1)
+		e.SetSolution(policy.NewFirstTouch())
+		e.AS.THP = false
+		v := e.AS.Alloc("b", int64(pages)*vm.BasePageSize)
 		e.Sys.ResetWindow(e.Interval)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r := refs[i&1023]
-			e.Access(v, r.Idx, r.N, r.NW, 0)
-		}
-	})
-	b.Run("fault", func(b *testing.B) {
-		var e *sim.Engine
-		var v *vm.VMA
 		next := 0
-		for i := 0; i < b.N; i++ {
-			if v == nil || next == v.NPages {
-				// A fresh engine and VMA once every page has been touched;
-				// scale 64 holds the VMA's 4 GB.
-				b.StopTimer()
-				e = sim.NewEngine(tier.OptaneTopology(64), 1)
-				e.SetSolution(policy.NewFirstTouch())
-				e.AS.THP = false
-				v = e.AS.Alloc("b", (1<<20)*vm.BasePageSize)
-				e.Sys.ResetWindow(e.Interval)
-				next = 0
-				b.StartTimer()
+		return func(n int) {
+			for ; n > 0; n-- {
+				e.Access(v, next, 1, 1, 0)
+				next++
 			}
-			e.Access(v, next, 1, 1, 0)
-			next++
-		}
-	})
+		}, pages
+	}},
 }
 
-// benchBatches faults in every page of the refs' VMAs, in the order the
-// refs first name them, then times b.N refs issued in order from refs,
-// cycling, at most 256 to a batch.
-func benchBatches(b *testing.B, e *sim.Engine, refs []sim.Ref) {
-	placed := map[*vm.VMA]bool{}
-	for _, r := range refs {
-		if v := r.V; !placed[v] {
-			placed[v] = true
-			for i := 0; i < v.NPages; i++ {
-				e.Access(v, i, 1, 0, 0)
-			}
-		}
-	}
-	e.Sys.ResetWindow(e.Interval)
-	b.ResetTimer()
-	off := 0
-	for n := b.N; n > 0; {
-		k := min(n, 256, len(refs)-off)
-		e.AccessBatch(refs[off:off+k], 0)
-		n -= k
-		if off += k; off == len(refs) {
-			off = 0
-		}
+// BenchmarkAccessBatch measures each of accessShapes.
+func BenchmarkAccessBatch(b *testing.B) {
+	for _, s := range accessShapes {
+		b.Run(s.name, func(b *testing.B) { benchShape(b, s.shape) })
 	}
 }
 
-// BenchmarkFlipDemote measures Nomad's per-page move path on a 2^21-page
-// 4 KB VMA with shadows and admission on: an op flip-demotes one random
-// shadowed page to its slow-tier frame, checking and stamping its
-// cool-down, then promotes it back, retaining a fresh shadow. 2^18 pages
-// spread over the VMA hold shadows, so nearly every op misses cache. The
-// clock advances one cool-down per op, so no flip is suppressed. A warm-up
-// pass sizes the retention FIFO first: the timed steady state must not
+// flipDemote is Nomad's per-page move path on a 2^21-page 4 KB VMA with
+// shadows and admission on: an op flip-demotes one random shadowed page
+// to its slow-tier frame, checking and stamping its cool-down, then
+// promotes it back, retaining a fresh shadow. An eighth of the pages,
+// spread over the VMA, hold shadows, so nearly every op misses cache. The
+// clock advances one cool-down per op, so no flip is suppressed. A
+// warm-up pass sizes the retention FIFO first: the steady state must not
 // allocate.
-func BenchmarkFlipDemote(b *testing.B) {
+func flipDemote(tb testing.TB, small bool) (func(int), int) {
 	const cool = time.Microsecond
+	pages := 1 << 21
+	if small {
+		pages = 1 << 14
+	}
 	e := sim.NewEngine(tier.OptaneTopology(64), 1)
 	e.SetSolution(policy.NewSlowFirst())
 	e.AS.THP = false
 	e.EnableShadow()
 	e.Interval = cool / 2 // the cool-down lasts two intervals
 	e.EnableAdmission(false, false)
-	v := e.AS.Alloc("b", (1<<21)*vm.BasePageSize)
+	v := e.AS.Alloc("b", int64(pages)*vm.BasePageSize)
 	for i := 0; i < v.NPages; i++ {
 		e.Access(v, i, 1, 0, 0)
 	}
 	slow := v.Node(0)
 	rng := rand.New(rand.NewSource(1))
-	pages := rng.Perm(v.NPages)[:1<<18]
+	shadowed := rng.Perm(v.NPages)[:pages/8]
 	promote := func(idx int) {
 		if !e.MovePage(v, idx, 0) {
-			b.Fatalf("promotion of page %d found no room", idx)
+			tb.Fatalf("promotion of page %d found no room", idx)
 		}
 	}
-	for _, idx := range pages {
+	for _, idx := range shadowed {
 		promote(idx)
 	}
 	cycle := func(idx int) {
 		e.ChargeMigration(cool)
 		if dst, ok := e.FlipDemote(v, idx); !ok || dst != slow {
-			b.Fatalf("flip of page %d = (%d, %v), want (%d, true)", idx, dst, ok, slow)
+			tb.Fatalf("flip of page %d = (%d, %v), want (%d, true)", idx, dst, ok, slow)
 		}
 		promote(idx)
 	}
-	for i := 0; i < 2*len(pages); i++ {
-		cycle(pages[rng.Intn(len(pages))])
+	for i := 0; i < 2*len(shadowed); i++ {
+		cycle(shadowed[rng.Intn(len(shadowed))])
 	}
-	refs := make([]int, 1<<20)
+	refs := make([]int, pages/2)
 	for i := range refs {
-		refs[i] = pages[rng.Intn(len(pages))]
+		refs[i] = shadowed[rng.Intn(len(shadowed))]
 	}
+	i := 0
+	return func(n int) {
+		for ; n > 0; n-- {
+			cycle(refs[i&(len(refs)-1)])
+			i++
+		}
+	}, 0
+}
+
+// BenchmarkFlipDemote measures flipDemote.
+func BenchmarkFlipDemote(b *testing.B) {
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cycle(refs[i&(len(refs)-1)])
-	}
+	benchShape(b, flipDemote)
 }
 
 // BenchmarkPTEScan measures one ObserveScans call (the profiling
@@ -315,24 +314,6 @@ func BenchmarkPTEScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm.ObserveScans(v, 0, 3, 0.003, rng)
-	}
-}
-
-// BenchmarkMTMProfileInterval measures one full adaptive-profiling pass
-// over a 1 GB address space.
-func BenchmarkMTMProfileInterval(b *testing.B) {
-	e := sim.NewEngine(tier.OptaneTopology(256), 1)
-	e.SetSolution(policy.NewFirstTouch())
-	e.Interval = 10 * 1e9 / 256
-	v := e.AS.Alloc("b", 512*vm.HugePageSize)
-	for i := 0; i < v.NPages; i++ {
-		e.Access(v, i, uint32(1+i%97), 0, 0)
-	}
-	m := profiler.NewMTM(profiler.DefaultMTMConfig())
-	m.Attach(e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Profile(e)
 	}
 }
 
@@ -361,42 +342,13 @@ func BenchmarkProfilePass(b *testing.B) {
 	}
 }
 
-// BenchmarkScanSteady measures the scan-steady profiling path: fixed
-// regions (AdaptiveRegions off), PEBS off, so every interval is a pure
-// word-wide PTE-scan sweep with scratch reuse. After
-// the warm-up pass this path performs zero heap allocations per interval;
-// the CI allocs gate holds it there. TestScanSteadyZeroAlloc asserts the
-// same bound as a unit test.
-func BenchmarkScanSteady(b *testing.B) {
-	e := sim.NewEngine(tier.OptaneTopology(8), 1)
-	e.SetSolution(policy.NewFirstTouch())
-	e.Interval = 10 * 1e9 / 8
-	e.AS.THP = false
-	v := e.AS.Alloc("b", 2<<30)
-	for i := 0; i < v.NPages; i++ {
-		e.Access(v, i, uint32(1+i%97), 0, 0)
-	}
-	pc := profiler.DefaultMTMConfig()
-	pc.UsePEBS = false
-	pc.AdaptiveRegions = false
-	m := profiler.NewMTM(pc)
-	m.Attach(e)
-	m.Profile(e)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Profile(e)
-	}
-}
-
 // BenchmarkIntervalFidelitySample measures one fidelity-oracle sample
-// over the same 2 GB interval workload the profiler benchmarks use: truth
+// over the same 2 GB interval workload BenchmarkProfilePass uses: truth
 // histogram, estimate grading against MTM's fixed region table, rank
-// agreement, lag transitions, and the heat row. The oracle reuses planes
-// and buffers after warm-up, so the steady state allocates nothing; the
-// CI allocs gate holds it at zero, and the ns/op against
-// BenchmarkProfilePass bounds the oracle's relative wall-time cost. TestFidelitySampleZeroAlloc asserts the same
-// zero-alloc bound as a unit test.
+// agreement, lag transitions, and the heat row. Its ns/op against
+// BenchmarkProfilePass bounds the oracle's relative wall-time cost. The
+// oracle reuses planes and buffers after warm-up, so the steady state
+// allocates nothing; TestFidelitySampleZeroAlloc holds it there.
 func BenchmarkIntervalFidelitySample(b *testing.B) {
 	e := sim.NewEngine(tier.OptaneTopology(8), 1)
 	e.Interval = 10 * 1e9 / 8
@@ -437,24 +389,5 @@ func BenchmarkMigrate2MBRegion(b *testing.B) {
 				mech.Migrate(e, v, 0, 1, nodes[1-(i&1)], 0)
 			}
 		})
-	}
-}
-
-// BenchmarkGUPSInterval measures one simulated profiling interval of GUPS
-// under full MTM (application + profiling + migration).
-func BenchmarkGUPSInterval(b *testing.B) {
-	cfg := mtm.DefaultConfig()
-	cfg.Scale = 256
-	e := mtm.NewEngine(cfg)
-	w := workload.NewGUPS(workload.Config{Scale: 256, OpsFactor: 1})
-	s, err := mtm.NewSolution("mtm", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e.SetSolution(s)
-	w.Init(e)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.RunInterval(w)
 	}
 }

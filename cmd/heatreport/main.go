@@ -28,7 +28,7 @@
 // !starved(class). The trace must be JSONL: a Chrome trace
 // (-spans-format chrome), a file without the stream header, a malformed
 // span line, or a trace with fewer span lines than its header counts is
-// an error, exit status 1.
+// an error, exit status 1, as is a heatmap not 64 columns wide.
 package main
 
 import (
@@ -87,6 +87,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if res.Fidelity == nil || res.Fidelity.Heatmap == nil {
 		fmt.Fprintln(stderr, "heatreport: result has no fidelity heatmap (run mtmsim with -fidelity -json)")
+		return 1
+	}
+	if c := res.Fidelity.Heatmap.Cols; c != fidelity.HeatCols {
+		fmt.Fprintf(stderr, "heatreport: heatmap has %d columns, want %d\n", c, fidelity.HeatCols)
 		return 1
 	}
 

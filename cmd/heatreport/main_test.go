@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -48,6 +49,16 @@ func TestRun(t *testing.T) {
 	noFid := *res
 	noFid.Fidelity = nil
 	plain := write("plain.json", func(f *os.File) error { return json.NewEncoder(f).Encode(&noFid) })
+	badCols := map[int]string{}
+	for _, c := range []int{65, -1} {
+		hm := *res.Fidelity.Heatmap
+		hm.Cols = c
+		fid := *res.Fidelity
+		fid.Heatmap = &hm
+		bad := *res
+		bad.Fidelity = &fid
+		badCols[c] = write(fmt.Sprintf("cols%d.json", c), func(f *os.File) error { return json.NewEncoder(f).Encode(&bad) })
+	}
 	jsonl := write("trace.jsonl", func(f *os.File) error { return res.Spans.WriteJSONL(f) })
 	chrome := write("trace.chrome.json", func(f *os.File) error { return res.Spans.WriteChrome(f) })
 	header, _, _ := strings.Cut(mustRead(t, jsonl), "\n")
@@ -108,6 +119,19 @@ func TestRun(t *testing.T) {
 		}
 		if !strings.Contains(errs, truncated+": 7 span lines, the header counts") {
 			t.Fatalf("error does not report the truncation: %s", errs)
+		}
+	})
+	t.Run("bad-cols-exits-1", func(t *testing.T) {
+		for c, path := range badCols {
+			for _, format := range []string{"ascii", "csv", "json"} {
+				code, out, errs := cli("-format", format, path)
+				if code != 1 || out != "" {
+					t.Fatalf("Cols %d, -format %s: exit %d, stdout %q; want exit 1 and no output", c, format, code, out)
+				}
+				if want := fmt.Sprintf("heatmap has %d columns, want 64", c); !strings.Contains(errs, want) {
+					t.Fatalf("Cols %d: error %q does not contain %q", c, errs, want)
+				}
+			}
 		}
 	})
 	t.Run("no-fidelity-exits-1", func(t *testing.T) {

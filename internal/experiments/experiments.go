@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the MTM
 // paper's evaluation (§9). Each driver returns a text report whose rows
 // mirror the corresponding figure's series or table's cells; cmd/experiments
-// prints them and bench_test.go wraps them as benchmarks.
+// prints them and TestExperimentsPin pins their text.
 //
 // Absolute numbers come from the virtual-time simulator, so they will not
 // match the paper's testbed; the shapes — who wins, by roughly what
@@ -25,7 +25,7 @@ import (
 )
 
 // Options scales an experiment run. config takes all three as given;
-// cmd/experiments checks its flags, and bench_test.go fixes its own.
+// cmd/experiments checks its flags, and TestExperimentsPin fixes its own.
 type Options struct {
 	Scale     int64
 	OpsFactor float64

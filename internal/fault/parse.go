@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -20,7 +21,7 @@ import (
 //
 // "" and "none" parse to the zero Config (no injection). Probabilities,
 // duties and fractions must lie in [0, 1]; link-degrade-factor must be 0
-// or ≥ 1. Unknown names, unknown keys and malformed values are errors.
+// or finite ≥ 1. Unknown names, unknown keys and malformed values are errors.
 func Parse(spec string) (Config, error) {
 	var cfg Config
 	cfg.MemErrorNode = LastNode
@@ -113,27 +114,27 @@ func setField(cfg *Config, key, val string) error {
 	return fmt.Errorf("fault: unknown override key %q", key)
 }
 
-// validate bounds-checks a parsed config.
+// validate bounds-checks a parsed config in a fixed key order, so a spec
+// with several bad values always names the same one. NaN fails every bound.
 func validate(cfg Config) error {
-	probs := map[string]float64{
-		"page-busy-prob":    cfg.PageBusyProb,
-		"page-busy-duty":    cfg.PageBusyDuty,
-		"pressure-prob":     cfg.PressureProb,
-		"sample-drop-duty":  cfg.SampleDropDuty,
-		"sample-drop-frac":  cfg.SampleDropFrac,
-		"link-degrade-duty": cfg.LinkDegradeDuty,
-		"capacity-tax":      cfg.CapacityTaxFrac,
-		"mem-error-prob":    cfg.MemErrorProb,
-		"tier-fail-prob":    cfg.TierFailProb,
-		"tier-fail-duty":    cfg.TierFailDuty,
-	}
-	for k, v := range probs {
-		if v < 0 || v > 1 {
-			return fmt.Errorf("fault: %s %v outside [0, 1]", k, v)
+	for _, p := range []struct {
+		key string
+		v   float64
+	}{
+		{"page-busy-prob", cfg.PageBusyProb}, {"page-busy-duty", cfg.PageBusyDuty},
+		{"pressure-prob", cfg.PressureProb},
+		{"sample-drop-duty", cfg.SampleDropDuty}, {"sample-drop-frac", cfg.SampleDropFrac},
+		{"link-degrade-duty", cfg.LinkDegradeDuty},
+		{"capacity-tax", cfg.CapacityTaxFrac},
+		{"mem-error-prob", cfg.MemErrorProb},
+		{"tier-fail-prob", cfg.TierFailProb}, {"tier-fail-duty", cfg.TierFailDuty},
+	} {
+		if !(p.v >= 0 && p.v <= 1) {
+			return fmt.Errorf("fault: %s %v outside [0, 1]", p.key, p.v)
 		}
 	}
-	if f := cfg.LinkDegradeFactor; f != 0 && f < 1 {
-		return fmt.Errorf("fault: link-degrade-factor %v must be 0 or >= 1", f)
+	if f := cfg.LinkDegradeFactor; f != 0 && !(f >= 1 && f <= math.MaxFloat64) {
+		return fmt.Errorf("fault: link-degrade-factor %v must be 0 or finite and >= 1", f)
 	}
 	if cfg.MemErrorBurst < 0 {
 		return fmt.Errorf("fault: mem-error-burst %d negative", cfg.MemErrorBurst)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -90,6 +91,34 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseRejectsNonFinite pins the message of each spec: NaN in any
+// bounded key and an infinite link-degrade-factor are rejected, and a spec
+// with several bad values names the first in validate's fixed key order,
+// on every parse.
+func TestParseRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"page-busy-prob=NaN", "fault: page-busy-prob NaN outside [0, 1]"},
+		{"capacity-tax=NaN", "fault: capacity-tax NaN outside [0, 1]"},
+		{"tier-fail-duty=nan", "fault: tier-fail-duty NaN outside [0, 1]"},
+		{"sample-drop-frac=+Inf", "fault: sample-drop-frac +Inf outside [0, 1]"},
+		{"link-degrade-factor=NaN", "fault: link-degrade-factor NaN must be 0 or finite and >= 1"},
+		{"link-degrade-factor=Inf", "fault: link-degrade-factor +Inf must be 0 or finite and >= 1"},
+		{"link-degrade-factor=-Inf", "fault: link-degrade-factor -Inf must be 0 or finite and >= 1"},
+		{"page-busy-prob=2,pressure-prob=3,capacity-tax=-1", "fault: page-busy-prob 2 outside [0, 1]"},
+		{"capacity-tax=-1,pressure-prob=3", "fault: pressure-prob 3 outside [0, 1]"},
+	} {
+		for i := 0; i < 20; i++ {
+			_, err := Parse(c.spec)
+			if err == nil {
+				t.Fatalf("Parse(%q) accepted", c.spec)
+			}
+			if err.Error() != c.want {
+				t.Fatalf("Parse(%q) = %q, want %q", c.spec, err, c.want)
+			}
+		}
+	}
+}
+
 func TestMemErrorTargeting(t *testing.T) {
 	in := NewInjector(Config{MemErrorProb: 1, MemErrorBurst: 4, MemErrorNode: 2}, 1)
 	in.Attach(2, 4)
@@ -154,7 +183,8 @@ func TestHealthScenariosListed(t *testing.T) {
 }
 
 // FuzzParse asserts the spec parser never panics and that accepted specs
-// produce configs that pass validation (Parse and Valid agree).
+// produce configs that pass validation (Parse and Valid agree) and hold
+// only finite floats.
 func FuzzParse(f *testing.F) {
 	seeds := append([]string{
 		"", "none", "dimm-death", "cxl-flaky",
@@ -162,6 +192,7 @@ func FuzzParse(f *testing.F) {
 		"tier-fail-prob=1,tier-fail-node=0",
 		"page-busy-prob=0.1,busy-penalty=3us",
 		"mem-error-prob=2", "x=y", ",,,", "dimm-death,",
+		"page-busy-prob=NaN", "link-degrade-factor=Inf",
 	}, Scenarios()...)
 	for _, s := range seeds {
 		f.Add(s)
@@ -176,6 +207,13 @@ func FuzzParse(f *testing.F) {
 		}
 		if err := validate(cfg); err != nil {
 			t.Fatalf("Parse(%q) accepted an invalid config: %v", spec, err)
+		}
+		for _, v := range []float64{cfg.PageBusyProb, cfg.PageBusyDuty, cfg.PressureProb,
+			cfg.SampleDropDuty, cfg.SampleDropFrac, cfg.LinkDegradeDuty, cfg.LinkDegradeFactor,
+			cfg.CapacityTaxFrac, cfg.MemErrorProb, cfg.TierFailProb, cfg.TierFailDuty} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("Parse(%q) accepted a non-finite value: %+v", spec, cfg)
+			}
 		}
 		inj, err := NewScenario(spec, 1)
 		if err != nil {

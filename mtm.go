@@ -9,7 +9,7 @@
 //     adaptive asynchronous migration mechanism;
 //   - the paper's seven baselines and six workloads;
 //   - experiment drivers regenerating every table and figure of the
-//     evaluation (see the cmd/experiments binary and bench_test.go).
+//     evaluation (see the cmd/experiments binary).
 //
 // Quick start:
 //
