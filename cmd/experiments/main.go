@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
@@ -24,22 +25,38 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable command body: flags in, report out, exit code
+// returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp   = flag.String("exp", "all", "experiment id (fig1..fig12, tab3..tab7, or 'all')")
-		scale = flag.Int64("scale", 256, "machine scale divisor (64 = ~27GB simulated machine)")
-		ops   = flag.Float64("ops", 0.5, "workload length factor (1.0 = paper-equivalent)")
-		full  = flag.Bool("full", false, "shorthand for -ops 1.0")
-		seed  = flag.Int64("seed", 1, "simulation seed")
+		exp   = fs.String("exp", "all", "experiment id (fig1..fig12, tab3..tab7, or 'all')")
+		scale = fs.Int64("scale", 256, "machine scale divisor (64 = ~27GB simulated machine)")
+		ops   = fs.Float64("ops", 0.5, "workload length factor (1.0 = paper-equivalent)")
+		full  = fs.Bool("full", false, "shorthand for -ops 1.0")
+		seed  = fs.Int64("seed", 1, "simulation seed")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	// Flag parsing stops at the first non-flag argument, so a flag after
+	// it (experiments fig3 -exp tab5) would be dropped without a word.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "experiments: unexpected argument %q (select experiments with -exp)\n", fs.Arg(0))
+		return 2
+	}
 	if *full {
 		*ops = 1.0
 	}
 	// Options takes every value as given, and a non-positive scale or
 	// length would run at mtm's defaults instead.
 	if *scale <= 0 || *ops <= 0 || math.IsNaN(*ops) || math.IsInf(*ops, 0) {
-		fmt.Fprintf(os.Stderr, "-scale and -ops must be positive and finite (have -scale %d -ops %v)\n", *scale, *ops)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "-scale and -ops must be positive and finite (have -scale %d -ops %v)\n", *scale, *ops)
+		return 2
 	}
 	o := experiments.Options{Scale: *scale, OpsFactor: *ops, Seed: *seed}
 
@@ -49,19 +66,20 @@ func main() {
 		for _, id := range strings.Split(*exp, ",") {
 			e, ok := experiments.Find(id)
 			if !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; have", id)
+				fmt.Fprintf(stderr, "unknown experiment %q; have", id)
 				for _, known := range experiments.All {
-					fmt.Fprint(os.Stderr, " ", known.ID)
+					fmt.Fprint(stderr, " ", known.ID)
 				}
-				fmt.Fprintln(os.Stderr)
-				os.Exit(2)
+				fmt.Fprintln(stderr)
+				return 2
 			}
 			exps = append(exps, e)
 		}
 	}
 	for _, e := range exps {
 		start := time.Now()
-		fmt.Println(e.Run(o))
-		fmt.Printf("[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintln(stdout, e.Run(o))
+		fmt.Fprintf(stdout, "[%s completed in %v]\n\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
+	return 0
 }

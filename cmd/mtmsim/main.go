@@ -118,6 +118,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Flag parsing stops at the first non-flag argument, so every flag
+	// after it would be dropped without a word.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "mtmsim: unexpected argument %q (mtmsim takes flags only)\n", fs.Arg(0))
+		return 2
+	}
 
 	if *list {
 		fmt.Fprintln(stdout, "workloads:", mtm.WorkloadNames())
@@ -131,6 +137,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *spansFm != "jsonl" && *spansFm != "chrome" {
 		fmt.Fprintf(stderr, "mtmsim: invalid -spans-format %q (want jsonl or chrome)\n", *spansFm)
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if set["metrics-format"] && *metrics == "" {
+		fmt.Fprintf(stderr, "mtmsim: -metrics-format needs -metrics <file>\n")
+		return 2
+	}
+	if set["spans-format"] && *spans == "" {
+		fmt.Fprintf(stderr, "mtmsim: -spans-format needs -spans <file>\n")
 		return 2
 	}
 	if *fidelity && !*jsonOut {

@@ -218,3 +218,26 @@ func TestBudgetOutOfRangeRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestIgnoredArgumentsRejected: an argument the run would silently drop
+// is a usage error. Flag parsing stops at the first positional argument,
+// so -json after "extra" would never take effect, and a file format
+// without its file would write nothing.
+func TestIgnoredArgumentsRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-ops", "0.01", "extra", "-json"}, `"extra"`},
+		{small("-metrics-format", "prom"), "-metrics <file>"},
+		{small("-spans-format", "chrome"), "-spans <file>"},
+	} {
+		var out, errs bytes.Buffer
+		if code := run(c.args, &out, &errs); code != 2 {
+			t.Errorf("%v exited %d, want 2", c.args, code)
+		}
+		if out.Len() != 0 || !strings.Contains(errs.String(), c.want) {
+			t.Errorf("%v: stdout %q, stderr %q (want it to name %s)", c.args, out.String(), errs.String(), c.want)
+		}
+	}
+}

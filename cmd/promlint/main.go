@@ -17,21 +17,32 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable command body: it lints the named file, or standard
+// input without one, and returns the exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 1 {
+		fmt.Fprintln(stderr, "usage: promlint [file.prom]")
+		return 2
+	}
 	var r io.Reader = os.Stdin
 	name := "<stdin>"
-	if len(os.Args) > 1 {
-		f, err := os.Open(os.Args[1])
+	if len(args) == 1 {
+		f, err := os.Open(args[0])
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "promlint:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "promlint:", err)
+			return 1
 		}
 		defer f.Close()
 		r = f
-		name = os.Args[1]
+		name = args[0]
 	}
 	if err := promlint.Lint(r); err != nil {
-		fmt.Fprintf(os.Stderr, "promlint: %s: %v\n", name, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "promlint: %s: %v\n", name, err)
+		return 1
 	}
-	fmt.Printf("promlint: %s OK\n", name)
+	fmt.Fprintf(stdout, "promlint: %s OK\n", name)
+	return 0
 }

@@ -55,11 +55,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	path := *in
-	if path == "" && fs.NArg() == 1 {
-		path = fs.Arg(0)
+	path, rest := *in, fs.Args()
+	if path == "" && len(rest) > 0 {
+		path, rest = rest[0], rest[1:]
 	}
-	if path == "" || fs.NArg() > 1 {
+	if path == "" || len(rest) > 0 {
 		fmt.Fprintln(stderr, "usage: spanreport [-explain] [-in] <trace.jsonl>")
 		return 2
 	}

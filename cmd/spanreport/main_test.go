@@ -191,6 +191,14 @@ func TestUsageErrors(t *testing.T) {
 	if code := run(nil, &out, &errb); code != 2 {
 		t.Errorf("no input: exit %d, want 2", code)
 	}
+	// A second trace, beside -in or after the first positional one,
+	// would be ignored.
+	for _, args := range [][]string{{"-in", "a.jsonl", "b.jsonl"}, {"a.jsonl", "b.jsonl"}} {
+		errb.Reset()
+		if code := run(args, &out, &errb); code != 2 || !strings.Contains(errb.String(), "usage:") {
+			t.Errorf("%v: exit %d, stderr %q; want 2 and a usage line", args, code, errb.String())
+		}
+	}
 	if code := run([]string{filepath.Join(t.TempDir(), "missing.jsonl")}, &out, &errb); code != 1 {
 		t.Errorf("missing file: exit %d, want 1", code)
 	}

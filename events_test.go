@@ -114,7 +114,7 @@ func spanDetail(s span.Span) string {
 		if kind.span == s.Cat+"/"+s.Name {
 			a := map[string]any{}
 			for _, at := range s.Attrs {
-				a[at.Key] = at.Value()
+				a[at.Key] = at.Val
 			}
 			return kind.detail(a)
 		}

@@ -33,14 +33,11 @@ func FlipCost(bytes int64) time.Duration {
 // migration time; no copy bytes move and no bandwidth is recorded.
 func FlipSpan(e *sim.Engine, v *vm.VMA, start, end int, maxPages int) Report {
 	var rep Report
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("migration", "shadow-flip",
-			span.S("vma", v.Name),
-			span.I("page_start", int64(start)),
-			span.I("page_end", int64(end)),
-			span.I("max_pages", int64(maxPages)))
-	}
+	e.SpanBegin("migration", "shadow-flip",
+		span.S("vma", v.Name),
+		span.I("page_start", int64(start)),
+		span.I("page_end", int64(end)),
+		span.I("max_pages", int64(maxPages)))
 	for w := start / vm.WordPages; w*vm.WordPages < end; w++ {
 		word := v.ShadowValidRangeWord(w, start, end)
 		for word != 0 {
@@ -67,11 +64,9 @@ func FlipSpan(e *sim.Engine, v *vm.VMA, start, end int, maxPages int) Report {
 		rep.Critical = rep.CriticalSteps.Total()
 		e.ChargeMigration(rep.Critical)
 	}
-	if spanning {
-		e.SpanEnd(
-			span.I("moved_pages", int64(rep.MovedPages)),
-			span.I("bytes", rep.Bytes),
-			span.I("critical_ns", int64(rep.Critical)))
-	}
+	e.SpanEnd(
+		span.I("moved_pages", int64(rep.MovedPages)),
+		span.I("bytes", rep.Bytes),
+		span.I("critical_ns", int64(rep.Critical)))
 	return rep
 }

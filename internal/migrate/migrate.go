@@ -111,17 +111,17 @@ func copyTime(bytes int64, bw int64) time.Duration {
 // pages start on multiple nodes thereby pay the correct per-link time
 // instead of the first page's link for everything. Duration addition is
 // integer, so the sum is order-independent and deterministic.
-func weightedCopyTime(e *sim.Engine, srcBytes []int64, dst tier.NodeID, bwCap int64) time.Duration {
+func weightedCopyTime(e *sim.Engine, tallies []srcTally, dst tier.NodeID, bwCap int64) time.Duration {
 	var d time.Duration
-	for src, bytes := range srcBytes {
-		if bytes == 0 {
+	for src, t := range tallies {
+		if t.bytes == 0 {
 			continue
 		}
 		bw := pairBW(e, tier.NodeID(src), dst)
 		if bwCap > 0 && bwCap < bw {
 			bw = bwCap
 		}
-		d += copyTime(bytes, bw)
+		d += copyTime(t.bytes, bw)
 	}
 	return d
 }
@@ -129,12 +129,12 @@ func weightedCopyTime(e *sim.Engine, srcBytes []int64, dst tier.NodeID, bwCap in
 // dominantSrc returns the source node contributing the most bytes
 // (Invalid if none) — the representative source for per-region effects
 // like dirty-page re-copies.
-func dominantSrc(srcBytes []int64) tier.NodeID {
+func dominantSrc(tallies []srcTally) tier.NodeID {
 	best := tier.Invalid
 	var bestBytes int64
-	for src, b := range srcBytes {
-		if b > bestBytes {
-			bestBytes, best = b, tier.NodeID(src)
+	for src, t := range tallies {
+		if t.bytes > bestBytes {
+			bestBytes, best = t.bytes, tier.NodeID(src)
 		}
 	}
 	return best
@@ -166,21 +166,20 @@ func spanCandidates(v *vm.VMA, start, end int, dst tier.NodeID) (cand []int, wri
 	return cand, writes
 }
 
+// srcTally is one source node's share of a rebind: the productive bytes
+// and pages it gave up, and the copy attempts retried, virtual backoff
+// time and aborted transactions of its pages, so every src→dst transfer
+// span carries its own retry story.
+type srcTally struct {
+	bytes, pages, retries, backoffNs, aborts int64
+}
+
 // rebindResult is the outcome of the rebind loop.
 type rebindResult struct {
-	moved    int
-	bytes    int64
-	srcBytes []int64       // productive bytes per source node, indexed by NodeID
-	waste    time.Duration // busy attempts + backoffs + aborted copies
-
-	// Per-source provenance for the span trace (nil unless tracing is
-	// enabled): pages moved, copy attempts retried, virtual backoff time,
-	// and aborted transactions, each attributed to the page's source node
-	// so every src→dst transfer span carries its own retry story.
-	srcPages     []int64
-	srcRetries   []int64
-	srcBackoffNs []int64
-	srcAborts    []int64
+	moved int
+	bytes int64
+	src   []srcTally    // per source node, indexed by NodeID
+	waste time.Duration // busy attempts + backoffs + aborted copies
 }
 
 // rebind moves the candidate pages one by one, each as an
@@ -190,14 +189,7 @@ type rebindResult struct {
 // pages count against the maxPages cap: the cap models a per-call work
 // budget, and failed attempts consume it like the kernel's nr_pages do.
 func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int) rebindResult {
-	nNodes := len(e.Sys.Topo.Nodes)
-	res := rebindResult{srcBytes: make([]int64, nNodes)}
-	if e.SpansEnabled() {
-		res.srcPages = make([]int64, nNodes)
-		res.srcRetries = make([]int64, nNodes)
-		res.srcBackoffNs = make([]int64, nNodes)
-		res.srcAborts = make([]int64, nNodes)
-	}
+	res := rebindResult{src: make([]srcTally, len(e.Sys.Topo.Nodes))}
 	attempted := 0
 	for _, i := range cand {
 		if maxPages > 0 && attempted >= maxPages {
@@ -214,58 +206,48 @@ func rebind(e *sim.Engine, v *vm.VMA, cand []int, dst tier.NodeID, maxPages int)
 			break // destination full; partial move keeps accounting exact
 		}
 		attempted++
-		src := mv.Src
+		t := &res.src[mv.Src]
 		res.waste += mv.Waste
-		if res.srcRetries != nil {
-			res.srcRetries[src] += mv.Retries
-			res.srcBackoffNs[src] += int64(mv.Backoff)
-		}
+		t.retries += mv.Retries
+		t.backoffNs += int64(mv.Backoff)
 		if !mv.Committed {
 			// The last attempt's copy had already streamed the page, so
 			// its copy time is wasted work.
-			res.waste += copyTime(v.PageSize, pairBW(e, src, dst))
-			if res.srcAborts != nil {
-				res.srcAborts[src]++
-			}
+			res.waste += copyTime(v.PageSize, pairBW(e, mv.Src, dst))
+			t.aborts++
 			continue
 		}
 		res.moved++
 		res.bytes += v.PageSize
-		res.srcBytes[src] += v.PageSize
-		if res.srcPages != nil {
-			res.srcPages[src]++
-		}
+		t.bytes += v.PageSize
+		t.pages++
 	}
 	return res
 }
 
-// beginMigration opens the mechanism's migration span when tracing
-// (spanStart is its virtual timestamp, the transfer-span cursor) and
-// rebinds the span's candidate pages. writes is the span's write-counter
-// sum, read before rebinding.
+// beginMigration opens the mechanism's migration span (spanStart is its
+// virtual timestamp, the transfer-span cursor) and rebinds the span's
+// candidate pages. writes is the span's write-counter sum, read before
+// rebinding.
 func beginMigration(e *sim.Engine, name string, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) (spanStart int64, rb rebindResult, writes uint32) {
-	if e.SpansEnabled() {
-		spanStart = e.SpanClockNs()
-		e.SpanBegin("migration", name,
-			span.S("vma", v.Name),
-			span.I("page_start", int64(start)),
-			span.I("page_end", int64(end)),
-			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-			span.I("max_pages", int64(maxPages)))
-	}
+	spanStart = e.SpanClockNs()
+	e.SpanBegin("migration", name,
+		span.S("vma", v.Name),
+		span.I("page_start", int64(start)),
+		span.I("page_end", int64(end)),
+		span.S("dst", e.Sys.Topo.Nodes[dst].Name),
+		span.I("max_pages", int64(maxPages)))
 	cand, writes := spanCandidates(v, start, end, dst)
 	return spanStart, rebind(e, v, cand, dst, maxPages), writes
 }
 
 // finishMigration charges rep.Critical to the critical path, closes the
-// migration span when tracing, and returns rep. A migration that
+// migration span, and returns rep. A migration that
 // committed no page finishes with Report{Critical: rb.waste}: only the
 // wasted work of busy attempts and aborts is charged.
 func finishMigration(e *sim.Engine, spanStart int64, rb rebindResult, rep Report, dst tier.NodeID) Report {
 	e.ChargeMigration(rep.Critical)
-	if e.SpansEnabled() {
-		endMigrationSpan(e, spanStart, rb, &rep, dst)
-	}
+	endMigrationSpan(e, spanStart, rb, &rep, dst)
 	return rep
 }
 
@@ -274,25 +256,25 @@ func finishMigration(e *sim.Engine, spanStart int64, rb rebindResult, rep Report
 // pair's retry count, backoff time, and aborts — then closes the
 // mechanism span with the report summary. The transfer spans are laid
 // end to end from the mechanism's start, each sized by its pair-bandwidth
-// copy time; callers must only invoke it when e.SpansEnabled().
+// copy time. With tracing off it reads the tallies and records nothing.
 func endMigrationSpan(e *sim.Engine, startNs int64, rb rebindResult, rep *Report, dst tier.NodeID) {
 	cur := startNs
 	var retries, aborts int64
-	for src := range rb.srcBytes {
-		retries += rb.srcRetries[src]
-		aborts += rb.srcAborts[src]
-		if rb.srcBytes[src] == 0 && rb.srcRetries[src] == 0 && rb.srcAborts[src] == 0 {
+	for src, t := range rb.src {
+		retries += t.retries
+		aborts += t.aborts
+		if t.bytes == 0 && t.retries == 0 && t.aborts == 0 {
 			continue
 		}
-		d := int64(copyTime(rb.srcBytes[src], pairBW(e, tier.NodeID(src), dst)))
+		d := int64(copyTime(t.bytes, pairBW(e, tier.NodeID(src), dst)))
 		e.SpanEmit("migration", "transfer", cur, d,
 			span.S("src", e.Sys.Topo.Nodes[src].Name),
 			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-			span.I("pages", rb.srcPages[src]),
-			span.I("bytes", rb.srcBytes[src]),
-			span.I("retries", rb.srcRetries[src]),
-			span.I("backoff_ns", rb.srcBackoffNs[src]),
-			span.I("aborts", rb.srcAborts[src]))
+			span.I("pages", t.pages),
+			span.I("bytes", t.bytes),
+			span.I("retries", t.retries),
+			span.I("backoff_ns", t.backoffNs),
+			span.I("aborts", t.aborts))
 		cur += d
 	}
 	e.SpanEnd(
@@ -340,7 +322,7 @@ func syncMigrate(e *sim.Engine, name string, v *vm.VMA, start, end int, dst tier
 	st := Steps{
 		Alloc:     time.Duration(n4k) * AllocPerPTE / time.Duration(allocDiv),
 		Unmap:     time.Duration(n4k) * UnmapPerPTE,
-		Copy:      time.Duration(n4k)*CopyPerPTE/time.Duration(threads) + weightedCopyTime(e, rb.srcBytes, dst, int64(threads)*SingleThreadCopyBW),
+		Copy:      time.Duration(n4k)*CopyPerPTE/time.Duration(threads) + weightedCopyTime(e, rb.src, dst, int64(threads)*SingleThreadCopyBW),
 		Remap:     time.Duration(n4k) * RemapPerPTE,
 		PageTable: time.Duration(n4k) * PTPerPTE,
 	}
@@ -388,10 +370,10 @@ func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 		return finishMigration(e, spanStart, rb, Report{Critical: rb.waste}, dst)
 	}
 	bytes := rb.bytes
-	srcNode := dominantSrc(rb.srcBytes)
+	srcNode := dominantSrc(rb.src)
 	n4k := bytes / vm.BasePageSize // same 4 KB PTE granularity as move_pages
 	alloc := time.Duration(n4k) * AllocPerPTE
-	cp := time.Duration(n4k)*CopyPerPTE/CopyThreads + weightedCopyTime(e, rb.srcBytes, dst, int64(CopyThreads)*SingleThreadCopyBW)
+	cp := time.Duration(n4k)*CopyPerPTE/CopyThreads + weightedCopyTime(e, rb.src, dst, int64(CopyThreads)*SingleThreadCopyBW)
 	crit := Steps{
 		Unmap:     time.Duration(n4k) * UnmapPerPTE,
 		Remap:     time.Duration(n4k) * RemapPerPTE,
@@ -431,7 +413,7 @@ func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 		done := e.Rng.Float64() * firstWrite
 		dirtyFrac := 0.25 * done // already-copied pages dirtied meanwhile
 		crit.DirtyTrack += DirtyFaultCost
-		syncCopy := time.Duration(n4k)*CopyPerPTE + weightedCopyTime(e, rb.srcBytes, dst, SingleThreadCopyBW)
+		syncCopy := time.Duration(n4k)*CopyPerPTE + weightedCopyTime(e, rb.src, dst, SingleThreadCopyBW)
 		crit.Copy = time.Duration(float64(syncCopy) * (1 - done + dirtyFrac))
 		crit.Alloc = 0 // allocation had completed in the background
 		rep.ExtraCopyBytes = int64(float64(bytes) * dirtyFrac)

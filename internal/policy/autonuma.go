@@ -66,28 +66,23 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 	regions := p.Prof.Regions()
 	budget := p.MigrateBudget + p.carry
 	var promoted int64
-	spanning := e.SpansEnabled()
 	// The vanilla variant classifies on "any access this window"; the
 	// patched one compares WHI to the auto-adjusted threshold.
 	threshold := p.hotThreshold
 	if !p.Patched {
 		threshold = 0
 	}
-	if spanning {
-		e.SpanBegin("policy", "plan",
-			span.S("policy", p.Name()),
-			span.I("regions", int64(len(regions))),
-			span.F("hot_threshold", threshold),
-			span.I("budget", budget))
-		defer e.SpanEnd()
-	}
+	e.SpanBegin("policy", "plan",
+		span.S("policy", p.Name()),
+		span.I("regions", int64(len(regions))),
+		span.F("hot_threshold", threshold),
+		span.I("budget", budget))
+	defer e.SpanEnd()
 
 	for _, r := range regions {
 		if budget <= 0 {
-			if spanning {
-				spanDecision(e, "stop", "budget-exhausted", r,
-					span.I("budget", p.MigrateBudget+p.carry))
-			}
+			spanDecision(e, "stop", "budget-exhausted", r,
+				span.I("budget", p.MigrateBudget+p.carry))
 			break
 		}
 		hot := r.WHI > p.hotThreshold
@@ -134,14 +129,12 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 			p.demoteFor(e, regions, dst, need-e.Sys.Free(dst), view)
 		}
 		if e.Sys.Free(dst) < need {
-			if spanning {
-				spanDecision(e, "skip", "no-room", r,
-					span.S("dst", nodeName(e, dst)))
-			}
+			spanDecision(e, "skip", "no-room", r,
+				span.S("dst", nodeName(e, dst)))
 			continue
 		}
 		moved := moveRegion(e, p.mech, r, r.Start+int(need/r.V.PageSize), dst, 0,
-			true, "hot-threshold", dec.Rule, thresholdAttr(e, threshold)...)
+			true, "hot-threshold", dec.Rule, span.F("threshold", threshold))
 		budget -= moved
 		promoted += moved
 	}

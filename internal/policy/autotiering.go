@@ -46,22 +46,17 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 	p.Prof.Profile(e)
 	regions := p.Prof.Regions()
 	budget := p.MigrateBudget + p.carry
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("policy", "plan",
-			span.S("policy", p.Name()),
-			span.I("regions", int64(len(regions))),
-			span.I("budget", budget))
-		defer e.SpanEnd()
-	}
+	e.SpanBegin("policy", "plan",
+		span.S("policy", p.Name()),
+		span.I("regions", int64(len(regions))),
+		span.I("budget", budget))
+	defer e.SpanEnd()
 	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
 
 	for _, r := range regions {
 		if budget <= 0 {
-			if spanning {
-				spanDecision(e, "stop", "budget-exhausted", r,
-					span.I("budget", p.MigrateBudget+p.carry))
-			}
+			spanDecision(e, "stop", "budget-exhausted", r,
+				span.I("budget", p.MigrateBudget+p.carry))
 			return
 		}
 		// Candidate = sampled this interval and accessed at all.
@@ -112,7 +107,7 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 				continue
 			}
 			budget -= moveRegion(e, p.mech, r, r.Start+int(allowed/r.V.PageSize), dst, 0,
-				true, "sampled-recent", dec.Rule, thresholdAttr(e, 0)...)
+				true, "sampled-recent", dec.Rule, span.F("threshold", 0))
 			break
 		}
 	}

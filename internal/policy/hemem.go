@@ -93,11 +93,8 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	// Sample handling cost (HeMem's profiling is cheap; that is its
 	// selling point and its weakness).
 	handling := time.Duration(len(samples)) * 200 * time.Nanosecond
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanEmit("profiling", "pebs-sampling", e.SpanClockNs(), int64(handling),
-			span.I("samples", int64(len(samples))))
-	}
+	e.SpanEmit("profiling", "pebs-sampling", e.SpanClockNs(), int64(handling),
+		span.I("samples", int64(len(samples))))
 	e.ChargeProfiling(handling)
 
 	// Exponential cooling, as in HeMem's hotset maintenance.
@@ -110,13 +107,11 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	}
 
 	budget := p.MigrateBudget + p.carry
-	if spanning {
-		e.SpanBegin("policy", "plan",
-			span.S("policy", p.Name()),
-			span.I("regions", int64(len(regions))),
-			span.I("budget", budget))
-		defer e.SpanEnd()
-	}
+	e.SpanBegin("policy", "plan",
+		span.S("policy", p.Name()),
+		span.I("regions", int64(len(regions))),
+		span.I("budget", budget))
+	defer e.SpanEnd()
 	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
 	// Promote regions with enough samples to local DRAM.
 	view := e.Sys.Topo.View(sim.HomeSocket)
@@ -139,17 +134,13 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	hist := buildHistogram(regions)
 	for _, r := range hist.HottestFirst() {
 		if budget <= 0 {
-			if spanning {
-				spanDecision(e, "stop", "budget-exhausted", r,
-					span.I("budget", p.MigrateBudget+p.carry))
-			}
+			spanDecision(e, "stop", "budget-exhausted", r,
+				span.I("budget", p.MigrateBudget+p.carry))
 			break
 		}
 		if r.WHI < hememHotSamples {
-			if spanning {
-				spanDecision(e, "stop", "cold-cutoff", r,
-					span.F("threshold", hememHotSamples))
-			}
+			spanDecision(e, "stop", "cold-cutoff", r,
+				span.F("threshold", hememHotSamples))
 			break
 		}
 		if profiler.RegionNode(r) != pm {
@@ -178,7 +169,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 			break
 		}
 		budget -= moveRegion(e, p.mech, r, r.End, dram, int(bytes/r.V.PageSize),
-			true, "hot-samples", dec.Rule, thresholdAttr(e, hememHotSamples)...)
+			true, "hot-samples", dec.Rule, span.F("threshold", hememHotSamples))
 	}
 }
 

@@ -94,29 +94,22 @@ func (p *MTM) promote(e *sim.Engine) {
 	}
 	hist := buildHistogram(regions)
 	budget := p.MigrateBudget + p.carry
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("policy", "plan",
-			span.S("policy", p.label),
-			span.I("regions", int64(len(regions))),
-			span.I("budget", budget))
-		defer e.SpanEnd()
-	}
+	e.SpanBegin("policy", "plan",
+		span.S("policy", p.label),
+		span.I("regions", int64(len(regions))),
+		span.I("budget", budget))
+	defer e.SpanEnd()
 	spent := int64(0)
 	demoteBudget := 2 * p.MigrateBudget
 	for _, r := range hist.HottestFirst() {
 		if budget-spent < r.V.PageSize {
-			if spanning {
-				spanDecision(e, "stop", "budget-exhausted", r,
-					span.I("budget", budget), span.I("spent", spent))
-			}
+			spanDecision(e, "stop", "budget-exhausted", r,
+				span.I("budget", budget), span.I("spent", spent))
 			break
 		}
 		if r.WHI <= 0 {
 			// Everything hotter is placed; the rest is cold.
-			if spanning {
-				spanDecision(e, "stop", "cold-cutoff", r, span.F("threshold", 0))
-			}
+			spanDecision(e, "stop", "cold-cutoff", r, span.F("threshold", 0))
 			break
 		}
 		socket := regionSocket(e, r)
@@ -137,9 +130,7 @@ func (p *MTM) promote(e *sim.Engine) {
 		}
 		if worstRank <= 0 {
 			// Already in the fastest tier for its accessors.
-			if spanning {
-				spanDecision(e, "skip", "already-fastest", r)
-			}
+			spanDecision(e, "skip", "already-fastest", r)
 			continue
 		}
 		maxPages := int((budget - spent) / r.V.PageSize)
@@ -159,10 +150,8 @@ func (p *MTM) promote(e *sim.Engine) {
 				// region stays eligible and the unused budget carries into
 				// the next interval.
 				e.NoteDeferredPromotionTo(dst)
-				if spanning {
-					spanDecision(e, "defer", "admission-control", r,
-						span.S("dst", nodeName(e, dst)))
-				}
+				spanDecision(e, "defer", "admission-control", r,
+					span.S("dst", nodeName(e, dst)))
 				continue
 			}
 			dec := admitMigration(e, r, profiler.RegionNode(r), dst, int64(minInt(maxPages, r.Pages()))*r.V.PageSize)
@@ -184,14 +173,12 @@ func (p *MTM) promote(e *sim.Engine) {
 			if e.Sys.Free(dst) < r.V.PageSize {
 				// Slow demotion could not make room; try the next-fastest
 				// tier.
-				if spanning {
-					spanDecision(e, "skip", "no-room", r,
-						span.S("dst", nodeName(e, dst)))
-				}
+				spanDecision(e, "skip", "no-room", r,
+					span.S("dst", nodeName(e, dst)))
 				continue
 			}
 			moved := moveRegion(e, p.Mech, r, r.End, dst, minInt(maxPages, int(need/r.V.PageSize)),
-				true, "fast-promotion", dec.Rule, thresholdAttr(e, 0)...)
+				true, "fast-promotion", dec.Rule, span.F("threshold", 0))
 			if moved > 0 {
 				spent += moved
 				break
@@ -201,10 +188,8 @@ func (p *MTM) promote(e *sim.Engine) {
 			// up on the region: the aborted attempts are already accounted
 			// per-pair, and a success on the re-planned pair must not be
 			// double-attributed to this one.
-			if spanning {
-				spanDecision(e, "skip", "all-aborted", r,
-					span.S("dst", nodeName(e, dst)))
-			}
+			spanDecision(e, "skip", "all-aborted", r,
+				span.S("dst", nodeName(e, dst)))
 		}
 	}
 	p.carry = carryOver(budget-spent, p.MigrateBudget)
@@ -220,7 +205,6 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 		return 0
 	}
 	nodeRank := rankOf(view, node)
-	spanning := e.SpansEnabled()
 	var demoted int64
 	if p.flipFirst {
 		// Non-exclusive tiering: a full flip pass runs before any copy is
@@ -252,10 +236,8 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 		if r.WHI >= candidateWHI {
 			// Only hotter-or-equal regions remain on this node; slow
 			// demotion never evicts them for a colder candidate.
-			if spanning {
-				spanDecision(e, "stop", "victim-too-hot", r,
-					span.F("threshold", candidateWHI))
-			}
+			spanDecision(e, "stop", "victim-too-hot", r,
+				span.F("threshold", candidateWHI))
 			break
 		}
 		if profiler.RegionNode(r) != node {
@@ -269,7 +251,7 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 		}
 		maxPages := int((remaining + r.V.PageSize - 1) / r.V.PageSize)
 		moved, _ := demoteVictim(e, p.Mech, r, node, view[nodeRank+1:], int64(minInt(maxPages, r.Pages()))*r.V.PageSize,
-			"slow-demotion", thresholdAttr(e, candidateWHI)...)
+			"slow-demotion", span.F("threshold", candidateWHI))
 		demoted += moved
 	}
 	return demoted

@@ -56,7 +56,7 @@ func (p *Nomad) IntervalEnd(e *sim.Engine) {
 	// prices slow-tier bandwidth interference, not application stall.
 	syncBudget := 2 * p.MigrateBudget
 	synced := e.ShadowSync(syncBudget)
-	if synced > 0 && e.SpansEnabled() {
+	if synced > 0 {
 		e.SpanEvent("shadow", "sync", span.I("bytes", synced))
 	}
 	p.syncLeft = syncBudget - synced
@@ -98,17 +98,15 @@ func (p *MTM) flipVictim(e *sim.Engine, r *region.Region, node tier.NodeID, rema
 	bytes := int64(minInt(maxPages, r.Pages())) * r.V.PageSize
 	flipNs := float64(migrate.FlipCost(r.V.PageSize))
 	dec := e.AdmitFlip(node, dst, bytes, r.WHI, reaccessEvidence(r), flipNs)
-	if e.SpansEnabled() {
-		spanDecision(e, dec.Verdict.String(), dec.Rule, r,
-			span.F("roi", dec.ROI),
-			span.I("allowed_bytes", dec.AllowedBytes),
-			span.I("budget_bytes", dec.BudgetBytes),
-			span.S("dst", nodeName(e, dst)))
-	}
+	spanDecision(e, dec.Verdict.String(), dec.Rule, r,
+		span.F("roi", dec.ROI),
+		span.I("allowed_bytes", dec.AllowedBytes),
+		span.I("budget_bytes", dec.BudgetBytes),
+		span.S("dst", nodeName(e, dst)))
 	e.SetMoveContext("shadow-flip", dec.Rule)
 	rep := migrate.FlipSpan(e, r.V, r.Start, r.End, maxPages)
 	e.ClearMoveContext()
-	if rep.Bytes > 0 && e.SpansEnabled() {
+	if rep.Bytes > 0 {
 		// FlipDemote already closed the demotion ledger per page; this
 		// event is provenance only.
 		spanDecision(e, "demote", "shadow-flip", r,

@@ -126,21 +126,19 @@ func destUsable(e *sim.Engine, r *region.Region, src, dst tier.NodeID) bool {
 	if e.DestUsable(src, dst) {
 		return true
 	}
-	if e.SpansEnabled() {
-		if !e.Sys.Allocatable(dst) {
-			spanDecision(e, "skip", "tier-unavailable", r,
-				span.S("dst", nodeName(e, dst)),
-				span.S("tier_state", e.TierHealth(dst).String()))
-		} else {
-			state, consec, until, trips := e.BreakerEvidence(src, dst)
-			spanDecision(e, "skip", "breaker-open", r,
-				span.S("dst", nodeName(e, dst)),
-				span.S("breaker", state),
-				span.I("consecutive_aborts", consec),
-				span.I("open_until_ns", until),
-				span.I("breaker_trips", trips))
-		}
+	if !e.Sys.Allocatable(dst) {
+		spanDecision(e, "skip", "tier-unavailable", r,
+			span.S("dst", nodeName(e, dst)),
+			span.S("tier_state", e.TierHealth(dst).String()))
+		return false
 	}
+	state, consec, until, trips := e.BreakerEvidence(src, dst)
+	spanDecision(e, "skip", "breaker-open", r,
+		span.S("dst", nodeName(e, dst)),
+		span.S("breaker", state),
+		span.I("consecutive_aborts", consec),
+		span.I("open_until_ns", until),
+		span.I("breaker_trips", trips))
 	return false
 }
 
@@ -245,16 +243,6 @@ func demoteVictim(e *sim.Engine, mech migrate.Mechanism, r *region.Region, src t
 	return 0, false
 }
 
-// thresholdAttr is the threshold attribute of a move's decision span, for
-// moveRegion and demoteVictim, whose callers pass it on every move. It is
-// built only while tracing is on, so an untraced move boxes nothing.
-func thresholdAttr(e *sim.Engine, v float64) []span.Attr {
-	if !e.SpansEnabled() {
-		return nil
-	}
-	return []span.Attr{span.F("threshold", v)}
-}
-
 // carryOver is the promotion budget an interval leaves to the next: what
 // it did not spend, never negative, and capped at four intervals' worth
 // so a policy with nothing promotable does not hoard.
@@ -271,10 +259,14 @@ func carryOver(left, budget int64) int64 {
 // spanDecision emits one migration-decision provenance event. The event
 // name is the outcome ("promote", "demote", "skip", "defer", "stop");
 // rule names the policy clause that fired, and the base payload carries
-// the region's identity and hotness estimate. Callers append the
-// threshold compared and the outcome details (dst, bytes) and must guard
-// on e.SpansEnabled() before building the extra attribute list.
+// the region's identity and hotness estimate. Callers pass the threshold
+// compared and the outcome details (dst, bytes) and call it whether or
+// not tracing is on: joining the two lists allocates, so that alone is
+// guarded here.
 func spanDecision(e *sim.Engine, outcome, rule string, r *region.Region, attrs ...span.Attr) {
+	if !e.SpansEnabled() {
+		return
+	}
 	base := []span.Attr{
 		span.S("rule", rule),
 		span.S("vma", r.V.Name),

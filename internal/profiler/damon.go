@@ -75,11 +75,8 @@ func (d *DAMON) Attach(e *sim.Engine) {
 func (d *DAMON) Profile(e *sim.Engine) {
 	d.set.BeginInterval()
 	regions := d.set.Regions()
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("profiling", "damon-profile",
-			span.I("regions", int64(len(regions))))
-	}
+	e.SpanBegin("profiling", "damon-profile",
+		span.I("regions", int64(len(regions))))
 
 	// One random page per region, damonChecks access-bit checks.
 	for _, r := range regions {
@@ -93,11 +90,9 @@ func (d *DAMON) Profile(e *sim.Engine) {
 		r.UpdateEMA(damonAlpha)
 	}
 	n := int64(len(regions) * damonChecks)
-	if spanning {
-		e.SpanEmit("profiling", "access-bit-checks", e.SpanClockNs(),
-			int64(time.Duration(n)*OneScanOverhead),
-			span.I("checks", n))
-	}
+	e.SpanEmit("profiling", "access-bit-checks", e.SpanClockNs(),
+		int64(time.Duration(n)*OneScanOverhead),
+		span.I("checks", n))
 	d.charge(e, time.Duration(n)*OneScanOverhead, int64(len(regions)))
 
 	// Merge neighbours whose nr_accesses differ by <= threshold, while
@@ -112,12 +107,10 @@ func (d *DAMON) Profile(e *sim.Engine) {
 	}
 	d.pm.merges.Add(d.set.MergedThisInterval)
 	d.pm.splits.Add(d.set.SplitThisInterval)
-	if spanning {
-		e.SpanEnd(
-			span.I("merges", d.set.MergedThisInterval),
-			span.I("splits", d.set.SplitThisInterval),
-			span.I("regions_after", int64(d.set.Len())))
-	}
+	e.SpanEnd(
+		span.I("merges", d.set.MergedThisInterval),
+		span.I("splits", d.set.SplitThisInterval),
+		span.I("regions_after", int64(d.set.Len())))
 }
 
 // randomSplit reproduces DAMON's split step: every region is split at a

@@ -217,12 +217,9 @@ const (
 func (m *MTM) Profile(e *sim.Engine) {
 	m.set.BeginInterval()
 	regions := m.set.Regions()
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("profiling", "mtm-profile",
-			span.I("regions", int64(len(regions))),
-			span.I("budget", int64(m.budget)))
-	}
+	e.SpanBegin("profiling", "mtm-profile",
+		span.I("regions", int64(len(regions))),
+		span.I("budget", int64(m.budget)))
 
 	// Map PEBS samples to regions so slow-tier regions with observed
 	// traffic get event-driven PTE-scan profiling (§5.5). The sampled
@@ -257,11 +254,9 @@ func (m *MTM) Profile(e *sim.Engine) {
 		// PEBS runtime overhead is <1% (§9.3); charge a small per-sample
 		// handling cost.
 		handling := time.Duration(len(samples)) * 100 * time.Nanosecond
-		if spanning {
-			e.SpanEmit("profiling", "pebs-attribution", e.SpanClockNs(), int64(handling),
-				span.I("samples", int64(len(samples))),
-				span.I("shards", int64(sim.NumShards(len(samples), pebsShardSamples))))
-		}
+		e.SpanEmit("profiling", "pebs-attribution", e.SpanClockNs(), int64(handling),
+			span.I("samples", int64(len(samples))),
+			span.I("shards", int64(sim.NumShards(len(samples), pebsShardSamples))))
 		m.charge(e, handling, 0)
 	}
 
@@ -277,14 +272,12 @@ func (m *MTM) Profile(e *sim.Engine) {
 		scans, pages := m.scanShard(e, regions, s, usePEBS)
 		totalScans += scans
 		totalPages += pages
-		if spanning {
-			d := int64(time.Duration(scans) * MTMScanCost)
-			e.SpanEmit("profiling", "pte-scan", cur, d,
-				span.I("shard", int64(s)),
-				span.I("scans", scans),
-				span.I("pages", pages))
-			cur += d
-		}
+		d := int64(time.Duration(scans) * MTMScanCost)
+		e.SpanEmit("profiling", "pte-scan", cur, d,
+			span.I("shard", int64(s)),
+			span.I("scans", scans),
+			span.I("pages", pages))
+		cur += d
 	}
 	m.charge(e, time.Duration(totalScans)*MTMScanCost, totalPages)
 
@@ -313,11 +306,9 @@ func (m *MTM) Profile(e *sim.Engine) {
 			m.tauMEsc = 0
 		}
 	}
-	if spanning {
-		e.SpanEnd(
-			span.I("scans", totalScans),
-			span.I("regions_after", int64(m.set.Len())))
-	}
+	e.SpanEnd(
+		span.I("scans", totalScans),
+		span.I("regions_after", int64(m.set.Len())))
 }
 
 // profiledSet decides which regions receive PTE scans this interval: with

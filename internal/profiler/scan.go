@@ -110,7 +110,6 @@ func (p *RandomChunk) Profile(e *sim.Engine) {
 	if len(regions) == 0 {
 		return
 	}
-	spanning := e.SpansEnabled()
 	// Pick a random contiguous run of regions covering ~ChunkBytes; the
 	// selection is the only draw from the engine's own stream; the page
 	// walk draws from per-shard streams.
@@ -121,28 +120,22 @@ func (p *RandomChunk) Profile(e *sim.Engine) {
 		covered += regions[end].Bytes()
 		end++
 	}
-	if spanning {
-		e.SpanBegin("profiling", "chunk-profile",
-			span.I("regions", int64(len(regions))),
-			span.I("chunk_regions", int64(end-start)))
-	}
+	e.SpanBegin("profiling", "chunk-profile",
+		span.I("regions", int64(len(regions))),
+		span.I("chunk_regions", int64(end-start)))
 	scans, shardScans := harvestRegions(e, regions[start:end], p.shardBuf, 0, 1, 1.0, chunkAlpha, p.set.NumScans)
 	p.shardBuf = shardScans
-	if spanning {
-		cur := e.SpanClockNs()
-		for s, sc := range shardScans {
-			d := int64(time.Duration(sc) * (OneScanOverhead + ProtFaultCost/2))
-			e.SpanEmit("profiling", "chunk-scan", cur, d,
-				span.I("shard", int64(s)), span.I("pages", sc))
-			cur += d
-		}
+	cur := e.SpanClockNs()
+	for s, sc := range shardScans {
+		d := int64(time.Duration(sc) * (OneScanOverhead + ProtFaultCost/2))
+		e.SpanEmit("profiling", "chunk-scan", cur, d,
+			span.I("shard", int64(s)), span.I("pages", sc))
+		cur += d
 	}
 	// Present-bit profiling takes a fault per observed page on top of
 	// the PTE write; charge scan + fault cost per page.
 	p.charge(e, time.Duration(scans)*(OneScanOverhead+ProtFaultCost/2), scans)
-	if spanning {
-		e.SpanEnd(span.I("pages", scans))
-	}
+	e.SpanEnd(span.I("pages", scans))
 }
 
 // SequentialScan is the tiered-AutoNUMA profiling baseline: a scan pointer
@@ -190,16 +183,10 @@ func (p *SequentialScan) Profile(e *sim.Engine) {
 	if len(regions) == 0 {
 		return
 	}
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("profiling", "seq-scan-profile",
-			span.I("regions", int64(len(regions))),
-			span.I("cursor", int64(p.cursor)))
-	}
-	var cur int64
-	if spanning {
-		cur = e.SpanClockNs()
-	}
+	e.SpanBegin("profiling", "seq-scan-profile",
+		span.I("regions", int64(len(regions))),
+		span.I("cursor", int64(p.cursor)))
+	cur := e.SpanClockNs()
 	var covered int64
 	var faults int64
 	scansPerPage := 1
@@ -225,15 +212,13 @@ func (p *SequentialScan) Profile(e *sim.Engine) {
 		f, shardFaults := harvestRegions(e, sel, p.shardBuf, round, scansPerPage, scanWindow, p.alpha, p.set.NumScans)
 		p.shardBuf = shardFaults
 		faults += f
-		if spanning {
-			for s, sc := range shardFaults {
-				d := int64(time.Duration(sc) * HintFaultCost / 4)
-				e.SpanEmit("profiling", "hint-fault-scan", cur, d,
-					span.I("round", int64(round)),
-					span.I("shard", int64(s)),
-					span.I("pages", sc))
-				cur += d
-			}
+		for s, sc := range shardFaults {
+			d := int64(time.Duration(sc) * HintFaultCost / 4)
+			e.SpanEmit("profiling", "hint-fault-scan", cur, d,
+				span.I("round", int64(round)),
+				span.I("shard", int64(s)),
+				span.I("pages", sc))
+			cur += d
 		}
 		if p.cursor >= 1<<30 {
 			p.cursor = p.cursor % len(regions)
@@ -242,7 +227,5 @@ func (p *SequentialScan) Profile(e *sim.Engine) {
 	// Hint faults are 12x a PTE scan (§6.2); AutoNUMA's profiling cost
 	// is dominated by them.
 	p.charge(e, time.Duration(faults)*HintFaultCost/4, faults)
-	if spanning {
-		e.SpanEnd(span.I("pages", faults))
-	}
+	e.SpanEnd(span.I("pages", faults))
 }

@@ -54,12 +54,9 @@ func (t *Thermostat) Profile(e *sim.Engine) {
 		n = len(regions)
 	}
 
-	spanning := e.SpansEnabled()
-	if spanning {
-		e.SpanBegin("profiling", "thermostat-profile",
-			span.I("regions", int64(len(regions))),
-			span.I("sampled", int64(n)))
-	}
+	e.SpanBegin("profiling", "thermostat-profile",
+		span.I("regions", int64(len(regions))),
+		span.I("sampled", int64(n)))
 
 	// Random region selection: the uncontrolled profiling quality the
 	// paper attributes to Thermostat comes from exactly this step.
@@ -106,12 +103,8 @@ func (t *Thermostat) Profile(e *sim.Engine) {
 		r.Sampled = true
 		r.UpdateEMA(thermostatAlpha)
 	}
-	if spanning {
-		e.SpanEmit("profiling", "prot-fault-sampling", e.SpanClockNs(), int64(spent),
-			span.I("sampled", int64(n)))
-	}
+	e.SpanEmit("profiling", "prot-fault-sampling", e.SpanClockNs(), int64(spent),
+		span.I("sampled", int64(n)))
 	t.charge(e, spent, int64(n))
-	if spanning {
-		e.SpanEnd()
-	}
+	e.SpanEnd()
 }

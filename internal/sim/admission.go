@@ -362,11 +362,9 @@ func (e *Engine) admissionEndInterval() {
 	}
 	for _, s := range a.ctl.EndInterval(now) {
 		e.Metrics().Emit(EventLaneStarvation, s.Class.String(), int64(s.Waited))
-		if e.sp != nil {
-			e.SpanEvent("admission", "lane-starvation",
-				span.S("class", s.Class.String()),
-				span.I("waited_intervals", int64(s.Waited)))
-		}
+		e.SpanEvent("admission", "lane-starvation",
+			span.S("class", s.Class.String()),
+			span.I("waited_intervals", int64(s.Waited)))
 	}
 	if a.minroi != nil {
 		for s := range a.minroi {

@@ -630,10 +630,8 @@ type Result struct {
 // partial run in the error case.
 func Run(e *Engine, w Workload, sol Solution, maxIntervals int) (*Result, error) {
 	e.sol = sol
-	if e.sp != nil {
-		e.sp.SetMeta("solution", sol.Name())
-		e.sp.SetMeta("workload", w.Name())
-	}
+	e.sp.SetMeta("solution", sol.Name())
+	e.sp.SetMeta("workload", w.Name())
 	w.Init(e)
 	for i := 0; i < maxIntervals && !w.Done() && e.failed == nil; i++ {
 		e.RunInterval(w)

@@ -41,7 +41,7 @@ func spanInstants(e *Engine) []string {
 		var b strings.Builder
 		fmt.Fprintf(&b, "%d %d %s/%s", s.Interval, s.Start, s.Cat, s.Name)
 		for _, a := range s.Attrs {
-			fmt.Fprintf(&b, " %s=%#v", a.Key, a.Value())
+			fmt.Fprintf(&b, " %s=%#v", a.Key, a.Val)
 		}
 		out = append(out, b.String())
 	}

@@ -404,17 +404,15 @@ func (e *Engine) fidelityOutcome(m *pendingMove, reaccessed bool, cur int32) {
 	if f.cOutcome[vd] != nil {
 		f.cOutcome[vd].Inc()
 	}
-	if e.sp != nil {
-		e.SpanEvent("migration", "outcome",
-			span.S("verdict", vd.String()),
-			span.S("rule", m.rule),
-			span.S("admission", m.adm),
-			span.S("vma", m.v.Name),
-			span.I("page", int64(m.idx)),
-			span.S("src", e.Sys.Topo.Nodes[m.src].Name),
-			span.S("dst", e.Sys.Topo.Nodes[m.dst].Name),
-			span.I("lag_intervals", int64(cur-m.interval)))
-	}
+	e.SpanEvent("migration", "outcome",
+		span.S("verdict", vd.String()),
+		span.S("rule", m.rule),
+		span.S("admission", m.adm),
+		span.S("vma", m.v.Name),
+		span.I("page", int64(m.idx)),
+		span.S("src", e.Sys.Topo.Nodes[m.src].Name),
+		span.S("dst", e.Sys.Topo.Nodes[m.dst].Name),
+		span.I("lag_intervals", int64(cur-m.interval)))
 }
 
 // FidelityReport assembles the Result.Fidelity block; nil without

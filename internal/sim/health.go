@@ -129,14 +129,12 @@ func (e *Engine) recordMoveAbort(src, dst tier.NodeID) {
 	if e.met != nil {
 		e.met.reg.Emit(EventBreakerTrip, e.met.pairName[src][dst], e.hlt.breaker.Trips(int(src), int(dst)))
 	}
-	if e.sp != nil {
-		e.SpanEvent("health", "breaker-trip",
-			span.S("src", e.Sys.Topo.Nodes[src].Name),
-			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-			span.I("consecutive_aborts", health.TripAborts),
-			span.I("open_until_ns", e.hlt.breaker.OpenUntil(int(src), int(dst))),
-			span.I("trips", e.hlt.breaker.Trips(int(src), int(dst))))
-	}
+	e.SpanEvent("health", "breaker-trip",
+		span.S("src", e.Sys.Topo.Nodes[src].Name),
+		span.S("dst", e.Sys.Topo.Nodes[dst].Name),
+		span.I("consecutive_aborts", health.TripAborts),
+		span.I("open_until_ns", e.hlt.breaker.OpenUntil(int(src), int(dst))),
+		span.I("trips", e.hlt.breaker.Trips(int(src), int(dst))))
 }
 
 // healthBeginInterval delivers this interval's memory-error faults and
@@ -193,12 +191,10 @@ func (e *Engine) poisonPage(v *vm.VMA, idx int) {
 	e.poisonedBytes += v.PageSize
 	e.PoisonedPages++
 	e.emitEventOnce(EventMemPoison, e.Sys.Topo.Nodes[n].Name, int64(idx))
-	if e.sp != nil {
-		e.SpanEvent("health", "poison",
-			span.S("node", e.Sys.Topo.Nodes[n].Name),
-			span.S("vma", v.Name),
-			span.I("page", int64(idx)))
-	}
+	e.SpanEvent("health", "poison",
+		span.S("node", e.Sys.Topo.Nodes[n].Name),
+		span.S("vma", v.Name),
+		span.I("page", int64(idx)))
 }
 
 // PoisonPage injects one memory error by hand (tests and operator
@@ -221,11 +217,9 @@ func (e *Engine) poisonRecovery(v *vm.VMA, idx int) {
 	v.ClearPoison(idx)
 	e.intApp += health.RecoveryPenalty
 	e.PoisonRecoveries++
-	if e.sp != nil {
-		e.SpanEvent("health", "poison-recovery",
-			span.S("vma", v.Name),
-			span.I("page", int64(idx)))
-	}
+	e.SpanEvent("health", "poison-recovery",
+		span.S("vma", v.Name),
+		span.I("page", int64(idx)))
 }
 
 // applyTransitions applies state-machine outputs to the capacity layer
@@ -249,14 +243,12 @@ func (e *Engine) applyTransitions(trs []health.Transition) {
 			e.met.reg.Emit(EventHealthTransition,
 				e.Sys.Topo.Nodes[n].Name+" "+tr.From.String()+"->"+tr.To.String(), int64(tr.To))
 		}
-		if e.sp != nil {
-			e.SpanEvent("health", "transition",
-				span.S("node", e.Sys.Topo.Nodes[n].Name),
-				span.S("from", tr.From.String()),
-				span.S("to", tr.To.String()),
-				span.S("reason", tr.Reason),
-				span.I("poisoned_pages", int64(e.hlt.tracker.PoisonedPages(tr.Node))))
-		}
+		e.SpanEvent("health", "transition",
+			span.S("node", e.Sys.Topo.Nodes[n].Name),
+			span.S("from", tr.From.String()),
+			span.S("to", tr.To.String()),
+			span.S("reason", tr.Reason),
+			span.I("poisoned_pages", int64(e.hlt.tracker.PoisonedPages(tr.Node))))
 	}
 }
 
@@ -341,11 +333,9 @@ func (e *Engine) drainNode(node tier.NodeID) {
 		e.drainStallErr = fmt.Errorf("%w (draining %s, %d pages resident)",
 			health.ErrNoDestination, e.Sys.Topo.Nodes[node].Name, len(pages)-committed)
 		e.emitEventOnce(EventDrainStall, e.Sys.Topo.Nodes[node].Name, int64(len(pages)-committed))
-		if e.sp != nil {
-			e.SpanEvent("health", "drain-stall",
-				span.S("node", e.Sys.Topo.Nodes[node].Name),
-				span.I("resident_pages", int64(len(pages)-committed)))
-		}
+		e.SpanEvent("health", "drain-stall",
+			span.S("node", e.Sys.Topo.Nodes[node].Name),
+			span.I("resident_pages", int64(len(pages)-committed)))
 		return
 	}
 	if committed == len(pages) {

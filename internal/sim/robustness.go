@@ -100,10 +100,8 @@ func (e *Engine) PromotionPressure(dst tier.NodeID) bool {
 func (e *Engine) NoteDeferredPromotionTo(dst tier.NodeID) {
 	e.DeferredPromotions++
 	e.emitEventOnce(EventPromotionDeferred, e.Sys.Topo.Nodes[dst].Name, 0)
-	if e.sp != nil {
-		e.SpanEvent("policy", "promotion-deferred",
-			span.S("dst", e.Sys.Topo.Nodes[dst].Name))
-	}
+	e.SpanEvent("policy", "promotion-deferred",
+		span.S("dst", e.Sys.Topo.Nodes[dst].Name))
 }
 
 // copyAttempts is how many times one page copy is tried before the move
@@ -225,18 +223,16 @@ func (e *Engine) abortMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
 		pairCounter(e.met.abortedPages, src, dst).Inc()
 	}
 	e.emitPairEventOnce(EventMigrationAbort, src, dst, int64(idx))
-	if e.sp != nil {
-		srcName := ""
-		if int(src) >= 0 && int(src) < len(e.Sys.Topo.Nodes) {
-			srcName = e.Sys.Topo.Nodes[src].Name
-		}
-		e.SpanEvent("migration", "abort",
-			span.S("src", srcName),
-			span.S("dst", e.Sys.Topo.Nodes[dst].Name),
-			span.S("vma", v.Name),
-			span.I("page", int64(idx)),
-			span.I("wasted_bytes", v.PageSize))
+	srcName := ""
+	if int(src) >= 0 && int(src) < len(e.Sys.Topo.Nodes) {
+		srcName = e.Sys.Topo.Nodes[src].Name
 	}
+	e.SpanEvent("migration", "abort",
+		span.S("src", srcName),
+		span.S("dst", e.Sys.Topo.Nodes[dst].Name),
+		span.S("vma", v.Name),
+		span.I("page", int64(idx)),
+		span.I("wasted_bytes", v.PageSize))
 	e.admissionMoveAborted(v.PageSize, src, dst)
 	e.recordMoveAbort(src, dst)
 }
@@ -272,12 +268,10 @@ func (e *Engine) fail(err *OOMError) {
 		if e.met != nil {
 			e.met.reg.Emit(EventOOM, err.VMA, int64(err.Page))
 		}
-		if e.sp != nil {
-			e.SpanEvent("emergency", "oom",
-				span.S("vma", err.VMA),
-				span.I("page", int64(err.Page)),
-				span.I("need_bytes", err.Need))
-		}
+		e.SpanEvent("emergency", "oom",
+			span.S("vma", err.VMA),
+			span.I("page", int64(err.Page)),
+			span.I("need_bytes", err.Need))
 	}
 }
 
@@ -305,11 +299,9 @@ func (e *Engine) emergencyReclaim(socket int, need int64) tier.NodeID {
 		if e.demoteColdest(cand, lower, need-e.Sys.Free(cand)) {
 			e.EmergencyDemotions++
 			e.emitEventOnce(EventEmergencyDemotion, e.Sys.Topo.Nodes[cand].Name, need)
-			if e.sp != nil {
-				e.SpanEvent("emergency", "emergency-demotion",
-					span.S("node", e.Sys.Topo.Nodes[cand].Name),
-					span.I("need_bytes", need))
-			}
+			e.SpanEvent("emergency", "emergency-demotion",
+				span.S("node", e.Sys.Topo.Nodes[cand].Name),
+				span.I("need_bytes", need))
 			return cand
 		}
 	}

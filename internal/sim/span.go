@@ -13,11 +13,11 @@ import (
 // on the interval loop, which keeps the trace a pure function of the
 // simulated execution.
 //
-// The helpers below are nil-safe no-ops when tracing is disabled, but
-// call sites that build attribute lists must branch on SpansEnabled
-// first: the variadic slice is allocated by the caller, and the
-// zero-allocation guarantee for disabled tracing (see
-// TestDisabledTracingZeroAllocs) depends on not constructing it.
+// The helpers below are nil-safe no-ops when tracing is disabled, and a
+// call with attributes allocates nothing then (span.Attr holds its
+// payload unboxed; see TestDisabledTracingZeroAllocs), so call sites emit
+// unconditionally. SpansEnabled guards only span-only work that
+// allocates by itself, such as appending to an attribute list.
 
 // EnableSpans attaches a span tracer to the engine (idempotent) and
 // returns it. The tracer starts at interval -1, covering setup work
@@ -29,8 +29,8 @@ func (e *Engine) EnableSpans(cfg span.Config) *span.Tracer {
 	return e.sp
 }
 
-// SpansEnabled reports whether span tracing is active. Sites that build
-// attribute lists must check it before constructing them.
+// SpansEnabled reports whether span tracing is active, for the few sites
+// whose span-only work allocates (an append to an attribute list).
 func (e *Engine) SpansEnabled() bool { return e.sp != nil }
 
 // SpansExport snapshots the trace for Result embedding; nil when tracing

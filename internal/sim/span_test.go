@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -62,6 +63,19 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 		e.SpanEvent("test", "x")
 	}); n != 0 {
 		t.Errorf("no-op span calls allocate %.1f per op", n)
+	}
+	// With attributes: a string built at run time, an integer above the
+	// runtime's preboxed small values, and a float would each box if the
+	// payload were converted to an interface before the tracer's nil
+	// check.
+	name := v.Name + "-" + strconv.Itoa(e.Intervals+7)
+	if n := testing.AllocsPerRun(100, func() {
+		e.SpanBegin("test", "x", span.S("vma", name), span.I("pages", 4096), span.F("whi", 1.5))
+		e.SpanEnd(span.I("bytes", 1<<21), span.F("ratio", 0.25))
+		e.SpanEmit("test", "x", 0, 1, span.S("vma", name), span.I("shard", 300))
+		e.SpanEvent("test", "x", span.S("dst", name), span.I("page", 1000), span.F("threshold", 2.5))
+	}); n != 0 {
+		t.Errorf("no-op span calls with attributes allocate %.1f per op", n)
 	}
 	// The engine's event entry points, with both sinks off.
 	events := func() {

@@ -48,13 +48,13 @@ type jsonlLine struct {
 	Attrs    map[string]any `json:"attrs,omitempty"`
 }
 
-func attrMap(attrs []Attr) map[string]any {
+func attrMap(attrs []Field) map[string]any {
 	if len(attrs) == 0 {
 		return nil
 	}
 	m := make(map[string]any, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Value()
+		m[a.Key] = a.Val
 	}
 	return m
 }

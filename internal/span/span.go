@@ -6,47 +6,80 @@
 // per-interval counter, so the trace is a pure function of the simulated
 // execution.
 //
-// All methods are nil-safe: a nil *Tracer no-ops, so call sites that
-// carry no attributes need no "enabled?" branches. Sites that build
-// attribute lists must still guard on the engine's SpansEnabled: the
-// caller allocates the variadic attribute slice, and S, I and F box each
-// payload, before the nil check can run.
+// All methods are nil-safe: a nil *Tracer no-ops, and a call to one
+// allocates nothing, attributes included. An Attr holds its payload
+// unboxed, and the tracer copies attributes into their recorded form
+// (Field) instead of keeping the caller's slice, so the variadic array
+// stays on the caller's stack. Call sites need no "enabled?" branch
+// unless the work that builds their attributes allocates by itself.
 package span
 
-// Attr is one key/value annotation on a span or event. Construct with S,
-// I, or F. encoding/json renders it as {"key":...,"value":...} with the
-// payload's own type; the zero value, which no constructor returns,
-// renders "value":null.
+import (
+	"math"
+	"slices"
+)
+
+// Attr is one key/value annotation as a call site passes it: a key and
+// an unboxed string, int64 or float64 payload. Construct with S, I or F.
+// The tracer records it as a Field.
 type Attr struct {
+	Key string
+	typ byte // 's', 'i' or 'f'; the zero Attr records a nil value
+	str string
+	num int64 // the int64 payload, or the float64 payload's bits
+}
+
+// S returns a string attribute.
+func S(key, v string) Attr { return Attr{Key: key, typ: 's', str: v} }
+
+// I returns an integer attribute.
+func I(key string, v int64) Attr { return Attr{Key: key, typ: 'i', num: v} }
+
+// F returns a float attribute.
+func F(key string, v float64) Attr {
+	return Attr{Key: key, typ: 'f', num: int64(math.Float64bits(v))}
+}
+
+// Field is an attribute as a recorded Span holds it: Val is a string,
+// int64, float64 or nil. encoding/json renders it as
+// {"key":...,"value":...} with the payload's own type.
+type Field struct {
 	Key string `json:"key"`
 	Val any    `json:"value"`
 }
 
-// S returns a string attribute.
-func S(key, v string) Attr { return Attr{key, v} }
-
-// I returns an integer attribute.
-func I(key string, v int64) Attr { return Attr{key, v} }
-
-// F returns a float attribute.
-func F(key string, v float64) Attr { return Attr{key, v} }
-
-// Value returns the attribute's payload: a string, int64 or float64.
-func (a Attr) Value() any { return a.Val }
+// record appends attrs to dst, boxing each payload; a nil dst stays nil
+// without attrs.
+func record(dst []Field, attrs []Attr) []Field {
+	dst = slices.Grow(dst, len(attrs))
+	for _, a := range attrs {
+		f := Field{Key: a.Key}
+		switch a.typ {
+		case 's':
+			f.Val = a.str
+		case 'i':
+			f.Val = a.num
+		case 'f':
+			f.Val = math.Float64frombits(uint64(a.num))
+		}
+		dst = append(dst, f)
+	}
+	return dst
+}
 
 // Span is one recorded span or instant event. Start and Dur are virtual
 // nanoseconds; Instant events have Dur 0 and render as instants in the
 // Chrome export.
 type Span struct {
-	ID       uint64 `json:"id"`
-	Parent   uint64 `json:"parent,omitempty"`
-	Interval int    `json:"interval"`
-	Cat      string `json:"cat"`
-	Name     string `json:"name"`
-	Start    int64  `json:"ts_ns"`
-	Dur      int64  `json:"dur_ns"`
-	Instant  bool   `json:"instant,omitempty"`
-	Attrs    []Attr `json:"attrs,omitempty"`
+	ID       uint64  `json:"id"`
+	Parent   uint64  `json:"parent,omitempty"`
+	Interval int     `json:"interval"`
+	Cat      string  `json:"cat"`
+	Name     string  `json:"name"`
+	Start    int64   `json:"ts_ns"`
+	Dur      int64   `json:"dur_ns"`
+	Instant  bool    `json:"instant,omitempty"`
+	Attrs    []Field `json:"attrs,omitempty"`
 }
 
 // Config bounds the tracer.
@@ -139,7 +172,7 @@ func (t *Tracer) Begin(cat, name string, startNs int64, attrs ...Attr) {
 	}
 	sp := Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
-		Cat: cat, Name: name, Start: startNs, Attrs: attrs,
+		Cat: cat, Name: name, Start: startNs, Attrs: record(nil, attrs),
 	}
 	t.stack = append(t.stack, t.push(sp))
 }
@@ -162,7 +195,7 @@ func (t *Tracer) End(endNs int64, attrs ...Attr) {
 	if d := endNs - sp.Start; d > 0 {
 		sp.Dur = d
 	}
-	sp.Attrs = append(sp.Attrs, attrs...)
+	sp.Attrs = record(sp.Attrs, attrs)
 }
 
 // Emit records a complete span (start and duration known up front),
@@ -176,7 +209,7 @@ func (t *Tracer) Emit(cat, name string, startNs, durNs int64, attrs ...Attr) {
 	}
 	t.push(Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
-		Cat: cat, Name: name, Start: startNs, Dur: durNs, Attrs: attrs,
+		Cat: cat, Name: name, Start: startNs, Dur: durNs, Attrs: record(nil, attrs),
 	})
 }
 
@@ -188,7 +221,7 @@ func (t *Tracer) Event(cat, name string, atNs int64, attrs ...Attr) {
 	}
 	t.push(Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
-		Cat: cat, Name: name, Start: atNs, Instant: true, Attrs: attrs,
+		Cat: cat, Name: name, Start: atNs, Instant: true, Attrs: record(nil, attrs),
 	})
 }
 

@@ -161,12 +161,12 @@ func TestReadJSONLRoundTrip(t *testing.T) {
 			t.Fatalf("span %d: read %+v, wrote %+v", i, l, sp)
 		}
 		for _, a := range sp.Attrs {
-			want := a.Value()
+			want := a.Val
 			if v, ok := want.(int64); ok {
 				want = float64(v) // JSON numbers decode as float64
 			}
 			if l.Attrs[a.Key] != want {
-				t.Fatalf("span %d attr %s: read %v, wrote %v", i, a.Key, l.Attrs[a.Key], a.Value())
+				t.Fatalf("span %d attr %s: read %v, wrote %v", i, a.Key, l.Attrs[a.Key], a.Val)
 			}
 		}
 	}
@@ -240,14 +240,16 @@ func TestNilTracerNoOps(t *testing.T) {
 	}
 }
 
-// TestAttrJSON: attributes render as {"key":...,"value":...} pairs with
-// native types.
+// TestAttrJSON: recorded attributes render as {"key":...,"value":...}
+// pairs with native types, and an Attr of the zero kind as null.
 func TestAttrJSON(t *testing.T) {
-	b, err := json.Marshal([]Attr{S("s", "v"), I("i", 7), F("f", 0.5)})
+	tr := New(Config{})
+	tr.Event("c", "n", 0, S("s", "v"), I("i", 7), F("f", 0.5), Attr{Key: "z"})
+	b, err := json.Marshal(tr.Export().Spans[0].Attrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `[{"key":"s","value":"v"},{"key":"i","value":7},{"key":"f","value":0.5}]`
+	want := `[{"key":"s","value":"v"},{"key":"i","value":7},{"key":"f","value":0.5},{"key":"z","value":null}]`
 	if string(b) != want {
 		t.Fatalf("attrs = %s, want %s", b, want)
 	}
@@ -337,7 +339,7 @@ func TestExportJSONPin(t *testing.T) {
 		t.Fatalf("Export JSON moved:\n got %s\nwant %s", b, exportPin)
 	}
 	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		x := &Export{Spans: []Span{{ID: 1, Attrs: []Attr{F("bad", f)}}}}
+		x := &Export{Spans: []Span{{ID: 1, Attrs: []Field{{"bad", f}}}}}
 		if _, err := json.Marshal(x); err == nil {
 			t.Errorf("attribute %v encoded without error", f)
 		}
