@@ -130,6 +130,22 @@ func TestRunEveryPairQuick(t *testing.T) {
 	}
 }
 
+// TestSparkOddScale runs Spark at a scale whose footprint is not a
+// multiple of its 204,800-byte scan chunk, so its input and output scans
+// run over the end of their VMAs and continue from the start.
+func TestSparkOddScale(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Scale = 1000
+	cfg.Audit = true
+	res, err := Run(cfg, "spark", "mtm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed {
+		t.Fatal("spark at scale 1000 did not complete")
+	}
+}
+
 func TestTwoTierRun(t *testing.T) {
 	cfg := quickCfg()
 	cfg.TwoTier = true

@@ -54,9 +54,10 @@ type Solution interface {
 	IntervalEnd(e *Engine)
 }
 
-// Workload is a simulated application. RunInterval must issue accesses via
-// Engine.Access or Engine.AccessBatch until Engine.IntervalExhausted
-// reports true or the workload completes.
+// Workload is a simulated application. RunInterval runs one interval of
+// it; each workload of internal/workload does so with the one line
+// e.RunChunks(w), so the engine owns the interval loop and the workload
+// only produces chunks (see Chunked).
 type Workload interface {
 	Name() string
 	// Init allocates the workload's VMAs and builds its data structures.
@@ -65,6 +66,26 @@ type Workload interface {
 	RunInterval(e *Engine)
 	// Done reports whether all work has completed.
 	Done() bool
+}
+
+// Chunked is a workload that produces its work as op chunks. NextChunk
+// returns the refs of the next chunk and does the chunk's end
+// bookkeeping. It draws only from r and reads no engine state, so what it
+// returns does not depend on how or when the refs are issued. The slice
+// is the workload's and valid until the next call.
+type Chunked interface {
+	NextChunk(r *rng.Rand) []Ref
+	Done() bool
+}
+
+// RunChunks issues w's chunks, each as one AccessBatch from HomeSocket,
+// until the interval is exhausted or w is done. Drawing a chunk before
+// its accesses keeps the stream of draws, because no access draws from
+// Rng.
+func (e *Engine) RunChunks(w Chunked) {
+	for !e.IntervalExhausted() && !w.Done() {
+		e.AccessBatch(w.NextChunk(e.Rng), HomeSocket)
+	}
 }
 
 // RobustnessCounters count transactional migration and the emergency
@@ -498,7 +519,7 @@ func (e *Engine) AppTimeThisInterval() time.Duration {
 
 // IntervalExhausted reports whether the application has consumed its
 // interval budget. A failed engine (out of memory) always reports true so
-// workload loops terminate instead of spinning on no-op accesses.
+// RunChunks stops instead of spinning on no-op accesses.
 func (e *Engine) IntervalExhausted() bool {
 	return e.failed != nil || e.AppTimeThisInterval() >= e.Interval
 }

@@ -47,9 +47,8 @@ type GUPS struct {
 
 	// Draw bounds of the index, descriptor, hot-page and table draws, and
 	// the access batch of one chunk: per draw an index read, a descriptor
-	// read and a table update, each naming the heap. The first RunInterval
-	// fills in all but the pages, which are all that change from chunk to
-	// chunk.
+	// read and a table update, each naming the heap. Init fills in all but
+	// the pages, which are all that change from chunk to chunk.
 	indexB, infoB, hotB, tableB rng.Bound
 	refs                        []sim.Ref
 }
@@ -88,7 +87,7 @@ func (g *GUPS) Init(e *sim.Engine) {
 	// the small hot descriptor B sits deep inside the address space, far
 	// from A, which is what makes coarse region formation miss it
 	// (Figure 6).
-	indexBytes := maxI64(g.tableBytes/50, 4*MB)
+	indexBytes := max(g.tableBytes/50, 4*MB)
 	infoBytes := int64(4 * MB)
 	g.heap = e.AS.Alloc("gups.heap", indexBytes+infoBytes+g.tableBytes)
 	g.indexPages = int(indexBytes / g.heap.PageSize)
@@ -99,7 +98,15 @@ func (g *GUPS) Init(e *sim.Engine) {
 	g.indexB = rng.NewBound(g.indexPages)
 	g.infoB = rng.NewBound(g.infoPages)
 	g.tableB = rng.NewBound(g.tablePages())
-	g.drawHotSet(e)
+	b := uint32(g.batch)
+	g.refs = make([]sim.Ref, 0, 3*opChunk/g.batch)
+	for range opChunk / g.batch {
+		g.refs = append(g.refs,
+			sim.Ref{V: g.heap, N: b},
+			sim.Ref{V: g.heap, N: 1},
+			sim.Ref{V: g.heap, N: 2 * b, NW: b})
+	}
+	g.drawHotSet(e.Rng)
 	initTouch(e, g.heap)
 }
 
@@ -132,7 +139,7 @@ func (g *GUPS) Object(v *vm.VMA, idx int) byte {
 // drawHotSet picks the hot 20% of the table as 32 contiguous page blocks
 // at random positions — spatial structure a region-based profiler can
 // discover, with enough dispersion to punish coarse regions.
-func (g *GUPS) drawHotSet(e *sim.Engine) {
+func (g *GUPS) drawHotSet(r *rng.Rand) {
 	const blocks = 32
 	total := int(float64(g.tablePages()) * gupsHotFrac)
 	if total < blocks {
@@ -141,7 +148,7 @@ func (g *GUPS) drawHotSet(e *sim.Engine) {
 	g.blockPages = total / blocks
 	g.hotBlocks = g.hotBlocks[:0]
 	for b := 0; b < blocks; b++ {
-		g.hotBlocks = append(g.hotBlocks, e.Rng.Intn(maxInt(g.tablePages()-g.blockPages, 1)))
+		g.hotBlocks = append(g.hotBlocks, r.Intn(max(g.tablePages()-g.blockPages, 1)))
 	}
 	g.rebuildHotPages()
 	g.epochLeft = g.EpochOps
@@ -169,13 +176,13 @@ func (g *GUPS) rebuildHotPages() {
 }
 
 // driftOneBlock relocates the next hot block to a random position.
-func (g *GUPS) driftOneBlock(e *sim.Engine) {
+func (g *GUPS) driftOneBlock(r *rng.Rand) {
 	if len(g.hotBlocks) == 0 {
 		return
 	}
 	i := g.nextDrift % len(g.hotBlocks)
 	g.nextDrift++
-	g.hotBlocks[i] = e.Rng.Intn(maxInt(g.tablePages()-g.blockPages, 1))
+	g.hotBlocks[i] = r.Intn(max(g.tablePages()-g.blockPages, 1))
 	g.rebuildHotPages()
 	g.driftLeft = g.DriftOps
 }
@@ -192,63 +199,37 @@ func (g *GUPS) HotFootprintBytes() int64 {
 	return int64(len(g.hotPages)+g.indexPages+g.infoPages) * g.heap.PageSize
 }
 
-func (g *GUPS) RunInterval(e *sim.Engine) {
-	socket := sim.HomeSocket
-	if g.refs == nil {
-		b := uint32(g.batch)
-		g.refs = make([]sim.Ref, 0, 3*opChunk/g.batch)
-		for range opChunk / g.batch {
-			g.refs = append(g.refs,
-				sim.Ref{V: g.heap, N: b},
-				sim.Ref{V: g.heap, N: 1},
-				sim.Ref{V: g.heap, N: 2 * b, NW: b})
-		}
-	}
-	for !e.IntervalExhausted() && !g.Done() {
-		// One chunk of opChunk updates: batched page draws, issued as one
-		// access batch.
-		for r := g.refs; len(r) > 0; r = r[3:] {
-			// Index array A: one read per update.
-			r[0].Idx = g.indexB.Draw(e.Rng)
-			// Hot-set descriptor B: read once per batch.
-			r[1].Idx = g.infoStart + g.infoB.Draw(e.Rng)
-			// The update itself: read + write of a random table slot,
-			// hot with probability gupsHotAccessFrac.
-			var pg int
-			if e.Rng.Float64() < gupsHotAccessFrac && len(g.hotPages) > 0 {
-				pg = int(g.hotPages[g.hotB.Draw(e.Rng)])
-			} else {
-				pg = g.tableB.Draw(e.Rng)
-			}
-			r[2].Idx = g.tableStart + pg
-		}
-		e.AccessBatch(g.refs, socket)
-		g.doneOps += opChunk
-		if g.EpochOps > 0 {
-			g.epochLeft -= opChunk
-			if g.epochLeft <= 0 {
-				g.drawHotSet(e)
-			}
-		}
-		if g.DriftOps > 0 {
-			g.driftLeft -= opChunk
-			if g.driftLeft <= 0 {
-				g.driftOneBlock(e)
-			}
-		}
-	}
-}
+func (g *GUPS) RunInterval(e *sim.Engine) { e.RunChunks(g) }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
+// NextChunk draws one chunk of opChunk updates into the preset batch.
+func (g *GUPS) NextChunk(r *rng.Rand) []sim.Ref {
+	for refs := g.refs; len(refs) > 0; refs = refs[3:] {
+		// Index array A: one read per update.
+		refs[0].Idx = g.indexB.Draw(r)
+		// Hot-set descriptor B: read once per batch.
+		refs[1].Idx = g.infoStart + g.infoB.Draw(r)
+		// The update itself: read + write of a random table slot, hot
+		// with probability gupsHotAccessFrac.
+		var pg int
+		if r.Float64() < gupsHotAccessFrac && len(g.hotPages) > 0 {
+			pg = int(g.hotPages[g.hotB.Draw(r)])
+		} else {
+			pg = g.tableB.Draw(r)
+		}
+		refs[2].Idx = g.tableStart + pg
 	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+	g.doneOps += opChunk
+	if g.EpochOps > 0 {
+		g.epochLeft -= opChunk
+		if g.epochLeft <= 0 {
+			g.drawHotSet(r)
+		}
 	}
-	return b
+	if g.DriftOps > 0 {
+		g.driftLeft -= opChunk
+		if g.driftLeft <= 0 {
+			g.driftOneBlock(r)
+		}
+	}
+	return g.refs
 }

@@ -37,9 +37,8 @@ type PingPong struct {
 	Flips int
 
 	// Draw bounds of the hot-set and whole-table draws, and the access
-	// batch of one chunk: one update per draw, naming the heap. The first
-	// RunInterval fills in all but the pages, which are all that change
-	// from chunk to chunk.
+	// batch of one chunk: one update per draw, naming the heap. Init fills
+	// in all but the pages, which are all that change from chunk to chunk.
 	setB, allB rng.Bound
 	refs       []sim.Ref
 }
@@ -81,6 +80,12 @@ func (p *PingPong) Init(e *sim.Engine) {
 	p.flipLeft = p.flipOps
 	p.setB = rng.NewBound(p.setPages)
 	p.allB = rng.NewBound(n)
+	b := uint32(p.batch)
+	p.refs = make([]sim.Ref, opChunk/p.batch)
+	for i := range p.refs {
+		// Read + write of a random slot, like a GUPS update.
+		p.refs[i] = sim.Ref{V: p.heap, N: 2 * b, NW: b}
+	}
 	initTouch(e, p.heap)
 }
 
@@ -104,34 +109,26 @@ func (p *PingPong) IsHot(v *vm.VMA, idx int) bool {
 	return idx >= s && idx < s+p.setPages
 }
 
-func (p *PingPong) RunInterval(e *sim.Engine) {
-	socket := sim.HomeSocket
-	if p.refs == nil {
-		b := uint32(p.batch)
-		p.refs = make([]sim.Ref, opChunk/p.batch)
-		for i := range p.refs {
-			// Read + write of a random slot, like a GUPS update.
-			p.refs[i] = sim.Ref{V: p.heap, N: 2 * b, NW: b}
+func (p *PingPong) RunInterval(e *sim.Engine) { e.RunChunks(p) }
+
+// NextChunk draws one chunk of opChunk updates into the preset batch.
+func (p *PingPong) NextChunk(r *rng.Rand) []sim.Ref {
+	hot := p.activeStart()
+	for i := range p.refs {
+		if r.Float64() < pingpongHotAccessFrac {
+			p.refs[i].Idx = hot + p.setB.Draw(r)
+		} else {
+			p.refs[i].Idx = p.allB.Draw(r)
 		}
 	}
-	for !e.IntervalExhausted() && !p.Done() {
-		hot := p.activeStart()
-		for i := range p.refs {
-			if e.Rng.Float64() < pingpongHotAccessFrac {
-				p.refs[i].Idx = hot + p.setB.Draw(e.Rng)
-			} else {
-				p.refs[i].Idx = p.allB.Draw(e.Rng)
-			}
-		}
-		e.AccessBatch(p.refs, socket)
-		p.doneOps += opChunk
-		if p.flipOps > 0 {
-			p.flipLeft -= opChunk
-			if p.flipLeft <= 0 {
-				p.active = 1 - p.active
-				p.flipLeft = p.flipOps
-				p.Flips++
-			}
+	p.doneOps += opChunk
+	if p.flipOps > 0 {
+		p.flipLeft -= opChunk
+		if p.flipLeft <= 0 {
+			p.active = 1 - p.active
+			p.flipLeft = p.flipOps
+			p.Flips++
 		}
 	}
+	return p.refs
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mtm/internal/rng"
 	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
@@ -47,7 +48,7 @@ func NewSpark(cfg Config) *Spark {
 	records := s.inputBytes / s.recBytes
 	// Phase op counts: one pass to read, one to shuffle, several passes
 	// to sort (multi-pass merge: compare + move), one to write.
-	f := cfg.OpsFactorOrOne()
+	f := cfg.opsFactorOrOne()
 	s.phaseOps = [4]int64{
 		int64(float64(records) * f),
 		int64(float64(records) * f),
@@ -70,50 +71,48 @@ func (s *Spark) Init(e *sim.Engine) {
 
 func (s *Spark) bucketBytes() int64 { return s.shuffle.Bytes() / sparkBuckets }
 
-func (s *Spark) RunInterval(e *sim.Engine) {
-	socket := sim.HomeSocket
-	for !e.IntervalExhausted() && !s.Done() {
-		n := int64(opChunk)
-		switch s.phase {
-		case 0: // sequential read of the input
-			touchRange(e, s.input, s.readCursor%s.input.Bytes(), n*s.recBytes, s.recBytes, false, socket)
-			s.readCursor += n * s.recBytes
-		case 1: // shuffle: read input, append to a key-chosen bucket
-			touchRange(e, s.input, s.readCursor%s.input.Bytes(), n*s.recBytes, s.recBytes, false, socket)
-			s.readCursor += n * s.recBytes
-			per := n / 8
-			refs := s.refs[:0]
-			for i := 0; i < 8; i++ {
-				b := e.Rng.Intn(sparkBuckets)
-				off := int64(b)*s.bucketBytes() + s.bucketFill[b]%s.bucketBytes()
-				refs = append(refs, sim.Ref{V: s.shuffle, Idx: pageOf(s.shuffle, off), N: uint32(per), NW: uint32(per)})
-				s.bucketFill[b] += per * s.recBytes
-			}
-			s.refs = refs
-			e.AccessBatch(refs, socket)
-		case 2: // sort: random access within the current bucket
-			bb := s.bucketBytes()
-			base := int64(s.sortBucket) * bb
-			refs := s.refs[:0]
-			for i := int64(0); i < n; i += 16 {
-				off := base + int64(e.Rng.Int63n(bb))
-				refs = append(refs, sim.Ref{V: s.shuffle, Idx: pageOf(s.shuffle, off), N: 16, NW: 8})
-			}
-			s.refs = refs
-			e.AccessBatch(refs, socket)
-			s.sortOps += n
-			if s.sortOps >= s.phaseOps[2]/sparkBuckets {
-				s.sortOps = 0
-				s.sortBucket = (s.sortBucket + 1) % sparkBuckets
-			}
-		case 3: // sequential write of the sorted output
-			touchRange(e, s.output, s.writeCursor%s.output.Bytes(), n*s.recBytes, s.recBytes, true, socket)
-			s.writeCursor += n * s.recBytes
+func (s *Spark) RunInterval(e *sim.Engine) { e.RunChunks(s) }
+
+// NextChunk returns the refs of one chunk of opChunk records in the
+// current phase and steps the phase when it is complete.
+func (s *Spark) NextChunk(r *rng.Rand) []sim.Ref {
+	n := int64(opChunk)
+	refs := s.refs[:0]
+	switch s.phase {
+	case 0: // sequential read of the input
+		refs = touchRange(refs, s.input, s.readCursor%s.input.Bytes(), n*s.recBytes, s.recBytes, false)
+		s.readCursor += n * s.recBytes
+	case 1: // shuffle: read input, append to a key-chosen bucket
+		refs = touchRange(refs, s.input, s.readCursor%s.input.Bytes(), n*s.recBytes, s.recBytes, false)
+		s.readCursor += n * s.recBytes
+		per := n / 8
+		for i := 0; i < 8; i++ {
+			b := r.Intn(sparkBuckets)
+			off := int64(b)*s.bucketBytes() + s.bucketFill[b]%s.bucketBytes()
+			refs = append(refs, sim.Ref{V: s.shuffle, Idx: pageOf(s.shuffle, off), N: uint32(per), NW: uint32(per)})
+			s.bucketFill[b] += per * s.recBytes
 		}
-		s.phaseDone[s.phase] += n
-		s.doneOps += n
-		if s.phaseDone[s.phase] >= s.phaseOps[s.phase] && s.phase < 3 {
-			s.phase++
+	case 2: // sort: random access within the current bucket
+		bb := s.bucketBytes()
+		base := int64(s.sortBucket) * bb
+		for i := int64(0); i < n; i += 16 {
+			off := base + int64(r.Int63n(bb))
+			refs = append(refs, sim.Ref{V: s.shuffle, Idx: pageOf(s.shuffle, off), N: 16, NW: 8})
 		}
+		s.sortOps += n
+		if s.sortOps >= s.phaseOps[2]/sparkBuckets {
+			s.sortOps = 0
+			s.sortBucket = (s.sortBucket + 1) % sparkBuckets
+		}
+	case 3: // sequential write of the sorted output
+		refs = touchRange(refs, s.output, s.writeCursor%s.output.Bytes(), n*s.recBytes, s.recBytes, true)
+		s.writeCursor += n * s.recBytes
 	}
+	s.refs = refs
+	s.phaseDone[s.phase] += n
+	s.doneOps += n
+	if s.phaseDone[s.phase] >= s.phaseOps[s.phase] && s.phase < 3 {
+		s.phase++
+	}
+	return refs
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"mtm/internal/rng"
 	"mtm/internal/sim"
 	"mtm/internal/vm"
 )
@@ -60,19 +61,19 @@ func (w *VoltDB) Init(e *sim.Engine) {
 	w.stock = e.AS.Alloc("tpcc.stock", 30*MB*scale)
 	w.orders = e.AS.Alloc("tpcc.orders", 6*MB*scale)
 	w.hist = e.AS.Alloc("tpcc.history", 2*MB*scale)
-	w.warehouse = e.AS.Alloc("tpcc.warehouse", maxI64(scale*4096, 2*MB))
-	w.district = e.AS.Alloc("tpcc.district", maxI64(scale*40*1024, 2*MB))
+	w.warehouse = e.AS.Alloc("tpcc.warehouse", max(scale*4096, 2*MB))
+	w.district = e.AS.Alloc("tpcc.district", max(scale*40*1024, 2*MB))
 	w.item = e.AS.Alloc("tpcc.item", 16*MB)
 	w.custPerWh = w.customer.Bytes() / scale
 	w.stockPerWh = w.stock.Bytes() / scale
 	w.homes = make([]int, voltdbClients)
-	w.assignHomes(e)
+	w.assignHomes(e.Rng)
 	initTouch(e, w.customer, w.stock, w.orders, w.hist, w.warehouse, w.district, w.item)
 }
 
-func (w *VoltDB) assignHomes(e *sim.Engine) {
+func (w *VoltDB) assignHomes(r *rng.Rand) {
 	for i := range w.homes {
-		w.homes[i] = e.Rng.Intn(w.warehouses)
+		w.homes[i] = r.Intn(w.warehouses)
 	}
 	w.reassignLeft = w.reassignOps
 }
@@ -80,55 +81,53 @@ func (w *VoltDB) assignHomes(e *sim.Engine) {
 // Stock is the stock table's VMA, for experiments that inspect placement.
 func (w *VoltDB) Stock() *vm.VMA { return w.stock }
 
-func (w *VoltDB) RunInterval(e *sim.Engine) {
-	socket := sim.HomeSocket
-	for !e.IntervalExhausted() && !w.Done() {
-		// One chunk of opChunk transactions, drawn first and issued as one
-		// access batch.
-		refs := w.refs[:0]
-		for i := 0; i < opChunk; i++ {
-			refs = w.transaction(e, refs)
-		}
-		w.refs = refs
-		e.AccessBatch(refs, socket)
-		w.doneOps += opChunk
-		if w.reassignOps > 0 {
-			w.reassignLeft -= opChunk
-			if w.reassignLeft <= 0 {
-				w.assignHomes(e)
-			}
+func (w *VoltDB) RunInterval(e *sim.Engine) { e.RunChunks(w) }
+
+// NextChunk draws one chunk of opChunk transactions.
+func (w *VoltDB) NextChunk(r *rng.Rand) []sim.Ref {
+	refs := w.refs[:0]
+	for i := 0; i < opChunk; i++ {
+		refs = w.transaction(r, refs)
+	}
+	w.refs = refs
+	w.doneOps += opChunk
+	if w.reassignOps > 0 {
+		w.reassignLeft -= opChunk
+		if w.reassignLeft <= 0 {
+			w.assignHomes(r)
 		}
 	}
+	return refs
 }
 
 // transaction appends the refs of one TPC-C-shaped transaction (a blend
 // of NewOrder and Payment, which dominate the mix) to refs: warehouse and
 // district reads, a customer row update, a handful of item reads and
 // stock updates, and an order append.
-func (w *VoltDB) transaction(e *sim.Engine, refs []sim.Ref) []sim.Ref {
-	client := e.Rng.Intn(voltdbClients)
+func (w *VoltDB) transaction(r *rng.Rand, refs []sim.Ref) []sim.Ref {
+	client := r.Intn(voltdbClients)
 	wh := w.homes[client]
-	if e.Rng.Float64() >= voltdbHomeFrac {
-		wh = e.Rng.Intn(w.warehouses)
+	if r.Float64() >= voltdbHomeFrac {
+		wh = r.Intn(w.warehouses)
 	}
 
 	// Warehouse + district: hot, small, read-mostly with a YTD update.
 	refs = append(refs, sim.Ref{V: w.warehouse, Idx: pageOf(w.warehouse, int64(wh)*4096%w.warehouse.Bytes()), N: 2, NW: 1})
-	dOff := (int64(wh)*10 + int64(e.Rng.Intn(10))) * 4096 % w.district.Bytes()
+	dOff := (int64(wh)*10 + int64(r.Intn(10))) * 4096 % w.district.Bytes()
 	refs = append(refs, sim.Ref{V: w.district, Idx: pageOf(w.district, dOff), N: 2, NW: 1})
 
 	// Customer row in the home warehouse's slice.
-	cOff := int64(wh)*w.custPerWh + int64(e.Rng.Int63n(w.custPerWh))
+	cOff := int64(wh)*w.custPerWh + int64(r.Int63n(w.custPerWh))
 	refs = append(refs, sim.Ref{V: w.customer, Idx: pageOf(w.customer, cOff%w.customer.Bytes()), N: 3, NW: 1})
 
 	// Order lines: item lookups (read-only, hot) + stock updates. Lines
 	// are issued as three page draws within the warehouse's stock slice,
 	// carrying the full line count — same per-page load, fewer refs.
-	lines := 5 + e.Rng.Intn(10)
-	refs = append(refs, sim.Ref{V: w.item, Idx: e.Rng.Intn(w.item.NPages), N: uint32(lines)})
+	lines := 5 + r.Intn(10)
+	refs = append(refs, sim.Ref{V: w.item, Idx: r.Intn(w.item.NPages), N: uint32(lines)})
 	per := uint32(lines+2) / 3
 	for l := 0; l < 3; l++ {
-		sOff := int64(wh)*w.stockPerWh + int64(e.Rng.Int63n(w.stockPerWh))
+		sOff := int64(wh)*w.stockPerWh + int64(r.Int63n(w.stockPerWh))
 		refs = append(refs, sim.Ref{V: w.stock, Idx: pageOf(w.stock, sOff%w.stock.Bytes()), N: 2 * per, NW: per})
 	}
 
@@ -136,7 +135,7 @@ func (w *VoltDB) transaction(e *sim.Engine, refs []sim.Ref) []sim.Ref {
 	w.orderCursor += 64
 	oOff := w.orderCursor % w.orders.Bytes()
 	refs = append(refs, sim.Ref{V: w.orders, Idx: pageOf(w.orders, oOff), N: 1, NW: 1})
-	if e.Rng.Intn(4) == 0 {
+	if r.Intn(4) == 0 {
 		refs = append(refs, sim.Ref{V: w.hist, Idx: pageOf(w.hist, w.orderCursor%w.hist.Bytes()), N: 1, NW: 1})
 	}
 	return refs

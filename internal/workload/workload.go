@@ -40,15 +40,15 @@ func (c Config) scale() int64 {
 }
 
 func (c Config) ops(base int64) int64 {
-	f := c.OpsFactor
-	if f <= 0 {
-		f = 1
+	return max(int64(float64(base)*c.opsFactorOrOne()/float64(c.scale())), 1)
+}
+
+// opsFactorOrOne returns the configured ops factor, defaulting to 1.
+func (c Config) opsFactorOrOne() float64 {
+	if c.OpsFactor <= 0 {
+		return 1
 	}
-	n := int64(float64(base) * f / float64(c.scale()))
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return c.OpsFactor
 }
 
 // base carries the bookkeeping every workload shares.
@@ -64,45 +64,34 @@ func (b *base) Done() bool   { return b.doneOps >= b.totalOps }
 // TotalOps reports the workload's configured operation count.
 func (b *base) TotalOps() int64 { return b.totalOps }
 
-// opChunk is how many operations a workload issues between
-// IntervalExhausted checks.
+// opChunk is how many operations a workload puts in one chunk, which
+// Engine.RunChunks issues as one batch between its interval checks.
 const opChunk = 2048
 
 // pageOf maps a byte offset within a VMA to its page index.
 func pageOf(v *vm.VMA, off int64) int { return int(off / v.PageSize) }
 
-// touchRange issues bytes [off, off+n) of v as access batches: one ref
-// per simulated page touched, with the element count that falls on that
-// page. It models a sequential scan of n bytes in elemSize strides. The
-// refs live in a small stack buffer, issued whenever it fills: most scans
-// span one or two pages, and a larger buffer would cost more to zero on
-// every call than the extra batches do.
-func touchRange(e *sim.Engine, v *vm.VMA, off, n int64, elemSize int64, write bool, socket int) {
-	if elemSize <= 0 {
-		elemSize = 8
-	}
-	var buf [16]sim.Ref
-	refs := buf[:0]
-	end := off + n
-	for off < end {
-		if len(refs) == len(buf) {
-			e.AccessBatch(refs, socket)
-			refs = refs[:0]
+// touchRange appends bytes [off, off+n) of v to refs: one ref per
+// simulated page touched, with the element count that falls on that page.
+// It models a sequential scan of n bytes in elemSize strides. A scan that
+// reaches the end of v continues from its start.
+func touchRange(refs []sim.Ref, v *vm.VMA, off, n, elemSize int64, write bool) []sim.Ref {
+	for n > 0 {
+		if off == v.Bytes() {
+			off = 0
 		}
 		pg := pageOf(v, off)
-		pgEnd := (int64(pg) + 1) * v.PageSize
-		if pgEnd > end {
-			pgEnd = end
-		}
-		cnt := (pgEnd - off + elemSize - 1) / elemSize
+		span := min((int64(pg)+1)*v.PageSize-off, n)
+		cnt := uint32((span + elemSize - 1) / elemSize)
 		var w uint32
 		if write {
-			w = uint32(cnt)
+			w = cnt
 		}
-		refs = append(refs, sim.Ref{V: v, Idx: pg, N: uint32(cnt), NW: w})
-		off = pgEnd
+		refs = append(refs, sim.Ref{V: v, Idx: pg, N: cnt, NW: w})
+		off += span
+		n -= span
 	}
-	e.AccessBatch(refs, socket)
+	return refs
 }
 
 // initTouch sequentially faults in and writes an entire VMA, modelling

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -37,15 +39,18 @@ func drive(t *testing.T, w sim.Workload, maxIntervals int) *sim.Engine {
 	return e
 }
 
+// builders constructs each of the seven workloads.
+var builders = map[string]func(Config) sim.Workload{
+	"gups":      func(c Config) sim.Workload { return NewGUPS(c) },
+	"voltdb":    func(c Config) sim.Workload { return NewVoltDB(c) },
+	"cassandra": func(c Config) sim.Workload { return NewCassandra(c) },
+	"bfs":       NewBFS,
+	"sssp":      NewSSSP,
+	"spark":     func(c Config) sim.Workload { return NewSpark(c) },
+	"pingpong":  func(c Config) sim.Workload { return NewPingPong(c) },
+}
+
 func TestAllWorkloadsRun(t *testing.T) {
-	builders := map[string]func(Config) sim.Workload{
-		"gups":      func(c Config) sim.Workload { return NewGUPS(c) },
-		"voltdb":    func(c Config) sim.Workload { return NewVoltDB(c) },
-		"cassandra": func(c Config) sim.Workload { return NewCassandra(c) },
-		"bfs":       NewBFS,
-		"sssp":      NewSSSP,
-		"spark":     func(c Config) sim.Workload { return NewSpark(c) },
-	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
 			w := build(cfg())
@@ -331,7 +336,7 @@ func TestSparkPhasesProgress(t *testing.T) {
 func TestTouchRangeCoversPages(t *testing.T) {
 	e := testEngine()
 	v := e.AS.Alloc("r", 8*vm.HugePageSize)
-	touchRange(e, v, 0, 3*vm.HugePageSize, 100, false, 0)
+	e.AccessBatch(touchRange(nil, v, 0, 3*vm.HugePageSize, 100, false), sim.HomeSocket)
 	for i := 0; i < 3; i++ {
 		if v.Count(i) == 0 {
 			t.Fatalf("page %d not touched", i)
@@ -343,6 +348,67 @@ func TestTouchRangeCoversPages(t *testing.T) {
 	// Element counting: 2MB / 100B ≈ 20972 per page.
 	if c := v.Count(0); c < 20000 || c > 22000 {
 		t.Fatalf("page 0 count = %d, want ~20971", c)
+	}
+}
+
+// TestTouchRangeWrapsAtVMAEnd checks that a scan reaching the end of its
+// VMA continues from the start instead of naming a page past the end.
+func TestTouchRangeWrapsAtVMAEnd(t *testing.T) {
+	e := testEngine()
+	v := e.AS.Alloc("r", 4*vm.HugePageSize)
+	half := int64(vm.HugePageSize / 2)
+	refs := touchRange(nil, v, v.Bytes()-half, 3*half, 100, true)
+	// Half a page is 10,485.76 records, a whole page 20,971.52.
+	want := []sim.Ref{
+		{V: v, Idx: 3, N: 10486, NW: 10486},
+		{V: v, Idx: 0, N: 20972, NW: 20972},
+	}
+	if !reflect.DeepEqual(refs, want) {
+		t.Fatalf("refs = %+v, want %+v", refs, want)
+	}
+}
+
+// TestChunksIgnoreEngine checks that a workload's chunks depend on its own
+// state and the random stream alone: NextChunk called on an engine that
+// never issues a chunk returns the refs, in order, that an Observer sees
+// in a normal run from the same seed.
+func TestChunksIgnoreEngine(t *testing.T) {
+	const chunks = 64
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			gen, e := build(cfg()), testEngine()
+			gen.Init(e)
+			var want []sim.Ref
+			for i := 0; i < chunks && !gen.Done(); i++ {
+				for _, r := range gen.(sim.Chunked).NextChunk(e.Rng) {
+					if r.N != 0 {
+						want = append(want, r)
+					}
+				}
+			}
+
+			w, run := build(cfg()), testEngine()
+			w.Init(run)
+			seen, bad := 0, ""
+			run.Observer = func(v *vm.VMA, idx int, n, nw uint32, _ int) {
+				if seen < len(want) && bad == "" {
+					if r := want[seen]; r.V.Name != v.Name || r.Idx != idx || r.N != n || r.NW != nw {
+						bad = fmt.Sprintf("ref %d of %d: NextChunk gave %s[%d] n=%d nw=%d, the run issued %s[%d] n=%d nw=%d",
+							seen, len(want), r.V.Name, r.Idx, r.N, r.NW, v.Name, idx, n, nw)
+					}
+				}
+				seen++
+			}
+			for seen < len(want) && bad == "" && !w.Done() {
+				run.RunInterval(w)
+			}
+			switch {
+			case bad != "":
+				t.Fatal(bad)
+			case seen < len(want):
+				t.Fatalf("the run issued %d refs, NextChunk %d", seen, len(want))
+			}
+		})
 	}
 }
 
@@ -375,10 +441,10 @@ func TestConfigOps(t *testing.T) {
 
 func TestZipfSampler(t *testing.T) {
 	e := testEngine()
-	z := newZipf(e.Rng, 1000)
+	z := newZipf(1000)
 	counts := make([]int, 1000)
 	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
+		counts[z.Next(e.Rng)]++
 	}
 	if counts[0] < counts[500]*10 {
 		t.Fatalf("zipf not skewed: rank0=%d rank500=%d", counts[0], counts[500])

@@ -37,42 +37,40 @@ func NewCassandra(cfg Config) *Cassandra {
 
 func (c *Cassandra) Init(e *sim.Engine) {
 	c.data = e.AS.Alloc("cassandra.data", c.dataBytes)
-	c.index = e.AS.Alloc("cassandra.index", maxI64(c.dataBytes/64, 4*MB))
-	c.commitLog = e.AS.Alloc("cassandra.commitlog", maxI64(c.dataBytes/32, 8*MB))
+	c.index = e.AS.Alloc("cassandra.index", max(c.dataBytes/64, 4*MB))
+	c.commitLog = e.AS.Alloc("cassandra.commitlog", max(c.dataBytes/32, 8*MB))
 	// Placement blocks: runs of zipf rank space that hash to one spot in
 	// the heap. 256 KB blocks keep hot clusters smaller than a region.
 	c.blockBytes = 256 * 1024
 	c.nBlocks = c.data.Bytes() / c.blockBytes
-	c.zipf = newZipf(e.Rng, uint64(c.nBlocks*16))
+	c.zipf = newZipf(uint64(c.nBlocks * 16))
 	initTouch(e, c.data, c.index, c.commitLog)
 }
 
-func (c *Cassandra) RunInterval(e *sim.Engine) {
-	socket := sim.HomeSocket
-	for !e.IntervalExhausted() && !c.Done() {
-		// One chunk of opChunk operations, drawn first and issued as one
-		// access batch.
-		refs := c.refs[:0]
-		for i := 0; i < opChunk; i++ {
-			refs = c.op(e, refs)
-		}
-		c.refs = refs
-		e.AccessBatch(refs, socket)
-		c.doneOps += opChunk
+func (c *Cassandra) RunInterval(e *sim.Engine) { e.RunChunks(c) }
+
+// NextChunk draws one chunk of opChunk operations.
+func (c *Cassandra) NextChunk(r *rng.Rand) []sim.Ref {
+	refs := c.refs[:0]
+	for i := 0; i < opChunk; i++ {
+		refs = c.op(r, refs)
 	}
+	c.refs = refs
+	c.doneOps += opChunk
+	return refs
 }
 
 // op appends the refs of one operation to refs.
-func (c *Cassandra) op(e *sim.Engine, refs []sim.Ref) []sim.Ref {
+func (c *Cassandra) op(r *rng.Rand, refs []sim.Ref) []sim.Ref {
 	// Zipf rank -> placement block via hash (Cassandra's partitioner),
 	// then a random record offset within the block.
-	rank := c.zipf.Next()
+	rank := c.zipf.Next(r)
 	block := int64(rng.Mix64(rank/16) % uint64(c.nBlocks))
-	off := block*c.blockBytes + int64(e.Rng.Int63n(c.blockBytes))
+	off := block*c.blockBytes + int64(r.Int63n(c.blockBytes))
 
 	// Index probe (read), then the record.
 	refs = append(refs, sim.Ref{V: c.index, Idx: int(rng.Mix64(rank) % uint64(c.index.NPages)), N: 1})
-	write := e.Rng.Intn(2) == 0 // YCSB-A: 50/50
+	write := r.Intn(2) == 0 // YCSB-A: 50/50
 	if write {
 		// Update: read-modify-write the record plus a commit-log append.
 		c.logCursor += 256

@@ -31,8 +31,6 @@ import (
 // about 1.7% at bench scale, nearly all of them draws that need the
 // second acceptance test — runs math/rand's hinv and both tests verbatim.
 type zipfSampler struct {
-	rng *rng.Rand
-
 	// math/rand's Zipf state, with v = 1 and imax = n-1. q is a field, not
 	// zipfQ itself: the compiler would fold 1.0-zipfQ exactly, while
 	// math/rand subtracts from 1.07 rounded to a float64.
@@ -62,14 +60,13 @@ const (
 	zipfMinGrid = 0.25
 )
 
-// newZipf returns a sampler of ranks in [0, n-1], drawing from r; passing
-// the engine's Rng keeps the sampler on the run's single stream.
-func newZipf(r *rng.Rand, n uint64) *zipfSampler {
+// newZipf returns a sampler of ranks in [0, n-1].
+func newZipf(n uint64) *zipfSampler {
 	if n < 2 {
 		n = 2
 	}
 	// math/rand.NewZipf(r, zipfQ, 1, n-1), expression for expression.
-	z := &zipfSampler{rng: r, q: zipfQ}
+	z := &zipfSampler{q: zipfQ}
 	imax := float64(n - 1)
 	z.oneminusQ = 1.0 - z.q
 	z.oneminusQinv = 1.0 / z.oneminusQ
@@ -100,10 +97,11 @@ func (z *zipfSampler) hinv(x float64) float64 {
 	return math.Exp(z.oneminusQinv*math.Log(z.oneminusQ*x)) - 1
 }
 
-// Next returns the next rank.
-func (z *zipfSampler) Next() uint64 {
+// Next returns the next rank, drawing from r as math/rand's Zipf draws
+// from the Rand it was built with.
+func (z *zipfSampler) Next(r *rng.Rand) uint64 {
 	for {
-		if k, ok := z.rank(z.rng.Float64()); ok {
+		if k, ok := z.rank(r.Float64()); ok {
 			return k
 		}
 	}

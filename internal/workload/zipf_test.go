@@ -83,10 +83,10 @@ func TestZipfMatchesMathRand(t *testing.T) {
 			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
 				t.Parallel()
 				r1, r2 := rng.New(seed), rng.New(seed)
-				got := newZipf(r1, n)
+				got := newZipf(n)
 				want := rand.NewZipf(rand.New(r2), zipfQ, 1, n-1)
 				for i := 0; i < draws; i++ {
-					if g, w := got.Next(), want.Uint64(); g != w {
+					if g, w := got.Next(r1), want.Uint64(); g != w {
 						t.Fatalf("draw %d: rank %d, rand.Zipf %d", i, g, w)
 					}
 				}
@@ -119,7 +119,7 @@ func TestZipfRankEdges(t *testing.T) {
 	for _, n := range []uint64{100, 409600, 1 << 30} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			t.Parallel()
-			z, std := newZipf(rng.New(1), n), newStdZipf(n)
+			z, std := newZipf(n), newStdZipf(n)
 			ur := func(r float64) float64 { return z.hxm + r*z.hx0minusHxm }
 			x := func(r float64) float64 { return z.hinv(ur(r)) }
 			check := func(r float64) {
@@ -188,7 +188,7 @@ func FuzzZipfRank(f *testing.F) {
 		if r == 1 {
 			return // Float64 never returns 1
 		}
-		k, ok := newZipf(rng.New(1), n).rank(r)
+		k, ok := newZipf(n).rank(r)
 		wk, wok := newStdZipf(n).rank(r)
 		if ok != wok || (ok && k != wk) {
 			t.Fatalf("n=%d r=%v: rank (%d, %v), rand.Zipf (%d, %v)", n, r, k, ok, wk, wok)
@@ -201,9 +201,9 @@ func FuzzZipfRank(f *testing.F) {
 func BenchmarkZipfNext(b *testing.B) {
 	const n = 409600
 	b.Run("sampler", func(b *testing.B) {
-		z := newZipf(rng.New(1), n)
+		z, r := newZipf(n), rng.New(1)
 		for i := 0; i < b.N; i++ {
-			zipfSink += z.Next()
+			zipfSink += z.Next(r)
 		}
 	})
 	b.Run("math-rand", func(b *testing.B) {
