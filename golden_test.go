@@ -154,7 +154,7 @@ func goldenRuns() int {
 var goldenRecorded = runtime.GOOS == "linux" && runtime.GOARCH == "amd64"
 
 // goldenSubset reports whether this test binary runs only each variant's
-// gups/mtm and pingpong/mtm.
+// gups/mtm and pingpong/mtm, and plain/cassandra/mtm.
 func goldenSubset() bool {
 	return (testing.Short() || sim.RaceEnabled) && !*updateGolden
 }
@@ -166,7 +166,12 @@ func goldenKeys(subset bool) []string {
 	for _, v := range goldenVariants {
 		wls, sols := append([]string{"gups", "pingpong"}, v.more...), SolutionNames()
 		if subset {
+			// Cassandra draws its chunks ahead on a second goroutine (see
+			// sim.Lookahead), so the race detector sees the producer.
 			wls, sols = wls[:2], []string{"mtm"}
+			if v.name == "plain" {
+				wls = append(wls, "cassandra")
+			}
 		}
 		for _, wl := range wls {
 			for _, sol := range sols {
@@ -273,19 +278,19 @@ func checkGolden(t *testing.T, key string) {
 //	go test -run TestGoldenDigests -update-golden .
 //
 // and its diff shows which runs moved. -short and -race run only each
-// variant's gups/mtm and pingpong/mtm. Digests are recorded on
-// linux/amd64 only, because other platforms may round floating point
-// differently; there every run goes twice and the two digests must
-// match.
+// variant's gups/mtm and pingpong/mtm, and plain/cassandra/mtm. Digests
+// are recorded on linux/amd64 only, because other platforms may round
+// floating point differently; there every run goes twice and the two
+// digests must match.
 func TestGoldenDigests(t *testing.T) {
 	if *updateGolden && !goldenRecorded {
 		t.Fatal("golden digests are recorded on linux/amd64 only")
 	}
 	subset := goldenSubset()
-	if subset {
-		t.Logf("%d of %d runs in -short and -race", 2*len(goldenVariants), goldenRuns())
-	}
 	keys := goldenKeys(subset)
+	if subset {
+		t.Logf("%d of %d runs in -short and -race", len(keys), goldenRuns())
+	}
 	t.Run("runs", func(t *testing.T) {
 		for _, key := range keys {
 			t.Run(key, func(t *testing.T) {

@@ -12,6 +12,7 @@
 package sim
 
 import (
+	"runtime"
 	"time"
 
 	"mtm/internal/fidelity"
@@ -72,7 +73,8 @@ type Workload interface {
 // returns the refs of the next chunk and does the chunk's end
 // bookkeeping. It draws only from r and reads no engine state, so what it
 // returns does not depend on how or when the refs are issued. The slice
-// is the workload's and valid until the next call.
+// is the workload's and valid until the next call; a Lookahead's stays
+// valid one call longer.
 type Chunked interface {
 	NextChunk(r *rng.Rand) []Ref
 	Done() bool
@@ -81,8 +83,14 @@ type Chunked interface {
 // RunChunks issues w's chunks, each as one AccessBatch from HomeSocket,
 // until the interval is exhausted or w is done. Drawing a chunk before
 // its accesses keeps the stream of draws, because no access draws from
-// Rng.
+// Rng. A Lookahead that runs ahead, given a second P, goes through
+// runAhead, which draws a chunk on a second goroutine only where this
+// loop would draw that same chunk next.
 func (e *Engine) RunChunks(w Chunked) {
+	if la, ok := w.(Lookahead); ok && la.RunsAhead() && runtime.GOMAXPROCS(0) > 1 {
+		e.runAhead(la)
+		return
+	}
 	for !e.IntervalExhausted() && !w.Done() {
 		e.AccessBatch(w.NextChunk(e.Rng), HomeSocket)
 	}
@@ -131,7 +139,9 @@ type ShadowCounters struct {
 }
 
 // Engine is the simulation core. Not safe for concurrent use: a run
-// executes entirely on the goroutine that drives it.
+// executes on the goroutine that drives it, except that RunChunks may
+// draw a Lookahead's next chunk from Rng on a goroutine of its own, which
+// it joins before it returns and never while anything else uses Rng.
 type Engine struct {
 	Sys *tier.System
 	AS  *vm.AddressSpace
@@ -293,28 +303,43 @@ func (e *Engine) Access(v *vm.VMA, idx int, n, nw uint32, socket int) {
 // AccessBatch simulates refs, in order, as accesses from the given socket:
 // the result equals one Access per ref. A batch may mix VMAs. Refs with
 // N == 0 do nothing, and once the engine has failed the rest of the batch
-// does nothing. While neither Intercept nor Observer is installed,
-// accessRun takes each run of refs that hit present pages. The loop here
-// takes the others one at a time, through the engine's fields: the fault
-// path if the page is not present, TouchN, then Intercept, the sampler and
-// Observer. So every hook sees the engine exactly as after the preceding
-// refs' Access calls.
+// does nothing.
 func (e *Engine) AccessBatch(refs []Ref, socket int) {
 	if e.failed != nil {
 		return
 	}
-	// The accounting stores after every ref, which keeps about one ref's
-	// cache miss in flight. This read-only pass has no such dependence, so
-	// the CPU overlaps the misses of many refs and the accounting then
-	// finds their records in cache. The sink keeps the compiler from
-	// dropping the loads. One ref has no misses to overlap.
+	// One ref has no misses to overlap.
 	if len(refs) > 1 {
-		var x tier.NodeID
-		for _, r := range refs {
-			x ^= r.V.Node(r.Idx)
-		}
-		e.warmSink ^= x
+		nodes, _ := warm(refs)
+		e.warmSink ^= nodes
 	}
+	e.issue(refs, socket)
+}
+
+// warm loads the node of every ref and returns the nodes ORed together,
+// which is NoNode (-1) exactly when some page is not present, since node
+// IDs are non-negative, and the refs' total N. The
+// accounting stores after every ref, which keeps about one ref's cache
+// miss in flight. This read-only pass has no such dependence, so the CPU
+// overlaps the misses of many refs and the accounting then finds their
+// records in cache. The caller sinks nodes, which keeps the compiler from
+// dropping the loads.
+func warm(refs []Ref) (nodes tier.NodeID, n int64) {
+	for _, r := range refs {
+		nodes |= r.V.Node(r.Idx)
+		n += int64(r.N)
+	}
+	return nodes, n
+}
+
+// issue is AccessBatch after its warm pass, on an engine that has not
+// failed. While neither Intercept nor Observer is installed, accessRun
+// takes each run of refs that hit present pages. The loop here takes the
+// others one at a time, through the engine's fields: the fault path if
+// the page is not present, TouchN, then Intercept, the sampler and
+// Observer. So every hook sees the engine exactly as after the preceding
+// refs' Access calls.
+func (e *Engine) issue(refs []Ref, socket int) {
 	lat := e.latNow[socket]
 	for ; len(refs) > 0; refs = refs[1:] {
 		// A first touch goes straight to the fault path, so a run of them
@@ -366,7 +391,7 @@ func (e *Engine) AccessBatch(refs []Ref, socket int) {
 }
 
 // accessRun charges the leading refs that hit a present page, take no PEBS
-// sample and write no page whose shadow is valid; AccessBatch calls it only
+// sample and write no page whose shadow is valid; issue calls it only
 // while neither Intercept nor Observer is installed. It returns how many
 // refs it charged. If it stopped at a ref that takes a PEBS sample, it
 // charged all of that ref but the sample and returns the ref's node as

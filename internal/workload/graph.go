@@ -139,7 +139,7 @@ type graphWalk struct {
 	next    []int32
 	curPos  int
 	trav    int
-	refs    []sim.Ref // the reusable access batch of one chunk
+	refs    chunkBufs
 
 	warmSink int64 // Graph.warm's loads; never read
 }
@@ -217,13 +217,17 @@ func (w *graphWalk) mark(v int) bool {
 
 func (w *graphWalk) RunInterval(e *sim.Engine) { e.RunChunks(w) }
 
+// RunsAhead is true for BFS only: drawing ahead measured slower on SSSP
+// (see sim.Lookahead).
+func (w *graphWalk) RunsAhead() bool { return !w.sssp }
+
 // NextChunk expands the next opChunk vertices of the current level, or the
 // rest of it, and steps to the next level or traversal when the level is
 // finished.
 func (w *graphWalk) NextChunk(r *rng.Rand) []sim.Ref {
 	// Expand a warmed group at a time. Expansion appends only to w.next,
 	// so w.cur is fixed here.
-	refs := w.refs[:0]
+	refs := w.refs.next()
 	end := min(len(w.cur), w.curPos+opChunk)
 	for w.curPos < end {
 		group := w.cur[w.curPos:min(end, w.curPos+warmGroup)]
@@ -246,7 +250,7 @@ func (w *graphWalk) NextChunk(r *rng.Rand) []sim.Ref {
 			}
 		}
 	}
-	w.refs = refs
+	w.refs.keep(refs)
 	if w.curPos >= len(w.cur) {
 		// Level finished.
 		w.cur, w.next = w.next, w.cur[:0]

@@ -27,7 +27,7 @@ type VoltDB struct {
 	homes                         []int
 	orderCursor                   int64
 	reassignLeft                  int64
-	refs                          []sim.Ref // the reusable access batch of one chunk
+	refs                          chunkBufs
 }
 
 const (
@@ -83,13 +83,17 @@ func (w *VoltDB) Stock() *vm.VMA { return w.stock }
 
 func (w *VoltDB) RunInterval(e *sim.Engine) { e.RunChunks(w) }
 
+// RunsAhead is true: a chunk of transactions costs more to draw than to
+// hand to the engine on another core (see sim.Lookahead).
+func (w *VoltDB) RunsAhead() bool { return true }
+
 // NextChunk draws one chunk of opChunk transactions.
 func (w *VoltDB) NextChunk(r *rng.Rand) []sim.Ref {
-	refs := w.refs[:0]
+	refs := w.refs.next()
 	for i := 0; i < opChunk; i++ {
 		refs = w.transaction(r, refs)
 	}
-	w.refs = refs
+	w.refs.keep(refs)
 	w.doneOps += opChunk
 	if w.reassignOps > 0 {
 		w.reassignLeft -= opChunk

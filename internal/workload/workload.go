@@ -68,6 +68,26 @@ func (b *base) TotalOps() int64 { return b.totalOps }
 // Engine.RunChunks issues as one batch between its interval checks.
 const opChunk = 2048
 
+// chunkBufs is a workload's two reusable chunk buffers. NextChunk fills
+// them in turn, so the slice it returns stays valid until the call after
+// next, as sim.Lookahead requires.
+type chunkBufs struct {
+	buf [2][]sim.Ref
+	cur int
+}
+
+// next returns the other buffer, emptied, for the next chunk.
+func (b *chunkBufs) next() []sim.Ref {
+	b.cur ^= 1
+	return b.buf[b.cur][:0]
+}
+
+// keep stores the filled buffer for reuse and returns it.
+func (b *chunkBufs) keep(refs []sim.Ref) []sim.Ref {
+	b.buf[b.cur] = refs
+	return refs
+}
+
 // pageOf maps a byte offset within a VMA to its page index.
 func pageOf(v *vm.VMA, off int64) int { return int(off / v.PageSize) }
 

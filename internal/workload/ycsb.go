@@ -24,7 +24,7 @@ type Cassandra struct {
 	nBlocks                int64
 	blockBytes             int64
 	logCursor              int64
-	refs                   []sim.Ref // the reusable access batch of one chunk
+	refs                   chunkBufs
 }
 
 // NewCassandra sizes the store to the paper's 400 GB instance.
@@ -49,15 +49,18 @@ func (c *Cassandra) Init(e *sim.Engine) {
 
 func (c *Cassandra) RunInterval(e *sim.Engine) { e.RunChunks(c) }
 
+// RunsAhead is true: the Zipf draws make a chunk far dearer to draw than
+// to hand to the engine on another core (see sim.Lookahead).
+func (c *Cassandra) RunsAhead() bool { return true }
+
 // NextChunk draws one chunk of opChunk operations.
 func (c *Cassandra) NextChunk(r *rng.Rand) []sim.Ref {
-	refs := c.refs[:0]
+	refs := c.refs.next()
 	for i := 0; i < opChunk; i++ {
 		refs = c.op(r, refs)
 	}
-	c.refs = refs
 	c.doneOps += opChunk
-	return refs
+	return c.refs.keep(refs)
 }
 
 // op appends the refs of one operation to refs.
