@@ -9,7 +9,8 @@
 //     Source interface;
 //   - Bound precomputes Int31n's rejection threshold and replaces its
 //     remainder with a multiply (Lemire's fastmod), so a draw with a
-//     fixed bound needs no hardware divide and itself inlines.
+//     fixed bound needs no hardware divide and itself inlines; Bound63
+//     precomputes Int63n's threshold, so its draw divides once, not twice.
 //
 // The generator is math/rand's additive lagged Fibonacci generator: output
 // k is o[k] = o[k-607] + o[k-273] (mod 2^64). Rather than copying the
@@ -167,7 +168,7 @@ func Mix64(x uint64) uint64 {
 // returns exactly what Intn(n) would, consuming the same draws. n must be
 // at most 2^31-1, the range Intn serves with Int31n. Larger n go through
 // Int63n, whose 63-bit remainder has no multiply-only form cheap enough to
-// keep Draw inlinable; callers draw those with Intn.
+// keep Draw inlinable; callers draw those with Bound63 or Intn.
 type Bound struct {
 	n   uint64
 	max uint64 // largest accepted Int31 draw; Int31n rejects larger ones
@@ -194,6 +195,34 @@ func (b *Bound) Draw(r *Rand) int {
 			// Lemire's fastmod: v mod n for v, n < 2^32.
 			hi, _ := bits.Mul64(b.m*v, b.n)
 			return int(hi)
+		}
+	}
+}
+
+// Bound63 is Int63n(n) for a fixed n with its rejection threshold
+// computed once: Draw returns exactly what Int63n(n) would, consuming the
+// same draws. The remainder stays a hardware divide: a fixed-divisor
+// multiply lost to it when timed on Cassandra's 64-bit key hashes.
+type Bound63 struct {
+	n   int64
+	max int64 // largest accepted Int63 draw; Int63n rejects larger ones
+}
+
+// NewBound63 prepares draws from [0, n). It panics unless n > 0.
+func NewBound63(n int64) Bound63 {
+	if n <= 0 {
+		panic("rng: NewBound63 needs n > 0")
+	}
+	// For a power of two nothing is rejected (2^63 mod n is 0) and v mod
+	// n is v's low bits, which is what Int63n's masking branch returns.
+	return Bound63{n: n, max: 1<<63 - 1 - int64((1<<63)%uint64(n))}
+}
+
+// Draw returns r.Int63n(n) for the n the bound was made for.
+func (b *Bound63) Draw(r *Rand) int64 {
+	for {
+		if v := r.Int63(); v <= b.max {
+			return v % b.n
 		}
 	}
 }

@@ -98,6 +98,23 @@ func TestBoundDrawEqualsIntn(t *testing.T) {
 	}
 }
 
+// TestBound63DrawEqualsInt63n checks Bound63's Draw against Int63n for
+// every test bound, each on a fresh stream. 2^62+7 rejects nearly half
+// of all draws.
+func TestBound63DrawEqualsInt63n(t *testing.T) {
+	for _, n := range append([]int{1<<63 - 1}, testBounds...) {
+		b := NewBound63(int64(n))
+		for _, seed := range testSeeds {
+			got, want := New(seed), rand.New(rand.NewSource(seed))
+			for i := 0; i < 20_000; i++ {
+				if g, w := b.Draw(got), want.Int63n(int64(n)); g != w {
+					t.Fatalf("seed %d draw %d: Bound63(%d).Draw = %d, Int63n %d", seed, i, n, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestSharedStreamThroughRandNew pins the contract DAMON relies on to
 // hand vm.ObserveScans a *rand.Rand: rand.New(r) draws from r's stream.
 func TestSharedStreamThroughRandNew(t *testing.T) {
@@ -130,6 +147,7 @@ func TestNonPositiveArgumentsPanic(t *testing.T) {
 		"Int63n":         func() { r.Int63n(0) },
 		"NewBound(0)":    func() { NewBound(0) },
 		"NewBound(2^31)": func() { NewBound(1 << 31) },
+		"NewBound63(0)":  func() { NewBound63(0) },
 	} {
 		func() {
 			defer func() {

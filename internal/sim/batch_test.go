@@ -12,7 +12,8 @@ import (
 	"mtm/internal/vm"
 )
 
-// loggingSolution places every page on one node and logs the engine's
+// loggingSolution places script page i (see scriptRef) on node i mod the
+// node count, so a batch charges every node, and logs the engine's
 // accounting each time the fault path consults it.
 type loggingSolution struct {
 	fixedSolution
@@ -21,16 +22,40 @@ type loggingSolution struct {
 
 func (s *loggingSolution) Place(e *Engine, v *vm.VMA, idx, socket int) tier.NodeID {
 	*s.log = append(*s.log, "place "+v.Name+" "+accountingState(e, idx, 0))
-	return s.node
+	return tier.NodeID(idx / (v.NPages / 256) % len(e.Sys.Topo.Nodes))
 }
 
 // accountingState renders what a hook can read of the engine's access
 // accounting.
 func accountingState(e *Engine, idx int, n uint32) string {
-	return fmt.Sprintf("idx=%d n=%d app=%d span=%d total=%d node=%v faults=%d demand=%d/%d",
-		idx, n, e.intApp, e.SpanClockNs(), e.TotalAccesses, e.intAccesses, e.TotalFaults,
-		e.Sys.Demand(0), e.Sys.Demand(2))
+	demand := make([]int64, len(e.Sys.Topo.Nodes))
+	for i := range demand {
+		demand[i] = e.Sys.Demand(tier.NodeID(i))
+	}
+	return fmt.Sprintf("idx=%d n=%d app=%d span=%d total=%d node=%v faults=%d demand=%v",
+		idx, n, e.intApp, e.SpanClockNs(), e.TotalAccesses, e.intAccesses, e.TotalFaults, demand)
 }
+
+// testTopologies are the machines the accounting tests run on: the
+// paper's four-node Optane machine, the three-tier CXL machine and the
+// two-tier DRAM+PM machine, all at scale 256.
+func testTopologies() []struct {
+	name string
+	topo *tier.Topology
+} {
+	return []struct {
+		name string
+		topo *tier.Topology
+	}{
+		{"optane", tier.OptaneTopology(256)},
+		{"cxl", tier.CXLTopology(256)},
+		{"two-tier", tier.TwoTierTopology(96*tier.GB/256, 756*tier.GB/256)},
+	}
+}
+
+// lastNode is the topology's highest node ID: the node the batch tests
+// sample and leave room on.
+func lastNode(e *Engine) tier.NodeID { return tier.NodeID(len(e.Sys.Topo.Nodes) - 1) }
 
 // batchScript is the access sequence both engines run in one phase: a
 // ref with n = 0, writes to a shadowed page, a non-present page, and a
@@ -90,14 +115,14 @@ var batchShapes = []struct {
 	{"mixed", []batchVMA{{true, 1}, {false, 512}}},
 }
 
-// batchEngine builds an engine whose placement logs the accounting it
-// sees, with the shape's VMAs, a PEBS sampler watching the node pages
-// land on and a shadowed page.
-func batchEngine(log *[]string, shape []batchVMA) (*Engine, []*vm.VMA) {
-	e := NewEngine(tier.OptaneTopology(256), 1)
+// batchEngine builds an engine on topo whose placement logs the
+// accounting it sees, with the shape's VMAs, a PEBS sampler watching the
+// last node and a shadowed page.
+func batchEngine(topo *tier.Topology, log *[]string, shape []batchVMA) (*Engine, []*vm.VMA) {
+	e := NewEngine(topo, 1)
 	e.Interval = 10 * time.Millisecond
 	e.EnableShadow()
-	e.SetSolution(&loggingSolution{fixedSolution: fixedSolution{node: 2}, log: log})
+	e.SetSolution(&loggingSolution{log: log})
 	var vs []*vm.VMA
 	for i, b := range shape {
 		e.AS.THP = b.thp
@@ -115,18 +140,18 @@ func batchEngine(log *[]string, shape []batchVMA) (*Engine, []*vm.VMA) {
 	sh := scriptRef(vs, 3, 0, 0)
 	sh.V.MarkShadowed(sh.Idx, 1)
 	e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 8)
-	e.PEBS.Arm(2)
+	e.PEBS.Arm(lastNode(e))
 	return e, vs
 }
 
 // leaveRoom reserves every node's free capacity except room bytes on the
-// node batchEngine's solution places on, so later faults run out of
-// memory.
+// last node, where the fault path's fallback then places every page, so
+// later faults run out of memory.
 func leaveRoom(e *Engine, room int64) {
 	for i := range e.Sys.Topo.Nodes {
 		n := tier.NodeID(i)
 		free := e.Sys.Free(n)
-		if n == 2 {
+		if n == lastNode(e) {
 			free -= room
 		}
 		e.Sys.Reserve(n, free)
@@ -140,99 +165,109 @@ func leaveRoom(e *Engine, room int64) {
 // VMA, so a fault mid-batch runs out of memory. It requires the same
 // accounting, the same PEBS state and the same hook calls, each seeing the
 // same engine state, and a failed engine's batch to do nothing. It runs on
-// each batch shape.
+// each batch shape on each test topology.
 func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
-	for _, shape := range batchShapes {
-		t.Run(shape.name, func(t *testing.T) {
-			var batchLog, seqLog []string
-			be, bvs := batchEngine(&batchLog, shape.vmas)
-			se, svs := batchEngine(&seqLog, shape.vmas)
-			engines := []struct {
-				e   *Engine
-				log *[]string
-			}{{be, &batchLog}, {se, &seqLog}}
-			for phase := 0; phase < 4; phase++ {
-				for _, x := range engines {
-					e, log := x.e, x.log
-					switch phase {
-					case 1:
-						e.Observer = func(v *vm.VMA, idx int, n, nw uint32, socket int) {
-							*log = append(*log, "observe "+v.Name+" "+accountingState(e, idx, n))
-						}
-					case 2:
-						e.Intercept = func(v *vm.VMA, idx int, n, nw uint32, node tier.NodeID) time.Duration {
-							*log = append(*log, "intercept "+v.Name+" "+accountingState(e, idx, n))
-							return time.Duration(n) * time.Duration(1+idx%3) * 100 * time.Nanosecond
-						}
-					case 3:
-						leaveRoom(e, 3*bvs[0].PageSize)
-					}
-				}
-				before := len(batchLog)
-				be.AccessBatch(batchScript(phase, bvs), 0)
-				for _, r := range batchScript(phase, svs) {
-					se.Access(r.V, r.Idx, r.N, r.NW, 0)
-				}
-				if len(batchLog) == before {
-					t.Fatalf("phase %d called no hook", phase)
-				}
+	for _, tt := range testTopologies() {
+		for _, shape := range batchShapes {
+			name := shape.name
+			if tt.name != "optane" {
+				name = tt.name + "/" + name
 			}
+			t.Run(name, func(t *testing.T) {
+				testBatchEqualsSequential(t, tt.topo, shape.vmas)
+			})
+		}
+	}
+}
 
-			if be.failed == nil || se.failed == nil {
-				t.Fatalf("no OOM: batch %v, sequential %v", be.failed, se.failed)
+func testBatchEqualsSequential(t *testing.T, topo *tier.Topology, shape []batchVMA) {
+	var batchLog, seqLog []string
+	be, bvs := batchEngine(topo, &batchLog, shape)
+	se, svs := batchEngine(topo, &seqLog, shape)
+	engines := []struct {
+		e   *Engine
+		log *[]string
+	}{{be, &batchLog}, {se, &seqLog}}
+	for phase := 0; phase < 4; phase++ {
+		for _, x := range engines {
+			e, log := x.e, x.log
+			switch phase {
+			case 1:
+				e.Observer = func(v *vm.VMA, idx int, n, nw uint32, socket int) {
+					*log = append(*log, "observe "+v.Name+" "+accountingState(e, idx, n))
+				}
+			case 2:
+				e.Intercept = func(v *vm.VMA, idx int, n, nw uint32, node tier.NodeID) time.Duration {
+					*log = append(*log, "intercept "+v.Name+" "+accountingState(e, idx, n))
+					return time.Duration(n) * time.Duration(1+idx%3) * 100 * time.Nanosecond
+				}
+			case 3:
+				leaveRoom(e, 3*bvs[0].PageSize)
 			}
-			if be.failed.Error() != se.failed.Error() {
-				t.Fatalf("failure: batch %v, sequential %v", be.failed, se.failed)
-			}
-			before, calls := accountingState(be, 0, 0), len(batchLog)
-			be.AccessBatch(batchScript(3, bvs), 0)
-			if after := accountingState(be, 0, 0); after != before || len(batchLog) != calls {
-				t.Fatalf("a failed engine's batch made %d hook calls and changed accounting:\n%s\n%s",
-					len(batchLog)-calls, before, after)
-			}
+		}
+		before := len(batchLog)
+		be.AccessBatch(batchScript(phase, bvs), 0)
+		for _, r := range batchScript(phase, svs) {
+			se.Access(r.V, r.Idx, r.N, r.NW, 0)
+		}
+		if len(batchLog) == before {
+			t.Fatalf("phase %d called no hook", phase)
+		}
+	}
 
-			if len(batchLog) != len(seqLog) {
-				t.Fatalf("batch made %d hook calls, sequential %d", len(batchLog), len(seqLog))
+	if be.failed == nil || se.failed == nil {
+		t.Fatalf("no OOM: batch %v, sequential %v", be.failed, se.failed)
+	}
+	if be.failed.Error() != se.failed.Error() {
+		t.Fatalf("failure: batch %v, sequential %v", be.failed, se.failed)
+	}
+	before, calls := accountingState(be, 0, 0), len(batchLog)
+	be.AccessBatch(batchScript(3, bvs), 0)
+	if after := accountingState(be, 0, 0); after != before || len(batchLog) != calls {
+		t.Fatalf("a failed engine's batch made %d hook calls and changed accounting:\n%s\n%s",
+			len(batchLog)-calls, before, after)
+	}
+
+	if len(batchLog) != len(seqLog) {
+		t.Fatalf("batch made %d hook calls, sequential %d", len(batchLog), len(seqLog))
+	}
+	for i := range seqLog {
+		if batchLog[i] != seqLog[i] {
+			t.Fatalf("hook call %d:\nbatch      %s\nsequential %s", i, batchLog[i], seqLog[i])
+		}
+	}
+	if got, want := accountingState(be, 0, 0), accountingState(se, 0, 0); got != want {
+		t.Fatalf("accounting:\nbatch      %s\nsequential %s", got, want)
+	}
+	if be.ShadowInvalidations != 1 || se.ShadowInvalidations != 1 {
+		t.Fatalf("shadow invalidations: batch %d, sequential %d, want 1", be.ShadowInvalidations, se.ShadowInvalidations)
+	}
+	if !reflect.DeepEqual(be.NodeAccesses, se.NodeAccesses) {
+		t.Fatalf("node accesses: batch %v, sequential %v", be.NodeAccesses, se.NodeAccesses)
+	}
+	for k, bv := range bvs {
+		sv := svs[k]
+		for i := 0; i < bv.NPages; i++ {
+			if bv.Count(i) != sv.Count(i) || bv.WriteCount(i) != sv.WriteCount(i) || bv.Node(i) != sv.Node(i) {
+				t.Fatalf("page %d of %s differs", i, bv.Name)
 			}
-			for i := range seqLog {
-				if batchLog[i] != seqLog[i] {
-					t.Fatalf("hook call %d:\nbatch      %s\nsequential %s", i, batchLog[i], seqLog[i])
-				}
-			}
-			if got, want := accountingState(be, 0, 0), accountingState(se, 0, 0); got != want {
-				t.Fatalf("accounting:\nbatch      %s\nsequential %s", got, want)
-			}
-			if be.ShadowInvalidations != 1 || se.ShadowInvalidations != 1 {
-				t.Fatalf("shadow invalidations: batch %d, sequential %d, want 1", be.ShadowInvalidations, se.ShadowInvalidations)
-			}
-			if !reflect.DeepEqual(be.NodeAccesses, se.NodeAccesses) {
-				t.Fatalf("node accesses: batch %v, sequential %v", be.NodeAccesses, se.NodeAccesses)
-			}
-			for k, bv := range bvs {
-				sv := svs[k]
-				for i := 0; i < bv.NPages; i++ {
-					if bv.Count(i) != sv.Count(i) || bv.WriteCount(i) != sv.WriteCount(i) || bv.Node(i) != sv.Node(i) {
-						t.Fatalf("page %d of %s differs", i, bv.Name)
-					}
-				}
-			}
-			bs, ss := be.PEBS.Samples(), se.PEBS.Samples()
-			if len(bs) == 0 || be.PEBS.Interrupts() == 0 {
-				t.Fatalf("script took %d samples, %d interrupts; it must exercise the sampler", len(bs), be.PEBS.Interrupts())
-			}
-			if len(bs) != len(ss) || be.PEBS.Interrupts() != se.PEBS.Interrupts() || be.PEBS.Dropped() != se.PEBS.Dropped() {
-				t.Fatalf("PEBS: batch %d samples/%d interrupts, sequential %d/%d",
-					len(bs), be.PEBS.Interrupts(), len(ss), se.PEBS.Interrupts())
-			}
-			for i := range bs {
-				if bs[i].VMA.Name != ss[i].VMA.Name || bs[i].Page != ss[i].Page || bs[i].Node != ss[i].Node {
-					t.Fatalf("sample %d: batch %+v, sequential %+v", i, bs[i], ss[i])
-				}
-			}
-			if b, s := pebsCarry(be.PEBS), pebsCarry(se.PEBS); b != s {
-				t.Fatalf("PEBS carry bits: batch %#x, sequential %#x", b, s)
-			}
-		})
+		}
+	}
+	bs, ss := be.PEBS.Samples(), se.PEBS.Samples()
+	if len(bs) == 0 || be.PEBS.Interrupts() == 0 {
+		t.Fatalf("script took %d samples, %d interrupts; it must exercise the sampler", len(bs), be.PEBS.Interrupts())
+	}
+	if len(bs) != len(ss) || be.PEBS.Interrupts() != se.PEBS.Interrupts() || be.PEBS.Dropped() != se.PEBS.Dropped() {
+		t.Fatalf("PEBS: batch %d samples/%d interrupts, sequential %d/%d",
+			len(bs), be.PEBS.Interrupts(), len(ss), se.PEBS.Interrupts())
+	}
+	for i := range bs {
+		if bs[i].VMA.Name != ss[i].VMA.Name || bs[i].Page != ss[i].Page || bs[i].Node != ss[i].Node {
+			t.Fatalf("sample %d: batch %+v, sequential %+v", i, bs[i], ss[i])
+		}
+	}
+	if b, s := pebsCarry(be.PEBS), pebsCarry(se.PEBS); b != s {
+		t.Fatalf("PEBS carry bits: batch %#x, sequential %#x", b, s)
 	}
 }
 

@@ -21,12 +21,14 @@ func (s *spreadSolution) Place(e *Engine, v *vm.VMA, idx, socket int) tier.NodeI
 }
 
 // counterModel is the per-ref model of the engine's access counters: a ref
-// with N > 0 adds N to its node's accesses and N cachelines to the node's
-// demand, and the ref that first touches a page also adds the page it
-// zeroes to the demand of the node the page lands on.
+// with N > 0 adds N to its node's accesses, N cachelines to the node's
+// demand and N·(latency + PerAccessCPU) to the interval's app time, and
+// the ref that first touches a page also adds the fault's cost and the
+// page it zeroes to the demand of the node the page lands on.
 type counterModel struct {
 	nodeAcc, demand []int64
 	total           int64
+	app             time.Duration
 }
 
 func newCounterModel(e *Engine) *counterModel {
@@ -51,11 +53,13 @@ func (m *counterModel) batch(e *Engine, refs []Ref) {
 		node := r.V.Node(r.Idx)
 		if page := (Ref{V: r.V, Idx: r.Idx}); faulting[page] {
 			m.demand[node] += r.V.PageSize
+			m.app += FaultCost + e.Sys.CopyTime(0, node, node, r.V.PageSize)
 			delete(faulting, page)
 		}
 		m.nodeAcc[node] += int64(r.N)
 		m.demand[node] += int64(r.N) * CachelineBytes
 		m.total += int64(r.N)
+		m.app += time.Duration(r.N) * (e.latNow[0][node] + PerAccessCPU)
 	}
 }
 
@@ -78,6 +82,9 @@ func (m *counterModel) check(t *testing.T, e *Engine, where string) {
 	}
 	if e.TotalAccesses != m.total {
 		t.Fatalf("%s: TotalAccesses = %d, per-ref model %d", where, e.TotalAccesses, m.total)
+	}
+	if e.intApp != m.app {
+		t.Fatalf("%s: interval app time = %d, per-ref model %d", where, e.intApp, m.app)
 	}
 }
 
@@ -107,11 +114,18 @@ func (w *scriptWorkload) Done() bool            { return w.done }
 
 // TestCountersHandDriven drives an engine the way Figures 3 and 11 do
 // (Sys.ResetWindow, then Access, with no RunInterval) and then through
-// one RunInterval, and checks Sys.Demand, NodeAccesses and TotalAccesses
-// against the per-ref model after every batch: before the first window,
-// mid-window, mid-interval and after the interval ends.
+// one RunInterval, and checks Sys.Demand, NodeAccesses, TotalAccesses and
+// the app time against the per-ref model after every batch: before the
+// first window, mid-window, mid-interval and after the interval ends. It
+// runs on each test topology.
 func TestCountersHandDriven(t *testing.T) {
-	e := NewEngine(tier.OptaneTopology(256), 1)
+	for _, tt := range testTopologies() {
+		t.Run(tt.name, func(t *testing.T) { testCountersHandDriven(t, tt.topo) })
+	}
+}
+
+func testCountersHandDriven(t *testing.T, topo *tier.Topology) {
+	e := NewEngine(topo, 1)
 	e.Interval = time.Millisecond
 	e.SetSolution(&spreadSolution{})
 	v := e.AS.Alloc("v", 64*vm.HugePageSize)
@@ -133,6 +147,7 @@ func TestCountersHandDriven(t *testing.T) {
 
 	w := &scriptWorkload{run: func(e *Engine) {
 		m.resetWindow() // beginInterval opened a new window
+		m.app = 0       // and zeroed the app time
 		m.check(t, e, "interval start")
 		m.batch(e, counterRefs(v, 3, 48, 300))
 		m.check(t, e, "mid-interval")

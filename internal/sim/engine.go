@@ -398,14 +398,14 @@ func (e *Engine) issue(refs []Ref, socket int) {
 // sample for the caller to Record; otherwise sample is NoNode. It charges
 // nothing while a sample-drop storm makes every access go through Record.
 //
-// The loop calls nothing, so its sums stay in registers. Per ref it
-// writes two engine counters: the node's intAccesses, which is also the
-// node's bandwidth demand (Sys.CountLines), and NodeAccesses, which must
-// be exact after every Access. The app time, the access total and the
-// PEBS carry stay in locals until accessRun returns, before the caller
-// runs any hook. App time and total are integer sums, so summing them
-// here changes no bit; the carry goes through the same adds, in the same
-// order, as Record's.
+// The loop calls nothing, so its sums stay in registers or on the stack.
+// Per ref it adds N to one local count per node; when the run ends it
+// folds the counts into the node's intAccesses (also its bandwidth
+// demand, Sys.CountLines), NodeAccesses, TotalAccesses and the app time,
+// before the caller runs any hook. Every one of them is an integer sum,
+// and ΣN·lat[node] over a node's refs is lat[node]·ΣN mod 2^64, so
+// folding changes no bit. The PEBS carry stays in a local too; it goes
+// through the same adds, in the same order, as Record's.
 func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 	var watched []bool
 	var frac, carry float64
@@ -416,11 +416,10 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 		}
 	}
 	lat := e.latNow[socket]
-	// Every per-node slice has one entry per node; saying so lets the
-	// compiler drop two bounds checks and their registers.
-	acc, na := e.intAccesses[:len(lat)], e.NodeAccesses[:len(lat)]
-	var mem time.Duration // the refs' latency; PerAccessCPU is added once
-	var total int64
+	// tier.Topology.Validate bounds the node count, so every node has a
+	// slot and none shares one.
+	var counts [tier.MaxNodes]int64
+	cnt := counts[:len(lat)]
 	sample = vm.NoNode
 	for ; n < len(refs); n++ {
 		r := refs[n]
@@ -431,10 +430,7 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 		if node == vm.NoNode {
 			break
 		}
-		mem += time.Duration(r.N) * lat[node]
-		acc[node] += int64(r.N)
-		na[node] += int64(r.N)
-		total += int64(r.N)
+		cnt[node] += int64(r.N)
 		if int(node) < len(watched) && watched[node] {
 			// Record's sample-free path, on the carry in a register.
 			exp := float64(r.N)*frac/pebs.SamplePeriod + carry
@@ -444,6 +440,17 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 			}
 			carry = exp
 		}
+	}
+	// Every per-node slice has one entry per node; saying so lets the
+	// compiler drop their bounds checks.
+	acc, na := e.intAccesses[:len(cnt)], e.NodeAccesses[:len(cnt)]
+	var mem time.Duration // the refs' latency; PerAccessCPU is added once
+	var total int64
+	for i, c := range cnt {
+		mem += time.Duration(c) * lat[i]
+		acc[i] += c
+		na[i] += c
+		total += c
 	}
 	e.intApp += mem + time.Duration(total)*PerAccessCPU
 	e.TotalAccesses += total

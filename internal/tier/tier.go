@@ -30,6 +30,10 @@ type NodeID int
 // Invalid is returned by lookups that find no suitable node.
 const Invalid NodeID = -1
 
+// MaxNodes is the most memory nodes a topology may have, so that code can
+// keep a per-node array on the stack. The machines modelled have 2 to 4.
+const MaxNodes = 16
+
 // Kind distinguishes the broad class of a memory component.
 type Kind uint8
 
@@ -94,6 +98,9 @@ func (t *Topology) Validate() error {
 	}
 	if len(t.Nodes) == 0 {
 		return fmt.Errorf("tier: topology has no memory nodes")
+	}
+	if len(t.Nodes) > MaxNodes {
+		return fmt.Errorf("tier: topology has %d memory nodes, at most %d allowed", len(t.Nodes), MaxNodes)
 	}
 	if len(t.Links) != t.Sockets {
 		return fmt.Errorf("tier: Links has %d rows, want %d", len(t.Links), t.Sockets)

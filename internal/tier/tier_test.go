@@ -1,6 +1,7 @@
 package tier
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,10 +115,24 @@ func TestTwoTierTopology(t *testing.T) {
 	}
 }
 
+// wideTopology returns a valid one-socket topology with n nodes.
+func wideTopology(n int) *Topology {
+	topo := &Topology{Sockets: 1, Links: make([][]Link, 1)}
+	for i := 0; i < n; i++ {
+		topo.Nodes = append(topo.Nodes, NodeSpec{Name: fmt.Sprint("n", i), Capacity: 1})
+		topo.Links[0] = append(topo.Links[0], Link{Latency: 1, Bandwidth: 1})
+	}
+	return topo
+}
+
 func TestValidateRejectsBadTopologies(t *testing.T) {
+	if err := wideTopology(MaxNodes).Validate(); err != nil {
+		t.Fatalf("%d nodes: %v", MaxNodes, err)
+	}
 	cases := map[string]*Topology{
-		"no sockets": {Sockets: 0, Nodes: []NodeSpec{{Capacity: 1}}},
-		"no nodes":   {Sockets: 1},
+		"too many nodes": wideTopology(MaxNodes + 1),
+		"no sockets":     {Sockets: 0, Nodes: []NodeSpec{{Capacity: 1}}},
+		"no nodes":       {Sockets: 1},
 		"bad links": {
 			Sockets: 1,
 			Nodes:   []NodeSpec{{Name: "a", Capacity: 1}},

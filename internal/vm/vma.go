@@ -33,7 +33,9 @@ type VMA struct {
 	Name     string
 	Base     uint64 // starting virtual address, HugePageSize-aligned
 	PageSize int64  // BasePageSize or HugePageSize
-	NPages   int
+	// PageShift is log2(PageSize): a byte offset's page is off >> PageShift.
+	PageShift uint
+	NPages    int
 
 	pages []page
 
@@ -103,14 +105,15 @@ type page struct {
 
 func newVMA(name string, base uint64, pageSize int64, nPages int) *VMA {
 	return &VMA{
-		Name:     name,
-		Base:     base,
-		PageSize: pageSize,
-		NPages:   nPages,
-		pages:    make([]page, nPages),
-		present:  NewBitmap(nPages),
-		dirty:    NewBitmap(nPages),
-		touched:  NewBitmap(nPages),
+		Name:      name,
+		Base:      base,
+		PageSize:  pageSize,
+		PageShift: uint(bits.TrailingZeros64(uint64(pageSize))),
+		NPages:    nPages,
+		pages:     make([]page, nPages),
+		present:   NewBitmap(nPages),
+		dirty:     NewBitmap(nPages),
+		touched:   NewBitmap(nPages),
 	}
 }
 
@@ -124,7 +127,7 @@ func (v *VMA) End() uint64 { return v.Base + uint64(v.Bytes()) }
 func (v *VMA) Addr(idx int) uint64 { return v.Base + uint64(int64(idx)*v.PageSize) }
 
 // PageOf returns the page index containing addr, which must lie in the VMA.
-func (v *VMA) PageOf(addr uint64) int { return int((addr - v.Base) / uint64(v.PageSize)) }
+func (v *VMA) PageOf(addr uint64) int { return int((addr - v.Base) >> v.PageShift) }
 
 // PTE reconstructs the page-table entry of page idx from the flag byte and
 // the bit planes.

@@ -23,9 +23,10 @@ type VoltDB struct {
 
 	warehouse, district, item     *vm.VMA
 	customer, stock, orders, hist *vm.VMA
-	custPerWh, stockPerWh         int64 // bytes per warehouse in each table
+	custPerWh, stockPerWh         int64       // bytes per warehouse in each table
+	custRow, stockRow             rng.Bound63 // draw an offset within one warehouse's slice
 	homes                         []int
-	orderCursor                   int64
+	orderOff, histOff             int64 // append cursors, wrapped within orders and hist
 	reassignLeft                  int64
 	refs                          chunkBufs
 }
@@ -66,6 +67,8 @@ func (w *VoltDB) Init(e *sim.Engine) {
 	w.item = e.AS.Alloc("tpcc.item", 16*MB)
 	w.custPerWh = w.customer.Bytes() / scale
 	w.stockPerWh = w.stock.Bytes() / scale
+	w.custRow = rng.NewBound63(w.custPerWh)
+	w.stockRow = rng.NewBound63(w.stockPerWh)
 	w.homes = make([]int, voltdbClients)
 	w.assignHomes(e.Rng)
 	initTouch(e, w.customer, w.stock, w.orders, w.hist, w.warehouse, w.district, w.item)
@@ -116,13 +119,13 @@ func (w *VoltDB) transaction(r *rng.Rand, refs []sim.Ref) []sim.Ref {
 	}
 
 	// Warehouse + district: hot, small, read-mostly with a YTD update.
-	refs = append(refs, sim.Ref{V: w.warehouse, Idx: pageOf(w.warehouse, int64(wh)*4096%w.warehouse.Bytes()), N: 2, NW: 1})
-	dOff := (int64(wh)*10 + int64(r.Intn(10))) * 4096 % w.district.Bytes()
-	refs = append(refs, sim.Ref{V: w.district, Idx: pageOf(w.district, dOff), N: 2, NW: 1})
+	refs = append(refs, sim.Ref{V: w.warehouse, Idx: pageAt(w.warehouse, int64(wh)*4096), N: 2, NW: 1})
+	dOff := (int64(wh)*10 + int64(r.Intn(10))) * 4096
+	refs = append(refs, sim.Ref{V: w.district, Idx: pageAt(w.district, dOff), N: 2, NW: 1})
 
 	// Customer row in the home warehouse's slice.
-	cOff := int64(wh)*w.custPerWh + int64(r.Int63n(w.custPerWh))
-	refs = append(refs, sim.Ref{V: w.customer, Idx: pageOf(w.customer, cOff%w.customer.Bytes()), N: 3, NW: 1})
+	cOff := int64(wh)*w.custPerWh + w.custRow.Draw(r)
+	refs = append(refs, sim.Ref{V: w.customer, Idx: pageAt(w.customer, cOff), N: 3, NW: 1})
 
 	// Order lines: item lookups (read-only, hot) + stock updates. Lines
 	// are issued as three page draws within the warehouse's stock slice,
@@ -131,16 +134,16 @@ func (w *VoltDB) transaction(r *rng.Rand, refs []sim.Ref) []sim.Ref {
 	refs = append(refs, sim.Ref{V: w.item, Idx: r.Intn(w.item.NPages), N: uint32(lines)})
 	per := uint32(lines+2) / 3
 	for l := 0; l < 3; l++ {
-		sOff := int64(wh)*w.stockPerWh + int64(r.Int63n(w.stockPerWh))
-		refs = append(refs, sim.Ref{V: w.stock, Idx: pageOf(w.stock, sOff%w.stock.Bytes()), N: 2 * per, NW: per})
+		sOff := int64(wh)*w.stockPerWh + w.stockRow.Draw(r)
+		refs = append(refs, sim.Ref{V: w.stock, Idx: pageAt(w.stock, sOff), N: 2 * per, NW: per})
 	}
 
 	// Order + history appends: sequential write cursors.
-	w.orderCursor += 64
-	oOff := w.orderCursor % w.orders.Bytes()
-	refs = append(refs, sim.Ref{V: w.orders, Idx: pageOf(w.orders, oOff), N: 1, NW: 1})
+	w.orderOff = advance(w.orderOff, 64, w.orders.Bytes())
+	w.histOff = advance(w.histOff, 64, w.hist.Bytes())
+	refs = append(refs, sim.Ref{V: w.orders, Idx: pageOf(w.orders, w.orderOff), N: 1, NW: 1})
 	if r.Intn(4) == 0 {
-		refs = append(refs, sim.Ref{V: w.hist, Idx: pageOf(w.hist, w.orderCursor%w.hist.Bytes()), N: 1, NW: 1})
+		refs = append(refs, sim.Ref{V: w.hist, Idx: pageOf(w.hist, w.histOff), N: 1, NW: 1})
 	}
 	return refs
 }

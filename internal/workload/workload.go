@@ -89,7 +89,25 @@ func (b *chunkBufs) keep(refs []sim.Ref) []sim.Ref {
 }
 
 // pageOf maps a byte offset within a VMA to its page index.
-func pageOf(v *vm.VMA, off int64) int { return int(off / v.PageSize) }
+func pageOf(v *vm.VMA, off int64) int { return int(off >> v.PageShift) }
+
+// pageAt is pageOf(v, off mod v.Bytes()); it divides only when off is
+// out of range.
+func pageAt(v *vm.VMA, off int64) int {
+	if n := v.Bytes(); off >= n {
+		off %= n
+	}
+	return pageOf(v, off)
+}
+
+// advance returns (off+step) mod size for an offset 0 <= off < size and
+// a step no larger than size, without dividing.
+func advance(off, step, size int64) int64 {
+	if off += step; off >= size {
+		off -= size
+	}
+	return off
+}
 
 // touchRange appends bytes [off, off+n) of v to refs: one ref per
 // simulated page touched, with the element count that falls on that page.

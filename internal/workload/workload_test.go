@@ -444,7 +444,7 @@ func TestZipfSampler(t *testing.T) {
 	z := newZipf(1000)
 	counts := make([]int, 1000)
 	for i := 0; i < 100000; i++ {
-		counts[z.Next(e.Rng)]++
+		counts[z.next(e.Rng.Float64(), e.Rng)]++
 	}
 	if counts[0] < counts[500]*10 {
 		t.Fatalf("zipf not skewed: rank0=%d rank500=%d", counts[0], counts[500])

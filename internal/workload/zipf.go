@@ -97,14 +97,40 @@ func (z *zipfSampler) hinv(x float64) float64 {
 	return math.Exp(z.oneminusQinv*math.Log(z.oneminusQ*x)) - 1
 }
 
-// Next returns the next rank, drawing from r as math/rand's Zipf draws
-// from the Rand it was built with.
-func (z *zipfSampler) Next(r *rng.Rand) uint64 {
+// next returns the rank math/rand's Zipf returns when its first Float64
+// draw is u, drawing again from r as it does after each rejection.
+func (z *zipfSampler) next(u float64, r *rng.Rand) uint64 {
 	for {
-		if k, ok := z.rank(r.Float64()); ok {
+		if k, ok := z.rank(u); ok {
 			return k
 		}
+		u = r.Float64()
 	}
+}
+
+// firstRank reports whether math/rand's first attempt returns one rank k
+// for every r in [lo, hi], and that k. It evaluates math/rand's attempt
+// at the two ends only. The exact x falls as r rises, so at any r between
+// the ends it lies between their exact values; an end whose x clears the
+// rounding edges k±½ and the acceptance edge k-s by zipfMargin·(x+1)
+// clears them by far more than math/rand's ~1e-14 error in x, so every r
+// between ends that both clear them gets k on its first attempt.
+func (z *zipfSampler) firstRank(lo, hi float64) (k uint64, ok bool) {
+	k, ok = z.clearRank(lo)
+	if k2, ok2 := z.clearRank(hi); !ok || !ok2 || k2 != k {
+		return 0, false
+	}
+	return k, true
+}
+
+// clearRank is math/rand's first attempt at r, with ok only where its x
+// lies more than the margin from every decision edge.
+func (z *zipfSampler) clearRank(r float64) (k uint64, ok bool) {
+	x := z.hinv(z.hxm + r*z.hx0minusHxm)
+	kf := math.Floor(x + 0.5)
+	m := zipfMargin * (x + 1)
+	d := kf - x
+	return uint64(kf), m < d+0.5 && d+m <= z.s
 }
 
 // rank is one attempt of math/rand's Zipf.Uint64 for the uniform draw r:

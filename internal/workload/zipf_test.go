@@ -8,6 +8,7 @@ import (
 
 	"mtm/internal/rng"
 	"mtm/internal/sim"
+	"mtm/internal/vm"
 )
 
 // oneShot is a math/rand Source whose first Int63 after a reset is a
@@ -86,7 +87,7 @@ func TestZipfMatchesMathRand(t *testing.T) {
 				got := newZipf(n)
 				want := rand.NewZipf(rand.New(r2), zipfQ, 1, n-1)
 				for i := 0; i < draws; i++ {
-					if g, w := got.Next(r1), want.Uint64(); g != w {
+					if g, w := got.next(r1.Float64(), r1), want.Uint64(); g != w {
 						t.Fatalf("draw %d: rank %d, rand.Zipf %d", i, g, w)
 					}
 				}
@@ -177,33 +178,195 @@ func firstInt63(past func(i int64) bool) int64 {
 }
 
 // FuzzZipfRank compares rank with rand.Zipf for any rank count and any r
-// Float64 can return.
+// Float64 can return, on a cold sampler and on one whose grid is filled,
+// and requires firstRank's answer for r's key cell, where it gives one,
+// to be rand.Zipf's.
 func FuzzZipfRank(f *testing.F) {
 	f.Add(uint64(409600), uint64(1)<<62)
 	f.Add(uint64(2), uint64(0))
 	f.Add(uint64(1)<<30, uint64(12345)<<40)
+	var warm *zipfSampler
+	var warmN uint64
 	f.Fuzz(func(t *testing.T, n, bits uint64) {
 		n = 2 + n>>2
 		r := uniform(int64(bits >> 1))
 		if r == 1 {
 			return // Float64 never returns 1
 		}
-		k, ok := newZipf(n).rank(r)
+		if warmN != n {
+			warm, warmN = newZipf(n), n
+			for i := range warm.tab {
+				warm.fill(i)
+			}
+		}
 		wk, wok := newStdZipf(n).rank(r)
-		if ok != wok || (ok && k != wk) {
-			t.Fatalf("n=%d r=%v: rank (%d, %v), rand.Zipf (%d, %v)", n, r, k, ok, wk, wok)
+		for _, z := range []*zipfSampler{newZipf(n), warm} {
+			if k, ok := z.rank(r); ok != wok || (ok && k != wk) {
+				t.Fatalf("n=%d r=%v: rank (%d, %v), rand.Zipf (%d, %v)", n, r, k, ok, wk, wok)
+			}
+		}
+		lo, hi := keyCell(int(r * keyCells))
+		if k, ok := warm.firstRank(lo, hi); ok && (!wok || k != wk) {
+			t.Fatalf("n=%d r=%v: firstRank(%v, %v) = %d, rand.Zipf (%d, %v)", n, r, lo, hi, k, wk, wok)
 		}
 	})
 }
 
-// BenchmarkZipfNext times one Cassandra key rank at bench scale (n =
-// 409600) from zipfSampler and from the rand.Zipf it replaces.
+// testKeys returns the key table Cassandra builds at the given scale, with
+// its index on 2 MB pages if thp is set and on 4 KB pages otherwise.
+func testKeys(scale int64, thp bool) *keyTable {
+	c := NewCassandra(Config{Scale: scale})
+	as := vm.NewAddressSpace()
+	as.THP = thp
+	c.alloc(as)
+	return c.keys
+}
+
+// keyConfigs are the key tables the tests check: scale 1, where keys do
+// not pack into cells, and scales 64 (n = 409,600) and 256 on both page
+// sizes. Scale 1 on 4 KB pages would take a 1.2 GB page array.
+var keyConfigs = []struct {
+	scale int64
+	thp   bool
+}{{1, true}, {64, true}, {64, false}, {256, true}, {256, false}}
+
+// TestKeysMatchMathRand draws Cassandra's keys from its key table and
+// ranks from rand.Zipf on copies of one stream, hashing each rank as
+// Cassandra's partitioner does, and requires the same key every draw and
+// the streams in step afterwards.
+func TestKeysMatchMathRand(t *testing.T) {
+	draws := 2_000_000
+	if testing.Short() || sim.RaceEnabled {
+		draws = 20_000
+	}
+	for _, kc := range keyConfigs {
+		t.Run(fmt.Sprintf("scale=%d/thp=%v", kc.scale, kc.thp), func(t *testing.T) {
+			t.Parallel()
+			keys := testKeys(kc.scale, kc.thp)
+			if keys.packs != (kc.scale > 1) {
+				t.Fatalf("packs = %v at scale %d", keys.packs, kc.scale)
+			}
+			r1, r2 := rng.New(5), rng.New(5)
+			want := rand.NewZipf(rand.New(r2), zipfQ, 1, 16*keys.nBlocks-1)
+			for i := 0; i < draws; i++ {
+				block, page := keys.draw(r1)
+				k := want.Uint64()
+				wb, wp := int64(rng.Mix64(k/16)%keys.nBlocks), int(rng.Mix64(k)%keys.nPages)
+				if block != wb || page != wp {
+					t.Fatalf("draw %d: key (%d, %d), rand.Zipf rank %d's (%d, %d)", i, block, page, k, wb, wp)
+				}
+			}
+			if r1.Uint64() != r2.Uint64() {
+				t.Fatal("streams out of step: the key table consumed different draws")
+			}
+			var filled, hits int
+			for _, e := range keys.cells {
+				if e != 0 {
+					filled++
+				}
+				if e >= keyHit {
+					hits++
+				}
+			}
+			if keys.packs && hits < filled/2 {
+				t.Fatalf("%d of %d filled cells hold a key", hits, filled)
+			}
+		})
+	}
+}
+
+// TestKeyCells fills every cell of Cassandra's key table at the scales of
+// keyConfigs (n = 16·nBlocks). Where firstRank calls a cell exact,
+// rand.Zipf's first attempt must return its rank, without drawing again,
+// at the cell's lowest r, at the largest float64 below the next cell and
+// 1 to 4 ulps inside each; where the cell holds a key it must be that
+// rank's. The checks cannot reach the few ulps where math/rand's x is
+// within its rounding error of a decision edge, so firstRank must also
+// refuse an interval with an end on an edge: it may not trust an x there.
+func TestKeyCells(t *testing.T) {
+	for _, kc := range keyConfigs {
+		if !kc.thp {
+			continue // n does not depend on the index pages
+		}
+		t.Run(fmt.Sprintf("scale=%d", kc.scale), func(t *testing.T) {
+			t.Parallel()
+			keys := testKeys(kc.scale, kc.thp)
+			z, std := keys.zipf, newStdZipf(16*keys.nBlocks)
+			exact := 0
+			for i := 0; i < keyCells; i++ {
+				e := keys.fill(i)
+				lo, hi := keyCell(i)
+				k, ok := z.firstRank(lo, hi)
+				if !ok {
+					if e != keyMiss {
+						t.Fatalf("cell %d is not exact but holds %#x", i, e)
+					}
+					continue
+				}
+				exact++
+				for d := uint64(0); d <= 4; d++ {
+					for _, r := range []float64{
+						math.Float64frombits(math.Float64bits(lo) + d),
+						math.Float64frombits(math.Float64bits(hi) - d),
+					} {
+						if !drawable(r) || r < lo || r > hi {
+							continue
+						}
+						wk, wok := std.rank(r)
+						if !wok || wk != k {
+							t.Fatalf("cell %d r=%v: firstRank %d, rand.Zipf (%d, %v)", i, r, k, wk, wok)
+						}
+					}
+				}
+				if keys.packs {
+					b, p := keys.key(k)
+					if want := keyHit + uint32(b<<16|p); e != want {
+						t.Fatalf("cell %d (rank %d) holds %#x, want %#x", i, k, e, want)
+					}
+				}
+			}
+			if exact < keyCells/2 {
+				t.Fatalf("%d of %d cells exact", exact, keyCells)
+			}
+
+			// The first 2,000 ranks' rounding edges x = k+½ and
+			// acceptance edges k-x = s, found as in TestZipfRankEdges.
+			x := func(r float64) float64 { return z.hinv(z.hxm + r*z.hx0minusHxm) }
+			const w = 1.0 / (1 << 30) // far inside one rank for these ranks
+			for k := 0.0; k < 2000; k++ {
+				round := uniform(firstInt63(func(i int64) bool { return x(uniform(i)) < k+0.5 }))
+				accept := uniform(firstInt63(func(i int64) bool { return x(uniform(i)) < k-z.s }))
+				if _, ok := z.firstRank(round, round+w); ok {
+					t.Fatalf("rank %v: firstRank trusts [%v, +2^-30], which starts on its rounding edge", k, round)
+				}
+				if accept == 1 {
+					continue // x stays above k-s: rank 0 has no such edge
+				}
+				below := math.Nextafter(accept, 0)
+				if _, ok := z.firstRank(below-w, below); ok {
+					t.Fatalf("rank %v: firstRank trusts [-2^-30, %v], which ends on its acceptance edge", k, below)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkZipfNext times one Cassandra key at bench scale (n = 409600)
+// from the key table, and one rank from zipfSampler and from the
+// rand.Zipf it replaces.
 func BenchmarkZipfNext(b *testing.B) {
 	const n = 409600
+	b.Run("keys", func(b *testing.B) {
+		keys, r := testKeys(64, true), rng.New(1)
+		for i := 0; i < b.N; i++ {
+			block, page := keys.draw(r)
+			zipfSink += uint64(block) + uint64(page)
+		}
+	})
 	b.Run("sampler", func(b *testing.B) {
 		z, r := newZipf(n), rng.New(1)
 		for i := 0; i < b.N; i++ {
-			zipfSink += z.Next(r)
+			zipfSink += z.next(r.Float64(), r)
 		}
 	})
 	b.Run("math-rand", func(b *testing.B) {
