@@ -140,13 +140,17 @@ func hugeRefs() (*sim.Engine, []sim.Ref) {
 // accessShapes are the shapes of BenchmarkAccessBatch; an op is one ref.
 // huge issues engineAccess's accesses up to 256 to a batch. pebs issues
 // them with a PEBS buffer armed on every node, so each ref feeds the
-// sampler. random-4k issues seeded random refs over a 2^21-page 4 KB VMA,
-// so nearly every ref misses cache until the batch's warm pass has loaded
-// it. mixed issues Cassandra's shape: per op an index read, then a record
-// read or update, an update adding a commit-log write, each VMA of huge
-// pages. single issues random refs to the 64 huge pages one Access call
-// each, the path a lone access takes. fault first-touches fresh 4 KB
-// pages, the shape of a workload's set-up.
+// sampler. watched-half issues seeded random refs to the 64 huge pages,
+// spread at random over all four nodes, with the buffer armed on the two
+// PM nodes, as MTM arms it: about half the refs, in no regular order,
+// feed the sampler, which is gups-thp's shape. random-4k issues seeded
+// random refs over a 2^21-page 4 KB VMA, so nearly every ref misses cache
+// until the batch's warm pass has loaded it. mixed issues Cassandra's
+// shape: per op an index read, then a record read or update, an update
+// adding a commit-log write, each VMA of huge pages. single issues random
+// refs to the 64 huge pages one Access call each, the path a lone access
+// takes. fault first-touches fresh 4 KB pages, the shape of a workload's
+// set-up.
 var accessShapes = []struct {
 	name  string
 	shape accessShape
@@ -158,6 +162,21 @@ var accessShapes = []struct {
 		e, refs := hugeRefs()
 		e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 0)
 		e.PEBS.Arm(0, 1, 2, 3)
+		return batches(e, refs)
+	}},
+	{"watched-half", func(testing.TB, bool) (func(int), int) {
+		e, v := hugeVMA()
+		faultIn(e, v)
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < v.NPages; i++ {
+			e.MovePage(v, i, tier.NodeID(rng.Intn(len(e.Sys.Topo.Nodes))))
+		}
+		e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 0)
+		e.PEBS.Arm(2, 3) // the PM nodes
+		refs := make([]sim.Ref, 4096)
+		for i := range refs {
+			refs[i] = sim.Ref{V: v, Idx: rng.Intn(v.NPages), N: 4, NW: 2}
+		}
 		return batches(e, refs)
 	}},
 	{"random-4k", func(_ testing.TB, small bool) (func(int), int) {

@@ -44,7 +44,7 @@ type Buffer struct {
 	// The engine sets it per interval from the fault plane.
 	DropFrac float64
 
-	watched    []bool
+	on         []float64 // per node: 1 if watched, else 0 (see HitState)
 	armed      bool
 	samples    []Sample
 	interrupts int
@@ -62,7 +62,7 @@ func NewBuffer(nodes int, capacity int) *Buffer {
 	return &Buffer{
 		WindowFrac: DefaultWindowFrac,
 		Capacity:   capacity,
-		watched:    make([]bool, nodes),
+		on:         make([]float64, nodes),
 		samples:    make([]Sample, 0, capacity),
 	}
 }
@@ -70,11 +70,9 @@ func NewBuffer(nodes int, capacity int) *Buffer {
 // Arm starts a sampling window watching the given nodes. Previously
 // collected samples are cleared.
 func (b *Buffer) Arm(nodes ...tier.NodeID) {
-	for i := range b.watched {
-		b.watched[i] = false
-	}
+	clear(b.on)
 	for _, n := range nodes {
-		b.watched[n] = true
+		b.on[n] = 1
 	}
 	b.armed = true
 	b.samples = b.samples[:0]
@@ -90,7 +88,7 @@ func (b *Buffer) Armed() bool { return b.armed }
 
 // Watches reports whether accesses to node n are sampled.
 func (b *Buffer) Watches(n tier.NodeID) bool {
-	return b.armed && int(n) >= 0 && int(n) < len(b.watched) && b.watched[n]
+	return b.armed && int(n) >= 0 && int(n) < len(b.on) && b.on[n] != 0
 }
 
 // Record feeds n application accesses to (v, page) on node into the
@@ -139,20 +137,26 @@ func (b *Buffer) Record(v *vm.VMA, page int, node tier.NodeID, n uint32) {
 // HitState returns what a caller needs to take the sample-free path of
 // Record itself. ok is false while an interrupt storm drops samples
 // (DropFrac > 0 on an armed buffer): then every access must go through
-// Record. Otherwise watched is nil when the buffer is disarmed, so Record
-// does nothing, or else the watched-node table. For n accesses to a
-// watched node whose exp := float64(n)*frac/SamplePeriod + carry lies in
-// (-1, 1), Record records nothing and only sets the carry to exp, so the
+// Record. Otherwise on holds one factor per node, 1 for a watched node and
+// 0 for the others; it is nil while the buffer is disarmed, and a node
+// past its end counts as unwatched. For n accesses to node the caller
+// computes exp := float64(n)*frac/SamplePeriod*on[node] + carry. On a
+// watched node that is Record's own exp, since the factor 1 is exact; on
+// an unwatched one the step is +0, and +0 + carry is carry bit for bit,
+// because the carry is never −0: it starts at +0, WindowFrac is positive
+// and Record stores exp or exp − float64(int(exp)). While exp lies in
+// (−1, 1), Record records nothing and only sets the carry to exp, so the
 // caller may keep the carry in a local; it hands the carry back with
-// SetCarry before anything else uses the buffer.
-func (b *Buffer) HitState() (watched []bool, frac, carry float64, ok bool) {
+// SetCarry before anything else uses the buffer. The carry stays in
+// (−1, 1), so only a watched node's exp can leave it.
+func (b *Buffer) HitState() (on []float64, frac, carry float64, ok bool) {
 	if !b.armed {
-		return nil, 0, 0, true
+		return nil, 0, b.carry, true
 	}
 	if b.DropFrac > 0 {
 		return nil, 0, 0, false
 	}
-	return b.watched, b.WindowFrac, b.carry, true
+	return b.on, b.WindowFrac, b.carry, true
 }
 
 // SetCarry stores the fractional expected-sample carry a caller kept while

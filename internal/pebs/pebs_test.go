@@ -221,9 +221,9 @@ func TestSubOneFastPathIsExact(t *testing.T) {
 
 // TestHitStateMatchesRecord drives two buffers with one call sequence: one
 // through Record, the other through HitState's sample-free path wherever
-// it applies, with the carry in a local and Record (after SetCarry)
-// elsewhere. Samples, drops and carry bits must agree, and HitState must
-// report the disarmed and lossy states.
+// it applies, on watched and unwatched nodes alike, and Record (after
+// SetCarry) elsewhere. Samples, drops and carry bits must agree, and
+// HitState must report the disarmed and lossy states.
 func TestHitStateMatchesRecord(t *testing.T) {
 	b := NewBuffer(4, 64)
 	if w, _, _, ok := b.HitState(); w != nil || !ok {
@@ -243,16 +243,14 @@ func TestHitStateMatchesRecord(t *testing.T) {
 		x = x*6364136223846793005 + 1442695040888963407
 		n, node := uint32(x>>40)%4000, tier.NodeID(x>>20&3)
 		ref.Record(v, i, node, n)
-		watched, frac, carry, ok := fast.HitState()
+		on, frac, carry, ok := fast.HitState()
 		if !ok {
 			t.Fatal("armed lossless buffer reports ok == false")
 		}
-		if watched[node] {
-			if exp := float64(n)*frac/SamplePeriod + carry; exp > -1 && exp < 1 {
-				fast.SetCarry(exp)
-				fastCalls++
-				continue
-			}
+		if exp := float64(n)*frac/SamplePeriod*on[node] + carry; exp > -1 && exp < 1 {
+			fast.SetCarry(exp)
+			fastCalls++
+			continue
 		}
 		fast.Record(v, i, node, n)
 	}

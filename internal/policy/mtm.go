@@ -93,6 +93,7 @@ func (p *MTM) promote(e *sim.Engine) {
 		return
 	}
 	hist := buildHistogram(regions)
+	cold := hist.ColdestFirst() // makeRoom's victims, in the order it tries them
 	budget := p.MigrateBudget + p.carry
 	e.SpanBegin("policy", "plan",
 		span.S("policy", p.label),
@@ -167,7 +168,7 @@ func (p *MTM) promote(e *sim.Engine) {
 			}
 			need := dec.AllowedBytes
 			if e.Sys.Free(dst) < need {
-				demoted := p.makeRoom(e, hist, dst, need-e.Sys.Free(dst), view, demoteBudget, r.WHI)
+				demoted := p.makeRoom(e, cold, dst, need-e.Sys.Free(dst), view, demoteBudget, r.WHI)
 				demoteBudget -= demoted
 			}
 			if e.Sys.Free(dst) < r.V.PageSize {
@@ -197,10 +198,11 @@ func (p *MTM) promote(e *sim.Engine) {
 
 // makeRoom demotes the coldest regions resident on node to the next lower
 // tier with space, until need bytes are freed or the demotion budget runs
-// out. Victims must be strictly colder than the promotion candidate
-// (candidateWHI): slow demotion never evicts pages likelier to be accessed
-// than what replaces them (§6.2). It returns the bytes demoted.
-func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, need int64, view []tier.NodeID, budget int64, candidateWHI float64) int64 {
+// out. cold is the plan's regions, coldest first. Victims must be strictly
+// colder than the promotion candidate (candidateWHI): slow demotion never
+// evicts pages likelier to be accessed than what replaces them (§6.2). It
+// returns the bytes demoted.
+func (p *MTM) makeRoom(e *sim.Engine, cold []*region.Region, node tier.NodeID, need int64, view []tier.NodeID, budget int64, candidateWHI float64) int64 {
 	if budget <= 0 {
 		return 0
 	}
@@ -212,14 +214,17 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 		// frames demotes for the cost of a remap — so free demotions are
 		// taken from the whole cold set first, and the copy pass below
 		// only covers whatever need the shadow supply could not.
-		for _, r := range hist.ColdestFirst() {
+		for _, r := range cold {
 			if demoted >= need || demoted >= budget {
 				break
 			}
 			if r.WHI >= candidateWHI {
 				break
 			}
-			if profiler.RegionNode(r) != node {
+			// A region with no shadow frame has nothing to flip:
+			// flipVictim would sync no stale shadow and find no valid
+			// one, since both are shadows (shadowValid ⊆ shadowAll).
+			if !r.V.ShadowedIn(r.Start, r.End) || profiler.RegionNode(r) != node {
 				continue
 			}
 			remaining := need - demoted
@@ -229,7 +234,7 @@ func (p *MTM) makeRoom(e *sim.Engine, hist *region.Histogram, node tier.NodeID, 
 			demoted += p.flipVictim(e, r, node, remaining)
 		}
 	}
-	for _, r := range hist.ColdestFirst() {
+	for _, r := range cold {
 		if demoted >= need || demoted >= budget {
 			break
 		}

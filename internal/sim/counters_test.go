@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -219,6 +221,45 @@ func TestResultPinOOMMidInterval(t *testing.T) {
 	}
 }
 
+// samplerPair returns an engine that places page idx of its VMA v, 64
+// huge pages, on node idx mod 4, with a PEBS buffer of the given capacity,
+// and a model buffer. arm applies to both buffers.
+func samplerPair(capacity int, arm func(*pebs.Buffer)) (e *Engine, v *vm.VMA, model *pebs.Buffer) {
+	e = NewEngine(tier.OptaneTopology(256), 1)
+	e.SetSolution(&spreadSolution{})
+	v = e.AS.Alloc("v", 64*vm.HugePageSize)
+	e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), capacity)
+	model = pebs.NewBuffer(len(e.Sys.Topo.Nodes), capacity)
+	arm(e.PEBS)
+	arm(model)
+	return e, v, model
+}
+
+// batchAndModel issues refs as one AccessBatch and feeds the model one
+// Record call per ref with N > 0, with the node the ref landed on.
+func batchAndModel(e *Engine, model *pebs.Buffer, refs []Ref) {
+	e.AccessBatch(refs, 0)
+	for _, r := range refs {
+		if r.N > 0 {
+			model.Record(r.V, r.Idx, r.V.Node(r.Idx), r.N)
+		}
+	}
+}
+
+// sameSampler fails t unless the engine's buffer and the Record model hold
+// the same samples, interrupts, drops and carry bits.
+func sameSampler(t *testing.T, e *Engine, model *pebs.Buffer, where string) {
+	t.Helper()
+	got, want := e.PEBS.Samples(), model.Samples()
+	if !reflect.DeepEqual(got, want) || e.PEBS.Interrupts() != model.Interrupts() || e.PEBS.Dropped() != model.Dropped() {
+		t.Fatalf("%s: engine took %d samples/%d interrupts/%d dropped, Record model %d/%d/%d",
+			where, len(got), e.PEBS.Interrupts(), e.PEBS.Dropped(), len(want), model.Interrupts(), model.Dropped())
+	}
+	if b, m := pebsCarry(e.PEBS), pebsCarry(model); b != m {
+		t.Fatalf("%s: carry bits %#x, Record model %#x", where, b, m)
+	}
+}
+
 // TestSamplerMatchesRecordModel runs batches on an engine whose PEBS
 // buffer watches two of the four nodes and feeds a second buffer, armed
 // alike, one Record call per ref with the node the ref landed on. The
@@ -226,34 +267,72 @@ func TestResultPinOOMMidInterval(t *testing.T) {
 // under a sample-drop storm, and the batches must take samples.
 func TestSamplerMatchesRecordModel(t *testing.T) {
 	for _, drop := range []float64{0, 0.4} {
-		e := NewEngine(tier.OptaneTopology(256), 1)
-		e.SetSolution(&spreadSolution{})
-		v := e.AS.Alloc("v", 64*vm.HugePageSize)
-		e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 64)
-		model := pebs.NewBuffer(len(e.Sys.Topo.Nodes), 64)
-		for _, b := range []*pebs.Buffer{e.PEBS, model} {
+		e, v, model := samplerPair(64, func(b *pebs.Buffer) {
 			b.Arm(0, 2)
 			b.DropFrac = drop
-		}
+		})
 		for seed := uint64(1); seed <= 20; seed++ {
-			refs := counterRefs(v, seed, 64, 200)
-			e.AccessBatch(refs, 0)
-			for _, r := range refs {
-				if r.N > 0 {
-					model.Record(r.V, r.Idx, r.V.Node(r.Idx), r.N)
+			batchAndModel(e, model, counterRefs(v, seed, 64, 200))
+		}
+		if len(model.Samples()) == 0 || model.Interrupts() == 0 {
+			t.Fatalf("drop %v: %d samples, %d interrupts; the refs must exercise the sampler", drop, len(model.Samples()), model.Interrupts())
+		}
+		sameSampler(t, e, model, fmt.Sprintf("drop %v", drop))
+	}
+}
+
+// FuzzSamplerMatchesRecord decodes its bytes into a sampler setting and
+// one batch, and checks the batch's samples, interrupts, drops and carry
+// bits against one Record call per ref. The first byte is the watched
+// node set (bits 0–3; bit 4 disarms both buffers), the next two a
+// WindowFrac in (0, 1], the next the buffer's capacity, and every 7 bytes
+// after them one ref: its page (which picks its node, mod 4), a shift s,
+// a 32-bit x, so that N is x >> (s mod 32) and small values are common,
+// and its write count.
+func FuzzSamplerMatchesRecord(f *testing.F) {
+	for _, seed := range []struct {
+		mask     byte
+		frac     uint16 // WindowFrac is (frac+1)/2^16
+		capacity byte
+		ns       []uint32
+	}{
+		{0b1100, 6553, 8, []uint32{1000, 3, 2500, 70, 4000, 1, 600, 199}}, // the PM nodes, as MTM arms them
+		{0b0101, 0xffff, 63, []uint32{200, 1, 199, 400, 0, 7, 1 << 20}},   // HeMem's WindowFrac of 1
+		{0b0000, 0x8000, 1, []uint32{50, 60, 1 << 16}},
+		{0b11111, 0x8000, 1, []uint32{50, 60, 1 << 16}},
+	} {
+		data := []byte{seed.mask, byte(seed.frac), byte(seed.frac >> 8), seed.capacity}
+		for i := range 40 {
+			data = append(data, byte(i%8), 0) // the first 8 refs fault, the rest hit
+			data = binary.LittleEndian.AppendUint32(data, seed.ns[i%len(seed.ns)])
+			data = append(data, byte(i%3))
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		mask, frac, capacity := data[0], float64(binary.LittleEndian.Uint16(data[1:])+1)/(1<<16), int(data[3]%64)+1
+		e, v, model := samplerPair(capacity, func(b *pebs.Buffer) {
+			b.WindowFrac = frac
+			var nodes []tier.NodeID
+			for n := range 4 {
+				if mask>>n&1 != 0 {
+					nodes = append(nodes, tier.NodeID(n))
 				}
 			}
+			b.Arm(nodes...)
+			if mask&0x10 != 0 {
+				b.Disarm()
+			}
+		})
+		var refs []Ref
+		for rest := data[4:]; len(rest) >= 7 && len(refs) < 64; rest = rest[7:] {
+			n := binary.LittleEndian.Uint32(rest[2:]) >> (rest[1] % 32)
+			refs = append(refs, Ref{V: v, Idx: int(rest[0]) % v.NPages, N: n, NW: uint32(rest[6])})
 		}
-		got, want := e.PEBS.Samples(), model.Samples()
-		if len(want) == 0 || model.Interrupts() == 0 {
-			t.Fatalf("drop %v: %d samples, %d interrupts; the refs must exercise the sampler", drop, len(want), model.Interrupts())
-		}
-		if !reflect.DeepEqual(got, want) || e.PEBS.Interrupts() != model.Interrupts() || e.PEBS.Dropped() != model.Dropped() {
-			t.Fatalf("drop %v: engine took %d samples/%d interrupts/%d dropped, Record model %d/%d/%d",
-				drop, len(got), e.PEBS.Interrupts(), e.PEBS.Dropped(), len(want), model.Interrupts(), model.Dropped())
-		}
-		if b, m := pebsCarry(e.PEBS), pebsCarry(model); b != m {
-			t.Fatalf("drop %v: carry bits %#x, Record model %#x", drop, b, m)
-		}
-	}
+		batchAndModel(e, model, refs)
+		sameSampler(t, e, model, fmt.Sprintf("watched %#x, frac %v, capacity %d", mask, frac, capacity))
+	})
 }

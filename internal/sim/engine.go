@@ -308,22 +308,32 @@ func (e *Engine) AccessBatch(refs []Ref, socket int) {
 	if e.failed != nil {
 		return
 	}
-	// One ref has no misses to overlap.
-	if len(refs) > 1 {
+	// One ref has no misses to overlap, and while every VMA's records fit
+	// in L2 the pass only adds work.
+	if len(refs) > 1 && e.AS.MaxPages() > cachedPages {
 		nodes, _ := warm(refs)
 		e.warmSink ^= nodes
 	}
 	e.issue(refs, socket)
 }
 
+// cachedPages is the most pages a VMA can have while its page records
+// stay in the host's L2: 2^16 records of 12 bytes are 768 KB. AccessBatch
+// warms a batch only in an address space with a larger VMA. The test is
+// on the address space, not on the batch's VMAs, so a batch that leads
+// with a small VMA (Cassandra's index, VoltDB's warehouse) keeps its
+// warm pass on 4 KB pages, and it costs no pass over the refs.
+const cachedPages = 1 << 16
+
 // warm loads the node of every ref and returns the nodes ORed together,
 // which is NoNode (-1) exactly when some page is not present, since node
-// IDs are non-negative, and the refs' total N. The
-// accounting stores after every ref, which keeps about one ref's cache
-// miss in flight. This read-only pass has no such dependence, so the CPU
-// overlaps the misses of many refs and the accounting then finds their
-// records in cache. The caller sinks nodes, which keeps the compiler from
-// dropping the loads.
+// IDs are non-negative, and the refs' total N. accessRun spends tens of
+// instructions per ref, a read-modify-write of its page record among
+// them, so the CPU's reorder window holds the cache misses of only a few
+// refs at a time. This pass spends a few instructions per ref and stores
+// nothing, so the window holds many refs' misses at once, and accessRun
+// then finds their records in cache. The caller sinks nodes, which keeps
+// the compiler from dropping the loads.
 func warm(refs []Ref) (nodes tier.NodeID, n int64) {
 	for _, r := range refs {
 		nodes |= r.V.Node(r.Idx)
@@ -404,16 +414,21 @@ func (e *Engine) issue(refs []Ref, socket int) {
 // demand, Sys.CountLines), NodeAccesses, TotalAccesses and the app time,
 // before the caller runs any hook. Every one of them is an integer sum,
 // and ΣN·lat[node] over a node's refs is lat[node]·ΣN mod 2^64, so
-// folding changes no bit. The PEBS carry stays in a local too; it goes
-// through the same adds, in the same order, as Record's.
+// folding changes no bit. The PEBS carry stays in a local too: each
+// watched ref adds Record's step to it, in Record's order, and every
+// other ref adds +0.
 func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
-	var watched []bool
+	// on[node] is 1 for a node the sampler watches and 0 for the others,
+	// all 0 with no buffer (see pebs.Buffer.HitState).
+	var on [tier.MaxNodes]float64
 	var frac, carry float64
 	if e.PEBS != nil {
-		var ok bool
-		if watched, frac, carry, ok = e.PEBS.HitState(); !ok {
+		table, f, c, ok := e.PEBS.HitState()
+		if !ok {
 			return 0, vm.NoNode
 		}
+		copy(on[:], table)
+		frac, carry = f, c
 	}
 	lat := e.latNow[socket]
 	// tier.Topology.Validate bounds the node count, so every node has a
@@ -431,15 +446,16 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 			break
 		}
 		cnt[node] += int64(r.N)
-		if int(node) < len(watched) && watched[node] {
-			// Record's sample-free path, on the carry in a register.
-			exp := float64(r.N)*frac/pebs.SamplePeriod + carry
-			if !(exp > -1 && exp < 1) {
-				sample = node
-				break
-			}
-			carry = exp
+		// Record's sample-free path, on the carry in a register and with
+		// no branch on the node: an unwatched node's step is +0, which
+		// leaves the carry's bits as they are, because the carry is never
+		// −0 (see HitState). A watched node's exp is Record's own.
+		exp := float64(r.N)*frac/pebs.SamplePeriod*on[node] + carry
+		if !(exp > -1 && exp < 1) {
+			sample = node
+			break
 		}
+		carry = exp
 	}
 	// Every per-node slice has one entry per node; saying so lets the
 	// compiler drop their bounds checks.
@@ -454,7 +470,7 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 	}
 	e.intApp += mem + time.Duration(total)*PerAccessCPU
 	e.TotalAccesses += total
-	if watched != nil {
+	if e.PEBS != nil {
 		e.PEBS.SetCarry(carry)
 	}
 	return n, sample

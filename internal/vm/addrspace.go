@@ -19,6 +19,7 @@ type AddressSpace struct {
 
 	vmas     []*VMA
 	nextBase uint64
+	maxPages int // NPages of the largest VMA
 }
 
 // vmaGap is the unmapped guard space left between consecutive VMAs.
@@ -45,8 +46,12 @@ func (as *AddressSpace) Alloc(name string, size int64) *VMA {
 	v := newVMA(name, as.nextBase, pageSize, nPages)
 	as.nextBase = v.End() + uint64(vmaGap)
 	as.vmas = append(as.vmas, v)
+	as.maxPages = max(as.maxPages, nPages)
 	return v
 }
+
+// MaxPages returns the page count of the largest VMA allocated so far.
+func (as *AddressSpace) MaxPages() int { return as.maxPages }
 
 // VMAs returns the VMAs in address order. The returned slice is owned by
 // the address space; callers must not mutate it.

@@ -81,7 +81,7 @@ func (m modelPage) pte() PTE {
 // mutator to a 4 KB VMA and to a per-page model, and compares every page's
 // observable state after each step. It also checks the invariant the
 // sparse ResetCounts relies on: a page with a non-zero count or write
-// count is touched.
+// count is touched, and ShadowedIn on a seeded page range.
 func TestVMAMatchesPerPageModel(t *testing.T) {
 	const nPages = 300 // five words, the last one partial
 	v := NewAddressSpace().Alloc("v", nPages*BasePageSize)
@@ -133,6 +133,7 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(15))
+	ranges := rand.New(rand.NewSource(16)) // ShadowedIn's ranges, apart from the script's draws
 	for step = 0; step < 20000; step++ {
 		// Half the steps hit a small hot set so operations collide.
 		idx := rng.Intn(nPages)
@@ -230,6 +231,15 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		}
 		if invalidations != wantInvalidations {
 			t.Fatalf("step %d %s: %d shadow invalidations, want %d", step, op, invalidations, wantInvalidations)
+		}
+		lo := ranges.Intn(nPages)
+		hi := lo + 1 + ranges.Intn(min(nPages-lo, 2*WordPages))
+		shadowed := false
+		for _, m := range model[lo:hi] {
+			shadowed = shadowed || m.shadowed
+		}
+		if got := v.ShadowedIn(lo, hi); got != shadowed {
+			t.Fatalf("step %d %s: ShadowedIn(%d, %d) = %v, model %v", step, op, lo, hi, got, shadowed)
 		}
 	}
 	if wantInvalidations == 0 {

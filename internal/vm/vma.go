@@ -431,6 +431,20 @@ func (v *VMA) ShadowedWord(w int) uint64 {
 	return v.shadowAll.Word(w)
 }
 
+// ShadowedIn reports whether any page in [lo, hi) has a shadow frame,
+// testing the shadowed plane a word at a time.
+func (v *VMA) ShadowedIn(lo, hi int) bool {
+	if v.shadowAll == nil {
+		return false
+	}
+	for w := lo / WordPages; w*WordPages < hi; w++ {
+		if v.shadowAll.RangeWord(w, lo, hi) != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // ShadowValidRangeWord returns the valid-shadow pages of word w restricted
 // to [lo, hi).
 func (v *VMA) ShadowValidRangeWord(w, lo, hi int) uint64 {

@@ -10,14 +10,18 @@ import (
 	"mtm/internal/span"
 )
 
-// TestTracingDoesNotPerturb: the span trace records a run without
-// changing it. Every solution runs gups and pingpong at the golden base
-// options (-scale 256 -ops 0.1, seed 7), plain and under a 90%-failing
-// CXL tier with learned admission, lanes and the fidelity oracle — the
-// set where aborts, breaker trips, deferrals and outcome lineage all
-// emit spans. The traced run's Result JSON, with Spans cleared, must
-// equal the untraced run's byte for byte. -short and -race run only mtm
-// and nomad.
+// TestTracingDoesNotPerturb: the observability sinks record a run
+// without changing it. Every solution runs every workload at the golden
+// base options (-scale 256 -ops 0.1, seed 7), plain and under a
+// 90%-failing CXL tier with learned admission, lanes and the fidelity
+// oracle — the set where aborts, breaker trips, deferrals and outcome
+// lineage all emit spans. The run is repeated with the span trace,
+// metrics and the fidelity oracle all on; its Result JSON, with Spans,
+// Metrics and Fidelity cleared in both, must equal the first run's byte
+// for byte. Cassandra, VoltDB, BFS and SSSP take seconds a run under
+// some solutions, so they run only under mtm (PEBS and scans), nomad
+// (shadow frames) and hemem (PEBS alone). -short and -race run only gups
+// and pingpong under mtm and nomad.
 func TestTracingDoesNotPerturb(t *testing.T) {
 	sets := []struct {
 		name string
@@ -31,13 +35,15 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 			c.Fidelity = true
 		}},
 	}
-	sols := SolutionNames()
+	all, few := SolutionNames(), []string{"mtm", "nomad", "hemem"}
+	sols := map[string][]string{"gups": all, "pingpong": all, "spark": all,
+		"cassandra": few, "voltdb": few, "bfs": few, "sssp": few}
 	if testing.Short() || sim.RaceEnabled {
-		sols = []string{"mtm", "nomad"}
+		sols = map[string][]string{"gups": {"mtm", "nomad"}, "pingpong": {"mtm", "nomad"}}
 	}
 	for _, set := range sets {
-		for _, wl := range []string{"gups", "pingpong"} {
-			for _, sol := range sols {
+		for _, wl := range WorkloadNames() {
+			for _, sol := range sols[wl] {
 				t.Run(set.name+"/"+wl+"/"+sol, func(t *testing.T) {
 					t.Parallel()
 					cfg := DefaultConfig()
@@ -47,6 +53,8 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 					set.tune(&cfg)
 					plain := resultJSON(t, cfg, wl, sol, false)
 					cfg.Trace = &span.Config{}
+					cfg.Metrics = true
+					cfg.Fidelity = true
 					traced := resultJSON(t, cfg, wl, sol, true)
 					if !bytes.Equal(traced, plain) {
 						i := 0
@@ -54,7 +62,7 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 							i++
 						}
 						from := max(0, i-80)
-						t.Errorf("tracing changed the Result at byte %d:\n  traced …%s\nuntraced …%s",
+						t.Errorf("the sinks changed the Result at byte %d:\n  traced …%s\nuntraced …%s",
 							i, traced[from:min(len(traced), i+80)], plain[from:min(len(plain), i+80)])
 					}
 				})
@@ -63,9 +71,9 @@ func TestTracingDoesNotPerturb(t *testing.T) {
 	}
 }
 
-// resultJSON runs cfg and returns its Result JSON with Spans cleared,
-// followed by the run's error, if any. traced says whether the run must
-// carry a span export.
+// resultJSON runs cfg and returns its Result JSON with Spans, Metrics and
+// Fidelity cleared, followed by the run's error, if any. traced says
+// whether the run must carry a span export.
 func resultJSON(t *testing.T, cfg Config, wl, sol string, traced bool) []byte {
 	t.Helper()
 	res, err := Run(cfg, wl, sol)
@@ -75,7 +83,7 @@ func resultJSON(t *testing.T, cfg Config, wl, sol string, traced bool) []byte {
 	if (res.Spans != nil) != traced || traced && len(res.Spans.Spans) == 0 {
 		t.Fatalf("span export %v with tracing %v", res.Spans != nil, traced)
 	}
-	res.Spans = nil
+	res.Spans, res.Metrics, res.Fidelity = nil, nil, nil
 	b, jerr := json.Marshal(res)
 	if jerr != nil {
 		t.Fatal(jerr)
