@@ -43,6 +43,12 @@ var goldenVariants = []struct {
 		c.Trace = &span.Config{}
 	}},
 	{"fidelity", nil, func(c *Config) { c.Fidelity = true }},
+	// The oracle with metrics on: the export carries its mtm_fidelity_*
+	// gauges and its lag, missed and verdict counters.
+	{"fidelity+metrics", nil, func(c *Config) {
+		c.Fidelity = true
+		c.Metrics = true
+	}},
 	{"learn+lanes", nil, func(c *Config) {
 		c.AdmissionLearn = true
 		c.AdmissionLanes = "default"

@@ -10,13 +10,16 @@ import (
 	"os"
 	"runtime"
 	"testing"
+
+	"mtm/internal/span"
 )
 
 var updatePin = flag.Bool("update-pin", false, "rewrite testdata/pin.json from this run's profiler digests")
 
 // pinFile maps each profiler's name to the SHA-256 of its region tables
 // and profiling charges over pinIntervals intervals of the hot/cold
-// fixture.
+// fixture, and "<name>/metrics" and "<name>/spans" to the SHA-256 of the
+// JSON of that run's metrics and span exports.
 const pinFile = "testdata/pin.json"
 
 const pinIntervals = 20
@@ -25,7 +28,10 @@ const pinIntervals = 20
 // digest covers DAMON, and the others reach the root golden file only
 // through a policy; this test hashes the profilers directly. After each
 // interval it hashes every region's Start, End, Quota and the bits of HI
-// and WHI, then the cumulative profiling time charged. A change that
+// and WHI, then the cumulative profiling time charged. The runs have
+// metrics and spans on, and the exports are pinned too: they carry each
+// profiler's instruments (merges, splits, PEBS samples) and spans (such
+// as DAMON's per-pass merges and splits). A change that
 // alters profiling on purpose regenerates the file with
 //
 //	go test -run TestProfilerPin -update-pin ./internal/profiler
@@ -45,6 +51,7 @@ func TestProfilerPin(t *testing.T) {
 		t.Fatalf("%v (regenerate with -update-pin)", err)
 	}
 	got := map[string]string{}
+	var keys []string // got's keys in the order they were hashed
 	for _, p := range []Profiler{
 		NewMTM(DefaultMTMConfig()),
 		NewDAMON(),
@@ -54,6 +61,8 @@ func TestProfilerPin(t *testing.T) {
 		NewSequentialScan(false),
 	} {
 		e, w := hotColdEngine(t, 512, 100, 2, p)
+		e.EnableMetrics()
+		e.EnableSpans(span.Config{})
 		h := sha256.New()
 		var buf [8]byte
 		put := func(x uint64) {
@@ -71,15 +80,31 @@ func TestProfilerPin(t *testing.T) {
 			}
 			put(uint64(e.TotalProf))
 		}
-		d := hex.EncodeToString(h.Sum(nil))
-		got[p.Name()] = d
-		if *updatePin {
-			continue
+		got[p.Name()] = hex.EncodeToString(h.Sum(nil))
+		keys = append(keys, p.Name())
+		for _, x := range []struct {
+			key    string
+			export any
+		}{
+			{p.Name() + "/metrics", e.MetricsExport()},
+			{p.Name() + "/spans", e.SpansExport()},
+		} {
+			b, err := json.Marshal(x.export)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			got[x.key] = hex.EncodeToString(sum[:])
+			keys = append(keys, x.key)
 		}
-		if w, ok := want[p.Name()]; !ok {
-			t.Errorf("%s: no pinned digest (regenerate with -update-pin)", p.Name())
-		} else if d != w {
-			t.Errorf("%s: digest %.12s, pinned %.12s", p.Name(), d, w)
+	}
+	if !*updatePin {
+		for _, k := range keys {
+			if w, ok := want[k]; !ok {
+				t.Errorf("%s: no pinned digest (regenerate with -update-pin)", k)
+			} else if got[k] != w {
+				t.Errorf("%s: digest %.12s, pinned %.12s", k, got[k], w)
+			}
 		}
 	}
 	if *updatePin {
