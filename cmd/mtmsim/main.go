@@ -7,7 +7,7 @@
 //	mtmsim -workload gups -solution mtm
 //	mtmsim -workload voltdb -solution tiered-autonuma -scale 64 -ops 1
 //	mtmsim -workload gups -solution mtm -faults ebusy-storm
-//	mtmsim -workload gups -solution mtm -faults dimm-death -health -audit
+//	mtmsim -workload gups -solution mtm -faults dimm-death -audit
 //	mtmsim -workload pingpong -solution mtm -admission
 //	mtmsim -workload pingpong -solution mtm -admission-learn -admission-lanes default
 //	mtmsim -workload pingpong -solution nomad -budget-mb 6400 -audit
@@ -22,10 +22,12 @@
 // partial Result with an "error" field, and exits non-zero.
 //
 // -health enables the tier-health subsystem (poisoning, draining,
-// circuit breakers) even without a fault scenario; scenarios that inject
-// memory errors or tier failures (dimm-death, cxl-flaky) enable it
-// automatically. -audit cross-checks the engine's residency, capacity and
-// migration ledgers after the run and fails on any drift.
+// circuit breakers). Scenarios that inject memory errors or tier
+// failures (dimm-death, cxl-flaky) enable it themselves, so the flag
+// matters only for scenarios without them, such as a page-busy storm
+// (ebusy-storm), where it arms the circuit breakers. -audit
+// cross-checks the engine's residency, capacity and migration ledgers
+// after the run and fails on any drift.
 //
 // -admission enables migration admission control: every planned move
 // passes an ROI gate, a per-tier-pair bandwidth budget, and a ping-pong

@@ -10,11 +10,11 @@ import (
 
 // HMC is the hardware-managed memory caching baseline (Optane Memory
 // Mode): all pages live on PM, and the DRAM acts as a direct-mapped,
-// memory-side cache in front of it. The model tracks 4 KB cache sectors
-// with tags and dirty bits: a hit costs DRAM latency, a miss costs PM
-// latency plus the sector fill, and evicting a dirty sector writes it
-// back to PM with the read-modify-write amplification of Optane's 256 B
-// internal granularity — the duplication and write-amplification costs
+// memory-side cache in front of it. The model tracks 256 B cache sectors
+// (hmcSectorBytes) with tags and dirty bits: a hit costs DRAM latency, a
+// miss costs PM latency plus the sector fill, and evicting a dirty sector
+// writes it back to PM with the read-modify-write amplification of
+// Optane's internal writes (writeAmp) — the duplication and write-amplification costs
 // §2.1 and §9.1 attribute to HMC. The DRAM used as cache is reserved so
 // the allocator cannot also hand it out (Memory Mode's capacity loss).
 type HMC struct {

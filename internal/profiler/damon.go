@@ -68,12 +68,12 @@ func (d *DAMON) Attach(e *sim.Engine) {
 	// DAMON's initial regions come from the VMA tree: one region per
 	// VMA, i.e. as coarse as possible (the paper's Figure 6 point about
 	// object B).
-	d.attach(e, d.Name(), damonChecks, 0)
+	d.attach(e, d.Name(), damonChecks, 0, nil)
 	d.rng = rand.New(e.Rng)
 }
 
 func (d *DAMON) Profile(e *sim.Engine) {
-	d.set.BeginInterval()
+	merged, split := d.set.Merged, d.set.Split
 	regions := d.set.Regions()
 	e.SpanBegin("profiling", "damon-profile",
 		span.I("regions", int64(len(regions))))
@@ -105,11 +105,9 @@ func (d *DAMON) Profile(e *sim.Engine) {
 	if d.set.Len() < d.maxRegions/2 {
 		d.randomSplit(e)
 	}
-	d.pm.merges.Add(d.set.MergedThisInterval)
-	d.pm.splits.Add(d.set.SplitThisInterval)
 	e.SpanEnd(
-		span.I("merges", d.set.MergedThisInterval),
-		span.I("splits", d.set.SplitThisInterval),
+		span.I("merges", d.set.Merged-merged),
+		span.I("splits", d.set.Split-split),
 		span.I("regions_after", int64(d.set.Len())))
 }
 
@@ -131,7 +129,6 @@ func (d *DAMON) randomSplit(e *sim.Engine) {
 		out = append(out, a, b)
 		budget--
 		d.set.Split++
-		d.set.SplitThisInterval++
 	}
 	d.set.Replace(out)
 }

@@ -66,8 +66,6 @@ type MTM struct {
 	pmNodes  []tier.NodeID // nodes profiled event-driven via PEBS
 	isPMNode []bool        // indexed by NodeID
 
-	lastDropped int64 // buffer's cumulative drop count at last Profile
-
 	// Reusable per-interval buffers, indexed by region position in the
 	// set's address-ordered slice (stable for the whole Profile call).
 	// They replace the per-interval map allocations of the old hot path;
@@ -169,19 +167,6 @@ func (m *MTM) Name() string { return "mtm-profiler" }
 func (m *MTM) Budget() int { return m.budget }
 
 func (m *MTM) Attach(e *sim.Engine) {
-	m.attach(e, m.Name(), m.Cfg.NumScans, DefaultRegionBytes)
-	if m.Cfg.TauM >= 0 {
-		m.set.TauM = m.Cfg.TauM
-	}
-	if m.Cfg.TauS >= 0 {
-		m.set.TauS = m.Cfg.TauS
-	}
-	// Equation 1: num_ps = t_mi * overhead_target / (one_scan_overhead * num_scans).
-	m.budget = int(float64(e.Interval) * m.Cfg.OverheadTarget /
-		(float64(MTMScanCost) * float64(m.Cfg.NumScans)))
-	if m.budget < 1 {
-		m.budget = 1
-	}
 	// Slow (CPU-less / PM / CXL) nodes are profiled event-driven.
 	m.isPMNode = make([]bool, len(e.Sys.Topo.Nodes))
 	for i, n := range e.Sys.Topo.Nodes {
@@ -193,6 +178,19 @@ func (m *MTM) Attach(e *sim.Engine) {
 	if m.Cfg.UsePEBS && len(m.pmNodes) > 0 {
 		m.buf = pebs.NewBuffer(len(e.Sys.Topo.Nodes), 1<<16)
 		e.PEBS = m.buf
+	}
+	m.attach(e, m.Name(), m.Cfg.NumScans, DefaultRegionBytes, m.buf)
+	if m.Cfg.TauM >= 0 {
+		m.set.TauM = m.Cfg.TauM
+	}
+	if m.Cfg.TauS >= 0 {
+		m.set.TauS = m.Cfg.TauS
+	}
+	// Equation 1: num_ps = t_mi * overhead_target / (one_scan_overhead * num_scans).
+	m.budget = int(float64(e.Interval) * m.Cfg.OverheadTarget /
+		(float64(MTMScanCost) * float64(m.Cfg.NumScans)))
+	if m.budget < 1 {
+		m.budget = 1
 	}
 }
 
@@ -215,7 +213,6 @@ const (
 
 // Profile implements the §5 pipeline for one interval.
 func (m *MTM) Profile(e *sim.Engine) {
-	m.set.BeginInterval()
 	regions := m.set.Regions()
 	e.SpanBegin("profiling", "mtm-profile",
 		span.I("regions", int64(len(regions))),
@@ -235,10 +232,6 @@ func (m *MTM) Profile(e *sim.Engine) {
 		m.kept = growClear(m.kept, len(regions))
 		samples := m.buf.Samples()
 		m.pm.pebsKept.Add(int64(len(samples)))
-		if d := int64(m.buf.Dropped()); d > m.lastDropped {
-			m.pm.pebsDropped.Add(d - m.lastDropped)
-			m.lastDropped = d
-		}
 		for _, smp := range samples {
 			ri := m.set.Find(smp.VMA, smp.Page)
 			if ri < 0 {
@@ -294,8 +287,6 @@ func (m *MTM) Profile(e *sim.Engine) {
 		freed := m.set.MergePass(tauM)
 		m.set.SplitPass(m.set.TauS, m.Cfg.Alpha)
 		m.redistribute(e, freed)
-		m.pm.merges.Add(m.set.MergedThisInterval)
-		m.pm.splits.Add(m.set.SplitThisInterval)
 	}
 	if m.Cfg.OverheadControl {
 		if m.set.Len() > m.budget {

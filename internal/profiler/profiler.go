@@ -16,6 +16,7 @@ import (
 	"math/rand"
 	"time"
 
+	"mtm/internal/pebs"
 	"mtm/internal/region"
 	"mtm/internal/sim"
 	"mtm/internal/tier"
@@ -71,12 +72,6 @@ func RegionNode(r *region.Region) tier.NodeID {
 	return tier.Invalid
 }
 
-// RegionPresentBytes returns the bytes of r that have physical frames,
-// popcounted from the present plane.
-func RegionPresentBytes(r *region.Region) int64 {
-	return int64(r.V.PresentCount(r.Start, r.End)) * r.V.PageSize
-}
-
 // HotBytes selects regions from hottest WHI down until covering want
 // bytes, returning the selected regions. It is the common "label the top
 // of the histogram hot" step used by detection-quality metrics.
@@ -107,8 +102,9 @@ type regionTable struct {
 
 // attach builds the region set with numScans checks per sampled page,
 // carves every VMA into regionBytes regions (0 keeps one region per
-// VMA), and registers the metrics labeled with the profiler's name.
-func (t *regionTable) attach(e *sim.Engine, name string, numScans int, regionBytes int64) {
+// VMA), and registers the metrics labeled with the profiler's name; buf
+// is the profiler's PEBS buffer, nil if it samples none.
+func (t *regionTable) attach(e *sim.Engine, name string, numScans int, regionBytes int64, buf *pebs.Buffer) {
 	t.set = region.NewSet(numScans)
 	for _, v := range e.AS.VMAs() {
 		b := regionBytes
@@ -117,7 +113,7 @@ func (t *regionTable) attach(e *sim.Engine, name string, numScans int, regionByt
 		}
 		t.set.InitVMA(v, b)
 	}
-	t.pm = newProfMetrics(e, name)
+	t.pm = newProfMetrics(e, name, t.set, buf)
 }
 
 // Set exposes the region set (formation statistics, tests).

@@ -340,9 +340,6 @@ func TestRegionNodeHelpers(t *testing.T) {
 	if RegionNode(r) != 3 {
 		t.Fatalf("RegionNode = %d, want 3", RegionNode(r))
 	}
-	if got := RegionPresentBytes(r); got != r.Bytes() {
-		t.Fatalf("present bytes = %d, want %d", got, r.Bytes())
-	}
 }
 
 func TestSamplePagesDistinctAndInRange(t *testing.T) {

@@ -42,7 +42,7 @@ func NewRandomChunk() *RandomChunk { return &RandomChunk{} }
 func (p *RandomChunk) Name() string { return "autotiering-sampling" }
 
 func (p *RandomChunk) Attach(e *sim.Engine) {
-	p.attach(e, p.Name(), region.DefaultNumScans, DefaultRegionBytes)
+	p.attach(e, p.Name(), region.DefaultNumScans, DefaultRegionBytes, nil)
 }
 
 // chunkShardRegions is how many consecutive selected regions one
@@ -105,7 +105,6 @@ func harvestRegions(e *sim.Engine, sel []*region.Region, buf []int64, round, sca
 }
 
 func (p *RandomChunk) Profile(e *sim.Engine) {
-	p.set.BeginInterval()
 	regions := p.set.Regions()
 	if len(regions) == 0 {
 		return
@@ -174,11 +173,10 @@ func (p *SequentialScan) Name() string {
 }
 
 func (p *SequentialScan) Attach(e *sim.Engine) {
-	p.attach(e, p.Name(), region.DefaultNumScans, DefaultRegionBytes)
+	p.attach(e, p.Name(), region.DefaultNumScans, DefaultRegionBytes, nil)
 }
 
 func (p *SequentialScan) Profile(e *sim.Engine) {
-	p.set.BeginInterval()
 	regions := p.set.Regions()
 	if len(regions) == 0 {
 		return

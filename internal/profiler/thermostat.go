@@ -34,7 +34,7 @@ func NewThermostat() *Thermostat { return &Thermostat{} }
 func (t *Thermostat) Name() string { return "thermostat-profiler" }
 
 func (t *Thermostat) Attach(e *sim.Engine) {
-	t.attach(e, t.Name(), region.DefaultNumScans, DefaultRegionBytes)
+	t.attach(e, t.Name(), region.DefaultNumScans, DefaultRegionBytes, nil)
 }
 
 // expectedFaultsPerSample is the planning estimate of protection faults
@@ -42,7 +42,6 @@ func (t *Thermostat) Attach(e *sim.Engine) {
 const expectedFaultsPerSample = 8
 
 func (t *Thermostat) Profile(e *sim.Engine) {
-	t.set.BeginInterval()
 	regions := t.set.Regions()
 	budget := time.Duration(float64(e.Interval) * thermostatOverheadTarget)
 	perSample := ProtFaultCost * (1 + expectedFaultsPerSample)

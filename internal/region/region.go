@@ -132,11 +132,10 @@ type Set struct {
 	mergeSpare []*Region
 	splitSpare []*Region
 
-	// Formation statistics (Table 7).
-	Merged             int64
-	Split              int64
-	MergedThisInterval int64
-	SplitThisInterval  int64
+	// Formation statistics (Table 7), cumulative since the set was
+	// built.
+	Merged int64
+	Split  int64
 }
 
 // DefaultNumScans is the paper's num_scans constant.
@@ -231,12 +230,6 @@ func (s *Set) TotalQuota() int {
 	return t
 }
 
-// BeginInterval resets per-interval formation counters.
-func (s *Set) BeginInterval() {
-	s.MergedThisInterval = 0
-	s.SplitThisInterval = 0
-}
-
 // MergePass merges adjacent regions of the same VMA whose hotness
 // indications differ by less than tauM (§5.1) in both the most recent
 // interval (HI) and the time-smoothed view (WHI) — the EMA requirement
@@ -274,7 +267,6 @@ func (s *Set) MergePass(tauM float64) (freedQuota int) {
 				Sampled: true,
 			})
 			s.Merged++
-			s.MergedThisInterval++
 			continue
 		}
 		out = append(out, cur)
@@ -351,7 +343,6 @@ func (s *Set) splitRec(r *Region, tauS, alpha float64, depth int, out *[]*Region
 		h.WHI = alpha*h.HI + (1-alpha)*r.WHI
 	}
 	s.Split++
-	s.SplitThisInterval++
 	s.splitRec(a, tauS, alpha, depth+1, out)
 	s.splitRec(b, tauS, alpha, depth+1, out)
 }

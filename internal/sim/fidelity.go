@@ -75,17 +75,14 @@ type fidelityState struct {
 	denBuf   []float64
 	bytesBuf []int64
 
-	// Metrics handles; nil without EnableMetrics.
+	// Gauge handles; nil without EnableMetrics. The oracle's counters
+	// are CounterFuncs over lagSum, lagN, missed and outcomes.
 	gPrec       *metrics.Gauge
 	gRec        *metrics.Gauge
 	gF1         *metrics.Gauge
 	gRank       *metrics.Gauge
 	gTruthBytes *metrics.Gauge
 	gEstBytes   *metrics.Gauge
-	cLag        *metrics.Counter
-	cLagSamples *metrics.Counter
-	cMissed     *metrics.Counter
-	cOutcome    [fidelity.NumVerdicts]*metrics.Counter
 }
 
 // EnableFidelity turns on the ground-truth fidelity oracle: once per
@@ -117,11 +114,14 @@ func (e *Engine) EnableFidelity() {
 		f.gRank = reg.Gauge("mtm_fidelity_rank_agreement", "WHI-vs-truth rank agreement of the profiler's region ordering, this interval")
 		f.gTruthBytes = reg.Gauge("mtm_fidelity_truth_hot_bytes", "bytes in the ground-truth hot set, this interval")
 		f.gEstBytes = reg.Gauge("mtm_fidelity_est_hot_bytes", "bytes in the profiler's estimated hot set, this interval")
-		f.cLag = reg.Counter("mtm_fidelity_lag_intervals_total", "summed intervals between pages turning hot and the profiler seeing them")
-		f.cLagSamples = reg.Counter("mtm_fidelity_lag_samples_total", "pages whose turn-hot was eventually seen by the profiler")
-		f.cMissed = reg.Counter("mtm_fidelity_missed_hot_pages_total", "pages that turned hot and went cold again unseen by the profiler")
+		count := func(name, help string, p *int64, labels ...metrics.Label) {
+			reg.CounterFunc(name, help, func() int64 { return *p }, labels...)
+		}
+		count("mtm_fidelity_lag_intervals_total", "summed intervals between pages turning hot and the profiler seeing them", &f.lagSum)
+		count("mtm_fidelity_lag_samples_total", "pages whose turn-hot was eventually seen by the profiler", &f.lagN)
+		count("mtm_fidelity_missed_hot_pages_total", "pages that turned hot and went cold again unseen by the profiler", &f.missed)
 		for vd := fidelity.Verdict(0); vd < fidelity.NumVerdicts; vd++ {
-			f.cOutcome[vd] = reg.Counter("mtm_fidelity_moves_resolved_total", "committed page moves resolved per hindsight verdict", metrics.L("verdict", vd.String()))
+			count("mtm_fidelity_moves_resolved_total", "committed page moves resolved per hindsight verdict", &f.outcomes[vd], metrics.L("verdict", vd.String()))
 		}
 	}
 	e.fid = f
@@ -325,9 +325,6 @@ func (e *Engine) fidelityEndInterval() {
 		f.gRank.Set(rank)
 		f.gTruthBytes.Set(float64(sc.truthBytes))
 		f.gEstBytes.Set(float64(sc.estBytes))
-		f.cLag.Add(sc.lagSum)
-		f.cLagSamples.Add(sc.lagN)
-		f.cMissed.Add(sc.missed)
 	}
 }
 
@@ -385,8 +382,8 @@ func (f *fidelityState) markEstimate(regions []*region.Region) {
 }
 
 // fidelityOutcome tallies one move the lineage ledger resolved at
-// interval cur: the run-wide and per-rule verdict counts, the verdict
-// counter, and an outcome span event. No-op without the oracle.
+// interval cur: the run-wide and per-rule verdict counts (the verdict
+// counter reads the run-wide one) and an outcome span event. No-op without the oracle.
 func (e *Engine) fidelityOutcome(m *pendingMove, reaccessed bool, cur int32) {
 	f := e.fid
 	if f == nil {
@@ -401,9 +398,6 @@ func (e *Engine) fidelityOutcome(m *pendingMove, reaccessed bool, cur int32) {
 		f.byRule[key] = c
 	}
 	c[vd]++
-	if f.cOutcome[vd] != nil {
-		f.cOutcome[vd].Inc()
-	}
 	e.SpanEvent("migration", "outcome",
 		span.S("verdict", vd.String()),
 		span.S("rule", m.rule),

@@ -11,7 +11,10 @@
 // robustness, health, admission and shadow counters, the Total* times,
 // PromotedBytes/DemotedBytes, OOM as failed != nil) is registered with
 // CounterFunc and read from the engine field when the registry samples or
-// exports. The engine writes only the instruments no field holds:
+// exports. The fidelity oracle's lag, missed and verdict counters read its
+// tallies the same way (see EnableFidelity), and so do the profilers'
+// merge, split and dropped-PEBS-sample counters (internal/profiler reads
+// region.Set.Merged/Split and pebs.Buffer.Dropped). The engine writes only the instruments no field holds:
 // intervals (sampled before Intervals increments), node accesses (the
 // per-interval counts exclude Init's accesses, which NodeAccesses
 // includes), the per-pair counters, health transitions, the gauges and
