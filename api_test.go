@@ -74,6 +74,9 @@ func TestTopologySelection(t *testing.T) {
 	}
 }
 
+// TestEverySolutionConstructs builds every solution by name. Each must be
+// a sim.RunPlacer, so a workload's set-up faults its first touches a run
+// at a time instead of one page at a time.
 func TestEverySolutionConstructs(t *testing.T) {
 	for _, name := range SolutionNames() {
 		s, err := NewSolution(name, quickCfg())
@@ -83,6 +86,9 @@ func TestEverySolutionConstructs(t *testing.T) {
 		}
 		if s.Name() == "" {
 			t.Errorf("%s: empty display name", name)
+		}
+		if _, ok := s.(sim.RunPlacer); !ok {
+			t.Errorf("%s: %T is not a sim.RunPlacer", name, s)
 		}
 	}
 	if _, err := NewSolution("nope", quickCfg()); err == nil {

@@ -149,8 +149,8 @@ func hugeRefs() (*sim.Engine, []sim.Ref) {
 // shape: per op an index read, then a record read or update, an update
 // adding a commit-log write, each VMA of huge pages. single issues random
 // refs to the 64 huge pages one Access call each, the path a lone access
-// takes. fault first-touches fresh 4 KB pages, the shape of a workload's
-// set-up.
+// takes. fault first-touches fresh 4 KB pages in order, 64 refs to a
+// batch, as a workload's set-up does.
 var accessShapes = []struct {
 	name  string
 	shape accessShape
@@ -241,11 +241,17 @@ var accessShapes = []struct {
 		e.AS.THP = false
 		v := e.AS.Alloc("b", int64(pages)*vm.BasePageSize)
 		e.Sys.ResetWindow(e.Interval)
+		var buf [64]sim.Ref
 		next := 0
 		return func(n int) {
-			for ; n > 0; n-- {
-				e.Access(v, next, 1, 1, 0)
-				next++
+			for n > 0 {
+				refs := buf[:min(n, len(buf))]
+				for i := range refs {
+					refs[i] = sim.Ref{V: v, Idx: next + i, N: 1, NW: 1}
+				}
+				e.AccessBatch(refs, 0)
+				next += len(refs)
+				n -= len(refs)
 			}
 		}, pages
 	}},

@@ -57,7 +57,11 @@ func (p *TieredAutoNUMA) Name() string {
 	return "vanilla tiered-AutoNUMA"
 }
 
-func (p *TieredAutoNUMA) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (p *TieredAutoNUMA) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return p.PlaceRun(e, v, socket)
+}
+
+func (p *TieredAutoNUMA) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceFastFirst)
 }
 

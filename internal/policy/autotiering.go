@@ -38,7 +38,11 @@ func NewAutoTiering() *AutoTiering {
 
 func (p *AutoTiering) Name() string { return "AutoTiering" }
 
-func (p *AutoTiering) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (p *AutoTiering) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return p.PlaceRun(e, v, socket)
+}
+
+func (p *AutoTiering) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceFastFirst)
 }
 

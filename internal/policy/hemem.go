@@ -49,7 +49,11 @@ func NewHeMem() *HeMem {
 
 func (p *HeMem) Name() string { return "HeMem" }
 
-func (p *HeMem) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (p *HeMem) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return p.PlaceRun(e, v, socket)
+}
+
+func (p *HeMem) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceLocalOnly)
 }
 

@@ -57,7 +57,11 @@ func NewHMC() *HMC { return &HMC{} }
 
 func (*HMC) Name() string { return "HMC (Memory Mode)" }
 
-func (h *HMC) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (h *HMC) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return h.PlaceRun(e, v, socket)
+}
+
+func (h *HMC) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceSlowOnly)
 }
 

@@ -72,7 +72,11 @@ func NewMTMVariant(label string, p profiler.Profiler, m migrate.Mechanism) *MTM 
 
 func (p *MTM) Name() string { return p.label }
 
-func (p *MTM) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (p *MTM) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return p.PlaceRun(e, v, socket)
+}
+
+func (p *MTM) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, p.Initial)
 }
 

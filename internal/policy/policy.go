@@ -39,30 +39,39 @@ const (
 )
 
 // place resolves a Placement to a node with room for one page of v. The
-// restricted placements try their preferred nodes in view order first —
-// the socket's local nodes, or the slow (CPU-less) ones — and overflow
-// onto the whole view rather than OOM. Slow-local-first's fast tail is
-// that overflow: every slow node ahead of the fast ones had no room.
+// restricted placements take the first of their preferred nodes in view
+// order with room — the socket's local nodes, or the slow (CPU-less) ones —
+// and overflow onto the first node of the whole view with room rather than
+// OOM. Slow-local-first's fast tail is that overflow: every slow node ahead
+// of the fast ones had no room. It reads neither the page index nor the
+// access accounting, so each solution's Place and PlaceRun (sim.RunPlacer)
+// are this one call.
 func place(e *sim.Engine, v *vm.VMA, socket int, p Placement) tier.NodeID {
-	view := e.Sys.Topo.View(socket)
-	switch p {
-	case PlaceSlowLocalFirst, PlaceSlowOnly, PlaceLocalOnly:
-		order := make([]tier.NodeID, 0, len(view))
-		for _, n := range view {
-			spec := &e.Sys.Topo.Nodes[n]
-			keep := spec.Kind != tier.DRAM
-			if p == PlaceLocalOnly {
-				keep = spec.Socket == socket
-			}
-			if keep {
-				order = append(order, n)
-			}
+	overflow := tier.Invalid
+	for _, n := range e.Sys.Topo.View(socket) {
+		if e.Sys.Free(n) < v.PageSize {
+			continue
 		}
-		if n := e.Sys.FirstFit(order, v.PageSize); n != tier.Invalid {
+		if p.prefers(&e.Sys.Topo.Nodes[n], socket) {
 			return n
 		}
+		if overflow == tier.Invalid {
+			overflow = n
+		}
 	}
-	return e.Sys.FirstFit(view, v.PageSize)
+	return overflow
+}
+
+// prefers reports whether p places a page faulted from socket on node spec
+// ahead of its overflow.
+func (p Placement) prefers(spec *tier.NodeSpec, socket int) bool {
+	switch p {
+	case PlaceSlowLocalFirst, PlaceSlowOnly:
+		return spec.Kind != tier.DRAM
+	case PlaceLocalOnly:
+		return spec.Socket == socket
+	}
+	return true
 }
 
 // profiled is the scaffold of every profiler-driven solution: it attaches

@@ -24,7 +24,11 @@ func NewSlowFirst() *Static { return &Static{"slow-tier-first (no migration)", P
 
 func (s *Static) Name() string { return s.label }
 
-func (s *Static) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (s *Static) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return s.PlaceRun(e, v, socket)
+}
+
+func (s *Static) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, s.order)
 }
 
@@ -43,7 +47,11 @@ func NewProfileOnly(p profiler.Profiler) *ProfileOnly { return &ProfileOnly{prof
 
 func (s *ProfileOnly) Name() string { return s.Prof.Name() }
 
-func (s *ProfileOnly) Place(e *sim.Engine, v *vm.VMA, idx int, socket int) tier.NodeID {
+func (s *ProfileOnly) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return s.PlaceRun(e, v, socket)
+}
+
+func (s *ProfileOnly) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	return place(e, v, socket, PlaceFastFirst)
 }
 

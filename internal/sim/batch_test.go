@@ -25,6 +25,42 @@ func (s *loggingSolution) Place(e *Engine, v *vm.VMA, idx, socket int) tier.Node
 	return tier.NodeID(idx / (v.NPages / 256) % len(e.Sys.Topo.Nodes))
 }
 
+// runSolution places every page on the first node with room for it,
+// counting up from first and wrapping: a rule that reads neither the page
+// index nor the accounting, so it is a RunPlacer and issue faults its
+// first touches a run at a time. It logs each Place call, which only the
+// per-ref path makes, and counts its PlaceRun calls.
+type runSolution struct {
+	fixedSolution
+	first tier.NodeID
+	log   *[]string // nil: Place logs nothing
+	runs  int
+}
+
+func (s *runSolution) Name() string { return "run" }
+
+func (s *runSolution) PlaceRun(e *Engine, v *vm.VMA, socket int) tier.NodeID {
+	s.runs++
+	return s.node(e, v)
+}
+
+func (s *runSolution) Place(e *Engine, v *vm.VMA, idx, socket int) tier.NodeID {
+	if s.log != nil {
+		*s.log = append(*s.log, "place "+v.Name+" "+accountingState(e, idx, 0))
+	}
+	return s.node(e, v)
+}
+
+func (s *runSolution) node(e *Engine, v *vm.VMA) tier.NodeID {
+	n := tier.NodeID(len(e.Sys.Topo.Nodes))
+	for i := range n {
+		if node := (s.first + i) % n; e.Sys.Free(node) >= v.PageSize {
+			return node
+		}
+	}
+	return tier.Invalid
+}
+
 // accountingState renders what a hook can read of the engine's access
 // accounting.
 func accountingState(e *Engine, idx int, n uint32) string {
@@ -115,14 +151,13 @@ var batchShapes = []struct {
 	{"mixed", []batchVMA{{true, 1}, {false, 512}}},
 }
 
-// batchEngine builds an engine on topo whose placement logs the
-// accounting it sees, with the shape's VMAs, a PEBS sampler watching the
-// last node and a shadowed page.
-func batchEngine(topo *tier.Topology, log *[]string, shape []batchVMA) (*Engine, []*vm.VMA) {
+// batchEngine builds an engine on topo under sol with the shape's VMAs,
+// a PEBS sampler watching the last node and a shadowed page.
+func batchEngine(topo *tier.Topology, sol Solution, shape []batchVMA) (*Engine, []*vm.VMA) {
 	e := NewEngine(topo, 1)
 	e.Interval = 10 * time.Millisecond
 	e.EnableShadow()
-	e.SetSolution(&loggingSolution{log: log})
+	e.SetSolution(sol)
 	var vs []*vm.VMA
 	for i, b := range shape {
 		e.AS.THP = b.thp
@@ -165,25 +200,42 @@ func leaveRoom(e *Engine, room int64) {
 // VMA, so a fault mid-batch runs out of memory. It requires the same
 // accounting, the same PEBS state and the same hook calls, each seeing the
 // same engine state, and a failed engine's batch to do nothing. It runs on
-// each batch shape on each test topology.
+// each batch shape on each test topology, under loggingSolution and under
+// runSolution (the run-placer subtests), which places on the sampled last
+// node first. Under runSolution the first and last phases install no hook,
+// so first touches fault a run at a time, and the last phase also leaves
+// room for two pages on node 0: a run fills the last node, then node 0,
+// and hands the ref that finds no room to the per-ref path, whose fallback
+// runs out of memory.
 func TestAccessBatchEqualsSequentialAccess(t *testing.T) {
-	for _, tt := range testTopologies() {
-		for _, shape := range batchShapes {
-			name := shape.name
-			if tt.name != "optane" {
-				name = tt.name + "/" + name
+	for _, runs := range []bool{false, true} {
+		for _, tt := range testTopologies() {
+			for _, shape := range batchShapes {
+				name := shape.name
+				if tt.name != "optane" {
+					name = tt.name + "/" + name
+				}
+				if runs {
+					name = "run-placer/" + name
+				}
+				t.Run(name, func(t *testing.T) {
+					testBatchEqualsSequential(t, tt.topo, shape.vmas, runs)
+				})
 			}
-			t.Run(name, func(t *testing.T) {
-				testBatchEqualsSequential(t, tt.topo, shape.vmas)
-			})
 		}
 	}
 }
 
-func testBatchEqualsSequential(t *testing.T, topo *tier.Topology, shape []batchVMA) {
+func testBatchEqualsSequential(t *testing.T, topo *tier.Topology, shape []batchVMA, runs bool) {
 	var batchLog, seqLog []string
-	be, bvs := batchEngine(topo, &batchLog, shape)
-	se, svs := batchEngine(topo, &seqLog, shape)
+	sol := func(log *[]string) Solution {
+		if runs {
+			return &runSolution{first: tier.NodeID(len(topo.Nodes) - 1), log: log}
+		}
+		return &loggingSolution{log: log}
+	}
+	be, bvs := batchEngine(topo, sol(&batchLog), shape)
+	se, svs := batchEngine(topo, sol(&seqLog), shape)
 	engines := []struct {
 		e   *Engine
 		log *[]string
@@ -203,6 +255,10 @@ func testBatchEqualsSequential(t *testing.T, topo *tier.Topology, shape []batchV
 				}
 			case 3:
 				leaveRoom(e, 3*bvs[0].PageSize)
+				if runs {
+					e.Observer, e.Intercept = nil, nil
+					e.Sys.Release(0, 2*bvs[0].PageSize)
+				}
 			}
 		}
 		before := len(batchLog)
@@ -210,8 +266,24 @@ func testBatchEqualsSequential(t *testing.T, topo *tier.Topology, shape []batchV
 		for _, r := range batchScript(phase, svs) {
 			se.Access(r.V, r.Idx, r.N, r.NW, 0)
 		}
-		if len(batchLog) == before {
+		// Under runSolution the first phase has no hook to call.
+		if len(batchLog) == before && !(runs && phase == 0) {
 			t.Fatalf("phase %d called no hook", phase)
+		}
+	}
+	if runs {
+		// Access faults a page per PlaceRun call; a batch that placed no run
+		// longer than a page would call it as often.
+		b, s := be.sol.(*runSolution).runs, se.sol.(*runSolution).runs
+		if s == 0 || b >= s {
+			t.Fatalf("PlaceRun calls: batch %d, sequential %d; the batch must fault runs", b, s)
+		}
+	}
+	for i := range be.Sys.Topo.Nodes {
+		n := tier.NodeID(i)
+		if be.Sys.Used(n) != se.Sys.Used(n) || be.Sys.Free(n) != se.Sys.Free(n) {
+			t.Fatalf("node %d: batch used %d free %d, sequential used %d free %d",
+				n, be.Sys.Used(n), be.Sys.Free(n), se.Sys.Used(n), se.Sys.Free(n))
 		}
 	}
 
@@ -278,11 +350,21 @@ func pebsCarry(b *pebs.Buffer) uint64 {
 
 // TestAccessBatchStopsAtOOM fills the machine from one batch: the ref
 // that cannot be placed fails the engine, the rest of the batch does
-// nothing, and the totals equal one Access per ref.
+// nothing, and the totals equal one Access per ref. Under runSolution the
+// batch faults its first touches a run per node until no node has room.
 func TestAccessBatchStopsAtOOM(t *testing.T) {
+	for _, sol := range []func() Solution{
+		func() Solution { return &fixedSolution{node: 0} },
+		func() Solution { return &runSolution{} },
+	} {
+		t.Run(sol().Name(), func(t *testing.T) { testBatchStopsAtOOM(t, sol) })
+	}
+}
+
+func testBatchStopsAtOOM(t *testing.T, sol func() Solution) {
 	build := func() (*Engine, *vm.VMA) {
 		e := newTestEngine()
-		e.SetSolution(&fixedSolution{node: 0})
+		e.SetSolution(sol())
 		// 8 GB of huge pages against the 6.7 GB machine of scale 256.
 		v := e.AS.Alloc("v", 8*tier.GB)
 		e.beginInterval()
@@ -312,6 +394,11 @@ func TestAccessBatchStopsAtOOM(t *testing.T) {
 	}
 	if be.TotalAccesses >= int64(2*bv.NPages) {
 		t.Fatalf("batch charged all %d pages past the failure", bv.NPages)
+	}
+	for i := 0; i < bv.NPages; i++ {
+		if bv.Node(i) != sv.Node(i) {
+			t.Fatalf("page %d: batch node %d, sequential %d", i, bv.Node(i), sv.Node(i))
+		}
 	}
 	before := accountingState(be, 0, 0)
 	be.AccessBatch(refs[:4], 0)

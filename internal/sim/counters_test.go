@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 	"time"
@@ -221,12 +222,12 @@ func TestResultPinOOMMidInterval(t *testing.T) {
 	}
 }
 
-// samplerPair returns an engine that places page idx of its VMA v, 64
-// huge pages, on node idx mod 4, with a PEBS buffer of the given capacity,
-// and a model buffer. arm applies to both buffers.
-func samplerPair(capacity int, arm func(*pebs.Buffer)) (e *Engine, v *vm.VMA, model *pebs.Buffer) {
+// samplerPair returns an engine under sol with one VMA v of 64 huge pages
+// and a PEBS buffer of the given capacity, and a model buffer. arm applies
+// to both buffers.
+func samplerPair(sol Solution, capacity int, arm func(*pebs.Buffer)) (e *Engine, v *vm.VMA, model *pebs.Buffer) {
 	e = NewEngine(tier.OptaneTopology(256), 1)
-	e.SetSolution(&spreadSolution{})
+	e.SetSolution(sol)
 	v = e.AS.Alloc("v", 64*vm.HugePageSize)
 	e.PEBS = pebs.NewBuffer(len(e.Sys.Topo.Nodes), capacity)
 	model = pebs.NewBuffer(len(e.Sys.Topo.Nodes), capacity)
@@ -264,31 +265,38 @@ func sameSampler(t *testing.T, e *Engine, model *pebs.Buffer, where string) {
 // buffer watches two of the four nodes and feeds a second buffer, armed
 // alike, one Record call per ref with the node the ref landed on. The
 // samples, interrupts, drops and carry bits must agree, lossless and
-// under a sample-drop storm, and the batches must take samples.
+// under a sample-drop storm, and the batches must take samples. It runs
+// under spreadSolution and under runSolution, which places on a watched
+// node and faults the first batch's first touches a run at a time.
 func TestSamplerMatchesRecordModel(t *testing.T) {
 	for _, drop := range []float64{0, 0.4} {
-		e, v, model := samplerPair(64, func(b *pebs.Buffer) {
-			b.Arm(0, 2)
-			b.DropFrac = drop
-		})
-		for seed := uint64(1); seed <= 20; seed++ {
-			batchAndModel(e, model, counterRefs(v, seed, 64, 200))
+		for _, sol := range []Solution{&spreadSolution{}, &runSolution{first: 2}} {
+			e, v, model := samplerPair(sol, 64, func(b *pebs.Buffer) {
+				b.Arm(0, 2)
+				b.DropFrac = drop
+			})
+			for seed := uint64(1); seed <= 20; seed++ {
+				batchAndModel(e, model, counterRefs(v, seed, 64, 200))
+			}
+			where := fmt.Sprintf("%s, drop %v", sol.Name(), drop)
+			if len(model.Samples()) == 0 || model.Interrupts() == 0 {
+				t.Fatalf("%s: %d samples, %d interrupts; the refs must exercise the sampler", where, len(model.Samples()), model.Interrupts())
+			}
+			sameSampler(t, e, model, where)
 		}
-		if len(model.Samples()) == 0 || model.Interrupts() == 0 {
-			t.Fatalf("drop %v: %d samples, %d interrupts; the refs must exercise the sampler", drop, len(model.Samples()), model.Interrupts())
-		}
-		sameSampler(t, e, model, fmt.Sprintf("drop %v", drop))
 	}
 }
 
 // FuzzSamplerMatchesRecord decodes its bytes into a sampler setting and
 // one batch, and checks the batch's samples, interrupts, drops and carry
 // bits against one Record call per ref. The first byte is the watched
-// node set (bits 0–3; bit 4 disarms both buffers), the next two a
-// WindowFrac in (0, 1], the next the buffer's capacity, and every 7 bytes
-// after them one ref: its page (which picks its node, mod 4), a shift s,
-// a 32-bit x, so that N is x >> (s mod 32) and small values are common,
-// and its write count.
+// node set (bits 0–3; bit 4 disarms both buffers) and the solution (bit
+// 5: runSolution, from the lowest watched node (or 0) up, whose first touches
+// fault a run at a time; otherwise spreadSolution, where a ref's page
+// picks its node, mod 4). The next two are a WindowFrac in (0, 1], the
+// next the buffer's capacity, and every 7 bytes after them one ref: its
+// page, a shift s, a 32-bit x, so that N is x >> (s mod 32) and small
+// values are common, and its write count.
 func FuzzSamplerMatchesRecord(f *testing.F) {
 	for _, seed := range []struct {
 		mask     byte
@@ -300,6 +308,8 @@ func FuzzSamplerMatchesRecord(f *testing.F) {
 		{0b0101, 0xffff, 63, []uint32{200, 1, 199, 400, 0, 7, 1 << 20}},   // HeMem's WindowFrac of 1
 		{0b0000, 0x8000, 1, []uint32{50, 60, 1 << 16}},
 		{0b11111, 0x8000, 1, []uint32{50, 60, 1 << 16}},
+		{0b101100, 6553, 8, []uint32{1000, 3, 2500, 70, 4000, 1, 600, 199}}, // runSolution on a PM node
+		{0b100001, 0xffff, 63, []uint32{200, 1, 199, 400, 0, 7, 1 << 20}},
 	} {
 		data := []byte{seed.mask, byte(seed.frac), byte(seed.frac >> 8), seed.capacity}
 		for i := range 40 {
@@ -314,7 +324,11 @@ func FuzzSamplerMatchesRecord(f *testing.F) {
 			return
 		}
 		mask, frac, capacity := data[0], float64(binary.LittleEndian.Uint16(data[1:])+1)/(1<<16), int(data[3]%64)+1
-		e, v, model := samplerPair(capacity, func(b *pebs.Buffer) {
+		var sol Solution = &spreadSolution{}
+		if mask&0x20 != 0 {
+			sol = &runSolution{first: tier.NodeID(bits.TrailingZeros8(mask&0xf) % 4)}
+		}
+		e, v, model := samplerPair(sol, capacity, func(b *pebs.Buffer) {
 			b.WindowFrac = frac
 			var nodes []tier.NodeID
 			for n := range 4 {

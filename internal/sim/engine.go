@@ -55,6 +55,17 @@ type Solution interface {
 	IntervalEnd(e *Engine)
 }
 
+// RunPlacer is a Solution whose placement reads neither the page index nor
+// the access accounting, so the engine can fault a run of first touches
+// with one call per node. PlaceRun returns the node Place would return for
+// any page of v faulted from socket, and keeps returning it while the node
+// has room for a page of v. While no hook is installed, issue places first
+// touches through PlaceRun (see faultRun); Place still serves every other
+// fault.
+type RunPlacer interface {
+	PlaceRun(e *Engine, v *vm.VMA, socket int) tier.NodeID
+}
+
 // Workload is a simulated application. RunInterval runs one interval of
 // it; each workload of internal/workload does so with the one line
 // e.RunChunks(w), so the engine owns the interval loop and the workload
@@ -171,6 +182,7 @@ type Engine struct {
 	Observer func(v *vm.VMA, idx int, n, nw uint32, socket int)
 
 	sol    Solution
+	runs   RunPlacer // sol, when it is one; nil otherwise
 	faults FaultPlane
 	failed error                  // sticky first failure, an *OOMError
 	met    *engineMetrics         // nil unless EnableMetrics was called
@@ -283,7 +295,10 @@ func (e *Engine) Solution() Solution { return e.sol }
 
 // SetSolution installs the solution; exposed for tests that drive the
 // interval loop manually.
-func (e *Engine) SetSolution(s Solution) { e.sol = s }
+func (e *Engine) SetSolution(s Solution) {
+	e.sol = s
+	e.runs, _ = s.(RunPlacer)
+}
 
 // Ref is one entry of an access batch: N application accesses, NW of
 // them writes, to page Idx of V. V is never nil, even when N == 0.
@@ -344,16 +359,15 @@ func warm(refs []Ref) (nodes tier.NodeID, n int64) {
 
 // issue is AccessBatch after its warm pass, on an engine that has not
 // failed. While neither Intercept nor Observer is installed, accessRun
-// takes each run of refs that hit present pages. The loop here takes the
-// others one at a time, through the engine's fields: the fault path if
+// takes each run of refs that hit present pages, and faultRun places each
+// run of first touches at the ref that leads it. The loop here takes the
+// other refs one at a time, through the engine's fields: the fault path if
 // the page is not present, TouchN, then Intercept, the sampler and
 // Observer. So every hook sees the engine exactly as after the preceding
 // refs' Access calls.
 func (e *Engine) issue(refs []Ref, socket int) {
 	lat := e.latNow[socket]
 	for ; len(refs) > 0; refs = refs[1:] {
-		// A first touch goes straight to the fault path, so a run of them
-		// (a workload's set-up) skips accessRun.
 		if e.Intercept == nil && e.Observer == nil && refs[0].V.Present(refs[0].Idx) {
 			n, sample := e.accessRun(refs, socket)
 			if refs = refs[n:]; len(refs) == 0 {
@@ -369,7 +383,10 @@ func (e *Engine) issue(refs []Ref, socket int) {
 			continue
 		}
 		if !v.Present(r.Idx) {
-			if !e.handleFault(v, r.Idx, socket) {
+			// Without hooks the fault places the run r leads, whose other
+			// refs accessRun then takes on the next turn.
+			hooked := e.Intercept != nil || e.Observer != nil
+			if (hooked || !e.faultRun(refs, socket)) && !e.handleFault(v, r.Idx, socket) {
 				return // placement failed; the engine carries the error
 			}
 		}
@@ -474,6 +491,63 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 		e.PEBS.SetCarry(carry)
 	}
 	return n, sample
+}
+
+// faultRun faults the run of first touches on refs[0].V that refs[0]
+// leads, a ref with N > 0 to a page that is not present, and reports
+// whether it placed that page; issue calls it only while neither Intercept
+// nor Observer is installed. It places nothing for a solution that is not
+// a RunPlacer.
+//
+// Per node it asks PlaceRun once, places as many of the run's refs as the
+// node has room for pages, reserves them in one call and charges their
+// faults as one sum, then asks again. The run ends at a ref to another
+// VMA, to a present page (which covers a page the run names twice) or,
+// with health on, to a poisoned page, and where PlaceRun names a node with
+// no room or tier.Invalid. Refs with N == 0 neither fault nor end it. The
+// ref that ends the run takes handleFault once issue reaches it, after
+// accessRun has charged the run's touches, so fallback placement, shadow
+// and emergency reclaim and OOM see every earlier ref as Access would.
+//
+// The charges are handleFault's, summed per node: nothing between the
+// placements and the touches reads the accounting (no hook runs, and
+// PlaceRun reads none of it), every charge is an integer sum, and the
+// zero-fill time depends only on the socket, the node and the page size,
+// since a Topology's links are fixed.
+func (e *Engine) faultRun(refs []Ref, socket int) bool {
+	if e.runs == nil {
+		return false
+	}
+	v := refs[0].V
+	for i := 0; i < len(refs); {
+		node := e.runs.PlaceRun(e, v, socket)
+		if node == tier.Invalid {
+			break
+		}
+		room := e.Sys.Free(node) / v.PageSize
+		var k int64 // pages placed on node
+		for ; i < len(refs) && k < room; i++ {
+			if r := refs[i]; r.N != 0 {
+				if r.V != v || v.Present(r.Idx) || e.hlt != nil && v.IsPoisoned(r.Idx) {
+					break
+				}
+				v.Place(r.Idx, node)
+				k++
+			}
+		}
+		if k == 0 {
+			break
+		}
+		e.Sys.Reserve(node, k*v.PageSize)
+		e.TotalFaults += k
+		zero := e.Sys.CopyTime(socket, node, node, v.PageSize)
+		e.intApp += time.Duration(k) * (FaultCost + zero)
+		e.Sys.RecordTransfer(node, k*v.PageSize)
+		if k < room {
+			break // the run ended before the node filled
+		}
+	}
+	return v.Present(refs[0].Idx)
 }
 
 // handleFault places a first-touched page via the solution, falling back
@@ -698,7 +772,7 @@ type Result struct {
 // summary alongside the engine's failure, if any; the summary covers the
 // partial run in the error case.
 func Run(e *Engine, w Workload, sol Solution, maxIntervals int) (*Result, error) {
-	e.sol = sol
+	e.SetSolution(sol)
 	e.sp.SetMeta("solution", sol.Name())
 	e.sp.SetMeta("workload", w.Name())
 	w.Init(e)

@@ -80,7 +80,10 @@ type Topology struct {
 	Sockets int
 	Nodes   []NodeSpec
 	// Links[socket][node] is the performance of accesses issued on a
-	// socket to a node.
+	// socket to a node. The links are fixed once an engine is built over
+	// the topology (sim.NewEngine): the engine caches their latencies and
+	// charges a page's zero-fill once per run of first touches. A fault
+	// that degrades a link acts through sim.Engine.LinkBandwidth instead.
 	Links [][]Link
 
 	// views caches the per-socket fastest-to-slowest node orders. The
