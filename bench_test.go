@@ -150,7 +150,9 @@ func hugeRefs() (*sim.Engine, []sim.Ref) {
 // adding a commit-log write, each VMA of huge pages. single issues random
 // refs to the 64 huge pages one Access call each, the path a lone access
 // takes. fault first-touches fresh 4 KB pages in order, 64 refs to a
-// batch, as a workload's set-up does.
+// batch, the path first touches take outside set-up. init-touch
+// first-touches fresh 4 KB VMAs with InitTouch, as a workload's set-up
+// does, one VMA to a call; an op is one page.
 var accessShapes = []struct {
 	name  string
 	shape accessShape
@@ -254,6 +256,28 @@ var accessShapes = []struct {
 				n -= len(refs)
 			}
 		}, pages
+	}},
+	{"init-touch", func(_ testing.TB, small bool) (func(int), int) {
+		pages, count := 1<<12, 64 // scale 64 holds the 64 VMAs' 1 GB
+		if small {
+			pages = 256
+		}
+		e := sim.NewEngine(tier.OptaneTopology(64), 1)
+		e.SetSolution(policy.NewFirstTouch())
+		e.AS.THP = false
+		vmas := make([]*vm.VMA, count)
+		for i := range vmas {
+			vmas[i] = e.AS.Alloc("b", int64(pages)*vm.BasePageSize)
+		}
+		e.Sys.ResetWindow(e.Interval)
+		next, ahead := 0, 0 // ahead: pages touched past the ops issued
+		return func(n int) {
+			for ; ahead < n; ahead += pages {
+				e.InitTouch(sim.HomeSocket, vmas[next])
+				next++
+			}
+			ahead -= n
+		}, count * pages
 	}},
 }
 

@@ -267,7 +267,7 @@ func sameSampler(t *testing.T, e *Engine, model *pebs.Buffer, where string) {
 // samples, interrupts, drops and carry bits must agree, lossless and
 // under a sample-drop storm, and the batches must take samples. It runs
 // under spreadSolution and under runSolution, which places on a watched
-// node and faults the first batch's first touches a run at a time.
+// node.
 func TestSamplerMatchesRecordModel(t *testing.T) {
 	for _, drop := range []float64{0, 0.4} {
 		for _, sol := range []Solution{&spreadSolution{}, &runSolution{first: 2}} {
@@ -291,9 +291,8 @@ func TestSamplerMatchesRecordModel(t *testing.T) {
 // one batch, and checks the batch's samples, interrupts, drops and carry
 // bits against one Record call per ref. The first byte is the watched
 // node set (bits 0–3; bit 4 disarms both buffers) and the solution (bit
-// 5: runSolution, from the lowest watched node (or 0) up, whose first touches
-// fault a run at a time; otherwise spreadSolution, where a ref's page
-// picks its node, mod 4). The next two are a WindowFrac in (0, 1], the
+// 5: runSolution, from the lowest watched node (or 0) up; otherwise
+// spreadSolution, where a ref's page picks its node, mod 4). The next two are a WindowFrac in (0, 1], the
 // next the buffer's capacity, and every 7 bytes after them one ref: its
 // page, a shift s, a 32-bit x, so that N is x >> (s mod 32) and small
 // values are common, and its write count.

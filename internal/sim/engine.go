@@ -59,9 +59,8 @@ type Solution interface {
 // the access accounting, so the engine can fault a run of first touches
 // with one call per node. PlaceRun returns the node Place would return for
 // any page of v faulted from socket, and keeps returning it while the node
-// has room for a page of v. While no hook is installed, issue places first
-// touches through PlaceRun (see faultRun); Place still serves every other
-// fault.
+// has room for a page of v. InitTouch places a set-up's first touches
+// through PlaceRun (see initRun); Place serves every other fault.
 type RunPlacer interface {
 	PlaceRun(e *Engine, v *vm.VMA, socket int) tier.NodeID
 }
@@ -359,8 +358,7 @@ func warm(refs []Ref) (nodes tier.NodeID, n int64) {
 
 // issue is AccessBatch after its warm pass, on an engine that has not
 // failed. While neither Intercept nor Observer is installed, accessRun
-// takes each run of refs that hit present pages, and faultRun places each
-// run of first touches at the ref that leads it. The loop here takes the
+// takes each run of refs that hit present pages. The loop here takes the
 // other refs one at a time, through the engine's fields: the fault path if
 // the page is not present, TouchN, then Intercept, the sampler and
 // Observer. So every hook sees the engine exactly as after the preceding
@@ -382,13 +380,8 @@ func (e *Engine) issue(refs []Ref, socket int) {
 		if r.N == 0 {
 			continue
 		}
-		if !v.Present(r.Idx) {
-			// Without hooks the fault places the run r leads, whose other
-			// refs accessRun then takes on the next turn.
-			hooked := e.Intercept != nil || e.Observer != nil
-			if (hooked || !e.faultRun(refs, socket)) && !e.handleFault(v, r.Idx, socket) {
-				return // placement failed; the engine carries the error
-			}
+		if !v.Present(r.Idx) && !e.handleFault(v, r.Idx, socket) {
+			return // placement failed; the engine carries the error
 		}
 		if r.NW != 0 && v.ShadowValid(r.Idx) {
 			// The write diverges the fast copy from its shadow, which
@@ -493,61 +486,107 @@ func (e *Engine) accessRun(refs []Ref, socket int) (n int, sample tier.NodeID) {
 	return n, sample
 }
 
-// faultRun faults the run of first touches on refs[0].V that refs[0]
-// leads, a ref with N > 0 to a page that is not present, and reports
-// whether it placed that page; issue calls it only while neither Intercept
-// nor Observer is installed. It places nothing for a solution that is not
-// a RunPlacer.
+// chargeFaults charges the demand-zero faults of k pages of v that were
+// just placed, and reserved, on node from socket: per page the kernel's
+// fixed cost plus zeroing the page at the node's best bandwidth. Every
+// charge is an integer sum, and the zero-fill time depends only on the
+// socket, the node and the page size, since a Topology's links are fixed,
+// so k faults at once charge what k one at a time do.
+func (e *Engine) chargeFaults(v *vm.VMA, node tier.NodeID, k int64, socket int) {
+	e.TotalFaults += k
+	zero := e.Sys.CopyTime(socket, node, node, v.PageSize)
+	e.intApp += time.Duration(k) * (FaultCost + zero)
+	e.Sys.RecordTransfer(node, k*v.PageSize)
+}
+
+// InitTouch first-touches every page of vmas, in order, with one write
+// from socket, then zeroes the ground-truth counters: it equals one
+// Access(v, idx, 1, 1, socket) per page followed by AS.ResetCounts(). It
+// models a workload's set-up, the initialisation loop whose first touches
+// make first-touch placement address-ordered, and leaves the first
+// interval to see steady-state traffic only.
 //
-// Per node it asks PlaceRun once, places as many of the run's refs as the
-// node has room for pages, reserves them in one call and charges their
-// faults as one sum, then asks again. The run ends at a ref to another
-// VMA, to a present page (which covers a page the run names twice) or,
-// with health on, to a poisoned page, and where PlaceRun names a node with
-// no room or tier.Invalid. Refs with N == 0 neither fault nor end it. The
-// ref that ends the run takes handleFault once issue reaches it, after
-// accessRun has charged the run's touches, so fallback placement, shadow
-// and emergency reclaim and OOM see every earlier ref as Access would.
-//
-// The charges are handleFault's, summed per node: nothing between the
-// placements and the touches reads the accounting (no hook runs, and
-// PlaceRun reads none of it), every charge is an integer sum, and the
-// zero-fill time depends only on the socket, the node and the page size,
-// since a Topology's links are fixed.
-func (e *Engine) faultRun(refs []Ref, socket int) bool {
-	if e.runs == nil {
-		return false
+// While the engine has not failed, no Intercept or Observer is installed,
+// the sampler is nil or disarmed and the solution is a RunPlacer,
+// initRun places a VMA a node run at a time. Where it stops short, the
+// rest of the VMA takes AccessBatch, 64 refs at a time, so fallback
+// placement, shadow and emergency reclaim, OOM and every hook see the
+// engine exactly as under one Access per page.
+func (e *Engine) InitTouch(socket int, vmas ...*vm.VMA) {
+	bulk := e.Intercept == nil && e.Observer == nil && e.runs != nil &&
+		(e.PEBS == nil || !e.PEBS.Armed())
+	uncounted := 0 // vmas[uncounted:i] were placed whole by initRun
+	for i, v := range vmas {
+		if e.failed != nil {
+			break
+		}
+		pg := 0
+		if bulk {
+			if pg = e.initRun(v, socket); pg == v.NPages {
+				continue
+			}
+		}
+		// initRun leaves the counters untouched, which ResetCounts would
+		// zero anyway; the fallback's emergency reclaim picks its victims
+		// by count, so the pages placed so far get theirs first.
+		for _, u := range vmas[uncounted:i] {
+			countFirstWrites(u, u.NPages, socket)
+		}
+		countFirstWrites(v, pg, socket)
+		uncounted = i + 1
+		var buf [64]Ref
+		for ; pg < v.NPages; pg += len(buf) {
+			refs := buf[:min(len(buf), v.NPages-pg)]
+			for j := range refs {
+				refs[j] = Ref{V: v, Idx: pg + j, N: 1, NW: 1}
+			}
+			e.AccessBatch(refs, socket)
+		}
 	}
-	v := refs[0].V
-	for i := 0; i < len(refs); {
+	e.AS.ResetCounts()
+}
+
+// initRun places the leading pages of v, which InitTouch first-touches,
+// and returns how many it placed. Per node it asks PlaceRun once, places
+// as many pages as the node has room for, charges their faults through
+// chargeFaults and folds their accesses into the per-node and total
+// counts and the app time, then asks again. It stops at a node that is
+// tier.Invalid or has no room and where FirstWriteRange stops: a present
+// page, a poisoned page or a valid shadow. It writes no counter, no write
+// count and no touched bit (see countFirstWrites).
+func (e *Engine) initRun(v *vm.VMA, socket int) int {
+	lat := e.latNow[socket]
+	pg := 0
+	for pg < v.NPages {
 		node := e.runs.PlaceRun(e, v, socket)
 		if node == tier.Invalid {
 			break
 		}
-		room := e.Sys.Free(node) / v.PageSize
-		var k int64 // pages placed on node
-		for ; i < len(refs) && k < room; i++ {
-			if r := refs[i]; r.N != 0 {
-				if r.V != v || v.Present(r.Idx) || e.hlt != nil && v.IsPoisoned(r.Idx) {
-					break
-				}
-				v.Place(r.Idx, node)
-				k++
-			}
-		}
+		end := pg + int(min(e.Sys.Free(node)/v.PageSize, int64(v.NPages-pg)))
+		next := v.FirstWriteRange(pg, end, node, socket)
+		k := int64(next - pg)
 		if k == 0 {
 			break
 		}
 		e.Sys.Reserve(node, k*v.PageSize)
-		e.TotalFaults += k
-		zero := e.Sys.CopyTime(socket, node, node, v.PageSize)
-		e.intApp += time.Duration(k) * (FaultCost + zero)
-		e.Sys.RecordTransfer(node, k*v.PageSize)
-		if k < room {
-			break // the run ended before the node filled
+		e.chargeFaults(v, node, k, socket)
+		e.intAccesses[node] += k
+		e.NodeAccesses[node] += k
+		e.TotalAccesses += k
+		e.intApp += time.Duration(k) * (lat[node] + PerAccessCPU)
+		if pg = next; next < end {
+			break // a page the run cannot take
 		}
 	}
-	return v.Present(refs[0].Idx)
+	return pg
+}
+
+// countFirstWrites gives pages [0, n) of v the counters one write from
+// socket adds, which initRun left out.
+func countFirstWrites(v *vm.VMA, n, socket int) {
+	for i := range n {
+		v.TouchHit(i, 1, 1, socket)
+	}
 }
 
 // handleFault places a first-touched page via the solution, falling back
@@ -580,12 +619,7 @@ func (e *Engine) handleFault(v *vm.VMA, idx int, socket int) bool {
 		e.Sys.Reserve(node, v.PageSize)
 	}
 	v.Place(idx, node)
-	e.TotalFaults++
-	// Demand-zero: kernel fixed cost plus zeroing the page at the
-	// node's best bandwidth.
-	zero := e.Sys.CopyTime(socket, node, node, v.PageSize)
-	e.intApp += FaultCost + zero
-	e.Sys.RecordTransfer(node, v.PageSize)
+	e.chargeFaults(v, node, 1, socket)
 	return true
 }
 

@@ -254,6 +254,10 @@ func (t *Tracer) Dropped() int64 {
 }
 
 // Export snapshots the trace for serialisation. Nil on a nil tracer.
+// While no span is open, as at the end of a run, the snapshot shares the
+// recorded spans, capped so that later spans append past its end: only End
+// writes a recorded span, and only an open one. With a span open it
+// copies them, so that span's End leaves the snapshot as it is.
 func (t *Tracer) Export() *Export {
 	if t == nil {
 		return nil
@@ -262,7 +266,10 @@ func (t *Tracer) Export() *Export {
 	for k, v := range t.meta {
 		meta[k] = v
 	}
-	spans := make([]Span, len(t.spans))
-	copy(spans, t.spans)
+	spans := t.spans[:len(t.spans):len(t.spans)]
+	if len(t.stack) > 0 || spans == nil {
+		// A trace with no span exports an empty list, not null.
+		spans = append(make([]Span, 0, len(spans)), spans...)
+	}
 	return &Export{Meta: meta, Spans: spans, Dropped: t.dropped}
 }

@@ -80,6 +80,42 @@ func TestCloseAll(t *testing.T) {
 	tr.CloseAll(20) // idempotent on an empty stack
 }
 
+// TestExportIsASnapshot: spans begun, ended, emitted or given attributes
+// after Export leave it as it was, whether it shares the recorded spans
+// (no span open) or copies them (one open), and the tracer keeps them.
+func TestExportIsASnapshot(t *testing.T) {
+	for _, open := range []bool{false, true} {
+		tr := New(Config{})
+		tr.BeginInterval(0)
+		tr.Begin("interval", "root", 0, I("n", 1))
+		if !open {
+			tr.End(5)
+		}
+		tr.Event("decision", "noop", 3)
+		x := tr.Export()
+		if shared := &x.Spans[0] == &tr.spans[0]; shared == open {
+			t.Fatalf("open %v: export shares the recorded spans: %v", open, shared)
+		}
+		want, err := json.Marshal(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.End(9, S("late", "attr"))
+		tr.Begin("phase", "after", 10, S("s", "v"))
+		tr.Emit("detail", "emitted", 11, 1)
+		tr.End(12, I("k", 2))
+		if got, err := json.Marshal(x); err != nil || string(got) != string(want) {
+			t.Fatalf("open %v: export moved:\n got %s\nwant %s", open, got, want)
+		}
+		if tr.Len() != 4 {
+			t.Fatalf("open %v: tracer holds %d spans, want 4", open, tr.Len())
+		}
+	}
+	if x := New(Config{}).Export(); x.Spans == nil {
+		t.Fatal("an empty trace exports nil spans")
+	}
+}
+
 // TestWriteJSONL: header first, then one valid JSON object per span, and
 // the header round-trips through ReadJSONL.
 func TestWriteJSONL(t *testing.T) {

@@ -202,6 +202,32 @@ func (v *VMA) Place(idx int, n tier.NodeID) {
 	v.present.Set(idx)
 }
 
+// FirstWriteRange places the leading pages of [lo, hi) on node n as a
+// first write from socket to each would, and returns the page it stopped
+// at: present and dirty bits, node and last-accessor socket, but not the
+// ground-truth counters or the touched plane, which the caller accounts
+// for. It stops at a present page and at a page whose first write does
+// more than place it: a poisoned page, whose fault may recover it, and a
+// page whose shadow is valid, which the write invalidates. It panics on a
+// node the page record cannot hold, as Place does.
+func (v *VMA) FirstWriteRange(lo, hi int, n tier.NodeID, socket int) int {
+	if tier.NodeID(int8(n)) != n {
+		panic("vm: FirstWriteRange: node outside int8")
+	}
+	node, sock := ^int8(n), int8(socket)
+	i := lo
+	for ; i < hi; i++ {
+		p := &v.pages[i]
+		if p.node != 0 || p.flags&(Poisoned|recShadowValid) != 0 {
+			break
+		}
+		p.node, p.sock = node, sock
+	}
+	v.present.SetRange(lo, i)
+	v.dirty.SetRange(lo, i)
+	return i
+}
+
 // Unmap removes the frame of page idx (migration step 2). Access state is
 // preserved so a remap continues tracking.
 func (v *VMA) Unmap(idx int) {

@@ -107,7 +107,7 @@ func (g *GUPS) Init(e *sim.Engine) {
 			sim.Ref{V: g.heap, N: 2 * b, NW: b})
 	}
 	g.drawHotSet(e.Rng)
-	initTouch(e, g.heap)
+	e.InitTouch(sim.HomeSocket, g.heap)
 }
 
 func (g *GUPS) tablePages() int { return g.infoStart - g.tableStart }

@@ -86,7 +86,7 @@ func (p *PingPong) Init(e *sim.Engine) {
 		// Read + write of a random slot, like a GUPS update.
 		p.refs[i] = sim.Ref{V: p.heap, N: 2 * b, NW: b}
 	}
-	initTouch(e, p.heap)
+	e.InitTouch(sim.HomeSocket, p.heap)
 }
 
 // Heap returns the table VMA.

@@ -66,7 +66,7 @@ func (s *Spark) Init(e *sim.Engine) {
 	s.shuffle = e.AS.Alloc("spark.shuffle", s.inputBytes)
 	s.output = e.AS.Alloc("spark.output", s.inputBytes)
 	s.bucketFill = make([]int64, sparkBuckets)
-	initTouch(e, s.input)
+	e.InitTouch(sim.HomeSocket, s.input)
 }
 
 func (s *Spark) bucketBytes() int64 { return s.shuffle.Bytes() / sparkBuckets }

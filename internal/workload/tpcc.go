@@ -71,7 +71,7 @@ func (w *VoltDB) Init(e *sim.Engine) {
 	w.stockRow = rng.NewBound63(w.stockPerWh)
 	w.homes = make([]int, voltdbClients)
 	w.assignHomes(e.Rng)
-	initTouch(e, w.customer, w.stock, w.orders, w.hist, w.warehouse, w.district, w.item)
+	e.InitTouch(sim.HomeSocket, w.customer, w.stock, w.orders, w.hist, w.warehouse, w.district, w.item)
 }
 
 func (w *VoltDB) assignHomes(r *rng.Rand) {

@@ -132,28 +132,6 @@ func touchRange(refs []sim.Ref, v *vm.VMA, off, n, elemSize int64, write bool) [
 	return refs
 }
 
-// initTouch sequentially faults in and writes an entire VMA, modelling
-// the data-structure initialisation phase real applications run at
-// startup (loading a table, building a graph, memset-ing a heap). This is
-// what makes first-touch placement *address-ordered*: the pages that land
-// in the fast tiers are whichever the init loop touched first, not the
-// ones the steady state will hammer. Ground-truth counters are reset
-// afterwards so the first profiling interval sees steady-state traffic
-// only.
-func initTouch(e *sim.Engine, vmas ...*vm.VMA) {
-	var buf [64]sim.Ref
-	for _, v := range vmas {
-		for pg := 0; pg < v.NPages; pg += len(buf) {
-			refs := buf[:min(len(buf), v.NPages-pg)]
-			for i := range refs {
-				refs[i] = sim.Ref{V: v, Idx: pg + i, N: 1, NW: 1}
-			}
-			e.AccessBatch(refs, sim.HomeSocket)
-		}
-	}
-	e.AS.ResetCounts()
-}
-
 // GB and MB re-export the tier units for concise sizing literals.
 const (
 	GB = tier.GB

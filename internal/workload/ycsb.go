@@ -42,7 +42,7 @@ func NewCassandra(cfg Config) *Cassandra {
 
 func (c *Cassandra) Init(e *sim.Engine) {
 	c.alloc(e.AS)
-	initTouch(e, c.data, c.index, c.commitLog)
+	e.InitTouch(sim.HomeSocket, c.data, c.index, c.commitLog)
 }
 
 // alloc lays the store out in as and sizes its keys to it.
