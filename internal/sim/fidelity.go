@@ -19,18 +19,23 @@ type regionEstimator interface {
 	Regions() []*region.Region
 }
 
-// fidelityPlane is the oracle's per-VMA state: the truth hot set of this
-// and the previous interval, the profiler's estimated hot set, and the
-// turn-hot stamps for estimation-lag tracking.
+// fidelityPlane is the oracle's per-VMA state: the truth hot set of the
+// previous interval, the profiler's estimated hot set, and the turn-hot
+// stamps for estimation-lag tracking.
 type fidelityPlane struct {
-	truth vm.Bitmap // ground-truth hot set, this interval
-	prev  vm.Bitmap // ground-truth hot set, previous interval
-	est   vm.Bitmap // profiler's estimated hot set, this interval
-	pend  vm.Bitmap // turned hot, not yet seen by the profiler
-	// hotSince[i] is the interval page i turned hot (valid while the pend
-	// bit is set).
-	hotSince []int32
+	prev vm.Bitmap // ground-truth hot set, previous interval
+	est  vm.Bitmap // profiler's estimated hot set, this interval
+	pend vm.Bitmap // turned hot, not yet seen by the profiler
+	// pending holds one record per pend bit, grouped by plane word in
+	// ascending word order: the interval the page turned hot. A few
+	// percent of pages are pending at a time, so it is far smaller than
+	// a stamp per page. scoreVMA rebuilds it into spare each sample and
+	// swaps the two.
+	pending, spare []pendRec
 }
+
+// pendRec is one pending page's turn-hot stamp.
+type pendRec struct{ idx, since int32 }
 
 // fidScore is one sample's truth-vs-estimate tally, summed over VMAs.
 type fidScore struct {
@@ -143,6 +148,7 @@ func (e *Engine) solutionRegions() []*region.Region {
 // v's byte offset in the address-column mapping.
 func scoreVMA(v *vm.VMA, pl *fidelityPlane, baseOff, totalBytes int64, cut int, interval int32, s *fidScore, row *fidelity.HeatRow) {
 	ps := v.PageSize
+	old, next := pl.pending, pl.spare[:0]
 	for w := 0; w < v.Words(); w++ {
 		var tw uint64
 		for word := v.ActiveWord(w); word != 0; {
@@ -161,56 +167,61 @@ func scoreVMA(v *vm.VMA, pl *fidelityPlane, baseOff, totalBytes int64, cut int, 
 		s.interBytes += int64(bits.OnesCount64(tw&ew)) * ps
 
 		// Lag transitions. Seen: a pending page entered the estimated
-		// hot set — close its lag sample.
+		// hot set — close its lag sample. Missed: a pending page went
+		// cold before the profiler ever covered it. Any other pending
+		// page stays pending.
 		seen := ew & pendw
-		for word := seen; word != 0; {
-			i := w*vm.WordPages + bits.TrailingZeros64(word)
-			word &= word - 1
-			s.lagSum += int64(interval - pl.hotSince[i])
-			s.lagN++
-			pl.hotSince[i] = -1
+		missed := pendw &^ seen &^ tw
+		for ; len(old) > 0 && int(old[0].idx)>>6 == w; old = old[1:] {
+			r := old[0]
+			bit := uint64(1) << uint(r.idx&63)
+			switch {
+			case seen&bit != 0:
+				s.lagSum += int64(interval - r.since)
+				s.lagN++
+			case missed&bit == 0:
+				next = append(next, r)
+			}
 		}
-		pendw &^= seen
-		// Missed: a pending page went cold before the profiler ever
-		// covered it.
-		missed := pendw &^ tw
 		s.missed += int64(bits.OnesCount64(missed))
-		for word := missed; word != 0; {
-			i := w*vm.WordPages + bits.TrailingZeros64(word)
-			word &= word - 1
-			pl.hotSince[i] = -1
-		}
-		pendw &^= missed
+		pendw &^= seen | missed
 		// Instantly seen: turned hot already inside the estimate —
 		// a zero-lag sample.
 		s.lagN += int64(bits.OnesCount64(tw &^ pw & ew &^ pendw))
 		// Newly hot, unseen: start the lag clock.
 		newh := tw &^ pw &^ ew &^ pendw
-		for word := newh; word != 0; {
-			i := w*vm.WordPages + bits.TrailingZeros64(word)
-			word &= word - 1
-			pl.hotSince[i] = interval
+		for word := newh; word != 0; word &= word - 1 {
+			next = append(next, pendRec{int32(w*vm.WordPages + bits.TrailingZeros64(word)), interval})
 		}
 		pendw |= newh
 
 		pl.pend[w] = pendw
-		pl.truth[w] = tw
 		pl.prev[w] = tw // becomes "previous" for the next sample
 
-		// Heat columns: hot bytes per address-space slice.
-		for word := tw; word != 0; {
-			i := w*vm.WordPages + bits.TrailingZeros64(word)
-			word &= word - 1
-			col := int((baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
-			row.Truth[col] += ps
+		// Heat columns: hot bytes per address-space slice. The column
+		// is monotone in the page index, so a word whose first and
+		// last pages share a column adds its bytes to it at once.
+		first := w * vm.WordPages
+		last := min(first+vm.WordPages, v.NPages) - 1
+		if c := heatCol(baseOff, first, ps, totalBytes); c == heatCol(baseOff, last, ps, totalBytes) {
+			row.Truth[c] += int64(bits.OnesCount64(tw)) * ps
+			row.Est[c] += int64(bits.OnesCount64(ew)) * ps
+			continue
 		}
-		for word := ew; word != 0; {
-			i := w*vm.WordPages + bits.TrailingZeros64(word)
-			word &= word - 1
-			col := int((baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
-			row.Est[col] += ps
+		for word := tw; word != 0; word &= word - 1 {
+			row.Truth[heatCol(baseOff, first+bits.TrailingZeros64(word), ps, totalBytes)] += ps
+		}
+		for word := ew; word != 0; word &= word - 1 {
+			row.Est[heatCol(baseOff, first+bits.TrailingZeros64(word), ps, totalBytes)] += ps
 		}
 	}
+	pl.pending, pl.spare = next, pl.pending[:0]
+}
+
+// heatCol is the heat-row column of page i of a VMA at byte offset
+// baseOff in an address range of totalBytes.
+func heatCol(baseOff int64, i int, ps, totalBytes int64) int {
+	return int((baseOff + int64(i)*ps) * fidelity.HeatCols / totalBytes)
 }
 
 // FidelitySample takes one oracle sample immediately, outside the normal
@@ -249,14 +260,9 @@ func (e *Engine) fidelityEndInterval() {
 		pl := f.planes[v]
 		if pl == nil {
 			pl = &fidelityPlane{
-				truth:    vm.NewBitmap(v.NPages),
-				prev:     vm.NewBitmap(v.NPages),
-				est:      vm.NewBitmap(v.NPages),
-				pend:     vm.NewBitmap(v.NPages),
-				hotSince: make([]int32, v.NPages),
-			}
-			for i := range pl.hotSince {
-				pl.hotSince[i] = -1
+				prev: vm.NewBitmap(v.NPages),
+				est:  vm.NewBitmap(v.NPages),
+				pend: vm.NewBitmap(v.NPages),
 			}
 			f.planes[v] = pl
 		}
@@ -391,7 +397,8 @@ func (e *Engine) fidelityOutcome(m *pendingMove, reaccessed bool, cur int32) {
 	}
 	vd := fidelity.Resolve(m.promote, m.flip, reaccessed)
 	f.outcomes[vd]++
-	key := fidelity.RuleKey{Rule: m.rule, Admission: m.adm}
+	lb := e.lin.labels[m.label]
+	key := fidelity.RuleKey{Rule: lb.rule, Admission: lb.adm}
 	c := f.byRule[key]
 	if c == nil {
 		c = new(fidelity.OutcomeCounts)
@@ -400,8 +407,8 @@ func (e *Engine) fidelityOutcome(m *pendingMove, reaccessed bool, cur int32) {
 	c[vd]++
 	e.SpanEvent("migration", "outcome",
 		span.S("verdict", vd.String()),
-		span.S("rule", m.rule),
-		span.S("admission", m.adm),
+		span.S("rule", lb.rule),
+		span.S("admission", lb.adm),
 		span.S("vma", m.v.Name),
 		span.I("page", int64(m.idx)),
 		span.S("src", e.Sys.Topo.Nodes[m.src].Name),

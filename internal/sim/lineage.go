@@ -11,16 +11,21 @@ import (
 const DefaultFidelityHorizon = 8
 
 // pendingMove is one committed page move awaiting its hindsight verdict.
+// It holds its labels as an index into lineage.labels and its nodes as
+// bytes (tier.MaxNodes is 16), 24 bytes an entry.
 type pendingMove struct {
 	v        *vm.VMA
 	idx      int32
 	interval int32
 	promote  bool
 	flip     bool
-	rule     string
-	adm      string
-	src, dst tier.NodeID
+	label    uint16
+	src, dst int8
 }
+
+// moveLabel is the lineage of a move: the policy rule that planned it and
+// the admission rule that priced it.
+type moveLabel struct{ rule, adm string }
 
 // lineage is the engine's one pending-move ledger. Every committed page
 // move lands here in commit order, tagged with the policy rule that
@@ -33,8 +38,31 @@ type pendingMove struct {
 type lineage struct {
 	// pend is FIFO in commit order, compacted in place on resolve.
 	pend []pendingMove
-	// Decision context for the moves that follow (SetMoveContext).
-	rule, adm string
+	// labels holds each distinct (rule, admission) pair a move was
+	// labelled with; a run sees a handful.
+	labels []moveLabel
+	// cur indexes the label of the moves that follow (SetMoveContext).
+	cur uint16
+}
+
+// setLabel makes (rule, adm) the current label, with the defaults for
+// unlabelled moves applied.
+func (l *lineage) setLabel(rule, adm string) {
+	if rule == "" {
+		rule = "unattributed"
+	}
+	if adm == "" {
+		adm = "unguarded"
+	}
+	ml := moveLabel{rule, adm}
+	for i, x := range l.labels {
+		if x == ml {
+			l.cur = uint16(i)
+			return
+		}
+	}
+	l.cur = uint16(len(l.labels))
+	l.labels = append(l.labels, ml)
 }
 
 // enableLineage attaches the ledger (idempotent); called by EnableFidelity
@@ -42,6 +70,7 @@ type lineage struct {
 func (e *Engine) enableLineage() {
 	if e.lin == nil {
 		e.lin = &lineage{}
+		e.lin.setLabel("", "")
 	}
 }
 
@@ -52,14 +81,14 @@ func (e *Engine) enableLineage() {
 // "unguarded". No-op without the ledger.
 func (e *Engine) SetMoveContext(rule, admRule string) {
 	if e.lin != nil {
-		e.lin.rule, e.lin.adm = rule, admRule
+		e.lin.setLabel(rule, admRule)
 	}
 }
 
 // ClearMoveContext clears the lineage labels set by SetMoveContext.
 func (e *Engine) ClearMoveContext() {
 	if e.lin != nil {
-		e.lin.rule, e.lin.adm = "", ""
+		e.lin.setLabel("", "")
 	}
 }
 
@@ -76,24 +105,15 @@ func (e *Engine) lineageMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, 
 	if !promote && e.fid == nil {
 		return
 	}
-	rule := l.rule
-	if rule == "" {
-		rule = "unattributed"
-	}
-	adm := l.adm
-	if adm == "" {
-		adm = "unguarded"
-	}
 	l.pend = append(l.pend, pendingMove{
 		v:        v,
 		idx:      int32(idx),
 		interval: int32(e.Intervals),
 		promote:  promote,
 		flip:     flip,
-		rule:     rule,
-		adm:      adm,
-		src:      src,
-		dst:      dst,
+		label:    l.cur,
+		src:      int8(src),
+		dst:      int8(dst),
 	})
 }
 

@@ -48,15 +48,22 @@ type Field struct {
 	Val any    `json:"value"`
 }
 
+// maxBoxed bounds a tracer's table of boxed strings. Call sites pass
+// names and enum values, a few dozen distinct strings a run; past the
+// bound a string is boxed afresh, so an unexpected high-cardinality one
+// cannot grow the table.
+const maxBoxed = 1024
+
 // record appends attrs to dst, boxing each payload; a nil dst stays nil
-// without attrs.
-func record(dst []Field, attrs []Attr) []Field {
+// without attrs. Strings reuse one boxed value per distinct string, so
+// the thousands of events that name the same rule or node share it.
+func (t *Tracer) record(dst []Field, attrs []Attr) []Field {
 	dst = slices.Grow(dst, len(attrs))
 	for _, a := range attrs {
 		f := Field{Key: a.Key}
 		switch a.typ {
 		case 's':
-			f.Val = a.str
+			f.Val = t.box(a.str)
 		case 'i':
 			f.Val = a.num
 		case 'f':
@@ -65,6 +72,19 @@ func record(dst []Field, attrs []Attr) []Field {
 		dst = append(dst, f)
 	}
 	return dst
+}
+
+// box returns s as an interface value, the same one for every call with
+// an equal s while the table has room.
+func (t *Tracer) box(s string) any {
+	if v, ok := t.boxed[s]; ok {
+		return v
+	}
+	var v any = s
+	if len(t.boxed) < maxBoxed {
+		t.boxed[s] = v
+	}
+	return v
 }
 
 // Span is one recorded span or instant event. Start and Dur are virtual
@@ -105,6 +125,7 @@ type Tracer struct {
 	interval int
 	seq      uint32
 	stack    []int // indices of open spans; -1 marks a dropped open
+	boxed    map[string]any
 }
 
 // New creates a tracer positioned at interval -1 (the setup phase before
@@ -114,7 +135,7 @@ func New(cfg Config) *Tracer {
 	if max <= 0 {
 		max = DefaultMaxSpans
 	}
-	return &Tracer{max: max, meta: map[string]string{}, interval: -1}
+	return &Tracer{max: max, meta: map[string]string{}, interval: -1, boxed: map[string]any{}}
 }
 
 // SetMeta records a trace-level key/value (solution, workload, seed);
@@ -172,7 +193,7 @@ func (t *Tracer) Begin(cat, name string, startNs int64, attrs ...Attr) {
 	}
 	sp := Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
-		Cat: cat, Name: name, Start: startNs, Attrs: record(nil, attrs),
+		Cat: cat, Name: name, Start: startNs, Attrs: t.record(nil, attrs),
 	}
 	t.stack = append(t.stack, t.push(sp))
 }
@@ -195,7 +216,7 @@ func (t *Tracer) End(endNs int64, attrs ...Attr) {
 	if d := endNs - sp.Start; d > 0 {
 		sp.Dur = d
 	}
-	sp.Attrs = record(sp.Attrs, attrs)
+	sp.Attrs = t.record(sp.Attrs, attrs)
 }
 
 // Emit records a complete span (start and duration known up front),
@@ -209,7 +230,7 @@ func (t *Tracer) Emit(cat, name string, startNs, durNs int64, attrs ...Attr) {
 	}
 	t.push(Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
-		Cat: cat, Name: name, Start: startNs, Dur: durNs, Attrs: record(nil, attrs),
+		Cat: cat, Name: name, Start: startNs, Dur: durNs, Attrs: t.record(nil, attrs),
 	})
 }
 
@@ -221,7 +242,7 @@ func (t *Tracer) Event(cat, name string, atNs int64, attrs ...Attr) {
 	}
 	t.push(Span{
 		ID: t.nextID(), Parent: t.parentID(), Interval: t.interval,
-		Cat: cat, Name: name, Start: atNs, Instant: true, Attrs: record(nil, attrs),
+		Cat: cat, Name: name, Start: atNs, Instant: true, Attrs: t.record(nil, attrs),
 	})
 }
 

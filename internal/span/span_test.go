@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -378,6 +379,37 @@ func TestExportJSONPin(t *testing.T) {
 		x := &Export{Spans: []Span{{ID: 1, Attrs: []Field{{"bad", f}}}}}
 		if _, err := json.Marshal(x); err == nil {
 			t.Errorf("attribute %v encoded without error", f)
+		}
+	}
+}
+
+// TestStringsPastInternBound: once the table of boxed strings is full, a
+// new string is boxed afresh and exports like any other, and the table
+// stays at its bound.
+func TestStringsPastInternBound(t *testing.T) {
+	tr := New(Config{})
+	const n = maxBoxed + 100
+	for i := range 2 * n {
+		tr.Event("c", "n", int64(i), S("k", strconv.Itoa(i%n)))
+	}
+	if len(tr.boxed) != maxBoxed {
+		t.Errorf("%d boxed strings, want the bound %d", len(tr.boxed), maxBoxed)
+	}
+	var buf bytes.Buffer
+	if err := tr.Export().WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")[1:] // after the header
+	if len(lines) != 2*n {
+		t.Fatalf("%d span lines, want %d", len(lines), 2*n)
+	}
+	for i, line := range lines {
+		var sp jsonlLine
+		if err := json.Unmarshal([]byte(line), &sp); err != nil {
+			t.Fatal(err)
+		}
+		if want := strconv.Itoa(i % n); len(sp.Attrs) != 1 || sp.Attrs["k"] != want {
+			t.Fatalf("span %d attrs %v, want k=%s", i, sp.Attrs, want)
 		}
 	}
 }
