@@ -55,7 +55,7 @@ func TestFidelitySampleZeroAlloc(t *testing.T) {
 	pc := profiler.DefaultMTMConfig()
 	pc.UsePEBS = false
 	pc.AdaptiveRegions = false
-	sol := policy.NewMTMVariant("mtm-fixed", profiler.NewMTM(pc), migrate.NewAdaptive())
+	sol := policy.NewMTMVariant("mtm-fixed", profiler.NewMTM(pc), migrate.NewAdaptive(), policy.DefaultMigrateBudget)
 	e.SetSolution(sol)
 	e.EnableFidelity()
 	v := e.AS.Alloc("b", 256<<20)

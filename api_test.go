@@ -76,7 +76,9 @@ func TestTopologySelection(t *testing.T) {
 
 // TestEverySolutionConstructs builds every solution by name. Each must be
 // a sim.RunPlacer, so a workload's set-up faults its first touches a run
-// at a time instead of one page at a time.
+// at a time instead of one page at a time, and must keep its contract:
+// on a fresh engine, Place returns PlaceRun's node for every page index
+// and socket.
 func TestEverySolutionConstructs(t *testing.T) {
 	for _, name := range SolutionNames() {
 		s, err := NewSolution(name, quickCfg())
@@ -87,8 +89,20 @@ func TestEverySolutionConstructs(t *testing.T) {
 		if s.Name() == "" {
 			t.Errorf("%s: empty display name", name)
 		}
-		if _, ok := s.(sim.RunPlacer); !ok {
+		rp, ok := s.(sim.RunPlacer)
+		if !ok {
 			t.Errorf("%s: %T is not a sim.RunPlacer", name, s)
+			continue
+		}
+		e := NewEngine(quickCfg())
+		v := e.AS.Alloc("v", 64*tier.MB)
+		for socket := 0; socket < 2; socket++ {
+			want := rp.PlaceRun(e, v, socket)
+			for _, idx := range []int{0, 1, v.NPages / 2, v.NPages - 1} {
+				if got := s.Place(e, v, idx, socket); got != want {
+					t.Errorf("%s: Place(page %d, socket %d) = %d, PlaceRun = %d", name, idx, socket, got, want)
+				}
+			}
 		}
 	}
 	if _, err := NewSolution("nope", quickCfg()); err == nil {

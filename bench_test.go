@@ -405,7 +405,7 @@ func BenchmarkIntervalFidelitySample(b *testing.B) {
 	pc := profiler.DefaultMTMConfig()
 	pc.UsePEBS = false
 	pc.AdaptiveRegions = false
-	sol := policy.NewMTMVariant("mtm-fixed", profiler.NewMTM(pc), migrate.NewAdaptive())
+	sol := policy.NewMTMVariant("mtm-fixed", profiler.NewMTM(pc), migrate.NewAdaptive(), policy.DefaultMigrateBudget)
 	e.SetSolution(sol)
 	e.EnableFidelity()
 	v := e.AS.Alloc("b", 2<<30)

@@ -72,9 +72,8 @@ func Fig9Thresholds(o Options) string {
 		pc.OverheadTarget = 0.05
 		pc.NumScans = pt.numScans
 		pc.TauM, pc.TauS = pt.tauM, pt.tauS
-		base := known(mtm.NewSolution("mtm", cfg)) // carries the resolved budget
-		s := policy.NewMTMVariant(fmt.Sprintf("mtm(%v,%v)", pt.tauM, pt.tauS), profiler.NewMTM(pc), migrate.NewAdaptive())
-		s.MigrateBudget = base.(*policy.MTM).MigrateBudget
+		n := known(mtm.NewSolution("mtm", cfg)).(*policy.MTM).MigrateBudget // the resolved budget
+		s := policy.NewMTMVariant(fmt.Sprintf("mtm(%v,%v)", pt.tauM, pt.tauS), profiler.NewMTM(pc), migrate.NewAdaptive(), n)
 		if _, res := sec.run(cfg, known(mtm.NewWorkload("voltdb", cfg)), s, mtm.MaxIntervals); res != nil {
 			tb.Row(pt.numScans, pt.tauM, pt.tauS, res.App, res.Profiling, res.Migration, res.ExecTime)
 		}
@@ -245,7 +244,7 @@ func Tab4InitialPlacement(o Options) string {
 		var execs []time.Duration
 		for _, placement := range []policy.Placement{policy.PlaceSlowLocalFirst, policy.PlaceFastFirst} {
 			s := known(mtm.NewSolution("mtm", cfg))
-			s.(*policy.MTM).Initial = placement
+			s.(*policy.MTM).Placement = placement
 			c := cfg
 			c.OpsFactor = cfg.OpsFactor * frac
 			if _, res := sec.run(c, known(mtm.NewWorkload("gups", c)), s, mtm.MaxIntervals); res != nil {

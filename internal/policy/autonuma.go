@@ -8,7 +8,6 @@ import (
 	"mtm/internal/sim"
 	"mtm/internal/span"
 	"mtm/internal/tier"
-	"mtm/internal/vm"
 )
 
 // TieredAutoNUMA is the Linux memory-tiering baseline built on NUMA
@@ -23,10 +22,11 @@ import (
 // hot-page selection via hint-fault latency and automatic hot-threshold
 // adjustment targeting the promotion rate limit.
 type TieredAutoNUMA struct {
-	Patched       bool
-	MigrateBudget int64
+	Patched bool
 
 	profiled
+	budget
+	placement
 	mech migrate.Mechanism
 	// hotThreshold is the WHI above which a region is promotion-worthy;
 	// the patched variant adjusts it to track the budget.
@@ -34,19 +34,18 @@ type TieredAutoNUMA struct {
 	// HotBytesIdentified accumulates the volume the policy classified
 	// hot (Table 3).
 	HotBytesIdentified int64
-	// carry accumulates unused promotion budget across intervals.
-	carry int64
 }
 
-// NewTieredAutoNUMA returns the baseline; patched=false is the vanilla
-// variant.
-func NewTieredAutoNUMA(patched bool) *TieredAutoNUMA {
+// NewTieredAutoNUMA returns the baseline, promoting up to n bytes an
+// interval; patched=false is the vanilla variant.
+func NewTieredAutoNUMA(patched bool, n int64) *TieredAutoNUMA {
 	return &TieredAutoNUMA{
-		Patched:       patched,
-		MigrateBudget: DefaultMigrateBudget,
-		profiled:      profiled{profiler.NewSequentialScan(patched)},
-		mech:          migrate.MovePages{},
-		hotThreshold:  0.5,
+		Patched:      patched,
+		profiled:     profiled{profiler.NewSequentialScan(patched)},
+		budget:       budget{MigrateBudget: n},
+		placement:    PlaceFastFirst,
+		mech:         migrate.MovePages{},
+		hotThreshold: 0.5,
 	}
 }
 
@@ -57,18 +56,10 @@ func (p *TieredAutoNUMA) Name() string {
 	return "vanilla tiered-AutoNUMA"
 }
 
-func (p *TieredAutoNUMA) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return p.PlaceRun(e, v, socket)
-}
-
-func (p *TieredAutoNUMA) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, PlaceFastFirst)
-}
-
 func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 	p.Prof.Profile(e)
 	regions := p.Prof.Regions()
-	budget := p.MigrateBudget + p.carry
+	budget := p.allowance()
 	var promoted int64
 	// The vanilla variant classifies on "any access this window"; the
 	// patched one compares WHI to the auto-adjusted threshold.
@@ -86,7 +77,7 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 	for _, r := range regions {
 		if budget <= 0 {
 			spanDecision(e, "stop", "budget-exhausted", r,
-				span.I("budget", p.MigrateBudget+p.carry))
+				span.I("budget", p.allowance()))
 			break
 		}
 		hot := r.WHI > p.hotThreshold
@@ -143,7 +134,7 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 		promoted += moved
 	}
 
-	p.carry = carryOver(budget, p.MigrateBudget)
+	p.settle(budget)
 	if p.Patched {
 		// Automatic hot-threshold adjustment: promote close to, but not
 		// above, the rate limit.

@@ -8,7 +8,6 @@ import (
 	"mtm/internal/sim"
 	"mtm/internal/span"
 	"mtm/internal/tier"
-	"mtm/internal/vm"
 )
 
 // AutoTiering is the ATC '21 baseline (§2.1, §9.1): random 256 MB
@@ -19,48 +18,40 @@ import (
 // pushed down regardless of its hotness, which is where it loses to MTM's
 // histogram-guided slow demotion.
 type AutoTiering struct {
-	MigrateBudget int64
-
 	profiled
+	budget
+	placement
 	mech migrate.Mechanism
-	// carry accumulates unused promotion budget across intervals.
-	carry int64
 }
 
-// NewAutoTiering returns the baseline.
-func NewAutoTiering() *AutoTiering {
+// NewAutoTiering returns the baseline, promoting up to n bytes an
+// interval.
+func NewAutoTiering(n int64) *AutoTiering {
 	return &AutoTiering{
-		MigrateBudget: DefaultMigrateBudget,
-		profiled:      profiled{profiler.NewRandomChunk()},
-		mech:          migrate.MovePages{},
+		profiled:  profiled{profiler.NewRandomChunk()},
+		budget:    budget{MigrateBudget: n},
+		placement: PlaceFastFirst,
+		mech:      migrate.MovePages{},
 	}
 }
 
 func (p *AutoTiering) Name() string { return "AutoTiering" }
 
-func (p *AutoTiering) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return p.PlaceRun(e, v, socket)
-}
-
-func (p *AutoTiering) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, PlaceFastFirst)
-}
-
 func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 	p.Prof.Profile(e)
 	regions := p.Prof.Regions()
-	budget := p.MigrateBudget + p.carry
+	budget := p.allowance()
 	e.SpanBegin("policy", "plan",
 		span.S("policy", p.Name()),
 		span.I("regions", int64(len(regions))),
 		span.I("budget", budget))
 	defer e.SpanEnd()
-	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
+	defer func() { p.settle(budget) }()
 
 	for _, r := range regions {
 		if budget <= 0 {
 			spanDecision(e, "stop", "budget-exhausted", r,
-				span.I("budget", p.MigrateBudget+p.carry))
+				span.I("budget", p.allowance()))
 			return
 		}
 		// Candidate = sampled this interval and accessed at all.

@@ -11,7 +11,6 @@ import (
 	"mtm/internal/sim"
 	"mtm/internal/span"
 	"mtm/internal/tier"
-	"mtm/internal/vm"
 )
 
 // HeMem is the SOSP '21 two-tier baseline (§2.1, §9.6): profiling relies
@@ -22,7 +21,8 @@ import (
 // ignores remote nodes, so on a four-tier machine it leaves remote memory
 // unmanaged.
 type HeMem struct {
-	MigrateBudget int64
+	budget
+	placement
 
 	set  *region.Set
 	buf  *pebs.Buffer
@@ -31,31 +31,22 @@ type HeMem struct {
 	// interval's PEBS samples per region, aligned with set.Regions().
 	nodes  []tier.NodeID
 	counts []int
-	// carry accumulates unused promotion budget across intervals.
-	carry int64
 }
 
 // hememHotSamples is the per-interval PEBS sample count above which a
 // region is considered hot.
 const hememHotSamples = 2
 
-// NewHeMem returns the baseline.
-func NewHeMem() *HeMem {
+// NewHeMem returns the baseline, promoting up to n bytes an interval.
+func NewHeMem(n int64) *HeMem {
 	return &HeMem{
-		MigrateBudget: DefaultMigrateBudget,
-		mech:          migrate.Nimble{},
+		budget:    budget{MigrateBudget: n},
+		placement: PlaceLocalOnly,
+		mech:      migrate.Nimble{},
 	}
 }
 
 func (p *HeMem) Name() string { return "HeMem" }
-
-func (p *HeMem) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return p.PlaceRun(e, v, socket)
-}
-
-func (p *HeMem) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, PlaceLocalOnly)
-}
 
 func (p *HeMem) IntervalStart(e *sim.Engine) {
 	if e.Intervals == 0 {
@@ -110,13 +101,13 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 		r.Sampled = true
 	}
 
-	budget := p.MigrateBudget + p.carry
+	budget := p.allowance()
 	e.SpanBegin("policy", "plan",
 		span.S("policy", p.Name()),
 		span.I("regions", int64(len(regions))),
 		span.I("budget", budget))
 	defer e.SpanEnd()
-	defer func() { p.carry = carryOver(budget, p.MigrateBudget) }()
+	defer func() { p.settle(budget) }()
 	// Promote regions with enough samples to local DRAM.
 	view := e.Sys.Topo.View(sim.HomeSocket)
 	var dram, pm tier.NodeID = tier.Invalid, tier.Invalid
@@ -139,7 +130,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	for _, r := range hist.HottestFirst() {
 		if budget <= 0 {
 			spanDecision(e, "stop", "budget-exhausted", r,
-				span.I("budget", p.MigrateBudget+p.carry))
+				span.I("budget", p.allowance()))
 			break
 		}
 		if r.WHI < hememHotSamples {

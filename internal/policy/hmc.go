@@ -18,6 +18,7 @@ import (
 // §2.1 and §9.1 attribute to HMC. The DRAM used as cache is reserved so
 // the allocator cannot also hand it out (Memory Mode's capacity loss).
 type HMC struct {
+	placement
 	eng        *sim.Engine
 	dramNode   tier.NodeID
 	pmNode     tier.NodeID
@@ -53,17 +54,9 @@ const writeAmp = 8
 const missOverhead = 200 * time.Nanosecond
 
 // NewHMC returns the baseline.
-func NewHMC() *HMC { return &HMC{} }
+func NewHMC() *HMC { return &HMC{placement: PlaceSlowOnly} }
 
 func (*HMC) Name() string { return "HMC (Memory Mode)" }
-
-func (h *HMC) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return h.PlaceRun(e, v, socket)
-}
-
-func (h *HMC) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, PlaceSlowOnly)
-}
 
 func (h *HMC) IntervalStart(e *sim.Engine) {
 	if h.tags != nil {

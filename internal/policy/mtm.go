@@ -20,20 +20,14 @@ import (
 // through the same policy code.
 type MTM struct {
 	profiled
+	budget
 	Mech migrate.Mechanism
-	// MigrateBudget is N, the per-interval promotion volume (§6.1).
-	// Demotion volume per interval is capped at 2N so a full fast tier
-	// cannot thrash; the paper's slow-demotion policy only demotes to
-	// make room.
-	MigrateBudget int64
-	// Initial is the first-touch placement order (slow-local-first by
-	// default, §9.1).
-	Initial Placement
+	// Placement is where a page goes on its first touch: PlaceFastFirst
+	// (first-touch NUMA) from NewMTM, and the paper's PlaceSlowLocalFirst
+	// in Table 4's other arm (§9.1).
+	Placement
 
 	label string
-	// carry accumulates unused promotion budget so a budget smaller than
-	// one huge page still yields the configured average migration rate.
-	carry int64
 	// flipFirst makes makeRoom try zero-copy shadow-flip demotion before
 	// pricing a copy for each victim (non-exclusive tiering; set by Nomad).
 	flipFirst bool
@@ -42,43 +36,33 @@ type MTM struct {
 	syncLeft int64
 }
 
-// NewMTM assembles the paper's default MTM: adaptive profiler, adaptive
-// migration mechanism, 200 MB budget.
+// NewMTM assembles the paper's default MTM: adaptive profiler and
+// adaptive migration mechanism, promoting up to n bytes an interval.
+// Demotion volume per interval is capped at 2n so a full fast tier cannot
+// thrash; the paper's slow-demotion policy only demotes to make room.
 //
 // Initial placement defaults to first-touch rather than the paper's
 // slow-local-first (§9.1): Table 4 shows the two converge under MTM once
 // migration has cycled the fast tiers, and at simulation scale runs are
 // short enough that starting cold would understate every MTM result.
-// Table 4's experiment sets Initial = PlaceSlowLocalFirst explicitly.
-func NewMTM() *MTM {
-	return &MTM{
-		profiled:      profiled{profiler.NewMTM(profiler.DefaultMTMConfig())},
-		Mech:          migrate.NewAdaptive(),
-		MigrateBudget: DefaultMigrateBudget,
-		Initial:       PlaceFastFirst,
-		label:         "MTM",
-	}
+// Table 4's experiment sets Placement = PlaceSlowLocalFirst explicitly.
+func NewMTM(n int64) *MTM {
+	return NewMTMVariant("MTM", profiler.NewMTM(profiler.DefaultMTMConfig()), migrate.NewAdaptive(), n)
 }
 
 // NewMTMVariant assembles an MTM with a custom label, profiler and
-// mechanism (ablation studies).
-func NewMTMVariant(label string, p profiler.Profiler, m migrate.Mechanism) *MTM {
-	v := NewMTM()
-	v.Prof = p
-	v.Mech = m
-	v.label = label
-	return v
+// mechanism (ablation studies) and a promotion budget of n.
+func NewMTMVariant(label string, p profiler.Profiler, m migrate.Mechanism, n int64) *MTM {
+	return &MTM{
+		profiled:  profiled{p},
+		budget:    budget{MigrateBudget: n},
+		Mech:      m,
+		Placement: PlaceFastFirst,
+		label:     label,
+	}
 }
 
 func (p *MTM) Name() string { return p.label }
-
-func (p *MTM) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return p.PlaceRun(e, v, socket)
-}
-
-func (p *MTM) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, p.Initial)
-}
 
 func (p *MTM) IntervalEnd(e *sim.Engine) {
 	p.Prof.Profile(e)
@@ -98,7 +82,7 @@ func (p *MTM) promote(e *sim.Engine) {
 	}
 	hist := buildHistogram(regions)
 	cold := hist.ColdestFirst() // makeRoom's victims, in the order it tries them
-	budget := p.MigrateBudget + p.carry
+	budget := p.allowance()
 	e.SpanBegin("policy", "plan",
 		span.S("policy", p.label),
 		span.I("regions", int64(len(regions))),
@@ -197,7 +181,7 @@ func (p *MTM) promote(e *sim.Engine) {
 				span.S("dst", nodeName(e, dst)))
 		}
 	}
-	p.carry = carryOver(budget-spent, p.MigrateBudget)
+	p.settle(budget - spent)
 }
 
 // makeRoom demotes the coldest regions resident on node to the next lower

@@ -23,17 +23,12 @@ type Nomad struct {
 	MTM
 }
 
-// NewNomad assembles the default Nomad: MTM's adaptive profiler, adaptive
-// copy mechanism and budgets, plus shadow retention.
-func NewNomad() *Nomad {
-	return &Nomad{MTM{
-		profiled:      profiled{profiler.NewMTM(profiler.DefaultMTMConfig())},
-		Mech:          migrate.NewAdaptive(),
-		MigrateBudget: DefaultMigrateBudget,
-		Initial:       PlaceFastFirst,
-		label:         "Nomad",
-		flipFirst:     true,
-	}}
+// NewNomad assembles Nomad: MTM over profiler p, with MTM's adaptive copy
+// mechanism and a promotion budget of n, plus shadow retention.
+func NewNomad(p profiler.Profiler, n int64) *Nomad {
+	m := NewMTMVariant("Nomad", p, migrate.NewAdaptive(), n)
+	m.flipFirst = true
+	return &Nomad{*m}
 }
 
 func (p *Nomad) IntervalStart(e *sim.Engine) {

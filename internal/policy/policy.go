@@ -20,15 +20,21 @@ import (
 // (200 MB in the paper's evaluation, §6.1).
 const DefaultMigrateBudget = 200 * tier.MB
 
-// Placement selects an initial page-placement order.
+// Placement selects an initial page-placement order. Every policy embeds
+// the one it places by, so its Place and PlaceRun (sim.RunPlacer) are
+// Placement's.
 type Placement int
+
+// placement embeds a Placement as an unexported field: the policy gets
+// Place and PlaceRun without a settable order.
+type placement = Placement
 
 const (
 	// PlaceFastFirst is first-touch NUMA: the fastest tier with space,
 	// in the faulting socket's view order.
 	PlaceFastFirst Placement = iota
-	// PlaceSlowLocalFirst is MTM's default (§9.1): CPU-less (slow)
-	// nodes first, preferring local, then fast nodes.
+	// PlaceSlowLocalFirst is the paper's MTM default (§9.1): CPU-less
+	// (slow) nodes first, preferring local, then fast nodes.
 	PlaceSlowLocalFirst
 	// PlaceLocalOnly restricts placement to the faulting socket's local
 	// nodes, fast first (HeMem's two-tier world view).
@@ -38,15 +44,19 @@ const (
 	PlaceSlowOnly
 )
 
-// place resolves a Placement to a node with room for one page of v. The
+// Place is PlaceRun: no placement reads the page index.
+func (p Placement) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
+	return p.PlaceRun(e, v, socket)
+}
+
+// PlaceRun resolves p to a node with room for one page of v. The
 // restricted placements take the first of their preferred nodes in view
 // order with room — the socket's local nodes, or the slow (CPU-less) ones —
 // and overflow onto the first node of the whole view with room rather than
 // OOM. Slow-local-first's fast tail is that overflow: every slow node ahead
 // of the fast ones had no room. It reads neither the page index nor the
-// access accounting, so each solution's Place and PlaceRun (sim.RunPlacer)
-// are this one call.
-func place(e *sim.Engine, v *vm.VMA, socket int, p Placement) tier.NodeID {
+// access accounting, as sim.RunPlacer requires.
+func (p Placement) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
 	overflow := tier.Invalid
 	for _, n := range e.Sys.Topo.View(socket) {
 		if e.Sys.Free(n) < v.PageSize {
@@ -252,18 +262,23 @@ func demoteVictim(e *sim.Engine, mech migrate.Mechanism, r *region.Region, src t
 	return 0, false
 }
 
-// carryOver is the promotion budget an interval leaves to the next: what
-// it did not spend, never negative, and capped at four intervals' worth
-// so a policy with nothing promotable does not hoard.
-func carryOver(left, budget int64) int64 {
-	if left > 4*budget {
-		return 4 * budget
-	}
-	if left < 0 {
-		return 0
-	}
-	return left
+// budget is a policy's promotion allowance: N bytes an interval, plus
+// what earlier intervals left unspent.
+type budget struct {
+	// MigrateBudget is N, the per-interval promotion volume (§6.1).
+	MigrateBudget int64
+	// carry is the allowance earlier intervals left unspent, so a budget
+	// smaller than one huge page still yields the configured average rate.
+	carry int64
 }
+
+// allowance is the interval's promotion allowance.
+func (b *budget) allowance() int64 { return b.MigrateBudget + b.carry }
+
+// settle carries what the interval left of its allowance into the next:
+// never negative, and capped at four intervals' worth so a policy with
+// nothing promotable does not hoard.
+func (b *budget) settle(left int64) { b.carry = min(max(left, 0), 4*b.MigrateBudget) }
 
 // spanDecision emits one migration-decision provenance event. The event
 // name is the outcome ("promote", "demote", "skip", "defer", "stop");

@@ -18,11 +18,7 @@ func testEngine(seed int64) *sim.Engine {
 
 func scaledBudget() int64 { return 800 * tier.MB / 256 }
 
-func newScaledMTM() *MTM {
-	s := NewMTM()
-	s.MigrateBudget = scaledBudget()
-	return s
-}
+func newScaledMTM() *MTM { return NewMTM(scaledBudget()) }
 
 func gupsConfig() workload.Config {
 	return workload.Config{Scale: 256, OpsFactor: 0.2}
@@ -39,19 +35,19 @@ func runFor(e *sim.Engine, w sim.Workload, s sim.Solution, intervals int) {
 func TestPlacementOrders(t *testing.T) {
 	e := testEngine(1)
 	v := e.AS.Alloc("v", 4*tier.MB)
-	if n := place(e, v, 0, PlaceFastFirst); e.Sys.Topo.Nodes[n].Kind != tier.DRAM || e.Sys.Topo.Nodes[n].Socket != 0 {
+	if n := PlaceFastFirst.PlaceRun(e, v, 0); e.Sys.Topo.Nodes[n].Kind != tier.DRAM || e.Sys.Topo.Nodes[n].Socket != 0 {
 		t.Fatalf("fast-first chose %d", n)
 	}
-	if n := place(e, v, 0, PlaceSlowLocalFirst); e.Sys.Topo.Nodes[n].Kind == tier.DRAM || e.Sys.Topo.Nodes[n].Socket != 0 {
+	if n := PlaceSlowLocalFirst.PlaceRun(e, v, 0); e.Sys.Topo.Nodes[n].Kind == tier.DRAM || e.Sys.Topo.Nodes[n].Socket != 0 {
 		t.Fatalf("slow-local-first chose %d", n)
 	}
-	if n := place(e, v, 1, PlaceSlowLocalFirst); e.Sys.Topo.Nodes[n].Socket != 1 {
+	if n := PlaceSlowLocalFirst.PlaceRun(e, v, 1); e.Sys.Topo.Nodes[n].Socket != 1 {
 		t.Fatalf("slow-local-first from socket 1 chose %d", n)
 	}
-	if n := place(e, v, 0, PlaceLocalOnly); e.Sys.Topo.Nodes[n].Socket != 0 {
+	if n := PlaceLocalOnly.PlaceRun(e, v, 0); e.Sys.Topo.Nodes[n].Socket != 0 {
 		t.Fatalf("local-only chose %d", n)
 	}
-	if n := place(e, v, 0, PlaceSlowOnly); e.Sys.Topo.Nodes[n].Kind == tier.DRAM {
+	if n := PlaceSlowOnly.PlaceRun(e, v, 0); e.Sys.Topo.Nodes[n].Kind == tier.DRAM {
 		t.Fatalf("slow-only chose %d", n)
 	}
 }
@@ -61,7 +57,7 @@ func TestPlacementSpillsWhenFull(t *testing.T) {
 	v := e.AS.Alloc("v", 4*tier.MB)
 	// Fill local DRAM; fast-first must fall through to the next tier.
 	e.Sys.Reserve(0, e.Sys.Free(0))
-	n := place(e, v, 0, PlaceFastFirst)
+	n := PlaceFastFirst.PlaceRun(e, v, 0)
 	if n == 0 || n == tier.Invalid {
 		t.Fatalf("full-node placement chose %d", n)
 	}
@@ -200,8 +196,7 @@ func TestHMCWritebacksOnDirtyEviction(t *testing.T) {
 func TestTieredAutoNUMAOneTierSteps(t *testing.T) {
 	e := testEngine(1)
 	w := workload.NewGUPS(gupsConfig())
-	s := NewTieredAutoNUMA(true)
-	s.MigrateBudget = scaledBudget()
+	s := NewTieredAutoNUMA(true, scaledBudget())
 	runFor(e, w, s, 20)
 	if e.PromotedBytes == 0 {
 		t.Fatal("tiered-AutoNUMA promoted nothing")
@@ -211,32 +206,47 @@ func TestTieredAutoNUMAOneTierSteps(t *testing.T) {
 	}
 }
 
-// TestTieredAutoNUMACarriesUnspentBudget pins the promotion carry-over:
-// what an interval leaves to the next is its budget minus the bytes it
-// promoted, clamped to [0, 4×MigrateBudget], with each promoted byte
-// charged once.
-func TestTieredAutoNUMACarriesUnspentBudget(t *testing.T) {
-	e := testEngine(1)
-	w := workload.NewGUPS(gupsConfig())
-	s := NewTieredAutoNUMA(true)
-	s.MigrateBudget = scaledBudget()
-	e.SetSolution(s)
-	w.Init(e)
-	partial := 0
-	for i := 0; i < 20 && !w.Done(); i++ {
-		avail, before := s.MigrateBudget+s.carry, e.PromotedBytes
-		e.RunInterval(w)
-		promoted := e.PromotedBytes - before
-		if want := carryOver(avail-promoted, s.MigrateBudget); s.carry != want {
-			t.Fatalf("interval %d: %d of %d bytes promoted, carry %d, want %d",
-				i, promoted, avail, s.carry, want)
-		}
-		if promoted > 0 && promoted < avail {
-			partial++
-		}
-	}
-	if partial == 0 {
-		t.Fatal("no interval promoted part of its budget; the carry check is vacuous")
+// TestBudgetedPoliciesCarryUnspentBudget pins the promotion carry-over of
+// every budgeted policy: what an interval leaves to the next is its
+// allowance minus the bytes it promoted, clamped to [0, 4×MigrateBudget],
+// with each promoted byte charged once. Each runs at the scaled N, where
+// HeMem overshoots its allowance by up to a region, and at 128×N, where
+// every policy runs out of candidates first and the cap binds.
+func TestBudgetedPoliciesCarryUnspentBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(n int64) (sim.Solution, *budget)
+	}{
+		{"TieredAutoNUMA", func(n int64) (sim.Solution, *budget) { s := NewTieredAutoNUMA(true, n); return s, &s.budget }},
+		{"AutoTiering", func(n int64) (sim.Solution, *budget) { s := NewAutoTiering(n); return s, &s.budget }},
+		{"HeMem", func(n int64) (sim.Solution, *budget) { s := NewHeMem(n); return s, &s.budget }},
+		{"MTM", func(n int64) (sim.Solution, *budget) { s := NewMTM(n); return s, &s.budget }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			partial := 0
+			for _, n := range []int64{scaledBudget(), 128 * scaledBudget()} {
+				s, b := tc.mk(n)
+				e := testEngine(1)
+				w := workload.NewGUPS(gupsConfig())
+				e.SetSolution(s)
+				w.Init(e)
+				for i := 0; i < 20 && !w.Done(); i++ {
+					avail, before := b.MigrateBudget+b.carry, e.PromotedBytes
+					e.RunInterval(w)
+					promoted := e.PromotedBytes - before
+					if want := min(max(avail-promoted, 0), 4*n); b.carry != want {
+						t.Fatalf("N=%d interval %d: %d of %d bytes promoted, carry %d, want %d",
+							n, i, promoted, avail, b.carry, want)
+					}
+					if promoted > 0 && promoted < avail {
+						partial++
+					}
+				}
+			}
+			if partial == 0 {
+				t.Fatal("no interval promoted part of its allowance; the carry check is vacuous")
+			}
+		})
 	}
 }
 
@@ -246,8 +256,7 @@ func TestVanillaIdentifiesFewerHotBytes(t *testing.T) {
 	run := func(patched bool) int64 {
 		e := testEngine(1)
 		w := workload.NewGUPS(gupsConfig())
-		s := NewTieredAutoNUMA(patched)
-		s.MigrateBudget = scaledBudget()
+		s := NewTieredAutoNUMA(patched, scaledBudget())
 		runFor(e, w, s, 20)
 		return s.HotBytesIdentified
 	}
@@ -260,8 +269,7 @@ func TestVanillaIdentifiesFewerHotBytes(t *testing.T) {
 func TestAutoTieringPromotes(t *testing.T) {
 	e := testEngine(1)
 	w := workload.NewGUPS(gupsConfig())
-	s := NewAutoTiering()
-	s.MigrateBudget = scaledBudget()
+	s := NewAutoTiering(scaledBudget())
 	runFor(e, w, s, 20)
 	if e.PromotedBytes == 0 {
 		t.Fatal("AutoTiering promoted nothing")
@@ -271,8 +279,7 @@ func TestAutoTieringPromotes(t *testing.T) {
 func TestHeMemStaysLocal(t *testing.T) {
 	e := testEngine(1)
 	w := workload.NewGUPS(gupsConfig())
-	s := NewHeMem()
-	s.MigrateBudget = scaledBudget()
+	s := NewHeMem(scaledBudget())
 	runFor(e, w, s, 20)
 	// Two-tier world view: HeMem never touches remote nodes unless
 	// forced by capacity overflow; GUPS at this scale fits locally.
@@ -289,8 +296,7 @@ func TestMTMVariantSwapsProfiler(t *testing.T) {
 	// The ablation constructor must accept any profiler and still run.
 	e := testEngine(1)
 	w := workload.NewGUPS(gupsConfig())
-	s := NewMTMVariant("test-variant", newScaledMTM().Prof, newScaledMTM().Mech)
-	s.MigrateBudget = scaledBudget()
+	s := NewMTMVariant("test-variant", newScaledMTM().Prof, newScaledMTM().Mech, scaledBudget())
 	if s.Name() != "test-variant" {
 		t.Fatal("label not applied")
 	}

@@ -3,14 +3,12 @@ package policy
 import (
 	"mtm/internal/profiler"
 	"mtm/internal/sim"
-	"mtm/internal/tier"
-	"mtm/internal/vm"
 )
 
 // Static places every page by one Placement and never migrates.
 type Static struct {
 	label string
-	order Placement
+	placement
 }
 
 // NewFirstTouch returns the first-touch NUMA baseline: pages are
@@ -24,14 +22,6 @@ func NewSlowFirst() *Static { return &Static{"slow-tier-first (no migration)", P
 
 func (s *Static) Name() string { return s.label }
 
-func (s *Static) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return s.PlaceRun(e, v, socket)
-}
-
-func (s *Static) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, s.order)
-}
-
 func (*Static) IntervalStart(*sim.Engine) {}
 func (*Static) IntervalEnd(*sim.Engine)   {}
 
@@ -40,19 +30,14 @@ func (*Static) IntervalEnd(*sim.Engine)   {}
 // and 6).
 type ProfileOnly struct {
 	profiled
+	placement
 }
 
 // NewProfileOnly returns the profile-only solution over p.
-func NewProfileOnly(p profiler.Profiler) *ProfileOnly { return &ProfileOnly{profiled{p}} }
+func NewProfileOnly(p profiler.Profiler) *ProfileOnly {
+	return &ProfileOnly{profiled{p}, PlaceFastFirst}
+}
 
 func (s *ProfileOnly) Name() string { return s.Prof.Name() }
-
-func (s *ProfileOnly) Place(e *sim.Engine, v *vm.VMA, _ int, socket int) tier.NodeID {
-	return s.PlaceRun(e, v, socket)
-}
-
-func (s *ProfileOnly) PlaceRun(e *sim.Engine, v *vm.VMA, socket int) tier.NodeID {
-	return place(e, v, socket, PlaceFastFirst)
-}
 
 func (s *ProfileOnly) IntervalEnd(e *sim.Engine) { s.Prof.Profile(e) }

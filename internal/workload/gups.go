@@ -28,8 +28,6 @@ type GUPS struct {
 	// gradually — the temporal variance of §9.3 at a rate a migrating
 	// policy can track but a static placement cannot. 0 disables drift.
 	DriftOps int64
-	// batch is the op-aggregation factor for access batching.
-	batch int64
 
 	heap       *vm.VMA
 	indexPages int // heap prefix: A
@@ -61,7 +59,7 @@ const (
 // NewGUPS builds GUPS with the paper's 512 GB working set divided by the
 // configured scale.
 func NewGUPS(cfg Config) *GUPS {
-	g := &GUPS{tableBytes: 512 * GB / cfg.scale(), batch: 8}
+	g := &GUPS{tableBytes: 512 * GB / cfg.scale()}
 	g.name = "GUPS"
 	g.totalOps = cfg.ops(2e10)
 	// The hot set drifts one block at a time (half the hot set turns
@@ -76,7 +74,7 @@ func NewGUPS(cfg Config) *GUPS {
 // NewGUPSSized builds a GUPS with an explicit table size and update
 // count; the two-tier HeMem comparison (Figure 12) sweeps the size.
 func NewGUPSSized(tableBytes, totalOps int64) *GUPS {
-	g := &GUPS{tableBytes: tableBytes, batch: 8}
+	g := &GUPS{tableBytes: tableBytes}
 	g.name = "GUPS"
 	g.totalOps = totalOps
 	return g
@@ -98,9 +96,9 @@ func (g *GUPS) Init(e *sim.Engine) {
 	g.indexB = rng.NewBound(g.indexPages)
 	g.infoB = rng.NewBound(g.infoPages)
 	g.tableB = rng.NewBound(g.tablePages())
-	b := uint32(g.batch)
-	g.refs = make([]sim.Ref, 0, 3*opChunk/g.batch)
-	for range opChunk / g.batch {
+	b := uint32(updateBatch)
+	g.refs = make([]sim.Ref, 0, 3*opChunk/updateBatch)
+	for range opChunk / updateBatch {
 		g.refs = append(g.refs,
 			sim.Ref{V: g.heap, N: b},
 			sim.Ref{V: g.heap, N: 1},

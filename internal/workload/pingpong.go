@@ -24,8 +24,6 @@ type PingPong struct {
 	// flipOps is the update count between active-set flips; 0 disables
 	// flipping (degenerating into a static two-set GUPS).
 	flipOps int64
-	// batch is the op-aggregation factor for access batching.
-	batch int64
 
 	heap     *vm.VMA
 	setPages int // pages per hot set
@@ -54,7 +52,7 @@ const (
 
 // NewPingPong builds the thrash workload at the shared paper scale.
 func NewPingPong(cfg Config) *PingPong {
-	p := &PingPong{tableBytes: 512 * GB / cfg.scale(), batch: 8}
+	p := &PingPong{tableBytes: 512 * GB / cfg.scale()}
 	p.name = "PingPong"
 	p.totalOps = cfg.ops(2e10)
 	// Eight flips per run: fast enough that chasing each one is a losing
@@ -80,8 +78,8 @@ func (p *PingPong) Init(e *sim.Engine) {
 	p.flipLeft = p.flipOps
 	p.setB = rng.NewBound(p.setPages)
 	p.allB = rng.NewBound(n)
-	b := uint32(p.batch)
-	p.refs = make([]sim.Ref, opChunk/p.batch)
+	b := uint32(updateBatch)
+	p.refs = make([]sim.Ref, opChunk/updateBatch)
 	for i := range p.refs {
 		// Read + write of a random slot, like a GUPS update.
 		p.refs[i] = sim.Ref{V: p.heap, N: 2 * b, NW: b}

@@ -68,6 +68,10 @@ func (b *base) TotalOps() int64 { return b.totalOps }
 // Engine.RunChunks issues as one batch between its interval checks.
 const opChunk = 2048
 
+// updateBatch is how many of GUPS's and PingPong's updates one access ref
+// aggregates.
+const updateBatch = 8
+
 // chunkBufs is a workload's two reusable chunk buffers. NextChunk fills
 // them in turn, so the slice it returns stays valid until the call after
 // next, as sim.Lookahead requires.

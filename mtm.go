@@ -335,10 +335,7 @@ func (c Config) mtmProfiler(mod func(*profiler.MTMConfig)) *profiler.MTM {
 
 // mtmSolution builds MTM's policy and mechanism over profiler p.
 func (c Config) mtmSolution(label string, p profiler.Profiler, mech migrate.Mechanism) *policy.MTM {
-	c = c.withDefaults()
-	s := policy.NewMTMVariant(label, p, mech)
-	s.MigrateBudget = c.MigrateBudget
-	return s
+	return policy.NewMTMVariant(label, p, mech, c.withDefaults().MigrateBudget)
 }
 
 // solutions lists the constructible solutions: the paper's, then
@@ -353,32 +350,11 @@ var solutions = []struct {
 	{"first-touch", func(Config) sim.Solution { return policy.NewFirstTouch() }},
 	{"slow-first", func(Config) sim.Solution { return policy.NewSlowFirst() }},
 	{"hmc", func(Config) sim.Solution { return policy.NewHMC() }},
-	{"vanilla-tiered-autonuma", func(c Config) sim.Solution {
-		s := policy.NewTieredAutoNUMA(false)
-		s.MigrateBudget = c.MigrateBudget
-		return s
-	}},
-	{"tiered-autonuma", func(c Config) sim.Solution {
-		s := policy.NewTieredAutoNUMA(true)
-		s.MigrateBudget = c.MigrateBudget
-		return s
-	}},
-	{"autotiering", func(c Config) sim.Solution {
-		s := policy.NewAutoTiering()
-		s.MigrateBudget = c.MigrateBudget
-		return s
-	}},
-	{"hemem", func(c Config) sim.Solution {
-		s := policy.NewHeMem()
-		s.MigrateBudget = c.MigrateBudget
-		return s
-	}},
-	{"nomad", func(c Config) sim.Solution {
-		s := policy.NewNomad()
-		s.Prof = c.mtmProfiler(nil)
-		s.MigrateBudget = c.MigrateBudget
-		return s
-	}},
+	{"vanilla-tiered-autonuma", func(c Config) sim.Solution { return policy.NewTieredAutoNUMA(false, c.MigrateBudget) }},
+	{"tiered-autonuma", func(c Config) sim.Solution { return policy.NewTieredAutoNUMA(true, c.MigrateBudget) }},
+	{"autotiering", func(c Config) sim.Solution { return policy.NewAutoTiering(c.MigrateBudget) }},
+	{"hemem", func(c Config) sim.Solution { return policy.NewHeMem(c.MigrateBudget) }},
+	{"nomad", func(c Config) sim.Solution { return policy.NewNomad(c.mtmProfiler(nil), c.MigrateBudget) }},
 	{"mtm-wo-amr", mtmWith("MTM w/o AMR", func(p *profiler.MTMConfig) { p.AdaptiveRegions = false })},
 	{"mtm-wo-pebs", mtmWith("MTM w/o PEBS", func(p *profiler.MTMConfig) { p.UsePEBS = false })},
 	{"mtm-wo-aps", mtmWith("MTM w/o APS", func(p *profiler.MTMConfig) { p.AdaptiveSampling = false })},
