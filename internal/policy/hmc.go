@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"time"
 
 	"mtm/internal/sim"
@@ -11,21 +12,22 @@ import (
 // HMC is the hardware-managed memory caching baseline (Optane Memory
 // Mode): all pages live on PM, and the DRAM acts as a direct-mapped,
 // memory-side cache in front of it. The model tracks 256 B cache sectors
-// (hmcSectorBytes) with tags and dirty bits: a hit costs DRAM latency, a
-// miss costs PM latency plus the sector fill, and evicting a dirty sector
-// writes it back to PM with the read-modify-write amplification of
-// Optane's internal writes (writeAmp) — the duplication and write-amplification costs
-// §2.1 and §9.1 attribute to HMC. The DRAM used as cache is reserved so
+// (hmcSectorBytes), one 32-bit word per cache slot holding the sector's
+// tag and dirty bit: a hit costs DRAM latency, a miss costs PM latency
+// plus the sector fill, and evicting a dirty sector writes it back to PM
+// with the read-modify-write amplification of Optane's internal writes
+// (writeAmp) — the duplication and write-amplification costs §2.1 and
+// §9.1 attribute to HMC. The DRAM used as cache is reserved so
 // the allocator cannot also hand it out (Memory Mode's capacity loss).
 type HMC struct {
 	placement
-	eng        *sim.Engine
-	dramNode   tier.NodeID
-	pmNode     tier.NodeID
-	sectorBits uint
-	tags       []uint64 // tag per slot; 0 = empty (tags are sector+1)
-	dirty      []bool
-	probeSeq   uint64
+	eng      *sim.Engine
+	dramNode tier.NodeID
+	// tags holds one word per slot: sector/len(tags)+1 in the low 31 bits
+	// (0 = empty), hmcDirty on top. The slot is sector%len(tags), so the
+	// quotient alone tells a slot's sectors apart.
+	tags     []uint32
+	probeSeq uint64
 
 	hits, misses, writebacks int64
 
@@ -73,15 +75,17 @@ func (h *HMC) IntervalStart(e *sim.Engine) {
 			e.NoteOpaqueReserve(tier.NodeID(i), carve)
 		}
 	}
-	slots := dramBytes / hmcSectorBytes
-	if slots < 1 {
-		slots = 1
+	h.tags = make([]uint32, max(dramBytes/hmcSectorBytes, 1))
+	// A tag must stay below the dirty bit. Every workload allocates its
+	// VMAs in Init, before the first interval, and the last one holds
+	// the highest sector.
+	if vmas := e.AS.VMAs(); len(vmas) > 0 {
+		if tag := (vmas[len(vmas)-1].End()-1)/hmcSectorBytes/uint64(len(h.tags)) + 1; tag >= hmcDirty {
+			panic(fmt.Sprintf("policy: HMC tag %d is not below 2^31, the dirty bit: %d cache slots are too few for the address space", tag, len(h.tags)))
+		}
 	}
-	h.tags = make([]uint64, slots)
-	h.dirty = make([]bool, slots)
-	h.sectorBits = 8 // log2(hmcSectorBytes)
 
-	h.dramNode, h.pmNode = tier.Invalid, tier.Invalid
+	h.dramNode = tier.Invalid
 	view := e.Sys.Topo.View(sim.HomeSocket)
 	for _, n := range view {
 		link := e.Sys.Topo.Links[sim.HomeSocket][n]
@@ -91,7 +95,6 @@ func (h *HMC) IntervalStart(e *sim.Engine) {
 		}
 		if e.Sys.Topo.Nodes[n].Kind != tier.DRAM && h.pmLat == 0 {
 			h.pmLat = link.Latency
-			h.pmNode = n
 			h.fillCost = time.Duration(float64(hmcSectorBytes) / float64(link.Bandwidth) * float64(time.Second))
 			h.writebackCost = writeAmp * h.fillCost
 		}
@@ -103,6 +106,9 @@ func (h *HMC) IntervalStart(e *sim.Engine) {
 
 func (h *HMC) IntervalEnd(*sim.Engine) {}
 
+// hmcDirty is the dirty bit of a tag word; the tag takes the bits below.
+const hmcDirty = 1 << 31
+
 // maxProbes bounds the tag probes per batched access; larger batches are
 // sampled and the measured hit/miss mix is extrapolated to the batch.
 const maxProbes = 32
@@ -113,50 +119,36 @@ const maxProbes = 32
 // probes a sample of those lines against the direct-mapped tag store and
 // extrapolates the observed hit/miss mix to the whole batch.
 func (h *HMC) intercept(v *vm.VMA, idx int, n, nw uint32, node tier.NodeID) time.Duration {
-	base := v.Addr(idx) >> h.sectorBits
-	sectorsPerPage := uint64(v.PageSize / hmcSectorBytes)
-	if sectorsPerPage == 0 {
-		sectorsPerPage = 1
-	}
-	distinct := uint64(n)
-	if distinct > sectorsPerPage {
-		distinct = sectorsPerPage
-	}
-	if distinct == 0 {
-		distinct = 1
-	}
-	perLine := n / uint32(distinct) // accesses per touched line
-	if perLine == 0 {
-		perLine = 1
-	}
-	probes := distinct
-	if probes > maxProbes {
-		probes = maxProbes
-	}
+	base := v.Addr(idx) / hmcSectorBytes
+	slots := uint64(len(h.tags))
+	q, r := base/slots, base%slots
+	mask := uint64(v.PageSize/hmcSectorBytes) - 1 // sectors per page is a power of two
+	distinct := max(min(uint64(n), mask+1), 1)
+	perLine := max(n/uint32(distinct), 1) // accesses per touched line
+	probes := min(distinct, maxProbes)
 	weight := float64(distinct) / float64(probes)
-	dirtyShare := nw > 0
+	dirty := min(nw, 1) << 31 // hmcDirty when the batch writes
 
 	var cost time.Duration
 	var pHits, pMisses, pWB int64
 	for i := uint64(0); i < probes; i++ {
 		// Pseudo-random line within the page, advancing across batches
-		// so repeated random access probes fresh lines.
+		// so repeated random access probes fresh lines. Sector base+off
+		// has slot (r+off)%slots and tag q+(r+off)/slots+1.
 		h.probeSeq++
-		sector := base + (h.probeSeq*0x9e3779b97f4a7c15)%sectorsPerPage
-		slot := sector % uint64(len(h.tags))
-		tag := sector + 1
-		if h.tags[slot] == tag {
+		off := (h.probeSeq * 0x9e3779b97f4a7c15) & mask
+		slot, tag := r+off, uint32(q)+1
+		for slot >= slots {
+			slot -= slots
+			tag++
+		}
+		if w := h.tags[slot]; w&^hmcDirty == tag {
 			pHits++
+			h.tags[slot] = w | dirty
 		} else {
 			pMisses++
-			if h.dirty[slot] {
-				pWB++
-			}
-			h.tags[slot] = tag
-			h.dirty[slot] = false
-		}
-		if dirtyShare {
-			h.dirty[slot] = true
+			pWB += int64(w >> 31) // the evicted sector's dirty bit
+			h.tags[slot] = tag | dirty
 		}
 	}
 	// Extrapolate the sampled mix to the full batch: each touched line

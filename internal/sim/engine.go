@@ -172,7 +172,10 @@ type Engine struct {
 	// Intercept, when non-nil, replaces the default per-node latency
 	// charge of Access with a solution-computed cost. The hardware-
 	// managed-cache baseline (Optane Memory Mode) uses it to model
-	// DRAM-as-cache hits, misses, and write amplification.
+	// DRAM-as-cache hits, misses, and write amplification. It stays a
+	// per-ref hook because run-ahead's budgetHolds bounds an access by
+	// the slowest node's latency, and a miss with a dirty writeback
+	// costs more than that.
 	Intercept func(v *vm.VMA, idx int, n, nw uint32, node tier.NodeID) time.Duration
 
 	// Observer, when non-nil, sees every application access after it is
