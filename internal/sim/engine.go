@@ -321,6 +321,13 @@ func (e *Engine) Access(v *vm.VMA, idx int, n, nw uint32, socket int) {
 // the result equals one Access per ref. A batch may mix VMAs. Refs with
 // N == 0 do nothing, and once the engine has failed the rest of the batch
 // does nothing.
+//
+// While neither Intercept nor Observer is installed, accessRun takes each
+// run of refs that hit present pages. The loop here takes the other refs
+// one at a time, through the engine's fields: the fault path if the page
+// is not present, TouchN, then Intercept, the sampler and Observer. So
+// every hook sees the engine exactly as after the preceding refs' Access
+// calls.
 func (e *Engine) AccessBatch(refs []Ref, socket int) {
 	if e.failed != nil {
 		return
@@ -328,45 +335,8 @@ func (e *Engine) AccessBatch(refs []Ref, socket int) {
 	// One ref has no misses to overlap, and while every VMA's records fit
 	// in L2 the pass only adds work.
 	if len(refs) > 1 && e.AS.MaxPages() > cachedPages {
-		nodes, _ := warm(refs)
-		e.warmSink ^= nodes
+		e.warm(refs)
 	}
-	e.issue(refs, socket)
-}
-
-// cachedPages is the most pages a VMA can have while its page records
-// stay in the host's L2: 2^16 records of 12 bytes are 768 KB. AccessBatch
-// warms a batch only in an address space with a larger VMA. The test is
-// on the address space, not on the batch's VMAs, so a batch that leads
-// with a small VMA (Cassandra's index, VoltDB's warehouse) keeps its
-// warm pass on 4 KB pages, and it costs no pass over the refs.
-const cachedPages = 1 << 16
-
-// warm loads the node of every ref and returns the nodes ORed together,
-// which is NoNode (-1) exactly when some page is not present, since node
-// IDs are non-negative, and the refs' total N. accessRun spends tens of
-// instructions per ref, a read-modify-write of its page record among
-// them, so the CPU's reorder window holds the cache misses of only a few
-// refs at a time. This pass spends a few instructions per ref and stores
-// nothing, so the window holds many refs' misses at once, and accessRun
-// then finds their records in cache. The caller sinks nodes, which keeps
-// the compiler from dropping the loads.
-func warm(refs []Ref) (nodes tier.NodeID, n int64) {
-	for _, r := range refs {
-		nodes |= r.V.Node(r.Idx)
-		n += int64(r.N)
-	}
-	return nodes, n
-}
-
-// issue is AccessBatch after its warm pass, on an engine that has not
-// failed. While neither Intercept nor Observer is installed, accessRun
-// takes each run of refs that hit present pages. The loop here takes the
-// other refs one at a time, through the engine's fields: the fault path if
-// the page is not present, TouchN, then Intercept, the sampler and
-// Observer. So every hook sees the engine exactly as after the preceding
-// refs' Access calls.
-func (e *Engine) issue(refs []Ref, socket int) {
 	lat := e.latNow[socket]
 	for ; len(refs) > 0; refs = refs[1:] {
 		if e.Intercept == nil && e.Observer == nil && refs[0].V.Present(refs[0].Idx) {
@@ -413,8 +383,32 @@ func (e *Engine) issue(refs []Ref, socket int) {
 	}
 }
 
+// cachedPages is the most pages a VMA can have while its page records
+// stay in the host's L2: 2^16 records of 12 bytes are 768 KB. AccessBatch
+// warms a batch only in an address space with a larger VMA, a chunk that
+// runs ahead included. The test is on the address space, not on the
+// batch's VMAs, so a batch that leads with a small VMA (Cassandra's index,
+// VoltDB's warehouse) keeps its warm pass on 4 KB pages, and it costs no
+// pass over the refs.
+const cachedPages = 1 << 16
+
+// warm loads the page record of every ref. accessRun spends tens of
+// instructions per ref, a read-modify-write of its page record among
+// them, so the CPU's reorder window holds the cache misses of only a few
+// refs at a time. This pass spends a few instructions per ref and stores
+// one word, so the window holds many refs' misses at once, and accessRun
+// then finds their records in cache. The word is the loaded nodes ORed
+// into warmSink, which keeps the compiler from dropping the loads.
+func (e *Engine) warm(refs []Ref) {
+	var nodes tier.NodeID
+	for _, r := range refs {
+		nodes |= r.V.Node(r.Idx)
+	}
+	e.warmSink ^= nodes
+}
+
 // accessRun charges the leading refs that hit a present page, take no PEBS
-// sample and write no page whose shadow is valid; issue calls it only
+// sample and write no page whose shadow is valid; AccessBatch calls it only
 // while neither Intercept nor Observer is installed. It returns how many
 // refs it charged. If it stopped at a ref that takes a PEBS sample, it
 // charged all of that ref but the sample and returns the ref's node as

@@ -144,8 +144,9 @@ func (c initCase) touched(vs []*vm.VMA) []*vm.VMA {
 }
 
 // checkInitTouch builds c twice on topo, runs InitTouch on one engine and
-// batchInitTouch on the other, and requires the same engines after. It
-// returns the InitTouch engine and its VMAs.
+// batchInitTouch on the other, and requires the same engines after, each
+// VMA's absent count agreeing with its present plane. It returns the
+// InitTouch engine and its VMAs.
 func checkInitTouch(t *testing.T, c initCase, topo *tier.Topology) (*Engine, []*vm.VMA) {
 	t.Helper()
 	var alog, blog []string
@@ -182,6 +183,11 @@ func checkInitTouch(t *testing.T, c initCase, topo *tier.Topology) (*Engine, []*
 	}
 	for k, av := range avs {
 		bv := bvs[k]
+		for _, v := range []*vm.VMA{av, bv} {
+			if want := v.NPages - v.PresentCount(0, v.NPages); v.Absent() != want {
+				t.Fatalf("%s: Absent() = %d, want %d", v.Name, v.Absent(), want)
+			}
+		}
 		for i := 0; i < av.NPages; i++ {
 			if av.Node(i) != bv.Node(i) || av.PTE(i) != bv.PTE(i) || av.LastSocket(i) != bv.LastSocket(i) ||
 				av.Count(i) != bv.Count(i) || av.WriteCount(i) != bv.WriteCount(i) ||

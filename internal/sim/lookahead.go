@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"mtm/internal/rng"
-	"mtm/internal/vm"
 )
 
 // Lookahead is a Chunked workload whose next chunk RunChunks may draw on a
-// second goroutine while the engine issues the current one (see runAhead
-// for when it does). NextChunk alternates two ref buffers, so a returned
-// slice stays valid until the call after next. RunsAhead reports whether
+// second goroutine while the engine issues the current one, as long as
+// every page of the address space has a frame (see runAhead for when it
+// does). NextChunk then runs on that goroutine, so it must touch only the
+// workload and r. It alternates two ref buffers, so a returned slice
+// stays valid until the call after next. RunsAhead reports whether
 // drawing ahead pays for this workload: it does where a chunk costs more
 // to draw than to hand from one core to the other.
 type Lookahead interface {
@@ -19,17 +20,20 @@ type Lookahead interface {
 	RunsAhead() bool
 }
 
-// runAhead is RunChunks for a Lookahead that runs ahead. It asks a
-// producer goroutine for chunk k+1 before it issues chunk k whenever
-// issuing chunk k cannot change what RunChunks' loop does next: w is not
-// done, no hook is installed, every ref hits a present page and the
-// interval budget holds even if every access costs the slowest node's
-// latency. Issuing such a chunk takes no fault, draws nothing from Rng,
-// and can neither fail the engine nor exhaust the interval, so the loop
-// would draw chunk k+1 next, from the Rng state the producer draws it
-// from. Otherwise chunk k is issued alone and the loop checks and draws
-// inline. No chunk is drawn that is not issued, and none on an engine
-// that has failed.
+// runAhead is RunChunks for a Lookahead that runs ahead. Holding chunk k,
+// it asks a producer goroutine for chunk k+1 and then issues chunk k,
+// through AccessBatch, whenever issuing chunk k cannot change what
+// RunChunks' loop does next: no hook is installed, no page of the address
+// space lacks a frame, w is not done and the interval budget holds even
+// if every access of chunk k costs the slowest node's latency. A page
+// loses its frame only through Poison and Unmap, neither of which runs
+// while a chunk is issued, so such a chunk takes no fault, draws nothing
+// from Rng, and can neither fail the engine nor exhaust the interval: the
+// loop would draw chunk k+1 next, from the Rng state the producer draws
+// it from. None of the tests reads chunk k's refs, so the producer draws
+// while the engine issues. Otherwise chunk k is issued alone and the loop
+// checks and draws inline. No chunk is drawn that is not issued, and none
+// on an engine that has failed.
 func (e *Engine) runAhead(w Lookahead) {
 	var p *producer // started by the first chunk that runs ahead
 	defer func() {
@@ -37,30 +41,44 @@ func (e *Engine) runAhead(w Lookahead) {
 			p.stop()
 		}
 	}()
-	var refs []Ref
-	ahead := false // refs came from the producer
+	var c chunk
+	ahead := false // c came from the producer
 	for {
 		if !ahead {
 			if e.IntervalExhausted() || w.Done() {
 				return
 			}
-			refs = w.NextChunk(e.Rng)
+			c = nextChunk(w, e.Rng)
 		}
-		nodes, n := warm(refs)
-		e.warmSink ^= nodes
-		ahead = nodes != vm.NoNode && e.Intercept == nil && e.Observer == nil &&
-			!w.Done() && e.budgetHolds(n)
+		ahead = e.Intercept == nil && e.Observer == nil && e.AS.AllPresent() &&
+			!w.Done() && e.budgetHolds(c.n)
 		if ahead {
 			if p == nil {
 				p = startProducer(w, e.Rng)
 			}
 			p.req <- struct{}{}
 		}
-		e.issue(refs, HomeSocket)
+		e.AccessBatch(c.refs, HomeSocket)
 		if ahead {
-			refs, _ = recv(p.out)
+			c, _ = recv(p.out)
 		}
 	}
+}
+
+// chunk is one chunk's refs and the sum of their N, which budgetHolds
+// takes. The goroutine that draws a chunk sums it.
+type chunk struct {
+	refs []Ref
+	n    int64
+}
+
+// nextChunk draws w's next chunk from r and sums it.
+func nextChunk(w Lookahead, r *rng.Rand) chunk {
+	c := chunk{refs: w.NextChunk(r)}
+	for _, ref := range c.refs {
+		c.n += int64(ref.N)
+	}
+	return c
 }
 
 // budgetHolds reports whether the interval stays unexhausted after n more
@@ -75,21 +93,22 @@ func (e *Engine) budgetHolds(n int64) bool {
 
 // producer draws a Lookahead's chunks on a goroutine of its own, one per
 // request on req, each sent on out; it closes out when req is closed. It
-// owns the workload and Rng from a request until its chunk is received.
+// owns the workload and Rng from a request until its chunk is received,
+// and reads nothing else.
 type producer struct {
 	req chan struct{}
-	out chan []Ref
+	out chan chunk
 }
 
 func startProducer(w Lookahead, r *rng.Rand) *producer {
-	p := &producer{req: make(chan struct{}, 1), out: make(chan []Ref, 1)}
+	p := &producer{req: make(chan struct{}, 1), out: make(chan chunk, 1)}
 	go func() {
 		defer close(p.out)
 		for {
 			if _, ok := recv(p.req); !ok {
 				return
 			}
-			p.out <- w.NextChunk(r)
+			p.out <- nextChunk(w, r)
 		}
 	}()
 	return p
@@ -110,15 +129,22 @@ func (p *producer) stop() {
 // when they outnumbered the cores.
 const pollFor = 200 * time.Microsecond
 
+// pollBatch is how many polls recv makes between reads of the clock,
+// which cost about as much as a poll.
+const pollBatch = 16
+
 // recv receives from c, yielding the processor between polls for up to
-// pollFor, then blocking.
+// pollFor, then blocking. It reads the clock once per pollBatch polls, so
+// it polls for less than one batch beyond pollFor.
 func recv[T any](c <-chan T) (T, bool) {
-	for start := time.Now(); time.Since(start) < pollFor; runtime.Gosched() {
+	start := time.Now()
+	for i := 1; i%pollBatch != 0 || time.Since(start) < pollFor; i++ {
 		select {
 		case v, ok := <-c:
 			return v, ok
 		default:
 		}
+		runtime.Gosched()
 	}
 	v, ok := <-c
 	return v, ok

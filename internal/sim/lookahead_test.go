@@ -42,20 +42,33 @@ func goroutineID() string {
 	return strings.Fields(string(b[:runtime.Stack(b[:], false)]))[1]
 }
 
-// lookaheadEngine returns an engine with one thread and a 1 s interval.
+// producerAlive reports whether a producer goroutine exists. The
+// goroutine count alone can miss one: the goroutine of a test that just
+// finished may still be exiting when the count before RunChunks is taken.
+func producerAlive() bool {
+	b := make([]byte, 1<<20)
+	return strings.Contains(string(b[:runtime.Stack(b, true)]), "sim.startProducer")
+}
+
+// lookaheadEngine returns an engine with one thread and a 1 s interval,
+// on which no page lacks a frame, so chunks may run ahead from the start.
 // Its VMA "v" has 4 huge pages, all on PM, the slowest node, so
-// runAhead's latency bound is exact. DRAM has room for one huge page,
-// which the first fault on VMA "x" takes; a second fault on "x" runs out
-// of memory.
+// runAhead's latency bound is exact. VMA "x" has 2 huge pages on DRAM,
+// which leaves DRAM room for one more. A case takes a frame away by
+// unmapping or poisoning a page of x as it draws a chunk: those pages
+// keep their frames reserved, so the first refault takes DRAM's last
+// free frame and a second runs out of memory.
 func lookaheadEngine() (e *Engine, v, x *vm.VMA) {
-	e = NewEngine(tier.TwoTierTopology(2*tier.MB, 8*tier.MB), 1)
+	e = NewEngine(tier.TwoTierTopology(6*tier.MB, 8*tier.MB), 1)
 	e.Threads = 1
 	e.Interval = time.Second
 	e.SetSolution(&fixedSolution{node: 1})
 	v = e.AS.Alloc("v", 8*tier.MB)
 	x = e.AS.Alloc("x", 4*tier.MB)
-	for i := 0; i < v.NPages; i++ {
-		e.Access(v, i, 1, 0, HomeSocket)
+	for _, u := range []*vm.VMA{v, x} {
+		for i := 0; i < u.NPages; i++ {
+			e.Access(u, i, 1, 0, HomeSocket)
+		}
 	}
 	e.beginInterval()
 	return e, v, x
@@ -98,16 +111,34 @@ func TestRunAheadMatchesInline(t *testing.T) {
 		},
 		wantOn: []int{2, 3, 4, 5},
 	}, {
-		// Chunk 3 faults a page in, so chunk 4 is drawn inline after it.
+		// Drawing chunk 3 unmaps the page it names, so chunk 3 faults it
+		// back in and chunk 4 is drawn inline after it.
 		name:   "non-present-ref",
 		chunks: 6,
 		refs: func(s setup, k int) []Ref {
 			if k == 3 {
+				s.x.Unmap(0)
 				return chunk(Ref{V: s.x, Idx: 0, N: 1})
 			}
 			return chunk()
 		},
 		wantOn: []int{2, 3, 5, 6},
+	}, {
+		// Drawing chunk 2 unmaps a page no chunk names until chunk 5,
+		// which faults it back in. Chunks 2 to 5 are issued inline,
+		// though none of 2 to 4 names the page.
+		name:   "absent-page-outside-chunks",
+		chunks: 8,
+		refs: func(s setup, k int) []Ref {
+			switch k {
+			case 2:
+				s.x.Unmap(1)
+			case 5:
+				return chunk(Ref{V: s.x, Idx: 1, N: 1})
+			}
+			return chunk()
+		},
+		wantOn: []int{2, 7, 8},
 	}, {
 		// The workload is done after chunk 4, which the producer drew.
 		name:   "done-after-chunk-drawn-ahead",
@@ -115,11 +146,14 @@ func TestRunAheadMatchesInline(t *testing.T) {
 		refs:   func(setup, int) []Ref { return chunk() },
 		wantOn: []int{2, 3, 4},
 	}, {
-		// Chunk 3's second fault on x runs out of memory mid-chunk.
+		// Drawing chunk 3 poisons both pages of x, and the chunk's
+		// second refault runs out of memory mid-chunk.
 		name:   "engine-fails-mid-chunk",
 		chunks: 6,
 		refs: func(s setup, k int) []Ref {
 			if k == 3 {
+				s.x.Poison(0)
+				s.x.Poison(1)
 				return chunk(Ref{V: s.x, Idx: 0, N: 1}, Ref{V: s.x, Idx: 1, N: 1}, Ref{V: s.v, Idx: 0, N: 1})
 			}
 			return chunk()
@@ -153,11 +187,13 @@ func TestRunAheadMatchesInline(t *testing.T) {
 				}}
 				before := runtime.NumGoroutine()
 				e.RunChunks(w)
-				for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+				leaked := func() bool { return runtime.NumGoroutine() > before || producerAlive() }
+				for deadline := time.Now().Add(time.Second); leaked() && time.Now().Before(deadline); {
 					time.Sleep(time.Millisecond)
 				}
-				if n := runtime.NumGoroutine(); n != before {
-					t.Errorf("ahead=%v: %d goroutines after RunChunks, %d before", ahead, n, before)
+				if leaked() {
+					t.Errorf("ahead=%v: %d goroutines after RunChunks, %d before, producer alive %v",
+						ahead, runtime.NumGoroutine(), before, producerAlive())
 				}
 				if (e.Err() != nil) != c.fails {
 					t.Errorf("ahead=%v: run ends with error %v", ahead, e.Err())

@@ -53,6 +53,17 @@ func (as *AddressSpace) Alloc(name string, size int64) *VMA {
 // MaxPages returns the page count of the largest VMA allocated so far.
 func (as *AddressSpace) MaxPages() int { return as.maxPages }
 
+// AllPresent reports whether every page of every VMA has a frame. It
+// reads one count per VMA, not the pages.
+func (as *AddressSpace) AllPresent() bool {
+	for _, v := range as.vmas {
+		if v.absent != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // VMAs returns the VMAs in address order. The returned slice is owned by
 // the address space; callers must not mutate it.
 func (as *AddressSpace) VMAs() []*VMA { return as.vmas }

@@ -77,11 +77,13 @@ func (m modelPage) pte() PTE {
 	return p
 }
 
-// TestVMAMatchesPerPageModel applies a seeded random sequence of every
-// mutator to a 4 KB VMA and to a per-page model, and compares every page's
-// observable state after each step. It also checks the invariant the
-// sparse ResetCounts relies on: a page with a non-zero count or write
-// count is touched, and ShadowedIn on a seeded page range.
+// TestVMAMatchesPerPageModel applies a scripted and then a seeded random
+// sequence of every mutator to a 4 KB VMA and to a per-page model, and
+// compares every page's observable state after each step. It also checks
+// the invariants the sparse ResetCounts and AllPresent rely on: a page
+// with a non-zero count or write count is touched, and the absent count
+// is the pages the present plane lacks. And it checks ShadowedIn on a
+// seeded page range.
 func TestVMAMatchesPerPageModel(t *testing.T) {
 	const nPages = 300 // five words, the last one partial
 	v := NewAddressSpace().Alloc("v", nPages*BasePageSize)
@@ -99,7 +101,7 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 	nodes := []tier.NodeID{0, 1, 2, 3, 127, -128}
 	var step int
 	var op string
-	// touch applies TouchN to the VMA and the model and checks its result.
+	// Each mutator below applies itself to the VMA and the model.
 	touch := func(idx int, n, nw uint32, socket int) {
 		m := &model[idx]
 		valid := v.ShadowValid(idx)
@@ -131,9 +133,110 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		m.writes += nw
 		m.socket = socket
 	}
+	place := func(idx int, n tier.NodeID) {
+		v.Place(idx, n)
+		model[idx].node, model[idx].present = n, true
+	}
+	unmap := func(idx int) {
+		v.Unmap(idx)
+		model[idx].node, model[idx].present = NoNode, false
+	}
+	poison := func(idx int) {
+		v.Poison(idx)
+		m := &model[idx]
+		seq := m.shadowSeq
+		if m.shadowed {
+			seq++
+		}
+		*m = modelPage{node: NoNode, poisoned: true, socket: m.socket, shadowSeq: seq, stamp: m.stamp}
+	}
+	markShadowed := func(idx int, n tier.NodeID) {
+		m := &model[idx]
+		m.shadowSeq++
+		if seq := v.MarkShadowed(idx, n); seq != m.shadowSeq {
+			t.Fatalf("step %d %s: returned seq %d, want %d", step, op, seq, m.shadowSeq)
+		}
+		m.shadowed, m.shadowValid, m.shadowNode = true, true, n
+	}
+	// firstWrite also checks the page FirstWriteRange stopped at.
+	firstWrite := func(lo, hi int, n tier.NodeID, socket int) {
+		want := lo
+		for ; want < hi; want++ {
+			m := &model[want]
+			if m.present || m.poisoned || m.shadowValid {
+				break
+			}
+			m.node, m.present, m.dirty, m.socket = n, true, true, socket
+		}
+		if got := v.FirstWriteRange(lo, hi, n, socket); got != want {
+			t.Fatalf("step %d %s: stopped at %d, want %d", step, op, got, want)
+		}
+	}
+
+	ranges := rand.New(rand.NewSource(16)) // ShadowedIn's ranges, apart from the script's draws
+	// check compares the VMA with the model after a step.
+	check := func() {
+		for i := range model {
+			m := model[i]
+			if v.Count(i) != 0 || v.WriteCount(i) != 0 {
+				if !v.Touched(i) {
+					t.Fatalf("step %d %s: page %d has counts %d/%d but is not touched", step, op, i, v.Count(i), v.WriteCount(i))
+				}
+			}
+			if v.Node(i) != m.node || v.Count(i) != m.count || v.WriteCount(i) != m.writes ||
+				v.LastSocket(i) != m.socket || v.PTE(i) != m.pte() || v.IsPoisoned(i) != m.poisoned ||
+				v.Touched(i) != m.touched || v.Present(i) != m.present ||
+				v.Shadowed(i) != m.shadowed || v.ShadowValid(i) != m.shadowValid ||
+				v.ShadowNode(i) != m.shadowNodeOrNone() || v.ShadowSeq(i) != m.shadowSeq || v.Stamp(i) != m.stamp {
+				t.Fatalf("step %d %s: page %d\nvma   node=%d count=%d writes=%d socket=%d pte=%07b poisoned=%v touched=%v shadowed=%v/%v\nmodel %+v pte=%07b",
+					step, op, i, v.Node(i), v.Count(i), v.WriteCount(i), v.LastSocket(i), v.PTE(i), v.IsPoisoned(i),
+					v.Touched(i), v.Shadowed(i), v.ShadowValid(i), m, m.pte())
+			}
+		}
+		if want := nPages - v.PresentCount(0, nPages); v.Absent() != want {
+			t.Fatalf("step %d %s: Absent() = %d, want %d", step, op, v.Absent(), want)
+		}
+		if invalidations != wantInvalidations {
+			t.Fatalf("step %d %s: %d shadow invalidations, want %d", step, op, invalidations, wantInvalidations)
+		}
+		lo := ranges.Intn(nPages)
+		hi := lo + 1 + ranges.Intn(min(nPages-lo, 2*WordPages))
+		shadowed := false
+		for _, m := range model[lo:hi] {
+			shadowed = shadowed || m.shadowed
+		}
+		if got := v.ShadowedIn(lo, hi); got != shadowed {
+			t.Fatalf("step %d %s: ShadowedIn(%d, %d) = %v, model %v", step, op, lo, hi, got, shadowed)
+		}
+	}
+
+	// The script makes the steps that keep the absent count, in each of
+	// its cases, before the random sequence.
+	script := []struct {
+		op string
+		do func()
+	}{
+		{"Place(130, 1)", func() { place(130, 1) }},
+		{"Place(130, 2) of a present page", func() { place(130, 2) }},
+		{"Poison(135) of an absent page", func() { poison(135) }},
+		{"MarkShadowed(140, 1) of an absent page", func() { markShadowed(140, 1) }},
+		{"FirstWriteRange(128, 150) stops at present 130", func() { firstWrite(128, 150, 0, 1) }},
+		{"FirstWriteRange(130, 150) places nothing", func() { firstWrite(130, 150, 0, 1) }},
+		{"FirstWriteRange(131, 150) stops at poisoned 135", func() { firstWrite(131, 150, 3, 2) }},
+		{"FirstWriteRange(136, 150) stops at shadow-valid 140", func() { firstWrite(136, 150, 1, 0) }},
+		{"FirstWriteRange(141, 200) across a word", func() { firstWrite(141, 200, 2, 3) }},
+		{"Unmap(250) of an absent page", func() { unmap(250) }},
+		{"Unmap(130) of a present page", func() { unmap(130) }},
+		{"Poison(141) of a present page", func() { poison(141) }},
+		{"Poison(141) again", func() { poison(141) }},
+	}
+	for step = range script {
+		op = script[step].op
+		script[step].do()
+		check()
+	}
 
 	rng := rand.New(rand.NewSource(15))
-	ranges := rand.New(rand.NewSource(16)) // ShadowedIn's ranges, apart from the script's draws
 	for step = 0; step < 20000; step++ {
 		// Half the steps hit a small hot set so operations collide.
 		idx := rng.Intn(nPages)
@@ -145,12 +248,10 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		case k < 12:
 			n := nodes[rng.Intn(len(nodes))]
 			op = fmt.Sprintf("Place(%d, %d)", idx, n)
-			v.Place(idx, n)
-			m.node, m.present = n, true
+			place(idx, n)
 		case k < 18:
 			op = fmt.Sprintf("Unmap(%d)", idx)
-			v.Unmap(idx)
-			m.node, m.present = NoNode, false
+			unmap(idx)
 		case k < 20:
 			// First-touch a whole word, as initialisation does, so the
 			// touched plane holds full words for ResetCounts.
@@ -158,8 +259,7 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 			op = fmt.Sprintf("place and write pages of word %d", w)
 			for i := w * WordPages; i < min(nPages, (w+1)*WordPages); i++ {
 				if !model[i].present {
-					v.Place(i, 0)
-					model[i].node, model[i].present = 0, true
+					place(i, 0)
 				}
 				touch(i, 1, 1, 0)
 			}
@@ -174,12 +274,7 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 			touch(idx, n, nw, socket)
 		case k < 74:
 			op = fmt.Sprintf("Poison(%d)", idx)
-			v.Poison(idx)
-			seq := m.shadowSeq
-			if m.shadowed {
-				seq++
-			}
-			*m = modelPage{node: NoNode, poisoned: true, socket: m.socket, shadowSeq: seq, stamp: m.stamp}
+			poison(idx)
 		case k < 78:
 			op = fmt.Sprintf("ClearPoison(%d)", idx)
 			v.ClearPoison(idx)
@@ -187,11 +282,7 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 		case k < 93:
 			n := nodes[rng.Intn(len(nodes))]
 			op = fmt.Sprintf("MarkShadowed(%d, %d)", idx, n)
-			m.shadowSeq++
-			if seq := v.MarkShadowed(idx, n); seq != m.shadowSeq {
-				t.Fatalf("step %d %s: returned seq %d, want %d", step, op, seq, m.shadowSeq)
-			}
-			m.shadowed, m.shadowValid, m.shadowNode = true, true, n
+			markShadowed(idx, n)
 		case k < 95:
 			op = fmt.Sprintf("ClearShadowed(%d)", idx)
 			v.ClearShadowed(idx)
@@ -211,40 +302,38 @@ func TestVMAMatchesPerPageModel(t *testing.T) {
 				model[i].count, model[i].writes, model[i].touched = 0, 0, false
 			}
 		}
-
-		for i := range model {
-			m := model[i]
-			if v.Count(i) != 0 || v.WriteCount(i) != 0 {
-				if !v.Touched(i) {
-					t.Fatalf("step %d %s: page %d has counts %d/%d but is not touched", step, op, i, v.Count(i), v.WriteCount(i))
-				}
-			}
-			if v.Node(i) != m.node || v.Count(i) != m.count || v.WriteCount(i) != m.writes ||
-				v.LastSocket(i) != m.socket || v.PTE(i) != m.pte() || v.IsPoisoned(i) != m.poisoned ||
-				v.Touched(i) != m.touched || v.Present(i) != m.present ||
-				v.Shadowed(i) != m.shadowed || v.ShadowValid(i) != m.shadowValid ||
-				v.ShadowNode(i) != m.shadowNodeOrNone() || v.ShadowSeq(i) != m.shadowSeq || v.Stamp(i) != m.stamp {
-				t.Fatalf("step %d %s: page %d\nvma   node=%d count=%d writes=%d socket=%d pte=%07b poisoned=%v touched=%v shadowed=%v/%v\nmodel %+v pte=%07b",
-					step, op, i, v.Node(i), v.Count(i), v.WriteCount(i), v.LastSocket(i), v.PTE(i), v.IsPoisoned(i),
-					v.Touched(i), v.Shadowed(i), v.ShadowValid(i), m, m.pte())
-			}
-		}
-		if invalidations != wantInvalidations {
-			t.Fatalf("step %d %s: %d shadow invalidations, want %d", step, op, invalidations, wantInvalidations)
-		}
-		lo := ranges.Intn(nPages)
-		hi := lo + 1 + ranges.Intn(min(nPages-lo, 2*WordPages))
-		shadowed := false
-		for _, m := range model[lo:hi] {
-			shadowed = shadowed || m.shadowed
-		}
-		if got := v.ShadowedIn(lo, hi); got != shadowed {
-			t.Fatalf("step %d %s: ShadowedIn(%d, %d) = %v, model %v", step, op, lo, hi, got, shadowed)
-		}
+		check()
 	}
 	if wantInvalidations == 0 {
 		t.Fatal("the sequence never invalidated a shadow")
 	}
+}
+
+// TestAllPresent: an address space is all present exactly while none of
+// its VMAs has a page without a frame.
+func TestAllPresent(t *testing.T) {
+	as := NewAddressSpace()
+	if !as.AllPresent() {
+		t.Fatal("an empty address space is not all present")
+	}
+	a, b := as.Alloc("a", 2*BasePageSize), as.Alloc("b", 3*BasePageSize)
+	step := func(op string, want bool) {
+		if as.AllPresent() != want {
+			t.Fatalf("after %s: AllPresent() = %v, want %v", op, !want, want)
+		}
+	}
+	step("Alloc", false)
+	a.Place(0, 0)
+	a.Place(1, 0)
+	step("placing a", false)
+	b.FirstWriteRange(0, 3, 1, 0)
+	step("placing b", true)
+	b.Poison(2)
+	step("Poison", false)
+	b.Place(2, 0)
+	step("re-Place", true)
+	a.Unmap(0)
+	step("Unmap", false)
 }
 
 // TestTouchHitMatchesTouchN applies one seeded sequence of mutators to two

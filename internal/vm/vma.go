@@ -43,6 +43,9 @@ type VMA struct {
 	// present mirrors the Present bit, dirty the MMU's dirty bit.
 	present Bitmap
 	dirty   Bitmap
+	// absent counts the pages with no frame, NPages less the present
+	// plane's population; the plane's four writers keep it.
+	absent int
 
 	// touched is the summary of the records' ground-truth counters: a page
 	// with a non-zero count or write count is touched. Oracle-backed
@@ -111,6 +114,7 @@ func newVMA(name string, base uint64, pageSize int64, nPages int) *VMA {
 		PageShift: uint(bits.TrailingZeros64(uint64(pageSize))),
 		NPages:    nPages,
 		pages:     make([]page, nPages),
+		absent:    nPages,
 		present:   NewBitmap(nPages),
 		dirty:     NewBitmap(nPages),
 		touched:   NewBitmap(nPages),
@@ -179,6 +183,9 @@ func (v *VMA) FirstPresent(lo, hi int) int {
 	return i
 }
 
+// Absent returns the number of pages with no frame.
+func (v *VMA) Absent() int { return v.absent }
+
 // PresentCount returns the number of present pages in [lo, hi) via
 // word-wide popcounts.
 func (v *VMA) PresentCount(lo, hi int) int { return v.present.CountRange(lo, hi) }
@@ -197,6 +204,9 @@ func (v *VMA) TouchedRangeWord(w, lo, hi int) uint64 { return v.touched.RangeWor
 func (v *VMA) Place(idx int, n tier.NodeID) {
 	if tier.NodeID(int8(n)) != n {
 		panic("vm: Place: node outside int8") // constant, so Place inlines
+	}
+	if !v.present.Test(idx) {
+		v.absent--
 	}
 	v.pages[idx].node = ^int8(n)
 	v.present.Set(idx)
@@ -225,12 +235,16 @@ func (v *VMA) FirstWriteRange(lo, hi int, n tier.NodeID, socket int) int {
 	}
 	v.present.SetRange(lo, i)
 	v.dirty.SetRange(lo, i)
+	v.absent -= i - lo
 	return i
 }
 
 // Unmap removes the frame of page idx (migration step 2). Access state is
 // preserved so a remap continues tracking.
 func (v *VMA) Unmap(idx int) {
+	if v.present.Test(idx) {
+		v.absent++
+	}
 	v.pages[idx].node = ^int8(NoNode)
 	v.present.Clear(idx)
 }
@@ -241,6 +255,9 @@ func (v *VMA) Unmap(idx int) {
 // it, and the Poisoned bit is left so the next access takes a recovery
 // fault rather than returning stale data.
 func (v *VMA) Poison(idx int) {
+	if v.present.Test(idx) {
+		v.absent++
+	}
 	p := &v.pages[idx]
 	p.node = ^int8(NoNode)
 	p.flags = p.flags.Set(Poisoned)

@@ -15,12 +15,13 @@ import (
 // next Rng draw after Run. The last catches a chunk drawn ahead but never
 // issued, which no Result shows. The three workloads run under every
 // solution, hmc among them, whose Intercept keeps the loop inline;
-// Cassandra also under dimm-death, whose poisoned pages fault mid-run,
-// and VoltDB into an out-of-memory failure in its third interval. The
-// test is not parallel, because GOMAXPROCS is process-wide. -short and
-// -race run only bfs/mtm and the out-of-memory run; there
-// TestGoldenDigests' plain/cassandra/mtm, whose digest was recorded
-// inline, covers Cassandra.
+// Cassandra also under dimm-death, whose poisoned pages pause running
+// ahead until each has taken its recovery fault, and VoltDB into an
+// out-of-memory failure in its third interval. The test is not parallel,
+// because GOMAXPROCS is process-wide. -short and -race run only bfs/mtm,
+// the dimm-death run and the out-of-memory run; there TestGoldenDigests'
+// plain/cassandra/mtm, whose digest was recorded inline, covers Cassandra
+// without faults.
 func TestRunAheadGivesTheInlineRun(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	base := DefaultConfig()
@@ -53,10 +54,8 @@ func TestRunAheadGivesTheInlineRun(t *testing.T) {
 	dimm.Audit = true
 	oom := faulted
 	oom.Faults = "dimm-death,capacity-tax=0.72,mem-error-burst=64"
-	if !short {
-		runs = append(runs, run{"dimm-death/cassandra/mtm", "cassandra", "mtm", dimm, false})
-	}
-	runs = append(runs, run{"oom/voltdb/mtm", "voltdb", "mtm", oom, true})
+	runs = append(runs, run{"dimm-death/cassandra/mtm", "cassandra", "mtm", dimm, false},
+		run{"oom/voltdb/mtm", "voltdb", "mtm", oom, true})
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
 			runtime.GOMAXPROCS(1)
