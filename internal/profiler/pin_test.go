@@ -16,13 +16,23 @@ import (
 
 var updatePin = flag.Bool("update-pin", false, "rewrite testdata/pin.json from this run's profiler digests")
 
-// pinFile maps each profiler's name to the SHA-256 of its region tables
+// pinFile maps each profiler's name (or, for an MTM ablation,
+// "mtm-profiler/<switch>=false") to the SHA-256 of its region tables
 // and profiling charges over pinIntervals intervals of the hot/cold
 // fixture, and "<name>/metrics" and "<name>/spans" to the SHA-256 of the
 // JSON of that run's metrics and span exports.
 const pinFile = "testdata/pin.json"
 
 const pinIntervals = 20
+
+// pinned is one profiler run of the pin on a hot/cold fixture of pages
+// huge pages, the first hot of them hot. An empty name keys the run by
+// the profiler's Name.
+type pinned struct {
+	name       string
+	p          Profiler
+	pages, hot int
+}
 
 // TestProfilerPin pins every profiler's output byte for byte. No Result
 // digest covers DAMON, and the others reach the root golden file only
@@ -52,15 +62,31 @@ func TestProfilerPin(t *testing.T) {
 	}
 	got := map[string]string{}
 	var keys []string // got's keys in the order they were hashed
-	for _, p := range []Profiler{
-		NewMTM(DefaultMTMConfig()),
-		NewDAMON(),
-		NewThermostat(),
-		NewRandomChunk(),
-		NewSequentialScan(true),
-		NewSequentialScan(false),
+	// mtmWithout is MTM with one §9.3 ablation switch off. These runs
+	// use a fixture larger than MTM's 555-sample budget, so quota is
+	// trimmed and granted rather than covering every page.
+	mtmWithout := func(feature string, off func(*MTMConfig)) pinned {
+		cfg := DefaultMTMConfig()
+		off(&cfg)
+		return pinned{"mtm-profiler/" + feature + "=false", NewMTM(cfg), 2048, 400}
+	}
+	for _, c := range []pinned{
+		{"", NewMTM(DefaultMTMConfig()), 512, 100},
+		{"", NewDAMON(), 512, 100},
+		{"", NewThermostat(), 512, 100},
+		{"", NewRandomChunk(), 512, 100},
+		{"", NewSequentialScan(true), 512, 100},
+		{"", NewSequentialScan(false), 512, 100},
+		mtmWithout("AdaptiveRegions", func(c *MTMConfig) { c.AdaptiveRegions = false }),
+		mtmWithout("UsePEBS", func(c *MTMConfig) { c.UsePEBS = false }),
+		mtmWithout("AdaptiveSampling", func(c *MTMConfig) { c.AdaptiveSampling = false }),
+		mtmWithout("OverheadControl", func(c *MTMConfig) { c.OverheadControl = false }),
 	} {
-		e, w := hotColdEngine(t, 512, 100, 2, p)
+		p, name := c.p, c.name
+		if name == "" {
+			name = p.Name()
+		}
+		e, w := hotColdEngine(t, c.pages, c.hot, 2, p)
 		e.EnableMetrics()
 		e.EnableSpans(span.Config{})
 		h := sha256.New()
@@ -80,14 +106,14 @@ func TestProfilerPin(t *testing.T) {
 			}
 			put(uint64(e.TotalProf))
 		}
-		got[p.Name()] = hex.EncodeToString(h.Sum(nil))
-		keys = append(keys, p.Name())
+		got[name] = hex.EncodeToString(h.Sum(nil))
+		keys = append(keys, name)
 		for _, x := range []struct {
 			key    string
 			export any
 		}{
-			{p.Name() + "/metrics", e.MetricsExport()},
-			{p.Name() + "/spans", e.SpansExport()},
+			{name + "/metrics", e.MetricsExport()},
+			{name + "/spans", e.SpansExport()},
 		} {
 			b, err := json.Marshal(x.export)
 			if err != nil {
