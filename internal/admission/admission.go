@@ -438,19 +438,14 @@ func (c *Controller) WasteRatio(src, dst int) float64 {
 	return float64(b.wasted) / float64(b.moved+b.wasted)
 }
 
-// Admit prices one planned move of up to bytes from src to dst and
-// returns the verdict with full evidence. pageSize aligns the granted
-// allowance; roi is the caller's estimate (see ROI). Equivalent to
-// AdmitClass with ClassNormal.
-func (c *Controller) Admit(src, dst int, dir Direction, roi float64, bytes, pageSize, nowNs int64) Decision {
-	return c.AdmitClass(ClassNormal, src, dst, dir, roi, bytes, pageSize, nowNs)
-}
-
-// AdmitClass prices one planned move in the given traffic class.
-// Normal traffic passes every gate against the pair's effective floor
-// (learned when learning is on). Drain traffic skips the ROI gates and
-// waste shedding — evacuating a dying tier is not optional — and may
-// draw on the reserved bandwidth slice on top of the pair's tokens.
+// AdmitClass prices one planned move of up to bytes from src to dst in
+// the given traffic class and returns the verdict with full evidence.
+// pageSize aligns the granted allowance; roi is the caller's estimate
+// (see ROI). Normal traffic passes every gate against the pair's
+// effective floor (learned when learning is on). Drain traffic skips the
+// ROI gates and waste shedding — evacuating a dying tier is not optional
+// — and may draw on the reserved bandwidth slice on top of the pair's
+// tokens.
 // Emergency traffic is admitted unconditionally: refusing the demotion
 // that prevents an OOM is never the right trade.
 func (c *Controller) AdmitClass(cl Class, src, dst int, dir Direction, roi float64, bytes, pageSize, nowNs int64) Decision {

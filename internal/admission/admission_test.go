@@ -90,42 +90,42 @@ func TestAdmitVerdicts(t *testing.T) {
 	c.SetRate(0, 1, page, 4*page)
 
 	// Cold promotion (below MinROI 0.1): rejected outright.
-	d := c.Admit(0, 1, DirPromote, 0.05, page, page, 0)
+	d := c.AdmitClass(ClassNormal, 0, 1, DirPromote, 0.05, page, page, 0)
 	if d.Verdict != VerdictReject || d.Rule != RuleLowROI {
 		t.Fatalf("cold promote: got %v/%s, want reject/%s", d.Verdict, d.Rule, RuleLowROI)
 	}
 	// Hot promotion: admitted with a page-aligned allowance capped by
 	// the bucket.
-	d = c.Admit(0, 1, DirPromote, 10, 8*page, page, 0)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirPromote, 10, 8*page, page, 0)
 	if d.Verdict != VerdictAdmit || d.AllowedBytes != 4*page {
 		t.Fatalf("hot promote: got %v allowed=%d, want admit allowed=%d", d.Verdict, d.AllowedBytes, 4*page)
 	}
 	// Hot demotion victim (above MaxVictimROI 64): rejected as too hot
 	// to evict.
-	d = c.Admit(0, 1, DirDemote, 65, page, page, 0)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirDemote, 65, page, page, 0)
 	if d.Verdict != VerdictReject || d.Rule != RuleVictimHot {
 		t.Fatalf("hot victim: got %v/%s, want reject/%s", d.Verdict, d.Rule, RuleVictimHot)
 	}
 	// Cold demotion victim: admitted.
-	d = c.Admit(0, 1, DirDemote, 1, page, page, 0)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirDemote, 1, page, page, 0)
 	if d.Verdict != VerdictAdmit {
 		t.Fatalf("cold victim: got %v/%s, want admit", d.Verdict, d.Rule)
 	}
 	// Drain the bucket below the low-water mark: a marginal promotion
 	// (above MinROI, below MinROI*PressureFactor = 0.4) sheds...
 	c.Commit(0, 1, 4*page, 0)
-	d = c.Admit(0, 1, DirPromote, 0.2, page, page, 0)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirPromote, 0.2, page, page, 0)
 	if d.Verdict != VerdictDefer || d.Rule != RuleShed {
 		t.Fatalf("marginal promote under pressure: got %v/%s, want defer/%s", d.Verdict, d.Rule, RuleShed)
 	}
 	// ...and even a clearly profitable one defers once the bucket
 	// cannot cover a single page.
-	d = c.Admit(0, 1, DirPromote, 100, page, page, 0)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirPromote, 100, page, page, 0)
 	if d.Verdict != VerdictDefer || d.Rule != RuleBudget {
 		t.Fatalf("promote on empty bucket: got %v/%s, want defer/%s", d.Verdict, d.Rule, RuleBudget)
 	}
 	// Unknown pairs (self-moves, out-of-range) admit unbounded.
-	d = c.Admit(1, 1, DirPromote, 0, 3*page, page, 0)
+	d = c.AdmitClass(ClassNormal, 1, 1, DirPromote, 0, 3*page, page, 0)
 	if d.Verdict != VerdictAdmit || d.AllowedBytes != 3*page {
 		t.Fatalf("self pair: got %v allowed=%d, want unbounded admit", d.Verdict, d.AllowedBytes)
 	}
@@ -190,12 +190,12 @@ func TestWasteShedHalfOpenRecovery(t *testing.T) {
 	// full page of decayed waste on the ledger, so the pair sheds.
 	c.Commit(0, 1, page, now)
 	c.Waste(0, 1, page, now)
-	d := c.Admit(0, 1, DirPromote, 1, page, page, now)
+	d := c.AdmitClass(ClassNormal, 0, 1, DirPromote, 1, page, page, now)
 	if d.Verdict != VerdictDefer || d.Rule != RuleWaste {
 		t.Fatalf("Admit on wasteful pair = %v/%s, want defer/%s", d.Verdict, d.Rule, RuleWaste)
 	}
 	// The shed applies to demotions through the pair too.
-	d = c.Admit(0, 1, DirDemote, 1, page, page, now)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirDemote, 1, page, page, now)
 	if d.Verdict != VerdictDefer || d.Rule != RuleWaste {
 		t.Fatalf("demote through wasteful pair = %v/%s, want defer/%s", d.Verdict, d.Rule, RuleWaste)
 	}
@@ -204,14 +204,14 @@ func TestWasteShedHalfOpenRecovery(t *testing.T) {
 	// the cutoff, but the decayed waste is under one page — the
 	// half-open probe lets a single move through.
 	later := now + 4*int64(time.Second)
-	d = c.Admit(0, 1, DirPromote, 1, page, page, later)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirPromote, 1, page, page, later)
 	if d.Verdict != VerdictAdmit {
 		t.Fatalf("probe after decay window = %v/%s, want admit", d.Verdict, d.Rule)
 	}
 
 	// A failed probe refills the ledger and the pair sheds again.
 	c.Waste(0, 1, page, later)
-	d = c.Admit(0, 1, DirPromote, 1, page, page, later)
+	d = c.AdmitClass(ClassNormal, 0, 1, DirPromote, 1, page, page, later)
 	if d.Verdict != VerdictDefer || d.Rule != RuleWaste {
 		t.Fatalf("Admit after failed probe = %v/%s, want defer/%s", d.Verdict, d.Rule, RuleWaste)
 	}
@@ -221,7 +221,7 @@ func TestWasteShedHalfOpenRecovery(t *testing.T) {
 	c2.SetRate(0, 1, rate, 400*page)
 	c2.Commit(0, 1, 3*page, now)
 	c2.Waste(0, 1, page, now)
-	if d := c2.Admit(0, 1, DirPromote, 1, page, page, now); d.Verdict != VerdictAdmit {
+	if d := c2.AdmitClass(ClassNormal, 0, 1, DirPromote, 1, page, page, now); d.Verdict != VerdictAdmit {
 		t.Fatalf("Admit on mostly-healthy pair = %v/%s, want admit", d.Verdict, d.Rule)
 	}
 }

@@ -112,14 +112,14 @@ func TestLearnerConvergence(t *testing.T) {
 		// A promotion priced against the saturated floor must carry it in
 		// the decision and reject ROI below it.
 		roi := LearnMax * 0.99
-		d := c.Admit(0, 1, DirPromote, roi, page, page, 1000)
+		d := c.AdmitClass(ClassNormal, 0, 1, DirPromote, roi, page, page, 1000)
 		if d.Floor != LearnMax {
 			t.Fatalf("Decision.Floor = %v, want learned %v", d.Floor, LearnMax)
 		}
 		if d.Verdict != VerdictReject || d.Rule != RuleLowROI {
 			t.Fatalf("verdict = %v rule %q for roi below learned floor, want reject/%s", d.Verdict, d.Rule, RuleLowROI)
 		}
-		if d2 := c.Admit(0, 1, DirPromote, LearnMax*1.01, page, page, 1000); d2.Verdict != VerdictAdmit {
+		if d2 := c.AdmitClass(ClassNormal, 0, 1, DirPromote, LearnMax*1.01, page, page, 1000); d2.Verdict != VerdictAdmit {
 			t.Fatalf("verdict = %v for roi above learned floor, want admit", d2.Verdict)
 		}
 	})

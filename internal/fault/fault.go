@@ -133,7 +133,6 @@ type Injector struct {
 
 	// Decision counters, for tests and reporting.
 	BusyInjected      int64
-	PressureInjected  int64
 	MemErrorsInjected int64
 	TierFailInjected  int64
 }
@@ -185,9 +184,6 @@ func (in *Injector) BeginInterval(interval int) {
 	if in.Cfg.PressureProb > 0 {
 		for n := range in.pressured {
 			in.pressured[n] = in.rng.Float64() < in.Cfg.PressureProb
-			if in.pressured[n] {
-				in.PressureInjected++
-			}
 		}
 	}
 	if in.Cfg.SampleDropDuty > 0 && in.Cfg.SampleDropFrac > 0 {

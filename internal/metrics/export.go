@@ -185,12 +185,3 @@ func (x *Export) WriteProm(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteProm writes the registry's current state in Prometheus text
-// exposition format. A nil registry writes nothing.
-func (r *Registry) WriteProm(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	return r.Export().WriteProm(w)
-}

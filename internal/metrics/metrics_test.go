@@ -25,9 +25,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if r.Export() != nil || r.Events() != nil || r.Samples() != nil {
 		t.Fatal("nil registry exported state")
 	}
-	if err := r.WriteProm(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
@@ -131,7 +128,7 @@ func TestCounterFunc(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.Export().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "# TYPE f_total counter\nf_total 8\n") {
@@ -251,7 +248,7 @@ func TestWriteProm(t *testing.T) {
 	h.Observe(500)
 	h.Observe(2e6)
 	var buf bytes.Buffer
-	if err := r.WriteProm(&buf); err != nil {
+	if err := r.Export().WriteProm(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -341,7 +341,8 @@ func syncMigrate(e *sim.Engine, name string, v *vm.VMA, start, end int, dst tier
 // pages already copied and then dirtied are re-copied).
 //
 // ForceSync disables the async path ("w/o async migration" ablation): the
-// mechanism is then Nimble-equivalent plus dirty-tracking arming skipped.
+// mechanism then runs move_pages' steps with a CopyThreads-thread copy
+// (unlike Nimble, allocation is not halved) and arms no dirty tracking.
 type Adaptive struct {
 	ForceSync bool
 	// WriteRate overrides the per-page write-rate estimate (writes per
@@ -362,6 +363,9 @@ func (a *Adaptive) Name() string {
 }
 
 func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.NodeID, maxPages int) Report {
+	if a.ForceSync {
+		return syncMigrate(e, a.Name(), v, start, end, dst, maxPages, 1, CopyThreads)
+	}
 	// The prescan estimates the region's write rate BEFORE rebinding
 	// (counters are per-interval; rebinding doesn't change them, but
 	// order keeps the estimate tied to the pages actually moved).
@@ -380,14 +384,6 @@ func (a *Adaptive) Migrate(e *sim.Engine, v *vm.VMA, start, end int, dst tier.No
 		PageTable: time.Duration(n4k) * PTPerPTE,
 	}
 	rep := Report{MovedPages: rb.moved, Bytes: bytes}
-
-	if a.ForceSync {
-		crit.Alloc = alloc
-		crit.Copy = cp
-		rep.Critical = crit.Total() + rb.waste
-		rep.CriticalSteps = crit
-		return finishMigration(e, spanStart, rb, rep, dst)
-	}
 
 	crit.DirtyTrack = DirtyTrackArm
 	// Will a write land while the async copy is in flight?

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"mtm/internal/admission"
 	"mtm/internal/migrate"
 	"mtm/internal/profiler"
@@ -96,7 +98,7 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 		}
 		socket := regionSocket(e, r)
 		view := e.Sys.Topo.View(socket)
-		rank := rankOf(view, node)
+		rank := slices.Index(view, node)
 		if rank <= 0 {
 			continue
 		}
@@ -150,11 +152,11 @@ func (p *TieredAutoNUMA) IntervalEnd(e *sim.Engine) {
 // demoteFor pushes the coldest regions resident on dst one tier down to
 // make room for a promotion, LRU-style: lowest WHI first.
 func (p *TieredAutoNUMA) demoteFor(e *sim.Engine, regions []*region.Region, dst tier.NodeID, need int64, view []tier.NodeID) {
-	dstRank := rankOf(view, dst)
+	dstRank := slices.Index(view, dst)
 	if dstRank < 0 || dstRank+1 >= len(view) {
 		return
 	}
-	hist := buildHistogram(regions)
+	hist := region.NewHistogram(regions)
 	var freed int64
 	for _, r := range hist.ColdestFirst() {
 		if freed >= need {

@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"slices"
+
 	"mtm/internal/admission"
 	"mtm/internal/migrate"
 	"mtm/internal/profiler"
@@ -64,7 +66,7 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 		}
 		socket := regionSocket(e, r)
 		view := e.Sys.Topo.View(socket)
-		rank := rankOf(view, node)
+		rank := slices.Index(view, node)
 		if rank <= 0 {
 			continue
 		}
@@ -112,7 +114,7 @@ func (p *AutoTiering) IntervalEnd(e *sim.Engine) {
 // any lower tier with room — not hotness-guided, per the paper's
 // characterisation.
 func (p *AutoTiering) opportunisticDemote(e *sim.Engine, regions []*region.Region, dst tier.NodeID, need int64, view []tier.NodeID) {
-	dstRank := rankOf(view, dst)
+	dstRank := slices.Index(view, dst)
 	if dstRank < 0 || dstRank+1 >= len(view) {
 		return
 	}

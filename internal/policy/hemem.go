@@ -95,10 +95,8 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	// Exponential cooling, as in HeMem's hotset maintenance.
 	regions := p.set.Regions()
 	for i, r := range regions {
-		r.PrevHI = r.HI
-		r.HI = float64(p.counts[i])
-		r.WHI = 0.5*r.WHI + 0.5*r.HI
-		r.Sampled = true
+		r.Observe(float64(p.counts[i]))
+		r.UpdateEMA(0.5)
 	}
 
 	budget := p.allowance()
@@ -126,7 +124,7 @@ func (p *HeMem) IntervalEnd(e *sim.Engine) {
 	if dram == tier.Invalid || pm == tier.Invalid {
 		return
 	}
-	hist := buildHistogram(regions)
+	hist := region.NewHistogram(regions)
 	for _, r := range hist.HottestFirst() {
 		if budget <= 0 {
 			spanDecision(e, "stop", "budget-exhausted", r,

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/bits"
+	"slices"
 
 	"mtm/internal/admission"
 	"mtm/internal/migrate"
@@ -80,7 +81,7 @@ func (p *MTM) promote(e *sim.Engine) {
 	if len(regions) == 0 {
 		return
 	}
-	hist := buildHistogram(regions)
+	hist := region.NewHistogram(regions)
 	cold := hist.ColdestFirst() // makeRoom's victims, in the order it tries them
 	budget := p.allowance()
 	e.SpanBegin("policy", "plan",
@@ -112,7 +113,7 @@ func (p *MTM) promote(e *sim.Engine) {
 			for word != 0 {
 				i := w*vm.WordPages + bits.TrailingZeros64(word)
 				word &= word - 1
-				if rk := rankOf(view, r.V.Node(i)); rk > worstRank {
+				if rk := slices.Index(view, r.V.Node(i)); rk > worstRank {
 					worstRank = rk
 				}
 			}
@@ -143,7 +144,7 @@ func (p *MTM) promote(e *sim.Engine) {
 					span.S("dst", nodeName(e, dst)))
 				continue
 			}
-			dec := admitMigration(e, r, profiler.RegionNode(r), dst, int64(minInt(maxPages, r.Pages()))*r.V.PageSize)
+			dec := admitMigration(e, r, profiler.RegionNode(r), dst, int64(min(maxPages, r.Pages()))*r.V.PageSize)
 			if dec.Verdict == admission.VerdictReject {
 				// Not worth the copy at this hotness: every slower
 				// destination only lowers the ROI, so the region is done.
@@ -166,7 +167,7 @@ func (p *MTM) promote(e *sim.Engine) {
 					span.S("dst", nodeName(e, dst)))
 				continue
 			}
-			moved := moveRegion(e, p.Mech, r, r.End, dst, minInt(maxPages, int(need/r.V.PageSize)),
+			moved := moveRegion(e, p.Mech, r, r.End, dst, min(maxPages, int(need/r.V.PageSize)),
 				true, "fast-promotion", dec.Rule, span.F("threshold", 0))
 			if moved > 0 {
 				spent += moved
@@ -194,7 +195,7 @@ func (p *MTM) makeRoom(e *sim.Engine, cold []*region.Region, node tier.NodeID, n
 	if budget <= 0 {
 		return 0
 	}
-	nodeRank := rankOf(view, node)
+	nodeRank := slices.Index(view, node)
 	var demoted int64
 	if p.flipFirst {
 		// Non-exclusive tiering: a full flip pass runs before any copy is
@@ -243,16 +244,9 @@ func (p *MTM) makeRoom(e *sim.Engine, cold []*region.Region, node tier.NodeID, n
 			remaining = b
 		}
 		maxPages := int((remaining + r.V.PageSize - 1) / r.V.PageSize)
-		moved, _ := demoteVictim(e, p.Mech, r, node, view[nodeRank+1:], int64(minInt(maxPages, r.Pages()))*r.V.PageSize,
+		moved, _ := demoteVictim(e, p.Mech, r, node, view[nodeRank+1:], int64(min(maxPages, r.Pages()))*r.V.PageSize,
 			"slow-demotion", span.F("threshold", candidateWHI))
 		demoted += moved
 	}
 	return demoted
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -90,7 +90,7 @@ func (p *MTM) flipVictim(e *sim.Engine, r *region.Region, node tier.NodeID, rema
 		return 0
 	}
 	maxPages := int(remaining / r.V.PageSize)
-	bytes := int64(minInt(maxPages, r.Pages())) * r.V.PageSize
+	bytes := int64(min(maxPages, r.Pages())) * r.V.PageSize
 	flipNs := float64(migrate.FlipCost(r.V.PageSize))
 	dec := e.AdmitFlip(node, dst, bytes, r.WHI, reaccessEvidence(r), flipNs)
 	spanDecision(e, dec.Verdict.String(), dec.Rule, r,

@@ -112,21 +112,6 @@ func regionSocket(e *sim.Engine, r *region.Region) int {
 	return sim.HomeSocket
 }
 
-// rankOf returns node's position in view, or -1.
-func rankOf(view []tier.NodeID, node tier.NodeID) int {
-	for i, n := range view {
-		if n == node {
-			return i
-		}
-	}
-	return -1
-}
-
-// buildHistogram is the shared WHI histogram constructor (32 buckets).
-func buildHistogram(regions []*region.Region) *region.Histogram {
-	return region.NewHistogram(regions, 32, region.MaxWHI(regions))
-}
-
 // nodeName resolves a node's display name for span attributes.
 func nodeName(e *sim.Engine, n tier.NodeID) string {
 	if int(n) < 0 || int(n) >= len(e.Sys.Topo.Nodes) {

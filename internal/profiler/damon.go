@@ -81,12 +81,7 @@ func (d *DAMON) Profile(e *sim.Engine) {
 	// One random page per region, damonChecks access-bit checks.
 	for _, r := range regions {
 		p := r.Start + e.Rng.Intn(r.Pages())
-		obs := vm.ObserveScans(r.V, p, damonChecks, damonWindowFrac, d.rng)
-		r.Samples = append(r.Samples[:0], p)
-		r.Observed = append(r.Observed[:0], obs)
-		r.PrevHI = r.HI
-		r.HI = float64(obs)
-		r.Sampled = true
+		r.Observe(float64(vm.ObserveScans(r.V, p, damonChecks, damonWindowFrac, d.rng)))
 		r.UpdateEMA(damonAlpha)
 	}
 	n := int64(len(regions) * damonChecks)
@@ -124,8 +119,8 @@ func (d *DAMON) randomSplit(e *sim.Engine) {
 			continue
 		}
 		mid := r.Start + 1 + e.Rng.Intn(r.Pages()-1)
-		a := d.set.NewRegion(region.Region{V: r.V, Start: r.Start, End: mid, Quota: 1, HI: r.HI, PrevHI: r.PrevHI, WHI: r.WHI, Sampled: true})
-		b := d.set.NewRegion(region.Region{V: r.V, Start: mid, End: r.End, Quota: 1, HI: r.HI, PrevHI: r.PrevHI, WHI: r.WHI, Sampled: true})
+		a := &region.Region{V: r.V, Start: r.Start, End: mid, Quota: 1, HI: r.HI, PrevHI: r.PrevHI, WHI: r.WHI, Sampled: true}
+		b := &region.Region{V: r.V, Start: mid, End: r.End, Quota: 1, HI: r.HI, PrevHI: r.PrevHI, WHI: r.WHI, Sampled: true}
 		out = append(out, a, b)
 		budget--
 		d.set.Split++

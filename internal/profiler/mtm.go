@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"mtm/internal/pebs"
@@ -97,11 +98,9 @@ func (m *MTM) scanShard(e *sim.Engine, regions []*region.Region, s int, usePEBS 
 		if !m.profiled[lo+i] {
 			// Event-driven: no PEBS event means no observed traffic;
 			// the region is cold this interval without spending scans.
-			r.PrevHI = r.HI
-			r.HI = 0
 			r.Samples = r.Samples[:0]
 			r.Observed = r.Observed[:0]
-			r.Sampled = true
+			r.Observe(0)
 			continue
 		}
 		n := r.Quota
@@ -131,13 +130,11 @@ func (m *MTM) scanShard(e *sim.Engine, regions []*region.Region, s int, usePEBS 
 		}
 		scans += int64(len(pages) * m.Cfg.NumScans)
 		nPages += int64(len(pages))
-		r.PrevHI = r.HI
+		hi := 0.0
 		if len(pages) > 0 {
-			r.HI = float64(sum) / float64(len(pages))
-		} else {
-			r.HI = 0
+			hi = float64(sum) / float64(len(pages))
 		}
-		r.Sampled = true
+		r.Observe(hi)
 	}
 	return scans, nPages
 }
@@ -158,7 +155,7 @@ func NewMTM(cfg MTMConfig) *MTM {
 	if cfg.NumScans <= 0 {
 		cfg.NumScans = region.DefaultNumScans
 	}
-	return &MTM{Cfg: cfg, topVar: region.NewTopVariance(5)}
+	return &MTM{Cfg: cfg, topVar: region.NewTopVariance()}
 }
 
 func (m *MTM) Name() string { return "mtm-profiler" }
@@ -239,7 +236,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 			}
 			k := &m.kept[ri]
 			k.hits++
-			if page := int32(smp.Page); k.n < 4 && !containsInt32(k.pages[:k.n], page) {
+			if page := int32(smp.Page); k.n < 4 && !slices.Contains(k.pages[:k.n], page) {
 				k.pages[k.n] = page
 				k.n++
 			}
@@ -286,7 +283,12 @@ func (m *MTM) Profile(e *sim.Engine) {
 		tauM := m.set.TauM + m.tauMEsc
 		freed := m.set.MergePass(tauM)
 		m.set.SplitPass(m.set.TauS, m.Cfg.Alpha)
-		m.redistribute(e, freed)
+		if m.Cfg.AdaptiveSampling {
+			// Quota freed by merging goes to the top-variance regions
+			// (§5.2); without APS it drops back into the pool, which
+			// enforceQuota re-spreads next interval.
+			grant(m.topVar.Regions(), freed, func(*region.Region) bool { return true })
+		}
 	}
 	if m.Cfg.OverheadControl {
 		if m.set.Len() > m.budget {
@@ -370,41 +372,9 @@ func (m *MTM) enforceQuota(e *sim.Engine, regions []*region.Region, profiled []b
 		return
 	}
 	if m.Cfg.AdaptiveSampling {
-		tops := m.topVar.Regions()
-		boost := spare / 4
-		for boost > 0 {
-			grew := false
-			for _, r := range tops {
-				if boost == 0 {
-					break
-				}
-				if r.ProfiledIn(m.gen) && r.Quota < r.Pages() {
-					r.Quota++
-					boost--
-					spare--
-					grew = true
-				}
-			}
-			if !grew {
-				break
-			}
-		}
-		for spare > 0 {
-			grew := false
-			for i, r := range regions {
-				if spare == 0 {
-					break
-				}
-				if profiled[i] && r.Quota < r.Pages() {
-					r.Quota++
-					spare--
-					grew = true
-				}
-			}
-			if !grew {
-				break
-			}
-		}
+		inInterval := func(r *region.Region) bool { return r.ProfiledIn(m.gen) }
+		spare -= grant(m.topVar.Regions(), spare/4, inInterval)
+		grant(regions, spare, inInterval)
 		return
 	}
 	// Ablation: random distribution of the same scan budget.
@@ -426,39 +396,28 @@ func (m *MTM) enforceQuota(e *sim.Engine, regions []*region.Region, profiled []b
 	}
 }
 
-// redistribute hands quota freed by merging to the top-variance regions
-// (§5.2). Without adaptive sampling the quota is simply dropped back into
-// the pool (enforceQuota re-spreads it next interval).
-func (m *MTM) redistribute(e *sim.Engine, freed int) {
-	if freed <= 0 || !m.Cfg.AdaptiveSampling {
-		return
-	}
-	tops := m.topVar.Regions()
-	for freed > 0 && len(tops) > 0 {
+// grant hands up to n samples to the eligible regions below one sample
+// per page: one sample each per round, in slice order, until n are
+// granted or a round grants none. It returns how many it granted.
+func grant(regions []*region.Region, n int, eligible func(*region.Region) bool) int {
+	left := n
+	for left > 0 {
 		grew := false
-		for _, r := range tops {
-			if freed == 0 {
+		for _, r := range regions {
+			if left == 0 {
 				break
 			}
-			if r.Quota < r.Pages() {
+			if eligible(r) && r.Quota < r.Pages() {
 				r.Quota++
-				freed--
+				left--
 				grew = true
 			}
 		}
 		if !grew {
-			return
+			break
 		}
 	}
-}
-
-func containsInt32(xs []int32, x int32) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	return n - left
 }
 
 // growClear returns buf resized to n zeroed elements, reusing its backing

@@ -76,7 +76,7 @@ func RegionNode(r *region.Region) tier.NodeID {
 // bytes, returning the selected regions. It is the common "label the top
 // of the histogram hot" step used by detection-quality metrics.
 func HotBytes(regions []*region.Region, want int64) []*region.Region {
-	h := region.NewHistogram(regions, 32, region.MaxWHI(regions))
+	h := region.NewHistogram(regions)
 	var out []*region.Region
 	var got int64
 	for _, r := range h.HottestFirst() {

@@ -89,13 +89,9 @@ func harvestRegions(e *sim.Engine, sel []*region.Region, buf []int64, round, sca
 			}
 			ns := r.Pages()
 			scans += int64(ns)
-			r.PrevHI = r.HI
-			if ns > 0 {
-				// Scale into scan units so thresholds and histograms are
-				// comparable across profilers.
-				r.HI = float64(sum) / float64(ns) * float64(numScans) / float64(scansPerPage)
-			}
-			r.Sampled = true
+			// Scale into scan units so thresholds and histograms are
+			// comparable across profilers.
+			r.Observe(float64(sum) / float64(ns) * float64(numScans) / float64(scansPerPage))
 			r.UpdateEMA(alpha)
 		}
 		shardScans[s] = scans

@@ -86,7 +86,6 @@ func (t *Thermostat) Profile(e *sim.Engine) {
 		}
 		spent += ProtFaultCost * time.Duration(1+faults)
 
-		r.Samples = append(r.Samples[:0], p)
 		// Normalise the estimate into scan-count units so merge/split
 		// thresholds and histograms share a scale with MTM.
 		obs := est / 1000
@@ -96,10 +95,7 @@ func (t *Thermostat) Profile(e *sim.Engine) {
 		if est > 0 && obs == 0 {
 			obs = 1
 		}
-		r.Observed = append(r.Observed[:0], obs)
-		r.PrevHI = r.HI
-		r.HI = float64(obs)
-		r.Sampled = true
+		r.Observe(float64(obs))
 		r.UpdateEMA(thermostatAlpha)
 	}
 	e.SpanEmit("profiling", "prot-fault-sampling", e.SpanClockNs(), int64(spent),

@@ -2,44 +2,29 @@ package region
 
 // Histogram buckets regions by their WHI (EMA of hotness indication) so
 // the migration policy can take regions from the hottest buckets first
-// (§6.1). The buckets are equal-width over [0, maxWHI]; a WHI past the
-// top lands in the hottest bucket. Within a bucket, regions keep the
+// (§6.1). Its 32 buckets are equal-width over [0, max], where max is the
+// regions' largest WHI and at least 1. Within a bucket, regions keep the
 // order they were given in.
 type Histogram struct {
-	buckets [][]*Region
+	buckets [32][]*Region
 	width   float64
 }
 
-// NewHistogram builds a histogram of the given regions with nbuckets
-// buckets spanning [0, maxWHI].
-func NewHistogram(regions []*Region, nbuckets int, maxWHI float64) *Histogram {
-	if nbuckets <= 0 {
-		nbuckets = 16
+// NewHistogram builds the histogram of the given regions.
+func NewHistogram(regions []*Region) *Histogram {
+	maxWHI := 1.0
+	for _, r := range regions {
+		if r.WHI > maxWHI {
+			maxWHI = r.WHI
+		}
 	}
-	if maxWHI <= 0 {
-		maxWHI = 1
-	}
-	h := &Histogram{
-		buckets: make([][]*Region, nbuckets),
-		width:   maxWHI / float64(nbuckets),
-	}
+	h := &Histogram{}
+	h.width = maxWHI / float64(len(h.buckets))
 	for _, r := range regions {
 		i := h.bucketOf(r.WHI)
 		h.buckets[i] = append(h.buckets[i], r)
 	}
 	return h
-}
-
-// MaxWHI returns the histogram scale for a region list: the largest WHI,
-// and at least 1.
-func MaxWHI(regions []*Region) float64 {
-	m := 1.0
-	for _, r := range regions {
-		if r.WHI > m {
-			m = r.WHI
-		}
-	}
-	return m
 }
 
 func (h *Histogram) bucketOf(whi float64) int {
@@ -82,17 +67,14 @@ func (h *Histogram) ColdestFirst() []*Region {
 // while profiling results stream in (§5.2: K=5, chosen empirically to stay
 // lightweight). Freed sample quota is redistributed to these regions.
 type TopVariance struct {
-	k       int
 	regions []*Region
 }
 
-// NewTopVariance creates a tracker holding the top k regions.
-func NewTopVariance(k int) *TopVariance {
-	if k <= 0 {
-		k = 5
-	}
-	return &TopVariance{k: k}
-}
+// topK is the number of regions a TopVariance keeps.
+const topK = 5
+
+// NewTopVariance creates an empty tracker.
+func NewTopVariance() *TopVariance { return &TopVariance{} }
 
 // Offer considers region r for the top-K set. A region already in the set
 // is never admitted twice: duplicate slots would make the quota
@@ -104,7 +86,7 @@ func (t *TopVariance) Offer(r *Region) {
 		}
 	}
 	v := r.Variance()
-	if len(t.regions) < t.k {
+	if len(t.regions) < topK {
 		t.regions = append(t.regions, r)
 		t.up()
 		return
@@ -123,7 +105,6 @@ func (t *TopVariance) up() {
 		if r.Variance() < t.regions[mi].Variance() {
 			mi = i
 		}
-		_ = r
 	}
 	t.regions[0], t.regions[mi] = t.regions[mi], t.regions[0]
 }

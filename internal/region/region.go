@@ -10,6 +10,7 @@ package region
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"mtm/internal/vm"
@@ -17,7 +18,6 @@ import (
 
 // Region is one profiling unit: pages [Start, End) of a VMA.
 type Region struct {
-	ID    uint64
 	V     *vm.VMA
 	Start int // inclusive page index
 	End   int // exclusive page index
@@ -25,10 +25,10 @@ type Region struct {
 	// Quota is the number of page samples assigned for the next
 	// profiling interval (>= 1 for actively profiled regions).
 	Quota int
-	// Samples are the page indices scanned last interval.
-	Samples []int
-	// Observed are the per-sample multi-scan observation counts from the
-	// last interval, parallel to Samples.
+	// Samples are the page indices MTM scanned last interval, and
+	// Observed their multi-scan observation counts, parallel to Samples;
+	// SplitPass reads them. Other profilers leave both empty.
+	Samples  []int
 	Observed []int
 
 	// HI is the hotness indication of the last interval: the average
@@ -72,12 +72,12 @@ func (r *Region) Bytes() int64 { return int64(r.Pages()) * r.V.PageSize }
 // Variance is the absolute change in hotness indication across the last
 // two profiling intervals; large values mean a changing access pattern and
 // attract extra sample quota (§5.2).
-func (r *Region) Variance() float64 {
-	d := r.HI - r.PrevHI
-	if d < 0 {
-		d = -d
-	}
-	return d
+func (r *Region) Variance() float64 { return math.Abs(r.HI - r.PrevHI) }
+
+// Observe records hi as the interval's hotness indication: the previous
+// HI moves to PrevHI and the region counts as sampled.
+func (r *Region) Observe(hi float64) {
+	r.PrevHI, r.HI, r.Sampled = r.HI, hi, true
 }
 
 // SpreadObserved returns the max-min difference of the last interval's
@@ -104,7 +104,7 @@ func (r *Region) UpdateEMA(alpha float64) {
 }
 
 func (r *Region) String() string {
-	return fmt.Sprintf("R%d{%s[%d:%d) HI=%.2f WHI=%.2f q=%d}", r.ID, r.V.Name, r.Start, r.End, r.HI, r.WHI, r.Quota)
+	return fmt.Sprintf("%s[%d:%d) HI=%.2f WHI=%.2f q=%d", r.V.Name, r.Start, r.End, r.HI, r.WHI, r.Quota)
 }
 
 // Set is the ordered collection of regions covering an address space,
@@ -115,14 +115,8 @@ type Set struct {
 	TauM, TauS float64
 	// NumScans is the scans-per-sampled-PTE constant (3 by default).
 	NumScans int
-	// MaxMergePages caps a merged region's size (0 = unlimited). A cap
-	// keeps one merge pass from chaining the address space into blobs a
-	// split pass (which only halves once per interval) cannot recover
-	// from, and bounds migration granularity.
-	MaxMergePages int
 
 	regions []*Region // address-ordered
-	nextID  uint64
 
 	// Retired backing arrays of previous merge/split rebuilds, reused as
 	// the out-buffers of the next passes so steady-state formation does
@@ -141,6 +135,12 @@ type Set struct {
 // DefaultNumScans is the paper's num_scans constant.
 const DefaultNumScans = 3
 
+// maxMergePages caps a merged region's size. The cap keeps one merge pass
+// from chaining the address space into blobs a split pass (at most
+// maxSplitDepth halvings per interval) cannot recover from, and bounds
+// migration granularity.
+const maxMergePages = 128
+
 // NewSet creates an empty set with the paper's default thresholds:
 // τm = num_scans/3, τs = 2·num_scans/3.
 func NewSet(numScans int) *Set {
@@ -148,10 +148,9 @@ func NewSet(numScans int) *Set {
 		numScans = DefaultNumScans
 	}
 	return &Set{
-		NumScans:      numScans,
-		TauM:          float64(numScans) / 3,
-		TauS:          2 * float64(numScans) / 3,
-		MaxMergePages: 128,
+		NumScans: numScans,
+		TauM:     float64(numScans) / 3,
+		TauS:     2 * float64(numScans) / 3,
 	}
 }
 
@@ -167,14 +166,8 @@ func (s *Set) InitVMA(v *vm.VMA, regionBytes int64) {
 		if end > v.NPages {
 			end = v.NPages
 		}
-		s.append(&Region{V: v, Start: start, End: end, Quota: 1})
+		s.regions = append(s.regions, &Region{V: v, Start: start, End: end, Quota: 1})
 	}
-}
-
-func (s *Set) append(r *Region) {
-	r.ID = s.nextID
-	s.nextID++
-	s.regions = append(s.regions, r)
 }
 
 // Regions returns the regions in address order; callers must not mutate
@@ -200,16 +193,6 @@ func (s *Set) Find(v *vm.VMA, idx int) int {
 		}
 	}
 	return -1
-}
-
-// NewRegion creates a region with a fresh ID without inserting it; use
-// Replace to install a rebuilt region list. Profiler-specific formation
-// steps (e.g. DAMON's random split) build regions this way.
-func (s *Set) NewRegion(r Region) *Region {
-	n := r
-	n.ID = s.nextID
-	s.nextID++
-	return &n
 }
 
 // Replace swaps in a rebuilt region list and restores address order.
@@ -245,16 +228,16 @@ func (s *Set) MergePass(tauM float64) (freedQuota int) {
 	cur := s.regions[0]
 	for _, next := range s.regions[1:] {
 		if cur.V == next.V && cur.End == next.Start && cur.Sampled && next.Sampled &&
-			absDiff(cur.HI, next.HI) < tauM &&
-			absDiff(cur.WHI, next.WHI) < tauM &&
-			(s.MaxMergePages <= 0 || cur.Pages()+next.Pages() <= s.MaxMergePages) {
+			math.Abs(cur.HI-next.HI) < tauM &&
+			math.Abs(cur.WHI-next.WHI) < tauM &&
+			cur.Pages()+next.Pages() <= maxMergePages {
 			sum := cur.Quota + next.Quota
 			newQuota := sum / 2
 			if newQuota < 1 {
 				newQuota = 1
 			}
 			freedQuota += sum - newQuota
-			cur = s.NewRegion(Region{
+			cur = &Region{
 				V:     cur.V,
 				Start: cur.Start,
 				End:   next.End,
@@ -265,7 +248,7 @@ func (s *Set) MergePass(tauM float64) (freedQuota int) {
 				PrevHI:  (cur.PrevHI + next.PrevHI) / 2,
 				WHI:     (cur.WHI*float64(cur.Pages()) + next.WHI*float64(next.Pages())) / float64(cur.Pages()+next.Pages()),
 				Sampled: true,
-			})
+			}
 			s.Merged++
 			continue
 		}
@@ -311,8 +294,8 @@ func (s *Set) splitRec(r *Region, tauS, alpha float64, depth int, out *[]*Region
 		*out = append(*out, r)
 		return
 	}
-	a := s.NewRegion(Region{V: r.V, Start: r.Start, End: mid, Sampled: true, PrevHI: r.PrevHI})
-	b := s.NewRegion(Region{V: r.V, Start: mid, End: r.End, Sampled: true, PrevHI: r.PrevHI})
+	a := &Region{V: r.V, Start: r.Start, End: mid, Sampled: true, PrevHI: r.PrevHI}
+	b := &Region{V: r.V, Start: mid, End: r.End, Sampled: true, PrevHI: r.PrevHI}
 	// Partition the parent's samples and quota between the halves, and
 	// re-derive each half's hotness from its own evidence.
 	for i, p := range r.Samples {
@@ -402,11 +385,4 @@ func (s *Set) Validate() error {
 		}
 	}
 	return nil
-}
-
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }

@@ -124,14 +124,17 @@ func TestMergeRequiresStableHotness(t *testing.T) {
 }
 
 func TestMergeSizeCap(t *testing.T) {
-	v := newTestVMA(t, 32) // 16 pages
+	v := newTestVMA(t, 600) // 300 pages
 	s := NewSet(3)
-	s.MaxMergePages = 4
 	s.InitVMA(v, 2*tier.MB)
 	markAll(s, func(int) float64 { return 0 })
 	s.MergePass(1.0)
+	// One pass chains the cold pages into capped runs: 128+128+44.
+	if s.Len() != 3 {
+		t.Fatalf("regions = %d, want 3", s.Len())
+	}
 	for _, r := range s.Regions() {
-		if r.Pages() > 4 {
+		if r.Pages() > maxMergePages {
 			t.Fatalf("region %v exceeds merge cap", r)
 		}
 	}
@@ -254,6 +257,10 @@ func TestVariance(t *testing.T) {
 	if r.Variance() != 2 {
 		t.Fatalf("variance = %v", r.Variance())
 	}
+	r.Observe(4)
+	if r.PrevHI != 1 || r.HI != 4 || !r.Sampled || r.Variance() != 3 {
+		t.Fatalf("after Observe(4): %+v", r)
+	}
 }
 
 func TestHistogramOrdering(t *testing.T) {
@@ -261,7 +268,7 @@ func TestHistogramOrdering(t *testing.T) {
 	s := NewSet(3)
 	s.InitVMA(v, 2*tier.MB)
 	markAll(s, func(i int) float64 { return float64(i) / 3 })
-	h := NewHistogram(s.Regions(), 8, 3)
+	h := NewHistogram(s.Regions())
 	hot := h.HottestFirst()
 	if len(hot) != 8 {
 		t.Fatalf("histogram lost regions: %d", len(hot))
@@ -284,14 +291,14 @@ func TestHistogramClampsOutOfRange(t *testing.T) {
 	regions := s.Regions()
 	regions[0].WHI = -5
 	regions[1].WHI = 100
-	h := NewHistogram(regions, 4, 3)
+	h := NewHistogram(regions)
 	if got := len(h.HottestFirst()); got != 2 {
 		t.Fatalf("clamped histogram lost regions: %d", got)
 	}
 }
 
 func TestTopVariance(t *testing.T) {
-	tv := NewTopVariance(3)
+	tv := NewTopVariance()
 	var regs []*Region
 	for i := 0; i < 10; i++ {
 		r := &Region{HI: float64(i), PrevHI: 0}
@@ -299,13 +306,12 @@ func TestTopVariance(t *testing.T) {
 		tv.Offer(r)
 	}
 	got := tv.Regions()
-	if len(got) != 3 {
-		t.Fatalf("kept %d, want 3", len(got))
+	if len(got) != topK {
+		t.Fatalf("kept %d, want %d", len(got), topK)
 	}
-	want := map[*Region]bool{regs[7]: true, regs[8]: true, regs[9]: true}
 	for _, r := range got {
-		if !want[r] {
-			t.Fatalf("kept region with variance %v; want top three", r.Variance())
+		if r.Variance() < 5 {
+			t.Fatalf("kept region with variance %v; want the top five", r.Variance())
 		}
 	}
 	tv.Reset()
@@ -326,7 +332,7 @@ func TestTopVarianceNoDuplicateAdmission(t *testing.T) {
 
 	// Fill phase: re-offering hot while slots are free must not append it
 	// again.
-	tv := NewTopVariance(3)
+	tv := NewTopVariance()
 	tv.Offer(hot)
 	tv.Offer(hot)
 	tv.Offer(mild)
@@ -340,10 +346,12 @@ func TestTopVarianceNoDuplicateAdmission(t *testing.T) {
 
 	// Full phase: hot beats the minimum (cold), but it is already kept —
 	// evicting cold for a second hot slot is the same double admission.
-	tv = NewTopVariance(3)
+	tv = NewTopVariance()
 	tv.Offer(hot)
 	tv.Offer(mild)
 	tv.Offer(cold)
+	tv.Offer(&Region{HI: 3})
+	tv.Offer(&Region{HI: 4})
 	tv.Offer(hot)
 	seen = map[*Region]int{}
 	for _, r := range tv.Regions() {
@@ -369,9 +377,7 @@ func TestFormationInvariant(t *testing.T) {
 		s.InitVMA(v, 2*tier.MB)
 		for round := 0; round < 10; round++ {
 			for _, r := range s.Regions() {
-				r.Sampled = true
-				r.PrevHI = r.HI
-				r.HI = float64(rng.Intn(4))
+				r.Observe(float64(rng.Intn(4)))
 				r.UpdateEMA(0.5)
 				n := 1 + rng.Intn(3)
 				r.Samples = r.Samples[:0]
@@ -425,13 +431,16 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	s := NewSet(3)
 	s.InitVMA(v, 2*tier.MB)
 	regions := s.Regions()
+	// Scaled to the largest WHI, 3: buckets [0, 3/32), [3/32, 6/32), …,
+	// with 3 itself in the hottest bucket.
 	regions[0].WHI = 0
-	regions[1].WHI = 1.49
-	regions[2].WHI = 1.51
+	regions[1].WHI = 0.09
+	regions[2].WHI = 0.1
 	regions[3].WHI = 3
-	h := NewHistogram(regions, 2, 3) // buckets [0,1.5) and [1.5,3]
-	if len(h.Bucket(0)) != 2 || len(h.Bucket(1)) != 2 {
-		t.Fatalf("bucket sizes %d/%d, want 2/2", len(h.Bucket(0)), len(h.Bucket(1)))
+	h := NewHistogram(regions)
+	top := h.Buckets() - 1
+	if len(h.Bucket(0)) != 2 || len(h.Bucket(1)) != 1 || len(h.Bucket(top)) != 1 {
+		t.Fatalf("bucket sizes %d/%d/%d, want 2/1/1", len(h.Bucket(0)), len(h.Bucket(1)), len(h.Bucket(top)))
 	}
 }
 

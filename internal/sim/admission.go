@@ -151,7 +151,7 @@ func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi
 	}
 	dir := e.moveDirection(src, dst)
 	roi := e.MigrationROI(src, dst, pageSize, whi, reaccess)
-	dec := e.adm.ctl.Admit(int(src), int(dst), dir, roi, bytes, pageSize, e.SpanClockNs())
+	dec := e.adm.ctl.AdmitClass(admission.ClassNormal, int(src), int(dst), dir, roi, bytes, pageSize, e.SpanClockNs())
 	switch dec.Verdict {
 	case admission.VerdictAdmit:
 		e.AdmissionAdmits++

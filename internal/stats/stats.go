@@ -83,8 +83,12 @@ type Table struct {
 // NewTable creates a table with the given column headers.
 func NewTable(header ...string) *Table { return &Table{header: header} }
 
-// Row appends a row; values are formatted with %v.
+// Row appends a row; values are formatted with %v. A row with more cells
+// than the header has columns panics.
 func (t *Table) Row(cells ...interface{}) {
+	if len(cells) > len(t.header) {
+		panic(fmt.Sprintf("stats: table row has %d cells, header has %d", len(cells), len(t.header)))
+	}
 	row := make([]string, len(cells))
 	for i, c := range cells {
 		switch v := c.(type) {
@@ -102,14 +106,9 @@ func (t *Table) Row(cells ...interface{}) {
 // String renders the table.
 func (t *Table) String() string {
 	width := make([]int, len(t.header))
-	for i, h := range t.header {
-		width[i] = len(h)
-	}
-	for _, r := range t.rows {
+	for _, r := range append([][]string{t.header}, t.rows...) {
 		for i, c := range r {
-			if i < len(width) && len(c) > width[i] {
-				width[i] = len(c)
-			}
+			width[i] = max(width[i], len(c))
 		}
 	}
 	var b strings.Builder

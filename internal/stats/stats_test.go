@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -122,4 +123,22 @@ func TestTableRendering(t *testing.T) {
 	if len(lines) != 4 { // header, rule, two rows
 		t.Fatalf("lines = %d", len(lines))
 	}
+}
+
+// TestTableRowLongerThanHeader: a row with more cells than the header
+// panics in Row, naming both lengths, instead of with an index error
+// inside String. A shorter row still renders.
+func TestTableRowLongerThanHeader(t *testing.T) {
+	tb := NewTable("name", "value")
+	tb.Row("short")
+	if out := tb.String(); !strings.Contains(out, "short") {
+		t.Fatalf("short row not rendered:\n%s", out)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "3 cells") || !strings.Contains(msg, "header has 2") {
+			t.Fatalf("panic %q, want one naming 3 cells and a header of 2", msg)
+		}
+	}()
+	tb.Row("alpha", 1, "extra")
 }
