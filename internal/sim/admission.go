@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"mtm/internal/admission"
-	"mtm/internal/metrics"
 	"mtm/internal/span"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
@@ -40,10 +39,6 @@ type admissionState struct {
 	// profDst is where profiling traffic lands (the home socket's
 	// fastest node, where the kernel's scan structures live).
 	profDst tier.NodeID
-
-	// minroi exposes each pair's learned floor as a gauge; nil without
-	// metrics or without learning.
-	minroi [][]*metrics.Gauge
 }
 
 // EnableAdmission attaches the migration admission-control subsystem
@@ -85,16 +80,10 @@ func (e *Engine) EnableAdmission(learn, lanes bool) {
 		// The learner's verdicts come from the lineage ledger.
 		e.enableLineage()
 		if reg := e.Metrics(); reg != nil {
-			a.minroi = make([][]*metrics.Gauge, len(nodes))
-			for s := range nodes {
-				a.minroi[s] = make([]*metrics.Gauge, len(nodes))
-				for d := range nodes {
-					if s == d {
-						continue
-					}
-					a.minroi[s][d] = reg.Gauge("mtm_admission_minroi",
-						"effective promotion ROI floor per tier pair (online-learned)",
-						metrics.L("src", nodes[s].Name), metrics.L("dst", nodes[d].Name))
+			for i := range e.pairs {
+				if p := &e.pairs[i]; p.src != p.dst {
+					p.minROI = reg.Gauge("mtm_admission_minroi",
+						"effective promotion ROI floor per tier pair (online-learned)", e.pairLabels(p)...)
 				}
 			}
 		}
@@ -105,16 +94,6 @@ func (e *Engine) EnableAdmission(learn, lanes bool) {
 // AdmissionEnabled reports whether the admission subsystem is attached.
 func (e *Engine) AdmissionEnabled() bool { return e.adm != nil }
 
-// moveDirection classifies a src→dst move against the home socket's
-// tier order: toward a faster tier is a promotion, anything else
-// (slower or lateral) a demotion.
-func (e *Engine) moveDirection(src, dst tier.NodeID) admission.Direction {
-	if e.Sys.Topo.Rank(HomeSocket, dst) < e.Sys.Topo.Rank(HomeSocket, src) {
-		return admission.DirPromote
-	}
-	return admission.DirDemote
-}
-
 // latencyGap is the per-access latency difference between src and dst:
 // rated link latencies, home socket.
 func (e *Engine) latencyGap(src, dst tier.NodeID) float64 {
@@ -122,45 +101,37 @@ func (e *Engine) latencyGap(src, dst tier.NodeID) float64 {
 	return math.Abs(float64(lat[src] - lat[dst]))
 }
 
-// MigrationROI estimates the return on investment of moving one page
-// of the given size from src to dst: the per-access latency gap times
-// the expected accesses over the retention horizon, divided by the
-// pair's copy cost. whi is the profiler's weighted hotness on whatever
-// scale the active policy uses; reaccess the evidence-graded likelihood
-// the page stays hot.
-func (e *Engine) MigrationROI(src, dst tier.NodeID, pageSize int64, whi, reaccess float64) float64 {
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 {
-		return 0
-	}
-	copyNs := float64(e.Sys.CopyTime(HomeSocket, src, dst, pageSize))
-	return admission.ROI(whi, reaccess, e.latencyGap(src, dst), copyNs)
-}
-
 // AdmitMigration prices one planned move of up to bytes from src to
 // dst and decides admit/defer/reject, recording the outcome in the
-// engine counters, metrics, and event ring. Without the subsystem (or
-// for unattributable pairs) it admits unconditionally, keeping
-// admission-free runs bit-identical to the pre-admission engine.
+// engine counters, metrics, and event ring. The move's return on
+// investment is the per-access latency gap times the expected accesses
+// over the retention horizon, divided by the pair's copy cost of one
+// page: whi is the profiler's weighted hotness on whatever scale the
+// active policy uses, reaccess the evidence-graded likelihood the page
+// stays hot. Without the subsystem (or for unattributable pairs) it
+// admits unconditionally, keeping admission-free runs bit-identical to
+// the pre-admission engine.
 func (e *Engine) AdmitMigration(src, dst tier.NodeID, bytes, pageSize int64, whi, reaccess float64) admission.Decision {
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
+	p := e.pair(src, dst)
+	if e.adm == nil || p == nil {
 		return admission.Decision{
 			Verdict:      admission.VerdictAdmit,
 			Rule:         admission.RuleAdmitted,
 			AllowedBytes: bytes,
 		}
 	}
-	dir := e.moveDirection(src, dst)
-	roi := e.MigrationROI(src, dst, pageSize, whi, reaccess)
-	dec := e.adm.ctl.AdmitClass(admission.ClassNormal, int(src), int(dst), dir, roi, bytes, pageSize, e.SpanClockNs())
+	copyNs := float64(e.Sys.CopyTime(HomeSocket, src, dst, pageSize))
+	roi := admission.ROI(whi, reaccess, e.latencyGap(src, dst), copyNs)
+	dec := e.adm.ctl.AdmitClass(admission.ClassNormal, int(src), int(dst), p.dir(), roi, bytes, pageSize, e.SpanClockNs())
 	switch dec.Verdict {
 	case admission.VerdictAdmit:
 		e.AdmissionAdmits++
 	case admission.VerdictDefer:
 		e.AdmissionDefers++
-		e.emitPairEventOnce(EventAdmissionDefer, src, dst, bytes)
+		e.emitEventOnce(EventAdmissionDefer, p.name, bytes)
 	case admission.VerdictReject:
 		e.AdmissionRejects++
-		e.emitPairEventOnce(EventAdmissionReject, src, dst, bytes)
+		e.emitEventOnce(EventAdmissionReject, p.name, bytes)
 	}
 	return dec
 }
@@ -179,7 +150,7 @@ func (e *Engine) AdmitFlip(src, dst tier.NodeID, bytes int64, whi, reaccess, fli
 		Rule:         admission.RuleShadowFlip,
 		AllowedBytes: bytes,
 	}
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
+	if e.adm == nil || e.pair(src, dst) == nil {
 		return dec
 	}
 	dec.ROI = admission.ROI(whi, reaccess, e.latencyGap(src, dst), flipNs)
@@ -198,15 +169,12 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 	if e.adm == nil {
 		return true
 	}
-	src := v.Node(idx)
-	if int(src) < 0 || int(dst) < 0 || src == dst {
-		return true
-	}
-	if e.adm.ctl.PageAllowed(admission.Cooldown(v.Stamp(idx)), e.moveDirection(src, dst), e.SpanClockNs()) {
+	p := e.pair(v.Node(idx), dst)
+	if p == nil || e.adm.ctl.PageAllowed(admission.Cooldown(v.Stamp(idx)), p.dir(), e.SpanClockNs()) {
 		return true
 	}
 	e.ThrashSuppressed++
-	e.emitPairEventOnce(EventThrashSuppressed, src, dst, int64(idx))
+	e.emitEventOnce(EventThrashSuppressed, p.name, int64(idx))
 	return false
 }
 
@@ -214,35 +182,33 @@ func (e *Engine) PageMoveAllowed(v *vm.VMA, idx int, dst tier.NodeID) bool {
 // and stamps the page's cool-down (hysteresis against an immediate
 // reversal). A flip copied nothing, so it is stamped but not debited.
 // Called from commitMove.
-func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
+func (e *Engine) admissionMoveCommitted(v *vm.VMA, idx int, p *pairInfo, flip bool) {
+	if e.adm == nil {
 		return
 	}
 	now := e.SpanClockNs()
 	if !flip {
-		e.adm.ctl.Commit(int(src), int(dst), v.PageSize, now)
+		e.adm.ctl.Commit(int(p.src), int(p.dst), v.PageSize, now)
 	}
-	v.SetStamp(idx, int64(e.adm.ctl.NotePageMove(e.moveDirection(src, dst), now)))
+	v.SetStamp(idx, int64(e.adm.ctl.NotePageMove(p.dir(), now)))
 }
 
 // admissionMoveAborted charges an aborted move's wasted bytes to its
 // pair at the waste-penalty multiple: the load-shedding feedback loop.
 // Called from abortMove.
-func (e *Engine) admissionMoveAborted(pageSize int64, src, dst tier.NodeID) {
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 || src == dst {
-		return
+func (e *Engine) admissionMoveAborted(pageSize int64, p *pairInfo) {
+	if e.adm != nil {
+		e.adm.ctl.Waste(int(p.src), int(p.dst), pageSize, e.SpanClockNs())
 	}
-	e.adm.ctl.Waste(int(src), int(dst), pageSize, e.SpanClockNs())
 }
 
 // admissionBreakerTrip zeroes a pair's budget when its health circuit
 // breaker trips: the pair must re-earn its bandwidth from nothing once
 // the breaker half-opens. Called from recordMoveAbort on a trip.
-func (e *Engine) admissionBreakerTrip(src, dst tier.NodeID) {
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 {
-		return
+func (e *Engine) admissionBreakerTrip(p *pairInfo) {
+	if e.adm != nil {
+		e.adm.ctl.ZeroBudget(int(p.src), int(p.dst), e.SpanClockNs())
 	}
-	e.adm.ctl.ZeroBudget(int(src), int(dst), e.SpanClockNs())
 }
 
 // AdmissionLearnEnabled reports whether online MinROI learning is on.
@@ -295,11 +261,11 @@ func (e *Engine) AdmissionLaneStats() *LaneStats {
 // like any other move. Always true unless lanes are enabled; without
 // lanes, engine-initiated moves bypass admission entirely.
 func (e *Engine) admitLaneMove(cl admission.Class, src, dst tier.NodeID, pageSize int64) bool {
-	if e.adm == nil || !e.adm.lanes || int(src) < 0 || int(dst) < 0 || src == dst {
+	p := e.pair(src, dst)
+	if e.adm == nil || !e.adm.lanes || p == nil {
 		return true
 	}
-	dec := e.adm.ctl.AdmitClass(cl, int(src), int(dst),
-		e.moveDirection(src, dst), 0, pageSize, pageSize, e.SpanClockNs())
+	dec := e.adm.ctl.AdmitClass(cl, int(src), int(dst), p.dir(), 0, pageSize, pageSize, e.SpanClockNs())
 	return dec.Verdict == admission.VerdictAdmit
 }
 
@@ -307,10 +273,9 @@ func (e *Engine) admitLaneMove(cl admission.Class, src, dst tier.NodeID, pageSiz
 // sync) against the pair's token bucket when lanes make the budgets
 // bind. No-op otherwise, keeping lane-free runs bit-identical.
 func (e *Engine) admissionChargeBackground(src, dst tier.NodeID, bytes int64) {
-	if e.adm == nil || !e.adm.lanes || int(src) < 0 || int(dst) < 0 || src == dst {
-		return
+	if e.adm != nil && e.adm.lanes {
+		e.adm.ctl.Charge(int(src), int(dst), bytes, e.SpanClockNs())
 	}
-	e.adm.ctl.Charge(int(src), int(dst), bytes, e.SpanClockNs())
 }
 
 // admissionResetWaste clears a pair's waste ledger; called when the
@@ -322,7 +287,7 @@ func (e *Engine) admissionChargeBackground(src, dst tier.NodeID, bytes int64) {
 // recovering pair re-earns its bandwidth from nothing, one refill
 // interval at a time.
 func (e *Engine) admissionResetWaste(src, dst tier.NodeID) {
-	if e.adm == nil || int(src) < 0 || int(dst) < 0 {
+	if e.adm == nil {
 		return
 	}
 	now := e.SpanClockNs()
@@ -366,13 +331,9 @@ func (e *Engine) admissionEndInterval() {
 			span.S("class", s.Class.String()),
 			span.I("waited_intervals", int64(s.Waited)))
 	}
-	if a.minroi != nil {
-		for s := range a.minroi {
-			for d := range a.minroi[s] {
-				if g := a.minroi[s][d]; g != nil {
-					g.Set(a.ctl.MinROIFor(s, d))
-				}
-			}
+	for i := range e.pairs {
+		if p := &e.pairs[i]; p.minROI != nil {
+			p.minROI.Set(a.ctl.MinROIFor(int(p.src), int(p.dst)))
 		}
 	}
 }

@@ -172,11 +172,9 @@ func (e *Engine) Audit() error {
 
 	if e.met != nil {
 		var movedPages, abortedPages int64
-		for s := range e.met.movedPages {
-			for d := range e.met.movedPages[s] {
-				movedPages += e.met.movedPages[s][d].Value()
-				abortedPages += e.met.abortedPages[s][d].Value()
-			}
+		for _, p := range e.pairs {
+			movedPages += p.moved.Value()
+			abortedPages += p.aborted.Value()
 		}
 		if movedPages != e.committedPages {
 			probs = append(probs, fmt.Sprintf(

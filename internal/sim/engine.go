@@ -15,6 +15,7 @@ import (
 	"runtime"
 	"time"
 
+	"mtm/internal/admission"
 	"mtm/internal/fidelity"
 	"mtm/internal/metrics"
 	"mtm/internal/pebs"
@@ -195,6 +196,7 @@ type Engine struct {
 	fid    *fidelityState         // nil unless EnableFidelity was called
 	lin    *lineage               // nil unless the oracle or the admission learner is on
 	evSeen map[[2]string]struct{} // per-interval event dedup (emitEventOnce)
+	pairs  []pairInfo             // one per ordered node pair, src*n + dst (see pair)
 
 	clock time.Duration
 
@@ -271,7 +273,48 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 		}
 	}
 	e.refreshLatency()
+	e.pairs = make([]pairInfo, n*n)
+	for i := range e.pairs {
+		src, dst := tier.NodeID(i/n), tier.NodeID(i%n)
+		e.pairs[i] = pairInfo{src: src, dst: dst,
+			promote: topo.Rank(HomeSocket, dst) < topo.Rank(HomeSocket, src)}
+	}
 	return e
+}
+
+// pairInfo is what the engine knows about one ordered pair of nodes: the
+// way a move between them points, the pair's name and the instruments
+// that count its moves.
+type pairInfo struct {
+	src, dst tier.NodeID
+	promote  bool   // dst ranks ahead of src in HomeSocket's view
+	name     string // "src->dst", set by EnableMetrics so events never format
+
+	// Per-pair migration accounting, nil without metrics; minROI also
+	// without learned admission.
+	moved, aborted, retried, backoffNs *metrics.Counter
+	minROI                             *metrics.Gauge
+}
+
+// pair returns the record of the move src→dst, or nil unless both are
+// nodes of the machine and they differ: a page with no frame yet
+// (vm.NoNode) or an unknown node is not a move between tiers. It is the
+// engine's one pair test.
+func (e *Engine) pair(src, dst tier.NodeID) *pairInfo {
+	n := len(e.Sys.Topo.Nodes)
+	if uint(src) >= uint(n) || uint(dst) >= uint(n) || src == dst {
+		return nil
+	}
+	return &e.pairs[int(src)*n+int(dst)]
+}
+
+// dir classifies the pair for admission: toward a faster tier is a
+// promotion, anything else a demotion.
+func (p *pairInfo) dir() admission.Direction {
+	if p.promote {
+		return admission.DirPromote
+	}
+	return admission.DirDemote
 }
 
 // refreshLatency recomputes the per-access latency each node charges this
@@ -291,9 +334,6 @@ func (e *Engine) Clock() time.Duration { return e.clock }
 // Contention returns the bandwidth-contention factor of node n carried
 // over from the previous interval (>= 1).
 func (e *Engine) Contention(n tier.NodeID) float64 { return e.contention[n] }
-
-// Solution returns the active solution (set by Run).
-func (e *Engine) Solution() Solution { return e.sol }
 
 // SetSolution installs the solution; exposed for tests that drive the
 // interval loop manually.

@@ -77,7 +77,7 @@ func (e *Engine) DestUsable(src, dst tier.NodeID) bool {
 	if !e.Sys.Allocatable(dst) {
 		return false
 	}
-	if int(src) < 0 || int(dst) < 0 {
+	if e.pair(src, dst) == nil {
 		return true
 	}
 	ok, reopened := e.hlt.breaker.AllowAt(int(src), int(dst), e.SpanClockNs())
@@ -94,7 +94,7 @@ func (e *Engine) DestUsable(src, dst tier.NodeID) bool {
 // pair for provenance: state name, consecutive aborts, the virtual ns
 // until which it is open, and its lifetime trip count.
 func (e *Engine) BreakerEvidence(src, dst tier.NodeID) (state string, consec int64, openUntilNs int64, trips int64) {
-	if e.hlt == nil || int(src) < 0 || int(dst) < 0 {
+	if e.hlt == nil || e.pair(src, dst) == nil {
 		return health.BreakerClosed.String(), 0, 0, 0
 	}
 	b := e.hlt.breaker
@@ -105,36 +105,33 @@ func (e *Engine) BreakerEvidence(src, dst tier.NodeID) (state string, consec int
 }
 
 // recordMoveSuccess feeds a committed move into the pair's breaker.
-func (e *Engine) recordMoveSuccess(src, dst tier.NodeID) {
-	if e.hlt == nil || int(src) < 0 || int(dst) < 0 {
-		return
+func (e *Engine) recordMoveSuccess(p *pairInfo) {
+	if e.hlt != nil {
+		e.hlt.breaker.RecordSuccess(int(p.src), int(p.dst))
 	}
-	e.hlt.breaker.RecordSuccess(int(src), int(dst))
 }
 
 // recordMoveAbort feeds an aborted move into the pair's breaker and, on
 // a trip, records the provenance (metrics event + span event with the
 // evidence). A pair trips at most once per cool-down by construction:
 // an open breaker absorbs further aborts without re-tripping.
-func (e *Engine) recordMoveAbort(src, dst tier.NodeID) {
-	if e.hlt == nil || int(src) < 0 || int(dst) < 0 {
+func (e *Engine) recordMoveAbort(p *pairInfo) {
+	if e.hlt == nil {
 		return
 	}
-	now := e.SpanClockNs()
-	if !e.hlt.breaker.RecordAbort(int(src), int(dst), now) {
+	src, dst := int(p.src), int(p.dst)
+	if !e.hlt.breaker.RecordAbort(src, dst, e.SpanClockNs()) {
 		return
 	}
 	e.BreakerTrips++
-	e.admissionBreakerTrip(src, dst)
-	if e.met != nil {
-		e.met.reg.Emit(EventBreakerTrip, e.met.pairName[src][dst], e.hlt.breaker.Trips(int(src), int(dst)))
-	}
+	e.admissionBreakerTrip(p)
+	e.Metrics().Emit(EventBreakerTrip, p.name, e.hlt.breaker.Trips(src, dst))
 	e.SpanEvent("health", "breaker-trip",
 		span.S("src", e.Sys.Topo.Nodes[src].Name),
 		span.S("dst", e.Sys.Topo.Nodes[dst].Name),
 		span.I("consecutive_aborts", health.TripAborts),
-		span.I("open_until_ns", e.hlt.breaker.OpenUntil(int(src), int(dst))),
-		span.I("trips", e.hlt.breaker.Trips(int(src), int(dst))))
+		span.I("open_until_ns", e.hlt.breaker.OpenUntil(src, dst)),
+		span.I("trips", e.hlt.breaker.Trips(src, dst)))
 }
 
 // healthBeginInterval delivers this interval's memory-error faults and
@@ -325,7 +322,10 @@ func (e *Engine) drainNode(node tier.NodeID) {
 		if !mv.Committed {
 			continue
 		}
-		e.NoteDrain(p.v.PageSize)
+		// Drained volume is kept apart from promotion and demotion
+		// volume: the auditor's ledger is committed = promoted + demoted
+		// + drained.
+		e.DrainedBytes += p.v.PageSize
 		committed++
 	}
 	if stalled {
@@ -365,8 +365,3 @@ func (e *Engine) drainDest(node tier.NodeID, size int64) tier.NodeID {
 	}
 	return tier.Invalid
 }
-
-// NoteDrain records bytes evacuated off a draining tier. Drained volume
-// is deliberately separate from promotion/demotion volume: the auditor's
-// ledger is committed = promoted + demoted + drained.
-func (e *Engine) NoteDrain(bytes int64) { e.DrainedBytes += bytes }

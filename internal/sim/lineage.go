@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"mtm/internal/tier"
-	"mtm/internal/vm"
-)
+import "mtm/internal/vm"
 
 // DefaultFidelityHorizon is the outcome-resolution window of the lineage
 // ledger, in intervals: a committed move that sees no reaccess for this
@@ -96,24 +93,20 @@ func (e *Engine) ClearMoveContext() {
 // current context. Called from commitMove in commit order.
 // Without the oracle only promotions are kept: the learner reads nothing
 // else.
-func (e *Engine) lineageMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
+func (e *Engine) lineageMoveCommitted(v *vm.VMA, idx int, p *pairInfo, flip bool) {
 	l := e.lin
-	if l == nil || int(src) < 0 || int(dst) < 0 {
-		return // first placement, not a move between tiers
-	}
-	promote := e.Sys.Topo.Rank(HomeSocket, dst) < e.Sys.Topo.Rank(HomeSocket, src)
-	if !promote && e.fid == nil {
+	if l == nil || (!p.promote && e.fid == nil) {
 		return
 	}
 	l.pend = append(l.pend, pendingMove{
 		v:        v,
 		idx:      int32(idx),
 		interval: int32(e.Intervals),
-		promote:  promote,
+		promote:  p.promote,
 		flip:     flip,
 		label:    l.cur,
-		src:      int8(src),
-		dst:      int8(dst),
+		src:      int8(p.src),
+		dst:      int8(p.dst),
 	})
 }
 

@@ -93,13 +93,6 @@ type engineMetrics struct {
 	contention   []*metrics.Gauge   // per node
 	tierState    []*metrics.Gauge   // per node health state (0=Online..3=Offline)
 
-	// Per-tier-pair migration accounting, indexed [src][dst].
-	movedPages   [][]*metrics.Counter
-	abortedPages [][]*metrics.Counter
-	retriedPages [][]*metrics.Counter
-	backoffNs    [][]*metrics.Counter
-	pairName     [][]string // "src->dst", prebuilt so events never format
-
 	intervalAppNs *metrics.Histogram
 }
 
@@ -180,30 +173,26 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 		m.shadowBytes[i] = reg.Gauge("mtm_shadow_bytes", "bytes held as retained shadow copies per node", metrics.L("node", n.Name))
 	}
 
-	pairCounters := func(name, help string) [][]*metrics.Counter {
-		out := make([][]*metrics.Counter, len(nodes))
-		for s := range nodes {
-			out[s] = make([]*metrics.Counter, len(nodes))
-			for d := range nodes {
-				if s == d {
-					continue // pages never migrate node-to-same-node
-				}
-				out[s][d] = reg.Counter(name, help,
-					metrics.L("src", nodes[s].Name), metrics.L("dst", nodes[d].Name))
+	// Each per-pair instrument is registered for every pair, source-major,
+	// before the next: registration order is the time-series column order.
+	for _, c := range []struct {
+		name, help string
+		ctr        func(*pairInfo) **metrics.Counter
+	}{
+		{"mtm_migrate_pages_moved_total", "pages migrated per tier pair", func(p *pairInfo) **metrics.Counter { return &p.moved }},
+		{"mtm_migrate_pages_aborted_total", "page moves aborted per tier pair", func(p *pairInfo) **metrics.Counter { return &p.aborted }},
+		{"mtm_migrate_pages_retried_total", "page-copy retries per tier pair", func(p *pairInfo) **metrics.Counter { return &p.retried }},
+		{"mtm_migrate_backoff_ns_total", "virtual backoff time charged per tier pair (ns)", func(p *pairInfo) **metrics.Counter { return &p.backoffNs }},
+	} {
+		for i := range e.pairs {
+			if p := &e.pairs[i]; p.src != p.dst {
+				*c.ctr(p) = reg.Counter(c.name, c.help, e.pairLabels(p)...)
 			}
 		}
-		return out
 	}
-	m.movedPages = pairCounters("mtm_migrate_pages_moved_total", "pages migrated per tier pair")
-	m.abortedPages = pairCounters("mtm_migrate_pages_aborted_total", "page moves aborted per tier pair")
-	m.retriedPages = pairCounters("mtm_migrate_pages_retried_total", "page-copy retries per tier pair")
-	m.backoffNs = pairCounters("mtm_migrate_backoff_ns_total", "virtual backoff time charged per tier pair (ns)")
-	m.pairName = make([][]string, len(nodes))
-	for s := range nodes {
-		m.pairName[s] = make([]string, len(nodes))
-		for d := range nodes {
-			m.pairName[s][d] = nodes[s].Name + "->" + nodes[d].Name
-		}
+	for i := range e.pairs {
+		p := &e.pairs[i]
+		p.name = nodes[p.src].Name + "->" + nodes[p.dst].Name
 	}
 
 	e.met = m
@@ -229,17 +218,10 @@ func (e *Engine) MetricsExport() *metrics.Export {
 	return e.met.reg.Export()
 }
 
-// pairCounter indexes a per-pair matrix defensively (NoNode/Invalid src
-// yields nil, which no-ops).
-func pairCounter(m [][]*metrics.Counter, src, dst tier.NodeID) *metrics.Counter {
-	if int(src) < 0 || int(src) >= len(m) {
-		return nil
-	}
-	row := m[src]
-	if int(dst) < 0 || int(dst) >= len(row) {
-		return nil
-	}
-	return row[dst]
+// pairLabels are the src and dst labels of a per-pair instrument.
+func (e *Engine) pairLabels(p *pairInfo) []metrics.Label {
+	nodes := e.Sys.Topo.Nodes
+	return []metrics.Label{metrics.L("src", nodes[p.src].Name), metrics.L("dst", nodes[p.dst].Name)}
 }
 
 // emitEventOnce emits a metrics event at most once per (type, detail)
@@ -263,15 +245,6 @@ func (e *Engine) emitEventOnce(typ, detail string, value int64) {
 	}
 	e.evSeen[key] = struct{}{}
 	e.met.reg.Emit(typ, detail, value)
-}
-
-// emitPairEventOnce is emitEventOnce with the src->dst pair as the
-// detail; an unattributable src emits nothing.
-func (e *Engine) emitPairEventOnce(typ string, src, dst tier.NodeID, value int64) {
-	if e.met == nil || int(src) < 0 || int(src) >= len(e.met.pairName) {
-		return
-	}
-	e.emitEventOnce(typ, e.met.pairName[src][dst], value)
 }
 
 // metricsBeginInterval stamps the registry with the interval about to run

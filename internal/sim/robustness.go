@@ -162,9 +162,9 @@ func (e *Engine) CopyPage(v *vm.VMA, idx int, dst tier.NodeID) (mv PageMove, ok 
 		mv.Backoff += backoff
 		mv.Waste += backoff
 		e.MigrationRetries++
-		if e.met != nil {
-			pairCounter(e.met.retriedPages, mv.Src, dst).Inc()
-			pairCounter(e.met.backoffNs, mv.Src, dst).AddDuration(backoff)
+		if p := e.pair(mv.Src, dst); p != nil {
+			p.retried.Inc()
+			p.backoffNs.AddDuration(backoff)
 		}
 	}
 	if mv.Committed {
@@ -195,20 +195,23 @@ func (e *Engine) reserveMove(v *vm.VMA, dst tier.NodeID) bool {
 // migration circuit breaker, in the admission cool-down and in the
 // lineage ledger. A flip (FlipDemote) has already consumed the shadow and
 // released src itself, and copied nothing, so the pair's budget is not
-// debited.
+// debited. A first placement (src is vm.NoNode) is not a move between
+// tiers: it lands in the ledger alone.
 func (e *Engine) commitMove(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool) {
-	if !flip && !e.shadowMoveCommitted(v, idx, src, dst) && src != vm.NoNode && src != dst {
+	p := e.pair(src, dst)
+	if !flip && !e.shadowMoveCommitted(v, idx, p) && p != nil {
 		e.Sys.Release(src, v.PageSize)
 	}
 	v.Place(idx, dst)
 	e.committedPages++
 	e.committedBytes += v.PageSize
-	e.recordMoveSuccess(src, dst)
-	e.admissionMoveCommitted(v, idx, src, dst, flip)
-	e.lineageMoveCommitted(v, idx, src, dst, flip)
-	if e.met != nil {
-		pairCounter(e.met.movedPages, src, dst).Inc()
+	if p == nil {
+		return
 	}
+	e.recordMoveSuccess(p)
+	e.admissionMoveCommitted(v, idx, p, flip)
+	e.lineageMoveCommitted(v, idx, p, flip)
+	p.moved.Inc()
 }
 
 // abortMove rolls back a reserved move of page idx of v from src: the dst
@@ -219,10 +222,6 @@ func (e *Engine) abortMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
 	e.Sys.Release(dst, v.PageSize)
 	e.MigrationAborts++
 	e.WastedBytes += v.PageSize
-	if e.met != nil {
-		pairCounter(e.met.abortedPages, src, dst).Inc()
-	}
-	e.emitPairEventOnce(EventMigrationAbort, src, dst, int64(idx))
 	srcName := ""
 	if int(src) >= 0 && int(src) < len(e.Sys.Topo.Nodes) {
 		srcName = e.Sys.Topo.Nodes[src].Name
@@ -233,8 +232,14 @@ func (e *Engine) abortMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
 		span.S("vma", v.Name),
 		span.I("page", int64(idx)),
 		span.I("wasted_bytes", v.PageSize))
-	e.admissionMoveAborted(v.PageSize, src, dst)
-	e.recordMoveAbort(src, dst)
+	p := e.pair(src, dst)
+	if p == nil {
+		return
+	}
+	p.aborted.Inc()
+	e.emitEventOnce(EventMigrationAbort, p.name, int64(idx))
+	e.admissionMoveAborted(v.PageSize, p)
+	e.recordMoveAbort(p)
 }
 
 // ErrOutOfMemory is the sentinel for capacity exhaustion: every tier is

@@ -116,16 +116,15 @@ func (e *Engine) ShadowCount() int {
 // page is dropped first (it described bytes that no longer match a
 // committed move). Returns false when the source frame should be
 // released normally.
-func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, src, dst tier.NodeID) bool {
+func (e *Engine) shadowMoveCommitted(v *vm.VMA, idx int, p *pairInfo) bool {
 	if e.shd == nil {
 		return false
 	}
 	e.dropShadow(v, idx)
-	if src == vm.NoNode || src == dst ||
-		e.Sys.Topo.Rank(HomeSocket, dst) >= e.Sys.Topo.Rank(HomeSocket, src) ||
-		!e.Sys.Allocatable(src) {
+	if p == nil || !p.promote || !e.Sys.Allocatable(p.src) {
 		return false
 	}
+	src := p.src
 	// Promotion: convert the source frame from the used ledger to the
 	// shadow ledger. The release/reserve pair moves the same byte count,
 	// so the reserve can only fail if src went offline — checked above.
@@ -233,8 +232,7 @@ func (e *Engine) FlipDemote(v *vm.VMA, idx int) (tier.NodeID, bool) {
 	dst := v.ShadowNode(idx)
 	e.ShadowHits++
 	src := v.Node(idx)
-	if src == dst || !e.Sys.Allocatable(dst) ||
-		e.Sys.Topo.Rank(HomeSocket, dst) <= e.Sys.Topo.Rank(HomeSocket, src) {
+	if p := e.pair(src, dst); p == nil || p.promote || !e.Sys.Allocatable(dst) {
 		// Not a demotion anymore (or the shadow frame is unusable):
 		// drop it so capacity comes back and the copy path decides.
 		e.dropShadow(v, idx)

@@ -189,11 +189,20 @@ func attributedMove(t *testing.T, e *Engine, v *vm.VMA, idx int, dst tier.NodeID
 	if !e.MovePage(v, idx, dst) {
 		t.Fatalf("MovePage(%s/%d, %d) failed", v.Name, idx, dst)
 	}
-	if e.moveDirection(src, dst) == admission.DirPromote {
+	if moveDir(e, src, dst) == admission.DirPromote {
 		e.NotePromotion(v.PageSize)
 	} else {
 		e.NoteDemotion(v.PageSize)
 	}
+}
+
+// moveDir is the admission direction of a src→dst move; a page with no
+// frame yet has no pair, and its first placement counts as a demotion.
+func moveDir(e *Engine, src, dst tier.NodeID) admission.Direction {
+	if p := e.pair(src, dst); p != nil {
+		return p.dir()
+	}
+	return admission.DirDemote
 }
 
 // liveShadowsOn lists node n's live retention records, oldest first.
@@ -252,7 +261,7 @@ func TestSideStateMatchesMapModel(t *testing.T) {
 					op = fmt.Sprintf("move %s %d->%d", pageName(v, idx), src, dst)
 					attributedMove(t, e, v, idx, dst)
 					ref.Drop(key)
-					dir := e.moveDirection(src, dst)
+					dir := moveDir(e, src, dst)
 					if dir == admission.DirPromote {
 						ref.Put(key, src, v.PageSize)
 					}
@@ -349,7 +358,7 @@ func TestSideStateMatchesMapModel(t *testing.T) {
 					if !v.Present(idx) || src == dst {
 						continue
 					}
-					want := refCool.PageAllowed(key, e.moveDirection(src, dst), now)
+					want := refCool.PageAllowed(key, moveDir(e, src, dst), now)
 					if got := e.PageMoveAllowed(v, idx, dst); got != want {
 						t.Fatalf("step %d %s: PageMoveAllowed = %v, model %v", step, op, got, want)
 					}

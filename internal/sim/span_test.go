@@ -80,7 +80,7 @@ func TestDisabledTracingZeroAllocs(t *testing.T) {
 	// The engine's event entry points, with both sinks off.
 	events := func() {
 		e.NoteDeferredPromotionTo(0)
-		e.emitPairEventOnce(EventThrashSuppressed, 0, 2, 1)
+		e.emitEventOnce(EventThrashSuppressed, e.pair(0, 2).name, 1)
 	}
 	if n := testing.AllocsPerRun(100, events); n != 0 {
 		t.Errorf("events with both sinks off allocate %.1f per op", n)
