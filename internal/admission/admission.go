@@ -261,6 +261,12 @@ type bucket struct {
 	ema       int64
 	statRate  int64
 	statBurst int64
+	// floor is the pair's promotion ROI floor: MinROI, adapted at
+	// interval end when learning is on from the decaying hindsight
+	// evidence good (promoted pages later reaccessed) and bad
+	// (promoted-wasted ones).
+	floor     float64
+	good, bad float64
 }
 
 // refill credits tokens for the virtual time elapsed since the last
@@ -300,7 +306,7 @@ func (b *bucket) debit(n int64) {
 }
 
 // Controller holds the admission state for one engine: an N×N matrix
-// of pair buckets, the learned floors, and the per-class tallies. The
+// of pair buckets with their floors, and the per-class tallies. The
 // per-page cool-down is not held here: the engine keeps each page's
 // Cooldown beside the page, and the controller supplies the rule
 // (NotePageMove stamps, PageAllowed judges). Not safe for concurrent
@@ -309,9 +315,8 @@ func (b *bucket) debit(n int64) {
 type Controller struct {
 	pairs []bucket // n*n, indexed src*n + dst
 	n     int
-	// learn holds per-pair learned floors and their evidence tallies
-	// (src*n + dst, like pairs); nil unless learning is on.
-	learn []learner
+	// learn adapts each pair's floor to its hindsight verdicts.
+	learn bool
 	// lanes turns on the traffic-class lanes (see NewController).
 	lanes bool
 	// cls tracks per-traffic-class admission activity for the lane
@@ -321,14 +326,6 @@ type Controller struct {
 	// to convert observed per-interval demand into a refill rate and to
 	// size the per-page cool-down.
 	intervalNs int64
-}
-
-// learner is one pair's online MinROI state: the current floor plus the
-// decaying hindsight evidence it adapts on. good counts promoted pages
-// later reaccessed, bad counts promoted-wasted ones.
-type learner struct {
-	floor     float64
-	good, bad float64
 }
 
 // ClassStat tracks one traffic class's admission activity: per-interval
@@ -377,13 +374,11 @@ func NewController(n int, learn, lanes bool) *Controller {
 	c := &Controller{
 		pairs: make([]bucket, n*n),
 		n:     n,
+		learn: learn,
 		lanes: lanes,
 	}
-	if learn {
-		c.learn = make([]learner, n*n)
-		for i := range c.learn {
-			c.learn[i].floor = MinROI
-		}
+	for i := range c.pairs {
+		c.pairs[i].floor = MinROI
 	}
 	return c
 }
@@ -474,10 +469,7 @@ func (c *Controller) AdmitClass(cl Class, src, dst int, dir Direction, roi float
 				return d
 			}
 		} else {
-			floor := MinROI
-			if c.learn != nil {
-				floor = c.learn[src*c.n+dst].floor
-			}
+			floor := b.floor
 			d.Floor = floor
 			if roi < floor {
 				d.Verdict, d.Rule, d.Threshold = VerdictReject, RuleLowROI, floor
@@ -632,24 +624,24 @@ func (c *Controller) NotePageMove(dir Direction, nowNs int64) Cooldown {
 // promoted page was touched again before the horizon (the move paid),
 // otherwise it was promoted-wasted. No-op unless learning is on.
 func (c *Controller) NoteOutcome(src, dst int, reaccessed bool) {
-	if c.learn == nil || src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
+	b := c.pair(src, dst)
+	if !c.learn || b == nil {
 		return
 	}
-	l := &c.learn[src*c.n+dst]
 	if reaccessed {
-		l.good++
+		b.good++
 	} else {
-		l.bad++
+		b.bad++
 	}
 }
 
 // MinROIFor reports the pair's effective promotion floor: the learned
 // floor when learning is on, the static MinROI otherwise.
 func (c *Controller) MinROIFor(src, dst int) float64 {
-	if c.learn == nil || src < 0 || dst < 0 || src >= c.n || dst >= c.n || src == dst {
-		return MinROI
+	if b := c.pair(src, dst); b != nil {
+		return b.floor
 	}
-	return c.learn[src*c.n+dst].floor
+	return MinROI
 }
 
 // ClassStats returns one traffic class's lifetime admission counters.
@@ -726,26 +718,26 @@ func (c *Controller) EndInterval(nowNs int64) []Starvation {
 			}
 		}
 	}
-	if c.learn != nil {
-		for i := range c.learn {
-			l := &c.learn[i]
-			n := l.good + l.bad
+	if c.learn {
+		for i := range c.pairs {
+			b := &c.pairs[i]
+			n := b.good + b.bad
 			if n < EvidenceFloor {
 				continue // frozen: not enough evidence to adapt on
 			}
-			if l.bad/n > TargetWaste {
-				l.floor *= 1 + LearnStep
+			if b.bad/n > TargetWaste {
+				b.floor *= 1 + LearnStep
 			} else {
-				l.floor *= 1 - LearnStep
+				b.floor *= 1 - LearnStep
 			}
-			if l.floor < LearnMin {
-				l.floor = LearnMin
+			if b.floor < LearnMin {
+				b.floor = LearnMin
 			}
-			if l.floor > LearnMax {
-				l.floor = LearnMax
+			if b.floor > LearnMax {
+				b.floor = LearnMax
 			}
-			l.good /= 2
-			l.bad /= 2
+			b.good /= 2
+			b.bad /= 2
 		}
 	}
 	var fired []Starvation
