@@ -334,16 +334,10 @@ func (k *engineKeeper) Init(e *sim.Engine) {
 // writeHeapProfile writes a heap profile to path after a GC, so in-use
 // space counts only live objects.
 func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
-		return err
-	}
-	return f.Close()
+	return createFile(path, "", func(w io.Writer) error {
+		runtime.GC()
+		return pprof.WriteHeapProfile(w)
+	})
 }
 
 // writeMetrics writes the run's metrics export to path in the requested
@@ -352,24 +346,14 @@ func writeMetrics(path, format string, res *mtm.Result) error {
 	if res.Metrics == nil {
 		return fmt.Errorf("mtmsim: run produced no metrics export")
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("mtmsim: %w", err)
-	}
-	defer f.Close()
-	switch format {
-	case "prom":
-		if err := res.Metrics.WriteProm(f); err != nil {
-			return fmt.Errorf("mtmsim: writing %s: %w", path, err)
+	return createFile(path, "mtmsim: ", func(w io.Writer) error {
+		if format == "prom" {
+			return writing(path, res.Metrics.WriteProm(w))
 		}
-	default:
-		enc := json.NewEncoder(f)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(res.Metrics); err != nil {
-			return fmt.Errorf("mtmsim: writing %s: %w", path, err)
-		}
-	}
-	return f.Close()
+		return writing(path, enc.Encode(res.Metrics))
+	})
 }
 
 // writeSpans writes the run's span trace to path in the requested format.
@@ -377,22 +361,33 @@ func writeSpans(path, format string, res *mtm.Result) error {
 	if res.Spans == nil {
 		return fmt.Errorf("mtmsim: run produced no span trace")
 	}
+	write := res.Spans.WriteJSONL
+	if format == "chrome" {
+		write = res.Spans.WriteChrome
+	}
+	return createFile(path, "mtmsim: ", func(w io.Writer) error { return writing(path, write(w)) })
+}
+
+// createFile creates path, fills it with write and closes it. A create
+// error is returned behind prefix, a write or close error as it is.
+func createFile(path, prefix string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("mtmsim: %w", err)
+		return fmt.Errorf("%s%w", prefix, err)
 	}
 	defer f.Close()
-	switch format {
-	case "chrome":
-		if err := res.Spans.WriteChrome(f); err != nil {
-			return fmt.Errorf("mtmsim: writing %s: %w", path, err)
-		}
-	default:
-		if err := res.Spans.WriteJSONL(f); err != nil {
-			return fmt.Errorf("mtmsim: writing %s: %w", path, err)
-		}
+	if err := write(f); err != nil {
+		return err
 	}
 	return f.Close()
+}
+
+// writing names the file an export failed to write; nil stays nil.
+func writing(path string, err error) error {
+	if err != nil {
+		return fmt.Errorf("mtmsim: writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // pct returns part as a percentage of whole, 0 when whole is 0 (a run

@@ -173,8 +173,7 @@ type Event struct {
 	Value    int64  `json:"value,omitempty"`
 }
 
-// DefaultEventCapacity bounds the event ring when the registry is built
-// with New. The ring keeps the FIRST events of a run and counts the
+// DefaultEventCapacity bounds the event ring. The ring keeps the FIRST events of a run and counts the
 // overflow: early events carry the context that explains everything after
 // them, and a fixed-prefix policy keeps the export deterministic under
 // truncation.
@@ -212,7 +211,6 @@ type Registry struct {
 	scalars     []*instrument // counters+gauges, registration order: the series columns
 
 	events        []Event
-	eventCap      int
 	eventsDropped int64
 
 	series      []Snapshot
@@ -220,20 +218,9 @@ type Registry struct {
 	nowClockNs  int64
 }
 
-// New creates an empty registry with the default event capacity.
+// New creates an empty registry.
 func New() *Registry {
-	return &Registry{
-		byFull:   map[string]*instrument{},
-		eventCap: DefaultEventCapacity,
-	}
-}
-
-// SetEventCapacity resizes the event ring bound (existing events kept).
-func (r *Registry) SetEventCapacity(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.eventCap = n
+	return &Registry{byFull: map[string]*instrument{}}
 }
 
 // fullName renders the instrument identity: name{k="v",...}.
@@ -366,7 +353,7 @@ func (r *Registry) Emit(typ, detail string, value int64) {
 	if r == nil {
 		return
 	}
-	if len(r.events) >= r.eventCap {
+	if len(r.events) >= DefaultEventCapacity {
 		r.eventsDropped++
 		return
 	}

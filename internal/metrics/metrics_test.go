@@ -170,13 +170,12 @@ func TestCounterFunc(t *testing.T) {
 
 func TestEventRingBounded(t *testing.T) {
 	r := New()
-	r.SetEventCapacity(3)
 	r.SetNow(7, 123)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultEventCapacity+2; i++ {
 		r.Emit("migration-abort", "dram0->pm0", int64(i))
 	}
-	if len(r.Events()) != 3 {
-		t.Fatalf("ring kept %d events, want 3", len(r.Events()))
+	if len(r.Events()) != DefaultEventCapacity {
+		t.Fatalf("ring kept %d events, want %d", len(r.Events()), DefaultEventCapacity)
 	}
 	if r.EventsDropped() != 2 {
 		t.Fatalf("dropped = %d, want 2", r.EventsDropped())
@@ -185,8 +184,11 @@ func TestEventRingBounded(t *testing.T) {
 	if ev.Interval != 7 || ev.ClockNs != 123 || ev.Type != "migration-abort" || ev.Value != 0 {
 		t.Fatalf("event stamp wrong: %+v", ev)
 	}
+	if last := r.Events()[DefaultEventCapacity-1]; last.Value != DefaultEventCapacity-1 {
+		t.Fatalf("ring kept %+v last, want the first events", last)
+	}
 	x := r.Export()
-	if x.EventsDropped != 2 || len(x.Events) != 3 {
+	if x.EventsDropped != 2 || len(x.Events) != DefaultEventCapacity {
 		t.Fatal("export lost event accounting")
 	}
 }

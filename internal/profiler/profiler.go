@@ -136,19 +136,13 @@ func (t *regionTable) charge(e *sim.Engine, cost time.Duration, pages int64) {
 	t.pm.pages.Add(pages)
 }
 
-// samplePages picks n distinct page indices in [start, end) uniformly at
-// random; see samplePagesInto. Allocating convenience wrapper for tests.
-func samplePages(rng *rand.Rand, start, end, n int) []int {
-	return samplePagesInto(nil, nil, rng, start, end, n)
-}
-
 // samplePagesInto picks n distinct page indices in [start, end) uniformly
 // at random (with a fallback to stride sampling when n approaches the
 // range size), appending to dst. The caller supplies the RNG — the scan
 // shards pass their per-shard stream — and the engine scratch, whose seen
 // bitset replaces the per-call membership map the rejection loop used to
-// allocate. A nil scratch allocates a transient bitset. The draw sequence
-// is identical to the historical map-based implementation.
+// allocate. The draw sequence is identical to the historical map-based
+// implementation.
 func samplePagesInto(dst []int, sc *sim.Scratch, rng *rand.Rand, start, end, n int) []int {
 	span := end - start
 	if n >= span {
@@ -169,12 +163,7 @@ func samplePagesInto(dst []int, sc *sim.Scratch, rng *rand.Rand, start, end, n i
 		}
 		return dst
 	}
-	var seen []uint64
-	if sc != nil {
-		seen = sc.Seen(span)
-	} else {
-		seen = make([]uint64, (span+63)/64)
-	}
+	seen := sc.Seen(span)
 	for got := 0; got < n; {
 		p := rng.Intn(span)
 		if seen[p>>6]&(1<<uint(p&63)) != 0 {

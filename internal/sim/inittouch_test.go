@@ -201,7 +201,7 @@ func checkInitTouch(t *testing.T, c initCase, topo *tier.Topology) (*Engine, []*
 	}
 	if a.PEBS != nil {
 		as, bs := a.PEBS.Samples(), b.PEBS.Samples()
-		if !reflect.DeepEqual(samplePages(as), samplePages(bs)) || a.PEBS.Interrupts() != b.PEBS.Interrupts() ||
+		if !reflect.DeepEqual(sampleTriples(as), sampleTriples(bs)) || a.PEBS.Interrupts() != b.PEBS.Interrupts() ||
 			a.PEBS.Dropped() != b.PEBS.Dropped() || pebsCarry(a.PEBS) != pebsCarry(b.PEBS) {
 			t.Fatalf("PEBS: InitTouch %d samples/%d interrupts/carry %#x, batches %d/%d/%#x",
 				len(as), a.PEBS.Interrupts(), pebsCarry(a.PEBS), len(bs), b.PEBS.Interrupts(), pebsCarry(b.PEBS))
@@ -218,8 +218,8 @@ func checkInitTouch(t *testing.T, c initCase, topo *tier.Topology) (*Engine, []*
 	return a, avs
 }
 
-// samplePages renders samples as (VMA name, page, node) triples.
-func samplePages(ss []pebs.Sample) []string {
+// sampleTriples renders samples as (VMA name, page, node) triples.
+func sampleTriples(ss []pebs.Sample) []string {
 	var out []string
 	for _, s := range ss {
 		out = append(out, fmt.Sprintf("%s/%d@%d", s.VMA.Name, s.Page, s.Node))
