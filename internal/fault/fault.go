@@ -8,7 +8,7 @@
 // performance ones.
 //
 // The Injector implements sim.FaultPlane. All randomness comes from its
-// own rand.Rand, never the engine's: attaching an injector whose classes
+// own rng.Rand, never the engine's: attaching an injector whose classes
 // are all disabled leaves a run bit-identical to one with no injector at
 // all, and enabling a class perturbs only the decisions that class owns.
 //
@@ -30,10 +30,10 @@
 package fault
 
 import (
-	"math/rand"
 	"sort"
 	"time"
 
+	"mtm/internal/rng"
 	"mtm/internal/tier"
 	"mtm/internal/vm"
 )
@@ -118,7 +118,7 @@ func (c Config) UsesHealth() bool {
 type Injector struct {
 	Cfg Config
 
-	rng     *rand.Rand
+	rng     *rng.Rand
 	sockets int
 	nodes   int
 
@@ -142,7 +142,7 @@ func NewInjector(cfg Config, seed int64) *Injector {
 	if cfg.BusyPenalty <= 0 {
 		cfg.BusyPenalty = DefaultBusyPenalty
 	}
-	return &Injector{Cfg: cfg, rng: rand.New(rand.NewSource(seed))}
+	return &Injector{Cfg: cfg, rng: rng.New(seed)}
 }
 
 // Attach sizes the injector's per-node state to the machine. The engine
