@@ -424,15 +424,6 @@ func (c *Controller) Tokens(src, dst int, nowNs int64) int64 {
 	return b.tokens
 }
 
-// WasteRatio reports the pair's aborted share of attempted bytes.
-func (c *Controller) WasteRatio(src, dst int) float64 {
-	b := c.pair(src, dst)
-	if b == nil || b.moved+b.wasted == 0 {
-		return 0
-	}
-	return float64(b.wasted) / float64(b.moved+b.wasted)
-}
-
 // AdmitClass prices one planned move of up to bytes from src to dst in
 // the given traffic class and returns the verdict with full evidence.
 // pageSize aligns the granted allowance; roi is the caller's estimate

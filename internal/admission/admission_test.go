@@ -60,8 +60,8 @@ func TestWastePenaltyDrainsBudget(t *testing.T) {
 	if got := c.Tokens(0, 1, 0); got != -4000 {
 		t.Fatalf("debt = %d, want clamp at -burst (-4000)", got)
 	}
-	if r := c.WasteRatio(0, 1); r != 1 {
-		t.Fatalf("waste ratio = %v, want 1 (nothing committed)", r)
+	if b := c.pair(0, 1); b.moved != 0 || b.wasted == 0 {
+		t.Fatalf("moved %d, wasted %d bytes; want all of it wasted (nothing committed)", b.moved, b.wasted)
 	}
 }
 

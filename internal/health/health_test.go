@@ -117,121 +117,116 @@ func TestForceDrainingStepsThroughDegraded(t *testing.T) {
 }
 
 func TestBreakerTripsAfterConsecutiveAborts(t *testing.T) {
-	b := NewBreaker(3, 1000)
-	if b.RecordAbort(0, 1, 10) || b.RecordAbort(0, 1, 20) {
+	var b Breaker
+	if b.RecordAbort(10, 1000) || b.RecordAbort(20, 1000) {
 		t.Fatal("tripped before the threshold")
 	}
-	if !b.RecordAbort(0, 1, 30) {
+	if !b.RecordAbort(30, 1000) {
 		t.Fatal("third consecutive abort did not trip")
 	}
-	if b.StateOf(0, 1) != BreakerOpen || b.Trips(0, 1) != 1 {
-		t.Fatalf("state=%v trips=%d", b.StateOf(0, 1), b.Trips(0, 1))
+	if b.State != BreakerOpen || b.Trips != 1 || b.Consec != 0 {
+		t.Fatalf("state=%v trips=%d consec=%d", b.State, b.Trips, b.Consec)
 	}
-	if b.OpenUntil(0, 1) != 1030 {
-		t.Fatalf("openUntil = %d, want 1030", b.OpenUntil(0, 1))
-	}
-	// Other pairs are untouched.
-	if b.StateOf(1, 0) != BreakerClosed || b.StateOf(0, 2) != BreakerClosed {
-		t.Fatal("trip leaked to other pairs")
+	if b.OpenUntil != 1030 {
+		t.Fatalf("openUntil = %d, want 1030", b.OpenUntil)
 	}
 }
 
 func TestBreakerSuccessResetsConsecutive(t *testing.T) {
-	b := NewBreaker(2, 1000)
-	b.RecordAbort(0, 1, 1)
-	b.RecordAbort(0, 1, 2)
-	b.RecordSuccess(0, 1)
-	if b.RecordAbort(0, 1, 3) || b.RecordAbort(0, 1, 4) {
+	var b Breaker
+	b.RecordAbort(1, 1000)
+	b.RecordAbort(2, 1000)
+	b.RecordSuccess()
+	if b.RecordAbort(3, 1000) || b.RecordAbort(4, 1000) {
 		t.Fatal("tripped with a success in between")
 	}
-	if !b.RecordAbort(0, 1, 5) {
+	if !b.RecordAbort(5, 1000) {
 		t.Fatal("did not trip after three fresh consecutive aborts")
 	}
 }
 
 func TestBreakerTripsAtMostOncePerCoolDown(t *testing.T) {
-	b := NewBreaker(2, 1000)
+	var b Breaker
 	for i := 0; i < 2; i++ {
-		b.RecordAbort(0, 1, int64(i))
+		b.RecordAbort(int64(i), 1000)
 	}
-	if !b.RecordAbort(0, 1, 2) {
+	if !b.RecordAbort(2, 1000) {
 		t.Fatal("no trip")
 	}
 	// While open, the pair is vetoed and further aborts never re-trip.
 	for now := int64(3); now < 1000; now += 100 {
-		if ok, _ := b.AllowAt(0, 1, now); ok {
-			t.Fatalf("AllowAt during cool-down at %d", now)
+		if ok, _ := b.Allow(now); ok {
+			t.Fatalf("Allow during cool-down at %d", now)
 		}
-		if b.RecordAbort(0, 1, now) {
+		if b.RecordAbort(now, 1000) {
 			t.Fatalf("re-trip during cool-down at %d", now)
 		}
 	}
-	if b.Trips(0, 1) != 1 || b.TotalTrips() != 1 {
-		t.Fatalf("trips = %d/%d, want 1", b.Trips(0, 1), b.TotalTrips())
+	if b.Trips != 1 || b.OpenUntil != 1002 {
+		t.Fatalf("trips = %d, open until %d; want 1, 1002", b.Trips, b.OpenUntil)
 	}
 }
 
 func TestBreakerHalfOpenProbe(t *testing.T) {
 	mk := func() *Breaker {
-		b := NewBreaker(2, 1000)
-		b.RecordAbort(0, 1, 0)
-		b.RecordAbort(0, 1, 0)
-		b.RecordAbort(0, 1, 0) // trips; openUntil = 1000
+		b := &Breaker{}
+		b.RecordAbort(0, 1000)
+		b.RecordAbort(0, 1000)
+		b.RecordAbort(0, 1000) // trips; openUntil = 1000
 		return b
 	}
 
 	// Probe succeeds: the breaker closes. Only the call that moves the
 	// pair from open to half-open reports reopened.
 	b := mk()
-	if ok, reopened := b.AllowAt(0, 1, 999); ok || reopened {
-		t.Fatalf("AllowAt during cool-down = %v, %v", ok, reopened)
+	if ok, reopened := b.Allow(999); ok || reopened {
+		t.Fatalf("Allow during cool-down = %v, %v", ok, reopened)
 	}
-	if ok, reopened := b.AllowAt(0, 1, 1000); !ok || !reopened {
-		t.Fatalf("cool-down elapsed: AllowAt = %v, %v, want true, true", ok, reopened)
+	if ok, reopened := b.Allow(1000); !ok || !reopened {
+		t.Fatalf("cool-down elapsed: Allow = %v, %v, want true, true", ok, reopened)
 	}
-	if b.StateOf(0, 1) != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.StateOf(0, 1))
+	if b.State != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", b.State)
 	}
-	if ok, reopened := b.AllowAt(0, 1, 1001); !ok || reopened {
-		t.Fatalf("half-open: AllowAt = %v, %v, want true, false", ok, reopened)
+	if ok, reopened := b.Allow(1001); !ok || reopened {
+		t.Fatalf("half-open: Allow = %v, %v, want true, false", ok, reopened)
 	}
-	b.RecordSuccess(0, 1)
-	if ok, reopened := b.AllowAt(0, 1, 1002); !ok || reopened {
-		t.Fatalf("closed: AllowAt = %v, %v, want true, false", ok, reopened)
+	b.RecordSuccess()
+	if ok, reopened := b.Allow(1002); !ok || reopened {
+		t.Fatalf("closed: Allow = %v, %v, want true, false", ok, reopened)
 	}
-	if b.StateOf(0, 1) != BreakerClosed {
+	if b.State != BreakerClosed {
 		t.Fatal("successful probe did not close the breaker")
 	}
 
 	// Probe fails: immediate re-trip with a fresh cool-down.
 	b = mk()
-	b.AllowAt(0, 1, 2000)
-	if !b.RecordAbort(0, 1, 2000) {
+	b.Allow(2000)
+	if !b.RecordAbort(2000, 1000) {
 		t.Fatal("failed half-open probe did not re-trip")
 	}
-	if b.StateOf(0, 1) != BreakerOpen || b.OpenUntil(0, 1) != 3000 || b.Trips(0, 1) != 2 {
-		t.Fatalf("after re-trip: state=%v until=%d trips=%d",
-			b.StateOf(0, 1), b.OpenUntil(0, 1), b.Trips(0, 1))
+	if b.State != BreakerOpen || b.OpenUntil != 3000 || b.Trips != 2 {
+		t.Fatalf("after re-trip: state=%v until=%d trips=%d", b.State, b.OpenUntil, b.Trips)
 	}
 }
 
-func TestOpenIntoIsReadOnly(t *testing.T) {
-	b := NewBreaker(3, 1000)
+func TestOpenAtIsReadOnly(t *testing.T) {
+	var b Breaker
+	if b.OpenAt(0) {
+		t.Fatal("a closed breaker reads as open")
+	}
 	for i := 0; i < 3; i++ {
-		b.RecordAbort(2, 1, 0)
+		b.RecordAbort(0, 1000)
 	}
-	if !b.OpenInto(1, 500) {
-		t.Fatal("open breaker into node 1 not reported")
+	if !b.OpenAt(500) {
+		t.Fatal("open breaker not reported")
 	}
-	if b.OpenInto(0, 500) || b.OpenInto(2, 500) {
-		t.Fatal("OpenInto reported the wrong destination")
+	// Past the cool-down it reads as not-open, but must not move the
+	// breaker to half-open (that is Allow's job).
+	if b.OpenAt(1000) {
+		t.Fatal("OpenAt true after cool-down")
 	}
-	// Past the cool-down it reads as not-open, but must not flip the cell
-	// to half-open (that is AllowAt's job).
-	if b.OpenInto(1, 1000) {
-		t.Fatal("OpenInto true after cool-down")
-	}
-	if b.StateOf(2, 1) != BreakerOpen {
-		t.Fatal("OpenInto mutated the breaker state")
+	if b.State != BreakerOpen {
+		t.Fatal("OpenAt mutated the breaker state")
 	}
 }

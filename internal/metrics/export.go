@@ -72,7 +72,7 @@ func (r *Registry) Export() *Export {
 		}
 		switch in.kind {
 		case KindCounter:
-			ie.Value = float64(in.count())
+			ie.Value = float64(in.f())
 		case KindGauge:
 			ie.Value = in.g.v
 		case KindHistogram:

@@ -6,11 +6,12 @@
 // The design constraints come from the simulation engine it serves:
 //
 //   - Zero allocation on the hot path. Instruments are registered once
-//     (at engine construction or profiler Attach) and written through
-//     pre-resolved handles; Add/Set/Observe never allocate and never
-//     look anything up by name. A count the caller already keeps is
-//     registered with CounterFunc instead and read only when the
-//     registry samples or exports, so it is stored once.
+//     (at engine construction or profiler Attach). A counter stores no
+//     count: it is a CounterFunc over a count its owner keeps whether
+//     metrics are on or not, read only when the registry samples or
+//     exports, so each count is stored once. Gauges and histograms are
+//     written through pre-resolved handles; Set and Observe never
+//     allocate and never look anything up by name.
 //   - Deterministic. Everything is recorded from the engine's interval
 //     loop, in program order; the per-interval time series and the event
 //     log are pure functions of the simulation, so two runs of the same
@@ -30,7 +31,6 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
-	"time"
 )
 
 // Label is one name/value pair attached to an instrument. Label order is
@@ -67,38 +67,6 @@ func (k Kind) String() string {
 // validName is the Prometheus metric-name grammar; registration panics on
 // violations (a bad name is a programming error, not a runtime condition).
 var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
-
-// Counter is a monotonically increasing int64. The zero of a nil receiver
-// is a no-op instrument.
-type Counter struct {
-	inst *instrument
-	v    int64
-}
-
-// Add increases the counter by n (n >= 0). It panics on negative n.
-func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
-	}
-	if n < 0 {
-		panic(fmt.Sprintf("metrics: Counter %s Add(%d): counters are monotonic", c.inst.full, n))
-	}
-	c.v += n
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Add(1) }
-
-// AddDuration adds a virtual-time duration in nanoseconds.
-func (c *Counter) AddDuration(d time.Duration) { c.Add(int64(d)) }
-
-// Value returns the current count (0 on nil).
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
 
 // Gauge is a settable float64. The zero of a nil receiver is a no-op.
 type Gauge struct {
@@ -187,18 +155,9 @@ type instrument struct {
 	labels []Label
 	full   string // name plus rendered label set; the identity key
 
-	c *Counter
-	f func() int64 // a CounterFunc's source; c stays nil
+	f func() int64 // a counter's source
 	g *Gauge
 	h *Histogram
-}
-
-// count returns a counter instrument's current value.
-func (in *instrument) count() int64 {
-	if in.f != nil {
-		return in.f()
-	}
-	return in.c.v
 }
 
 // Registry owns the instruments, the event ring and the per-interval time
@@ -264,36 +223,17 @@ func (r *Registry) register(kind Kind, name, help string, labels []Label) *instr
 	return in
 }
 
-// Counter registers (or finds) a counter. Returns nil on a nil registry.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
-	in := r.register(KindCounter, name, help, labels)
-	if in.f != nil {
-		panic("metrics: " + in.full + " is already a CounterFunc")
-	}
-	if in.c == nil {
-		in.c = &Counter{inst: in}
-		r.scalars = append(r.scalars, in)
-	}
-	return in.c
-}
-
 // CounterFunc registers (or re-points) a counter whose value is f(), read
 // whenever the registry samples or exports: the metric of a count the
-// caller already keeps. It takes the series column and export position a
-// Counter registered at the same point would. It panics when the name and
-// labels belong to a plain Counter or another kind, and does nothing on a
-// nil registry.
+// caller keeps. f must never decrease. Registering the same name and
+// labels again re-points the counter at the new f and keeps its series
+// column. It panics when the name and labels belong to another kind, and
+// does nothing on a nil registry.
 func (r *Registry) CounterFunc(name, help string, f func() int64, labels ...Label) {
 	if r == nil {
 		return
 	}
 	in := r.register(KindCounter, name, help, labels)
-	if in.c != nil {
-		panic("metrics: " + in.full + " is already a Counter")
-	}
 	if in.f == nil {
 		r.scalars = append(r.scalars, in)
 	}
@@ -402,7 +342,7 @@ func (r *Registry) Sample() {
 	for i, in := range r.scalars {
 		switch in.kind {
 		case KindCounter:
-			vals[i] = float64(in.count())
+			vals[i] = float64(in.f())
 		case KindGauge:
 			vals[i] = in.g.v
 		}

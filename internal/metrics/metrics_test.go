@@ -9,17 +9,18 @@ import (
 
 func TestNilRegistryIsNoOp(t *testing.T) {
 	var r *Registry
-	c := r.Counter("x_total", "")
+	r.CounterFunc("x_total", "", func() int64 {
+		t.Fatal("nil registry called the func")
+		return 0
+	})
 	g := r.Gauge("g", "")
 	h := r.Histogram("h", "", []float64{1, 2})
-	c.Add(5)
-	c.Inc()
 	g.Set(3)
 	h.Observe(1.5)
 	r.Emit("oom", "", 0)
 	r.SetNow(1, 2)
 	r.Sample()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if g.Value() != 0 || h.Count() != 0 {
 		t.Fatal("nil instruments retained values")
 	}
 	if r.Export() != nil || r.Events() != nil || r.Samples() != nil {
@@ -29,12 +30,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := New()
-	c := r.Counter("moves_total", "pages moved")
-	c.Add(3)
-	c.Inc()
-	if c.Value() != 4 {
-		t.Fatalf("counter = %d, want 4", c.Value())
-	}
+	moves := int64(4)
+	r.CounterFunc("moves_total", "pages moved", func() int64 { return moves })
 	g := r.Gauge("contention", "factor")
 	g.Set(2.5)
 	if g.Value() != 2.5 {
@@ -49,9 +46,14 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 	x := r.Export()
 	var hist *InstrumentExport
-	for i := range x.Instruments {
-		if x.Instruments[i].Name == "lat" {
+	for i, in := range x.Instruments {
+		switch in.Name {
+		case "lat":
 			hist = &x.Instruments[i]
+		case "moves_total":
+			if in.Value != 4 || in.Kind != "counter" {
+				t.Fatalf("counter export %+v, want counter 4", in)
+			}
 		}
 	}
 	if hist == nil {
@@ -69,25 +71,14 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-func TestCounterPanicsOnNegative(t *testing.T) {
-	r := New()
-	c := r.Counter("x_total", "")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
 func TestRegistrationIdempotentAndKindChecked(t *testing.T) {
 	r := New()
-	a := r.Counter("x_total", "", L("n", "0"))
-	b := r.Counter("x_total", "", L("n", "0"))
+	a := r.Gauge("x", "", L("n", "0"))
+	b := r.Gauge("x", "", L("n", "0"))
 	if a != b {
-		t.Fatal("same (name, labels) returned distinct counters")
+		t.Fatal("same (name, labels) returned distinct gauges")
 	}
-	if r.Counter("x_total", "", L("n", "1")) == a {
+	if r.Gauge("x", "", L("n", "1")) == a {
 		t.Fatal("distinct labels shared an instrument")
 	}
 	defer func() {
@@ -95,19 +86,13 @@ func TestRegistrationIdempotentAndKindChecked(t *testing.T) {
 			t.Fatal("kind clash did not panic")
 		}
 	}()
-	r.Gauge("x_total", "", L("n", "0"))
+	r.Histogram("x", "", nil, L("n", "0"))
 }
 
 func TestCounterFunc(t *testing.T) {
-	var nilReg *Registry
-	nilReg.CounterFunc("x_total", "", func() int64 {
-		t.Fatal("nil registry called the func")
-		return 0
-	})
-
 	var n int64
 	r := New()
-	r.Counter("a_total", "")
+	r.CounterFunc("a_total", "", func() int64 { return 0 })
 	r.CounterFunc("f_total", "read at sample time", func() int64 { return n })
 	r.Gauge("g", "")
 	n = 3
@@ -135,27 +120,21 @@ func TestCounterFunc(t *testing.T) {
 		t.Fatalf("prom output:\n%s", buf.String())
 	}
 
-	// Same columns and export as a plain Counter registered in its place.
-	plain := New()
-	plain.Counter("a_total", "")
-	plain.Counter("f_total", "read at sample time").Add(8)
-	plain.Gauge("g", "")
-	px := plain.Export()
-	if strings.Join(px.Series.Columns, ",") != strings.Join(x.Series.Columns, ",") {
-		t.Fatalf("columns %v, plain counter gives %v", x.Series.Columns, px.Series.Columns)
+	// Registering again re-points the counter and keeps its column.
+	m := int64(13)
+	r.CounterFunc("f_total", "read at sample time", func() int64 { return m })
+	r.Sample()
+	x = r.Export()
+	if got := strings.Join(x.Series.Columns, ","); got != "a_total,f_total,g" {
+		t.Fatalf("columns %s after re-registering, want a_total,f_total,g", got)
 	}
-	x.Series.Samples, px.Series.Samples = nil, nil
-	b1, _ := json.Marshal(x)
-	b2, _ := json.Marshal(px)
-	if !bytes.Equal(b1, b2) {
-		t.Fatalf("export\n%s\nplain counter gives\n%s", b1, b2)
+	if got := x.Series.Samples[2].Values[1]; got != 13 {
+		t.Fatalf("re-pointed counter read %v, want 13", got)
 	}
 
 	for name, clash := range map[string]func(){
-		"gauge after func":   func() { r.Gauge("f_total", "") },
-		"counter after func": func() { r.Counter("f_total", "") },
-		"func after gauge":   func() { r.CounterFunc("g", "", func() int64 { return 0 }) },
-		"func after counter": func() { r.CounterFunc("a_total", "", func() int64 { return 0 }) },
+		"gauge after func": func() { r.Gauge("f_total", "") },
+		"func after gauge": func() { r.CounterFunc("g", "", func() int64 { return 0 }) },
 	} {
 		func() {
 			defer func() {
@@ -195,11 +174,12 @@ func TestEventRingBounded(t *testing.T) {
 
 func TestSeriesSampling(t *testing.T) {
 	r := New()
-	c := r.Counter("a_total", "")
+	var c int64
+	r.CounterFunc("a_total", "", func() int64 { return c })
 	g := r.Gauge("b", "")
 	r.Histogram("h", "", []float64{1}) // histograms excluded from series
 	for i := 0; i < 3; i++ {
-		c.Add(int64(i + 1))
+		c += int64(i + 1)
 		g.Set(float64(10 * i))
 		r.SetNow(i, int64(i)*100)
 		r.Sample()
@@ -223,8 +203,8 @@ func TestSeriesSampling(t *testing.T) {
 func TestExportJSONDeterministic(t *testing.T) {
 	build := func() *Registry {
 		r := New()
-		r.Counter("z_total", "last registered, first alphabetically exported")
-		r.Counter("a_total", "", L("node", "dram0"))
+		r.CounterFunc("z_total", "last registered, first alphabetically exported", func() int64 { return 2 })
+		r.CounterFunc("a_total", "", func() int64 { return 1 }, L("node", "dram0"))
 		r.Gauge("m", "")
 		r.SetNow(0, 1)
 		r.Emit("oom", "vma p 3", 3)
@@ -243,8 +223,8 @@ func TestExportJSONDeterministic(t *testing.T) {
 
 func TestWriteProm(t *testing.T) {
 	r := New()
-	r.Counter("mtm_pages_moved_total", "pages moved", L("src", "dram0"), L("dst", "pm0")).Add(12)
-	r.Counter("mtm_pages_moved_total", "pages moved", L("src", "pm0"), L("dst", "dram0")).Add(3)
+	r.CounterFunc("mtm_pages_moved_total", "pages moved", func() int64 { return 12 }, L("src", "dram0"), L("dst", "pm0"))
+	r.CounterFunc("mtm_pages_moved_total", "pages moved", func() int64 { return 3 }, L("src", "pm0"), L("dst", "dram0"))
 	r.Gauge("mtm_contention", "factor", L("node", `we"ird`)).Set(1.25)
 	h := r.Histogram("mtm_interval_app_ns", "per-interval app time", []float64{1000, 1e6})
 	h.Observe(500)
@@ -284,7 +264,7 @@ func TestInvalidNamesPanic(t *testing.T) {
 					t.Fatalf("name %q accepted", bad)
 				}
 			}()
-			r.Counter(bad, "")
+			r.Gauge(bad, "")
 		}()
 	}
 	defer func() {
@@ -292,5 +272,5 @@ func TestInvalidNamesPanic(t *testing.T) {
 			t.Fatal("bad label key accepted")
 		}
 	}()
-	r.Counter("ok_total", "", L("bad-key", "v"))
+	r.Gauge("ok", "", L("bad-key", "v"))
 }

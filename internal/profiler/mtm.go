@@ -228,7 +228,7 @@ func (m *MTM) Profile(e *sim.Engine) {
 		m.buf.Disarm()
 		m.kept = growClear(m.kept, len(regions))
 		samples := m.buf.Samples()
-		m.pm.pebsKept.Add(int64(len(samples)))
+		m.pc.pebsKept += int64(len(samples))
 		for _, smp := range samples {
 			ri := m.set.Find(smp.VMA, smp.Page)
 			if ri < 0 {

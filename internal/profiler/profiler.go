@@ -93,17 +93,18 @@ func HotBytes(regions []*region.Region, want int64) []*region.Region {
 }
 
 // regionTable is the state every profiler shares: the region set it
-// maintains and its metrics handles. Embedding it supplies the Set,
-// Regions and (no-op) IntervalStart methods.
+// maintains and the counts its metrics read. Embedding it supplies the
+// Set, Regions and (no-op) IntervalStart methods.
 type regionTable struct {
 	set *region.Set
-	pm  profMetrics
+	pc  profCounts
 }
 
 // attach builds the region set with numScans checks per sampled page,
 // carves every VMA into regionBytes regions (0 keeps one region per
-// VMA), and registers the metrics labeled with the profiler's name; buf
-// is the profiler's PEBS buffer, nil if it samples none.
+// VMA), zeroes the counts and registers the metrics labeled with the
+// profiler's name; buf is the profiler's PEBS buffer, nil if it samples
+// none.
 func (t *regionTable) attach(e *sim.Engine, name string, numScans int, regionBytes int64, buf *pebs.Buffer) {
 	t.set = region.NewSet(numScans)
 	for _, v := range e.AS.VMAs() {
@@ -113,7 +114,8 @@ func (t *regionTable) attach(e *sim.Engine, name string, numScans int, regionByt
 		}
 		t.set.InitVMA(v, b)
 	}
-	t.pm = newProfMetrics(e, name, t.set, buf)
+	t.pc = profCounts{}
+	registerMetrics(e, name, &t.pc, t.set, buf)
 }
 
 // Set exposes the region set (formation statistics, tests).
@@ -129,11 +131,11 @@ func (t *regionTable) Regions() []*region.Region {
 func (t *regionTable) IntervalStart(*sim.Engine) {}
 
 // charge bills cost of profiling work covering pages to the engine's
-// profiling time and to the profiler's metrics.
+// profiling time and to the profiler's counts.
 func (t *regionTable) charge(e *sim.Engine, cost time.Duration, pages int64) {
 	e.ChargeProfiling(cost)
-	t.pm.scanNs.AddDuration(cost)
-	t.pm.pages.Add(pages)
+	t.pc.scanNs += int64(cost)
+	t.pc.pages += pages
 }
 
 // samplePagesInto picks n distinct page indices in [start, end) uniformly

@@ -41,9 +41,6 @@ func (h *Histogram) bucketOf(whi float64) int {
 // Buckets returns the number of buckets.
 func (h *Histogram) Buckets() int { return len(h.buckets) }
 
-// Bucket returns the regions in bucket i (0 = coldest).
-func (h *Histogram) Bucket(i int) []*Region { return h.buckets[i] }
-
 // HottestFirst returns all regions ordered from the hottest bucket down;
 // within a bucket, regions keep insertion (address) order.
 func (h *Histogram) HottestFirst() []*Region {

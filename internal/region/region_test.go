@@ -439,8 +439,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	regions[3].WHI = 3
 	h := NewHistogram(regions)
 	top := h.Buckets() - 1
-	if len(h.Bucket(0)) != 2 || len(h.Bucket(1)) != 1 || len(h.Bucket(top)) != 1 {
-		t.Fatalf("bucket sizes %d/%d/%d, want 2/1/1", len(h.Bucket(0)), len(h.Bucket(1)), len(h.Bucket(top)))
+	if len(h.buckets[0]) != 2 || len(h.buckets[1]) != 1 || len(h.buckets[top]) != 1 {
+		t.Fatalf("bucket sizes %d/%d/%d, want 2/1/1", len(h.buckets[0]), len(h.buckets[1]), len(h.buckets[top]))
 	}
 }
 

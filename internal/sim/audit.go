@@ -39,10 +39,9 @@ func (e *AuditError) Error() string {
 //     number as many as the shadowed pages;
 //   - moves: committed transaction bytes equal promoted + demoted +
 //     drained volume (aborted transactions contribute to none of them);
-//   - metrics (when enabled): the per-pair moved/aborted counters sum to
-//     the engine's committed moves and aborts. Every other engine count
-//     is exported by reading the engine's own field, so it needs no
-//     check.
+//   - pair counts: the per-pair moved/aborted counts sum to the engine's
+//     committed moves and aborts. Every metric reads the count it exports
+//     from its owner, so the export needs no check of its own.
 func (e *Engine) Audit() error {
 	var probs []string
 	nodes := e.Sys.Topo.Nodes
@@ -170,22 +169,20 @@ func (e *Engine) Audit() error {
 			e.committedBytes, moved))
 	}
 
-	if e.met != nil {
-		var movedPages, abortedPages int64
-		for _, p := range e.pairs {
-			movedPages += p.moved.Value()
-			abortedPages += p.aborted.Value()
-		}
-		if movedPages != e.committedPages {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: per-pair moved pages %d != committed transactions %d",
-				movedPages, e.committedPages))
-		}
-		if abortedPages != e.MigrationAborts {
-			probs = append(probs, fmt.Sprintf(
-				"metrics: per-pair aborted pages %d != migration aborts %d",
-				abortedPages, e.MigrationAborts))
-		}
+	var movedPages, abortedPages int64
+	for _, p := range e.pairs {
+		movedPages += p.moved
+		abortedPages += p.aborted
+	}
+	if movedPages != e.committedPages {
+		probs = append(probs, fmt.Sprintf(
+			"pair counts: moved pages %d != committed transactions %d",
+			movedPages, e.committedPages))
+	}
+	if abortedPages != e.MigrationAborts {
+		probs = append(probs, fmt.Sprintf(
+			"pair counts: aborted pages %d != migration aborts %d",
+			abortedPages, e.MigrationAborts))
 	}
 
 	if len(probs) == 0 {

@@ -17,6 +17,7 @@ import (
 
 	"mtm/internal/admission"
 	"mtm/internal/fidelity"
+	"mtm/internal/health"
 	"mtm/internal/metrics"
 	"mtm/internal/pebs"
 	"mtm/internal/rng"
@@ -209,6 +210,7 @@ type Engine struct {
 	intDemoted  int64
 	intAccesses []int64   // app accesses per node; Sys counts them as demand
 	contention  []float64 // per-node factor from previous interval
+	appAccesses []int64   // intAccesses summed over finished intervals
 
 	// Cumulative stats.
 	TotalApp      time.Duration
@@ -229,6 +231,7 @@ type Engine struct {
 	ShadowCounters
 	shadowRetains int64 // promotions that retained their source frame
 	shadowDrops   int64 // shadows dropped (pressure/poison/drain/stale)
+	transitions   int64 // tier health-state transitions
 
 	// Committed-move ledger and residency bookkeeping for Audit.
 	committedPages int64
@@ -257,6 +260,7 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 		Interval:     10 * time.Second,
 		intAccesses:  make([]int64, n),
 		contention:   make([]float64, n),
+		appAccesses:  make([]int64, n),
 		NodeAccesses: make([]int64, n),
 	}
 	for i := range e.contention {
@@ -283,17 +287,18 @@ func NewEngine(topo *tier.Topology, seed int64) *Engine {
 }
 
 // pairInfo is what the engine knows about one ordered pair of nodes: the
-// way a move between them points, the pair's name and the instruments
-// that count its moves.
+// way a move between them points, the pair's name, the counts of its
+// moves and its circuit breaker.
 type pairInfo struct {
 	src, dst tier.NodeID
 	promote  bool   // dst ranks ahead of src in HomeSocket's view
 	name     string // "src->dst", set by EnableMetrics so events never format
 
-	// Per-pair migration accounting, nil without metrics; minROI also
-	// without learned admission.
-	moved, aborted, retried, backoffNs *metrics.Counter
-	minROI                             *metrics.Gauge
+	// Per-pair migration counts, kept whether metrics are on or not.
+	moved, aborted, retried, backoffNs int64
+
+	brk    health.Breaker // consulted only with health on
+	minROI *metrics.Gauge // nil without metrics and learned admission
 }
 
 // pair returns the record of the move src→dst, or nil unless both are
@@ -327,9 +332,6 @@ func (e *Engine) refreshLatency() {
 		}
 	}
 }
-
-// Clock returns the current virtual time.
-func (e *Engine) Clock() time.Duration { return e.clock }
 
 // Contention returns the bandwidth-contention factor of node n carried
 // over from the previous interval (>= 1).
@@ -758,15 +760,16 @@ func (e *Engine) endInterval() {
 	// observed demand (a one-interval lag keeps the model causal).
 	for i := range e.contention {
 		e.contention[i] = e.Sys.ContentionFactor(tier.NodeID(i))
+		e.appAccesses[i] += e.intAccesses[i]
 	}
 	e.refreshLatency()
+	e.Intervals++
 	e.metricsEndInterval(app)
 	e.AS.ResetCounts()
 	// Fold-and-zero: the interval volumes are in the cumulative totals
 	// now, so zeroing here (not only at the next beginInterval) keeps the
 	// committed-move ledger checkable between intervals (see Audit).
 	e.intPromoted, e.intDemoted = 0, 0
-	e.Intervals++
 }
 
 // RunInterval executes exactly one profiling interval: solution start

@@ -20,10 +20,11 @@ import (
 	"mtm/internal/vm"
 )
 
-// healthState bundles the tracker and breaker behind one nil check.
+// healthState bundles the tracker and the breakers' cool-down behind one
+// nil check. Each pair's breaker lives in its pairInfo.
 type healthState struct {
-	tracker *health.Tracker
-	breaker *health.Breaker
+	tracker    *health.Tracker
+	coolDownNs int64
 }
 
 // EnableHealth attaches the tier-health subsystem (idempotent). Must be
@@ -33,15 +34,11 @@ func (e *Engine) EnableHealth() {
 	if e.hlt != nil {
 		return
 	}
-	n := len(e.Sys.Topo.Nodes)
 	e.hlt = &healthState{
-		tracker: health.NewTracker(n),
-		breaker: health.NewBreaker(n, int64(2*e.Interval)),
+		tracker:    health.NewTracker(len(e.Sys.Topo.Nodes)),
+		coolDownNs: int64(2 * e.Interval),
 	}
 }
-
-// HealthEnabled reports whether the tier-health subsystem is attached.
-func (e *Engine) HealthEnabled() bool { return e.hlt != nil }
 
 // TierHealth returns the health state of node n (StateOnline when the
 // subsystem is disabled).
@@ -77,10 +74,11 @@ func (e *Engine) DestUsable(src, dst tier.NodeID) bool {
 	if !e.Sys.Allocatable(dst) {
 		return false
 	}
-	if e.pair(src, dst) == nil {
+	p := e.pair(src, dst)
+	if p == nil {
 		return true
 	}
-	ok, reopened := e.hlt.breaker.AllowAt(int(src), int(dst), e.SpanClockNs())
+	ok, reopened := p.brk.Allow(e.SpanClockNs())
 	if reopened {
 		// The pair just re-entered service (open → half-open): clear its
 		// frozen waste ledger so the pre-trip aborts cannot immediately
@@ -94,20 +92,18 @@ func (e *Engine) DestUsable(src, dst tier.NodeID) bool {
 // pair for provenance: state name, consecutive aborts, the virtual ns
 // until which it is open, and its lifetime trip count.
 func (e *Engine) BreakerEvidence(src, dst tier.NodeID) (state string, consec int64, openUntilNs int64, trips int64) {
-	if e.hlt == nil || e.pair(src, dst) == nil {
+	p := e.pair(src, dst)
+	if e.hlt == nil || p == nil {
 		return health.BreakerClosed.String(), 0, 0, 0
 	}
-	b := e.hlt.breaker
-	return b.StateOf(int(src), int(dst)).String(),
-		int64(b.Consecutive(int(src), int(dst))),
-		b.OpenUntil(int(src), int(dst)),
-		b.Trips(int(src), int(dst))
+	b := &p.brk
+	return b.State.String(), int64(b.Consec), b.OpenUntil, b.Trips
 }
 
 // recordMoveSuccess feeds a committed move into the pair's breaker.
 func (e *Engine) recordMoveSuccess(p *pairInfo) {
 	if e.hlt != nil {
-		e.hlt.breaker.RecordSuccess(int(p.src), int(p.dst))
+		p.brk.RecordSuccess()
 	}
 }
 
@@ -119,19 +115,18 @@ func (e *Engine) recordMoveAbort(p *pairInfo) {
 	if e.hlt == nil {
 		return
 	}
-	src, dst := int(p.src), int(p.dst)
-	if !e.hlt.breaker.RecordAbort(src, dst, e.SpanClockNs()) {
+	if !p.brk.RecordAbort(e.SpanClockNs(), e.hlt.coolDownNs) {
 		return
 	}
 	e.BreakerTrips++
 	e.admissionBreakerTrip(p)
-	e.Metrics().Emit(EventBreakerTrip, p.name, e.hlt.breaker.Trips(src, dst))
+	e.Metrics().Emit(EventBreakerTrip, p.name, p.brk.Trips)
 	e.SpanEvent("health", "breaker-trip",
-		span.S("src", e.Sys.Topo.Nodes[src].Name),
-		span.S("dst", e.Sys.Topo.Nodes[dst].Name),
+		span.S("src", e.Sys.Topo.Nodes[p.src].Name),
+		span.S("dst", e.Sys.Topo.Nodes[p.dst].Name),
 		span.I("consecutive_aborts", health.TripAborts),
-		span.I("open_until_ns", e.hlt.breaker.OpenUntil(src, dst)),
-		span.I("trips", e.hlt.breaker.Trips(src, dst)))
+		span.I("open_until_ns", p.brk.OpenUntil),
+		span.I("trips", p.brk.Trips))
 }
 
 // healthBeginInterval delivers this interval's memory-error faults and
@@ -155,7 +150,12 @@ func (e *Engine) healthBeginInterval() {
 	}
 	now := e.SpanClockNs()
 	trs := e.hlt.tracker.BeginInterval(e.Intervals, func(dst int) bool {
-		return e.hlt.breaker.OpenInto(dst, now)
+		for src := range e.Sys.Topo.Nodes {
+			if p := e.pair(tier.NodeID(src), tier.NodeID(dst)); p != nil && p.brk.OpenAt(now) {
+				return true
+			}
+		}
+		return false
 	})
 	e.applyTransitions(trs)
 }
@@ -234,8 +234,8 @@ func (e *Engine) applyTransitions(trs []health.Transition) {
 		case health.StateOnline:
 			e.Sys.SetAllocatable(n, true)
 		}
+		e.transitions++
 		if e.met != nil {
-			e.met.healthTransitions.Inc()
 			e.met.tierState[n].Set(float64(tr.To))
 			e.met.reg.Emit(EventHealthTransition,
 				e.Sys.Topo.Nodes[n].Name+" "+tr.From.String()+"->"+tr.To.String(), int64(tr.To))

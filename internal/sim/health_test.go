@@ -302,7 +302,7 @@ func TestHealthDisabledIsInert(t *testing.T) {
 	e := newTestEngine()
 	e.SetSolution(&fixedSolution{node: 0})
 	e.beginInterval()
-	if !e.DestUsable(1, 0) || e.HealthEnabled() {
+	if !e.DestUsable(1, 0) || e.hlt != nil {
 		t.Fatal("health leaked into a plain engine")
 	}
 	if e.TierStates() != nil {

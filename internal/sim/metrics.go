@@ -7,20 +7,19 @@
 // in program order on the interval loop, so the export is a pure function
 // of the simulated execution.
 //
-// One source per count: a counter with an engine twin (TotalFaults, the
-// robustness, health, admission and shadow counters, the Total* times,
-// PromotedBytes/DemotedBytes, OOM as failed != nil) is registered with
-// CounterFunc and read from the engine field when the registry samples or
-// exports. The fidelity oracle's lag, missed and verdict counters read its
-// tallies the same way (see EnableFidelity), and so do the profilers'
-// merge, split and dropped-PEBS-sample counters (internal/profiler reads
-// region.Set.Merged/Split and pebs.Buffer.Dropped). The engine writes only the instruments no field holds:
-// intervals (sampled before Intervals increments), node accesses (the
-// per-interval counts exclude Init's accesses, which NodeAccesses
-// includes), the per-pair counters, health transitions, the gauges and
-// the histogram. The gauges hold the value last set rather than live
-// state: contention is set at interval end, so a run that fails inside
-// Init exports it as zero.
+// One source per count: every counter is a CounterFunc over a count its
+// owner keeps whether metrics are on or not, read when the registry
+// samples or exports. The engine's are its fields: Intervals, the Total*
+// times, TotalFaults, PromotedBytes/DemotedBytes, OOM as failed != nil,
+// the robustness, health, admission and shadow counters, appAccesses
+// (node accesses summed at interval end, so Init's, which NodeAccesses
+// includes, stay out), the health transitions and each pairInfo's moved,
+// aborted, retried and backoff counts. The fidelity oracle's counters
+// read its tallies (see EnableFidelity), and the profilers' read their
+// own counts, region.Set.Merged/Split and pebs.Buffer.Dropped. The
+// engine writes only the gauges and the histogram. The gauges hold the
+// value last set rather than live state: contention is set at interval
+// end, so a run that fails inside Init exports it as zero.
 package sim
 
 import (
@@ -80,18 +79,14 @@ const (
 )
 
 // engineMetrics holds the handles of the instruments the engine writes:
-// the ones with no engine counter to read. All are resolved once at
-// EnableMetrics; the hot path never performs name lookups.
+// the gauges and the histogram. All are resolved once at EnableMetrics;
+// the hot path never performs name lookups.
 type engineMetrics struct {
 	reg *metrics.Registry
 
-	intervals         *metrics.Counter
-	healthTransitions *metrics.Counter
-
-	shadowBytes  []*metrics.Gauge   // per node
-	nodeAccesses []*metrics.Counter // per node
-	contention   []*metrics.Gauge   // per node
-	tierState    []*metrics.Gauge   // per node health state (0=Online..3=Offline)
+	shadowBytes []*metrics.Gauge // per node
+	contention  []*metrics.Gauge // per node
+	tierState   []*metrics.Gauge // per node health state (0=Online..3=Offline)
 
 	intervalAppNs *metrics.Histogram
 }
@@ -110,14 +105,14 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 	}
 	reg := metrics.New()
 	m := &engineMetrics{reg: reg}
-	count := func(name, help string, p *int64) {
-		reg.CounterFunc(name, help, func() int64 { return *p })
+	count := func(name, help string, p *int64, labels ...metrics.Label) {
+		reg.CounterFunc(name, help, func() int64 { return *p }, labels...)
 	}
 	ns := func(name, help string, p *time.Duration) {
 		reg.CounterFunc(name, help, func() int64 { return int64(*p) })
 	}
 
-	m.intervals = reg.Counter("mtm_sim_intervals_total", "profiling intervals completed")
+	reg.CounterFunc("mtm_sim_intervals_total", "profiling intervals completed", func() int64 { return int64(e.Intervals) })
 	ns("mtm_sim_app_ns_total", "cumulative application time (virtual ns)", &e.TotalApp)
 	ns("mtm_sim_profiling_ns_total", "cumulative critical-path profiling time (virtual ns)", &e.TotalProf)
 	ns("mtm_sim_migration_ns_total", "cumulative critical-path migration time (virtual ns)", &e.TotalMig)
@@ -142,7 +137,7 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 	count("mtm_health_drained_bytes_total", "bytes evacuated off draining tiers", &e.DrainedBytes)
 	count("mtm_health_drain_stalls_total", "drain steps stalled with no destination", &e.DrainStalls)
 	count("mtm_health_breaker_trips_total", "migration circuit-breaker trips", &e.BreakerTrips)
-	m.healthTransitions = reg.Counter("mtm_health_transitions_total", "tier health-state transitions")
+	count("mtm_health_transitions_total", "tier health-state transitions", &e.transitions)
 	count("mtm_admission_admitted_total", "planned moves admitted by admission control", &e.AdmissionAdmits)
 	count("mtm_admission_deferred_total", "planned moves deferred by admission control (budget pressure)", &e.AdmissionDefers)
 	count("mtm_admission_rejected_total", "planned moves rejected by admission control (ROI)", &e.AdmissionRejects)
@@ -162,12 +157,11 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 	count("mtm_shadow_sync_bytes_total", "bytes re-copied to shadow frames in the background", &e.ShadowSyncBytes)
 
 	nodes := e.Sys.Topo.Nodes
-	m.nodeAccesses = make([]*metrics.Counter, len(nodes))
 	m.contention = make([]*metrics.Gauge, len(nodes))
 	m.tierState = make([]*metrics.Gauge, len(nodes))
 	m.shadowBytes = make([]*metrics.Gauge, len(nodes))
 	for i, n := range nodes {
-		m.nodeAccesses[i] = reg.Counter("mtm_sim_node_accesses_total", "application accesses served per node", metrics.L("node", n.Name))
+		count("mtm_sim_node_accesses_total", "application accesses served per node", &e.appAccesses[i], metrics.L("node", n.Name))
 		m.contention[i] = reg.Gauge("mtm_sim_node_contention", "bandwidth-contention factor carried into the next interval", metrics.L("node", n.Name))
 		m.tierState[i] = reg.Gauge("mtm_health_tier_state", "tier health state (0=Online 1=Degraded 2=Draining 3=Offline)", metrics.L("node", n.Name))
 		m.shadowBytes[i] = reg.Gauge("mtm_shadow_bytes", "bytes held as retained shadow copies per node", metrics.L("node", n.Name))
@@ -177,16 +171,16 @@ func (e *Engine) EnableMetrics() *metrics.Registry {
 	// before the next: registration order is the time-series column order.
 	for _, c := range []struct {
 		name, help string
-		ctr        func(*pairInfo) **metrics.Counter
+		ctr        func(*pairInfo) *int64
 	}{
-		{"mtm_migrate_pages_moved_total", "pages migrated per tier pair", func(p *pairInfo) **metrics.Counter { return &p.moved }},
-		{"mtm_migrate_pages_aborted_total", "page moves aborted per tier pair", func(p *pairInfo) **metrics.Counter { return &p.aborted }},
-		{"mtm_migrate_pages_retried_total", "page-copy retries per tier pair", func(p *pairInfo) **metrics.Counter { return &p.retried }},
-		{"mtm_migrate_backoff_ns_total", "virtual backoff time charged per tier pair (ns)", func(p *pairInfo) **metrics.Counter { return &p.backoffNs }},
+		{"mtm_migrate_pages_moved_total", "pages migrated per tier pair", func(p *pairInfo) *int64 { return &p.moved }},
+		{"mtm_migrate_pages_aborted_total", "page moves aborted per tier pair", func(p *pairInfo) *int64 { return &p.aborted }},
+		{"mtm_migrate_pages_retried_total", "page-copy retries per tier pair", func(p *pairInfo) *int64 { return &p.retried }},
+		{"mtm_migrate_backoff_ns_total", "virtual backoff time charged per tier pair (ns)", func(p *pairInfo) *int64 { return &p.backoffNs }},
 	} {
 		for i := range e.pairs {
 			if p := &e.pairs[i]; p.src != p.dst {
-				*c.ctr(p) = reg.Counter(c.name, c.help, e.pairLabels(p)...)
+				count(c.name, c.help, c.ctr(p), e.pairLabels(p)...)
 			}
 		}
 	}
@@ -263,25 +257,22 @@ func (e *Engine) metricsBeginInterval() {
 	}
 }
 
-// metricsEndInterval records the finished interval's accounting and
-// appends one time-series sample. Called from endInterval after the
-// clock advanced and the interval folded into the engine's totals, but
-// before Intervals increments, so the sample is stamped with the
-// interval it describes.
+// metricsEndInterval records the finished interval's gauges and histogram
+// and appends one time-series sample. Called from endInterval after the
+// interval folded into the engine's counts and Intervals incremented, so
+// the sample is stamped with the interval it describes, Intervals-1.
 func (e *Engine) metricsEndInterval(app time.Duration) {
 	if e.met == nil {
 		return
 	}
 	m := e.met
-	m.intervals.Inc()
 	m.intervalAppNs.Observe(float64(app))
-	for i, n := range e.intAccesses {
-		m.nodeAccesses[i].Add(n)
-		m.contention[i].Set(e.contention[i])
+	for i, c := range e.contention {
+		m.contention[i].Set(c)
 		if e.shd != nil {
 			m.shadowBytes[i].Set(float64(e.Sys.ShadowBytes(tier.NodeID(i))))
 		}
 	}
-	m.reg.SetNow(e.Intervals, int64(e.clock))
+	m.reg.SetNow(e.Intervals-1, int64(e.clock))
 	m.reg.Sample()
 }

@@ -163,8 +163,8 @@ func (e *Engine) CopyPage(v *vm.VMA, idx int, dst tier.NodeID) (mv PageMove, ok 
 		mv.Waste += backoff
 		e.MigrationRetries++
 		if p := e.pair(mv.Src, dst); p != nil {
-			p.retried.Inc()
-			p.backoffNs.AddDuration(backoff)
+			p.retried++
+			p.backoffNs += int64(backoff)
 		}
 	}
 	if mv.Committed {
@@ -211,7 +211,7 @@ func (e *Engine) commitMove(v *vm.VMA, idx int, src, dst tier.NodeID, flip bool)
 	e.recordMoveSuccess(p)
 	e.admissionMoveCommitted(v, idx, p, flip)
 	e.lineageMoveCommitted(v, idx, p, flip)
-	p.moved.Inc()
+	p.moved++
 }
 
 // abortMove rolls back a reserved move of page idx of v from src: the dst
@@ -236,7 +236,7 @@ func (e *Engine) abortMove(v *vm.VMA, idx int, src, dst tier.NodeID) {
 	if p == nil {
 		return
 	}
-	p.aborted.Inc()
+	p.aborted++
 	e.emitEventOnce(EventMigrationAbort, p.name, int64(idx))
 	e.admissionMoveAborted(v.PageSize, p)
 	e.recordMoveAbort(p)

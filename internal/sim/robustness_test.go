@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -288,5 +289,42 @@ func TestCopyPageRetryBackoff(t *testing.T) {
 			e.NotePromotion(v.PageSize) // committed moves must be attributed
 		}
 		mustAudit(t, e)
+	}
+}
+
+// TestAuditChecksPairCountsWithoutMetrics holds the audit's per-pair
+// check on an engine without metrics: the pair counts exist either way,
+// so the moved and aborted pages per pair must sum to the engine's
+// committed moves and aborts.
+func TestAuditChecksPairCountsWithoutMetrics(t *testing.T) {
+	e := NewEngine(tier.TwoTierTopology(8*tier.MB, 8*tier.MB), 1)
+	e.Interval = time.Second
+	e.SetSolution(&fixedSolution{node: 1})
+	e.beginInterval()
+	v := e.AS.Alloc("v", 2*vm.HugePageSize)
+	e.Access(v, 0, 1, 0, 0)
+	e.Access(v, 1, 1, 0, 0)
+	if e.met != nil {
+		t.Fatal("setup: metrics on")
+	}
+	// Five busy attempts abort the first copy; the second commits.
+	e.SetFaultPlane(&busyPlane{left: 5})
+	if mv, ok := e.CopyPage(v, 0, 0); !ok || mv.Committed {
+		t.Fatalf("first CopyPage = (%+v, %v), want an abort", mv, ok)
+	}
+	if mv, ok := e.CopyPage(v, 1, 0); !ok || !mv.Committed {
+		t.Fatalf("second CopyPage = (%+v, %v), want a commit", mv, ok)
+	}
+	e.NotePromotion(v.PageSize)
+	p := e.pair(1, 0)
+	if p.moved != 1 || p.aborted != 1 || p.retried != 4 || p.backoffNs != int64(75*time.Microsecond) {
+		t.Fatalf("pair counts moved=%d aborted=%d retried=%d backoff=%d", p.moved, p.aborted, p.retried, p.backoffNs)
+	}
+	mustAudit(t, e)
+
+	p.aborted++
+	err := e.Audit()
+	if err == nil || !strings.Contains(err.Error(), "aborted pages 2 != migration aborts 1") {
+		t.Fatalf("audit after a stray per-pair abort = %v, want the per-pair problem", err)
 	}
 }

@@ -113,9 +113,6 @@ func (g *GUPS) tablePages() int { return g.infoStart - g.tableStart }
 // Heap returns the single heap VMA.
 func (g *GUPS) Heap() *vm.VMA { return g.heap }
 
-// TableRange returns the heap page range [start, end) of the table.
-func (g *GUPS) TableRange() (start, end int) { return g.tableStart, g.infoStart }
-
 // Object classifies a heap page as one of Figure 6's objects: 'A' (index
 // array), 'B' (hot-set descriptor), 'C' (current hot blocks), or ' ' for
 // cold table pages. Pages of other VMAs return 0.

@@ -81,9 +81,6 @@ func (w *VoltDB) assignHomes(r *rng.Rand) {
 	w.reassignLeft = w.reassignOps
 }
 
-// Stock is the stock table's VMA, for experiments that inspect placement.
-func (w *VoltDB) Stock() *vm.VMA { return w.stock }
-
 func (w *VoltDB) RunInterval(e *sim.Engine) { e.RunChunks(w) }
 
 // RunsAhead is true: a chunk of transactions costs more to draw than to

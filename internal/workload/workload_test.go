@@ -91,7 +91,7 @@ func TestGUPSHotSetShape(t *testing.T) {
 	e := testEngine()
 	g := NewGUPS(Config{Scale: 256})
 	g.Init(e)
-	start, end := g.TableRange()
+	start, end := g.tableStart, g.infoStart
 	hot := 0
 	for i := start; i < end; i++ {
 		if g.IsHot(g.Heap(), i) {
@@ -113,7 +113,7 @@ func TestGUPSHotTrafficShare(t *testing.T) {
 	g.RunInterval(e)
 	var hotCount, total uint64
 	tb := g.Heap()
-	start, end := g.TableRange()
+	start, end := g.tableStart, g.infoStart
 	for i := start; i < end; i++ {
 		c := uint64(tb.Count(i))
 		total += c
@@ -186,7 +186,7 @@ func TestVoltDBHomeWarehouseLocality(t *testing.T) {
 	}
 	var homeCount, otherCount uint64
 	var homeN, otherN int
-	st := w.Stock()
+	st := w.stock
 	perWh := w.stockPerWh
 	for i := 0; i < st.NPages; i++ {
 		wh := int(int64(i) * st.PageSize / perWh)
